@@ -7,6 +7,15 @@ tuples sized to the variable set (all the sets used here have at most
 eight variables).  Terms iterate in graded lexicographic order of the
 declared variable order, which fixes the text form and the JSON form.
 
+Normal form: the term dict of every :class:`Polynomial` maps exponent
+tuples of the variable set's length to nonzero coefficients, with
+integral Fractions collapsed to ints.  The public constructor (and so
+:meth:`Polynomial.from_json`) checks and establishes it; arithmetic
+results preserve it by construction and are wrapped by the unchecked
+``Polynomial._trusted``.  The order of the term dict is the order in
+which arithmetic inserted the terms; ``evaluate`` sums floats in that
+order, so the helpers below keep it fixed.
+
 Text form: ``3/2*x^2*y - z + 1``.
 JSON form: ``{"variables": [...], "terms": [{"exp": [...], "num": ..., "den": ...}]}``.
 """
@@ -15,6 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from numbers import Rational
+from operator import add
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -90,6 +100,69 @@ def _norm_coeff(c):
     return c
 
 
+def _norm_terms(terms: dict) -> dict:
+    """Collapse integral Fractions in place; ints skip the ABC isinstance."""
+    for e, c in terms.items():
+        if type(c) is not int:
+            terms[e] = _norm_coeff(c)
+    return terms
+
+
+def _add_into(out: dict, terms: Mapping) -> dict:
+    """Add ``terms`` into ``out`` in place, keeping the normal form.
+
+    A key whose sum cancels is removed, so if it reappears later it goes
+    to the end of the dict, exactly as with repeated ``+``.
+    """
+    get = out.get
+    for e, c in terms.items():
+        s = get(e, 0) + c
+        if s:
+            out[e] = s if type(s) is int else _norm_coeff(s)
+        else:
+            del out[e]
+    return out
+
+
+def _mul_terms(a: Mapping, b: Mapping) -> dict:
+    """Product of two normal-form term dicts, in normal form.
+
+    A partial sum that cancels is removed at once, not at the end, so a
+    key that reappears goes to the end of the dict, as with ``_add_into``:
+    ``evaluate`` sums floats in this order (see the module docstring).
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    out: dict[tuple, object] = {}
+    get = out.get
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(map(add, ea, eb))
+            s = get(e, 0) + ca * cb
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return _norm_terms(out)
+
+
+def _pow_terms(terms: Mapping, n: int, one: tuple, squares: list | None = None) -> dict:
+    """``terms ** n`` by repeated squaring.  ``squares`` caches
+    ``terms ** (2**j)`` at index j across calls on the same base."""
+    if squares is None:
+        squares = [terms]
+    out = {one: 1}
+    j = 0
+    while n:
+        if j == len(squares):
+            squares.append(_mul_terms(squares[-1], squares[-1]))
+        if n & 1:
+            out = _mul_terms(out, squares[j])
+        n >>= 1
+        j += 1
+    return out
+
+
 class Polynomial:
     """Immutable exact polynomial over a fixed :class:`VariableSet`."""
 
@@ -105,7 +178,8 @@ class Polynomial:
                     raise ValueError(
                         f"exponent vector {exp} does not match {nvars} variables"
                     )
-                c = _norm_coeff(c)
+                if type(c) is not int:
+                    c = _norm_coeff(c)
                 if c:
                     clean[tuple(exp)] = c
         self._terms = clean
@@ -113,8 +187,16 @@ class Polynomial:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _trusted(cls, variables: VariableSet, terms: dict) -> "Polynomial":
+        """Wrap a term dict already in normal form, without checking it."""
+        p = object.__new__(cls)
+        p.variables = variables
+        p._terms = terms
+        return p
+
+    @classmethod
     def zero(cls, variables: VariableSet) -> "Polynomial":
-        return cls(variables, {})
+        return cls._trusted(variables, {})
 
     @classmethod
     def constant(cls, variables: VariableSet, c) -> "Polynomial":
@@ -124,11 +206,7 @@ class Polynomial:
     def variable(cls, variables: VariableSet, name: str) -> "Polynomial":
         exp = [0] * len(variables)
         exp[variables.index(name)] = 1
-        return cls(variables, {tuple(exp): 1})
-
-    @classmethod
-    def from_coeffs(cls, variables: VariableSet, entries: Mapping[tuple, object]) -> "Polynomial":
-        return cls(variables, {e: Fraction(c) for e, c in entries.items()})
+        return cls._trusted(variables, {tuple(exp): 1})
 
     # -- structure -----------------------------------------------------------
 
@@ -179,19 +257,12 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return Polynomial(self.variables, out)
+        return Polynomial._trusted(self.variables, _add_into(dict(self._terms), other._terms))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.variables, {e: -c for e, c in self._terms.items()})
+        return Polynomial._trusted(self.variables, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
         other = self._coerce(other)
@@ -203,24 +274,12 @@ class Polynomial:
         return (-self) + other
 
     def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)) and not isinstance(other, Polynomial):
+        if not isinstance(other, Polynomial) and isinstance(other, (int, Fraction)):
             return self.scale(other)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._terms, other._terms
-        if len(a) > len(b):
-            a, b = b, a
-        out: dict[tuple, object] = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = tuple(map(sum, zip(ea, eb)))
-                s = out.get(e, 0) + ca * cb
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return Polynomial(self.variables, out)
+        return Polynomial._trusted(self.variables, _mul_terms(self._terms, other._terms))
 
     __rmul__ = __mul__
 
@@ -228,19 +287,15 @@ class Polynomial:
         c = _norm_coeff(Fraction(c))
         if not c:
             return Polynomial.zero(self.variables)
-        return Polynomial(self.variables, {e: v * c for e, v in self._terms.items()})
+        return Polynomial._trusted(
+            self.variables, _norm_terms({e: v * c for e, v in self._terms.items()})
+        )
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative polynomial power")
-        out = Polynomial.constant(self.variables, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
+        one = (0,) * len(self.variables)
+        return Polynomial._trusted(self.variables, _pow_terms(self._terms, n, one))
 
     # -- evaluation and substitution -----------------------------------------
 
@@ -293,7 +348,7 @@ class Polynomial:
                 break
             else:
                 target = self.variables
-        images: list[Polynomial] = []
+        images: list[dict] = []
         for name in self.variables:
             if name in mapping:
                 img = mapping[name]
@@ -301,23 +356,29 @@ class Polynomial:
                     raise ValueError(
                         f"image of {name!r} is over {img.variables}, expected {target}"
                     )
-                images.append(img)
+                images.append(img._terms)
             else:
-                images.append(Polynomial.variable(target, name))
-        out = Polynomial.zero(target)
+                images.append(Polynomial.variable(target, name)._terms)
+        one = (0,) * len(target)
+        squares: list[list] = [[img] for img in images]
+        powers: dict[tuple[int, int], dict] = {}
+        out: dict[tuple, object] = {}
         for e, c in self._terms.items():
-            term = Polynomial.constant(target, c)
-            for img, k in zip(images, e):
+            term = {one: c}
+            for i, k in enumerate(e):
                 if k:
-                    term = term * img**k
-            out = out + term
-        return out
+                    pk = powers.get((i, k))
+                    if pk is None:
+                        pk = powers[i, k] = _pow_terms(images[i], k, one, squares[i])
+                    term = _mul_terms(term, pk)
+            _add_into(out, term)
+        return Polynomial._trusted(target, out)
 
     def rename_variables(self, target: VariableSet) -> "Polynomial":
         """Reinterpret over a same-length variable set, positionally."""
         if len(target) != len(self.variables):
             raise ValueError("variable sets must have equal length")
-        return Polynomial(target, dict(self._terms))
+        return Polynomial._trusted(target, dict(self._terms))
 
     # -- canonical text and JSON ------------------------------------------------
 
@@ -368,10 +429,6 @@ class Polynomial:
         return cls(variables, terms)
 
 
-def _f3_poly(entries: Mapping[tuple, int]) -> Polynomial:
-    return Polynomial(F3_VARS, entries)
-
-
 def _monomial(variables: VariableSet, coeff: int, **powers: int) -> Polynomial:
     exp = [0] * len(variables)
     for name, k in powers.items():
@@ -418,6 +475,11 @@ PHI = (
 
 _X123_INDEX = F3_VARS.index("x123")
 
+# x123^2 == SUM_RELATION*x123 - PRODUCT_RELATION on the hypersurface
+_X123_SQUARED = (
+    SUM_RELATION * _monomial(F3_VARS, 1, x123=1) - PRODUCT_RELATION
+)._terms
+
 
 def reduce_mod_phi(p: Polynomial) -> Polynomial:
     """Canonical representative of ``p`` modulo the hypersurface relation.
@@ -428,19 +490,20 @@ def reduce_mod_phi(p: Polynomial) -> Polynomial:
     """
     if p.variables != F3_VARS:
         raise ValueError("reduce_mod_phi expects a polynomial over the F3 set")
-    # x123^2 == SUM_RELATION*x123 - PRODUCT_RELATION on the hypersurface
-    x123 = _monomial(F3_VARS, 1, x123=1)
-    replacement = SUM_RELATION * x123 - PRODUCT_RELATION
     i = _X123_INDEX
-    while True:
-        d = p.degree_in("x123")
-        if d <= 1:
-            return p
-        high = {e: c for e, c in p._terms.items() if e[i] == d}
-        rest = {e: c for e, c in p._terms.items() if e[i] != d}
-        lowered = {}
-        for e, c in high.items():
-            e2 = list(e)
-            e2[i] = d - 2
-            lowered[tuple(e2)] = c
-        p = Polynomial(F3_VARS, rest) + Polynomial(F3_VARS, lowered) * replacement
+    terms = p._terms
+    d = max((e[i] for e in terms), default=0)
+    if d <= 1:
+        return p
+    while d > 1:
+        # lower the top x123-degree d by one: x123^d -> x123^(d-2) * x123^2
+        rest: dict[tuple, object] = {}
+        lowered: dict[tuple, object] = {}
+        for e, c in terms.items():
+            if e[i] == d:
+                lowered[e[:i] + (d - 2,) + e[i + 1:]] = c
+            else:
+                rest[e] = c
+        terms = _add_into(rest, _mul_terms(lowered, _X123_SQUARED))
+        d = max((e[i] for e in terms), default=0)
+    return Polynomial._trusted(F3_VARS, terms)

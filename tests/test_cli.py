@@ -38,6 +38,12 @@ class TestTracePoly:
         assert code == 2
         assert "position" in err
 
+    def test_deep_word_is_error_not_traceback(self, capsys):
+        code, out, err = run(capsys, "trace-poly", "X^600")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestEvalWord:
     def test_matrices_inline(self, capsys):

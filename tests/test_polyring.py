@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from slchar.polyring import (
     F2_VARS,
@@ -153,3 +155,114 @@ class TestVariableSet:
     def test_unknown_variable(self):
         with pytest.raises(KeyError):
             F2_VARS.index("q")
+
+
+# -- normal-form invariant and independent oracles (hypothesis, sympy) ------
+
+COEFFS = st.fractions(min_value=-9, max_value=9, max_denominator=4)
+TARGET = VariableSet(("u", "v", "w"))
+
+
+def polys(vars_, max_terms=6, max_deg=3, degrees=None):
+    degrees = degrees or {}
+    exps = st.tuples(*[st.integers(0, degrees.get(n, max_deg)) for n in vars_])
+    return st.dictionaries(exps, COEFFS, max_size=max_terms).map(
+        lambda terms: Polynomial(vars_, terms)
+    )
+
+
+def assert_normal_form(p):
+    n = len(p.variables)
+    for e, c in p._terms.items():
+        assert type(e) is tuple and len(e) == n
+        assert c != 0
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), c
+
+
+def naive_substitute(p, mapping, target):
+    """Term-by-term expansion on plain dicts, one factor at a time."""
+    total = {}
+    for e, c in p.terms():
+        term = {(0,) * len(target): c}
+        for name, k in zip(p.variables, e):
+            img = mapping[name] if name in mapping else Polynomial.variable(target, name)
+            for _ in range(k):
+                prod = {}
+                for ea, ca in term.items():
+                    for eb, cb in img.terms():
+                        key = tuple(a + b for a, b in zip(ea, eb))
+                        prod[key] = prod.get(key, 0) + ca * cb
+                term = prod
+        for key, v in term.items():
+            total[key] = total.get(key, 0) + v
+    return Polynomial(target, total)
+
+
+def to_sympy(p, gens=None):
+    """``p`` as a sympy Poly over QQ in ``gens`` (default: its own variables)."""
+    names = p.variables.names
+    gens = gens or sympy.symbols(names)
+    order = [names.index(str(g)) for g in gens]
+    terms = {tuple(e[i] for i in order): sympy.QQ(c.numerator, c.denominator)
+             for e, c in p.terms()}
+    return sympy.Poly.from_dict(terms, *gens, domain=sympy.QQ)
+
+
+class TestNormalForm:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from((F2_VARS, F3_VARS)), st.data())
+    def test_arithmetic_results(self, vars_, data):
+        a, b = data.draw(polys(vars_)), data.draw(polys(vars_))
+        c, k = data.draw(COEFFS), data.draw(st.integers(0, 3))
+        renamed = VariableSet(f"t{i}" for i in range(len(vars_)))
+        for r in (a + b, a - b, -a, a * b, a.scale(c), a * c, a + c, c - a, a**k,
+                  a + (-a), a.rename_variables(renamed)):
+            assert_normal_form(r)
+        assert (a + (-a)).is_zero()
+
+    @settings(max_examples=40, deadline=None)
+    @given(polys(F3_VARS, max_deg=2, degrees={"x123": 4}), polys(F3_VARS, max_deg=1))
+    def test_reduce_mod_phi_result(self, a, b):
+        assert_normal_form(reduce_mod_phi(a * b))
+        assert_normal_form(reduce_mod_phi(a))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from((F2_VARS, F3_VARS)), st.data())
+    def test_substitute_matches_naive_reference(self, source, data):
+        p = data.draw(polys(source, max_terms=5, max_deg=3 if source is F2_VARS else 1))
+        target = data.draw(st.sampled_from((source, TARGET)))
+        if target is TARGET:
+            names = set(source.names)
+        else:  # unmapped variables are carried over by name
+            names = data.draw(st.sets(st.sampled_from(source.names), min_size=1))
+        mapping = {n: data.draw(polys(target, max_terms=3, max_deg=2)) for n in names}
+        q = p.substitute(mapping, target=target)
+        assert_normal_form(q)
+        assert q == naive_substitute(p, mapping, target)
+
+    def test_wrong_exponent_length_rejected(self):
+        with pytest.raises(ValueError):
+            Polynomial(F2_VARS, {(1, 0): 1})
+        with pytest.raises(ValueError):
+            Polynomial.from_json({"variables": ["x", "y", "z"],
+                                  "terms": [{"exp": [1, 2, 3, 4], "num": 1}]})
+
+
+class TestSympyOracle:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(polys(F3_VARS, max_terms=5, max_deg=1, degrees={"x123": 6}))
+    def test_reduce_mod_phi_is_remainder(self, p):
+        # x123 first: sympy divides by the leading coefficient in the first generator
+        gens = sympy.symbols(("x123",) + F3_VARS.names[:-1])
+        assert to_sympy(reduce_mod_phi(p), gens) == to_sympy(p, gens).rem(to_sympy(PHI, gens))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(polys(F2_VARS, max_terms=5), st.data())
+    def test_substitute_matches_subs(self, p, data):
+        mapping = {n: data.draw(polys(TARGET, max_terms=3, max_deg=2)) for n in F2_VARS}
+        q = p.substitute(mapping, target=TARGET)
+        subs = {sympy.Symbol(n): to_sympy(img).as_expr() for n, img in mapping.items()}
+        substituted = to_sympy(p).as_expr().subs(subs, simultaneous=True)
+        # Poly() expands the substituted expression, much faster than .expand()
+        expected = sympy.Poly(substituted, *sympy.symbols(TARGET.names), domain=sympy.QQ)
+        assert to_sympy(q) == expected
