@@ -15,6 +15,7 @@ import numpy as np
 
 from . import mat2
 from .mat2 import GeometryError, normal_form_pair, principal_sqrt
+from .polyring import sum_product
 from .tracepoly import kappa_value
 
 __all__ = [
@@ -72,14 +73,8 @@ class CharacterF3:
 
     def sum_product_residuals(self) -> tuple[float, float]:
         """Absolute residuals of the Sum and Product relations."""
-        t1, t2, t3, t12, t13, t23, t123, t132 = self.as_tuple()
-        fsum = t12 * t3 + t13 * t2 + t23 * t1 - t1 * t2 * t3
-        fprod = (
-            t1 * t1 + t2 * t2 + t3 * t3
-            + t12 * t12 + t23 * t23 + t13 * t13
-            - (t1 * t2 * t12 + t2 * t3 * t23 + t3 * t1 * t13)
-            + t12 * t23 * t13 - 4
-        )
+        *six, t123, t132 = self.as_tuple()
+        fsum, fprod = sum_product(*six)
         return abs(t123 + t132 - fsum), abs(t123 * t132 - fprod)
 
     def is_valid(self, tol: float = 1e-9) -> bool:
@@ -231,13 +226,7 @@ def triple_trace_roots(t1, t2, t3, t12, t13, t23) -> tuple[complex, complex]:
     larger imaginary part (the deterministic sheet labeling of the
     double cover).
     """
-    fsum = t12 * t3 + t13 * t2 + t23 * t1 - t1 * t2 * t3
-    fprod = (
-        t1 * t1 + t2 * t2 + t3 * t3
-        + t12 * t12 + t23 * t23 + t13 * t13
-        - (t1 * t2 * t12 + t2 * t3 * t23 + t3 * t1 * t13)
-        + t12 * t23 * t13 - 4
-    )
+    fsum, fprod = sum_product(t1, t2, t3, t12, t13, t23)
     disc = principal_sqrt(fsum * fsum - 4 * fprod)
     r1 = (fsum + disc) / 2
     r2 = (fsum - disc) / 2

@@ -191,15 +191,27 @@ def cmd_cover(args) -> int:
 # -- verification suites ----------------------------------------------------------
 
 
+#: Matrix sampler per ``--mode``: exact mode draws object arrays of
+#: Fractions, on which the same suite bodies compute exactly.
+_RANDOM_MATRIX = {
+    "float": sampling.random_unimodular,
+    "exact": sampling.random_rational_unimodular,
+}
+
+#: Longest rank-2 and rank-3 oracle words per ``--mode``; exact
+#: products of rational matrices grow fast with the word length.
+_ORACLE_WORD_LENGTHS = {"float": (12, 8), "exact": (10, 6)}
+
+
 def _suite_identities(cfg) -> list[tuple[str, float]]:
-    if cfg.mode == "exact":
-        return _suite_identities_exact(cfg)
+    draw = _RANDOM_MATRIX[cfg.mode]
     worst_ch = worst_basic = worst_inv = worst_comm = 0.0
     for trial in range(cfg.trials):
         rnd = sampling.rng_for(cfg.seed, trial)
-        xi = sampling.random_unimodular(rnd)
-        eta = sampling.random_unimodular(rnd)
-        ch = xi @ xi - mat2.trace(xi) * xi + mat2.det(xi) * mat2.I2
+        xi = draw(rnd)
+        eta = draw(rnd)
+        eye = np.eye(2, dtype=xi.dtype)
+        ch = xi @ xi - mat2.trace(xi) * xi + mat2.det(xi) * eye
         worst_ch = max(worst_ch, float(np.abs(ch).max()))
         basic = (
             mat2.trace(xi @ eta)
@@ -222,118 +234,28 @@ def _suite_identities(cfg) -> list[tuple[str, float]]:
     ]
 
 
-def _suite_identities_exact(cfg) -> list[tuple[str, float]]:
-    from fractions import Fraction as F
-
-    mm = sampling.exact_matmul
-    tr = sampling.exact_trace
-
-    def det(m):
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-
-    worst = {"cayley-hamilton": F(0), "basic-identity": F(0),
-             "trace-of-inverse": F(0), "commutator-vs-lie-det": F(0)}
-    for trial in range(cfg.trials):
-        rnd = sampling.rng_for(cfg.seed, trial)
-        xi = sampling.random_rational_unimodular(rnd)
-        eta = sampling.random_rational_unimodular(rnd)
-        t, d = tr(xi), det(xi)
-        sq = mm(xi, xi)
-        ch = max(
-            abs(sq[i][j] - t * xi[i][j] + (d if i == j else 0))
-            for i in range(2) for j in range(2)
-        )
-        worst["cayley-hamilton"] = max(worst["cayley-hamilton"], ch)
-        adj = lambda m: ((m[1][1], -m[0][1]), (-m[1][0], m[0][0]))
-        basic = tr(mm(xi, eta)) + tr(mm(xi, adj(eta))) - tr(xi) * tr(eta)
-        worst["basic-identity"] = max(worst["basic-identity"], abs(basic))
-        worst["trace-of-inverse"] = max(
-            worst["trace-of-inverse"], abs(tr(xi) - tr(adj(xi)))
-        )
-        ab, ba = mm(xi, eta), mm(eta, xi)
-        lie = tuple(
-            tuple(ab[i][j] - ba[i][j] for j in range(2)) for i in range(2)
-        )
-        comm = tr(mm(mm(xi, eta), mm(adj(xi), adj(eta)))) + det(lie) - 2
-        worst["commutator-vs-lie-det"] = max(
-            worst["commutator-vs-lie-det"], abs(comm)
-        )
-    return [(name, float(v)) for name, v in worst.items()]
-
-
 def _suite_oracle(cfg) -> list[tuple[str, float]]:
-    if cfg.mode == "exact":
-        return _suite_oracle_exact(cfg)
+    draw = _RANDOM_MATRIX[cfg.mode]
+    len2, len3 = _ORACLE_WORD_LENGTHS[cfg.mode]
     worst2 = worst3 = worst4 = 0.0
     for trial in range(cfg.trials):
         rnd = sampling.rng_for(cfg.seed, trial)
-        w2 = sampling.random_reduced_word(rnd, 2, 12)
-        m2 = [sampling.random_unimodular(rnd) for _ in range(2)]
+        w2 = sampling.random_reduced_word(rnd, 2, len2)
+        m2 = [draw(rnd) for _ in range(2)]
         v = tracepoly.evaluate_at_character(tracepoly.trace_poly_f2(w2), m2)
         t = mat2.trace(mat2.evaluate_word(w2, m2))
         worst2 = max(worst2, abs(v - t) / (1 + abs(t)))
-        w3 = sampling.random_reduced_word(rnd, 3, 8)
-        m3 = [sampling.random_unimodular(rnd) for _ in range(3)]
+        w3 = sampling.random_reduced_word(rnd, 3, len3)
+        m3 = [draw(rnd) for _ in range(3)]
         v = tracepoly.evaluate_at_character(tracepoly.trace_poly_f3(w3), m3)
         t = mat2.trace(mat2.evaluate_word(w3, m3))
         worst3 = max(worst3, abs(v - t) / (1 + abs(t)))
-        m4 = [sampling.random_unimodular(rnd) for _ in range(4)]
+        m4 = [draw(rnd) for _ in range(4)]
         worst4 = max(worst4, tracepoly.quadruple_trace_check(m4))
     return [
         ("rank2-words", worst2),
         ("rank3-words", worst3),
         ("quadruple-trace", worst4),
-    ]
-
-
-def _suite_oracle_exact(cfg) -> list[tuple[str, float]]:
-    """Rational matrices, exact products, exact polynomial evaluation:
-    the residuals are identically zero."""
-    from fractions import Fraction as F
-
-    tr = sampling.exact_trace
-    mm = sampling.exact_matmul
-    worst2 = worst3 = worst4 = F(0)
-    for trial in range(cfg.trials):
-        rnd = sampling.rng_for(cfg.seed, trial)
-        w2 = sampling.random_reduced_word(rnd, 2, 10)
-        m2 = [sampling.random_rational_unimodular(rnd) for _ in range(2)]
-        char = {"x": tr(m2[0]), "y": tr(m2[1]), "z": tr(mm(m2[0], m2[1]))}
-        val = tracepoly.trace_poly_f2(w2).evaluate_exact(char)
-        worst2 = max(worst2, abs(val - tr(sampling.exact_evaluate_word(w2, m2))))
-        w3 = sampling.random_reduced_word(rnd, 3, 6)
-        m3 = [sampling.random_rational_unimodular(rnd) for _ in range(3)]
-        char3 = {
-            "x1": tr(m3[0]), "x2": tr(m3[1]), "x3": tr(m3[2]),
-            "x12": tr(mm(m3[0], m3[1])), "x13": tr(mm(m3[0], m3[2])),
-            "x23": tr(mm(m3[1], m3[2])),
-            "x123": tr(mm(mm(m3[0], m3[1]), m3[2])),
-        }
-        val = tracepoly.trace_poly_f3(w3).evaluate_exact(char3)
-        worst3 = max(worst3, abs(val - tr(sampling.exact_evaluate_word(w3, m3))))
-        m4 = [sampling.random_rational_unimodular(rnd) for _ in range(4)]
-
-        def t(*idx):
-            out = m4[idx[0] - 1]
-            for i in idx[1:]:
-                out = mm(out, m4[i - 1])
-            return tr(out)
-
-        lhs = 2 * t(1, 2, 3, 4)
-        rhs = (
-            t(1) * t(2) * t(3) * t(4)
-            + t(1) * t(2, 3, 4) + t(2) * t(3, 4, 1)
-            + t(3) * t(4, 1, 2) + t(4) * t(1, 2, 3)
-            + t(1, 2) * t(3, 4) + t(4, 1) * t(2, 3)
-            - t(1, 3) * t(2, 4)
-            - t(1) * t(2) * t(3, 4) - t(1, 2) * t(3) * t(4)
-            - t(4) * t(1) * t(2, 3) - t(4, 1) * t(2) * t(3)
-        )
-        worst4 = max(worst4, abs(lhs - rhs))
-    return [
-        ("rank2-words", float(worst2)),
-        ("rank3-words", float(worst3)),
-        ("quadruple-trace", float(worst4)),
     ]
 
 
@@ -431,7 +353,7 @@ def cmd_verify(args) -> int:
     for name, residual in rows:
         ok = residual <= args.tolerance
         failed = failed or not ok
-        print(f"{args.suite}/{name}: max-residual={residual:.17e} "
+        print(f"{args.suite}/{name}: max-residual={float(residual):.17e} "
               f"{'pass' if ok else 'FAIL'}")
     print(f"suite={args.suite} trials={args.trials} seed={args.seed} "
           f"tolerance={args.tolerance:g} mode={args.mode} "

@@ -29,13 +29,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from numbers import Rational
 
 import numpy as np
 
 from . import mat2
-from .polyring import S04_VARS, S12_VARS, Polynomial, VariableSet
+from .polyring import S04_VARS, S12_VARS, Polynomial
 from .tracepoly import kappa_value
 
 __all__ = [
@@ -56,6 +55,7 @@ __all__ = [
     "h1z2_action",
     "fn_to_traces",
     "pants_curve_count",
+    "s04_quartic",
     "s04_defining_poly",
     "s12_relation_polys",
     "defining_identity_residual",
@@ -261,37 +261,10 @@ class S04Result:
         }
 
 
-def s04_defining_poly() -> Polynomial:
+def s04_quartic(a, b, c, d, x, y, z):
     """The quartic cutting the four-holed-sphere character variety out
-    of C^7:  x^2+y^2+z^2+xyz - (ab+cd)x - (ad+bc)y - (ac+bd)z
-    + a^2+b^2+c^2+d^2+abcd - 4."""
-    m = lambda coeff, **p: _mono(S04_VARS, coeff, **p)
-    return (
-        m(1, x=2) + m(1, y=2) + m(1, z=2) + m(1, x=1, y=1, z=1)
-        + m(-1, a=1, b=1, x=1) + m(-1, c=1, d=1, x=1)
-        + m(-1, a=1, d=1, y=1) + m(-1, b=1, c=1, y=1)
-        + m(-1, a=1, c=1, z=1) + m(-1, b=1, d=1, z=1)
-        + m(1, a=2) + m(1, b=2) + m(1, c=2) + m(1, d=2)
-        + m(1, a=1, b=1, c=1, d=1)
-        + Polynomial.constant(S04_VARS, -4)
-    )
-
-
-def _mono(variables: VariableSet, coeff, **powers) -> Polynomial:
-    exp = [0] * len(variables)
-    for name, k in powers.items():
-        exp[variables.index(name)] = k
-    return Polynomial(variables, {tuple(exp): Fraction(coeff)})
-
-
-def _kappa_pq(x, p, q):
-    """k_{p,q}(x) = x^2 + p^2 + q^2 - pqx - 4 = kappa(p, q, x) - 2."""
-    return x * x + p * p + q * q - p * q * x - 4
-
-
-def s04_residual(ch: CharacterS04):
-    """Value of the defining quartic; exact if the inputs are rational."""
-    a, b, c, d, x, y, z = ch.as_tuple()
+    of C^7, in the arithmetic of the arguments (exact if they are
+    rational)."""
     return (
         x * x + y * y + z * z + x * y * z
         - ((a * b + c * d) * x + (a * d + b * c) * y + (a * c + b * d) * z)
@@ -299,13 +272,33 @@ def s04_residual(ch: CharacterS04):
     )
 
 
-def member_s04(ch: CharacterS04, tol: float = ONVARIETY_TOL) -> S04Result:
-    a, b, c, d, x, y, z = ch.as_tuple()
-    kab = _kappa_pq(x, a, b)
-    kcd = _kappa_pq(x, c, d)
+def _s04_variables() -> list[Polynomial]:
+    return [Polynomial.variable(S04_VARS, n) for n in S04_VARS]
+
+
+def s04_defining_poly() -> Polynomial:
+    """The quartic over (a,b,c,d,x,y,z):  x^2+y^2+z^2+xyz - (ab+cd)x
+    - (ad+bc)y - (ac+bd)z + a^2+b^2+c^2+d^2+abcd - 4."""
+    return s04_quartic(*_s04_variables())
+
+
+def _s04_component_terms(a, b, c, d, x, y, z):
+    """(k_ab(x), k_cd(x), S-, S+), where k_pq(x) = x^2 + p^2 + q^2 - pqx
+    - 4 = kappa(p, q, x) - 2."""
+    kab = x * x + a * a + b * b - a * b * x - 4
+    kcd = x * x + c * c + d * d - c * d * x - 4
     s_minus = (y - z) * (2 - x) + (a - b) * (c - d)
     s_plus = (y + z) * (2 + x) - (a + b) * (c + d)
-    residual = s04_residual(ch)
+    return kab, kcd, s_minus, s_plus
+
+
+def member_s04(ch: CharacterS04, tol: float = ONVARIETY_TOL) -> S04Result:
+    """Boundary traces >= 2 and x < -2, on the quartic, and F~+ > 0 and
+    F~- > 0.  For exact input the last test is its exact equivalent
+    S+ > 0 and (2-x) S+^2 > (-2-x) S-^2; F~+- are reported as floats."""
+    a, b, c, d, x, y, z = point = ch.as_tuple()
+    kab, kcd, s_minus, s_plus = _s04_component_terms(*point)
+    residual = s04_quartic(*point)
     res_f = abs(float(residual))
     cusps = tuple(n for n, t in zip("abcd", (a, b, c, d)) if t == 2)
 
@@ -317,13 +310,15 @@ def member_s04(ch: CharacterS04, tol: float = ONVARIETY_TOL) -> S04Result:
         )
     f_plus = float(s_plus) / math.sqrt(float(-2 - x)) + float(s_minus) / math.sqrt(float(2 - x))
     f_minus = float(s_plus) / math.sqrt(float(-2 - x)) - float(s_minus) / math.sqrt(float(2 - x))
-    if _is_exact(*ch.as_tuple()):
+    if _is_exact(*point):
         off = residual != 0
+        component = s_plus > 0 and (2 - x) * s_plus * s_plus > (-2 - x) * s_minus * s_minus
     else:
         off = res_f > tol
+        component = f_plus > 0 and f_minus > 0
     if off:
         verdict = S04Verdict.NONMEMBER_OFF_VARIETY
-    elif f_plus > 0 and f_minus > 0:
+    elif component:
         verdict = S04Verdict.MEMBER
     else:
         verdict = S04Verdict.NONMEMBER_WRONG_COMPONENT
@@ -336,19 +331,10 @@ def member_s04(ch: CharacterS04, tol: float = ONVARIETY_TOL) -> S04Result:
 def defining_identity_residual() -> Polynomial:
     """LHS - RHS of the exact identity behind the component test; the
     zero polynomial.  Checked symbolically by the test suite."""
-    m = lambda coeff, **p: _mono(S04_VARS, coeff, **p)
-    a, b, c, d, x, y, z = (
-        Polynomial.variable(S04_VARS, n) for n in "abcdxyz"
-    )
-    two = Polynomial.constant(S04_VARS, 2)
-    four = Polynomial.constant(S04_VARS, 4)
-    phi = s04_defining_poly()
-    s_minus = (y - z) * (two - x) + (a - b) * (c - d)
-    s_plus = (y + z) * (two + x) - (a + b) * (c + d)
-    kab = x * x + a * a + b * b - a * b * x - four
-    kcd = x * x + c * c + d * d - c * d * x - four
-    lhs = (four - x * x) * phi * 4
-    rhs = (two + x) * s_minus * s_minus + (two - x) * s_plus * s_plus - kab * kcd * 4
+    a, b, c, d, x, y, z = point = _s04_variables()
+    kab, kcd, s_minus, s_plus = _s04_component_terms(*point)
+    lhs = (4 - x * x) * s04_quartic(*point) * 4
+    rhs = (2 + x) * s_minus * s_minus + (2 - x) * s_plus * s_plus - kab * kcd * 4
     return lhs - rhs
 
 
@@ -375,23 +361,24 @@ class S12Result:
         }
 
 
-def s12_relation_polys() -> tuple[Polynomial, Polynomial]:
-    """The two relations of the two-holed-torus character variety:
+def _s12_relations(a, b, u, v, w, x, y, z):
+    """LHS - RHS of the two relations of the two-holed-torus character
+    variety, in the arithmetic of the arguments:
 
     a + b = yv + xw + zu - uxy
     ab    = x^2+y^2+u^2+v^2+w^2+z^2 - xyz - yuw - uxv + vwz - 4
-
-    returned as polynomials (LHS - RHS) over (a,b,u,v,w,x,y,z).
     """
-    P = lambda n: Polynomial.variable(S12_VARS, n)
-    a, b, u, v, w, x, y, z = (P(n) for n in "abuvwxyz")
-    four = Polynomial.constant(S12_VARS, 4)
     rel1 = (a + b) - (y * v + x * w + z * u - u * x * y)
     rel2 = (a * b) - (
         x * x + y * y + u * u + v * v + w * w + z * z
-        - x * y * z - y * u * w - u * x * v + v * w * z - four
+        - x * y * z - y * u * w - u * x * v + v * w * z - 4
     )
     return rel1, rel2
+
+
+def s12_relation_polys() -> tuple[Polynomial, Polynomial]:
+    """The two relations as polynomials over (a,b,u,v,w,x,y,z)."""
+    return _s12_relations(*(Polynomial.variable(S12_VARS, n) for n in S12_VARS))
 
 
 def member_s12(ch: CharacterS12, tol: float = ONVARIETY_TOL) -> S12Result:
@@ -400,11 +387,7 @@ def member_s12(ch: CharacterS12, tol: float = ONVARIETY_TOL) -> S12Result:
     a, b, u, v, w, x, y, z = (
         ch.a, ch.b, ch.u, ch.v, ch.w, ch.x, ch.y, ch.z
     )
-    r1 = (a + b) - (y * v + x * w + z * u - u * x * y)
-    r2 = (a * b) - (
-        x * x + y * y + u * u + v * v + w * w + z * z
-        - x * y * z - y * u * w - u * x * v + v * w * z - 4
-    )
+    r1, r2 = _s12_relations(a, b, u, v, w, x, y, z)
     residuals = (abs(float(r1)), abs(float(r2)))
     kappas = (
         float(kappa_value(x, y, z)),

@@ -5,6 +5,11 @@ oracle ``evaluate_word`` for trace polynomials.  Matrices are plain
 2x2 (or 3x3) complex numpy arrays; unimodular constructors check
 ``|det - 1| <= 1e-12``.
 
+Exact matrices are object-dtype numpy arrays of ``Fraction`` (or int)
+entries.  ``trace``, ``det``, ``adjoint``, ``lie_product``,
+``evaluate_word`` and the ``@`` product compute on them exactly and keep
+the object dtype; numeric input gives complex128 results.
+
 Sign conventions: several formulas only determine a matrix up to a
 global sign (the underlying statements are projective).  ``sign_normalize`` picks
 the representative whose first nonzero entry, scanned row-major, has
@@ -99,7 +104,10 @@ def det(m: np.ndarray) -> complex:
 
 def adjoint(m: np.ndarray) -> np.ndarray:
     """Adjugate: ``m @ adjoint(m) == det(m) * I``."""
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex)
+    return np.array(
+        [[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]],
+        dtype=object if m.dtype.hasobject else complex,
+    )
 
 
 def is_unimodular(m: np.ndarray, tol: float = TOL_ALGEBRAIC) -> bool:
@@ -121,7 +129,7 @@ def evaluate_word(w: Word, assignment) -> np.ndarray:
             f"assignment has {len(mats)} matrices for a rank-{w.rank} word"
         )
     invs = [adjoint(m) for m in mats]
-    out = I2.copy()
+    out = np.eye(2, dtype=object) if mats[0].dtype.hasobject else I2.copy()
     for g in w.letters:
         out = out @ (mats[g - 1] if g > 0 else invs[-g - 1])
     return out

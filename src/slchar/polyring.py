@@ -34,6 +34,7 @@ __all__ = [
     "F3_VARS",
     "S04_VARS",
     "S12_VARS",
+    "sum_product",
     "reduce_mod_phi",
 ]
 
@@ -429,56 +430,37 @@ class Polynomial:
         return cls(variables, terms)
 
 
-def _monomial(variables: VariableSet, coeff: int, **powers: int) -> Polynomial:
-    exp = [0] * len(variables)
-    for name, k in powers.items():
-        exp[variables.index(name)] = k
-    return Polynomial(variables, {tuple(exp): coeff})
-
-
-def _build_sum_relation() -> Polynomial:
-    # x12*x3 + x13*x2 + x23*x1 - x1*x2*x3
-    m = lambda c, **p: _monomial(F3_VARS, c, **p)
-    return (
-        m(1, x12=1, x3=1)
-        + m(1, x13=1, x2=1)
-        + m(1, x23=1, x1=1)
-        + m(-1, x1=1, x2=1, x3=1)
+def sum_product(t1, t2, t3, t12, t13, t23):
+    """(f_Sigma, f_Pi) at six rank-3 traces, in the arithmetic of the
+    arguments: numbers, exact rationals or Polynomials.  The triple
+    traces tr(X1 X2 X3) and tr(X1 X3 X2) are the roots of
+    t^2 - f_Sigma t + f_Pi."""
+    fsum = t12 * t3 + t13 * t2 + t23 * t1 - t1 * t2 * t3
+    fprod = (
+        t1 * t1 + t2 * t2 + t3 * t3
+        + t12 * t12 + t23 * t23 + t13 * t13
+        - (t1 * t2 * t12 + t2 * t3 * t23 + t3 * t1 * t13)
+        + t12 * t23 * t13 - 4
     )
+    return fsum, fprod
 
 
-def _build_product_relation() -> Polynomial:
-    m = lambda c, **p: _monomial(F3_VARS, c, **p)
-    return (
-        m(1, x1=2) + m(1, x2=2) + m(1, x3=2)
-        + m(1, x12=2) + m(1, x23=2) + m(1, x13=2)
-        + m(-1, x1=1, x2=1, x12=1)
-        + m(-1, x2=1, x3=1, x23=1)
-        + m(-1, x3=1, x1=1, x13=1)
-        + m(1, x12=1, x23=1, x13=1)
-        + Polynomial.constant(F3_VARS, -4)
-    )
-
+_X123 = Polynomial.variable(F3_VARS, "x123")
 
 #: Coefficients of the monic quadratic  t^2 - SUM_RELATION*t + PRODUCT_RELATION
 #: whose roots are the two triple traces.
-SUM_RELATION = _build_sum_relation()
-PRODUCT_RELATION = _build_product_relation()
+SUM_RELATION, PRODUCT_RELATION = sum_product(
+    *(Polynomial.variable(F3_VARS, n) for n in ("x1", "x2", "x3", "x12", "x13", "x23"))
+)
 
 #: The defining polynomial of the rank-3 character hypersurface:
 #: PHI = x123^2 - SUM_RELATION*x123 + PRODUCT_RELATION.
-PHI = (
-    _monomial(F3_VARS, 1, x123=2)
-    - SUM_RELATION * _monomial(F3_VARS, 1, x123=1)
-    + PRODUCT_RELATION
-)
+PHI = _X123 * _X123 - SUM_RELATION * _X123 + PRODUCT_RELATION
 
 _X123_INDEX = F3_VARS.index("x123")
 
 # x123^2 == SUM_RELATION*x123 - PRODUCT_RELATION on the hypersurface
-_X123_SQUARED = (
-    SUM_RELATION * _monomial(F3_VARS, 1, x123=1) - PRODUCT_RELATION
-)._terms
+_X123_SQUARED = (SUM_RELATION * _X123 - PRODUCT_RELATION)._terms
 
 
 def reduce_mod_phi(p: Polynomial) -> Polynomial:

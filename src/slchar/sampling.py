@@ -3,8 +3,12 @@
 Random unimodular matrices: entries uniform in [-2,2] (both real and
 imaginary parts in the complex case), then the last entry solved to
 force det = 1, rejecting ill-conditioned draws (|pivot| < 1e-3).
-Streams derive deterministically from (seed, trial-index), so suites
-may parallelize trials without changing results.
+Exact matrices have small rational entries, with the last entry solved
+the same way so that det = 1 holds exactly; they are object-dtype numpy
+arrays of ``Fraction``, on which the :mod:`slchar.mat2` arithmetic and
+``@`` are exact.  Streams derive deterministically from
+(seed, trial-index), so suites may parallelize trials without changing
+results.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import mat2
 from .words import Word
 
 __all__ = [
@@ -22,7 +27,6 @@ __all__ = [
     "random_real_unimodular",
     "random_rational_unimodular",
     "random_reduced_word",
-    "exact_matmul",
     "exact_evaluate_word",
     "exact_trace",
 ]
@@ -54,6 +58,17 @@ def random_real_unimodular(rnd: random.Random, pivot_tol: float = 1e-3) -> np.nd
             return np.array([[a, b], [c, d]], dtype=complex)
 
 
+def random_rational_unimodular(rnd: random.Random) -> np.ndarray:
+    """A unimodular object array with small rational entries (exact det 1)."""
+    while True:
+        a = Fraction(rnd.randint(-8, 8), rnd.randint(1, 3))
+        b = Fraction(rnd.randint(-8, 8), rnd.randint(1, 3))
+        c = Fraction(rnd.randint(-8, 8), rnd.randint(1, 3))
+        if a != 0:
+            d = (1 + b * c) / a
+            return np.array([[a, b], [c, d]], dtype=object)
+
+
 def random_reduced_word(rnd: random.Random, rank: int, max_len: int) -> Word:
     """A uniformly drawn freely reduced word of length <= max_len."""
     length = rnd.randint(0, max_len)
@@ -67,42 +82,12 @@ def random_reduced_word(rnd: random.Random, rank: int, max_len: int) -> Word:
     return Word(rank, tuple(letters))
 
 
-# -- exact-mode helpers: 2x2 matrices over Fraction ------------------------------
-
-ExactMat = tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
-
-
-def random_rational_unimodular(rnd: random.Random) -> ExactMat:
-    """A unimodular matrix with small rational entries (exact det 1)."""
-    while True:
-        a = Fraction(rnd.randint(-8, 8), rnd.randint(1, 3))
-        b = Fraction(rnd.randint(-8, 8), rnd.randint(1, 3))
-        c = Fraction(rnd.randint(-8, 8), rnd.randint(1, 3))
-        if a != 0:
-            d = (1 + b * c) / a
-            return ((a, b), (c, d))
+def exact_evaluate_word(w: Word, mats) -> np.ndarray:
+    """Exact product along a word of unimodular Fraction matrices, given
+    as object arrays or as nested tuples."""
+    return mat2.evaluate_word(w, [np.array(m, dtype=object) for m in mats])
 
 
-def exact_matmul(m: ExactMat, n: ExactMat) -> ExactMat:
-    return (
-        (m[0][0] * n[0][0] + m[0][1] * n[1][0], m[0][0] * n[0][1] + m[0][1] * n[1][1]),
-        (m[1][0] * n[0][0] + m[1][1] * n[1][0], m[1][0] * n[0][1] + m[1][1] * n[1][1]),
-    )
-
-
-def _exact_adjugate(m: ExactMat) -> ExactMat:
-    return ((m[1][1], -m[0][1]), (-m[1][0], m[0][0]))
-
-
-def exact_evaluate_word(w: Word, mats: list[ExactMat]) -> ExactMat:
-    """Exact product of unimodular Fraction matrices along a word."""
-    one, zero = Fraction(1), Fraction(0)
-    out: ExactMat = ((one, zero), (zero, one))
-    invs = [_exact_adjugate(m) for m in mats]
-    for g in w.letters:
-        out = exact_matmul(out, mats[g - 1] if g > 0 else invs[-g - 1])
-    return out
-
-
-def exact_trace(m: ExactMat) -> Fraction:
+def exact_trace(m) -> Fraction:
+    """Trace of an exact matrix, given as an object array or as nested tuples."""
     return m[0][0] + m[1][1]

@@ -27,8 +27,7 @@ concurrent callers at worst recompute an entry.
 from __future__ import annotations
 
 from fractions import Fraction
-
-import numpy as np
+from numbers import Rational
 
 from . import mat2
 from .polyring import (
@@ -41,7 +40,7 @@ from .polyring import (
     VariableSet,
     reduce_mod_phi,
 )
-from .words import Word
+from .words import Word, _free_reduce
 
 __all__ = [
     "TraceExpression",
@@ -115,16 +114,6 @@ def _cyclic_reduce(w: tuple[int, ...]) -> tuple[int, ...]:
     while len(w) >= 2 and w[0] == -w[-1]:
         w = w[1:-1]
     return w
-
-
-def _free_reduce(letters) -> tuple[int, ...]:
-    out: list[int] = []
-    for g in letters:
-        if out and out[-1] == -g:
-            out.pop()
-        else:
-            out.append(g)
-    return tuple(out)
 
 
 def _var(rank: int, key: tuple[int, ...]) -> Polynomial:
@@ -275,8 +264,9 @@ def sum_product_relation_polys() -> tuple[Polynomial, Polynomial]:
     return SUM_RELATION, PRODUCT_RELATION
 
 
-def quadruple_trace_check(assignment) -> float:
-    """Residual of the quadruple-trace identity on four unimodular matrices.
+def quadruple_trace_check(assignment):
+    """Residual of the quadruple-trace identity on four unimodular matrices;
+    exact (a Fraction) when the matrices are exact.
 
     Evaluates |2 t1234 - (t1 t2 t3 t4 + t1 t234 + t2 t341 + t3 t412
     + t4 t123 + t12 t34 + t41 t23 - t13 t24 - t1 t2 t34 - t12 t3 t4
@@ -320,8 +310,10 @@ def generator_count(n: int) -> int:
     return num // 6
 
 
-def evaluate_at_character(p: Polynomial, mats) -> complex:
-    """Evaluate a trace polynomial at the character of a matrix tuple."""
+def evaluate_at_character(p: Polynomial, mats):
+    """Evaluate a trace polynomial at the character of a matrix tuple:
+    a complex number, or an exact Fraction when the matrices are exact
+    (object arrays of Fractions, see :mod:`slchar.mat2`)."""
     mats = list(mats)
     if p.variables == F2_VARS:
         xi, eta = mats
@@ -345,4 +337,6 @@ def evaluate_at_character(p: Polynomial, mats) -> complex:
         assignment = {"x": mat2.trace(mats[0])}
     else:
         raise ValueError(f"unsupported variable set {p.variables}")
+    if all(isinstance(v, Rational) for v in assignment.values()):
+        return p.evaluate_exact(assignment)
     return p.evaluate(assignment)

@@ -23,6 +23,7 @@ __all__ = [
     "WordSyntaxError",
     "parse_word",
     "DEFAULT_LETTERS",
+    "MAX_WORD_LETTERS",
 ]
 
 
@@ -48,6 +49,11 @@ DEFAULT_LETTERS: dict[int, Mapping[str, int]] = {
 }
 
 _ALLOWED_COMPACT = set("XYZUVWABCDPQ")
+
+#: Longest word, counted after exponent expansion, that ``parse_word``
+#: accepts; exponents are expanded letter by letter, so an unbounded one
+#: would exhaust memory.
+MAX_WORD_LETTERS = 100_000
 
 
 class WordSyntaxError(ValueError):
@@ -142,10 +148,6 @@ class Word:
             w = w * self
         return w
 
-    def conjugate_by(self, g: "Word") -> "Word":
-        """g * self * g^-1."""
-        return g * self * g.inverse()
-
     def cyclic_reduce(self) -> tuple["Word", "Word"]:
         """Return ``(core, conjugator)`` with self = conjugator * core * conjugator^-1.
 
@@ -197,7 +199,8 @@ def parse_word(
     ``letters`` maps compact single letters to generator indices; by
     default ``X, Y, Z -> 1, 2, 3`` (restricted to the rank).  Indexed
     tokens ``X<k>`` and ``X<k>^-1`` work for any rank.  Exponents
-    ``^n`` are accepted on any token.
+    ``^n`` are accepted on any token; a word that would expand to more
+    than ``MAX_WORD_LETTERS`` letters raises :class:`WordSyntaxError`.
 
     >>> parse_word("X Y", 2).canonical()
     'X1 X2'
@@ -244,6 +247,11 @@ def parse_word(
         if inverted:
             power = -power
         g = index if power > 0 else -index
+        if len(out) + abs(power) > MAX_WORD_LETTERS:
+            raise WordSyntaxError(
+                f"word longer than {MAX_WORD_LETTERS} letters after "
+                "expanding exponents", pos
+            )
         out.extend([g] * abs(power))
         pos = m.end()
     return Word(rank, _free_reduce(out))

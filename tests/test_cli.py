@@ -3,6 +3,7 @@ import json
 import pytest
 
 from slchar.cli import main, parse_number
+from slchar.words import MAX_WORD_LETTERS
 
 
 def run(capsys, *argv):
@@ -37,6 +38,12 @@ class TestTracePoly:
         code, _, err = run(capsys, "trace-poly", "X #")
         assert code == 2
         assert "position" in err
+
+    def test_huge_exponent_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "trace-poly", f"X^{MAX_WORD_LETTERS + 1}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error: ") and err.count("\n") == 1
 
     def test_deep_word_is_error_not_traceback(self, capsys):
         code, out, err = run(capsys, "trace-poly", "X^600")

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from slchar import mat2
+from slchar import fricke, mat2
 from slchar.fricke import (
     CharacterS04,
     CharacterS12,
@@ -25,8 +26,10 @@ from slchar.fricke import (
     member_s12,
     pants_curve_count,
     s04_defining_poly,
+    s04_quartic,
     s12_relation_polys,
 )
+from slchar.polyring import S04_VARS, S12_VARS, Polynomial
 from slchar.tracepoly import kappa_value
 
 RND = random.Random(50)
@@ -186,6 +189,99 @@ class TestS04:
         res = member_s04(CharacterS04(3, 3, 3, 3, -3, y, y))
         expect = 4 * res.kappa_ab * res.kappa_cd / (9 - 4)
         assert res.f_plus * res.f_minus == pytest.approx(expect, rel=1e-9)
+
+
+def _mm(m, n):
+    return (
+        (m[0][0] * n[0][0] + m[0][1] * n[1][0], m[0][0] * n[0][1] + m[0][1] * n[1][1]),
+        (m[1][0] * n[0][0] + m[1][1] * n[1][0], m[1][0] * n[0][1] + m[1][1] * n[1][1]),
+    )
+
+
+def _tr(m):
+    return m[0][0] + m[1][1]
+
+
+def _rational_sl2(rnd, scale=1):
+    while True:
+        a = Fraction(rnd.randint(-9, 9), rnd.randint(1, 3))
+        b = Fraction(rnd.randint(-9, 9), rnd.randint(1, 3)) * scale
+        c = Fraction(rnd.randint(-9, 9), rnd.randint(1, 3)) / scale
+        if a:
+            return ((a, b), (c, (1 + b * c) / a))
+
+
+def _s04_point(A, B, C):
+    """Traces of A, B, C, D = (ABC)^-1 and of AB, BC, AC: on the quartic."""
+    d = _tr(_mm(_mm(A, B), C))  # tr(M^-1) = tr(M) in SL(2)
+    return (_tr(A), _tr(B), _tr(C), d, _tr(_mm(A, B)), _tr(_mm(B, C)), _tr(_mm(A, C)))
+
+
+def _exact_component_rule(a, b, c, d, x, y, z):
+    """F+ > 0 and F- > 0 for x < -2, squared out: S+ > 0 and
+    (2-x) S+^2 > (-2-x) S-^2."""
+    s_minus = (y - z) * (2 - x) + (a - b) * (c - d)
+    s_plus = (y + z) * (2 + x) - (a + b) * (c + d)
+    return s_plus > 0 and (2 - x) * s_plus**2 > (-2 - x) * s_minus**2
+
+
+class TestS04Exact:
+    def test_component_decided_exactly_where_floats_round_wrong(self):
+        # y, z ~ -1e10 while the true F+ is about 3.1e-8: in floats F+
+        # comes out as -7.6e-6, which would reject a member
+        A = ((Fraction(3), Fraction(5, 2)), (Fraction(-1), Fraction(-1, 2)))
+        B = ((Fraction(7, 2), Fraction(-1)), (Fraction(-7), Fraction(16, 7)))
+        C = ((Fraction(-1), Fraction(8000000000, 3)),
+             (Fraction(-3, 2000000000), Fraction(3)))
+        point = _s04_point(A, B, C)
+        assert _exact_component_rule(*point)
+        res = member_s04(CharacterS04(*point))
+        assert res.residual == 0
+        assert res.verdict is S04Verdict.MEMBER
+        assert isinstance(res.f_plus, float) and res.f_plus < 0  # reported as float
+
+    def test_points_from_rational_matrices_follow_exact_rule(self):
+        rnd = random.Random(404)
+        seen = set()
+        for _ in range(3000):
+            A, B = _rational_sl2(rnd), _rational_sl2(rnd)
+            C = _rational_sl2(rnd, Fraction(10) ** rnd.randint(0, 9))
+            point = _s04_point(A, B, C)
+            a, b, c, d, x, _, _ = point
+            if min(a, b, c, d) < 2 or x >= -2:
+                continue
+            res = member_s04(CharacterS04(*point))
+            want = (S04Verdict.MEMBER if _exact_component_rule(*point)
+                    else S04Verdict.NONMEMBER_WRONG_COMPONENT)
+            assert res.verdict is want, point
+            seen.add(want)
+        assert seen == {S04Verdict.MEMBER, S04Verdict.NONMEMBER_WRONG_COMPONENT}
+
+
+FRACTIONS = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+class TestGenericFormulas:
+    """Each identity is written once and evaluated in any arithmetic: at
+    rational points the numeric value equals ``evaluate_exact`` of the
+    polynomial the same function builds."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.tuples(*[FRACTIONS] * 7))
+    def test_s04_quartic_and_component_terms(self, point):
+        assignment = dict(zip(S04_VARS, point))
+        assert s04_quartic(*point) == s04_defining_poly().evaluate_exact(assignment)
+        variables = [Polynomial.variable(S04_VARS, n) for n in S04_VARS]
+        polys = fricke._s04_component_terms(*variables)
+        values = fricke._s04_component_terms(*point)
+        assert list(values) == [p.evaluate_exact(assignment) for p in polys]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.tuples(*[FRACTIONS] * 8))
+    def test_s12_relations(self, point):
+        assignment = dict(zip(S12_VARS, point))
+        values = fricke._s12_relations(*point)
+        assert list(values) == [p.evaluate_exact(assignment) for p in s12_relation_polys()]
 
 
 def _s12_character_from_matrices(U, X, Y):

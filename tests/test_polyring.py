@@ -14,6 +14,7 @@ from slchar.polyring import (
     Polynomial,
     VariableSet,
     reduce_mod_phi,
+    sum_product,
 )
 
 
@@ -266,3 +267,17 @@ class TestSympyOracle:
         # Poly() expands the substituted expression, much faster than .expand()
         expected = sympy.Poly(substituted, *sympy.symbols(TARGET.names), domain=sympy.QQ)
         assert to_sympy(q) == expected
+
+
+class TestSumProduct:
+    @settings(max_examples=60, deadline=None)
+    @given(st.tuples(*[st.fractions(min_value=-20, max_value=20, max_denominator=12)] * 7))
+    def test_numeric_matches_relation_polynomials(self, point):
+        # one formula, any arithmetic: Fractions agree with evaluate_exact
+        # of the polynomials the same function builds
+        assignment = dict(zip(F3_VARS, point))
+        fsum, fprod = sum_product(*point[:6])
+        assert fsum == SUM_RELATION.evaluate_exact(assignment)
+        assert fprod == PRODUCT_RELATION.evaluate_exact(assignment)
+        x123 = point[6]
+        assert PHI.evaluate_exact(assignment) == x123 * x123 - fsum * x123 + fprod

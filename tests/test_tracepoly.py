@@ -5,7 +5,11 @@ import pytest
 
 from slchar import mat2
 from slchar.polyring import F2_VARS, F3_VARS, Polynomial, reduce_mod_phi
-from slchar.sampling import random_reduced_word, random_unimodular
+from slchar.sampling import (
+    random_rational_unimodular,
+    random_reduced_word,
+    random_unimodular,
+)
 from slchar.tracepoly import (
     TraceExpression,
     evaluate_at_character,
@@ -125,6 +129,47 @@ class TestOracle:
         m = random_unimodular(RND)
         val = evaluate_at_character(trace_poly(w), [m])
         assert abs(val - mat2.trace(mat2.evaluate_word(w, [m]))) <= 1e-9
+
+
+def _naive_trace(w, mats):
+    """Trace of the word's product on nested tuples, inverses by the adjugate."""
+    out = ((1, 0), (0, 1))
+    for g in w.letters:
+        m = mats[abs(g) - 1]
+        if g < 0:
+            m = ((m[1][1], -m[0][1]), (-m[1][0], m[0][0]))
+        out = tuple(
+            tuple(out[i][0] * m[0][j] + out[i][1] * m[1][j] for j in range(2))
+            for i in range(2)
+        )
+    return out[0][0] + out[1][1]
+
+
+class TestExactOracle:
+    """Object arrays of Fractions: the same functions evaluate exactly."""
+
+    def test_evaluate_at_character_exact(self):
+        for rank, poly_of, max_len in ((1, trace_poly, 8), (2, trace_poly_f2, 10),
+                                       (3, trace_poly_f3, 6)):
+            for _ in range(20):
+                w = random_reduced_word(RND, rank, max_len)
+                ms = [random_rational_unimodular(RND) for _ in range(rank)]
+                val = evaluate_at_character(poly_of(w), ms)
+                assert type(val) is Fraction
+                assert val == _naive_trace(w, [m.tolist() for m in ms])
+
+    def test_complex_input_stays_complex(self):
+        ms = [random_unimodular(RND) for _ in range(2)]
+        val = evaluate_at_character(trace_poly_f2(parse_word("X Y x", 2)), ms)
+        assert type(val) is complex
+        assert isinstance(quadruple_trace_check([random_unimodular(RND) for _ in range(4)]),
+                          float)
+
+    def test_quadruple_trace_exact(self):
+        for _ in range(20):
+            ms = [random_rational_unimodular(RND) for _ in range(4)]
+            res = quadruple_trace_check(ms)
+            assert isinstance(res, Fraction) and res == 0
 
 
 class TestPhiAndRelations:

@@ -2,7 +2,13 @@ import random
 
 import pytest
 
-from slchar.words import GeneratorSymbol, Word, WordSyntaxError, parse_word
+from slchar.words import (
+    MAX_WORD_LETTERS,
+    GeneratorSymbol,
+    Word,
+    WordSyntaxError,
+    parse_word,
+)
 
 
 def test_generator_symbols_view():
@@ -53,6 +59,17 @@ class TestParse:
             parse_word("Z", 2)
         with pytest.raises(WordSyntaxError):
             parse_word("X5", 3)
+
+    def test_expansion_cap(self):
+        assert len(parse_word(f"X^{MAX_WORD_LETTERS}", 1)) == MAX_WORD_LETTERS
+        with pytest.raises(WordSyntaxError) as err:
+            parse_word(f"X^{MAX_WORD_LETTERS + 1}", 1)
+        assert err.value.position == 0
+        # the cap counts letters before free reduction, across tokens
+        half = MAX_WORD_LETTERS // 2 + 1
+        with pytest.raises(WordSyntaxError) as err:
+            parse_word(f"X^{half} x^{half}", 2)
+        assert err.value.position == len(f"X^{half} ")
 
     def test_custom_letters(self):
         w = parse_word("P q", 2, letters={"P": 1, "Q": 2})
