@@ -202,6 +202,14 @@ _RANDOM_MATRIX = {
 #: products of rational matrices grow fast with the word length.
 _ORACLE_WORD_LENGTHS = {"float": (12, 8), "exact": (10, 6)}
 
+#: Oracle word residual per ``--mode``: float rounding error grows with
+#: the trace, so it is scaled by ``1 + |t|``; an exact residual must be
+#: zero, and is kept absolute so that no error hides behind a large trace.
+_ORACLE_RESIDUAL = {
+    "float": lambda v, t: abs(v - t) / (1 + abs(t)),
+    "exact": lambda v, t: abs(v - t),
+}
+
 
 def _suite_identities(cfg) -> list[tuple[str, float]]:
     draw = _RANDOM_MATRIX[cfg.mode]
@@ -237,6 +245,7 @@ def _suite_identities(cfg) -> list[tuple[str, float]]:
 def _suite_oracle(cfg) -> list[tuple[str, float]]:
     draw = _RANDOM_MATRIX[cfg.mode]
     len2, len3 = _ORACLE_WORD_LENGTHS[cfg.mode]
+    residual = _ORACLE_RESIDUAL[cfg.mode]
     worst2 = worst3 = worst4 = 0.0
     for trial in range(cfg.trials):
         rnd = sampling.rng_for(cfg.seed, trial)
@@ -244,12 +253,12 @@ def _suite_oracle(cfg) -> list[tuple[str, float]]:
         m2 = [draw(rnd) for _ in range(2)]
         v = tracepoly.evaluate_at_character(tracepoly.trace_poly_f2(w2), m2)
         t = mat2.trace(mat2.evaluate_word(w2, m2))
-        worst2 = max(worst2, abs(v - t) / (1 + abs(t)))
+        worst2 = max(worst2, residual(v, t))
         w3 = sampling.random_reduced_word(rnd, 3, len3)
         m3 = [draw(rnd) for _ in range(3)]
         v = tracepoly.evaluate_at_character(tracepoly.trace_poly_f3(w3), m3)
         t = mat2.trace(mat2.evaluate_word(w3, m3))
-        worst3 = max(worst3, abs(v - t) / (1 + abs(t)))
+        worst3 = max(worst3, residual(v, t))
         m4 = [draw(rnd) for _ in range(4)]
         worst4 = max(worst4, tracepoly.quadruple_trace_check(m4))
     return [

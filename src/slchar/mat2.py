@@ -6,7 +6,8 @@ oracle ``evaluate_word`` for trace polynomials.  Matrices are plain
 ``|det - 1| <= 1e-12``.
 
 Exact matrices are object-dtype numpy arrays of ``Fraction`` (or int)
-entries.  ``trace``, ``det``, ``adjoint``, ``lie_product``,
+entries; ``is_exact`` tells them apart, and integer dtypes count as
+numeric.  ``trace``, ``det``, ``adjoint``, ``lie_product``,
 ``evaluate_word`` and the ``@`` product compute on them exactly and keep
 the object dtype; numeric input gives complex128 results.
 
@@ -37,6 +38,7 @@ __all__ = [
     "det",
     "adjoint",
     "inverse",
+    "is_exact",
     "is_unimodular",
     "evaluate_word",
     "lie_product",
@@ -102,11 +104,17 @@ def det(m: np.ndarray) -> complex:
     return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
 
 
+def is_exact(m: np.ndarray) -> bool:
+    """Whether m is an exact matrix: an object array (of Fractions or ints).
+    Any other dtype, integer dtypes included, is numeric."""
+    return m.dtype.hasobject
+
+
 def adjoint(m: np.ndarray) -> np.ndarray:
     """Adjugate: ``m @ adjoint(m) == det(m) * I``."""
     return np.array(
         [[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]],
-        dtype=object if m.dtype.hasobject else complex,
+        dtype=object if is_exact(m) else complex,
     )
 
 
@@ -129,7 +137,7 @@ def evaluate_word(w: Word, assignment) -> np.ndarray:
             f"assignment has {len(mats)} matrices for a rank-{w.rank} word"
         )
     invs = [adjoint(m) for m in mats]
-    out = np.eye(2, dtype=object) if mats[0].dtype.hasobject else I2.copy()
+    out = np.eye(2, dtype=object) if is_exact(mats[0]) else I2.copy()
     for g in w.letters:
         out = out @ (mats[g - 1] if g > 0 else invs[-g - 1])
     return out

@@ -27,7 +27,6 @@ concurrent callers at worst recompute an entry.
 from __future__ import annotations
 
 from fractions import Fraction
-from numbers import Rational
 
 from . import mat2
 from .polyring import (
@@ -337,6 +336,6 @@ def evaluate_at_character(p: Polynomial, mats):
         assignment = {"x": mat2.trace(mats[0])}
     else:
         raise ValueError(f"unsupported variable set {p.variables}")
-    if all(isinstance(v, Rational) for v in assignment.values()):
+    if all(mat2.is_exact(m) for m in mats):
         return p.evaluate_exact(assignment)
     return p.evaluate(assignment)

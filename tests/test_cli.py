@@ -198,6 +198,21 @@ class TestVerify:
             if "max-residual" in line:
                 assert "max-residual=0.0" in line
 
+    def test_exact_oracle_residual_is_absolute(self, capsys, monkeypatch):
+        # A wrong constant term is an error of exactly 1.  The one rank-2
+        # word of seed 4 has an exact trace of about 3.6e9, so a residual
+        # scaled by 1 + |t| would hide that error below the tolerance.
+        from slchar import tracepoly
+
+        true_f2 = tracepoly.trace_poly_f2
+        monkeypatch.setattr(tracepoly, "trace_poly_f2", lambda w: true_f2(w) + 1)
+        code, out, _ = run(
+            capsys, "verify", "oracle", "--trials", "1", "--seed", "4",
+            "--mode", "exact",
+        )
+        assert code == 1
+        assert "oracle/rank2-words: max-residual=1.00000000000000000e+00 FAIL" in out
+
     def test_exact_identities_residual_zero(self, capsys):
         code, out, _ = run(
             capsys, "verify", "identities", "--trials", "20", "--seed", "3",

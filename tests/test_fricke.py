@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from slchar import fricke, mat2
 from slchar.fricke import (
@@ -29,8 +29,10 @@ from slchar.fricke import (
     s04_quartic,
     s12_relation_polys,
 )
-from slchar.polyring import S04_VARS, S12_VARS, Polynomial
+from slchar.polyring import S04_VARS, S12_VARS
+from slchar.sampling import random_rational_unimodular
 from slchar.tracepoly import kappa_value
+from tuple2x2 import SL2, as_tuple, commutator_trace, inverse, product, trace
 
 RND = random.Random(50)
 
@@ -191,30 +193,11 @@ class TestS04:
         assert res.f_plus * res.f_minus == pytest.approx(expect, rel=1e-9)
 
 
-def _mm(m, n):
-    return (
-        (m[0][0] * n[0][0] + m[0][1] * n[1][0], m[0][0] * n[0][1] + m[0][1] * n[1][1]),
-        (m[1][0] * n[0][0] + m[1][1] * n[1][0], m[1][0] * n[0][1] + m[1][1] * n[1][1]),
-    )
-
-
-def _tr(m):
-    return m[0][0] + m[1][1]
-
-
-def _rational_sl2(rnd, scale=1):
-    while True:
-        a = Fraction(rnd.randint(-9, 9), rnd.randint(1, 3))
-        b = Fraction(rnd.randint(-9, 9), rnd.randint(1, 3)) * scale
-        c = Fraction(rnd.randint(-9, 9), rnd.randint(1, 3)) / scale
-        if a:
-            return ((a, b), (c, (1 + b * c) / a))
-
-
 def _s04_point(A, B, C):
     """Traces of A, B, C, D = (ABC)^-1 and of AB, BC, AC: on the quartic."""
-    d = _tr(_mm(_mm(A, B), C))  # tr(M^-1) = tr(M) in SL(2)
-    return (_tr(A), _tr(B), _tr(C), d, _tr(_mm(A, B)), _tr(_mm(B, C)), _tr(_mm(A, C)))
+    d = trace(product(A, B, C))  # tr(M^-1) = tr(M) in SL(2)
+    return (trace(A), trace(B), trace(C), d,
+            trace(product(A, B)), trace(product(B, C)), trace(product(A, C)))
 
 
 def _exact_component_rule(a, b, c, d, x, y, z):
@@ -228,7 +211,7 @@ def _exact_component_rule(a, b, c, d, x, y, z):
 class TestS04Exact:
     def test_component_decided_exactly_where_floats_round_wrong(self):
         # y, z ~ -1e10 while the true F+ is about 3.1e-8: in floats F+
-        # comes out as -7.6e-6, which would reject a member
+        # comes out negative, which would reject a member
         A = ((Fraction(3), Fraction(5, 2)), (Fraction(-1), Fraction(-1, 2)))
         B = ((Fraction(7, 2), Fraction(-1)), (Fraction(-7), Fraction(16, 7)))
         C = ((Fraction(-1), Fraction(8000000000, 3)),
@@ -238,15 +221,20 @@ class TestS04Exact:
         res = member_s04(CharacterS04(*point))
         assert res.residual == 0
         assert res.verdict is S04Verdict.MEMBER
-        assert isinstance(res.f_plus, float) and res.f_plus < 0  # reported as float
+        # F+- are still reported as floats, rounding error and all
+        assert isinstance(res.f_plus, float) and isinstance(res.f_minus, float)
 
     def test_points_from_rational_matrices_follow_exact_rule(self):
         rnd = random.Random(404)
         seen = set()
         for _ in range(3000):
-            A, B = _rational_sl2(rnd), _rational_sl2(rnd)
-            C = _rational_sl2(rnd, Fraction(10) ** rnd.randint(0, 9))
-            point = _s04_point(A, B, C)
+            A, B, C = (random_rational_unimodular(rnd) for _ in range(3))
+            # conjugating C by a diagonal matrix keeps tr C and makes
+            # AC and BC large, where floats lose the component sign
+            scale = Fraction(10) ** rnd.randint(0, 9)
+            C[0, 1] *= scale
+            C[1, 0] /= scale
+            point = _s04_point(as_tuple(A), as_tuple(B), as_tuple(C))
             a, b, c, d, x, _, _ = point
             if min(a, b, c, d) < 2 or x >= -2:
                 continue
@@ -258,30 +246,34 @@ class TestS04Exact:
         assert seen == {S04Verdict.MEMBER, S04Verdict.NONMEMBER_WRONG_COMPONENT}
 
 
-FRACTIONS = st.fractions(min_value=-20, max_value=20, max_denominator=12)
-
-
-class TestGenericFormulas:
-    """Each identity is written once and evaluated in any arithmetic: at
-    rational points the numeric value equals ``evaluate_exact`` of the
-    polynomial the same function builds."""
+class TestIdentitiesAtRationalCharacters:
+    """The identities hold exactly at the characters of rational
+    matrices, with every reference trace taken from a tuple product."""
 
     @settings(max_examples=60, deadline=None)
-    @given(st.tuples(*[FRACTIONS] * 7))
-    def test_s04_quartic_and_component_terms(self, point):
-        assignment = dict(zip(S04_VARS, point))
-        assert s04_quartic(*point) == s04_defining_poly().evaluate_exact(assignment)
-        variables = [Polynomial.variable(S04_VARS, n) for n in S04_VARS]
-        polys = fricke._s04_component_terms(*variables)
-        values = fricke._s04_component_terms(*point)
-        assert list(values) == [p.evaluate_exact(assignment) for p in polys]
+    @given(SL2, SL2, SL2)
+    def test_s04_quartic_and_component_terms(self, A, B, C):
+        point = _s04_point(A, B, C)
+        a, b, c, d, x, y, z = point
+        assert s04_quartic(*point) == 0
+        assert s04_defining_poly().evaluate_exact(dict(zip(S04_VARS, point))) == 0
+        kab, kcd, s_minus, s_plus = fricke._s04_component_terms(*point)
+        assert kab == commutator_trace(A, B) - 2
+        assert kcd == commutator_trace(C, inverse(product(A, B, C))) - 2
+        # F+ F- = 4 k_ab k_cd / (x^2 - 4) on the variety, denominators cleared
+        assert (2 - x) * s_plus**2 - (-2 - x) * s_minus**2 == 4 * kab * kcd
 
     @settings(max_examples=60, deadline=None)
-    @given(st.tuples(*[FRACTIONS] * 8))
-    def test_s12_relations(self, point):
+    @given(SL2, SL2, SL2)
+    def test_s12_relations(self, U, X, Y):
+        point = (
+            trace(product(U, X, Y)), trace(product(U, Y, X)), trace(U),
+            trace(product(U, X)), trace(product(U, Y)),
+            trace(X), trace(Y), trace(product(X, Y)),
+        )
+        assert fricke._s12_relations(*point) == (0, 0)
         assignment = dict(zip(S12_VARS, point))
-        values = fricke._s12_relations(*point)
-        assert list(values) == [p.evaluate_exact(assignment) for p in s12_relation_polys()]
+        assert [p.evaluate_exact(assignment) for p in s12_relation_polys()] == [0, 0]
 
 
 def _s12_character_from_matrices(U, X, Y):

@@ -29,6 +29,7 @@ from slchar.sampling import (
     random_unimodular,
 )
 from slchar.words import Word, parse_word
+from tuple2x2 import as_tuple, word_product
 
 RND = random.Random(10)
 
@@ -99,28 +100,6 @@ class TestEvaluateWord:
             evaluate_word(Word(2, (1,)), [I2])
 
 
-def _naive_mm(m, n):
-    return tuple(
-        tuple(sum(m[i][k] * n[k][j] for k in range(2)) for j in range(2))
-        for i in range(2)
-    )
-
-
-def _naive_word(w, mats):
-    """Product along a word on nested tuples, inverses by the adjugate."""
-    out = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
-    for g in w.letters:
-        m = mats[abs(g) - 1]
-        if g < 0:
-            m = ((m[1][1], -m[0][1]), (-m[1][0], m[0][0]))
-        out = _naive_mm(out, m)
-    return out
-
-
-def _as_tuple(m):
-    return tuple(tuple(row) for row in m.tolist())
-
-
 class TestExactMatrices:
     """Object arrays of Fractions go through the same functions exactly."""
 
@@ -129,8 +108,8 @@ class TestExactMatrices:
             m = random_rational_unimodular(RND)
             adj = mat2.adjoint(m)
             assert adj.dtype == object
-            assert _as_tuple(adj) == ((m[1, 1], -m[0, 1]), (-m[1, 0], m[0, 0]))
-            assert _as_tuple(m @ adj) == ((1, 0), (0, 1))
+            assert as_tuple(adj) == ((m[1, 1], -m[0, 1]), (-m[1, 0], m[0, 0]))
+            assert as_tuple(m @ adj) == ((1, 0), (0, 1))
             assert mat2.det(m) == 1 and isinstance(mat2.det(m), Fraction)
 
     def test_evaluate_word_matches_naive_product(self):
@@ -140,16 +119,16 @@ class TestExactMatrices:
                 mats = [random_rational_unimodular(RND) for _ in range(rank)]
                 out = evaluate_word(w, mats)
                 assert out.dtype == object
-                want = _naive_word(w, [_as_tuple(m) for m in mats])
-                assert _as_tuple(out) == want
+                want = word_product(w, [as_tuple(m) for m in mats])
+                assert as_tuple(out) == want
                 assert all(isinstance(v, (int, Fraction)) for v in out.flat)
                 assert mat2.det(out) == 1
 
     def test_exact_evaluate_word_accepts_tuples(self):
         w = parse_word("X Y^2 x z Y", 3)
-        tuples = [_as_tuple(random_rational_unimodular(RND)) for _ in range(3)]
+        tuples = [as_tuple(random_rational_unimodular(RND)) for _ in range(3)]
         out = exact_evaluate_word(w, tuples)
-        assert _as_tuple(out) == _naive_word(w, tuples)
+        assert as_tuple(out) == word_product(w, tuples)
 
     def test_numeric_input_gives_complex128(self):
         real = np.array([[2.0, 1.0], [1.0, 1.0]])

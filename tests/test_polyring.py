@@ -16,6 +16,7 @@ from slchar.polyring import (
     reduce_mod_phi,
     sum_product,
 )
+from tuple2x2 import SL2, product, trace
 
 
 def V(name, vars_=F2_VARS):
@@ -271,13 +272,15 @@ class TestSympyOracle:
 
 class TestSumProduct:
     @settings(max_examples=60, deadline=None)
-    @given(st.tuples(*[st.fractions(min_value=-20, max_value=20, max_denominator=12)] * 7))
-    def test_numeric_matches_relation_polynomials(self, point):
-        # one formula, any arithmetic: Fractions agree with evaluate_exact
-        # of the polynomials the same function builds
-        assignment = dict(zip(F3_VARS, point))
-        fsum, fprod = sum_product(*point[:6])
-        assert fsum == SUM_RELATION.evaluate_exact(assignment)
-        assert fprod == PRODUCT_RELATION.evaluate_exact(assignment)
-        x123 = point[6]
-        assert PHI.evaluate_exact(assignment) == x123 * x123 - fsum * x123 + fprod
+    @given(SL2, SL2, SL2)
+    def test_sum_and_product_of_the_two_triple_traces(self, m1, m2, m3):
+        # the reference roots tr(m1 m2 m3) and tr(m1 m3 m2) come from
+        # tuple products, independent of the formula under test
+        point = (trace(m1), trace(m2), trace(m3), trace(product(m1, m2)),
+                 trace(product(m1, m3)), trace(product(m2, m3)))
+        x123, x132 = trace(product(m1, m2, m3)), trace(product(m1, m3, m2))
+        assert sum_product(*point) == (x123 + x132, x123 * x132)
+        assignment = dict(zip(F3_VARS, point + (x123,)))
+        assert SUM_RELATION.evaluate_exact(assignment) == x123 + x132
+        assert PRODUCT_RELATION.evaluate_exact(assignment) == x123 * x132
+        assert PHI.evaluate_exact(assignment) == 0

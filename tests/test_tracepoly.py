@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from slchar import mat2
@@ -23,6 +24,7 @@ from slchar.tracepoly import (
     trace_poly_f3,
 )
 from slchar.words import Word, parse_word
+from tuple2x2 import as_tuple, trace, word_product
 
 RND = random.Random(20)
 
@@ -131,20 +133,6 @@ class TestOracle:
         assert abs(val - mat2.trace(mat2.evaluate_word(w, [m]))) <= 1e-9
 
 
-def _naive_trace(w, mats):
-    """Trace of the word's product on nested tuples, inverses by the adjugate."""
-    out = ((1, 0), (0, 1))
-    for g in w.letters:
-        m = mats[abs(g) - 1]
-        if g < 0:
-            m = ((m[1][1], -m[0][1]), (-m[1][0], m[0][0]))
-        out = tuple(
-            tuple(out[i][0] * m[0][j] + out[i][1] * m[1][j] for j in range(2))
-            for i in range(2)
-        )
-    return out[0][0] + out[1][1]
-
-
 class TestExactOracle:
     """Object arrays of Fractions: the same functions evaluate exactly."""
 
@@ -156,11 +144,15 @@ class TestExactOracle:
                 ms = [random_rational_unimodular(RND) for _ in range(rank)]
                 val = evaluate_at_character(poly_of(w), ms)
                 assert type(val) is Fraction
-                assert val == _naive_trace(w, [m.tolist() for m in ms])
+                assert val == trace(word_product(w, [as_tuple(m) for m in ms]))
 
     def test_complex_input_stays_complex(self):
         ms = [random_unimodular(RND) for _ in range(2)]
         val = evaluate_at_character(trace_poly_f2(parse_word("X Y x", 2)), ms)
+        assert type(val) is complex
+        # integer dtype is numeric, not exact: mat2 computes it in complex128
+        ints = [np.array([[1, 1], [0, 1]]), np.array([[2, 1], [1, 1]])]
+        val = evaluate_at_character(trace_poly_f2(parse_word("X Y x", 2)), ints)
         assert type(val) is complex
         assert isinstance(quadruple_trace_check([random_unimodular(RND) for _ in range(4)]),
                           float)
