@@ -455,10 +455,6 @@ def main(argv=None) -> int:
     except (GeometryError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except RecursionError:
-        print("error: input too deep for the recursive trace engine "
-              "(recursion limit exceeded)", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

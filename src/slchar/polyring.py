@@ -12,9 +12,9 @@ tuples of the variable set's length to nonzero coefficients, with
 integral Fractions collapsed to ints.  The public constructor (and so
 :meth:`Polynomial.from_json`) checks and establishes it; arithmetic
 results preserve it by construction and are wrapped by the unchecked
-``Polynomial._trusted``.  The order of the term dict is the order in
-which arithmetic inserted the terms; ``evaluate`` sums floats in that
-order, so the helpers below keep it fixed.
+``Polynomial._trusted``.  ``evaluate`` sums floats in the canonical
+term order, so a float value depends only on the polynomial, not on the
+order in which arithmetic built its term dict.
 
 Text form: ``3/2*x^2*y - z + 1``.
 JSON form: ``{"variables": [...], "terms": [{"exp": [...], "num": ..., "den": ...}]}``.
@@ -126,12 +126,7 @@ def _add_into(out: dict, terms: Mapping) -> dict:
 
 
 def _mul_terms(a: Mapping, b: Mapping) -> dict:
-    """Product of two normal-form term dicts, in normal form.
-
-    A partial sum that cancels is removed at once, not at the end, so a
-    key that reappears goes to the end of the dict, as with ``_add_into``:
-    ``evaluate`` sums floats in this order (see the module docstring).
-    """
+    """Product of two normal-form term dicts, in normal form."""
     if len(a) > len(b):
         a, b = b, a
     out: dict[tuple, object] = {}
@@ -227,10 +222,12 @@ class Polynomial:
     def coefficient(self, exp: tuple) -> Fraction:
         return Fraction(self._terms.get(tuple(exp), 0))
 
+    def _canonical_exponents(self) -> list:
+        return sorted(self._terms, key=lambda e: (sum(e), e), reverse=True)
+
     def terms(self):
         """Iterate ``(exponent, Fraction coefficient)`` in canonical order."""
-        order = sorted(self._terms, key=lambda e: (sum(e), e), reverse=True)
-        for e in order:
+        for e in self._canonical_exponents():
             yield e, Fraction(self._terms[e])
 
     def __eq__(self, other) -> bool:
@@ -301,15 +298,17 @@ class Polynomial:
     # -- evaluation and substitution -----------------------------------------
 
     def evaluate(self, assignment: Mapping[str, complex]) -> complex:
-        """Evaluate at a complex point.  Every variable must be bound."""
+        """Evaluate at a complex point, summing in canonical term order.
+        Every variable must be bound."""
         vals = []
         for name in self.variables:
             if name not in assignment:
                 raise KeyError(f"variable {name!r} not bound in assignment")
             vals.append(complex(assignment[name]))
+        terms = self._terms
         total = 0j
-        for e, c in self._terms.items():
-            term = complex(c)
+        for e in self._canonical_exponents():
+            term = complex(terms[e])
             for v, k in zip(vals, e):
                 if k:
                     term *= v**k

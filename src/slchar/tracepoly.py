@@ -6,40 +6,36 @@ For a word w in F_2 this computes the polynomial f_w(x, y, z) with
 
 for all unimodular pairs, and analogously for F_3 in the seven
 coordinates (x1, x2, x3, x12, x13, x23, x123), canonical modulo the
-hypersurface relation PHI.
+hypersurface relation PHI (degree at most one in x123).
 
-The reduction uses three rewriting moves, each strictly decreasing the
-measure (length, number of inverse letters):
+The algebra generated by unimodular matrices X_1 ... X_n (n <= 3) is
+spanned over the trace ring by the increasing products 1, X_i,
+X_i X_j (i < j) and X_1 X_2 X_3 (Fricke-Vogt; Horowitz 1972,
+Comm. Pure Appl. Math. 25; Procesi 1976).  Two rules, from
+Cayley-Hamilton and the polarised identity
+AB + BA = tr(A) B + tr(B) A + (tr AB - tr A tr B) I, rewrite a basis
+element times a generator X_g back into the basis:
 
-* inverse elimination:   tr(A g^-1 B) = tr(g) tr(AB) - tr(A g B)
-* square reduction:      tr(B g g)    = tr(g) tr(Bg) - tr(B)
-* splitting at a repeated letter g (Basic Identity):
-  for w ~ v1 g v2 g,     tr(w) = tr(v1 g) tr(v2 g) - tr(v1 v2^-1)
+* X_g X_g = x_g X_g - 1
+* X_j X_g = -X_g X_j + x_g X_j + x_j X_g + (x_gj - x_g x_j)   (g < j)
 
-applied after cyclic reduction, down to base words of length <= 2
-(rank 2) or <= 3 (rank 3); the length-3 class of X1 X3 X2 is
-eliminated through the Sum Relation.  Results are memoized on the
-lexicographically least cyclic rotation of the word and its inverse.
-The memo table is only mutated under the interpreter lock, so
-concurrent callers at worst recompute an entry.
+and an inverse letter is X_g^-1 = x_g - X_g.  So right multiplication
+by a letter is a fixed table with polynomial entries, built once per
+rank, and a word's trace is one pass of right multiplications from 1,
+followed by tr 1 = 2 and tr X_I = x_I on the basis.  No table entry
+contains x123, so a rank-3 result already has degree at most one in it.
+
+Results are memoized on the rank and the cyclically reduced letters.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
-from . import mat2
-from .polyring import (
-    F2_VARS,
-    F3_VARS,
-    PHI,
-    PRODUCT_RELATION,
-    SUM_RELATION,
-    Polynomial,
-    VariableSet,
-    reduce_mod_phi,
-)
-from .words import Word, _free_reduce
+from . import mat2, polyring
+from .polyring import F2_VARS, F3_VARS, Polynomial, VariableSet, _add_into, _mul_terms
+from .words import Word
 
 __all__ = [
     "TraceExpression",
@@ -72,140 +68,96 @@ _GEN_NAMES = {
     },
 }
 
-_memo: dict[tuple[int, tuple[int, ...]], Polynomial] = {}
-
-
-def clear_cache() -> None:
-    _memo.clear()
-
-
-def _canonical_forms(w: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(memo key, computation representative) for the cyclic class of w.
-
-    The key is the least rotation among all rotations of w and of its
-    inverse.  The representative is the least rotation of whichever of
-    the two sides carries fewer inverse letters; computing on it keeps
-    the (length, inverse-count) termination measure decreasing, which
-    the raw lexicographic minimum would not (inversion flips all signs).
-    """
-    if not w:
-        return w, w
-    inv = tuple(-g for g in reversed(w))
-    min_w = min(w[i:] + w[:i] for i in range(len(w)))
-    min_i = min(inv[i:] + inv[:i] for i in range(len(inv)))
-    key = min(min_w, min_i)
-    neg_w = sum(1 for g in w if g < 0)
-    neg_i = len(w) - neg_w
-    if neg_w < neg_i:
-        rep = min_w
-    elif neg_i < neg_w:
-        rep = min_i
-    else:
-        rep = key
-    return key, rep
-
-
-def _cyclic_key(w: tuple[int, ...]) -> tuple[int, ...]:
-    return _canonical_forms(w)[0]
-
-
-def _cyclic_reduce(w: tuple[int, ...]) -> tuple[int, ...]:
-    while len(w) >= 2 and w[0] == -w[-1]:
-        w = w[1:-1]
-    return w
-
 
 def _var(rank: int, key: tuple[int, ...]) -> Polynomial:
     return Polynomial.variable(_VARSETS[rank], _GEN_NAMES[rank][key])
 
 
-def _tr(rank: int, w: tuple[int, ...]) -> Polynomial:
-    w = _cyclic_reduce(_free_reduce(w))
-    cyc_key, rep = _canonical_forms(w)
-    key = (rank, cyc_key)
-    hit = _memo.get(key)
-    if hit is not None:
-        return hit
-    result = _tr_compute(rank, rep)
-    if rank == 3:
-        result = reduce_mod_phi(result)
-    _memo[key] = result
-    return result
+def _add_elements(*elements: dict) -> dict:
+    out: dict = {}
+    for el in elements:
+        for b, c in el.items():
+            out[b] = out[b] + c if b in out else c
+    return out
 
 
-def _tr_compute(rank: int, w: tuple[int, ...]) -> Polynomial:
-    vars_ = _VARSETS[rank]
-    n = len(w)
-    if n == 0:
-        return Polynomial.constant(vars_, 2)
-    if n == 1:
-        return _var(rank, (abs(w[0]),))
+@functools.cache
+def _table(rank: int) -> dict:
+    """Right multiplication of each basis element by each letter:
+    ``{(basis, letter): {basis: coefficient term dict}}``."""
+    one = Polynomial.constant(_VARSETS[rank], 1)
 
-    # eliminate the first inverse letter: tr(A g^-1 B) = tr(g)tr(AB) - tr(A g B)
-    for i, g in enumerate(w):
-        if g < 0:
-            a, b = w[:i], w[i + 1 :]
-            return _var(rank, (-g,)) * _tr(rank, a + b) - _tr(
-                rank, a + (-g,) + b
-            )
+    def x(*idx):
+        return _var(rank, idx)
 
-    # positive word now; square reduction: tr(B g g) = tr(g)tr(Bg) - tr(B)
-    for i in range(n):
-        j = (i + 1) % n
-        if w[i] == w[j]:
-            rot = w[j + 1 :] + w[: j + 1]  # rotate so the pair ends the word
-            b, g = rot[:-2], rot[-1]
-            return _var(rank, (g,)) * _tr(rank, b + (g,)) - _tr(rank, b)
+    table: dict = {}
+    for b in sorted(((),) + tuple(_GEN_NAMES[rank]), key=len):
+        for g in range(1, rank + 1):
+            if not b or b[-1] < g:
+                el = {b + (g,): one}
+            elif b[-1] == g:  # X_g X_g = x_g X_g - 1
+                el = {b: x(g), b[:-1]: -one}
+            else:  # X_j X_g = -X_g X_j + x_g X_j + x_j X_g + (x_gj - x_g x_j)
+                h, j = b[:-1], b[-1]
+                hg = table[h, g]  # every basis in it is below j
+                el = _add_elements(
+                    {hb + (j,): -c for hb, c in hg.items()},
+                    {b: x(g)},
+                    {hb: x(j) * c for hb, c in hg.items()},
+                    {h: x(g, j) - x(g) * x(j)},
+                )
+            table[b, g] = el
+            # X_g^-1 = x_g - X_g
+            table[b, -g] = _add_elements({b: x(g)}, {hb: -c for hb, c in el.items()})
+    return {k: {b: c._terms for b, c in el.items() if c} for k, el in table.items()}
 
-    if n == 2:
-        i, j = sorted((w[0], w[1]))
-        return _var(rank, (i, j))
 
-    if n == 3 and rank == 3:
-        k = w.index(min(w))
-        rot = w[k:] + w[:k]
-        if rot == (1, 2, 3):
-            return _var(rank, (1, 2, 3))
-        # the other cyclic class: Sum Relation eliminates its trace
-        return SUM_RELATION - _var(rank, (1, 2, 3))
+@functools.lru_cache(maxsize=None)
+def _trace(rank: int, letters: tuple[int, ...]) -> Polynomial:
+    """Trace polynomial of reduced letters, by one right-multiplication pass."""
+    table = _table(rank)
+    variables = _VARSETS[rank]
+    one = (0,) * len(variables)
+    element = {(): {one: 1}}
+    for g in letters:
+        out: dict = {}
+        for b, c in element.items():
+            for b2, c2 in table[b, g].items():
+                _add_into(out.setdefault(b2, {}), _mul_terms(c, c2))
+        element = out
+    terms: dict = {}
+    for b, c in element.items():  # tr 1 = 2, tr X_b = x_b
+        _add_into(terms, _mul_terms(c, _var(rank, b)._terms if b else {one: 2}))
+    return Polynomial._trusted(variables, terms)
 
-    # square-free with a repeated letter: split there (Basic Identity)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if w[i] == w[j]:
-                rot = w[j + 1 :] + w[: j + 1]  # ends with g at both split points
-                split = i + (n - 1 - j)
-                u1, u2 = rot[: split + 1], rot[split + 1 :]
-                v1, v2 = u1[:-1], u2[:-1]
-                v2_inv = tuple(-g for g in reversed(v2))
-                return _tr(rank, u1) * _tr(rank, u2) - _tr(rank, v1 + v2_inv)
 
-    raise AssertionError(f"irreducible case for rank {rank}: {w}")
+def clear_cache() -> None:
+    _trace.cache_clear()
+
+
+def _cyclic_core(w: Word) -> tuple[int, ...]:
+    return w.cyclic_reduce()[0].letters
 
 
 def trace_poly(w: Word) -> Polynomial:
     """Trace polynomial of a word of rank 1, 2 or 3."""
-    if w.rank == 2:
-        return trace_poly_f2(w)
-    if w.rank == 3:
-        return trace_poly_f3(w)
-    if w.rank == 1:
-        return _tr(1, w.reduce().letters)
-    raise ValueError(f"trace polynomials are implemented for rank <= 3, got {w.rank}")
+    if w.rank not in _VARSETS:
+        raise ValueError(f"trace polynomials are implemented for rank <= 3, got {w.rank}")
+    return _trace(w.rank, _cyclic_core(w))
 
 
 def trace_poly_f2(w: Word) -> Polynomial:
     """f_w(x, y, z) for a rank-2 word."""
     if w.rank != 2:
         raise ValueError(f"expected a rank-2 word, got rank {w.rank}")
-    return _tr(2, w.reduce().letters)
+    return _trace(2, _cyclic_core(w))
 
 
 def trace_poly_f3(w: Word) -> Polynomial:
     """Trace polynomial of a rank-3 word, canonical modulo PHI."""
     if w.rank != 3:
         raise ValueError(f"expected a rank-3 word, got rank {w.rank}")
-    return _tr(3, w.reduce().letters)
+    return _trace(3, _cyclic_core(w))
 
 
 class TraceExpression:
@@ -213,7 +165,8 @@ class TraceExpression:
 
     Intermediate currency for linearity-of-trace manipulations; words
     are kept reduced and the combination canonically keyed on cyclic
-    class.  ``resolve`` collapses it to a single Polynomial.
+    class: the least rotation of the cyclically reduced word or of its
+    inverse.  ``resolve`` collapses it to a single Polynomial.
     """
 
     def __init__(self, rank: int):
@@ -223,7 +176,9 @@ class TraceExpression:
     def add(self, w: Word, coeff=1) -> "TraceExpression":
         if w.rank != self.rank:
             raise ValueError("rank mismatch")
-        key = _cyclic_key(_cyclic_reduce(w.reduce().letters))
+        core = _cyclic_core(w)
+        inverse = tuple(-g for g in reversed(core))
+        key = min((s[i:] + s[:i] for s in (core, inverse) for i in range(len(s))), default=())
         c = self._terms.get(key, Fraction(0)) + Fraction(coeff)
         if c:
             self._terms[key] = c
@@ -238,7 +193,7 @@ class TraceExpression:
     def resolve(self) -> Polynomial:
         out = Polynomial.zero(_VARSETS[self.rank])
         for key, c in self._terms.items():
-            out = out + _tr(self.rank, key).scale(c)
+            out = out + _trace(self.rank, key).scale(c)
         return out
 
 
@@ -254,13 +209,13 @@ def kappa_value(x, y, z):
 
 def phi_polynomial() -> Polynomial:
     """Generator of the principal ideal cutting out the rank-3 variety."""
-    return PHI
+    return polyring.PHI
 
 
 def sum_product_relation_polys() -> tuple[Polynomial, Polynomial]:
     """(f_Sigma, f_Pi): the triple traces are the roots of
     t^2 - f_Sigma t + f_Pi."""
-    return SUM_RELATION, PRODUCT_RELATION
+    return polyring.SUM_RELATION, polyring.PRODUCT_RELATION
 
 
 def quadruple_trace_check(assignment):

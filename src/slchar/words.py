@@ -189,6 +189,17 @@ class Word:
 _TOKEN = re.compile(r"\s*([A-Za-z])(\d+)?(?:\^(-?\d+))?")
 
 
+def _parse_int(text: str, limit: int, what: str, pos: int) -> int:
+    """``int(text)`` for an optionally signed digit string.  A string with
+    more significant digits than ``limit`` raises WordSyntaxError before
+    any conversion: its value is over the limit, and ``int()`` refuses
+    strings of more than 4,300 digits."""
+    digits = text.lstrip("-").lstrip("0") or "0"
+    if len(digits) > len(str(limit)):
+        raise WordSyntaxError(f"{what} of {len(digits)} digits exceeds {limit}", pos)
+    return -int(digits) if text.startswith("-") else int(digits)
+
+
 def parse_word(
     text: str,
     rank: int,
@@ -227,7 +238,7 @@ def parse_word(
                 raise WordSyntaxError(
                     f"indexed tokens must use 'X', got {letter!r}", pos
                 )
-            index = int(digits)
+            index = _parse_int(digits, rank, "generator index", pos)
             inverted = False
         else:
             upper = letter.upper()
@@ -243,7 +254,7 @@ def parse_word(
             raise WordSyntaxError(
                 f"generator index {index} exceeds rank {rank}", pos
             )
-        power = 1 if exponent is None else int(exponent)
+        power = 1 if exponent is None else _parse_int(exponent, MAX_WORD_LETTERS, "exponent", pos)
         if inverted:
             power = -power
         g = index if power > 0 else -index

@@ -45,11 +45,20 @@ class TestTracePoly:
         assert out == ""
         assert err.startswith("usage error: ") and err.count("\n") == 1
 
-    def test_deep_word_is_error_not_traceback(self, capsys):
-        code, out, err = run(capsys, "trace-poly", "X^600")
-        assert code == 1
+    @pytest.mark.parametrize("word", ["X" + "2" * 5000, "X^" + "7" * 5000])
+    def test_oversized_number_is_usage_error(self, capsys, word):
+        code, out, err = run(capsys, "trace-poly", word)
+        assert code == 2
         assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+
+    def test_deep_word_is_error_not_traceback(self, capsys):
+        # the iterative engine traces deep words: tr(X^600) = 2 T_600(x/2)
+        code, out, err = run(capsys, "trace-poly", "X^600")
+        assert code == 0
+        assert out.startswith("x^600 - 600*x^598 ")
+        assert out.rstrip("\n").endswith(" + 2")
+        assert err == ""
 
 
 class TestEvalWord:

@@ -1,12 +1,15 @@
 """Golden-output guard: seeded symbolic results, their float values and
 ``slchar verify`` output must stay byte-identical across refactors of
-the arithmetic kernel.
+the arithmetic kernel and the trace engine.
 
 Each test hashes a fixed, seeded corpus and compares the SHA-256 with a
-digest recorded from the code before the polynomial kernel fast path.
-``Polynomial.evaluate`` sums floats in the order of a polynomial's term
-dict, so the float values also pin the order in which arithmetic builds
-that dict.  To re-record after an intended output change, print
+recorded digest.  ``EXACT_DIGEST`` covers only the exact lines (trace
+polynomial text and JSON, ring-map JSON, image text); it was recorded
+before the polynomial kernel fast path and must never change.
+``SYMBOLIC_DIGEST`` adds the float values at a fixed point and
+``VERIFY_DIGEST`` the ``verify`` output; both were re-recorded when
+``Polynomial.evaluate`` began summing in canonical term order.  To
+re-record after an intended float output change, print
 ``_digest(_symbolic_lines())`` and ``_digest(_verify_lines())``.
 """
 
@@ -28,8 +31,9 @@ from slchar.polyring import Polynomial
 from slchar.tracepoly import trace_poly
 from slchar.words import Word
 
-SYMBOLIC_DIGEST = "d186b604ccfef79c2aa211a618e99b4b3903308f5849e24fbaf79c9c2e3b4307"
-VERIFY_DIGEST = "c92a7086f5608df2cdba5940af58c607afce8c679854dce214bc3f3cbba7dee4"
+EXACT_DIGEST = "624d279a57ec01a51983e3a959ba81f8aad039a844605204c3c7beeea153b3eb"
+SYMBOLIC_DIGEST = "eabbaf72485625ee4c876305d9378c6402533fb4cd4281a5314dfd65666cb755"
+VERIFY_DIGEST = "1e2713d5ded27e4b8d65886c1b817da11649cb2bcfc77edf70a3adfe3cf9c38b"
 
 SUITES = ("identities", "oracle", "fricke", "covers", "coxeter")
 
@@ -51,20 +55,24 @@ def _random_poly(rnd, variables, nterms, maxdeg):
 
 
 def _at_point(p):
-    """Float value at a fixed point: it pins the order in which
-    ``evaluate`` sums the terms, not only the terms themselves."""
+    """Float value at a fixed point."""
     point = {n: complex(0.3 + 0.17 * i, 0.05 * i - 0.2) for i, n in enumerate(p.variables)}
     return repr(p.evaluate(point))
 
 
-def _symbolic_lines():
+def _symbolic_lines(floats=True):
+    """The seeded symbolic corpus; ``floats=False`` leaves out the float
+    values and keeps only the exact text and JSON."""
+    def at(p):
+        return f" {_at_point(p)}" if floats else ""
+
     rnd = random.Random(20090101)
     lines = []
     for rank, lengths, count in ((2, (6, 16), 40), (3, (4, 9), 30)):
         for _ in range(count):
             w = _random_word(rnd, rank, rnd.randint(*lengths))
             p = trace_poly(w)
-            lines.append(f"{w.letters} {p.to_text()} {_at_point(p)}")
+            lines.append(f"{w.letters} {p.to_text()}{at(p)}")
             lines.append(json.dumps(p.to_json(), sort_keys=True))
     maps = (embed_r2_in_r3(), deck_ring_map(), cover_c02_to_s04(), cover_c11_to_s12())
     for rm in maps:
@@ -75,10 +83,10 @@ def _symbolic_lines():
         for _ in range(count):
             p = _random_poly(rnd, rm.source, nterms=4, maxdeg=2)
             image = rm.apply_poly(p)
-            lines.append(f"{rm.name} {p.to_text()} -> {image.to_text()} {_at_point(image)}")
+            lines.append(f"{rm.name} {p.to_text()} -> {image.to_text()}{at(image)}")
             if rm is deck:
                 twice = deck.apply_poly(image)
-                lines.append(f"{twice.to_text()} {_at_point(twice)}")
+                lines.append(f"{twice.to_text()}{at(twice)}")
     return lines
 
 
@@ -94,6 +102,10 @@ def _verify_lines():
                 lines.append(f"exit={code}")
                 lines.append(buf.getvalue())
     return lines
+
+
+def test_exact_outputs_match_digest():
+    assert _digest(_symbolic_lines(floats=False)) == EXACT_DIGEST
 
 
 def test_symbolic_outputs_match_digest():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from slchar import mat2
 from slchar.polyring import F2_VARS, F3_VARS, Polynomial, reduce_mod_phi
@@ -11,6 +12,7 @@ from slchar.sampling import (
     random_reduced_word,
     random_unimodular,
 )
+from slchar import tracepoly
 from slchar.tracepoly import (
     TraceExpression,
     evaluate_at_character,
@@ -24,7 +26,7 @@ from slchar.tracepoly import (
     trace_poly_f3,
 )
 from slchar.words import Word, parse_word
-from tuple2x2 import as_tuple, trace, word_product
+from tuple2x2 import SL2, as_tuple, inverse, matmul, product, trace, word_product
 
 RND = random.Random(20)
 
@@ -107,6 +109,65 @@ class TestInvariance:
             p = trace_poly_f3(w)
             assert p.degree_in("x123") <= 1
             assert reduce_mod_phi(p) == p
+
+
+def _exact_length_word(rnd, rank, length):
+    letters = []
+    while len(letters) < length:
+        g = rnd.choice([k * s for k in range(1, rank + 1) for s in (1, -1)])
+        if not letters or letters[-1] != -g:
+            letters.append(g)
+    return Word(rank, tuple(letters))
+
+
+class TestEngine:
+    """The right-multiplication table and the pass built on it."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(SL2, SL2, SL2)
+    def test_table_entries_are_exact_products(self, m1, m2, m3):
+        for rank in (1, 2, 3):
+            mats = (m1, m2, m3)[:rank]
+
+            def basis_matrix(b):
+                return product(*(mats[i - 1] for i in b))
+
+            variables = tracepoly._VARSETS[rank]
+            character = {name: trace(basis_matrix(b))
+                         for b, name in tracepoly._GEN_NAMES[rank].items()}
+            table = tracepoly._table(rank)
+            assert len(table) == 2 * rank * (len(tracepoly._GEN_NAMES[rank]) + 1)
+            for (b, g), element in table.items():
+                letter = mats[g - 1] if g > 0 else inverse(mats[-g - 1])
+                want = matmul(basis_matrix(b), letter)
+                got = ((0, 0), (0, 0))
+                for b2, terms in element.items():
+                    coeff = Polynomial(variables, terms)
+                    assert rank < 3 or coeff.degree_in("x123") == 0
+                    c = coeff.evaluate_exact(character)
+                    m = basis_matrix(b2)
+                    got = tuple(tuple(got[i][j] + c * m[i][j] for j in range(2))
+                                for i in range(2))
+                assert got == want, (rank, b, g)
+
+    @pytest.mark.parametrize("rank, length", [(2, 40), (3, 16)])
+    def test_long_words_exact(self, rank, length):
+        rnd = random.Random(length)
+        for _ in range(3):
+            w = _exact_length_word(rnd, rank, length)
+            mats = [random_rational_unimodular(rnd) for _ in range(rank)]
+            p = trace_poly(w)
+            assert rank < 3 or p.degree_in("x123") <= 1
+            assert evaluate_at_character(p, mats) == trace(
+                word_product(w, [as_tuple(m) for m in mats]))
+
+    def test_memo(self):
+        tracepoly.clear_cache()
+        w = parse_word("X Y X y", 2)
+        assert trace_poly(w) is trace_poly(w)
+        assert tracepoly._trace.cache_info().currsize == 1
+        tracepoly.clear_cache()
+        assert tracepoly._trace.cache_info().currsize == 0
 
 
 class TestOracle:

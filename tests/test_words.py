@@ -71,6 +71,20 @@ class TestParse:
             parse_word(f"X^{half} x^{half}", 2)
         assert err.value.position == len(f"X^{half} ")
 
+    def test_oversized_index_is_syntax_error(self):
+        # more digits than int() converts: rejected before the conversion
+        with pytest.raises(WordSyntaxError) as err:
+            parse_word("X Y X" + "1" * 5000, 3)
+        assert err.value.position == 4
+        assert parse_word("X" + "0" * 5000 + "2", 3).letters == (2,)
+
+    def test_oversized_exponent_is_syntax_error(self):
+        for sign in ("", "-"):
+            with pytest.raises(WordSyntaxError) as err:
+                parse_word(f"X Y^{sign}" + "9" * 5000, 2)
+            assert err.value.position == 2
+        assert parse_word("Y^-" + "0" * 5000 + "3", 2).letters == (-2, -2, -2)
+
     def test_custom_letters(self):
         w = parse_word("P q", 2, letters={"P": 1, "Q": 2})
         assert w.letters == (1, -2)
