@@ -254,7 +254,9 @@ def parse_word(
             raise WordSyntaxError(
                 f"generator index {index} exceeds rank {rank}", pos
             )
-        power = 1 if exponent is None else _parse_int(exponent, MAX_WORD_LETTERS, "exponent", pos)
+        power = 1
+        if exponent is not None:
+            power = _parse_int(exponent, MAX_WORD_LETTERS, "exponent", pos)
         if inverted:
             power = -power
         g = index if power > 0 else -index

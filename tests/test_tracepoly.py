@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from slchar import mat2
+from slchar import mat2, tracepoly
 from slchar.polyring import F2_VARS, F3_VARS, Polynomial, reduce_mod_phi
 from slchar.sampling import (
     random_rational_unimodular,
     random_reduced_word,
     random_unimodular,
 )
-from slchar import tracepoly
 from slchar.tracepoly import (
     TraceExpression,
     evaluate_at_character,
