@@ -15,8 +15,8 @@ import numpy as np
 
 from . import mat2
 from .mat2 import GeometryError, normal_form_pair, principal_sqrt
-from .polyring import sum_product
-from .tracepoly import kappa_value
+from .polyring import F3_VARS, sum_product
+from .tracepoly import coordinate_traces, kappa_value
 
 __all__ = [
     "CharacterF2",
@@ -102,16 +102,8 @@ def character_of_pair(xi: np.ndarray, eta: np.ndarray) -> CharacterF2:
 
 
 def character_of_triple(m1, m2, m3) -> CharacterF3:
-    return CharacterF3(
-        t1=mat2.trace(m1),
-        t2=mat2.trace(m2),
-        t3=mat2.trace(m3),
-        t12=mat2.trace(m1 @ m2),
-        t13=mat2.trace(m1 @ m3),
-        t23=mat2.trace(m2 @ m3),
-        t123=mat2.trace(m1 @ m2 @ m3),
-        t132=mat2.trace(m1 @ m3 @ m2),
-    )
+    coords = coordinate_traces(F3_VARS, (m1, m2, m3))
+    return CharacterF3(*coords.values(), t132=mat2.trace(m1 @ m3 @ m2))
 
 
 def is_irreducible(c: CharacterF2, tol: float = IRREDUCIBILITY_TOL) -> bool:

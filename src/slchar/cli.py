@@ -62,10 +62,17 @@ def cmd_eval_word(args) -> int:
     if args.matrices:
         raw = args.matrices
         if raw.startswith("@"):
-            with open(raw[1:]) as fh:
-                raw = fh.read()
-        data = json.loads(raw)
-        mats = [mat2.matrix_from_json(m) for m in data]
+            try:
+                with open(raw[1:]) as fh:
+                    raw = fh.read()
+            except OSError as exc:
+                raise ValueError(f"cannot read {raw[1:]}: {exc.strerror}") from None
+        try:
+            mats = [mat2.matrix_from_json(m) for m in json.loads(raw)]
+        except (KeyError, TypeError):
+            mats = None
+        if mats is None or any(m.shape != (2, 2) for m in mats):
+            raise ValueError('--matrices takes a JSON list of {"re": 2x2, "im": 2x2} objects')
     else:
         rnd = sampling.rng_for(args.seed)
         mats = [sampling.random_unimodular(rnd) for _ in range(args.rank)]
@@ -112,37 +119,27 @@ def cmd_construct(args) -> int:
     return 0
 
 
-def _fricke_verdict(surface: str, coords: list[float]):
-    if surface == "s03":
-        return fricke.member_s03(*coords).to_json()
-    if surface == "s11":
-        return fricke.member_s11(*coords).to_json()
-    if surface == "s04":
-        return fricke.member_s04(CharacterS04(*coords)).to_json()
-    if surface == "s12":
-        return fricke.member_s12(CharacterS12(*coords)).to_json()
-    if surface == "c02":
-        p, q, r = coords
-        return {"member": fricke.member_c02(p, q, r)}
-    if surface == "c11":
-        p, q, r = coords
-        return {"member": fricke.member_c11(p, q, r)}
-    raise ValueError(f"unknown surface {surface!r}")
-
-
-_FRICKE_ARITY = {"s03": 3, "s11": 3, "s04": 7, "s12": 8, "c02": 3, "c11": 3}
+#: Per surface: the number of coordinates, and the verdict as JSON.
+_FRICKE = {
+    "s03": (3, lambda coords: fricke.member_s03(*coords).to_json()),
+    "s11": (3, lambda coords: fricke.member_s11(*coords).to_json()),
+    "s04": (7, lambda coords: fricke.member_s04(CharacterS04(*coords)).to_json()),
+    "s12": (8, lambda coords: fricke.member_s12(CharacterS12(*coords)).to_json()),
+    "c02": (3, lambda coords: {"member": fricke.member_c02(*coords)}),
+    "c11": (3, lambda coords: {"member": fricke.member_c11(*coords)}),
+}
 
 
 def cmd_fricke(args) -> int:
     coords = [parse_number_exact(v) for v in args.coords.split(",")]
-    need = _FRICKE_ARITY[args.surface]
+    need, verdict_of = _FRICKE[args.surface]
     if len(coords) != need:
         raise GeometryError(
             f"surface {args.surface} takes {need} coordinates, got {len(coords)}"
         )
     if args.mode == "float":
         coords = [float(v) for v in coords]
-    verdict = _fricke_verdict(args.surface, coords)
+    verdict = verdict_of(coords)
     _print_json(verdict)
     member = verdict.get("verdict", "").startswith("member") or verdict.get("member") is True
     return 0 if member or args.report_only else 1
@@ -160,24 +157,17 @@ def cmd_fn2trace(args) -> int:
     return 0
 
 
-_COVER_MAPS = {
-    "c02s04": covers.cover_c02_to_s04,
-    "c11s12": covers.cover_c11_to_s12,
-    "deck": covers.deck_ring_map,
-    "embed": covers.embed_r2_in_r3,
-}
-
-
 def cmd_cover(args) -> int:
-    rm = _COVER_MAPS[args.map]()
+    rm = covers.ring_map(args.map)
     payload = rm.to_json()
     if args.symbolic_check:
         payload["symbolic_check"] = covers.symbolic_check(args.map)
     if args.eval:
-        point = {}
-        for item in args.eval.split(","):
-            name, _, value = item.partition("=")
-            point[name.strip()] = complex(parse_number(value))
+        pairs = (item.partition("=") for item in args.eval.split(","))
+        point = {name.strip(): complex(parse_number(value)) for name, _, value in pairs}
+        if set(point) != set(rm.target):
+            raise ValueError(f"--eval for {args.map} takes {', '.join(rm.target)}; "
+                             f"got {', '.join(point)}")
         images = rm.apply_point(point)
         payload["evaluation"] = {
             n: mat2.format_complex(complex(v)) for n, v in images.items()
@@ -303,7 +293,7 @@ def _suite_fricke(cfg) -> list[tuple[str, float]]:
 
 def _suite_covers(cfg) -> list[tuple[str, float]]:
     rows = []
-    for name in ("c02s04", "c11s12", "embed", "deck"):
+    for name in covers.COVERS:
         ok = all(covers.symbolic_check(name).values())
         rows.append((f"symbolic-{name}", 0.0 if ok else 1.0))
     worst = 0.0
@@ -406,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fricke", help="Fricke-space membership")
     fsub = p.add_subparsers(dest="fricke_command", required=True)
     ptest = fsub.add_parser("test")
-    ptest.add_argument("surface", choices=sorted(_FRICKE_ARITY))
+    ptest.add_argument("surface", choices=sorted(_FRICKE))
     ptest.add_argument("--coords", required=True,
                        help="comma-separated coordinates (decimal or p/q); "
                        "use --coords=-3,... for negative leading values")
@@ -426,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cover", help="covering-space character-ring maps")
     csub = p.add_subparsers(dest="cover_command", required=True)
     pmap = csub.add_parser("map")
-    pmap.add_argument("map", choices=sorted(_COVER_MAPS))
+    pmap.add_argument("map", choices=sorted(covers.COVERS))
     pmap.add_argument("--eval", help="comma-separated name=value assignments")
     pmap.add_argument("--symbolic-check", action="store_true")
     pmap.set_defaults(func=cmd_cover)

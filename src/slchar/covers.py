@@ -1,22 +1,16 @@
 """Character-ring homomorphisms induced by orientable double covers.
 
-Each map is a table of image polynomials, derived here from the
-word-level monomorphism of fundamental groups by running the trace
-engine on the image words.  That construction makes the defining
-relations of the source ring vanish identically after substitution,
-which ``symbolic_check`` verifies, and ties the tables to the matrix
-oracle through the same engine.
-
-Maps provided:
-
-* ``embed_r2_in_r3``   - the rank-3 ring of an orientable double cover
-  restricted along Y1 = X1^2, Y2 = X1^-1 X2^-1, Y3 = X2^2;
-* ``deck_involution_f3`` - the deck transformation of that cover,
-  an involution of the rank-3 ring (modulo the hypersurface ideal);
-* ``cover_c02_to_s04`` - four-holed sphere over the two-holed
-  cross-surface;
-* ``cover_c11_to_s12`` - two-holed torus over the one-holed Klein
-  bottle.
+Each map is one entry of the ordered registry ``COVERS``: the source
+coordinates, each as the positive word in the source generators whose
+trace it is (the rank-3 ones are ``tracepoly.COORDINATES``); the images
+of the source generators as words in the base, a free group of rank
+``rank`` (the word-level monomorphism of fundamental groups); the base
+coordinates as target variables; and the named defining relations of
+the source ring.  One constructor, ``ring_map``, pushes each coordinate
+word through the generator images and runs the trace engine on the
+result.  That makes the defining relations vanish identically after
+substitution, which ``symbolic_check`` verifies, and ties the tables to
+the matrix oracle through the same engine.
 """
 
 from __future__ import annotations
@@ -26,20 +20,16 @@ from functools import lru_cache
 from typing import Mapping
 
 from .chars import CharacterF3, triple_trace_roots
-from .polyring import (
-    F2_VARS,
-    F3_VARS,
-    S04_VARS,
-    S12_VARS,
-    Polynomial,
-    VariableSet,
-    reduce_mod_phi,
-)
-from .tracepoly import trace_poly
+from .fricke import s04_defining_poly, s12_relation_polys
+from .polyring import F3_VARS, PHI, S04_VARS, S12_VARS, Polynomial, VariableSet, reduce_mod_phi
+from .tracepoly import COORDINATES, trace_poly
 from .words import Word
 
 __all__ = [
+    "COVERS",
+    "Cover",
     "RingMap",
+    "ring_map",
     "embed_r2_in_r3",
     "deck_involution_f3",
     "deck_ring_map",
@@ -47,10 +37,6 @@ __all__ = [
     "cover_c11_to_s12",
     "symbolic_check",
 ]
-
-#: Base-ring variable names used by the cross-surface covers.
-C02_VARS = VariableSet(("u", "v", "w"))
-C11_VARS = VariableSet(("p", "q", "r"))
 
 
 @dataclass(frozen=True)
@@ -84,68 +70,106 @@ class RingMap:
         }
 
 
-def _word_trace(letters: tuple[int, ...], rank: int) -> Polynomial:
-    return trace_poly(Word(rank, letters))
+@dataclass(frozen=True)
+class Cover:
+    """Word-level data of a character-ring map (see the module docstring)."""
+
+    name: str
+    source: VariableSet
+    words: Mapping[str, tuple[int, ...]]
+    images: Mapping[int, tuple[int, ...]]
+    rank: int
+    target: VariableSet
+    relations: Mapping[str, Polynomial]
+
+
+#: The maps by ``slchar cover map`` key, in ``verify covers`` row order.
+COVERS = {
+    "c02s04": Cover(
+        name="cover_c02_to_s04",
+        source=S04_VARS,
+        # A, B, C, D; x = tr AB, y = tr BC, z = tr AC
+        words={"a": (1,), "b": (2,), "c": (3,), "d": (4,),
+               "x": (1, 2), "y": (2, 3), "z": (1, 3)},
+        # A -> UV, B -> V^-1 U, C -> U^-2 V U, D -> U^-1 V^-1
+        images={1: (1, 2), 2: (-2, 1), 3: (-1, -1, 2, 1), 4: (-1, -2)},
+        rank=2,
+        target=VariableSet(("u", "v", "w")),  # (tr U, tr V, tr UV)
+        relations={"defining_quartic": s04_defining_poly()},
+    ),
+    "c11s12": Cover(
+        name="cover_c11_to_s12",
+        source=S12_VARS,
+        # U, X, Y; v = tr UX, w = tr UY, z = tr XY, a = tr UXY, b = tr UYX
+        words={"u": (1,), "x": (2,), "y": (3,), "v": (1, 2), "w": (1, 3),
+               "z": (2, 3), "a": (1, 2, 3), "b": (1, 3, 2)},
+        # U -> PQ, X -> QP^-1, Y -> P^2
+        images={1: (1, 2), 2: (2, -1), 3: (1, 1)},
+        rank=2,
+        target=VariableSet(("p", "q", "r")),  # (tr P, tr Q, tr PQ)
+        relations=dict(zip(("sum_relation", "product_relation"), s12_relation_polys())),
+    ),
+    "embed": Cover(
+        name="embed_r2_in_r3",
+        source=F3_VARS,
+        words=COORDINATES[F3_VARS],
+        # Y1 -> X1^2, Y2 -> X1^-1 X2^-1, Y3 -> X2^2
+        images={1: (1, 1), 2: (-1, -2), 3: (2, 2)},
+        rank=2,
+        target=VariableSet(("x1", "x2", "x12")),
+        relations={"phi_image": PHI},
+    ),
+    "deck": Cover(
+        name="deck_involution_f3",
+        source=F3_VARS,
+        words=COORDINATES[F3_VARS],
+        # conjugation by X1 on Y1 = X1^2, Y2 = X1^-1 X2^-1, Y3 = X2^2, as
+        # words in the Y's: Y1 -> Y1, Y2 -> Y3^-1 Y2^-1 Y1^-1,
+        # Y3 -> Y1 Y2 Y3 Y2^-1 Y1^-1
+        images={1: (1,), 2: (-3, -2, -1), 3: (1, 2, 3, -2, -1)},
+        rank=3,
+        target=F3_VARS,
+        relations={"phi_in_ideal": PHI},
+    ),
+}
 
 
 @lru_cache(maxsize=None)
+def ring_map(key: str) -> RingMap:
+    """The map ``COVERS[key]``: each source coordinate's word, pushed
+    through the generator images, traced in the base coordinates."""
+    cover = COVERS[key]
+    images = {
+        name: trace_poly(Word(cover.rank, tuple(h for g in word for h in cover.images[g])))
+        .rename_variables(cover.target)
+        for name, word in cover.words.items()
+    }
+    return RingMap(cover.name, cover.source, cover.target, images)
+
+
+def cover_c02_to_s04() -> RingMap:
+    """Four-holed-sphere coordinates restricted along the double cover
+    of the two-holed cross-surface, in the base coordinates (u, v, w)."""
+    return ring_map("c02s04")
+
+
+def cover_c11_to_s12() -> RingMap:
+    """Two-holed-torus coordinates restricted along the double cover of
+    the one-holed Klein bottle, in the base coordinates (p, q, r)."""
+    return ring_map("c11s12")
+
+
 def embed_r2_in_r3() -> RingMap:
     """Rank-3 coordinates of (X1^2, X1^-1 X2^-1, X2^2) as polynomials in
     the rank-2 coordinates (x1, x2, x12) of (X1, X2)."""
-    target = VariableSet(("x1", "x2", "x12"))
-    y1 = (1, 1)
-    y2 = (-1, -2)
-    y3 = (2, 2)
-    words = {
-        "x1": y1,
-        "x2": y2,
-        "x3": y3,
-        "x12": y1 + y2,
-        "x13": y1 + y3,
-        "x23": y2 + y3,
-        "x123": y1 + y2 + y3,
-    }
-    images = {
-        n: _word_trace(w, 2).rename_variables(target) for n, w in words.items()
-    }
-    return RingMap("embed_r2_in_r3", F3_VARS, target, images)
+    return ring_map("embed")
 
 
-@lru_cache(maxsize=None)
 def deck_ring_map() -> RingMap:
     """The deck involution of the orientable double cover on the rank-3
-    ring: conjugation by X1 on the subgroup generated by Y1 = X1^2,
-    Y2 = X1^-1 X2^-1, Y3 = X2^2, expressed back in the Y-coordinates.
-
-    Fixes x1 and x3, swaps x2 with x123 and x12 with x23, and sends
-    x13 to x1 x3 - x13 - x12 x23 + x123 x2.
-    """
-    # images of Y1, Y2, Y3 under Inn(X1), as words in Y1, Y2, Y3
-    # (letters in the rank-3 free group on the Y's):
-    img = {
-        1: (1,),            # Y1
-        2: (-3, -2, -1),    # Y3^-1 Y2^-1 Y1^-1
-        3: (1, 2, 3, -2, -1),
-    }
-
-    def push(letters):
-        out = []
-        for g in letters:
-            w = img[abs(g)]
-            out.extend(w if g > 0 else tuple(-k for k in reversed(w)))
-        return tuple(out)
-
-    basis = {
-        "x1": (1,),
-        "x2": (2,),
-        "x3": (3,),
-        "x12": (1, 2),
-        "x13": (1, 3),
-        "x23": (2, 3),
-        "x123": (1, 2, 3),
-    }
-    images = {n: _word_trace(push(w), 3) for n, w in basis.items()}
-    return RingMap("deck_involution_f3", F3_VARS, F3_VARS, images)
+    ring.  Fixes x1 and x3, swaps x2 with x123 and x12 with x23, and
+    sends x13 to x1 x3 - x13 - x12 x23 + x123 x2."""
+    return ring_map("deck")
 
 
 def deck_involution_f3(arg):
@@ -155,93 +179,25 @@ def deck_involution_f3(arg):
     if isinstance(arg, Polynomial):
         return rm.apply_poly(arg)
     if isinstance(arg, CharacterF3):
-        point = {
-            "x1": arg.t1, "x2": arg.t2, "x3": arg.t3,
-            "x12": arg.t12, "x13": arg.t13, "x23": arg.t23,
-            "x123": arg.t123,
-        }
-        vals = rm.apply_point(point)
-        roots = triple_trace_roots(
-            vals["x1"], vals["x2"], vals["x3"],
-            vals["x12"], vals["x13"], vals["x23"],
-        )
-        t123 = vals["x123"]
+        vals = rm.apply_point(dict(zip(F3_VARS, arg.as_tuple())))
+        *six, t123 = vals.values()
+        roots = triple_trace_roots(*six)
         t132 = roots[1] if abs(roots[0] - t123) <= abs(roots[1] - t123) else roots[0]
-        return CharacterF3(
-            t1=vals["x1"], t2=vals["x2"], t3=vals["x3"],
-            t12=vals["x12"], t13=vals["x13"], t23=vals["x23"],
-            t123=t123, t132=t132,
-        )
+        return CharacterF3(*vals.values(), t132)
     raise TypeError(f"expected CharacterF3 or Polynomial, got {type(arg)!r}")
-
-
-@lru_cache(maxsize=None)
-def cover_c02_to_s04() -> RingMap:
-    """Four-holed-sphere coordinates restricted along the double cover
-    of the two-holed cross-surface: A -> UV, B -> V^-1 U,
-    C -> U^-2 V U, D -> U^-1 V^-1, in the base coordinates
-    (u, v, w) = (tr U, tr V, tr UV)."""
-    A = (1, 2)
-    B = (-2, 1)
-    C = (-1, -1, 2, 1)
-    D = (-1, -2)
-    words = {
-        "a": A, "b": B, "c": C, "d": D,
-        "x": A + B, "y": B + C, "z": A + C,
-    }
-    images = {
-        n: _word_trace(w, 2).rename_variables(C02_VARS) for n, w in words.items()
-    }
-    return RingMap("cover_c02_to_s04", S04_VARS, C02_VARS, images)
-
-
-@lru_cache(maxsize=None)
-def cover_c11_to_s12() -> RingMap:
-    """Two-holed-torus coordinates restricted along the double cover of
-    the one-holed Klein bottle: U -> PQ, X -> QP^-1, Y -> P^2, in the
-    base coordinates (p, q, r) = (tr P, tr Q, tr PQ)."""
-    U = (1, 2)
-    X = (2, -1)
-    Y = (1, 1)
-    words = {
-        "u": U, "x": X, "y": Y,
-        "v": U + X, "w": U + Y, "z": X + Y,
-        "a": U + X + Y, "b": U + Y + X,
-    }
-    images = {
-        n: _word_trace(w, 2).rename_variables(C11_VARS) for n, w in words.items()
-    }
-    return RingMap("cover_c11_to_s12", S12_VARS, C11_VARS, images)
 
 
 def symbolic_check(name: str) -> dict[str, bool]:
     """Verify that a map sends the source ring's defining relations to
-    zero (exact polynomial arithmetic).  Returns one flag per relation.
-    """
-    from .fricke import s04_defining_poly, s12_relation_polys
-    from .polyring import PHI
-
-    if name == "c02s04":
-        rm = cover_c02_to_s04()
-        return {"defining_quartic": rm.apply_poly(s04_defining_poly()).is_zero()}
-    if name == "c11s12":
-        rm = cover_c11_to_s12()
-        rel1, rel2 = s12_relation_polys()
-        return {
-            "sum_relation": rm.apply_poly(rel1).is_zero(),
-            "product_relation": rm.apply_poly(rel2).is_zero(),
-        }
-    if name == "embed":
-        rm = embed_r2_in_r3()
-        return {"phi_image": rm.apply_poly(PHI).is_zero()}
+    zero (exact polynomial arithmetic), one flag per relation; the deck
+    map also reports whether it squares to the identity on generators."""
+    if name not in COVERS:
+        raise ValueError(f"unknown map {name!r}")
+    rm = ring_map(name)
+    flags = {rel: rm.apply_poly(p).is_zero() for rel, p in COVERS[name].relations.items()}
     if name == "deck":
-        rm = deck_ring_map()
-        phi_img = rm.apply_poly(PHI)
-        basis_ok = True
-        for n in F3_VARS:
-            p = Polynomial.variable(F3_VARS, n)
-            twice = rm.apply_poly(rm.apply_poly(p))
-            if twice != reduce_mod_phi(p):
-                basis_ok = False
-        return {"phi_in_ideal": phi_img.is_zero(), "involution_on_generators": basis_ok}
-    raise ValueError(f"unknown map {name!r}")
+        flags["involution_on_generators"] = all(
+            rm.apply_poly(rm.apply_poly(p)) == reduce_mod_phi(p)
+            for p in (Polynomial.variable(F3_VARS, n) for n in F3_VARS)
+        )
+    return flags

@@ -29,6 +29,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from numbers import Rational
 
 import numpy as np
@@ -295,7 +296,9 @@ def _s04_component_terms(a, b, c, d, x, y, z):
 def member_s04(ch: CharacterS04, tol: float = ONVARIETY_TOL) -> S04Result:
     """Boundary traces >= 2 and x < -2, on the quartic, and F~+ > 0 and
     F~- > 0.  For exact input the last test is its exact equivalent
-    S+ > 0 and (2-x) S+^2 > (-2-x) S-^2; F~+- are reported as floats."""
+    S+ > 0 and (2-x) S+^2 > (-2-x) S-^2, and of the floats F~+- the one
+    whose two terms share a sign is summed, the other is the exact product
+    F~+ F~- = S+^2/(-2-x) - S-^2/(2-x) over it, free of cancellation."""
     a, b, c, d, x, y, z = point = ch.as_tuple()
     kab, kcd, s_minus, s_plus = _s04_component_terms(*point)
     residual = s04_quartic(*point)
@@ -313,6 +316,11 @@ def member_s04(ch: CharacterS04, tol: float = ONVARIETY_TOL) -> S04Result:
     if _is_exact(*point):
         off = residual != 0
         component = s_plus > 0 and (2 - x) * s_plus * s_plus > (-2 - x) * s_minus * s_minus
+        product = float(Fraction(s_plus * s_plus, -2 - x) - Fraction(s_minus * s_minus, 2 - x))
+        if s_plus * s_minus >= 0:  # |F~+| >= |F~-|
+            f_minus = product / f_plus if f_plus else f_minus
+        else:
+            f_plus = product / f_minus
     else:
         off = res_f > tol
         component = f_plus > 0 and f_minus > 0

@@ -334,12 +334,6 @@ class HexagonCertificate:
         }
 
 
-def _pairwise_inner(x: float, y: float, z: float) -> float:
-    """<hat X, hat Y> = (2z - xy)/sqrt((x^2-4)(y^2-4)) for traces x, y
-    of the pair and trace z of the product."""
-    return (2 * z - x * y) / np.sqrt((x * x - 4) * (y * y - 4))
-
-
 def hexagon_certificate(
     x: float, y: float, z: float, tol: float = 1e-9
 ) -> HexagonCertificate:

@@ -25,7 +25,10 @@ rank, and a word's trace is one pass of right multiplications from 1,
 followed by tr 1 = 2 and tr X_I = x_I on the basis.  No table entry
 contains x123, so a rank-3 result already has degree at most one in it.
 
-Results are memoized on the rank and the cyclically reduced letters.
+``COORDINATES`` names each coordinate by the increasing product whose
+trace it is (x_I = tr X_I); the engine's basis and ``coordinate_traces``
+(behind ``evaluate_at_character``) both read it.  Results are memoized
+on the rank and the cyclically reduced letters.
 """
 
 from __future__ import annotations
@@ -38,7 +41,9 @@ from .polyring import F2_VARS, F3_VARS, Polynomial, VariableSet, _add_into, _mul
 from .words import Word
 
 __all__ = [
+    "COORDINATES",
     "TraceExpression",
+    "coordinate_traces",
     "trace_poly",
     "trace_poly_f2",
     "trace_poly_f3",
@@ -52,20 +57,28 @@ __all__ = [
 
 F1_VARS = VariableSet(("x",))
 
+#: The trace coordinates of each rank, by the increasing generator
+#: indices of the product whose trace they are.
+COORDINATES = {
+    F1_VARS: {"x": (1,)},
+    F2_VARS: {"x": (1,), "y": (2,), "z": (1, 2)},
+    F3_VARS: {
+        "x1": (1,),
+        "x2": (2,),
+        "x3": (3,),
+        "x12": (1, 2),
+        "x13": (1, 3),
+        "x23": (2, 3),
+        "x123": (1, 2, 3),
+    },
+}
+
 _VARSETS = {1: F1_VARS, 2: F2_VARS, 3: F3_VARS}
 
+#: ``COORDINATES`` by rank and product: the engine's basis elements.
 _GEN_NAMES = {
-    1: {(1,): "x"},
-    2: {(1,): "x", (2,): "y", (1, 2): "z"},
-    3: {
-        (1,): "x1",
-        (2,): "x2",
-        (3,): "x3",
-        (1, 2): "x12",
-        (1, 3): "x13",
-        (2, 3): "x23",
-        (1, 2, 3): "x123",
-    },
+    rank: {word: name for name, word in COORDINATES[variables].items()}
+    for rank, variables in _VARSETS.items()
 }
 
 
@@ -264,33 +277,24 @@ def generator_count(n: int) -> int:
     return num // 6
 
 
+def coordinate_traces(variables: VariableSet, mats) -> dict:
+    """Each coordinate x_I of ``variables`` as tr X_I at a matrix tuple.
+    X_I is its prefix's product, listed before it, times the last matrix."""
+    products = {}
+    for word in COORDINATES[variables].values():
+        last = mats[word[-1] - 1]
+        products[word] = products[word[:-1]] @ last if len(word) > 1 else last
+    return {name: mat2.trace(products[word]) for name, word in COORDINATES[variables].items()}
+
+
 def evaluate_at_character(p: Polynomial, mats):
     """Evaluate a trace polynomial at the character of a matrix tuple:
     a complex number, or an exact Fraction when the matrices are exact
     (object arrays of Fractions, see :mod:`slchar.mat2`)."""
     mats = list(mats)
-    if p.variables == F2_VARS:
-        xi, eta = mats
-        assignment = {
-            "x": mat2.trace(xi),
-            "y": mat2.trace(eta),
-            "z": mat2.trace(xi @ eta),
-        }
-    elif p.variables == F3_VARS:
-        m1, m2, m3 = mats
-        assignment = {
-            "x1": mat2.trace(m1),
-            "x2": mat2.trace(m2),
-            "x3": mat2.trace(m3),
-            "x12": mat2.trace(m1 @ m2),
-            "x13": mat2.trace(m1 @ m3),
-            "x23": mat2.trace(m2 @ m3),
-            "x123": mat2.trace(m1 @ m2 @ m3),
-        }
-    elif p.variables == F1_VARS:
-        assignment = {"x": mat2.trace(mats[0])}
-    else:
-        raise ValueError(f"unsupported variable set {p.variables}")
+    if _VARSETS.get(len(mats)) != p.variables:
+        raise ValueError(f"cannot evaluate over {p.variables.names} at {len(mats)} matrices")
+    assignment = coordinate_traces(p.variables, mats)
     if all(mat2.is_exact(m) for m in mats):
         return p.evaluate_exact(assignment)
     return p.evaluate(assignment)

@@ -143,10 +143,7 @@ class Word:
     def __pow__(self, n: int) -> "Word":
         if n < 0:
             return self.inverse() ** (-n)
-        w = Word.identity(self.rank)
-        for _ in range(n):
-            w = w * self
-        return w
+        return Word(self.rank, _free_reduce(self.letters * n))
 
     def cyclic_reduce(self) -> tuple["Word", "Word"]:
         """Return ``(core, conjugator)`` with self = conjugator * core * conjugator^-1.
@@ -155,11 +152,10 @@ class Word:
         to its last.
         """
         w = self.reduce().letters
-        pre: list[int] = []
-        while len(w) >= 2 and w[0] == -w[-1]:
-            pre.append(w[0])
-            w = w[1:-1]
-        return Word(self.rank, w), Word(self.rank, tuple(pre))
+        k = 0  # matching end pairs: w[k] is inverse to w[-1 - k]
+        while len(w) - 2 * k >= 2 and w[k] == -w[-1 - k]:
+            k += 1
+        return Word(self.rank, w[k:len(w) - k]), Word(self.rank, w[:k])
 
     @staticmethod
     def identity(rank: int) -> "Word":

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -10,6 +11,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def assert_error_line(code, out, err):
+    """Exit 1 with one ``error:`` line and no traceback."""
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestTracePoly:
@@ -51,6 +59,13 @@ class TestTracePoly:
         assert code == 2
         assert out == ""
         assert err.startswith("usage error: ") and err.count("\n") == 1
+
+    def test_long_conjugate_is_fast(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "trace-poly", "X^49000 Y X^-49000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0 and err == ""
+        assert out == "y\n"
 
     def test_deep_word_is_error_not_traceback(self, capsys):
         # the iterative engine traces deep words: tr(X^600) = 2 T_600(x/2)
@@ -238,3 +253,29 @@ class TestNumberParsing:
 
     def test_decimal(self):
         assert parse_number("2.5") == 2.5
+
+
+class TestNoTraceback:
+    """Bad input ends in one ``error:`` line and exit 1."""
+
+    @pytest.mark.parametrize("matrices", [
+        "@/nonexistent/dir/matrices.json",
+        "[{}]",
+        "5",
+        "[5]",
+        '[{"re": 5}]',
+        '[{"re": [[1, {}], [0, 1]]}]',
+    ])
+    def test_eval_word_bad_matrices(self, capsys, matrices):
+        assert_error_line(*run(capsys, "eval-word", "XY", "--matrices", matrices))
+
+    def test_eval_word_matrices_from_file(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('[{"re": [[1, 1], [0, 1]]}, {"re": [[2, 1], [1, 1]]}]')
+        code, out, _ = run(capsys, "eval-word", "XY", "--matrices", f"@{path}")
+        assert code == 0
+        assert out.splitlines()[-1] == "trace: 4+0i"
+
+    @pytest.mark.parametrize("assignment", ["x1=2", "x1=2,x2=2,x12=2,q=1", "q=1"])
+    def test_cover_eval_names_checked(self, capsys, assignment):
+        assert_error_line(*run(capsys, "cover", "map", "embed", "--eval", assignment))

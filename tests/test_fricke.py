@@ -1,3 +1,4 @@
+import decimal
 import math
 import random
 from fractions import Fraction
@@ -208,6 +209,24 @@ def _exact_component_rule(a, b, c, d, x, y, z):
     return s_plus > 0 and (2 - x) * s_plus**2 > (-2 - x) * s_minus**2
 
 
+def _f_pair_reference(a, b, c, d, x, y, z):
+    """(F+, F-) = S+/sqrt(-2-x) +- S-/sqrt(2-x) in 50-digit decimals."""
+    s_minus = (y - z) * (2 - x) + (a - b) * (c - d)
+    s_plus = (y + z) * (2 + x) - (a + b) * (c + d)
+    with decimal.localcontext(prec=50):
+        def dec(q):
+            return decimal.Decimal(q.numerator) / decimal.Decimal(q.denominator)
+
+        plus = dec(s_plus) / dec(-2 - x).sqrt()
+        minus = dec(s_minus) / dec(2 - x).sqrt()
+        return plus + minus, plus - minus
+
+
+def _assert_f_pair_close(res, point):
+    for got, want in zip((res.f_plus, res.f_minus), _f_pair_reference(*point)):
+        assert abs(decimal.Decimal(got) - want) <= abs(want) * decimal.Decimal("1e-6"), point
+
+
 class TestS04Exact:
     def test_component_decided_exactly_where_floats_round_wrong(self):
         # y, z ~ -1e10 while the true F+ is about 3.1e-8: in floats F+
@@ -221,8 +240,12 @@ class TestS04Exact:
         res = member_s04(CharacterS04(*point))
         assert res.residual == 0
         assert res.verdict is S04Verdict.MEMBER
-        # F+- are still reported as floats, rounding error and all
+        # F+- are reported as floats, and without the cancellation that
+        # made the float sum for F+ come out as -7.6e-06
         assert isinstance(res.f_plus, float) and isinstance(res.f_minus, float)
+        assert res.f_plus > 0
+        assert res.f_plus == pytest.approx(3.1428e-8, rel=1e-4)
+        _assert_f_pair_close(res, point)
 
     def test_points_from_rational_matrices_follow_exact_rule(self):
         rnd = random.Random(404)
@@ -242,6 +265,7 @@ class TestS04Exact:
             want = (S04Verdict.MEMBER if _exact_component_rule(*point)
                     else S04Verdict.NONMEMBER_WRONG_COMPONENT)
             assert res.verdict is want, point
+            _assert_f_pair_close(res, point)
             seen.add(want)
         assert seen == {S04Verdict.MEMBER, S04Verdict.NONMEMBER_WRONG_COMPONENT}
 

@@ -169,6 +169,73 @@ class TestEngine:
         assert tracepoly._trace.cache_info().currsize == 0
 
 
+def _per_rank_assignment(rank, mats):
+    """The coordinates of each rank written out by hand, left-to-right
+    products, as ``evaluate_at_character`` once spelled them."""
+    if rank == 1:
+        return {"x": mat2.trace(mats[0])}
+    if rank == 2:
+        xi, eta = mats
+        return {"x": mat2.trace(xi), "y": mat2.trace(eta), "z": mat2.trace(xi @ eta)}
+    m1, m2, m3 = mats
+    return {
+        "x1": mat2.trace(m1), "x2": mat2.trace(m2), "x3": mat2.trace(m3),
+        "x12": mat2.trace(m1 @ m2), "x13": mat2.trace(m1 @ m3),
+        "x23": mat2.trace(m2 @ m3), "x123": mat2.trace(m1 @ m2 @ m3),
+    }
+
+
+class TestEvaluateAtCharacter:
+    """One generic body, read from ``tracepoly.COORDINATES``."""
+
+    @pytest.mark.parametrize("rank, count", [(3, 2), (2, 3), (2, 1), (1, 2)])
+    def test_wrong_matrix_count(self, rank, count):
+        p = trace_poly(Word(rank, tuple(range(1, rank + 1))))
+        mats = [random_unimodular(RND) for _ in range(count)]
+        with pytest.raises(ValueError):
+            evaluate_at_character(p, mats)
+
+    def test_unsupported_variables(self):
+        from slchar.fricke import s04_defining_poly
+
+        mats = [random_unimodular(RND) for _ in range(3)]
+        with pytest.raises(ValueError):
+            evaluate_at_character(s04_defining_poly(), mats)
+
+    def test_bitwise_equal_to_per_rank_formulas(self):
+        rnd = random.Random(2009)
+        words = {rank: [random_reduced_word(rnd, rank, 8) for _ in range(4)]
+                 for rank in (1, 2, 3)}
+        for _ in range(200):
+            triple = [random_unimodular(rnd) for _ in range(3)]
+            for rank in (1, 2, 3):
+                mats = triple[:rank]
+                assignment = _per_rank_assignment(rank, mats)
+                for w in words[rank]:
+                    p = trace_poly(w)
+                    got = evaluate_at_character(p, mats)
+                    assert type(got) is complex
+                    assert got == p.evaluate(assignment), (rank, w)
+
+    def test_exact_matrices_give_fractions(self):
+        rnd = random.Random(2010)
+        for rank in (1, 2, 3):
+            mats = [random_rational_unimodular(rnd) for _ in range(rank)]
+            p = trace_poly(random_reduced_word(rnd, rank, 6))
+            got = evaluate_at_character(p, mats)
+            assert type(got) is Fraction
+            assert got == p.evaluate_exact(_per_rank_assignment(rank, mats))
+
+    def test_coordinates_name_the_variables(self):
+        for variables, words in tracepoly.COORDINATES.items():
+            assert tuple(words) == variables.names
+            seen = set()
+            for w in words.values():
+                assert list(w) == sorted(set(w))
+                assert len(w) == 1 or w[:-1] in seen  # coordinate_traces reuses it
+                seen.add(w)
+
+
 class TestOracle:
     def test_rank2(self):
         for _ in range(300):

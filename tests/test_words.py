@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -142,6 +143,16 @@ class TestCyclicReduce:
             assert core.is_cyclically_reduced
             assert conj * core * conj.inverse() == w
 
+    def test_long_conjugate_is_linear(self):
+        # peeling one end pair at a time by slicing was quadratic: about
+        # 8 s for this word
+        w = parse_word("X^49000 Y X^-49000", 2)
+        start = time.perf_counter()
+        core, conj = w.cyclic_reduce()
+        assert time.perf_counter() - start < 0.5
+        assert core.letters == (2,)
+        assert conj.letters == (1,) * 49000
+
 
 class TestGroupOps:
     def test_inverse_cancels(self):
@@ -172,6 +183,16 @@ class TestGroupOps:
         assert (w**3).letters == (1, 2, 1, 2, 1, 2)
         assert (w**-1) == w.inverse()
         assert (w**0).is_identity
+
+    def test_pow_is_repeated_product(self):
+        rnd = random.Random(3)
+        for _ in range(50):
+            w = rand_word(rnd, 3, 8)
+            for k in range(-3, 4):
+                want = Word.identity(3)
+                for _ in range(abs(k)):
+                    want = want * (w if k > 0 else w.inverse())
+                assert w**k == want, (w, k)
 
     def test_generator_range(self):
         with pytest.raises(ValueError):
