@@ -67,8 +67,9 @@ def cmd_eval_word(args) -> int:
                     raw = fh.read()
             except OSError as exc:
                 raise ValueError(f"cannot read {raw[1:]}: {exc.strerror}") from None
-        try:
-            mats = [mat2.matrix_from_json(m) for m in json.loads(raw)]
+        data = json.loads(raw)
+        try:  # an entry that is not an object raises TypeError on ["re"]
+            mats = [mat2.matrix_from_json(m) for m in data] if isinstance(data, list) else None
         except (KeyError, TypeError):
             mats = None
         if mats is None or any(m.shape != (2, 2) for m in mats):

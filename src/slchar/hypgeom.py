@@ -85,10 +85,6 @@ class DeSitterVec:
             raise GeometryError("de Sitter vector must have determinant -1")
         self.m = m
 
-    @classmethod
-    def from_hyperbolic(cls, a: np.ndarray) -> "DeSitterVec":
-        return cls(hat(a).real)
-
     def __neg__(self) -> "DeSitterVec":
         return DeSitterVec(-self.m)
 

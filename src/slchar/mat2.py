@@ -21,7 +21,6 @@ outputs reproducible.
 from __future__ import annotations
 
 import cmath
-import json
 
 import numpy as np
 
@@ -276,8 +275,6 @@ def matrix_to_json(m: np.ndarray) -> dict:
 
 
 def matrix_from_json(data) -> np.ndarray:
-    if isinstance(data, str):
-        data = json.loads(data)
     re = np.array(data["re"], dtype=float)
     im = np.array(data.get("im", np.zeros_like(re).tolist()), dtype=float)
     return re + 1j * im

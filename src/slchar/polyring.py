@@ -2,14 +2,27 @@
 
 Coefficients are Python ints or :class:`fractions.Fraction`; integer
 coefficients stay ints internally so the heavy trace-polynomial
-arithmetic runs at native-int speed.  Exponent vectors are dense
-tuples sized to the variable set (all the sets used here have at most
-eight variables).  Terms iterate in graded lexicographic order of the
-declared variable order, which fixes the text form and the JSON form.
+arithmetic runs at native-int speed.  Terms iterate in graded
+lexicographic order of the declared variable order, which fixes the
+text form and the JSON form.
 
-Normal form: the term dict of every :class:`Polynomial` maps exponent
-tuples of the variable set's length to nonzero coefficients, with
-integral Fractions collapsed to ints.  The public constructor (and so
+Packed exponents (Monagan & Pearce, "Polynomial division using dynamic
+arrays, heaps, and packed exponent vectors", CASC 2007): a monomial is
+one int made of ``WIDTH``-bit fields, the total degree in the top field
+and then each variable's exponent in declared order, the last variable
+in the lowest field.  So a monomial product is one integer add and
+graded-lex order is integer order.  ``WIDTH`` is 18 bits, enough for
+twice the degree of the trace of a ``MAX_WORD_LETTERS``-letter word.
+A product whose total degree would not fit its field raises
+OverflowError instead of carrying into the next field; the constructor
+rejects a negative exponent or one whose degree does not fit.  Tuples
+appear only at the boundary: the constructor and ``from_json``,
+``terms()`` (so the text and JSON forms) and ``coefficient``;
+``degree_in``, ``evaluate`` and ``evaluate_exact`` read single fields.
+
+Normal form: the term dict of every :class:`Polynomial` maps packed
+monomials to nonzero coefficients, with integral Fractions collapsed
+to ints.  The public constructor (and so
 :meth:`Polynomial.from_json`) checks and establishes it; arithmetic
 results preserve it by construction and are wrapped by the unchecked
 ``Polynomial._trusted``.  ``evaluate`` sums floats in the canonical
@@ -24,8 +37,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from numbers import Rational
-from operator import add
+from operator import index
 from typing import Iterable, Mapping
+
+from .words import MAX_WORD_LETTERS
 
 __all__ = [
     "VariableSet",
@@ -39,14 +54,19 @@ __all__ = [
 ]
 
 
+#: Bits per packed exponent field.
+WIDTH = (2 * MAX_WORD_LETTERS).bit_length()
+_MASK = (1 << WIDTH) - 1
+
+
 class VariableSet:
     """An ordered set of distinct variable names.
 
-    The order is part of the identity: it fixes exponent-vector layout
-    and the graded-lex term order.
+    The order is part of the identity: it fixes the packed-monomial
+    layout and the graded-lex term order.
     """
 
-    __slots__ = ("names", "_index")
+    __slots__ = ("names", "_index", "_shifts", "_limit")
 
     def __init__(self, names: Iterable[str]):
         names = tuple(names)
@@ -54,6 +74,23 @@ class VariableSet:
             raise ValueError(f"variable names must be distinct: {names}")
         self.names = names
         self._index = {n: i for i, n in enumerate(names)}
+        self._shifts = tuple(WIDTH * i for i in reversed(range(len(names))))
+        self._limit = 1 << WIDTH * (len(names) + 1)  # monomials of degree < 2**WIDTH
+
+    def _pack(self, exp) -> int:
+        """The packed monomial of an exponent vector, checked."""
+        exp = tuple(map(index, exp))
+        if len(exp) != len(self.names):
+            raise ValueError(f"exponent vector {exp} does not match {len(self.names)} variables")
+        if min(exp, default=0) < 0 or sum(exp) >> WIDTH:
+            raise ValueError(f"exponent vector {exp} does not fit {WIDTH}-bit fields")
+        key = sum(exp)
+        for k in exp:
+            key = key << WIDTH | k
+        return key
+
+    def _unpack(self, key: int) -> tuple:
+        return tuple(key >> s & _MASK for s in self._shifts)
 
     def index(self, name: str) -> int:
         try:
@@ -125,35 +162,38 @@ def _add_into(out: dict, terms: Mapping) -> dict:
     return out
 
 
-def _mul_terms(a: Mapping, b: Mapping) -> dict:
-    """Product of two normal-form term dicts, in normal form."""
+def _addmul_into(out: dict, a: Mapping, b: Mapping, limit: int = 0) -> dict:
+    """``out += a*b`` in place, keeping the normal form: a cancelled key
+    is removed.  Given a variable set's ``_limit``, first raise
+    OverflowError if the product's total degree would not fit its field."""
+    if limit and a and b and max(a) + max(b) >= limit:
+        raise OverflowError(f"product degree exceeds {_MASK} ({WIDTH}-bit fields)")
     if len(a) > len(b):
         a, b = b, a
-    out: dict[tuple, object] = {}
     get = out.get
     for ea, ca in a.items():
         for eb, cb in b.items():
-            e = tuple(map(add, ea, eb))
+            e = ea + eb
             s = get(e, 0) + ca * cb
             if s:
-                out[e] = s
+                out[e] = s if type(s) is int else _norm_coeff(s)
             else:
-                out.pop(e, None)
-    return _norm_terms(out)
+                del out[e]
+    return out
 
 
-def _pow_terms(terms: Mapping, n: int, one: tuple, squares: list | None = None) -> dict:
+def _pow_terms(terms: Mapping, n: int, limit: int, squares: list | None = None) -> dict:
     """``terms ** n`` by repeated squaring.  ``squares`` caches
     ``terms ** (2**j)`` at index j across calls on the same base."""
     if squares is None:
         squares = [terms]
-    out = {one: 1}
+    out = {0: 1}
     j = 0
     while n:
         if j == len(squares):
-            squares.append(_mul_terms(squares[-1], squares[-1]))
+            squares.append(_addmul_into({}, squares[-1], squares[-1], limit))
         if n & 1:
-            out = _mul_terms(out, squares[j])
+            out = _addmul_into({}, out, squares[j], limit)
         n >>= 1
         j += 1
     return out
@@ -166,18 +206,14 @@ class Polynomial:
 
     def __init__(self, variables: VariableSet, terms: Mapping[tuple, object] | None = None):
         self.variables = variables
-        clean: dict[tuple, object] = {}
+        clean: dict[int, object] = {}
         if terms:
-            nvars = len(variables)
             for exp, c in terms.items():
-                if len(exp) != nvars:
-                    raise ValueError(
-                        f"exponent vector {exp} does not match {nvars} variables"
-                    )
+                key = variables._pack(exp)
                 if type(c) is not int:
                     c = _norm_coeff(c)
                 if c:
-                    clean[tuple(exp)] = c
+                    clean[key] = c
         self._terms = clean
 
     # -- constructors ------------------------------------------------------
@@ -202,7 +238,7 @@ class Polynomial:
     def variable(cls, variables: VariableSet, name: str) -> "Polynomial":
         exp = [0] * len(variables)
         exp[variables.index(name)] = 1
-        return cls._trusted(variables, {tuple(exp): 1})
+        return cls._trusted(variables, {variables._pack(exp): 1})
 
     # -- structure -----------------------------------------------------------
 
@@ -212,23 +248,17 @@ class Polynomial:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self._terms), default=0)
-
     def degree_in(self, name: str) -> int:
-        i = self.variables.index(name)
-        return max((e[i] for e in self._terms), default=0)
+        s = self.variables._shifts[self.variables.index(name)]
+        return max((e >> s & _MASK for e in self._terms), default=0)
 
     def coefficient(self, exp: tuple) -> Fraction:
-        return Fraction(self._terms.get(tuple(exp), 0))
-
-    def _canonical_exponents(self) -> list:
-        return sorted(self._terms, key=lambda e: (sum(e), e), reverse=True)
+        return Fraction(self._terms.get(self.variables._pack(exp), 0))
 
     def terms(self):
         """Iterate ``(exponent, Fraction coefficient)`` in canonical order."""
-        for e in self._canonical_exponents():
-            yield e, Fraction(self._terms[e])
+        for e in sorted(self._terms, reverse=True):
+            yield self.variables._unpack(e), Fraction(self._terms[e])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
@@ -277,7 +307,9 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Polynomial._trusted(self.variables, _mul_terms(self._terms, other._terms))
+        return Polynomial._trusted(
+            self.variables, _addmul_into({}, self._terms, other._terms, self.variables._limit)
+        )
 
     __rmul__ = __mul__
 
@@ -292,8 +324,9 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative polynomial power")
-        one = (0,) * len(self.variables)
-        return Polynomial._trusted(self.variables, _pow_terms(self._terms, n, one))
+        return Polynomial._trusted(
+            self.variables, _pow_terms(self._terms, n, self.variables._limit)
+        )
 
     # -- evaluation and substitution -----------------------------------------
 
@@ -305,11 +338,12 @@ class Polynomial:
             if name not in assignment:
                 raise KeyError(f"variable {name!r} not bound in assignment")
             vals.append(complex(assignment[name]))
-        terms = self._terms
+        terms, shifts = self._terms, self.variables._shifts
         total = 0j
-        for e in self._canonical_exponents():
+        for e in sorted(terms, reverse=True):
             term = complex(terms[e])
-            for v, k in zip(vals, e):
+            for v, s in zip(vals, shifts):
+                k = e >> s & _MASK
                 if k:
                     term *= v**k
             total += term
@@ -322,10 +356,12 @@ class Polynomial:
             if name not in assignment:
                 raise KeyError(f"variable {name!r} not bound in assignment")
             vals.append(Fraction(assignment[name]))
+        shifts = self.variables._shifts
         total = Fraction(0)
         for e, c in self._terms.items():
             term = Fraction(c)
-            for v, k in zip(vals, e):
+            for v, s in zip(vals, shifts):
+                k = e >> s & _MASK
                 if k:
                     term *= v**k
             total += term
@@ -359,19 +395,21 @@ class Polynomial:
                 images.append(img._terms)
             else:
                 images.append(Polynomial.variable(target, name)._terms)
-        one = (0,) * len(target)
+        limit = target._limit
         squares: list[list] = [[img] for img in images]
         powers: dict[tuple[int, int], dict] = {}
-        out: dict[tuple, object] = {}
+        out: dict[int, object] = {}
         for e, c in self._terms.items():
-            term = {one: c}
-            for i, k in enumerate(e):
+            term, last = {0: c}, None  # the last factor is multiplied into out
+            for i, k in enumerate(self.variables._unpack(e)):
                 if k:
                     pk = powers.get((i, k))
                     if pk is None:
-                        pk = powers[i, k] = _pow_terms(images[i], k, one, squares[i])
-                    term = _mul_terms(term, pk)
-            _add_into(out, term)
+                        pk = powers[i, k] = _pow_terms(images[i], k, limit, squares[i])
+                    if last is not None:
+                        term = _addmul_into({}, term, last, limit)
+                    last = pk
+            _addmul_into(out, term, {0: 1} if last is None else last, limit)
         return Polynomial._trusted(target, out)
 
     def rename_variables(self, target: VariableSet) -> "Polynomial":
@@ -456,10 +494,9 @@ SUM_RELATION, PRODUCT_RELATION = sum_product(
 #: PHI = x123^2 - SUM_RELATION*x123 + PRODUCT_RELATION.
 PHI = _X123 * _X123 - SUM_RELATION * _X123 + PRODUCT_RELATION
 
-_X123_INDEX = F3_VARS.index("x123")
-
 # x123^2 == SUM_RELATION*x123 - PRODUCT_RELATION on the hypersurface
 _X123_SQUARED = (SUM_RELATION * _X123 - PRODUCT_RELATION)._terms
+_X123_SQUARED_KEY = F3_VARS._pack((0, 0, 0, 0, 0, 0, 2))
 
 
 def reduce_mod_phi(p: Polynomial) -> Polynomial:
@@ -471,20 +508,19 @@ def reduce_mod_phi(p: Polynomial) -> Polynomial:
     """
     if p.variables != F3_VARS:
         raise ValueError("reduce_mod_phi expects a polynomial over the F3 set")
-    i = _X123_INDEX
-    terms = p._terms
-    d = max((e[i] for e in terms), default=0)
-    if d <= 1:
-        return p
+    s = F3_VARS._shifts[F3_VARS.index("x123")]
+    d = p.degree_in("x123")
     while d > 1:
         # lower the top x123-degree d by one: x123^d -> x123^(d-2) * x123^2
-        rest: dict[tuple, object] = {}
-        lowered: dict[tuple, object] = {}
-        for e, c in terms.items():
-            if e[i] == d:
-                lowered[e[:i] + (d - 2,) + e[i + 1:]] = c
+        rest: dict[int, object] = {}
+        lowered: dict[int, object] = {}
+        for e, c in p._terms.items():
+            if e >> s & _MASK == d:
+                lowered[e - _X123_SQUARED_KEY] = c
             else:
                 rest[e] = c
-        terms = _add_into(rest, _mul_terms(lowered, _X123_SQUARED))
-        d = max((e[i] for e in terms), default=0)
-    return Polynomial._trusted(F3_VARS, terms)
+        p = Polynomial._trusted(
+            F3_VARS, _addmul_into(rest, lowered, _X123_SQUARED, F3_VARS._limit)
+        )
+        d = p.degree_in("x123")
+    return p

@@ -37,7 +37,7 @@ import functools
 from fractions import Fraction
 
 from . import mat2, polyring
-from .polyring import F2_VARS, F3_VARS, Polynomial, VariableSet, _add_into, _mul_terms
+from .polyring import F2_VARS, F3_VARS, WIDTH, Polynomial, VariableSet, _addmul_into
 from .words import Word
 
 __all__ = [
@@ -127,21 +127,23 @@ def _table(rank: int) -> dict:
 
 @functools.lru_cache(maxsize=None)
 def _trace(rank: int, letters: tuple[int, ...]) -> Polynomial:
-    """Trace polynomial of reduced letters, by one right-multiplication pass."""
+    """Trace polynomial of reduced letters, by one right-multiplication pass.
+    Each letter raises the total degree by at most one, so a word shorter
+    than 2**WIDTH letters cannot overflow a packed exponent field."""
+    if len(letters) >> WIDTH:
+        raise OverflowError(f"a word of {len(letters)} letters overflows {WIDTH}-bit exponents")
     table = _table(rank)
-    variables = _VARSETS[rank]
-    one = (0,) * len(variables)
-    element = {(): {one: 1}}
+    element = {(): {0: 1}}
     for g in letters:
         out: dict = {}
         for b, c in element.items():
             for b2, c2 in table[b, g].items():
-                _add_into(out.setdefault(b2, {}), _mul_terms(c, c2))
+                _addmul_into(out.setdefault(b2, {}), c, c2)
         element = out
     terms: dict = {}
     for b, c in element.items():  # tr 1 = 2, tr X_b = x_b
-        _add_into(terms, _mul_terms(c, _var(rank, b)._terms if b else {one: 2}))
-    return Polynomial._trusted(variables, terms)
+        _addmul_into(terms, c, _var(rank, b)._terms if b else {0: 2})
+    return Polynomial._trusted(_VARSETS[rank], terms)
 
 
 def clear_cache() -> None:

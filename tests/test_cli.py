@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -246,6 +250,16 @@ class TestVerify:
         assert out.count("max-residual=0.0") == 4
 
 
+def test_python_dash_m_runs_the_cli():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-m", "slchar", "trace-poly", "X Y x y"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "-x*y*z + x^2 + y^2 + z^2 - 2"
+
+
 class TestNumberParsing:
     def test_rational(self):
         assert parse_number("3/2") == 1.5
@@ -268,6 +282,15 @@ class TestNoTraceback:
     ])
     def test_eval_word_bad_matrices(self, capsys, matrices):
         assert_error_line(*run(capsys, "eval-word", "XY", "--matrices", matrices))
+
+    @pytest.mark.parametrize("matrices", [
+        '{"re": [[1, 0], [0, 1]]}',
+        '["{\\"re\\": [[1, 0], [0, 1]]}", "{\\"re\\": [[1, 0], [0, 1]]}"]',
+    ])
+    def test_eval_word_matrices_not_a_list_of_objects(self, capsys, matrices):
+        code, out, err = run(capsys, "eval-word", "XY", "--matrices", matrices)
+        assert_error_line(code, out, err)
+        assert err.startswith("error: --matrices takes a JSON list of")
 
     def test_eval_word_matrices_from_file(self, capsys, tmp_path):
         path = tmp_path / "m.json"

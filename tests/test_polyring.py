@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,17 +6,21 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from slchar import tracepoly
 from slchar.polyring import (
     F2_VARS,
     F3_VARS,
     PHI,
     PRODUCT_RELATION,
+    S12_VARS,
     SUM_RELATION,
+    WIDTH,
     Polynomial,
     VariableSet,
     reduce_mod_phi,
     sum_product,
 )
+from slchar.words import MAX_WORD_LETTERS, Word
 from tuple2x2 import SL2, product, trace
 
 
@@ -176,9 +181,35 @@ def polys(vars_, max_terms=6, max_deg=3, degrees=None):
 def assert_normal_form(p):
     n = len(p.variables)
     for e, c in p._terms.items():
-        assert type(e) is tuple and len(e) == n
+        assert type(e) is int
+        exp = p.variables._unpack(e)
+        assert len(exp) == n and p.variables._pack(exp) == e
         assert c != 0
         assert type(c) is int or (type(c) is Fraction and c.denominator != 1), c
+
+
+def naive_mul(a, b):
+    """Product of two tuple-keyed term dicts, one pair of terms at a time."""
+    prod = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            key = tuple(x + y for x, y in zip(ea, eb))
+            prod[key] = prod.get(key, 0) + ca * cb
+    return prod
+
+
+def naive_add(a, b):
+    total = dict(a)
+    for key, v in b.items():
+        total[key] = total.get(key, 0) + v
+    return total
+
+
+def naive_pow(a, k, nvars):
+    out = {(0,) * nvars: 1}
+    for _ in range(k):
+        out = naive_mul(out, a)
+    return out
 
 
 def naive_substitute(p, mapping, target):
@@ -188,16 +219,23 @@ def naive_substitute(p, mapping, target):
         term = {(0,) * len(target): c}
         for name, k in zip(p.variables, e):
             img = mapping[name] if name in mapping else Polynomial.variable(target, name)
-            for _ in range(k):
-                prod = {}
-                for ea, ca in term.items():
-                    for eb, cb in img.terms():
-                        key = tuple(a + b for a, b in zip(ea, eb))
-                        prod[key] = prod.get(key, 0) + ca * cb
-                term = prod
-        for key, v in term.items():
-            total[key] = total.get(key, 0) + v
+            term = naive_mul(term, naive_pow(dict(img.terms()), k, len(target)))
+        total = naive_add(total, term)
     return Polynomial(target, total)
+
+
+def naive_reduce_mod_phi(p):
+    """Replace x123^2 (the last exponent) by SUM_RELATION*x123 - PRODUCT_RELATION
+    until no term has x123-degree above one."""
+    x123 = {(0,) * 6 + (1,): 1}
+    square = naive_add(naive_mul(dict(SUM_RELATION.terms()), x123),
+                       {e: -c for e, c in PRODUCT_RELATION.terms()})
+    terms = dict(p.terms())
+    while any(e[-1] > 1 for e in terms):
+        high = {e[:-1] + (e[-1] - 2,): c for e, c in terms.items() if e[-1] > 1}
+        terms = naive_add({e: c for e, c in terms.items() if e[-1] <= 1},
+                          naive_mul(high, square))
+    return Polynomial(F3_VARS, terms)
 
 
 def to_sympy(p, gens=None):
@@ -241,6 +279,77 @@ class TestNormalForm:
         q = p.substitute(mapping, target=target)
         assert_normal_form(q)
         assert q == naive_substitute(p, mapping, target)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from((F2_VARS, F3_VARS)), st.data())
+    def test_packed_arithmetic_matches_tuple_reference(self, vars_, data):
+        a, b = data.draw(polys(vars_)), data.draw(polys(vars_))
+        k = data.draw(st.integers(0, 4))
+        ta, tb = dict(a.terms()), dict(b.terms())
+        assert a * b == Polynomial(vars_, naive_mul(ta, tb))
+        assert a + b == Polynomial(vars_, naive_add(ta, tb))
+        assert a**k == Polynomial(vars_, naive_pow(ta, k, len(vars_)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(polys(F3_VARS, max_deg=2, degrees={"x123": 6}))
+    def test_reduce_mod_phi_matches_tuple_reference(self, p):
+        assert reduce_mod_phi(p) == naive_reduce_mod_phi(p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from((F2_VARS, F3_VARS, S12_VARS)), st.data())
+    def test_terms_in_graded_lex_order(self, vars_, data):
+        # exponents up to 30000 keep the degree of 8 variables inside a field
+        p = data.draw(polys(vars_, max_terms=8, max_deg=data.draw(st.sampled_from((2, 30000)))))
+        exps = [e for e, _ in p.terms()]
+        assert exps == sorted(exps, key=lambda e: (sum(e), e), reverse=True)
+
+    def test_largest_product_that_fits(self):
+        top = (1 << WIDTH) - 1  # the largest degree a field holds
+        a = Polynomial(F2_VARS, {(top // 2, 0, 0): 3, (0, 1, 0): -1})
+        b = Polynomial(F2_VARS, {(top - top // 2 - 1, 0, 1): Fraction(1, 2), (0, 0, 0): 2})
+        assert a * b == Polynomial(F2_VARS, naive_mul(dict(a.terms()), dict(b.terms())))
+        assert (a * b).coefficient((top // 2, 0, 0)) == 6
+        assert V("x") ** top == Polynomial(F2_VARS, {(top, 0, 0): 1})
+        over = b * V("y")
+        with pytest.raises(OverflowError):
+            a * over
+        with pytest.raises(OverflowError):
+            V("x") ** (top + 1)
+        with pytest.raises(OverflowError):
+            (V("x") ** 2).substitute({"x": V("x") ** (top // 2 + 1)}, target=F2_VARS)
+        with pytest.raises(OverflowError):
+            reduce_mod_phi(Polynomial(F3_VARS, {(top - 2, 0, 0, 0, 0, 0, 2): 1}))
+        with pytest.raises(OverflowError):
+            tracepoly.trace_poly(Word(1, (1,) * (1 << WIDTH)))
+
+    def test_fields_read_in_full(self):
+        k = 1 << WIDTH - 1  # only the top bit of the field is set
+        p = Polynomial(F2_VARS, {(k, 1, 0): 1})
+        assert p.degree_in("x") == k and p.degree_in("y") == 1
+        assert p.evaluate_exact({"x": 2, "y": 3, "z": 5}) == 3 * 2**k
+        value = p.evaluate({"x": 1 + 1e-6, "y": 1, "z": 1})
+        assert value == pytest.approx(math.exp(k * math.log1p(1e-6)), rel=1e-9)
+
+    @pytest.mark.parametrize("exp", [(1 << WIDTH, 0, 0), (1 << WIDTH - 1, 1 << WIDTH - 1, 0),
+                                     (-1, 0, 0), (2, -1, 0)])
+    def test_exponent_that_does_not_fit_rejected(self, exp):
+        with pytest.raises(ValueError):
+            Polynomial(F2_VARS, {exp: 1})
+        with pytest.raises(ValueError):
+            Polynomial.from_json({"variables": ["x", "y", "z"],
+                                  "terms": [{"exp": list(exp), "num": 1}]})
+
+    def test_field_width_covers_word_traces(self):
+        # a word's trace has total degree at most its length, so a product of
+        # two traces of the longest accepted words must still fit a field
+        assert 2 * MAX_WORD_LETTERS < 1 << WIDTH
+        rnd = random.Random(8)
+        for rank in (1, 2, 3):
+            for length in (1, 5, 12):
+                letters = [rnd.choice([g for g in range(-rank, rank + 1) if g])
+                           for _ in range(length)]
+                p = tracepoly.trace_poly(Word(rank, tuple(letters)))
+                assert max((sum(e) for e, _ in p.terms()), default=0) <= length
 
     def test_wrong_exponent_length_rejected(self):
         with pytest.raises(ValueError):

@@ -141,7 +141,7 @@ class TestEngine:
                 want = matmul(basis_matrix(b), letter)
                 got = ((0, 0), (0, 0))
                 for b2, terms in element.items():
-                    coeff = Polynomial(variables, terms)
+                    coeff = Polynomial._trusted(variables, terms)
                     assert rank < 3 or coeff.degree_in("x123") == 0
                     c = coeff.evaluate_exact(character)
                     m = basis_matrix(b2)
