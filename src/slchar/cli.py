@@ -9,6 +9,7 @@ same seed and configuration, output is byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -364,6 +365,7 @@ def cmd_verify(args) -> int:
 # -- argument parsing ---------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="slchar",
@@ -443,7 +445,7 @@ def main(argv=None) -> int:
     except WordSyntaxError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (GeometryError, ValueError, ZeroDivisionError) as exc:
+    except (GeometryError, ValueError, ZeroDivisionError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

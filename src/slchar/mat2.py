@@ -9,7 +9,9 @@ Exact matrices are object-dtype numpy arrays of ``Fraction`` (or int)
 entries; ``is_exact`` tells them apart, and integer dtypes count as
 numeric.  ``trace``, ``det``, ``adjoint``, ``lie_product``,
 ``evaluate_word`` and the ``@`` product compute on them exactly and keep
-the object dtype; numeric input gives complex128 results.
+the object dtype; numeric input gives complex128 results.  Exact
+products run on integer numerators with one denominator per matrix,
+m = N / d (``clear_denominators``), and divide once at the end.
 
 Sign conventions: several formulas only determine a matrix up to a
 global sign (the underlying statements are projective).  ``sign_normalize`` picks
@@ -21,6 +23,8 @@ outputs reproducible.
 from __future__ import annotations
 
 import cmath
+import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -38,6 +42,7 @@ __all__ = [
     "adjoint",
     "inverse",
     "is_exact",
+    "clear_denominators",
     "is_unimodular",
     "evaluate_word",
     "lie_product",
@@ -109,6 +114,13 @@ def is_exact(m: np.ndarray) -> bool:
     return m.dtype.hasobject
 
 
+def clear_denominators(m: np.ndarray) -> tuple[np.ndarray, int]:
+    """(N, d) with m = N / d for an exact m: N an object array of ints and
+    d > 0 the least common denominator of the entries."""
+    d = math.lcm(*(v.denominator for v in m.flat))
+    return np.frompyfunc(lambda v: v.numerator * (d // v.denominator), 1, 1)(m), d
+
+
 def adjoint(m: np.ndarray) -> np.ndarray:
     """Adjugate: ``m @ adjoint(m) == det(m) * I``."""
     return np.array(
@@ -129,16 +141,21 @@ def inverse(m: np.ndarray, tol: float = 1e-9) -> np.ndarray:
 
 
 def evaluate_word(w: Word, assignment) -> np.ndarray:
-    """The product w(xi_1, ..., xi_n) for unimodular matrices xi_i."""
+    """The product w(xi_1, ..., xi_n), inverse letters by the adjugate."""
     mats = list(assignment)
     if len(mats) != w.rank:
         raise ValueError(
             f"assignment has {len(mats)} matrices for a rank-{w.rank} word"
         )
+    exact = all(map(is_exact, mats))
+    if exact:
+        mats, ds = zip(*map(clear_denominators, mats))
     invs = [adjoint(m) for m in mats]
     out = np.eye(2, dtype=object) if is_exact(mats[0]) else I2.copy()
     for g in w.letters:
         out = out @ (mats[g - 1] if g > 0 else invs[-g - 1])
+    if exact:  # adj(N / d) = adj(N) / d, so divide once by the letters' ds
+        return np.frompyfunc(Fraction, 2, 1)(out, math.prod(ds[abs(g) - 1] for g in w.letters))
     return out
 
 

@@ -35,6 +35,7 @@ JSON form: ``{"variables": [...], "terms": [{"exp": [...], "num": ..., "den": ..
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from numbers import Rational
 from operator import index
@@ -350,22 +351,27 @@ class Polynomial:
         return total
 
     def evaluate_exact(self, assignment: Mapping[str, Rational]) -> Fraction:
-        """Evaluate at a rational point with exact arithmetic."""
-        vals = []
-        for name in self.variables:
+        """Evaluate at a rational point exactly: with each value n_i/d_i and
+        top_i its variable's degree, sum c * prod n_i^k d_i^(top_i - k) over
+        the terms (in ints if the coefficients are), each power computed
+        once, then divide by prod d_i^top_i once."""
+        terms, fields = self._terms, []
+        for name, s in zip(self.variables, self.variables._shifts):
             if name not in assignment:
                 raise KeyError(f"variable {name!r} not bound in assignment")
-            vals.append(Fraction(assignment[name]))
-        shifts = self.variables._shifts
-        total = Fraction(0)
-        for e, c in self._terms.items():
-            term = Fraction(c)
-            for v, s in zip(vals, shifts):
+            v, top = Fraction(assignment[name]), max((e >> s & _MASK for e in terms), default=0)
+            if top:  # the variable occurs
+                fields.append((s, v, top))
+        powers, total = {}, 0
+        for e, c in terms.items():
+            for s, v, top in fields:
                 k = e >> s & _MASK
-                if k:
-                    term *= v**k
-            total += term
-        return total
+                p = powers.get((s, k))
+                if p is None:
+                    p = powers[s, k] = v.numerator**k * v.denominator ** (top - k)
+                c *= p
+            total += c
+        return Fraction(total, math.prod(v.denominator**top for _, v, top in fields))
 
     def substitute(
         self,

@@ -34,6 +34,7 @@ on the rank and the cyclically reduced letters.
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 
 from . import mat2, polyring
@@ -82,6 +83,7 @@ _GEN_NAMES = {
 }
 
 
+@functools.cache
 def _var(rank: int, key: tuple[int, ...]) -> Polynomial:
     return Polynomial.variable(_VARSETS[rank], _GEN_NAMES[rank][key])
 
@@ -239,17 +241,17 @@ def quadruple_trace_check(assignment):
 
     Evaluates |2 t1234 - (t1 t2 t3 t4 + t1 t234 + t2 t341 + t3 t412
     + t4 t123 + t12 t34 + t41 t23 - t13 t24 - t1 t2 t34 - t12 t3 t4
-    - t4 t1 t23 - t41 t2 t3)| with every trace taken from the matrices.
+    - t4 t1 t23 - t41 t2 t3)| with the traces of ``_product_traces``, which
+    forms each of the 11 products once (on integer numerators if exact).
     """
     ms = list(assignment)
     if len(ms) != 4:
         raise ValueError("quadruple_trace_check needs exactly four matrices")
+    traces = _product_traces(ms, ((1,), (2,), (3,), (4,), (1, 2), (1, 2, 3), (1, 2, 3, 4),
+        (2, 3), (2, 3, 4), (3, 4), (3, 4, 1), (4, 1), (4, 1, 2), (1, 3), (2, 4)))
 
     def t(*idx):
-        out = ms[idx[0] - 1]
-        for i in idx[1:]:
-            out = out @ ms[i - 1]
-        return mat2.trace(out)
+        return traces[idx]
 
     lhs = 2 * t(1, 2, 3, 4)
     rhs = (
@@ -279,14 +281,27 @@ def generator_count(n: int) -> int:
     return num // 6
 
 
-def coordinate_traces(variables: VariableSet, mats) -> dict:
-    """Each coordinate x_I of ``variables`` as tr X_I at a matrix tuple.
-    X_I is its prefix's product, listed before it, times the last matrix."""
-    products = {}
-    for word in COORDINATES[variables].values():
+def _product_traces(mats, words) -> dict:
+    """tr X_I for each index tuple I in ``words``, X_I being its prefix's
+    product (listed before it) times the last matrix.  Exact matrices
+    multiply as integer numerators (:func:`mat2.clear_denominators`)."""
+    exact = all(map(mat2.is_exact, mats))
+    if exact:
+        mats, ds = zip(*map(mat2.clear_denominators, mats))
+    products, traces = {}, {}
+    for word in words:
         last = mats[word[-1] - 1]
-        products[word] = products[word[:-1]] @ last if len(word) > 1 else last
-    return {name: mat2.trace(products[word]) for name, word in COORDINATES[variables].items()}
+        products[word] = p = products[word[:-1]] @ last if len(word) > 1 else last
+        traces[word] = (Fraction(mat2.trace(p), math.prod(ds[i - 1] for i in word))
+                        if exact else mat2.trace(p))
+    return traces
+
+
+def coordinate_traces(variables: VariableSet, mats) -> dict:
+    """Each coordinate x_I of ``variables`` as tr X_I at a matrix tuple;
+    Fractions when the matrices are exact."""
+    traces = _product_traces(mats, COORDINATES[variables].values())
+    return {name: traces[word] for name, word in COORDINATES[variables].items()}
 
 
 def evaluate_at_character(p: Polynomial, mats):

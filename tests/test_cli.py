@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from slchar.cli import main, parse_number
+from slchar.cli import build_parser, main, parse_number
 from slchar.words import MAX_WORD_LETTERS
 
 
@@ -269,6 +269,41 @@ class TestNumberParsing:
         assert parse_number("2.5") == 2.5
 
 
+class TestRepeatedCalls:
+    """``main`` builds its parser once, and no call leaks options into the next."""
+
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_verify_options_do_not_leak(self, capsys):
+        code, out, _ = run(capsys, "verify", "identities", "--mode", "exact", "--trials", "2")
+        assert code == 0 and out.splitlines()[-1].endswith("mode=exact result=pass")
+        code, out, _ = run(capsys, "verify", "identities", "--seed", "5", "--trials", "2")
+        assert code == 0 and " seed=5 " in out and "mode=float" in out
+        code, out, _ = run(capsys, "verify", "identities", "--trials", "2")
+        assert code == 0
+        assert out.splitlines()[-1] == (
+            "suite=identities trials=2 seed=0 tolerance=1e-08 mode=float result=pass")
+
+    def test_options_do_not_leak_across_subcommands(self, capsys):
+        code, out, _ = run(capsys, "trace-poly", "--rank", "3", "--json", "X1 X2")
+        assert code == 0 and json.loads(out)["variables"][0] == "x1"
+        code, out, _ = run(capsys, "verify", "identities", "--mode", "exact", "--trials", "2")
+        assert code == 0 and out.splitlines()[-1].endswith("mode=exact result=pass")
+        code, out, _ = run(capsys, "trace-poly", "X Y")
+        assert (code, out) == (0, "z\n")
+        code, out, _ = run(capsys, "eval-word", "X", "--seed", "3")
+        assert code == 0
+        code, out, _ = run(capsys, "verify", "identities", "--trials", "2")
+        assert code == 0
+        assert out.splitlines()[-1] == (
+            "suite=identities trials=2 seed=0 tolerance=1e-08 mode=float result=pass")
+        code, out, _ = run(capsys, "fricke", "test", "s11", "--coords=1,1,1", "--report-only")
+        assert code == 0 and json.loads(out)["verdict"] == "nonmember"
+        code, out, _ = run(capsys, "fricke", "test", "s11", "--coords=1,1,1")
+        assert code == 1
+
+
 class TestNoTraceback:
     """Bad input ends in one ``error:`` line and exit 1."""
 
@@ -302,3 +337,9 @@ class TestNoTraceback:
     @pytest.mark.parametrize("assignment", ["x1=2", "x1=2,x2=2,x12=2,q=1", "q=1"])
     def test_cover_eval_names_checked(self, capsys, assignment):
         assert_error_line(*run(capsys, "cover", "map", "embed", "--eval", assignment))
+
+    def test_cover_eval_overflow(self, capsys):
+        code, out, err = run(capsys, "cover", "map", "embed",
+                             "--eval", "x1=1e200,x2=1e200,x12=1e200")
+        assert_error_line(code, out, err)
+        assert err == "error: complex exponentiation\n"

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slchar import mat2
 from slchar.mat2 import (
@@ -29,7 +30,7 @@ from slchar.sampling import (
     random_unimodular,
 )
 from slchar.words import Word, parse_word
-from tuple2x2 import as_tuple, word_product
+from tuple2x2 import RATIONAL, as_tuple, word_product
 
 RND = random.Random(10)
 
@@ -129,6 +130,35 @@ class TestExactMatrices:
         tuples = [as_tuple(random_rational_unimodular(RND)) for _ in range(3)]
         out = exact_evaluate_word(w, tuples)
         assert as_tuple(out) == word_product(w, tuples)
+
+    def test_clear_denominators(self):
+        m = np.array([[2, Fraction(1, 6)], [Fraction(-3, 4), 0]], dtype=object)
+        n, d = mat2.clear_denominators(m)
+        assert d == 12 and as_tuple(n) == ((24, 2), (-9, 0))
+        assert all(type(v) is int for v in n.flat)
+        n, d = mat2.clear_denominators(np.array([[1, 0], [0, 1]], dtype=object))
+        assert d == 1 and as_tuple(n) == ((1, 0), (0, 1))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 3), st.data())
+    def test_evaluate_word_on_any_rational_matrices(self, rank, data):
+        # ints and Fractions mixed, any determinant: inverse letters take the
+        # adjugate, so the product is the tuple product with adjugates
+        mats = [data.draw(RATIONAL) for _ in range(rank)]
+        letters = data.draw(st.lists(st.sampled_from(
+            [g for k in range(1, rank + 1) for g in (k, -k)]), max_size=8))
+        w = Word(rank, tuple(letters))
+        out = evaluate_word(w, [np.array(m, dtype=object) for m in mats])
+        assert out.dtype == object and out.shape == (2, 2)
+        assert all(type(v) is Fraction for v in out.flat)
+        assert as_tuple(out) == word_product(w, mats)
+
+    def test_evaluate_word_inverse_letters_scale_by_denominator(self):
+        # det m = 1/4: the adjugate of m = N/2 is adj(N)/2, not adj(N)/4 or adj(N)
+        half, eighth = Fraction(1, 2), Fraction(1, 8)
+        m = np.array([[half, 0], [0, half]], dtype=object)
+        assert as_tuple(evaluate_word(Word(1, (-1,)), [m])) == ((half, 0), (0, half))
+        assert as_tuple(evaluate_word(Word(1, (1, -1, -1)), [m])) == ((eighth, 0), (0, eighth))
 
     def test_numeric_input_gives_complex128(self):
         real = np.array([[2.0, 1.0], [1.0, 1.0]])

@@ -238,6 +238,22 @@ def naive_reduce_mod_phi(p):
     return Polynomial(F3_VARS, terms)
 
 
+def naive_evaluate_exact(p, point):
+    """Term by term in Fractions, one power at a time."""
+    total = Fraction(0)
+    for e, c in p.terms():
+        term = c
+        for name, k in zip(p.variables, e):
+            term *= Fraction(point[name]) ** k
+        total += term
+    return total
+
+
+#: Rational values: zero and negative ints, Fractions with denominators up to 10**9.
+VALUES = st.one_of(st.integers(-3, 3),
+                   st.fractions(min_value=-20, max_value=20, max_denominator=10**9))
+
+
 def to_sympy(p, gens=None):
     """``p`` as a sympy Poly over QQ in ``gens`` (default: its own variables)."""
     names = p.variables.names
@@ -302,6 +318,23 @@ class TestNormalForm:
         p = data.draw(polys(vars_, max_terms=8, max_deg=data.draw(st.sampled_from((2, 30000)))))
         exps = [e for e, _ in p.terms()]
         assert exps == sorted(exps, key=lambda e: (sum(e), e), reverse=True)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from((F2_VARS, F3_VARS, S12_VARS)), st.data())
+    def test_evaluate_exact_matches_term_by_term_sum(self, vars_, data):
+        p = data.draw(polys(vars_, max_terms=8, max_deg=5))
+        point = {n: data.draw(VALUES) for n in vars_}
+        got = p.evaluate_exact(point)
+        assert type(got) is Fraction and got == naive_evaluate_exact(p, point)
+
+    def test_evaluate_exact_powers_per_variable(self):
+        # equal exponents of different variables must not share a cached power
+        x, y, z = V("x"), V("y"), V("z")
+        p = x**2 * y**2 + 3 * x * y - Fraction(1, 2) * z**2 + x**3
+        point = {"x": Fraction(-2, 3), "y": Fraction(5, 7), "z": 0}
+        assert p.evaluate_exact(point) == naive_evaluate_exact(p, point)
+        assert Polynomial.zero(F2_VARS).evaluate_exact(point) == 0
+        assert Polynomial.constant(F2_VARS, Fraction(3, 4)).evaluate_exact(point) == Fraction(3, 4)
 
     def test_largest_product_that_fits(self):
         top = (1 << WIDTH) - 1  # the largest degree a field holds

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from slchar import mat2, tracepoly
 from slchar.polyring import F2_VARS, F3_VARS, Polynomial, reduce_mod_phi
@@ -25,7 +25,7 @@ from slchar.tracepoly import (
     trace_poly_f3,
 )
 from slchar.words import Word, parse_word
-from tuple2x2 import SL2, as_tuple, inverse, matmul, product, trace, word_product
+from tuple2x2 import RATIONAL, SL2, as_tuple, inverse, matmul, product, trace, word_product
 
 RND = random.Random(20)
 
@@ -336,6 +336,80 @@ class TestPhiAndRelations:
             t132 = mat2.trace(ms[0] @ ms[2] @ ms[1])
             d = evaluate_at_character(disc, ms)
             assert abs(d - (t123 - t132) ** 2) <= 1e-7 * (1 + abs(d))
+
+
+def quadruple_residual(ms):
+    """The quadruple-trace residual from tuple products, term by term."""
+    def t(*idx):
+        return trace(product(*(ms[i - 1] for i in idx)))
+
+    return abs(2 * t(1, 2, 3, 4) - (
+        t(1) * t(2) * t(3) * t(4) + t(1) * t(2, 3, 4) + t(2) * t(3, 4, 1)
+        + t(3) * t(4, 1, 2) + t(4) * t(1, 2, 3) + t(1, 2) * t(3, 4) + t(4, 1) * t(2, 3)
+        - t(1, 3) * t(2, 4) - t(1) * t(2) * t(3, 4) - t(1, 2) * t(3) * t(4)
+        - t(4) * t(1) * t(2, 3) - t(4, 1) * t(2) * t(3)))
+
+
+def exact(m):
+    return np.array(m, dtype=object)
+
+
+def product_of(mats, word):
+    """The numpy product along index tuple ``word``, left to right."""
+    out = mats[word[0] - 1]
+    for i in word[1:]:
+        out = out @ mats[i - 1]
+    return out
+
+
+class TestExactIntegerCore:
+    """Exact products run on integer numerators; the results must equal
+    Fraction arithmetic on nested tuples, whatever the denominators."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(list(tracepoly.COORDINATES)), st.data())
+    def test_coordinate_traces_on_any_rational_matrices(self, variables, data):
+        rank = max(map(max, tracepoly.COORDINATES[variables].values()))
+        mats = [data.draw(RATIONAL) for _ in range(rank)]
+        got = tracepoly.coordinate_traces(variables, [exact(m) for m in mats])
+        for name, word in tracepoly.COORDINATES[variables].items():
+            assert type(got[name]) is Fraction
+            assert got[name] == trace(product(*(mats[i - 1] for i in word)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(RATIONAL, min_size=4, max_size=4))
+    def test_quadruple_trace_holds_on_all_rational_matrices(self, mats):
+        # Every term of the identity is linear in each matrix, so it holds on
+        # all 2x2 matrices, unimodular or not, and no perturbed input makes
+        # the residual nonzero; a denominator power that is wrong for one
+        # matrix in every trace would scale every term alike and still give
+        # 0.  So the traces themselves are checked below.
+        res = quadruple_trace_check([exact(m) for m in mats])
+        assert type(res) is Fraction and res == 0 == quadruple_residual(mats)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(RATIONAL, min_size=4, max_size=4))
+    def test_product_traces_on_any_rational_matrices(self, mats):
+        words = ((1,), (2,), (3,), (4,), (1, 2), (1, 2, 3), (1, 2, 3, 4), (2, 3), (2, 3, 4),
+                 (3, 4), (3, 4, 1), (4, 1), (4, 1, 2), (1, 3), (2, 4), (2, 4, 2), (2, 4, 2, 2))
+        got = tracepoly._product_traces([exact(m) for m in mats], words)
+        for w in words:
+            assert type(got[w]) is Fraction
+            assert got[w] == trace(product(*(mats[i - 1] for i in w))), w
+        floats = [np.array(m, dtype=complex) for m in mats]
+        numeric = tracepoly._product_traces(floats, words)
+        for w in words:
+            assert numeric[w] == mat2.trace(product_of(floats, w))
+
+    def test_evaluate_at_character_mixed_entries(self):
+        mats = [((Fraction(1, 2), 3), (Fraction(-1, 7), Fraction(8, 7))),
+                ((2, 1), (1, 1)), ((1, Fraction(2, 9)), (0, 1))]
+        for rank, w in ((2, "X Y^-1 X^2 y"), (3, "X1 X3^-1 X2 X3 X1^-1")):
+            p = trace_poly(parse_word(w, rank))
+            ms = mats[:rank]
+            got = evaluate_at_character(p, [exact(m) for m in ms])
+            assert type(got) is Fraction
+            assert got == trace(word_product(parse_word(w, rank), ms))
 
 
 class TestQuadrupleTrace:

@@ -53,6 +53,15 @@ def commutator_trace(m, n):
     return trace(product(m, n, inverse(m), inverse(n)))
 
 
+#: Rational entries: ints, and Fractions with denominators up to 10**9.
+ENTRIES = st.one_of(
+    st.integers(-9, 9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=10**9),
+)
+
+#: Rational 2x2 matrices of any determinant, ints and Fractions mixed.
+RATIONAL = st.tuples(st.tuples(ENTRIES, ENTRIES), st.tuples(ENTRIES, ENTRIES))
+
 #: Rational unimodular matrices ((a, b), (c, (1 + bc) / a)).
 SL2 = st.tuples(FRACTIONS.filter(bool), FRACTIONS, FRACTIONS).map(
     lambda t: ((t[0], t[1]), (t[2], (1 + t[1] * t[2]) / t[0]))
