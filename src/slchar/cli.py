@@ -2,7 +2,7 @@
 
 Commands: trace-poly, eval-word, construct, fricke, fn2trace, cover,
 verify.  Exit codes: 0 ok, 1 math error, 2 usage error.  Numeric
-arguments accept decimals or rational literals ``p/q``.  Given the
+arguments accept finite decimals or rational literals ``p/q``.  Given the
 same seed and configuration, output is byte-identical.
 """
 
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -23,18 +24,19 @@ from .words import Word, WordSyntaxError, parse_word
 
 
 def parse_number(text: str) -> float:
-    """Decimal or rational 'p/q' literal."""
+    """Finite decimal or rational 'p/q' literal."""
     text = text.strip()
-    if "/" in text:
-        return float(Fraction(text))
-    return float(text)
+    v = float(Fraction(text)) if "/" in text else float(text)
+    if not math.isfinite(v):
+        raise ValueError(f"not a finite number: {text!r}")
+    return v
 
 
 def parse_number_exact(text: str):
     text = text.strip()
     if "/" in text or "." not in text and "e" not in text.lower():
         return Fraction(text)
-    return float(text)
+    return parse_number(text)
 
 
 def _fmt(v: float) -> str:
@@ -69,11 +71,11 @@ def cmd_eval_word(args) -> int:
             except OSError as exc:
                 raise ValueError(f"cannot read {raw[1:]}: {exc.strerror}") from None
         data = json.loads(raw)
-        try:  # an entry that is not an object raises TypeError on ["re"]
+        try:  # a non-object entry raises TypeError on ["re"], a bad shape ValueError
             mats = [mat2.matrix_from_json(m) for m in data] if isinstance(data, list) else None
-        except (KeyError, TypeError):
+        except (KeyError, TypeError, ValueError):
             mats = None
-        if mats is None or any(m.shape != (2, 2) for m in mats):
+        if mats is None:
             raise ValueError('--matrices takes a JSON list of {"re": 2x2, "im": 2x2} objects')
     else:
         rnd = sampling.rng_for(args.seed)
@@ -96,17 +98,19 @@ def cmd_eval_word(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    need = 3 if args.kind == "pair" else 6
+    if len(args.coords) != need:
+        raise ValueError(f"construct {args.kind} takes {need} coordinates, got {len(args.coords)}")
+    coords = [complex(parse_number(v)) for v in args.coords]
     if args.kind == "pair":
-        x, y, z = (complex(parse_number(v)) for v in args.coords)
-        xi, eta = mat2.normal_form_pair(x, y, z)
+        xi, eta = mat2.normal_form_pair(*coords)
         payload = {
             "xi": mat2.matrix_to_json(xi),
             "eta": mat2.matrix_to_json(eta),
             "character": chars.character_of_pair(xi, eta).to_json(),
         }
     else:
-        t1, t2, t3, t12, t23, t13 = (complex(parse_number(v)) for v in args.coords)
-        tri = chars.construct_triple(t1, t2, t3, t12, t23, t13, args.branch)
+        tri = chars.construct_triple(*coords, args.branch)
         payload = {
             "xi1": mat2.matrix_to_json(tri[0]),
             "xi2": mat2.matrix_to_json(tri[1]),

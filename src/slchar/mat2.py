@@ -292,6 +292,9 @@ def matrix_to_json(m: np.ndarray) -> dict:
 
 
 def matrix_from_json(data) -> np.ndarray:
+    """The matrix of ``{"re": 2x2, "im": 2x2}``; ``im`` defaults to zero."""
     re = np.array(data["re"], dtype=float)
-    im = np.array(data.get("im", np.zeros_like(re).tolist()), dtype=float)
+    im = np.array(data.get("im", [[0, 0], [0, 0]]), dtype=float)
+    if re.shape != (2, 2) or im.shape != (2, 2):
+        raise ValueError(f"a matrix needs 2x2 re and im parts, got {re.shape} and {im.shape}")
     return re + 1j * im

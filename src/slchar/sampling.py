@@ -61,12 +61,13 @@ def random_real_unimodular(rnd: random.Random, pivot_tol: float = 1e-3) -> np.nd
 def random_rational_unimodular(rnd: random.Random) -> np.ndarray:
     """A unimodular object array with small rational entries (exact det 1)."""
     while True:
-        a = Fraction(rnd.randint(-8, 8), rnd.randint(1, 3))
-        b = Fraction(rnd.randint(-8, 8), rnd.randint(1, 3))
-        c = Fraction(rnd.randint(-8, 8), rnd.randint(1, 3))
-        if a != 0:
-            d = (1 + b * c) / a
-            return np.array([[a, b], [c, d]], dtype=object)
+        an, ad = rnd.randint(-8, 8), rnd.randint(1, 3)
+        bn, bd = rnd.randint(-8, 8), rnd.randint(1, 3)
+        cn, cd = rnd.randint(-8, 8), rnd.randint(1, 3)
+        if an:  # d = (1 + b c) / a as one Fraction
+            d = Fraction((bd * cd + bn * cn) * ad, bd * cd * an)
+            return np.array([[Fraction(an, ad), Fraction(bn, bd)],
+                             [Fraction(cn, cd), d]], dtype=object)
 
 
 def random_reduced_word(rnd: random.Random, rank: int, max_len: int) -> Word:

@@ -8,13 +8,12 @@ for all unimodular pairs, and analogously for F_3 in the seven
 coordinates (x1, x2, x3, x12, x13, x23, x123), canonical modulo the
 hypersurface relation PHI (degree at most one in x123).
 
-The algebra generated by unimodular matrices X_1 ... X_n (n <= 3) is
-spanned over the trace ring by the increasing products 1, X_i,
-X_i X_j (i < j) and X_1 X_2 X_3 (Fricke-Vogt; Horowitz 1972,
-Comm. Pure Appl. Math. 25; Procesi 1976).  Two rules, from
-Cayley-Hamilton and the polarised identity
-AB + BA = tr(A) B + tr(B) A + (tr AB - tr A tr B) I, rewrite a basis
-element times a generator X_g back into the basis:
+The algebra generated by unimodular matrices X_1 ... X_n is spanned
+over the trace ring by the increasing products X_I of at most three
+letters (Fricke-Vogt; Horowitz 1972, Comm. Pure Appl. Math. 25;
+Procesi 1976).  Two rules, from Cayley-Hamilton and the polarised
+identity AB + BA = tr(A) B + tr(B) A + (tr AB - tr A tr B) I, rewrite
+a basis element times a generator X_g into increasing products:
 
 * X_g X_g = x_g X_g - 1
 * X_j X_g = -X_g X_j + x_g X_j + x_j X_g + (x_gj - x_g x_j)   (g < j)
@@ -25,6 +24,15 @@ rank, and a word's trace is one pass of right multiplications from 1,
 followed by tr 1 = 2 and tr X_I = x_I on the basis.  No table entry
 contains x123, so a rank-3 result already has degree at most one in it.
 
+From rank 4 on, the rules also give increasing products X_s of four
+letters, which the table keeps as formal keys while it is built.  The
+standard polynomial s_4 vanishes on 2x2 matrices (Amitsur-Levitzki
+1950), and each of its 24 signed products is X_s plus shorter ones, so
+s_4(X_s) = 24 X_s + rest = 0 is substituted into every entry holding
+X_s; ranks 1-3 have no such keys.  Rank 4 serves the quadruple-trace
+identity only: its coordinates satisfy relations, so its polynomials
+are not canonical, and ``trace_poly`` refuses rank-4 words.
+
 ``COORDINATES`` names each coordinate by the increasing product whose
 trace it is (x_I = tr X_I); the engine's basis and ``coordinate_traces``
 (behind ``evaluate_at_character``) both read it.  Results are memoized
@@ -34,6 +42,7 @@ on the rank and the cyclically reduced letters.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -43,7 +52,6 @@ from .words import Word
 
 __all__ = [
     "COORDINATES",
-    "TraceExpression",
     "coordinate_traces",
     "trace_poly",
     "trace_poly_f2",
@@ -56,25 +64,28 @@ __all__ = [
     "clear_cache",
 ]
 
+
+def _subset_coordinates(rank: int) -> dict:
+    """x_I for each increasing index tuple I of at most three generators,
+    by size and then lexicographically (``F3_VARS`` at rank 3)."""
+    return {"x" + "".join(map(str, s)): s
+            for k in (1, 2, 3) for s in itertools.combinations(range(1, rank + 1), k)}
+
+
 F1_VARS = VariableSet(("x",))
+F4_VARS = VariableSet(_subset_coordinates(4))
 
 #: The trace coordinates of each rank, by the increasing generator
-#: indices of the product whose trace they are.
+#: indices of the product whose trace they are.  Rank 4 serves the
+#: quadruple-trace identity only (see the module docstring).
 COORDINATES = {
     F1_VARS: {"x": (1,)},
     F2_VARS: {"x": (1,), "y": (2,), "z": (1, 2)},
-    F3_VARS: {
-        "x1": (1,),
-        "x2": (2,),
-        "x3": (3,),
-        "x12": (1, 2),
-        "x13": (1, 3),
-        "x23": (2, 3),
-        "x123": (1, 2, 3),
-    },
+    F3_VARS: _subset_coordinates(3),
+    F4_VARS: _subset_coordinates(4),
 }
 
-_VARSETS = {1: F1_VARS, 2: F2_VARS, 3: F3_VARS}
+_VARSETS = dict(enumerate(COORDINATES, 1))
 
 #: ``COORDINATES`` by rank and product: the engine's basis elements.
 _GEN_NAMES = {
@@ -108,7 +119,7 @@ def _table(rank: int) -> dict:
     table: dict = {}
     for b in sorted(((),) + tuple(_GEN_NAMES[rank]), key=len):
         for g in range(1, rank + 1):
-            if not b or b[-1] < g:
+            if not b or b[-1] < g:  # increasing; four letters stay a formal key
                 el = {b + (g,): one}
             elif b[-1] == g:  # X_g X_g = x_g X_g - 1
                 el = {b: x(g), b[:-1]: -one}
@@ -124,6 +135,22 @@ def _table(rank: int) -> dict:
             table[b, g] = el
             # X_g^-1 = x_g - X_g
             table[b, -g] = _add_elements({b: x(g)}, {hb: -c for hb, c in el.items()})
+    for s in itertools.combinations(range(1, rank + 1), 4):
+        # s_4(X_s) = 0, and each signed product of the letters of s is X_s
+        # plus shorter products
+        s4: dict = {}
+        for p in itertools.permutations(s):
+            el = {(): one}
+            for g in p:
+                el = _add_elements(*({b2: c * c2 for b2, c2 in table[b, g].items()}
+                                     for b, c in el.items()))
+            odd = sum(a > b for a, b in itertools.combinations(p, 2)) % 2
+            s4 = _add_elements(s4, {b: -c for b, c in el.items()} if odd else el)
+        assert s4.pop(s) == one.scale(24), s
+        for key, el in table.items():
+            if s in el:
+                c = el.pop(s).scale(Fraction(-1, 24))
+                table[key] = _add_elements(el, {b: c * r for b, r in s4.items()})
     return {k: {b: c._terms for b, c in el.items() if c} for k, el in table.items()}
 
 
@@ -158,7 +185,7 @@ def _cyclic_core(w: Word) -> tuple[int, ...]:
 
 def trace_poly(w: Word) -> Polynomial:
     """Trace polynomial of a word of rank 1, 2 or 3."""
-    if w.rank not in _VARSETS:
+    if w.rank > 3:
         raise ValueError(f"trace polynomials are implemented for rank <= 3, got {w.rank}")
     return _trace(w.rank, _cyclic_core(w))
 
@@ -175,43 +202,6 @@ def trace_poly_f3(w: Word) -> Polynomial:
     if w.rank != 3:
         raise ValueError(f"expected a rank-3 word, got rank {w.rank}")
     return _trace(3, _cyclic_core(w))
-
-
-class TraceExpression:
-    """A formal rational-linear combination of word traces.
-
-    Intermediate currency for linearity-of-trace manipulations; words
-    are kept reduced and the combination canonically keyed on cyclic
-    class: the least rotation of the cyclically reduced word or of its
-    inverse.  ``resolve`` collapses it to a single Polynomial.
-    """
-
-    def __init__(self, rank: int):
-        self.rank = rank
-        self._terms: dict[tuple[int, ...], Fraction] = {}
-
-    def add(self, w: Word, coeff=1) -> "TraceExpression":
-        if w.rank != self.rank:
-            raise ValueError("rank mismatch")
-        core = _cyclic_core(w)
-        inverse = tuple(-g for g in reversed(core))
-        key = min((s[i:] + s[:i] for s in (core, inverse) for i in range(len(s))), default=())
-        c = self._terms.get(key, Fraction(0)) + Fraction(coeff)
-        if c:
-            self._terms[key] = c
-        else:
-            self._terms.pop(key, None)
-        return self
-
-    def terms(self):
-        for key in sorted(self._terms):
-            yield Word(self.rank, key), self._terms[key]
-
-    def resolve(self) -> Polynomial:
-        out = Polynomial.zero(_VARSETS[self.rank])
-        for key, c in self._terms.items():
-            out = out + _trace(self.rank, key).scale(c)
-        return out
 
 
 def kappa() -> Polynomial:
@@ -235,40 +225,28 @@ def sum_product_relation_polys() -> tuple[Polynomial, Polynomial]:
     return polyring.SUM_RELATION, polyring.PRODUCT_RELATION
 
 
-def quadruple_trace_check(assignment):
-    """Residual of the quadruple-trace identity on four unimodular matrices;
-    exact (a Fraction) when the matrices are exact.
+@functools.cache
+def _quadruple_poly() -> Polynomial:
+    """2 tr(X1 X2 X3 X4) in the rank-4 coordinates, with integer
+    coefficients; every term is linear in each X_i."""
+    return _trace(4, (1, 2, 3, 4)).scale(2)
 
-    Evaluates |2 t1234 - (t1 t2 t3 t4 + t1 t234 + t2 t341 + t3 t412
-    + t4 t123 + t12 t34 + t41 t23 - t13 t24 - t1 t2 t34 - t12 t3 t4
-    - t4 t1 t23 - t41 t2 t3)| with the traces of ``_product_traces``, which
-    forms each of the 11 products once (on integer numerators if exact).
-    """
+
+def quadruple_trace_check(assignment):
+    """|2 tr(m1 m2 m3 m4) - f(traces)|, f being the engine's polynomial for
+    2 tr(X1 X2 X3 X4); exact (a Fraction) when the matrices are exact.
+    Each term is linear in each m_i, so exact matrices are checked on their
+    integer numerators N_i = d_i m_i and the residual divided once by the
+    product of the d_i."""
     ms = list(assignment)
     if len(ms) != 4:
         raise ValueError("quadruple_trace_check needs exactly four matrices")
-    traces = _product_traces(ms, ((1,), (2,), (3,), (4,), (1, 2), (1, 2, 3), (1, 2, 3, 4),
-        (2, 3), (2, 3, 4), (3, 4), (3, 4, 1), (4, 1), (4, 1, 2), (1, 3), (2, 4)))
-
-    def t(*idx):
-        return traces[idx]
-
-    lhs = 2 * t(1, 2, 3, 4)
-    rhs = (
-        t(1) * t(2) * t(3) * t(4)
-        + t(1) * t(2, 3, 4)
-        + t(2) * t(3, 4, 1)
-        + t(3) * t(4, 1, 2)
-        + t(4) * t(1, 2, 3)
-        + t(1, 2) * t(3, 4)
-        + t(4, 1) * t(2, 3)
-        - t(1, 3) * t(2, 4)
-        - t(1) * t(2) * t(3, 4)
-        - t(1, 2) * t(3) * t(4)
-        - t(4) * t(1) * t(2, 3)
-        - t(4, 1) * t(2) * t(3)
-    )
-    return abs(lhs - rhs)
+    words = COORDINATES[F4_VARS]
+    traces, ds = _numerator_traces(ms, (*words.values(), (1, 2, 3, 4)))
+    point = {name: traces[word] for name, word in words.items()}
+    if ds is None:
+        return abs(2 * traces[1, 2, 3, 4] - _quadruple_poly().evaluate(point))
+    return abs(2 * traces[1, 2, 3, 4] - _quadruple_poly().evaluate_exact(point)) / math.prod(ds)
 
 
 def generator_count(n: int) -> int:
@@ -281,20 +259,29 @@ def generator_count(n: int) -> int:
     return num // 6
 
 
-def _product_traces(mats, words) -> dict:
+def _numerator_traces(mats, words) -> tuple[dict, tuple | None]:
     """tr X_I for each index tuple I in ``words``, X_I being its prefix's
-    product (listed before it) times the last matrix.  Exact matrices
-    multiply as integer numerators (:func:`mat2.clear_denominators`)."""
-    exact = all(map(mat2.is_exact, mats))
-    if exact:
+    product (listed before it) times the last matrix, and None; for exact
+    matrices, the traces of the integer numerators N_i = d_i m_i
+    (:func:`mat2.clear_denominators`) and the d_i."""
+    ds = None
+    if all(map(mat2.is_exact, mats)):
         mats, ds = zip(*map(mat2.clear_denominators, mats))
     products, traces = {}, {}
     for word in words:
         last = mats[word[-1] - 1]
         products[word] = p = products[word[:-1]] @ last if len(word) > 1 else last
-        traces[word] = (Fraction(mat2.trace(p), math.prod(ds[i - 1] for i in word))
-                        if exact else mat2.trace(p))
-    return traces
+        traces[word] = mat2.trace(p)
+    return traces, ds
+
+
+def _product_traces(mats, words) -> dict:
+    """tr X_I for each index tuple I in ``words`` (see
+    :func:`_numerator_traces`); Fractions when the matrices are exact."""
+    traces, ds = _numerator_traces(mats, words)
+    if ds is None:
+        return traces
+    return {word: Fraction(t, math.prod(ds[i - 1] for i in word)) for word, t in traces.items()}
 
 
 def coordinate_traces(variables: VariableSet, mats) -> dict:

@@ -268,6 +268,11 @@ class TestNumberParsing:
     def test_decimal(self):
         assert parse_number("2.5") == 2.5
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-Infinity", "1e400"])
+    def test_non_finite_refused(self, text):
+        with pytest.raises(ValueError, match="not a finite number"):
+            parse_number(text)
+
 
 class TestRepeatedCalls:
     """``main`` builds its parser once, and no call leaks options into the next."""
@@ -321,11 +326,43 @@ class TestNoTraceback:
     @pytest.mark.parametrize("matrices", [
         '{"re": [[1, 0], [0, 1]]}',
         '["{\\"re\\": [[1, 0], [0, 1]]}", "{\\"re\\": [[1, 0], [0, 1]]}"]',
+        # each part must be 2x2: no broadcast scalar, no ragged rows
+        '[{"re": [[1, 0], [0, 1]], "im": 5}, {"re": [[1, 0], [0, 1]]}]',
+        '[{"re": [[1, 0], [0]]}, {"re": [[1, 0], [0, 1]]}]',
+        '[{"re": [[1, 0], [0, 1]], "im": [[0, 0]]}, {"re": [[1, 0], [0, 1]]}]',
+        '[{"re": [[1, 0, 0], [0, 1, 0]]}, {"re": [[1, 0], [0, 1]]}]',
     ])
     def test_eval_word_matrices_not_a_list_of_objects(self, capsys, matrices):
         code, out, err = run(capsys, "eval-word", "XY", "--matrices", matrices)
         assert_error_line(code, out, err)
         assert err.startswith("error: --matrices takes a JSON list of")
+
+    @pytest.mark.parametrize("argv", [
+        ("construct", "pair", "1", "2", "nan", "--json"),
+        ("construct", "triple", "2", "2", "2", "2", "2", "inf"),
+        ("fricke", "test", "s04", "--coords=1e400,2,2,2,-3,2,7"),
+        ("fricke", "test", "s04", "--coords=1e400,2,2,2,-3,2,7", "--mode", "exact"),
+        ("cover", "map", "embed", "--eval", "x1=nan,x2=2,x12=2"),
+    ])
+    def test_non_finite_numbers(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert_error_line(code, out, err)
+        assert err.startswith("error: not a finite number: ")
+
+    def test_non_finite_option_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fn2trace", "nan", "1"])
+        assert exc.value.code == 2
+        assert "invalid parse_number value: 'nan'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, values, need", [
+        ("pair", ("1", "2"), 3), ("pair", ("1", "2", "3", "4"), 3),
+        ("triple", ("2",) * 5, 6), ("triple", ("2",) * 7, 6),
+    ])
+    def test_construct_coordinate_count(self, capsys, kind, values, need):
+        code, out, err = run(capsys, "construct", kind, *values)
+        assert_error_line(code, out, err)
+        assert err == f"error: construct {kind} takes {need} coordinates, got {len(values)}\n"
 
     def test_eval_word_matrices_from_file(self, capsys, tmp_path):
         path = tmp_path / "m.json"

@@ -131,6 +131,24 @@ class TestExactMatrices:
         out = exact_evaluate_word(w, tuples)
         assert as_tuple(out) == word_product(w, tuples)
 
+    def test_rational_draw_keeps_its_stream(self):
+        # the draw as first written: three Fraction(randint, randint), then
+        # d = (1 + b c) / a; seeded exact output depends on this stream
+        for seed in range(300):
+            rnd, old = random.Random(seed), random.Random(seed)
+            for _ in range(5):
+                m = random_rational_unimodular(rnd)
+                while True:
+                    a = Fraction(old.randint(-8, 8), old.randint(1, 3))
+                    b = Fraction(old.randint(-8, 8), old.randint(1, 3))
+                    c = Fraction(old.randint(-8, 8), old.randint(1, 3))
+                    if a != 0:
+                        break
+                assert m.dtype == object
+                assert m.tolist() == [[a, b], [c, (1 + b * c) / a]]
+                assert all(type(v) is Fraction for v in m.flat)
+            assert rnd.getstate() == old.getstate()
+
     def test_clear_denominators(self):
         m = np.array([[2, Fraction(1, 6)], [Fraction(-3, 4), 0]], dtype=object)
         n, d = mat2.clear_denominators(m)

@@ -13,7 +13,6 @@ from slchar.sampling import (
     random_unimodular,
 )
 from slchar.tracepoly import (
-    TraceExpression,
     evaluate_at_character,
     generator_count,
     kappa,
@@ -123,10 +122,10 @@ class TestEngine:
     """The right-multiplication table and the pass built on it."""
 
     @settings(max_examples=30, deadline=None, derandomize=True)
-    @given(SL2, SL2, SL2)
-    def test_table_entries_are_exact_products(self, m1, m2, m3):
-        for rank in (1, 2, 3):
-            mats = (m1, m2, m3)[:rank]
+    @given(SL2, SL2, SL2, SL2)
+    def test_table_entries_are_exact_products(self, m1, m2, m3, m4):
+        for rank in (1, 2, 3, 4):
+            mats = (m1, m2, m3, m4)[:rank]
 
             def basis_matrix(b):
                 return product(*(mats[i - 1] for i in b))
@@ -142,7 +141,7 @@ class TestEngine:
                 got = ((0, 0), (0, 0))
                 for b2, terms in element.items():
                     coeff = Polynomial._trusted(variables, terms)
-                    assert rank < 3 or coeff.degree_in("x123") == 0
+                    assert rank != 3 or coeff.degree_in("x123") == 0
                     c = coeff.evaluate_exact(character)
                     m = basis_matrix(b2)
                     got = tuple(tuple(got[i][j] + c * m[i][j] for j in range(2))
@@ -159,6 +158,20 @@ class TestEngine:
             assert rank < 3 or p.degree_in("x123") <= 1
             assert evaluate_at_character(p, mats) == trace(
                 word_product(w, [as_tuple(m) for m in mats]))
+
+    def test_rank4_words_exact(self):
+        # rank 4 is internal: its table eliminates four-letter products by s_4 = 0
+        rnd = random.Random(4)
+        for _ in range(40):
+            w = random_reduced_word(rnd, 4, 9)
+            mats = [random_rational_unimodular(rnd) for _ in range(4)]
+            p = tracepoly._trace(4, tracepoly._cyclic_core(w))
+            assert evaluate_at_character(p, mats) == trace(
+                word_product(w, [as_tuple(m) for m in mats])), w
+
+    def test_rank4_is_not_public(self):
+        with pytest.raises(ValueError, match=r"rank <= 3, got 4"):
+            trace_poly(Word(4, (1, 2, 3, 4)))
 
     def test_memo(self):
         tracepoly.clear_cache()
@@ -430,6 +443,18 @@ class TestQuadrupleTrace:
         with pytest.raises(ValueError):
             quadruple_trace_check([mat2.I2] * 3)
 
+    def test_engine_polynomial_is_the_twelve_term_formula(self):
+        # the identity as it was typed out by hand before the engine derived it
+        def t(*idx):
+            return Polynomial.variable(tracepoly.F4_VARS, "x" + "".join(map(str, sorted(idx))))
+
+        formula = (
+            t(1) * t(2) * t(3) * t(4) + t(1) * t(2, 3, 4) + t(2) * t(3, 4, 1)
+            + t(3) * t(4, 1, 2) + t(4) * t(1, 2, 3) + t(1, 2) * t(3, 4) + t(4, 1) * t(2, 3)
+            - t(1, 3) * t(2, 4) - t(1) * t(2) * t(3, 4) - t(1, 2) * t(3) * t(4)
+            - t(4) * t(1) * t(2, 3) - t(4, 1) * t(2) * t(3))
+        assert tracepoly._trace(4, (1, 2, 3, 4)).scale(2) == formula
+
 
 class TestGeneratorCount:
     def test_values(self):
@@ -447,22 +472,3 @@ class TestGeneratorCount:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             generator_count(0)
-
-
-class TestTraceExpression:
-    def test_linearity(self):
-        expr = TraceExpression(2)
-        w1 = parse_word("X Y", 2)
-        w2 = parse_word("X y", 2)
-        expr.add(w1, Fraction(1, 2)).add(w2, Fraction(1, 2))
-        # (tr(xy) + tr(xy^-1))/2 = xy/2
-        expected = trace_poly_f2(w1).scale(Fraction(1, 2)) + trace_poly_f2(
-            w2
-        ).scale(Fraction(1, 2))
-        assert expr.resolve() == expected
-
-    def test_cancellation(self):
-        expr = TraceExpression(2)
-        w = parse_word("X Y", 2)
-        expr.add(w).add(parse_word("Y X", 2), -1)  # same cyclic class
-        assert expr.resolve().is_zero()
