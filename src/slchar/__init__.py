@@ -4,7 +4,7 @@ simplest hyperbolic surfaces."""
 
 from . import chars, covers, fricke, hypgeom, mat2, polyring, sampling, tracepoly, words
 from .chars import CharacterF2, CharacterF3, character_of_pair, character_of_triple
-from .fricke import CharacterS04, CharacterS12, FNCoords, NonOrientableChar
+from .fricke import CharacterS04, CharacterS12, FNCoords
 from .polyring import Polynomial, VariableSet
 from .tracepoly import kappa, trace_poly, trace_poly_f2, trace_poly_f3
 from .words import Word, parse_word
@@ -17,6 +17,6 @@ __all__ = [
     "Word", "parse_word", "Polynomial", "VariableSet",
     "trace_poly", "trace_poly_f2", "trace_poly_f3", "kappa",
     "CharacterF2", "CharacterF3", "character_of_pair", "character_of_triple",
-    "CharacterS04", "CharacterS12", "NonOrientableChar", "FNCoords",
+    "CharacterS04", "CharacterS12", "FNCoords",
     "__version__",
 ]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import cmath
 import enum
 from dataclasses import dataclass
+from numbers import Rational
 
 import numpy as np
 
@@ -107,11 +108,12 @@ def character_of_triple(m1, m2, m3) -> CharacterF3:
 
 
 def is_irreducible(c: CharacterF2, tol: float = IRREDUCIBILITY_TOL) -> bool:
-    """kappa(x, y, z) != 2; exact when the inputs are exact numbers."""
+    """kappa(x, y, z) != 2: exact for rational input, within ``tol`` for
+    float or complex input."""
     k = c.kappa()
-    if isinstance(k, complex):
-        return abs(k - 2) > tol
-    return k != 2
+    if isinstance(k, Rational):
+        return k != 2
+    return abs(k - 2) > tol
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,6 @@ from .tracepoly import kappa_value
 __all__ = [
     "CharacterS04",
     "CharacterS12",
-    "NonOrientableChar",
     "FNCoords",
     "S03Verdict",
     "S11Verdict",
@@ -100,17 +99,6 @@ class CharacterS12:
     v: float
     w: float
     z: float
-
-
-@dataclass(frozen=True)
-class NonOrientableChar:
-    """Coordinates (p, q, r) for the two-holed cross-surface and the
-    one-holed Klein bottle: p, q are the magnitudes of the purely
-    imaginary traces of the orientation-reversing generators."""
-
-    p: float
-    q: float
-    r: float
 
 
 @dataclass(frozen=True)

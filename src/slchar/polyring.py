@@ -25,7 +25,10 @@ monomials to nonzero coefficients, with integral Fractions collapsed
 to ints.  The public constructor (and so
 :meth:`Polynomial.from_json`) checks and establishes it; arithmetic
 results preserve it by construction and are wrapped by the unchecked
-``Polynomial._trusted``.  ``evaluate`` sums floats in the canonical
+``Polynomial._trusted``.  ``+``, ``scale``, ``*``, ``**``,
+``substitute``, ``reduce_mod_phi`` and the trace engine in
+:mod:`slchar.tracepoly` all go through one kernel, ``_addmul_into``
+(``out += a*b``).  ``evaluate`` sums floats in the canonical
 term order, so a float value depends only on the polynomial, not on the
 order in which arithmetic built its term dict.
 
@@ -139,34 +142,13 @@ def _norm_coeff(c):
     return c
 
 
-def _norm_terms(terms: dict) -> dict:
-    """Collapse integral Fractions in place; ints skip the ABC isinstance."""
-    for e, c in terms.items():
-        if type(c) is not int:
-            terms[e] = _norm_coeff(c)
-    return terms
-
-
-def _add_into(out: dict, terms: Mapping) -> dict:
-    """Add ``terms`` into ``out`` in place, keeping the normal form.
-
-    A key whose sum cancels is removed, so if it reappears later it goes
-    to the end of the dict, exactly as with repeated ``+``.
-    """
-    get = out.get
-    for e, c in terms.items():
-        s = get(e, 0) + c
-        if s:
-            out[e] = s if type(s) is int else _norm_coeff(s)
-        else:
-            del out[e]
-    return out
-
-
 def _addmul_into(out: dict, a: Mapping, b: Mapping, limit: int = 0) -> dict:
     """``out += a*b`` in place, keeping the normal form: a cancelled key
-    is removed.  Given a variable set's ``_limit``, first raise
-    OverflowError if the product's total degree would not fit its field."""
+    is removed, so if it reappears later it goes to the end of the dict.
+    Given a variable set's ``_limit``, first raise OverflowError if the
+    product's total degree would not fit its field.  ``+`` and ``scale``
+    pass the one-term factor ``{0: 1}`` or ``{0: c}``, which visits the
+    other operand's terms in order."""
     if limit and a and b and max(a) + max(b) >= limit:
         raise OverflowError(f"product degree exceeds {_MASK} ({WIDTH}-bit fields)")
     if len(a) > len(b):
@@ -286,7 +268,9 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Polynomial._trusted(self.variables, _add_into(dict(self._terms), other._terms))
+        return Polynomial._trusted(
+            self.variables, _addmul_into(dict(self._terms), other._terms, {0: 1})
+        )
 
     __radd__ = __add__
 
@@ -318,9 +302,7 @@ class Polynomial:
         c = _norm_coeff(Fraction(c))
         if not c:
             return Polynomial.zero(self.variables)
-        return Polynomial._trusted(
-            self.variables, _norm_terms({e: v * c for e, v in self._terms.items()})
-        )
+        return Polynomial._trusted(self.variables, _addmul_into({}, self._terms, {0: c}))
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -61,6 +62,13 @@ class TestIrreducibility:
 
     def test_quaternion_character(self):
         assert is_irreducible(CharacterF2(0, 0, 0))
+
+    def test_float_input_uses_tolerance(self):
+        # kappa(3, 3, 7) = 2; the float point lies about 5e-13 off it
+        assert not is_irreducible(CharacterF2(3.0, 3.0, 7.0 + 1e-13))
+        assert not is_irreducible(CharacterF2(3 + 0j, 3 + 0j, 7.0 + 1e-13 + 0j))
+        assert is_irreducible(CharacterF2(Fraction(3), Fraction(3), 7 + Fraction(1, 10**13)))
+        assert not is_irreducible(CharacterF2(Fraction(3), Fraction(3), Fraction(7)))
 
     def test_upper_triangular_witnesses(self):
         xi = mat2.mat2(2, 1, 0, 0.5)

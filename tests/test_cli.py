@@ -249,6 +249,29 @@ class TestVerify:
         assert code == 0
         assert out.count("max-residual=0.0") == 4
 
+    def test_rows_report_their_maximum_in_first_yield_order(self, capsys, monkeypatch):
+        from slchar import cli
+
+        def planted(cfg):
+            yield from [("b", 0.5), ("a", 0.25), ("b", 2.0), ("a", 0.75),
+                        ("c", 0.0), ("b", 1.0), ("a", 0.5)]
+
+        monkeypatch.setitem(cli._SUITES, "oracle", planted)
+        code, out, _ = run(capsys, "verify", "oracle", "--trials", "3", "--seed", "5",
+                           "--tolerance", "1")
+        assert code == 1
+        assert out.splitlines() == [
+            "oracle/b: max-residual=2.00000000000000000e+00 FAIL",
+            "oracle/a: max-residual=7.50000000000000000e-01 pass",
+            "oracle/c: max-residual=0.00000000000000000e+00 pass",
+            "suite=oracle trials=3 seed=5 tolerance=1 mode=float result=FAIL",
+        ]
+        code, out, _ = run(capsys, "verify", "oracle", "--trials", "3", "--seed", "5",
+                           "--tolerance", "2")
+        assert code == 0
+        assert out.splitlines()[0] == "oracle/b: max-residual=2.00000000000000000e+00 pass"
+        assert out.splitlines()[-1].endswith("result=pass")
+
 
 def test_python_dash_m_runs_the_cli():
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
