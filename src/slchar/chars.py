@@ -78,9 +78,10 @@ class CharacterF3:
         fsum, fprod = sum_product(*six)
         return abs(t123 + t132 - fsum), abs(t123 * t132 - fprod)
 
-    def is_valid(self, tol: float = 1e-9) -> bool:
+    def is_valid(self) -> bool:
+        """Both residuals at most 1e-9."""
         r1, r2 = self.sum_product_residuals()
-        return r1 <= tol and r2 <= tol
+        return r1 <= 1e-9 and r2 <= 1e-9
 
     def to_json(self) -> dict:
         names = ("t1", "t2", "t3", "t12", "t13", "t23", "t123", "t132")
@@ -107,13 +108,13 @@ def character_of_triple(m1, m2, m3) -> CharacterF3:
     return CharacterF3(*coords.values(), t132=mat2.trace(m1 @ m3 @ m2))
 
 
-def is_irreducible(c: CharacterF2, tol: float = IRREDUCIBILITY_TOL) -> bool:
-    """kappa(x, y, z) != 2: exact for rational input, within ``tol`` for
-    float or complex input."""
+def is_irreducible(c: CharacterF2) -> bool:
+    """kappa(x, y, z) != 2: exact for rational input, within
+    ``IRREDUCIBILITY_TOL`` for float or complex input."""
     k = c.kappa()
     if isinstance(k, Rational):
         return k != 2
-    return abs(k - 2) > tol
+    return abs(k - 2) > IRREDUCIBILITY_TOL
 
 
 @dataclass(frozen=True)
@@ -124,12 +125,13 @@ class IrreducibilityReport:
     basis_determinant: complex
     irreducible: bool
 
-    def witnesses_agree(self, tol: float = 1e-8) -> bool:
-        scale = 1 + abs(self.kappa)
+    def witnesses_agree(self) -> bool:
+        """Each witness within 1e-8 (1 + |kappa|) of its value."""
+        eps = 1e-8 * (1 + abs(self.kappa))
         return (
-            abs(self.commutator_trace - self.kappa) <= tol * scale
-            and abs(self.lie_determinant - (2 - self.kappa)) <= tol * scale
-            and abs(self.basis_determinant - (2 - self.kappa)) <= tol * scale
+            abs(self.commutator_trace - self.kappa) <= eps
+            and abs(self.lie_determinant - (2 - self.kappa)) <= eps
+            and abs(self.basis_determinant - (2 - self.kappa)) <= eps
         )
 
 
@@ -163,8 +165,7 @@ def irreducibility_witnesses(xi: np.ndarray, eta: np.ndarray) -> IrreducibilityR
     return report
 
 
-def classify_real_character(x: float, y: float, z: float,
-                            tol: float = IRREDUCIBILITY_TOL) -> RealCharClass:
+def classify_real_character(x: float, y: float, z: float) -> RealCharClass:
     """Case split for real (x, y, z).
 
     kappa < 2 with all traces in [-2, 2] fixes a point of hyperbolic
@@ -172,8 +173,10 @@ def classify_real_character(x: float, y: float, z: float,
     plane (an SL(2,R) character).  kappa = 2 is reducible; only the
     SO(2)/SO(1,1) subcases are determined by the character alone, and
     the all-boundary case stays undetermined (central and
-    parabolic-fixed representations share those traces).
+    parabolic-fixed representations share those traces).  Every
+    comparison allows ``IRREDUCIBILITY_TOL``.
     """
+    tol = IRREDUCIBILITY_TOL
     x, y, z = float(x), float(y), float(z)
     k = kappa_value(x, y, z)
     in_cube = all(abs(t) <= 2 + tol for t in (x, y, z))
@@ -241,9 +244,7 @@ def _solve_quadratic_smallest(a: complex, b: complex, c: complex) -> list[comple
     return roots
 
 
-def construct_triple(
-    t1, t2, t3, t12, t23, t13, branch: str = "+", tol: float = 1e-8
-):
+def construct_triple(t1, t2, t3, t12, t23, t13, branch: str = "+"):
     """A unimodular triple realizing six prescribed traces.
 
     When (t1, t2, t12) is an irreducible rank-2 character the third

@@ -143,16 +143,12 @@ class S03Result:
 def member_s03(x: float, y: float, z: float) -> S03Result:
     """Three-holed sphere: the four closed octants with an even number
     of positive coordinates, each coordinate at distance >= 2 from 0;
-    the all-negative octant is the slice.  Coordinates equal to -2 (or
-    2) are cusps."""
+    the all-negative octant is the slice.  Coordinates within 1e-12 of
+    -2 (or 2) are cusps."""
     coords = (float(x), float(y), float(z))
     for signs in _S03_OCTANTS:
         if all(s * t >= 2 for s, t in zip(signs, coords)):
-            cusps = tuple(
-                name
-                for name, t in zip("xyz", coords)
-                if abs(abs(t) - 2) == 0 or abs(abs(t) - 2) <= 1e-12
-            )
+            cusps = tuple(name for name, t in zip("xyz", coords) if abs(abs(t) - 2) <= 1e-12)
             verdict = (
                 S03Verdict.MEMBER_SLICE
                 if signs == (-1, -1, -1)
@@ -281,7 +277,7 @@ def _s04_component_terms(a, b, c, d, x, y, z):
     return kab, kcd, s_minus, s_plus
 
 
-def member_s04(ch: CharacterS04, tol: float = ONVARIETY_TOL) -> S04Result:
+def member_s04(ch: CharacterS04) -> S04Result:
     """Boundary traces >= 2 and x < -2, on the quartic, and F~+ > 0 and
     F~- > 0.  For exact input the last test is its exact equivalent
     S+ > 0 and (2-x) S+^2 > (-2-x) S-^2, and of the floats F~+- the one
@@ -310,7 +306,7 @@ def member_s04(ch: CharacterS04, tol: float = ONVARIETY_TOL) -> S04Result:
         else:
             f_plus = product / f_minus
     else:
-        off = res_f > tol
+        off = res_f > ONVARIETY_TOL
         component = f_plus > 0 and f_minus > 0
     if off:
         verdict = S04Verdict.NONMEMBER_OFF_VARIETY
@@ -377,7 +373,7 @@ def s12_relation_polys() -> tuple[Polynomial, Polynomial]:
     return _s12_relations(*(Polynomial.variable(S12_VARS, n) for n in S12_VARS))
 
 
-def member_s12(ch: CharacterS12, tol: float = ONVARIETY_TOL) -> S12Result:
+def member_s12(ch: CharacterS12) -> S12Result:
     """On-variety check of both relations, then Button's inequalities
     kappa(x,y,z) < -2, kappa(y,u,w) < -2, kappa(u,x,v) < -2."""
     a, b, u, v, w, x, y, z = (
@@ -393,7 +389,7 @@ def member_s12(ch: CharacterS12, tol: float = ONVARIETY_TOL) -> S12Result:
     if _is_exact(a, b, u, v, w, x, y, z):
         off = r1 != 0 or r2 != 0
     else:
-        off = residuals[0] > tol or residuals[1] > tol
+        off = residuals[0] > ONVARIETY_TOL or residuals[1] > ONVARIETY_TOL
     if off:
         return S12Result(S12Verdict.NONMEMBER_OFF_VARIETY, residuals, kappas)
     if all(k < -2 for k in kappas):

@@ -34,7 +34,6 @@ __all__ = [
     "FormSignature",
     "HexagonCertificate",
     "point_to_involution",
-    "involution_from_point_matrix",
     "involution_fixing",
     "minkowski_inner",
     "half_plane_relation",
@@ -68,14 +67,16 @@ class PointH2:
 
 class DeSitterVec:
     """A real traceless 2x2 matrix of determinant -1: an oriented
-    geodesic of the hyperbolic plane."""
+    geodesic of the hyperbolic plane.  Realness, trace and determinant
+    are each checked to within 1e-10."""
 
     __slots__ = ("m",)
 
-    def __init__(self, m: np.ndarray, tol: float = 1e-10):
+    def __init__(self, m: np.ndarray):
+        tol = 1e-10
         m = np.asarray(m)
         if m.dtype == complex:
-            if not np.allclose(m.imag, 0, atol=tol):
+            if not mat2._is_real(m, tol):
                 raise GeometryError("de Sitter vector must be real")
             m = m.real
         m = m.astype(float)
@@ -101,15 +102,6 @@ def point_to_involution(p: PointH2) -> np.ndarray:
     whose projective action is the half-turn about p."""
     x, u = p.x, p.u
     return np.array([[x / u, -(x * x + u * u) / u], [1 / u, -x / u]], dtype=complex)
-
-
-def involution_from_point_matrix(a: np.ndarray) -> PointH2:
-    """Inverse of point_to_involution on the sheet with positive lower-left
-    entry: u = 1/a21, x = a11/a21."""
-    a21 = a[1, 0].real
-    if a21 <= 0:
-        raise GeometryError("matrix is not on the point sheet (needs A21 > 0)")
-    return PointH2(x=(a[0, 0].real) / a21, u=1 / a21)
 
 
 def involution_fixing(z1: complex, z2: complex | None = None) -> np.ndarray:
@@ -185,8 +177,10 @@ class IsometryType(enum.Enum):
     SEMISIMPLE_LOXODROMIC_OR_HYPERBOLIC = "semisimple-loxodromic-or-hyperbolic"
 
 
-def classify_isometry(xi: np.ndarray, tol: float = 1e-9) -> IsometryType:
-    """Isometry type of a unimodular matrix acting on hyperbolic 3-space."""
+def classify_isometry(xi: np.ndarray) -> IsometryType:
+    """Isometry type of a unimodular matrix acting on hyperbolic 3-space:
+    central within 1e-10 entrywise, then by its trace within 1e-9."""
+    tol = 1e-9
     if np.allclose(xi, mat2.I2, atol=1e-10) or np.allclose(xi, -mat2.I2, atol=1e-10):
         return IsometryType.CENTRAL
     t = mat2.trace(xi)
@@ -222,7 +216,7 @@ def bilinear_form_from_character(x, y, z) -> BilinearForm3:
     b = np.array(
         [[1, z / 2, y / 2], [z / 2, 1, x / 2], [y / 2, x / 2, 1]], dtype=complex
     )
-    if np.allclose(b.imag, 0):
+    if mat2._is_real(b, 1e-8):
         b = b.real.astype(float)
     return BilinearForm3(b)
 
@@ -250,15 +244,18 @@ class FormSignature(enum.Enum):
     DEGENERATE_RANK1 = "degenerate-rank1"
 
 
-def form_signature(form: BilinearForm3, tol: float = 1e-10) -> FormSignature:
+def form_signature(form: BilinearForm3) -> FormSignature:
     """Signature of a real unit-diagonal symmetric form by eigenvalue signs.
 
     Negative-definite cannot occur (the trace is 3), so the outcomes
-    are (3,0), (2,1), (1,2) and the two degenerate ranks.
+    are (3,0), (2,1), (1,2) and the two degenerate ranks.  Imaginary
+    parts up to 1e-10 count as real, and eigenvalues within 1e-10 of 0
+    as zero.
     """
+    tol = 1e-10
     b = np.asarray(form.b)
     if b.dtype == complex:
-        if not np.allclose(b.imag, 0, atol=tol):
+        if not mat2._is_real(b, tol):
             raise GeometryError("signature requires a real form")
         b = b.real
     eigs = np.linalg.eigvalsh(b)
@@ -330,9 +327,7 @@ class HexagonCertificate:
         }
 
 
-def hexagon_certificate(
-    x: float, y: float, z: float, tol: float = 1e-9
-) -> HexagonCertificate:
+def hexagon_certificate(x: float, y: float, z: float) -> HexagonCertificate:
     """Certify that traces x, y, z <= -2 bound a right hexagon.
 
     Builds a real pair X, Y with the character (and Z = (XY)^-1),
@@ -343,8 +338,10 @@ def hexagon_certificate(
 
     The certificate also records which global sign of the three hat
     vectors puts the hexagon inside all three half-planes (the inner
-    products themselves do not depend on it).
+    products themselves do not depend on it).  The domain, cusp and
+    boundary tests allow 1e-9.
     """
+    tol = 1e-9
     x, y, z = float(x), float(y), float(z)
     for name, t in (("x", x), ("y", y), ("z", z)):
         if t > -2 + tol:

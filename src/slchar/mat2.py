@@ -2,8 +2,10 @@
 
 All explicit matrix formulas live here, together with the numeric
 oracle ``evaluate_word`` for trace polynomials.  Matrices are plain
-2x2 (or 3x3) complex numpy arrays; unimodular constructors check
-``|det - 1| <= 1e-12``.
+2x2 (or 3x3) complex numpy arrays.  Tolerances are fixed: ``inverse``
+requires ``|det - 1| <= TOL_CONJUGACY``, and the real-matrix tests of
+``hat`` and ``glide_reflection_sqrt`` allow imaginary parts up to
+``TOL_CONJUGACY``.
 
 Exact matrices are object-dtype numpy arrays of ``Fraction`` (or int)
 entries; ``is_exact`` tells them apart, and integer dtypes count as
@@ -43,7 +45,6 @@ __all__ = [
     "inverse",
     "is_exact",
     "clear_denominators",
-    "is_unimodular",
     "evaluate_word",
     "lie_product",
     "normal_form_pair",
@@ -61,9 +62,9 @@ __all__ = [
     "TOL_CONJUGACY",
 ]
 
-#: Default tolerance for algebraic identities on well-conditioned inputs.
+#: Tolerance for algebraic identities on well-conditioned inputs.
 TOL_ALGEBRAIC = 1e-12
-#: Default tolerance for conjugacy / commutation assertions.
+#: Tolerance for conjugacy / commutation assertions.
 TOL_CONJUGACY = 1e-9
 
 
@@ -129,13 +130,15 @@ def adjoint(m: np.ndarray) -> np.ndarray:
     )
 
 
-def is_unimodular(m: np.ndarray, tol: float = TOL_ALGEBRAIC) -> bool:
-    return abs(det(m) - 1) <= tol
+def _is_real(m: np.ndarray, tol: float) -> bool:
+    """Whether every imaginary part of m is at most tol in size (False
+    for NaN)."""
+    return np.abs(m.imag).max() <= tol
 
 
-def inverse(m: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def inverse(m: np.ndarray) -> np.ndarray:
     """Inverse by the cofactor formula; requires unimodularity."""
-    if not is_unimodular(m, tol):
+    if not abs(det(m) - 1) <= TOL_CONJUGACY:
         raise GeometryError(f"matrix is not unimodular: det = {det(m)}")
     return adjoint(m)
 
@@ -164,13 +167,14 @@ def lie_product(xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
     return xi @ eta - eta @ xi
 
 
-def sign_normalize(m: np.ndarray, tol: float = 1e-13) -> np.ndarray:
+def sign_normalize(m: np.ndarray) -> np.ndarray:
     """Of m and -m, return the one whose first nonzero entry (row-major)
-    has positive real part, ties broken by positive imaginary part."""
-    scale = max(1.0, float(np.abs(m).max()))
+    has positive real part, ties broken by positive imaginary part;
+    "nonzero" means above 1e-13 relative to the largest entry."""
+    eps = 1e-13 * max(1.0, float(np.abs(m).max()))
     for v in m.reshape(-1):
-        if abs(v) > tol * scale:
-            if v.real > tol * scale or (abs(v.real) <= tol * scale and v.imag > 0):
+        if abs(v) > eps:
+            if v.real > eps or (abs(v.real) <= eps and v.imag > 0):
                 return m
             return -m
     return m
@@ -192,9 +196,7 @@ def normal_form_pair(x: complex, y: complex, z: complex) -> tuple[np.ndarray, np
     return xi, eta
 
 
-def conjugating_involution(
-    xi: np.ndarray, eta: np.ndarray, tol: float = TOL_ALGEBRAIC
-) -> np.ndarray:
+def conjugating_involution(xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """The unimodular h with h^2 = -I conjugating (xi, eta) to (xi^-1, eta^-1).
 
     h is the Lie product scaled into SL(2); it exists exactly when the
@@ -202,7 +204,7 @@ def conjugating_involution(
     """
     L = lie_product(xi, eta)
     dL = det(L)
-    if abs(dL) <= tol:
+    if abs(dL) <= TOL_ALGEBRAIC:
         raise ReduciblePairError(
             "pair is reducible (Lie product has zero determinant)"
         )
@@ -214,20 +216,20 @@ def traceless_projection(xi: np.ndarray) -> np.ndarray:
     return xi - (trace(xi) / 2) * I2
 
 
-def involution_of(xi: np.ndarray, tol: float = TOL_CONJUGACY) -> np.ndarray:
+def involution_of(xi: np.ndarray) -> np.ndarray:
     """The involution commuting with a semisimple xi.
 
     Normalizes the traceless projection to determinant one; rejects
     parabolic and central inputs (tr = +-2).
     """
     t = trace(xi)
-    if abs(t * t - 4) <= tol:
+    if abs(t * t - 4) <= TOL_CONJUGACY:
         raise NotSemisimpleError(f"parabolic or central input: tr = {t}")
     h = traceless_projection(xi) * (2 / principal_sqrt(4 - t * t))
     return sign_normalize(h)
 
 
-def hat(a: np.ndarray, tol: float = TOL_CONJUGACY) -> np.ndarray:
+def hat(a: np.ndarray) -> np.ndarray:
     """Reflection vector of the invariant axis of a real hyperbolic matrix.
 
     hat(A) = (2A - tr(A) I)/sqrt(tr(A)^2 - 4), normalized to the
@@ -235,10 +237,10 @@ def hat(a: np.ndarray, tol: float = TOL_CONJUGACY) -> np.ndarray:
     Consequently hat(A)^2 = I and hat(A^-1) = -hat(A).
     """
     t = trace(a)
-    if abs(t.imag) > tol or not np.allclose(a.imag, 0, atol=tol):
+    if abs(t.imag) > TOL_CONJUGACY or not _is_real(a, TOL_CONJUGACY):
         raise GeometryError("hat() requires a real matrix")
     tr_ = t.real
-    if tr_ * tr_ <= 4 + tol:
+    if tr_ * tr_ <= 4 + TOL_CONJUGACY:
         raise NotHyperbolicError(f"matrix is not hyperbolic: tr = {tr_}")
     h = (2 * a.real - tr_ * np.eye(2)) / np.sqrt(tr_ * tr_ - 4)
     return h.astype(complex)
@@ -262,15 +264,15 @@ def sym2(xi: np.ndarray) -> np.ndarray:
     )
 
 
-def glide_reflection_sqrt(xi: np.ndarray, tol: float = TOL_CONJUGACY) -> np.ndarray:
+def glide_reflection_sqrt(xi: np.ndarray) -> np.ndarray:
     """The glide reflection g = (xi - I)/sqrt(tr(xi) - 2) with g^2 = xi.
 
     Defined for real xi with tr(xi) > 2; det g = -1.
     """
     t = trace(xi)
-    if abs(t.imag) > tol or not np.allclose(xi.imag, 0, atol=tol):
+    if abs(t.imag) > TOL_CONJUGACY or not _is_real(xi, TOL_CONJUGACY):
         raise GeometryError("glide_reflection_sqrt() requires a real matrix")
-    if t.real <= 2 + tol:
+    if t.real <= 2 + TOL_CONJUGACY:
         raise NotHyperbolicError(f"trace must exceed 2, got {t.real}")
     return (xi - I2) / np.sqrt(t.real - 2)
 

@@ -38,22 +38,22 @@ def rng_for(seed: int, trial: int | None = None) -> random.Random:
     return random.Random(f"slchar:{seed}:{trial}")
 
 
-def random_unimodular(rnd: random.Random, pivot_tol: float = 1e-3) -> np.ndarray:
+def random_unimodular(rnd: random.Random) -> np.ndarray:
     while True:
         a = complex(rnd.uniform(-2, 2), rnd.uniform(-2, 2))
         b = complex(rnd.uniform(-2, 2), rnd.uniform(-2, 2))
         c = complex(rnd.uniform(-2, 2), rnd.uniform(-2, 2))
-        if abs(a) >= pivot_tol:
+        if abs(a) >= 1e-3:
             d = (1 + b * c) / a
             return np.array([[a, b], [c, d]], dtype=complex)
 
 
-def random_real_unimodular(rnd: random.Random, pivot_tol: float = 1e-3) -> np.ndarray:
+def random_real_unimodular(rnd: random.Random) -> np.ndarray:
     while True:
         a = rnd.uniform(-2, 2)
         b = rnd.uniform(-2, 2)
         c = rnd.uniform(-2, 2)
-        if abs(a) >= pivot_tol:
+        if abs(a) >= 1e-3:
             d = (1 + b * c) / a
             return np.array([[a, b], [c, d]], dtype=complex)
 

@@ -15,6 +15,17 @@ hand-typed formula: only the two float ``oracle/quadruple-trace`` rows
 moved (seed 1: 7.105e-14 to 5.729e-14, seed 2: 2.542e-13 to
 1.137e-13).  To re-record after an intended float output change, print
 ``_digest(_symbolic_lines())`` and ``_digest(_verify_lines())``.
+
+``PREDICATE_DIGEST`` covers the float decisions: ``fricke test`` JSON
+for all six surfaces in both modes (boundary points included: +-2
+coordinates, exact kappa = -2 Markoff cusps, points 1e-20 off a
+boundary), ``construct``, ``fn2trace`` and ``eval-word`` JSON, and the
+numeric predicates and constructions of ``mat2``, ``chars`` and
+``hypgeom`` on seeded inputs, each at and just past its tolerance.  It
+was recorded while those tolerances were still per-call parameters, and
+fixing them moved nothing.  ROADMAP item 3 (exact verdicts from one
+sign primitive) re-records it on purpose, because float verdicts within
+rounding of a boundary may change; print ``_digest(_predicate_lines())``.
 """
 
 import contextlib
@@ -24,7 +35,9 @@ import json
 import random
 from fractions import Fraction
 
-from slchar import cli
+import numpy as np
+
+from slchar import chars, cli, hypgeom, mat2, sampling
 from slchar.covers import (
     cover_c02_to_s04,
     cover_c11_to_s12,
@@ -38,6 +51,7 @@ from slchar.words import Word
 EXACT_DIGEST = "624d279a57ec01a51983e3a959ba81f8aad039a844605204c3c7beeea153b3eb"
 SYMBOLIC_DIGEST = "eabbaf72485625ee4c876305d9378c6402533fb4cd4281a5314dfd65666cb755"
 VERIFY_DIGEST = "fd56e039333c826b711b4f7045d365b4cddfb5c0b13cd86b5bfd2ee010daac29"
+PREDICATE_DIGEST = "6a799ca8573bd60b8e25cae7c2a3b076f0e0c5b0a827f17515a7fd3dccfcfb98"
 
 SUITES = ("identities", "oracle", "fricke", "covers", "coxeter")
 
@@ -108,6 +122,197 @@ def _verify_lines():
     return lines
 
 
+TINY = Fraction(1, 10**20)
+
+#: Triples on the boundaries of the s03, s11, c02 and c11 tests: +-2
+#: coordinates, Markoff-type cusps (kappa = -2 exactly, with two signs
+#: flipped too), points 1e-20 off those, and kappa = 2.
+BOUNDARY_TRIPLES = (
+    (Fraction(33, 10), Fraction(33, 10), Fraction(33, 4)),
+    (3, 3, 3), (-3, -3, 3), (3, 6, 15), (-3, 6, -15),
+    (3 + TINY, 3, 3), (3 - TINY, 3, 3),
+    (2, 2, 2), (-2, -2, -2), (-2, 2, 2), (2, -2, 2), (-2, -3, -4),
+    (-2 - 2**-40, -3, -3), (-2 - 2**-39, -3, -3), (2 + 2**-40, 2 + 2**-39, -3),
+    (-2 - TINY, -2, -3), (-2 + TINY, -3, -3), (2 + TINY, 2 + TINY, -2 - TINY),
+    (5, 1, -3), (4, 1, -2), (5 + TINY, 1, -3), (1, 1, 2), (3, 3, 2), (1, 1, 2 - TINY),
+    (Fraction(5, 2), Fraction(5, 2), Fraction(17, 4)), (0, 0, 0), (1, 1, 1),
+)
+
+#: Four-holed-sphere points: the relative-Euler-class-zero family, range
+#: edges and the same points 1e-20 away.
+BOUNDARY_S04 = (
+    (2, 2, 2, 2, -3, 2, 7), (2, 2, 2, 2, -3, 2, 7 + TINY), (2, 2, 2, 2, -2, 2, 6),
+    (2 - TINY, 2, 2, 2, -3, 2, 7), (2, 2, 2, 2, -2 - TINY, 2, 6), (1, 2, 2, 2, -3, 2, 7),
+)
+
+
+def _q(rnd, lo, hi, den=4):
+    """A rational in [lo, hi] with denominator at most ``den``."""
+    d = rnd.randint(1, den)
+    return Fraction(rnd.randint(lo * d, hi * d), d)
+
+
+def _text(v) -> str:
+    return str(Fraction(v))
+
+
+def _sl2_with_trace(rnd, t):
+    """A rational unimodular matrix with trace t."""
+    p, s = _q(rnd, -3, 3), _q(rnd, 1, 3) * rnd.choice((1, -1))
+    return np.array([[p, s], [(p * (t - p) - 1) / s, t - p]], dtype=object)
+
+
+def _s04_point(rnd):
+    """Traces of A, B, C, D = (ABC)^-1, AB, BC, AC: exactly on the quartic,
+    with a, b, c >= 2 and, when a draw allows it, d >= 2 and x < -2."""
+    for _ in range(200):
+        traces = [2 + _q(rnd, 0, 4) for _ in range(3)]
+        A, B, C = (_sl2_with_trace(rnd, t) for t in traces)
+        D = mat2.adjoint(A @ B @ C)
+        point = (*traces, *(mat2.trace(m) for m in (D, A @ B, B @ C, A @ C)))
+        if point[3] >= 2 and point[4] < -2:
+            break
+    return point
+
+
+def _s12_point(rnd):
+    """(a, b, u, x, y, v, w, z) of a rational triple U, X, Y: on the variety."""
+    U, X, Y = (sampling.random_rational_unimodular(rnd) for _ in range(3))
+    return tuple(mat2.trace(m) for m in (U @ X @ Y, U @ Y @ X, U, X, Y, U @ X, U @ Y, X @ Y))
+
+
+def _cli(argv) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return f"{' '.join(argv)} exit={code}\n{out.getvalue()}{err.getvalue()}"
+
+
+def _call(f, *args) -> str:
+    """repr of f(*args), or of the exception it raises."""
+    try:
+        out = f(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return f"{f.__name__} {type(exc).__name__}: {exc}"
+    if isinstance(out, np.ndarray):
+        out = out.tolist()
+    elif hasattr(out, "to_json"):
+        out = json.dumps(out.to_json(), sort_keys=True)
+    return f"{f.__name__} {out!r}"
+
+
+def _signature(x, y, z):
+    return hypgeom.form_signature(hypgeom.bilinear_form_from_character(x, y, z))
+
+
+def _witnesses(xi, eta):
+    r = chars.irreducibility_witnesses(xi, eta)
+    values = (r.kappa, r.commutator_trace, r.lie_determinant, r.basis_determinant)
+    return ([mat2.format_complex(complex(v)) for v in values], bool(r.irreducible),
+            bool(r.witnesses_agree()))
+
+
+def _is_valid(c):
+    return bool(c.is_valid())
+
+
+def _near_real(m, im):
+    """m with ``im`` added to the imaginary part of its top-left entry."""
+    return m + np.array([[1j * im, 0], [0, 0]])
+
+
+def _predicate_lines():
+    rnd = random.Random(20090202)
+    triples = list(BOUNDARY_TRIPLES) + [tuple(_q(rnd, -8, 8) for _ in range(3)) for _ in range(16)]
+    points = {
+        "s03": triples, "s11": triples, "c02": triples, "c11": triples,
+        "s04": list(BOUNDARY_S04) + [_s04_point(rnd) for _ in range(10)],
+        "s12": [(2,) * 8, (-3,) * 8] + [_s12_point(rnd) for _ in range(8)],
+    }
+    # shifts of y (s04) and a (s12) by 1e-20 and around the on-variety tolerance
+    shifts = (TINY, *(Fraction(m, 10**k) for k in range(12, 7, -1) for m in (1, 3)))
+    points["s04"] += [p[:5] + (p[5] + e,) + p[6:] for p in points["s04"][6:9] for e in shifts]
+    points["s12"] += [(p[0] + e,) + p[1:] for p in points["s12"][2:5] for e in shifts]
+    lines = []
+    for surface, pts in points.items():
+        for point in pts:
+            coords = "--coords=" + ",".join(map(_text, point))
+            for mode in ("float", "exact"):
+                lines.append(_cli(["fricke", "test", surface, coords, "--mode", mode,
+                                   "--report-only"]))
+    for coords in ("3 4 5", "2 2 2", "0 0 0", "-2 3 1/2", "1e-9 2 2"):
+        lines.append(_cli(["construct", "pair", *coords.split(), "--json"]))
+    for _ in range(6):
+        six = [_text(_q(rnd, -4, 4)) for _ in range(6)]
+        for branch in "+-":
+            lines.append(_cli(["construct", "triple", "--branch", branch, "--json", "--", *six]))
+    lines.append(_cli(["construct", "triple", "2", "2", "3", "2", "3", "3", "--json"]))
+    for fn in (("1", "0"), ("2.5", "-1", "1"), ("0.1", "3", "4"), ("1/3", "1/7", "0")):
+        lines.append(_cli(["fn2trace", *fn, "--json"]))
+    for seed in range(4):
+        lines.append(_cli(["eval-word", "XYxy", "--seed", str(seed), "--json"]))
+        lines.append(_cli(["eval-word", "X1 X2^-1 X3^2", "--rank", "3", "--seed", str(seed),
+                           "--json"]))
+
+    hexagons = [(-2, -2, -2), (-3, -3, -3), (-2, -3, -5), (-2 - 1e-10, -3, -4),
+                (-2 + 1e-10, -3, -4), (-2 + 1e-9, -3, -4), (-2 + 2e-9, -3, -4), (-1.99, -3, -3)]
+    hexagons += [tuple(rnd.uniform(-10, -2.01) for _ in range(3)) for _ in range(8)]
+    for point in hexagons:
+        lines.append(_call(hypgeom.hexagon_certificate, *point))
+    tol = chars.IRREDUCIBILITY_TOL
+    classify = list(BOUNDARY_TRIPLES) + [(2 + tol, 2, 2), (2 + 2 * tol, 2, 2), (1.5, 2, 2.5)]
+    classify += [tuple(rnd.uniform(-4, 4) for _ in range(3)) for _ in range(8)]
+    for point in classify:
+        lines.append(_call(chars.classify_real_character, *point))
+        lines.append(_call(chars.is_irreducible, chars.CharacterF2(*point)))
+        lines.append(_call(_signature, *point))
+    for im in (1e-9, 1e-8, 2e-8, np.nextafter(2e-8, 1), 1e-6):
+        lines.append(_call(_signature, 3 + 1j * im, 3, 3))
+    form = hypgeom.bilinear_form_from_character(3, 1, 1).b.astype(complex)
+    for im in (1e-10, np.nextafter(1e-10, 1)):
+        off = 1j * im * (np.ones((3, 3)) - np.eye(3))
+        lines.append(_call(hypgeom.form_signature, hypgeom.BilinearForm3(form + off)))
+
+    mats = [mat2.I2, -mat2.I2, mat2.mat2(1, 1, 0, 1), mat2.mat2(0, -1, 1, 0),
+            mat2.mat2(2, 1, 1, 1), mat2.mat2(1 + 1e-10, 0, 0, 1 / (1 + 1e-10)),
+            mat2.mat2(1, 2, 3, 4)]
+    mats += [sampling.random_unimodular(rnd) for _ in range(6)]
+    mats += [sampling.random_real_unimodular(rnd) for _ in range(10)]
+    for m in mats:
+        lines.append(_call(hypgeom.classify_isometry, m))
+        lines.append(_call(mat2.involution_of, m))
+        lines.append(_call(mat2.hat, m))
+        lines.append(_call(mat2.glide_reflection_sqrt, m))
+        lines.append(_call(mat2.inverse, m))
+        lines.append(_call(mat2.sign_normalize, m))
+    for first in (-5e-13, -5e-14, 5e-14 + 1e-13j, -2e-13 - 1j):
+        lines.append(_call(mat2.sign_normalize, mat2.mat2(first, 1, -1, 0)))
+    hyperbolic = mat2.mat2(3, 1, 2, 1)
+    for im in (0.0, 5e-10, mat2.TOL_CONJUGACY, np.nextafter(mat2.TOL_CONJUGACY, 1), 1e-6, np.nan):
+        lines.append(_call(mat2.hat, _near_real(hyperbolic, im)))
+        lines.append(_call(mat2.glide_reflection_sqrt, _near_real(hyperbolic, im)))
+    axis = np.array([[1, 0], [0, -1]], dtype=complex)
+    for im in (0.0, 1e-10, np.nextafter(1e-10, 1), np.nan):
+        lines.append(_call(hypgeom.DeSitterVec, _near_real(axis, im)))
+    for a, c in ((1e-10, 1), (np.nextafter(1e-10, 1), 1), (0, 1 - 2**-34), (0, 1 - 2**-33)):
+        lines.append(_call(hypgeom.DeSitterVec, np.array([[a, 1], [c, 0]])))
+    for _ in range(6):
+        xi, eta = sampling.random_unimodular(rnd), sampling.random_unimodular(rnd)
+        lines.append(_call(mat2.conjugating_involution, xi, eta))
+        lines.append(_call(_witnesses, xi, eta))
+        m1, m2, m3 = (sampling.random_unimodular(rnd) for _ in range(3))
+        c = chars.character_of_triple(m1, m2, m3)
+        lines.append(_call(_is_valid, c))
+        for e in (5e-10, 2e-9, 1e-6):
+            lines.append(_call(_is_valid, chars.CharacterF3(*c.as_tuple()[:-1], c.t132 + e)))
+    for e in (3.9e-8, 4.1e-8):  # witnesses_agree allows 1e-8 (1 + |kappa|) = 4e-8
+        report = chars.IrreducibilityReport(3, 3 + e, -1, -1, True)
+        lines.append(_call(chars.IrreducibilityReport.witnesses_agree, report))
+    lines.append(_call(mat2.conjugating_involution, mat2.mat2(2, 1, 0, 0.5),
+                       mat2.mat2(3, 0, 0, 1 / 3)))
+    return lines
+
+
 def test_exact_outputs_match_digest():
     assert _digest(_symbolic_lines(floats=False)) == EXACT_DIGEST
 
@@ -118,3 +323,7 @@ def test_symbolic_outputs_match_digest():
 
 def test_verify_outputs_match_digest():
     assert _digest(_verify_lines()) == VERIFY_DIGEST
+
+
+def test_predicate_outputs_match_digest():
+    assert _digest(_predicate_lines()) == PREDICATE_DIGEST

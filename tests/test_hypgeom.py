@@ -1,4 +1,5 @@
 import random
+import types
 
 import numpy as np
 import pytest
@@ -307,6 +308,49 @@ class TestFormSignature:
             in_cube = max(abs(x), abs(y), abs(z)) < 2
             if k < 2:
                 assert (sig is FormSignature.POSITIVE_DEFINITE) == in_cube
+
+
+class TestRealnessTolerance:
+    """DeSitterVec and form_signature take imaginary parts up to 1e-10 as
+    real, and bilinear_form_from_character up to 1e-8; each bound is
+    included."""
+
+    AXIS = np.array([[1, 0], [0, -1]], dtype=complex)
+
+    @staticmethod
+    def form(im):
+        """The real form of (3, 1, 1) plus ``im`` i off the diagonal."""
+        b = bilinear_form_from_character(3, 1, 1).b
+        # BilinearForm3 refuses a NaN entry, so the matrix goes in bare
+        return types.SimpleNamespace(b=b + 1j * im * (np.ones((3, 3)) - np.eye(3)))
+
+    def test_de_sitter_at_tolerance_accepted(self):
+        a = self.AXIS.copy()
+        a[0, 1] += 1e-10j
+        assert np.array_equal(DeSitterVec(a).m, self.AXIS.real)
+
+    @pytest.mark.parametrize("im", [np.nextafter(1e-10, 1), np.nan])
+    def test_de_sitter_past_tolerance_rejected(self, im):
+        a = self.AXIS.copy()
+        a[0, 1] += 1j * im
+        with pytest.raises(GeometryError, match="must be real"):
+            DeSitterVec(a)
+
+    def test_signature_at_tolerance_accepted(self):
+        assert form_signature(self.form(1e-10)) is form_signature(self.form(0.0))
+
+    @pytest.mark.parametrize("im", [np.nextafter(1e-10, 1), np.nan])
+    def test_signature_past_tolerance_rejected(self, im):
+        with pytest.raises(GeometryError, match="requires a real form"):
+            form_signature(self.form(im))
+
+    def test_form_from_character_kept_real_at_tolerance(self):
+        # the off-diagonal entries are halves of the traces
+        assert bilinear_form_from_character(3 + 2e-8j, 1, 1).b.dtype == float
+        past = bilinear_form_from_character(3 + 2 * np.nextafter(1e-8, 1) * 1j, 1, 1)
+        assert past.b.dtype == complex
+        with pytest.raises(GeometryError, match="requires a real form"):
+            form_signature(past)
 
 
 class TestSym2Intertwining:

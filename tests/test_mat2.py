@@ -358,6 +358,30 @@ class TestGlideReflection:
             glide_reflection_sqrt(I2)
 
 
+class TestRealnessTolerance:
+    """hat and glide_reflection_sqrt take a matrix as real when every
+    imaginary part is at most TOL_CONJUGACY, the bound included."""
+
+    A = mat2.mat2(3, 1, 2, 1)  # trace 4: hyperbolic
+
+    def with_imag(self, im):
+        """A with an imaginary part off the diagonal, so its trace stays real."""
+        a = self.A.copy()
+        a[0, 1] += 1j * im
+        return a
+
+    @pytest.mark.parametrize("f", [hat, glide_reflection_sqrt])
+    def test_imaginary_part_at_tolerance_accepted(self, f):
+        got = f(self.with_imag(mat2.TOL_CONJUGACY))
+        assert np.abs(got - f(self.A)).max() <= 2 * mat2.TOL_CONJUGACY
+
+    @pytest.mark.parametrize("f", [hat, glide_reflection_sqrt])
+    @pytest.mark.parametrize("im", [np.nextafter(mat2.TOL_CONJUGACY, 1), -1e-6, np.nan])
+    def test_imaginary_part_past_tolerance_rejected(self, f, im):
+        with pytest.raises(GeometryError, match="requires a real matrix"):
+            f(self.with_imag(im))
+
+
 class TestJson:
     def test_round_trip(self):
         m = random_unimodular(RND)
