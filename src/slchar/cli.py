@@ -16,6 +16,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -345,6 +346,13 @@ def cmd_verify(args) -> int:
 
 # -- argument parsing ---------------------------------------------------------------
 
+#: argparse reads an argument that starts with "-" as an option unless it
+#: matches its parser's negative-number pattern, which by default takes
+#: "-2" and "-.5" but not "-7/2" or "-1e-3"; every negative number that
+#: ``parse_number`` reads starts with "-" and a digit, ".digit", "inf"
+#: or "nan" (the last two refused as not finite).
+_NEGATIVE_NUMBER = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
+
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
@@ -376,6 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--branch", choices=("+", "-"), default="+")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_construct)
+    p._negative_number_matcher = _NEGATIVE_NUMBER
 
     p = sub.add_parser("fricke", help="Fricke-space membership")
     fsub = p.add_subparsers(dest="fricke_command", required=True)
@@ -396,6 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("b", type=parse_number, nargs="?", default=0.0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_fn2trace)
+    p._negative_number_matcher = _NEGATIVE_NUMBER
 
     p = sub.add_parser("cover", help="covering-space character-ring maps")
     csub = p.add_subparsers(dest="cover_command", required=True)

@@ -190,9 +190,15 @@ def deck_involution_f3(arg):
 def symbolic_check(name: str) -> dict[str, bool]:
     """Verify that a map sends the source ring's defining relations to
     zero (exact polynomial arithmetic), one flag per relation; the deck
-    map also reports whether it squares to the identity on generators."""
+    map also reports whether it squares to the identity on generators.
+    The check runs once per map and process; each call gets a fresh dict."""
     if name not in COVERS:
         raise ValueError(f"unknown map {name!r}")
+    return dict(_symbolic_flags(name))
+
+
+@lru_cache(maxsize=None)
+def _symbolic_flags(name: str) -> dict[str, bool]:
     rm = ring_map(name)
     flags = {rel: rm.apply_poly(p).is_zero() for rel, p in COVERS[name].relations.items()}
     if name == "deck":

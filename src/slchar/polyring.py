@@ -17,8 +17,14 @@ A product whose total degree would not fit its field raises
 OverflowError instead of carrying into the next field; the constructor
 rejects a negative exponent or one whose degree does not fit.  Tuples
 appear only at the boundary: the constructor and ``from_json``,
-``terms()`` (so the text and JSON forms) and ``coefficient``;
-``degree_in``, ``evaluate`` and ``evaluate_exact`` read single fields.
+``terms()`` (so the text and JSON forms), ``coefficient`` and the
+evaluation plan.
+
+Evaluation plan: the first ``evaluate`` or ``evaluate_exact`` of a
+polynomial unpacks its terms once into a plan that it keeps (see
+``Polynomial._evaluation_plan``), so an evaluation computes each power
+of a value once and exact evaluation runs in ints over one common
+denominator.
 
 Normal form: the term dict of every :class:`Polynomial` maps packed
 monomials to nonzero coefficients, with integral Fractions collapsed
@@ -62,6 +68,9 @@ __all__ = [
 WIDTH = (2 * MAX_WORD_LETTERS).bit_length()
 _MASK = (1 << WIDTH) - 1
 
+#: Most tuples a variable set keeps for evaluation plans to share.
+_SHARED_TUPLES = 1 << 12
+
 
 class VariableSet:
     """An ordered set of distinct variable names.
@@ -70,7 +79,7 @@ class VariableSet:
     layout and the graded-lex term order.
     """
 
-    __slots__ = ("names", "_index", "_shifts", "_limit")
+    __slots__ = ("names", "_index", "_shifts", "_limit", "_tuples")
 
     def __init__(self, names: Iterable[str]):
         names = tuple(names)
@@ -80,6 +89,15 @@ class VariableSet:
         self._index = {n: i for i, n in enumerate(names)}
         self._shifts = tuple(WIDTH * i for i in reversed(range(len(names))))
         self._limit = 1 << WIDTH * (len(names) + 1)  # monomials of degree < 2**WIDTH
+        self._tuples: dict[tuple, tuple] = {}  # shared by the evaluation plans
+
+    def _shared(self, t: tuple) -> tuple:
+        """An equal tuple, the same object for the evaluation plans built
+        since the table last started over (at ``_SHARED_TUPLES`` entries, so
+        that it holds no memory for long for polynomials that are gone)."""
+        if len(self._tuples) >= _SHARED_TUPLES:
+            self._tuples.clear()
+        return self._tuples.setdefault(t, t)
 
     def _pack(self, exp) -> int:
         """The packed monomial of an exponent vector, checked."""
@@ -185,7 +203,7 @@ def _pow_terms(terms: Mapping, n: int, limit: int, squares: list | None = None) 
 class Polynomial:
     """Immutable exact polynomial over a fixed :class:`VariableSet`."""
 
-    __slots__ = ("variables", "_terms")
+    __slots__ = ("variables", "_terms", "_plan")
 
     def __init__(self, variables: VariableSet, terms: Mapping[tuple, object] | None = None):
         self.variables = variables
@@ -198,6 +216,7 @@ class Polynomial:
                 if c:
                     clean[key] = c
         self._terms = clean
+        self._plan = None
 
     # -- constructors ------------------------------------------------------
 
@@ -207,6 +226,7 @@ class Polynomial:
         p = object.__new__(cls)
         p.variables = variables
         p._terms = terms
+        p._plan = None
         return p
 
     @classmethod
@@ -313,47 +333,79 @@ class Polynomial:
 
     # -- evaluation and substitution -----------------------------------------
 
-    def evaluate(self, assignment: Mapping[str, complex]) -> complex:
-        """Evaluate at a complex point, summing in canonical term order.
-        Every variable must be bound."""
-        vals = []
+    def _evaluation_plan(self) -> tuple:
+        """``(pairs, coeffs, slots)``, built on the first call.  ``pairs``
+        lists ``(i, k, top - k)`` for each occurring variable i, in declared
+        order, and each exponent k that it takes in some term, k = 0
+        included, top being its degree.  Per term, in canonical order: the
+        coefficient, and the indices into ``pairs`` of its nonzero exponents
+        in declared order followed by those of the zero exponents of the
+        occurring variables it lacks.  Tuples are shared through the
+        variable set, since many terms and polynomials repeat them."""
+        if self._plan is None:
+            keys = sorted(self._terms, reverse=True)
+            rows = [self.variables._unpack(e) for e in keys]
+            share = self.variables._shared
+            occurring = [i for i, col in enumerate(zip(*rows)) if any(col)]
+            pairs, slot = [], {}
+            for i in occurring:
+                top = max(r[i] for r in rows)
+                for k in sorted({0, *(r[i] for r in rows)}):
+                    slot[i, k] = len(pairs)
+                    pairs.append(share((i, k, top - k)))
+            slots = (share((*(slot[i, r[i]] for i in occurring if r[i]),
+                            *(slot[i, 0] for i in occurring if not r[i]))) for r in rows)
+            self._plan = (share(tuple(pairs)), tuple(map(self._terms.__getitem__, keys)),
+                          tuple(slots))
+        return self._plan
+
+    def _check_bound(self, assignment: Mapping) -> None:
         for name in self.variables:
             if name not in assignment:
                 raise KeyError(f"variable {name!r} not bound in assignment")
-            vals.append(complex(assignment[name]))
-        terms, shifts = self._terms, self.variables._shifts
+
+    def evaluate(self, assignment: Mapping[str, complex]) -> complex:
+        """Evaluate at a complex point, summing in canonical term order.
+        Every variable must be bound."""
+        self._check_bound(assignment)
+        pairs, coeffs, slots = self._plan or self._evaluation_plan()
+        names = self.variables.names
+        # v**k even for k = 1: it can flip the sign of a zero, or overflow
+        powers = [complex(assignment[names[i]]) ** k if k else None for i, k, _ in pairs]
         total = 0j
-        for e in sorted(terms, reverse=True):
-            term = complex(terms[e])
-            for v, s in zip(vals, shifts):
-                k = e >> s & _MASK
-                if k:
-                    term *= v**k
+        for c, term_slots in zip(coeffs, slots):
+            term = complex(c)
+            for s in term_slots:
+                p = powers[s]
+                if p is None:  # the zero exponents come last
+                    break
+                term *= p
             total += term
         return total
 
     def evaluate_exact(self, assignment: Mapping[str, Rational]) -> Fraction:
-        """Evaluate at a rational point exactly: with each value n_i/d_i and
-        top_i its variable's degree, sum c * prod n_i^k d_i^(top_i - k) over
-        the terms (in ints if the coefficients are), each power computed
-        once, then divide by prod d_i^top_i once."""
-        terms, fields = self._terms, []
-        for name, s in zip(self.variables, self.variables._shifts):
-            if name not in assignment:
-                raise KeyError(f"variable {name!r} not bound in assignment")
-            v, top = Fraction(assignment[name]), max((e >> s & _MASK for e in terms), default=0)
-            if top:  # the variable occurs
-                fields.append((s, v, top))
-        powers, total = {}, 0
-        for e, c in terms.items():
-            for s, v, top in fields:
-                k = e >> s & _MASK
-                p = powers.get((s, k))
-                if p is None:
-                    p = powers[s, k] = v.numerator**k * v.denominator ** (top - k)
-                c *= p
+        """Evaluate at a rational point exactly (see ``_evaluate_fraction``).
+        Every variable must be bound."""
+        self._check_bound(assignment)
+        vals = [Fraction(assignment[name]) for name in self.variables]
+        return self._evaluate_fraction([v.numerator for v in vals],
+                                       [v.denominator for v in vals])
+
+    def _evaluate_fraction(self, nums, dens) -> Fraction:
+        """The exact value where variable i is nums[i]/dens[i] (ints, each
+        dens[i] > 0, not necessarily in lowest terms): with top_i the degree
+        of an occurring variable, sum c * prod n_i^k d_i^(top_i - k) over the
+        terms (k = 0 where a term lacks the variable), in ints if the
+        coefficients are, each power computed once, then divide by
+        prod d_i^top_i once."""
+        pairs, coeffs, slots = self._plan or self._evaluation_plan()
+        powers = [nums[i] ** k * dens[i] ** r for i, k, r in pairs]
+        total = 0
+        for c, term_slots in zip(coeffs, slots):
+            for s in term_slots:
+                c *= powers[s]
             total += c
-        return Fraction(total, math.prod(v.denominator**top for _, v, top in fields))
+        return Fraction(total, math.prod(p for (_, k, _), p in zip(pairs, powers) if not k))
 
     def substitute(
         self,

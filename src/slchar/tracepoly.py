@@ -236,17 +236,19 @@ def quadruple_trace_check(assignment):
     """|2 tr(m1 m2 m3 m4) - f(traces)|, f being the engine's polynomial for
     2 tr(X1 X2 X3 X4); exact (a Fraction) when the matrices are exact.
     Each term is linear in each m_i, so exact matrices are checked on their
-    integer numerators N_i = d_i m_i and the residual divided once by the
-    product of the d_i."""
+    integer numerators N_i = d_i m_i, whose traces the polynomial takes as
+    they are, and the residual divided once by the product of the d_i."""
     ms = list(assignment)
     if len(ms) != 4:
         raise ValueError("quadruple_trace_check needs exactly four matrices")
     words = COORDINATES[F4_VARS]
     traces, ds = _numerator_traces(ms, (*words.values(), (1, 2, 3, 4)))
-    point = {name: traces[word] for name, word in words.items()}
     if ds is None:
-        return abs(2 * traces[1, 2, 3, 4] - _quadruple_poly().evaluate(point))
-    return abs(2 * traces[1, 2, 3, 4] - _quadruple_poly().evaluate_exact(point)) / math.prod(ds)
+        value = _quadruple_poly().evaluate({name: traces[word] for name, word in words.items()})
+        return abs(2 * traces[1, 2, 3, 4] - value)
+    value = _quadruple_poly()._evaluate_fraction([traces[words[n]] for n in F4_VARS],
+                                                 [1] * len(F4_VARS))
+    return abs(2 * traces[1, 2, 3, 4] - value) / math.prod(ds)
 
 
 def generator_count(n: int) -> int:
@@ -294,11 +296,16 @@ def coordinate_traces(variables: VariableSet, mats) -> dict:
 def evaluate_at_character(p: Polynomial, mats):
     """Evaluate a trace polynomial at the character of a matrix tuple:
     a complex number, or an exact Fraction when the matrices are exact
-    (object arrays of Fractions, see :mod:`slchar.mat2`)."""
+    (object arrays of Fractions, see :mod:`slchar.mat2`).  Exact matrices
+    go in as integer numerators N_i = d_i m_i: each coordinate x_I is
+    tr N_I over the product of the d_i for i in I, which the polynomial's
+    exact evaluation takes without building a Fraction per coordinate."""
     mats = list(mats)
     if _VARSETS.get(len(mats)) != p.variables:
         raise ValueError(f"cannot evaluate over {p.variables.names} at {len(mats)} matrices")
-    assignment = coordinate_traces(p.variables, mats)
-    if all(mat2.is_exact(m) for m in mats):
-        return p.evaluate_exact(assignment)
-    return p.evaluate(assignment)
+    words = COORDINATES[p.variables]
+    traces, ds = _numerator_traces(mats, words.values())
+    if ds is None:
+        return p.evaluate({name: traces[word] for name, word in words.items()})
+    return p._evaluate_fraction([traces[words[n]] for n in p.variables],
+                                [math.prod(ds[i - 1] for i in words[n]) for n in p.variables])

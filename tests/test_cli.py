@@ -156,6 +156,32 @@ class TestFricke:
         assert json.loads(out)["member"] is True
 
 
+class TestNegativePositionals:
+    """Numbers that argparse would read as options: the same output as
+    after ``--``."""
+
+    @pytest.mark.parametrize("head, numbers, options", [
+        (("construct", "triple"), ("-7/2", "1", "1", "1", "1", "1"), ()),
+        (("construct", "pair"), ("-1/2", "3", "3"), ()),
+        (("construct", "pair"), ("-1e-3", "-3", "-2.5E0"), ("--json",)),
+        (("construct", "triple"), ("-.5", "2", "-7/3", "2", "2", "-1_0"), ("--branch", "-")),
+        (("fn2trace",), ("1", "-1e-3"), ()),
+        (("fn2trace",), ("2", "-1/3", "4e-1"), ("--json",)),
+    ])
+    def test_same_as_after_double_dash(self, capsys, head, numbers, options):
+        plain = run(capsys, *head, *numbers, *options)
+        dashed = run(capsys, *head, *options, "--", *numbers)
+        assert plain == dashed and plain[0] == 0
+
+    @pytest.mark.parametrize("argv", [("construct", "pair", "--bogus", "3", "3"),
+                                      ("fn2trace", "1", "2", "--bogus")])
+    def test_unknown_option_still_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "--bogus" in capsys.readouterr().err
+
+
 class TestFn2Trace:
     def test_json(self, capsys):
         code, out, _ = run(capsys, "fn2trace", "2.0", "0.0", "0.0", "--json")
@@ -366,6 +392,7 @@ class TestNoTraceback:
         ("fricke", "test", "s04", "--coords=1e400,2,2,2,-3,2,7"),
         ("fricke", "test", "s04", "--coords=1e400,2,2,2,-3,2,7", "--mode", "exact"),
         ("cover", "map", "embed", "--eval", "x1=nan,x2=2,x12=2"),
+        ("construct", "pair", "-inf", "2", "3"),
     ])
     def test_non_finite_numbers(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -377,6 +404,13 @@ class TestNoTraceback:
             main(["fn2trace", "nan", "1"])
         assert exc.value.code == 2
         assert "invalid parse_number value: 'nan'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["-inf", "-NaN"])
+    def test_negative_non_finite_is_refused_as_a_number(self, capsys, text):
+        with pytest.raises(SystemExit) as exc:
+            main(["fn2trace", "1", text])
+        assert exc.value.code == 2
+        assert f"invalid parse_number value: '{text}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind, values, need", [
         ("pair", ("1", "2"), 3), ("pair", ("1", "2", "3", "4"), 3),

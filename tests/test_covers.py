@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from slchar import mat2
+from slchar import covers, mat2
 from slchar.chars import character_of_triple
 from slchar.covers import (
     cover_c02_to_s04,
@@ -46,6 +46,14 @@ class TestSymbolicChecks:
     def test_deck(self):
         result = symbolic_check("deck")
         assert result["phi_in_ideal"] and result["involution_on_generators"]
+
+    def test_checked_once_and_a_fresh_dict_each_call(self, monkeypatch):
+        first = symbolic_check("deck")
+        first["phi_in_ideal"] = False
+        # a cached result: no substitution runs again
+        monkeypatch.setattr(covers, "ring_map", None)
+        again = symbolic_check("deck")
+        assert again is not first and again["phi_in_ideal"] is True
 
     def test_direct_substitution(self):
         rm = cover_c02_to_s04()

@@ -26,6 +26,14 @@ was recorded while those tolerances were still per-call parameters, and
 fixing them moved nothing.  ROADMAP item 3 (exact verdicts from one
 sign primitive) re-records it on purpose, because float verdicts within
 rounding of a boundary may change; print ``_digest(_predicate_lines())``.
+
+``EVAL_DIGEST`` pins polynomial evaluation itself: ``repr`` of
+``evaluate`` at seeded complex points whose coordinates include 0, -0.0,
+-0.0 - 1j and negative reals (so signed zeros count), ``evaluate_exact``
+at rational points, ``evaluate_at_character`` at float and exact
+matrices of ranks 1-3 (the empty word included), and
+``quadruple_trace_check`` in both modes.  It was recorded before the
+evaluation plan cached on each polynomial; print ``_digest(_eval_lines())``.
 """
 
 import contextlib
@@ -37,14 +45,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from slchar import chars, cli, hypgeom, mat2, sampling
+from slchar import chars, cli, hypgeom, mat2, sampling, tracepoly
 from slchar.covers import (
     cover_c02_to_s04,
     cover_c11_to_s12,
     deck_ring_map,
     embed_r2_in_r3,
 )
-from slchar.polyring import Polynomial
+from slchar.polyring import PHI, PRODUCT_RELATION, SUM_RELATION, Polynomial
 from slchar.tracepoly import trace_poly
 from slchar.words import Word
 
@@ -52,6 +60,7 @@ EXACT_DIGEST = "624d279a57ec01a51983e3a959ba81f8aad039a844605204c3c7beeea153b3eb
 SYMBOLIC_DIGEST = "eabbaf72485625ee4c876305d9378c6402533fb4cd4281a5314dfd65666cb755"
 VERIFY_DIGEST = "fd56e039333c826b711b4f7045d365b4cddfb5c0b13cd86b5bfd2ee010daac29"
 PREDICATE_DIGEST = "6a799ca8573bd60b8e25cae7c2a3b076f0e0c5b0a827f17515a7fd3dccfcfb98"
+EVAL_DIGEST = "da524158eabb286595050303ec49f4519b32dc7db4193bf59f8eda97a949fee2"
 
 SUITES = ("identities", "oracle", "fricke", "covers", "coxeter")
 
@@ -313,6 +322,55 @@ def _predicate_lines():
     return lines
 
 
+#: Coordinates with signed zeros and negative parts.
+SPECIAL_VALUES = (0, 0.0, -0.0, complex(-0.0, -1.0), complex(0.0, -0.0), -1.5, -2, -0.25j, 1)
+
+
+def _eval_lines():
+    rnd = random.Random(20090303)
+
+    def value():
+        if rnd.random() < 0.4:
+            return rnd.choice(SPECIAL_VALUES)
+        return complex(rnd.uniform(-3, 3), rnd.uniform(-3, 3))
+
+    polys = [trace_poly(sampling.random_reduced_word(rnd, rank, length))
+             for rank, length, count in ((1, 8, 4), (2, 14, 16), (3, 9, 16))
+             for _ in range(count)]
+    maps = (deck_ring_map(), embed_r2_in_r3(), cover_c02_to_s04(), cover_c11_to_s12())
+    polys += [rm.apply_poly(_random_poly(rnd, rm.source, nterms=4, maxdeg=3))
+              for rm in maps for _ in range(4)]
+    polys += [PHI, SUM_RELATION, PRODUCT_RELATION]
+    lines = []
+    for p in polys:
+        lines.append(p.to_text())
+        for _ in range(4):
+            lines.append(repr(p.evaluate({n: value() for n in p.variables})))
+        lines.append(repr(p.evaluate({n: SPECIAL_VALUES[i % 4 + 2]
+                                      for i, n in enumerate(p.variables)})))
+        for _ in range(2):
+            point = {n: _q(rnd, -3, 3, den=5) for n in p.variables}
+            lines.append(repr(p.evaluate_exact(point)))
+        for bad in (complex("inf"), complex("nan"), complex(1e200, -1e200)):
+            point = {n: bad if i == len(p.variables) - 1 else value()
+                     for i, n in enumerate(p.variables)}
+            lines.append(_call(p.evaluate, point))
+    for rank, count in ((1, 6), (2, 12), (3, 12)):
+        for _ in range(count):
+            w = sampling.random_reduced_word(rnd, rank, 10)
+            p = trace_poly(w)
+            floats = [sampling.random_unimodular(rnd) for _ in range(rank)]
+            exact = [sampling.random_rational_unimodular(rnd) for _ in range(rank)]
+            lines.append(f"{w.letters} {tracepoly.evaluate_at_character(p, floats)!r} "
+                         f"{tracepoly.evaluate_at_character(p, exact)!r}")
+    for _ in range(12):
+        floats = [sampling.random_unimodular(rnd) for _ in range(4)]
+        exact = [sampling.random_rational_unimodular(rnd) for _ in range(4)]
+        lines.append(f"{tracepoly.quadruple_trace_check(floats)!r} "
+                     f"{tracepoly.quadruple_trace_check(exact)!r}")
+    return lines
+
+
 def test_exact_outputs_match_digest():
     assert _digest(_symbolic_lines(floats=False)) == EXACT_DIGEST
 
@@ -327,3 +385,7 @@ def test_verify_outputs_match_digest():
 
 def test_predicate_outputs_match_digest():
     assert _digest(_predicate_lines()) == PREDICATE_DIGEST
+
+
+def test_eval_outputs_match_digest():
+    assert _digest(_eval_lines()) == EVAL_DIGEST

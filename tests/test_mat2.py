@@ -24,6 +24,7 @@ from slchar.mat2 import (
 )
 from slchar.sampling import (
     exact_evaluate_word,
+    exact_trace,
     random_rational_unimodular,
     random_real_unimodular,
     random_reduced_word,
@@ -130,6 +131,14 @@ class TestExactMatrices:
         tuples = [as_tuple(random_rational_unimodular(RND)) for _ in range(3)]
         out = exact_evaluate_word(w, tuples)
         assert as_tuple(out) == word_product(w, tuples)
+
+    def test_exact_trace_of_array_and_tuples(self):
+        for _ in range(10):
+            m = random_rational_unimodular(RND)
+            t = exact_trace(m)
+            assert type(t) is Fraction and t == m[0, 0] + m[1, 1] == mat2.trace(m)
+            assert exact_trace(as_tuple(m)) == t
+        assert exact_trace(((Fraction(1, 2), 5), (7, Fraction(-3, 4)))) == Fraction(-1, 4)
 
     def test_rational_draw_keeps_its_stream(self):
         # the draw as first written: three Fraction(randint, randint), then

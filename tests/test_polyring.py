@@ -15,6 +15,7 @@ from slchar.polyring import (
     S12_VARS,
     SUM_RELATION,
     WIDTH,
+    _SHARED_TUPLES,
     Polynomial,
     VariableSet,
     reduce_mod_phi,
@@ -76,8 +77,13 @@ class TestArithmetic:
             V("x") + V("x1", F3_VARS)
 
     def test_unbound_variable(self):
-        with pytest.raises(KeyError):
-            V("x").evaluate({"y": 1, "z": 1})
+        # a declared variable that does not occur must be bound too
+        p = V("x") * V("y") - 2
+        for point in ({"y": 1, "z": 1}, {"x": 1, "y": 2}):
+            missing = ({"x", "y", "z"} - set(point)).pop()
+            for evaluate in (V("x").evaluate, p.evaluate, p.evaluate_exact):
+                with pytest.raises(KeyError, match=f"variable '{missing}' not bound in assignment"):
+                    evaluate(point)
 
 
 class TestEvaluation:
@@ -249,6 +255,37 @@ def naive_evaluate_exact(p, point):
     return total
 
 
+def reference_evaluate(p, point):
+    """``evaluate`` as first written: per term in canonical order, complex(c)
+    times v**k for each nonzero exponent in declared variable order, summed
+    from 0j."""
+    vals = [complex(point[n]) for n in p.variables]
+    total = 0j
+    for e, c in p.terms():
+        term = complex(c)
+        for v, k in zip(vals, e):
+            if k:
+                term *= v**k
+        total += term
+    return total
+
+
+def same_complex(a, b):
+    """Equal part by part, NaN to NaN, with the signs of zeros."""
+    return all((x == y or math.isnan(x) and math.isnan(y))
+               and math.copysign(1, x) == math.copysign(1, y)
+               for x, y in ((a.real, b.real), (a.imag, b.imag)))
+
+
+#: Complex values: signed zeros, negative reals, values whose powers
+#: overflow, and non-finite ones.
+COMPLEX_VALUES = st.one_of(
+    st.sampled_from((0, 0.0, -0.0, complex(-0.0, -1.0), complex(0.0, -0.0), complex(-0.0, 0.0),
+                     -1.5, -2, 1e200, complex(1e-200, -1e200), complex("inf"),
+                     complex("nan"), complex(float("inf"), float("inf")))),
+    st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False),
+)
+
 #: Rational values: zero and negative ints, Fractions with denominators up to 10**9.
 VALUES = st.one_of(st.integers(-3, 3),
                    st.fractions(min_value=-20, max_value=20, max_denominator=10**9))
@@ -335,6 +372,44 @@ class TestNormalForm:
         assert p.evaluate_exact(point) == naive_evaluate_exact(p, point)
         assert Polynomial.zero(F2_VARS).evaluate_exact(point) == 0
         assert Polynomial.constant(F2_VARS, Fraction(3, 4)).evaluate_exact(point) == Fraction(3, 4)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from((F2_VARS, F3_VARS, S12_VARS)), st.data())
+    def test_evaluate_exact_with_missing_variables(self, vars_, data):
+        # every denominator above one, so a term that lacks a variable must
+        # still carry that variable's d^top
+        p = data.draw(polys(vars_, max_terms=6, max_deg=4)) + data.draw(COEFFS)
+        point = {n: data.draw(VALUES.map(lambda v: v + Fraction(1, 2)
+                                         if Fraction(v).denominator == 1 else v))
+                 for n in vars_}
+        assert p.evaluate_exact(point) == naive_evaluate_exact(p, point)
+        # unreduced numerators and denominators give the same value
+        g = data.draw(st.integers(2, 9))
+        nums = [Fraction(point[n]).numerator * g for n in vars_]
+        dens = [Fraction(point[n]).denominator * g for n in vars_]
+        assert p._evaluate_fraction(nums, dens) == naive_evaluate_exact(p, point)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from((F2_VARS, F3_VARS, S12_VARS)), st.data())
+    def test_evaluate_matches_reference_bit_for_bit(self, vars_, data):
+        p = data.draw(polys(vars_, max_terms=8, max_deg=4))
+        point = {n: data.draw(COMPLEX_VALUES) for n in vars_}
+        try:
+            want = reference_evaluate(p, point)
+        except OverflowError as exc:
+            with pytest.raises(OverflowError, match=str(exc)):
+                p.evaluate(point)
+            return
+        for _ in range(2):  # building the plan, then reading it
+            got = p.evaluate(point)
+            assert type(got) is complex and same_complex(got, want), (got, want)
+
+    def test_shared_tuples_bounded(self):
+        vars_ = VariableSet(("a", "b"))
+        for n in range(_SHARED_TUPLES + 10):
+            p = Polynomial(vars_, {(n + 1, 1): 1, (0, 0): 2})
+            assert p.evaluate({"a": 1, "b": 2}) == 4
+            assert len(vars_._tuples) <= _SHARED_TUPLES
 
     def test_largest_product_that_fits(self):
         top = (1 << WIDTH) - 1  # the largest degree a field holds

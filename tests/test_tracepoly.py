@@ -414,6 +414,17 @@ class TestExactIntegerCore:
         for w in words:
             assert numeric[w] == mat2.trace(product_of(floats, w))
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.data())
+    def test_exact_character_matches_matrix_trace(self, rank, data):
+        alphabet = [g for i in range(1, rank + 1) for g in (i, -i)]
+        w = Word(rank, tuple(data.draw(st.lists(st.sampled_from(alphabet), max_size=9))))
+        ms = [exact(m) for m in data.draw(st.lists(SL2, min_size=rank, max_size=rank))]
+        for word in (w, Word(rank, ())):
+            got = evaluate_at_character(trace_poly(word), ms)
+            assert type(got) is Fraction
+            assert got == mat2.trace(mat2.evaluate_word(word, ms)), word
+
     def test_evaluate_at_character_mixed_entries(self):
         mats = [((Fraction(1, 2), 3), (Fraction(-1, 7), Fraction(8, 7))),
                 ((2, 1), (1, 1)), ((1, Fraction(2, 9)), (0, 1))]
