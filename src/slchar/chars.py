@@ -111,7 +111,7 @@ def character_of_triple(m1, m2, m3) -> CharacterF3:
 def is_irreducible(c: CharacterF2) -> bool:
     """kappa(x, y, z) != 2: exact for rational input, within
     ``IRREDUCIBILITY_TOL`` for float or complex input."""
-    k = c.kappa()
+    k = kappa_value(*c.as_tuple())
     if isinstance(k, Rational):
         return k != 2
     return abs(k - 2) > IRREDUCIBILITY_TOL
@@ -158,7 +158,7 @@ def irreducibility_witnesses(xi: np.ndarray, eta: np.ndarray) -> IrreducibilityR
         commutator_trace=comm,
         lie_determinant=dlie,
         basis_determinant=bdet,
-        irreducible=abs(k - 2) > IRREDUCIBILITY_TOL,
+        irreducible=is_irreducible(c),
     )
     if not report.witnesses_agree():
         raise AssertionError(f"irreducibility witnesses disagree: {report}")
@@ -259,8 +259,7 @@ def construct_triple(t1, t2, t3, t12, t23, t13, branch: str = "+"):
         raise ValueError(f"branch must be '+' or '-', got {branch!r}")
     t1, t2, t3 = complex(t1), complex(t2), complex(t3)
     t12, t23, t13 = complex(t12), complex(t23), complex(t13)
-    k = kappa_value(t1, t2, t12)
-    if abs(k - 2) > IRREDUCIBILITY_TOL:
+    if is_irreducible(CharacterF2(t1, t2, t12)):
         xi1, xi2 = normal_form_pair(t1, t2, t12)
         # affine system: tr(w) = t3, tr(xi2 w) = t23, tr(xi1 w) = t13
         rows = []

@@ -304,7 +304,7 @@ def member_s04(ch: CharacterS04) -> S04Result:
         if s_plus * s_minus >= 0:  # |F~+| >= |F~-|
             f_minus = product / f_plus if f_plus else f_minus
         else:
-            f_plus = product / f_minus
+            f_plus = product / f_minus if f_minus else f_plus
     else:
         off = res_f > ONVARIETY_TOL
         component = f_plus > 0 and f_minus > 0

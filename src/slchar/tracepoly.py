@@ -27,11 +27,14 @@ contains x123, so a rank-3 result already has degree at most one in it.
 From rank 4 on, the rules also give increasing products X_s of four
 letters, which the table keeps as formal keys while it is built.  The
 standard polynomial s_4 vanishes on 2x2 matrices (Amitsur-Levitzki
-1950), and each of its 24 signed products is X_s plus shorter ones, so
-s_4(X_s) = 24 X_s + rest = 0 is substituted into every entry holding
-X_s; ranks 1-3 have no such keys.  Rank 4 serves the quadruple-trace
-identity only: its coordinates satisfy relations, so its polynomials
-are not canonical, and ``trace_poly`` refuses rank-4 words.
+1950), and each of its 24 signed products, pushed depth first through
+the right multiplication that traces words so that they share their
+prefixes, is X_s plus shorter ones; so s_4(X_s) = 24 X_s + rest = 0 is
+substituted into every entry holding X_s (ranks 1-3 have no such keys).
+Rank 4 serves the quadruple-trace identity only: its coordinates
+satisfy relations, so its polynomials are not canonical (a normal form
+modulo them, Drensky 2003, Algebr. Represent. Theory 6, is out of
+scope), and ``trace_poly`` refuses rank-4 words.
 
 ``COORDINATES`` names each coordinate by the increasing product whose
 trace it is (x_I = tr X_I); the engine's basis and ``coordinate_traces``
@@ -99,11 +102,22 @@ def _var(rank: int, key: tuple[int, ...]) -> Polynomial:
     return Polynomial.variable(_VARSETS[rank], _GEN_NAMES[rank][key])
 
 
-def _add_elements(*elements: dict) -> dict:
+def _combine(*pairs) -> dict:
+    """Sum of c * element over ``(c, element)`` pairs, c a coefficient term
+    dict; a cancelled coefficient stays as an empty dict."""
     out: dict = {}
-    for el in elements:
-        for b, c in el.items():
-            out[b] = out[b] + c if b in out else c
+    for c, element in pairs:
+        for b, c2 in element.items():
+            _addmul_into(out.setdefault(b, {}), c, c2)
+    return out
+
+
+def _times_letter(table: dict, element: dict, g: int) -> dict:
+    """``element`` times the letter g: the engine's one such product."""
+    out: dict = {}
+    for b, c in element.items():
+        for b2, c2 in table[b, g].items():
+            _addmul_into(out.setdefault(b2, {}), c, c2)
     return out
 
 
@@ -111,47 +125,41 @@ def _add_elements(*elements: dict) -> dict:
 def _table(rank: int) -> dict:
     """Right multiplication of each basis element by each letter:
     ``{(basis, letter): {basis: coefficient term dict}}``."""
-    one = Polynomial.constant(_VARSETS[rank], 1)
-
     def x(*idx):
-        return _var(rank, idx)
+        return _var(rank, idx)._terms
 
     table: dict = {}
     for b in sorted(((),) + tuple(_GEN_NAMES[rank]), key=len):
         for g in range(1, rank + 1):
             if not b or b[-1] < g:  # increasing; four letters stay a formal key
-                el = {b + (g,): one}
+                el = {b + (g,): {0: 1}}
             elif b[-1] == g:  # X_g X_g = x_g X_g - 1
-                el = {b: x(g), b[:-1]: -one}
+                el = {b: x(g), b[:-1]: {0: -1}}
             else:  # X_j X_g = -X_g X_j + x_g X_j + x_j X_g + (x_gj - x_g x_j)
                 h, j = b[:-1], b[-1]
                 hg = table[h, g]  # every basis in it is below j
-                el = _add_elements(
-                    {hb + (j,): -c for hb, c in hg.items()},
-                    {b: x(g)},
-                    {hb: x(j) * c for hb, c in hg.items()},
-                    {h: x(g, j) - x(g) * x(j)},
-                )
+                k = _var(rank, (g, j)) - _var(rank, (g,)) * _var(rank, (j,))
+                el = _combine(({0: -1}, {hb + (j,): c for hb, c in hg.items()}),
+                              (x(g), {b: {0: 1}}), (x(j), hg), (k._terms, {h: {0: 1}}))
             table[b, g] = el
-            # X_g^-1 = x_g - X_g
-            table[b, -g] = _add_elements({b: x(g)}, {hb: -c for hb, c in el.items()})
+            table[b, -g] = _combine((x(g), {b: {0: 1}}), ({0: -1}, el))  # X_g^-1 = x_g - X_g
+
+    def signed_products(el, rest, sign):  # depth first: the products share prefixes
+        if not rest:
+            yield {0: sign}, el
+        for i, g in enumerate(rest):  # g goes before i smaller letters
+            yield from signed_products(_times_letter(table, el, g), rest[:i] + rest[i + 1:],
+                                       -sign if i % 2 else sign)
+
     for s in itertools.combinations(range(1, rank + 1), 4):
-        # s_4(X_s) = 0, and each signed product of the letters of s is X_s
-        # plus shorter products
-        s4: dict = {}
-        for p in itertools.permutations(s):
-            el = {(): one}
-            for g in p:
-                el = _add_elements(*({b2: c * c2 for b2, c2 in table[b, g].items()}
-                                     for b, c in el.items()))
-            odd = sum(a > b for a, b in itertools.combinations(p, 2)) % 2
-            s4 = _add_elements(s4, {b: -c for b, c in el.items()} if odd else el)
-        assert s4.pop(s) == one.scale(24), s
+        # s_4(X_s) = 0, each signed product being X_s plus shorter products
+        s4 = _combine(*signed_products({(): {0: 1}}, s, 1))
+        assert s4.pop(s) == {0: 24}, s
         for key, el in table.items():
             if s in el:
-                c = el.pop(s).scale(Fraction(-1, 24))
-                table[key] = _add_elements(el, {b: c * r for b, r in s4.items()})
-    return {k: {b: c._terms for b, c in el.items() if c} for k, el in table.items()}
+                c = _addmul_into({}, el.pop(s), {0: Fraction(-1, 24)})
+                table[key] = _combine(({0: 1}, el), (c, s4))
+    return {k: {b: c for b, c in el.items() if c} for k, el in table.items()}
 
 
 @functools.lru_cache(maxsize=None)
@@ -164,11 +172,7 @@ def _trace(rank: int, letters: tuple[int, ...]) -> Polynomial:
     table = _table(rank)
     element = {(): {0: 1}}
     for g in letters:
-        out: dict = {}
-        for b, c in element.items():
-            for b2, c2 in table[b, g].items():
-                _addmul_into(out.setdefault(b2, {}), c, c2)
-        element = out
+        element = _times_letter(table, element, g)
     terms: dict = {}
     for b, c in element.items():  # tr 1 = 2, tr X_b = x_b
         _addmul_into(terms, c, _var(rank, b)._terms if b else {0: 2})
@@ -241,14 +245,11 @@ def quadruple_trace_check(assignment):
     ms = list(assignment)
     if len(ms) != 4:
         raise ValueError("quadruple_trace_check needs exactly four matrices")
-    words = COORDINATES[F4_VARS]
-    traces, ds = _numerator_traces(ms, (*words.values(), (1, 2, 3, 4)))
-    if ds is None:
-        value = _quadruple_poly().evaluate({name: traces[word] for name, word in words.items()})
-        return abs(2 * traces[1, 2, 3, 4] - value)
-    value = _quadruple_poly()._evaluate_fraction([traces[words[n]] for n in F4_VARS],
-                                                 [1] * len(F4_VARS))
-    return abs(2 * traces[1, 2, 3, 4] - value) / math.prod(ds)
+    traces, dens = _character(F4_VARS, ms, (1, 2, 3, 4))
+    top = 2 * traces.pop()
+    if dens is None:
+        return abs(top - _quadruple_poly().evaluate(dict(zip(F4_VARS, traces))))
+    return abs(top - _quadruple_poly()._evaluate_fraction(traces, [1] * len(traces))) / dens[-1]
 
 
 def generator_count(n: int) -> int:
@@ -277,35 +278,33 @@ def _numerator_traces(mats, words) -> tuple[dict, tuple | None]:
     return traces, ds
 
 
-def _product_traces(mats, words) -> dict:
-    """tr X_I for each index tuple I in ``words`` (see
-    :func:`_numerator_traces`); Fractions when the matrices are exact."""
+def _character(variables: VariableSet, mats, *extra) -> tuple[list, list | None]:
+    """tr X_I for each coordinate x_I of ``variables`` in declared order,
+    then for each I in ``extra``, and None; for exact matrices, tr N_I
+    (:func:`_numerator_traces`) and each one's denominator, the product of
+    the d_i for i in I.  Evaluation at a character splits here only."""
+    words = [COORDINATES[variables][name] for name in variables] + list(extra)
     traces, ds = _numerator_traces(mats, words)
-    if ds is None:
-        return traces
-    return {word: Fraction(t, math.prod(ds[i - 1] for i in word)) for word, t in traces.items()}
+    dens = None if ds is None else [math.prod(ds[i - 1] for i in w) for w in words]
+    return [traces[w] for w in words], dens
 
 
 def coordinate_traces(variables: VariableSet, mats) -> dict:
     """Each coordinate x_I of ``variables`` as tr X_I at a matrix tuple;
     Fractions when the matrices are exact."""
-    traces = _product_traces(mats, COORDINATES[variables].values())
-    return {name: traces[word] for name, word in COORDINATES[variables].items()}
+    traces, dens = _character(variables, mats)
+    return dict(zip(variables, traces if dens is None else map(Fraction, traces, dens)))
 
 
 def evaluate_at_character(p: Polynomial, mats):
     """Evaluate a trace polynomial at the character of a matrix tuple:
     a complex number, or an exact Fraction when the matrices are exact
-    (object arrays of Fractions, see :mod:`slchar.mat2`).  Exact matrices
-    go in as integer numerators N_i = d_i m_i: each coordinate x_I is
-    tr N_I over the product of the d_i for i in I, which the polynomial's
-    exact evaluation takes without building a Fraction per coordinate."""
+    (object arrays of Fractions, see :mod:`slchar.mat2`), taken on their
+    integer numerators with no Fraction per coordinate (``_character``)."""
     mats = list(mats)
     if _VARSETS.get(len(mats)) != p.variables:
         raise ValueError(f"cannot evaluate over {p.variables.names} at {len(mats)} matrices")
-    words = COORDINATES[p.variables]
-    traces, ds = _numerator_traces(mats, words.values())
-    if ds is None:
-        return p.evaluate({name: traces[word] for name, word in words.items()})
-    return p._evaluate_fraction([traces[words[n]] for n in p.variables],
-                                [math.prod(ds[i - 1] for i in words[n]) for n in p.variables])
+    traces, dens = _character(p.variables, mats)
+    if dens is None:
+        return p.evaluate(dict(zip(p.variables, traces)))
+    return p._evaluate_fraction(traces, dens)

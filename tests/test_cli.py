@@ -4,6 +4,7 @@ import pathlib
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -139,6 +140,16 @@ class TestFricke:
         data = json.loads(out)
         assert data["verdict"] == "nonmember-wrong-component"
         assert data["residual"] == 0
+
+    def test_s04_exact_underflowing_s_plus_minus(self, capsys):
+        # S+ = 1e-330 and S- = -1e-330: opposite signs, both below the
+        # smallest float
+        eps = Fraction(1, 10**330)
+        y, z = (-16 - eps - eps / 5) / 2, (-16 - eps + eps / 5) / 2
+        code, out, _ = run(capsys, "fricke", "test", "s04", f"--coords=2,2,2,2,-3,{y},{z}",
+                           "--mode", "exact")
+        assert code == 1
+        assert json.loads(out)["verdict"] == "nonmember-off-variety"
 
     def test_nonmember_exit_code(self, capsys):
         code, out, _ = run(capsys, "fricke", "test", "s11", "--coords=3,3,10")

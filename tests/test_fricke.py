@@ -247,6 +247,16 @@ class TestS04Exact:
         assert res.f_plus == pytest.approx(3.1428e-8, rel=1e-4)
         _assert_f_pair_close(res, point)
 
+    def test_opposite_signs_that_underflow_give_a_verdict(self):
+        # S+ = 1e-330 and S- = -1e-330 have opposite signs, and both, like
+        # the product F+ F-, round to 0.0 as floats
+        eps = Fraction(1, 10**330)
+        point = (2, 2, 2, 2, -3, (-16 - eps - eps / 5) / 2, (-16 - eps + eps / 5) / 2)
+        assert fricke._s04_component_terms(*point)[2:] == (-eps, eps)
+        res = member_s04(CharacterS04(*point))
+        assert res.verdict is S04Verdict.NONMEMBER_OFF_VARIETY
+        assert res.f_plus == 0.0 and res.f_minus == 0.0
+
     def test_points_from_rational_matrices_follow_exact_rule(self):
         rnd = random.Random(404)
         seen = set()

@@ -34,6 +34,18 @@ at rational points, ``evaluate_at_character`` at float and exact
 matrices of ranks 1-3 (the empty word included), and
 ``quadruple_trace_check`` in both modes.  It was recorded before the
 evaluation plan cached on each polynomial; print ``_digest(_eval_lines())``.
+
+``TABLE_DIGEST`` pins the trace engine's right-multiplication table at
+ranks 1-4 and the quadruple-trace polynomial, sorted by key, basis and
+packed monomial so that it pins exact coefficients, not dict order: at
+rank 4 the coordinates satisfy relations, so an equivalent but
+different table would still pass the matrix checks in
+``test_tracepoly``.  ``VERIFY_RUNS_DIGEST`` covers stdout and exit code
+of ``slchar verify`` for every suite in both modes at seeds 0-3 with the
+default 100 trials, and of ``verify covers --seed 7`` (exit 1).  Both
+were recorded before the s4 elimination shared its products with the
+per-letter step; print ``_digest(_table_lines())`` and
+``_digest(_verify_run_lines())``.
 """
 
 import contextlib
@@ -61,6 +73,8 @@ SYMBOLIC_DIGEST = "eabbaf72485625ee4c876305d9378c6402533fb4cd4281a5314dfd65666cb
 VERIFY_DIGEST = "fd56e039333c826b711b4f7045d365b4cddfb5c0b13cd86b5bfd2ee010daac29"
 PREDICATE_DIGEST = "6a799ca8573bd60b8e25cae7c2a3b076f0e0c5b0a827f17515a7fd3dccfcfb98"
 EVAL_DIGEST = "da524158eabb286595050303ec49f4519b32dc7db4193bf59f8eda97a949fee2"
+TABLE_DIGEST = "b349aaeb3302627c9df38c942c394a64ed8c673da701b406896cbdab8d441ab0"
+VERIFY_RUNS_DIGEST = "3a0e5908656d3f6caaf222e38ed6fb1182f94e27117234884627db12687050bc"
 
 SUITES = ("identities", "oracle", "fricke", "covers", "coxeter")
 
@@ -371,6 +385,31 @@ def _eval_lines():
     return lines
 
 
+def _table_lines():
+    lines = []
+    for rank in (1, 2, 3, 4):
+        variables = tracepoly._VARSETS[rank]
+        for key, element in sorted(tracepoly._table(rank).items()):
+            for basis, terms in sorted(element.items()):
+                for mono, c in sorted(terms.items()):
+                    lines.append(f"{rank} {key} {basis} {variables._unpack(mono)} {c}")
+    lines.append(json.dumps(tracepoly._quadruple_poly().to_json(), sort_keys=True))
+    return lines
+
+
+def _verify_run_lines():
+    runs = [["verify", suite, "--seed", str(seed), "--mode", mode]
+            for suite in SUITES for mode in ("float", "exact") for seed in range(4)]
+    runs.append(["verify", "covers", "--seed", "7"])
+    lines = []
+    for argv in runs:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main(argv)
+        lines.append(f"{' '.join(argv)} exit={code}\n{buf.getvalue()}")
+    return lines
+
+
 def test_exact_outputs_match_digest():
     assert _digest(_symbolic_lines(floats=False)) == EXACT_DIGEST
 
@@ -389,3 +428,11 @@ def test_predicate_outputs_match_digest():
 
 def test_eval_outputs_match_digest():
     assert _digest(_eval_lines()) == EVAL_DIGEST
+
+
+def test_table_matches_digest():
+    assert _digest(_table_lines()) == TABLE_DIGEST
+
+
+def test_verify_runs_match_digest():
+    assert _digest(_verify_run_lines()) == VERIFY_RUNS_DIGEST

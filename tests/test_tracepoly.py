@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -405,12 +406,15 @@ class TestExactIntegerCore:
     def test_product_traces_on_any_rational_matrices(self, mats):
         words = ((1,), (2,), (3,), (4,), (1, 2), (1, 2, 3), (1, 2, 3, 4), (2, 3), (2, 3, 4),
                  (3, 4), (3, 4, 1), (4, 1), (4, 1, 2), (1, 3), (2, 4), (2, 4, 2), (2, 4, 2, 2))
-        got = tracepoly._product_traces([exact(m) for m in mats], words)
+        got, ds = tracepoly._numerator_traces([exact(m) for m in mats], words)
         for w in words:
-            assert type(got[w]) is Fraction
-            assert got[w] == trace(product(*(mats[i - 1] for i in w))), w
+            assert type(got[w]) is int
+            # tr X_I = tr N_I / prod d_i, i running over the word's letters
+            value = Fraction(got[w], math.prod(ds[i - 1] for i in w))
+            assert value == trace(product(*(mats[i - 1] for i in w))), w
         floats = [np.array(m, dtype=complex) for m in mats]
-        numeric = tracepoly._product_traces(floats, words)
+        numeric, ds = tracepoly._numerator_traces(floats, words)
+        assert ds is None
         for w in words:
             assert numeric[w] == mat2.trace(product_of(floats, w))
 
