@@ -174,8 +174,11 @@ def cmd_cover(args) -> int:
     if args.symbolic_check:
         payload["symbolic_check"] = covers.symbolic_check(args.map)
     if args.eval:
-        pairs = (item.partition("=") for item in args.eval.split(","))
-        point = {name.strip(): complex(parse_number(value)) for name, _, value in pairs}
+        point = {}
+        for name, _, value in (item.partition("=") for item in args.eval.split(",")):
+            if name.strip() in point:
+                raise ValueError(f"--eval assigns {name.strip()} more than once")
+            point[name.strip()] = complex(parse_number(value))
         if set(point) != set(rm.target):
             raise ValueError(f"--eval for {args.map} takes {', '.join(rm.target)}; "
                              f"got {', '.join(point)}")
@@ -431,6 +434,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if getattr(args, "trials", 1) < 1:
         ap.error("--trials must be >= 1")
+    if getattr(args, "tolerance", 0) < 0:
+        ap.error("--tolerance must be >= 0")
     try:
         return args.func(args)
     except WordSyntaxError as exc:

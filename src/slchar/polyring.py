@@ -417,6 +417,12 @@ class Polynomial:
         Unmapped variables are carried over by name, so they must exist
         in the target set.  When all images share one variable set the
         target may be omitted.
+
+        An image of at most one term c*m (a variable, a constant, zero)
+        needs no product: exponent k adds ``k * m`` to the packed key and
+        multiplies the coefficient by ``c**k``.  The terms are grouped by
+        their exponents on the variables with larger images, and each
+        group is multiplied once by the product of those images' powers.
         """
         if target is None:
             for img in mapping.values():
@@ -424,32 +430,45 @@ class Polynomial:
                 break
             else:
                 target = self.variables
-        images: list[dict] = []
-        for name in self.variables:
-            if name in mapping:
-                img = mapping[name]
-                if img.variables != target:
-                    raise ValueError(
-                        f"image of {name!r} is over {img.variables}, expected {target}"
-                    )
-                images.append(img._terms)
+        singles, several = [], []  # (shift, key, coefficient), (index, shift, terms)
+        for i, name in enumerate(self.variables):
+            img = mapping[name] if name in mapping else Polynomial.variable(target, name)
+            if img.variables != target:
+                raise ValueError(f"image of {name!r} is over {img.variables}, expected {target}")
+            terms = img._terms
+            if len(terms) > 1:
+                several.append((i, self.variables._shifts[i], terms))
             else:
-                images.append(Polynomial.variable(target, name)._terms)
+                singles.append((self.variables._shifts[i], *next(iter(terms.items()), (0, 0))))
         limit = target._limit
-        squares: list[list] = [[img] for img in images]
+        groups: dict[tuple, dict] = {}
+        for e, c in self._terms.items():
+            key = 0
+            for s, m, a in singles:
+                k = e >> s & _MASK
+                if k:
+                    key += k * m
+                    c *= a**k
+            if key >= limit:
+                raise OverflowError(f"product degree exceeds {_MASK} ({WIDTH}-bit fields)")
+            group = groups.setdefault(tuple(e >> s & _MASK for _, s, _ in several), {})
+            c += group.get(key, 0)
+            if c:
+                group[key] = c if type(c) is int else _norm_coeff(c)
+            else:  # cancelled, or a zero image
+                group.pop(key, None)
+        squares = {i: [terms] for i, _, terms in several}
         powers: dict[tuple[int, int], dict] = {}
         out: dict[int, object] = {}
-        for e, c in self._terms.items():
-            term, last = {0: c}, None  # the last factor is multiplied into out
-            for i, k in enumerate(self.variables._unpack(e)):
+        for exps, group in groups.items():
+            factor = None
+            for (i, _, terms), k in zip(several, exps):
                 if k:
                     pk = powers.get((i, k))
                     if pk is None:
-                        pk = powers[i, k] = _pow_terms(images[i], k, limit, squares[i])
-                    if last is not None:
-                        term = _addmul_into({}, term, last, limit)
-                    last = pk
-            _addmul_into(out, term, {0: 1} if last is None else last, limit)
+                        pk = powers[i, k] = _pow_terms(terms, k, limit, squares[i])
+                    factor = pk if factor is None else _addmul_into({}, factor, pk, limit)
+            _addmul_into(out, group, {0: 1} if factor is None else factor, limit)
         return Polynomial._trusted(target, out)
 
     def rename_variables(self, target: VariableSet) -> "Polynomial":
@@ -534,33 +553,33 @@ SUM_RELATION, PRODUCT_RELATION = sum_product(
 #: PHI = x123^2 - SUM_RELATION*x123 + PRODUCT_RELATION.
 PHI = _X123 * _X123 - SUM_RELATION * _X123 + PRODUCT_RELATION
 
-# x123^2 == SUM_RELATION*x123 - PRODUCT_RELATION on the hypersurface
-_X123_SQUARED = (SUM_RELATION * _X123 - PRODUCT_RELATION)._terms
-_X123_SQUARED_KEY = F3_VARS._pack((0, 0, 0, 0, 0, 0, 2))
+(_X123_KEY,) = _X123._terms
+
+# x123^d == x123^(d-1)*SUM_RELATION - x123^(d-2)*PRODUCT_RELATION on the
+# hypersurface, as factors whose keys lower the x123 field by one and by two
+_LOWER_ONE = {e - _X123_KEY: c for e, c in SUM_RELATION._terms.items()}
+_LOWER_TWO = {e - 2 * _X123_KEY: -c for e, c in PRODUCT_RELATION._terms.items()}
 
 
 def reduce_mod_phi(p: Polynomial) -> Polynomial:
     """Canonical representative of ``p`` modulo the hypersurface relation.
 
-    Repeatedly eliminates ``x123^2`` using the monic quadratic PHI, so
-    the result has degree at most one in ``x123``.  Requires ``p`` over
-    the seven-variable rank-3 set.
+    Eliminates ``x123^2`` using the monic quadratic PHI, so the result
+    has degree at most one in ``x123``, in one pass: with the terms in
+    buckets by x123 degree, from the top degree d down to 2, bucket d
+    goes into bucket d-1 times SUM_RELATION*x123 and into bucket d-2
+    times -PRODUCT_RELATION.  Requires ``p`` over the rank-3 set.
     """
     if p.variables != F3_VARS:
         raise ValueError("reduce_mod_phi expects a polynomial over the F3 set")
-    s = F3_VARS._shifts[F3_VARS.index("x123")]
-    d = p.degree_in("x123")
-    while d > 1:
-        # lower the top x123-degree d by one: x123^d -> x123^(d-2) * x123^2
-        rest: dict[int, object] = {}
-        lowered: dict[int, object] = {}
-        for e, c in p._terms.items():
-            if e >> s & _MASK == d:
-                lowered[e - _X123_SQUARED_KEY] = c
-            else:
-                rest[e] = c
-        p = Polynomial._trusted(
-            F3_VARS, _addmul_into(rest, lowered, _X123_SQUARED, F3_VARS._limit)
-        )
-        d = p.degree_in("x123")
-    return p
+    top = max((e & _MASK for e in p._terms), default=0)  # x123 is the lowest field
+    if top < 2:
+        return p
+    buckets: list[dict] = [{} for _ in range(top + 1)]
+    for e, c in p._terms.items():
+        buckets[e & _MASK][e] = c
+    for d in range(top, 1, -1):
+        _addmul_into(buckets[d - 1], buckets[d], _LOWER_ONE, F3_VARS._limit)
+        _addmul_into(buckets[d - 2], buckets[d], _LOWER_TWO, F3_VARS._limit)
+    buckets[0].update(buckets[1])
+    return Polynomial._trusted(F3_VARS, buckets[0])

@@ -246,6 +246,16 @@ class TestVerify:
             main(["verify", "nope"])
         assert exc.value.code == 2
 
+    def test_negative_tolerance_is_usage_error(self, capsys):
+        # a negative tolerance would fail even the exact rows, whose residual is 0
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "identities", "--tolerance", "-1"])
+        assert exc.value.code == 2
+        assert "--tolerance must be >= 0" in capsys.readouterr().err
+        code, out, _ = run(capsys, "verify", "identities", "--mode", "exact", "--trials", "2",
+                           "--tolerance", "0")
+        assert code == 0 and "result=pass" in out
+
     def test_exact_mode_flag(self, capsys):
         code, out, _ = run(
             capsys, "verify", "covers", "--trials", "5", "--seed", "1",
@@ -439,9 +449,15 @@ class TestNoTraceback:
         assert code == 0
         assert out.splitlines()[-1] == "trace: 4+0i"
 
-    @pytest.mark.parametrize("assignment", ["x1=2", "x1=2,x2=2,x12=2,q=1", "q=1"])
+    @pytest.mark.parametrize("assignment", ["x1=2", "x1=2,x2=2,x12=2,q=1", "q=1",
+                                            "x1=1,x1=2,x2=2,x12=2"])
     def test_cover_eval_names_checked(self, capsys, assignment):
         assert_error_line(*run(capsys, "cover", "map", "embed", "--eval", assignment))
+
+    def test_cover_eval_repeated_name(self, capsys):
+        code, out, err = run(capsys, "cover", "map", "embed", "--eval", "x1=1,x1=2,x2=3,x12=4")
+        assert_error_line(code, out, err)
+        assert err == "error: --eval assigns x1 more than once\n"
 
     def test_cover_eval_overflow(self, capsys):
         code, out, err = run(capsys, "cover", "map", "embed",

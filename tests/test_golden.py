@@ -46,6 +46,15 @@ default 100 trials, and of ``verify covers --seed 7`` (exit 1).  Both
 were recorded before the s4 elimination shared its products with the
 per-letter step; print ``_digest(_table_lines())`` and
 ``_digest(_verify_run_lines())``.
+
+``RING_MAP_DIGEST`` pins the ring maps at higher degree than the
+corpus above: the JSON of ``deck(p)`` and ``deck(deck(p))`` for seeded
+rank-3 polynomials of 1-8 terms with exponents 0-2 (so x123 reaches
+degree 10 before the last reduction), of every cover applied to its
+relations, and of every cover applied to seeded source polynomials.  It
+was recorded before ``substitute`` raised one-term images by exponent
+arithmetic and ``reduce_mod_phi`` lowered x123 in one pass; print
+``_digest(_ring_map_lines())``.
 """
 
 import contextlib
@@ -57,7 +66,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from slchar import chars, cli, hypgeom, mat2, sampling, tracepoly
+from slchar import chars, cli, covers, hypgeom, mat2, sampling, tracepoly
 from slchar.covers import (
     cover_c02_to_s04,
     cover_c11_to_s12,
@@ -75,6 +84,7 @@ PREDICATE_DIGEST = "6a799ca8573bd60b8e25cae7c2a3b076f0e0c5b0a827f17515a7fd3dccfc
 EVAL_DIGEST = "da524158eabb286595050303ec49f4519b32dc7db4193bf59f8eda97a949fee2"
 TABLE_DIGEST = "b349aaeb3302627c9df38c942c394a64ed8c673da701b406896cbdab8d441ab0"
 VERIFY_RUNS_DIGEST = "3a0e5908656d3f6caaf222e38ed6fb1182f94e27117234884627db12687050bc"
+RING_MAP_DIGEST = "32e6dc7c42ca5e36ab7351f195f99e13c7b528fc44aa2fc47e27f154229b521d"
 
 SUITES = ("identities", "oracle", "fricke", "covers", "coxeter")
 
@@ -410,6 +420,27 @@ def _verify_run_lines():
     return lines
 
 
+def _ring_map_lines():
+    rnd = random.Random(20090404)
+    deck = deck_ring_map()
+
+    def line(p):
+        return json.dumps(p.to_json(), sort_keys=True)
+
+    lines = []
+    for _ in range(60):
+        p = _random_poly(rnd, deck.source, nterms=rnd.randint(1, 8), maxdeg=2)
+        image = deck.apply_poly(p)
+        lines += [line(image), line(deck.apply_poly(image))]
+    for key, cover in covers.COVERS.items():
+        rm = covers.ring_map(key)
+        lines += [f"{key} {name} {line(rm.apply_poly(rel))}"
+                  for name, rel in cover.relations.items()]
+        for _ in range(10):
+            lines.append(f"{key} {line(rm.apply_poly(_random_poly(rnd, rm.source, 4, 2)))}")
+    return lines
+
+
 def test_exact_outputs_match_digest():
     assert _digest(_symbolic_lines(floats=False)) == EXACT_DIGEST
 
@@ -436,3 +467,7 @@ def test_table_matches_digest():
 
 def test_verify_runs_match_digest():
     assert _digest(_verify_run_lines()) == VERIFY_RUNS_DIGEST
+
+
+def test_ring_maps_match_digest():
+    assert _digest(_ring_map_lines()) == RING_MAP_DIGEST

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from slchar import tracepoly
+from slchar import covers, polyring, tracepoly
 from slchar.polyring import (
     F2_VARS,
     F3_VARS,
@@ -54,6 +54,17 @@ class TestArithmetic:
         xt, yt, zpt = (Polynomial.variable(target, n) for n in target)
         image = (x * y - z).substitute({"z": xt * yt - zpt}, target=target)
         assert image == zpt
+
+    def test_substitute_cancels_one_term_images(self):
+        # source terms that land on one key: the sum is kept in normal form
+        x, y, z = V("x"), V("y"), V("z")
+        one, zero = Polynomial.constant(F2_VARS, 1), Polynomial.zero(F2_VARS)
+        assert (x - y).substitute({"x": y}).is_zero()
+        assert (x * z + y * z - 2 * z).substitute({"x": one, "y": one}).is_zero()
+        assert (x * z - Fraction(1, 2) * y**2 * z).substitute(
+            {"x": y**2 * Fraction(1, 2)}).is_zero()
+        image = (x * y + x**2 * z + z - 3).substitute({"x": zero, "y": -x})
+        assert image == z - 3 and all(image._terms.values())
 
     def test_ring_axioms_random(self):
         rnd = random.Random(3)
@@ -181,6 +192,19 @@ def polys(vars_, max_terms=6, max_deg=3, degrees=None):
     exps = st.tuples(*[st.integers(0, degrees.get(n, max_deg)) for n in vars_])
     return st.dictionaries(exps, COEFFS, max_size=max_terms).map(
         lambda terms: Polynomial(vars_, terms)
+    )
+
+
+def one_term_images(target):
+    """Images of at most one term: a variable times 1, a negative int or a
+    Fraction, a monomial, a constant, or zero."""
+    scaled = st.tuples(st.sampled_from(target.names),
+                       st.sampled_from((1, -1, -3, Fraction(2, 3), Fraction(-5, 2))))
+    return st.one_of(
+        scaled.map(lambda t: Polynomial.variable(target, t[0]).scale(t[1])),
+        polys(target, max_terms=1, max_deg=2),
+        COEFFS.map(lambda c: Polynomial.constant(target, c)),
+        st.just(Polynomial.zero(target)),
     )
 
 
@@ -334,6 +358,21 @@ class TestNormalForm:
         assert q == naive_substitute(p, mapping, target)
 
     @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from((F3_VARS, TARGET)), st.data())
+    def test_substitute_one_term_images_match_naive_reference(self, target, data):
+        # rank-3 sources of higher degree, under images that mix one-term
+        # ones (keys added, coefficients raised) with several-term ones
+        p = data.draw(polys(F3_VARS, max_terms=6, max_deg=4))
+        names = F3_VARS.names if target is TARGET else data.draw(
+            st.sets(st.sampled_from(F3_VARS.names), min_size=1))
+        mapping = {n: data.draw(st.one_of(one_term_images(target),
+                                          polys(target, max_terms=3, max_deg=1)))
+                   for n in names}
+        q = p.substitute(mapping, target=target)
+        assert_normal_form(q)
+        assert q == naive_substitute(p, mapping, target)
+
+    @settings(max_examples=60, deadline=None)
     @given(st.sampled_from((F2_VARS, F3_VARS)), st.data())
     def test_packed_arithmetic_matches_tuple_reference(self, vars_, data):
         a, b = data.draw(polys(vars_)), data.draw(polys(vars_))
@@ -347,6 +386,16 @@ class TestNormalForm:
     @given(polys(F3_VARS, max_deg=2, degrees={"x123": 6}))
     def test_reduce_mod_phi_matches_tuple_reference(self, p):
         assert reduce_mod_phi(p) == naive_reduce_mod_phi(p)
+
+    @settings(max_examples=10, deadline=None)
+    @given(polys(F3_VARS, max_terms=3, max_deg=1, degrees={"x123": 10}))
+    @example(Polynomial(F3_VARS, {(0, 0, 0, 0, 0, 0, 10): 1, (1, 0, 0, 0, 1, 0, 9): -2}))
+    def test_reduce_mod_phi_to_deck_squared_degree(self, p):
+        # deck(deck(p)) reaches x123 degree 10 before its last reduction (the
+        # reference needs about a second for x123^10, hence few examples)
+        q = reduce_mod_phi(p)
+        assert_normal_form(q)
+        assert q == naive_reduce_mod_phi(p)
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from((F2_VARS, F3_VARS, S12_VARS)), st.data())
@@ -430,6 +479,18 @@ class TestNormalForm:
         with pytest.raises(OverflowError):
             tracepoly.trace_poly(Word(1, (1,) * (1 << WIDTH)))
 
+    def test_summed_one_term_keys_overflow(self):
+        # each image fits its field alone, but the key they sum to does not
+        top = (1 << WIDTH) - 1
+        x, y = V("x"), V("y")
+        fits = (x * y).substitute({"x": x ** (top // 2), "y": x ** (top // 2 + 1)}, F2_VARS)
+        assert fits == x**top
+        too_high = {"x": x ** (top // 2 + 1), "y": x ** (top // 2 + 1)}
+        with pytest.raises(OverflowError, match="product degree exceeds"):
+            (x * y).substitute(too_high, target=F2_VARS)
+        with pytest.raises(OverflowError, match="product degree exceeds"):
+            (x * y - x**2).substitute(too_high, target=F2_VARS)  # even if the terms cancel
+
     def test_fields_read_in_full(self):
         k = 1 << WIDTH - 1  # only the top bit of the field is set
         p = Polynomial(F2_VARS, {(k, 1, 0): 1})
@@ -501,3 +562,29 @@ class TestSumProduct:
         assert SUM_RELATION.evaluate_exact(assignment) == x123 + x132
         assert PRODUCT_RELATION.evaluate_exact(assignment) == x123 * x132
         assert PHI.evaluate_exact(assignment) == 0
+
+
+#: A bound on the ``_addmul_into`` calls of deck(deck(p)) for DECK_GUARD_POLY,
+#: which needs no timing: 40 calls when substitute multiplies once per group
+#: of terms that share an x13 exponent and reduce_mod_phi lowers x123 in one
+#: pass; 2466 when both did one product per term.
+DECK_GUARD_POLY = Polynomial(F3_VARS, {
+    (1, 2, 0, 1, 2, 0, 1): 3, (0, 1, 1, 0, 2, 1, 0): -2, (2, 0, 1, 1, 1, 0, 2): 1,
+    (0, 2, 2, 0, 0, 1, 1): 5, (1, 1, 0, 2, 1, 1, 0): -4, (0, 0, 1, 1, 2, 2, 1): 2,
+})
+DECK_GUARD_CALLS = 50
+
+
+def test_deck_squared_kernel_calls(monkeypatch):
+    covers.deck_ring_map()  # built (and traced) before counting
+    calls = []
+    kernel = polyring._addmul_into
+
+    def counting(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(polyring, "_addmul_into", counting)
+    twice = covers.deck_involution_f3(covers.deck_involution_f3(DECK_GUARD_POLY))
+    assert len(calls) < DECK_GUARD_CALLS, len(calls)
+    assert twice == reduce_mod_phi(DECK_GUARD_POLY)
