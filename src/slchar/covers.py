@@ -1,22 +1,23 @@
-"""Character-ring homomorphisms induced by orientable double covers.
+"""Character-ring homomorphisms induced by word maps of free groups.
 
-Each map is one entry of the ordered registry ``COVERS``: the source
-coordinates, each as the positive word in the source generators whose
-trace it is (the rank-3 ones are ``tracepoly.COORDINATES``); the images
-of the source generators as words in the base, a free group of rank
-``rank`` (the word-level monomorphism of fundamental groups); the base
-coordinates as target variables; and the named defining relations of
-the source ring.  One constructor, ``ring_map``, pushes each coordinate
-word through the generator images and runs the trace engine on the
-result.  That makes the defining relations vanish identically after
-substitution, which ``symbolic_check`` verifies, and ties the tables to
-the matrix oracle through the same engine.
+Each map is one frozen record of the ordered registry ``COVERS`` that
+holds the word map and its traced images: the source coordinates, each
+as the positive word in the source generators whose trace it is (the
+rank-3 ones are ``tracepoly.COORDINATES``); the images of the source
+generators as words in the base, a free group of rank ``rank`` (the
+word-level monomorphism of fundamental groups); the base coordinates as
+target variables; and the named defining relations of the source ring.
+Building a record pushes each coordinate word through the generator
+images and runs the trace engine on the result.  That makes the
+defining relations vanish identically after substitution, which
+``symbolic_check`` verifies, and ties the tables to the matrix oracle
+through the same engine.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 from .chars import CharacterF3, triple_trace_roots
@@ -27,7 +28,6 @@ from .words import Word
 
 __all__ = [
     "COVERS",
-    "Cover",
     "RingMap",
     "ring_map",
     "embed_r2_in_r3",
@@ -41,12 +41,27 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RingMap:
-    """A character-ring homomorphism as a table of image polynomials."""
+    """One map: its word map and each source coordinate's image
+    polynomial, traced when the record is built (see the module
+    docstring).  For an ``involution``, ``symbolic_check`` also tests
+    that the map squares to the identity on generators."""
 
     name: str
     source: VariableSet
+    words: Mapping[str, tuple[int, ...]]
+    generators: Mapping[int, tuple[int, ...]]
+    rank: int
     target: VariableSet
-    images: Mapping[str, Polynomial]
+    relations: Mapping[str, Polynomial]
+    involution: bool = False
+    images: Mapping[str, Polynomial] = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "images", {
+            name: trace_poly(Word(self.rank, tuple(h for g in word for h in self.generators[g])))
+            .rename_variables(self.target)
+            for name, word in self.words.items()
+        })
 
     def apply_poly(self, p: Polynomial) -> Polynomial:
         """Push a polynomial over the source variables through the map."""
@@ -69,82 +84,73 @@ class RingMap:
             "images": {n: img.to_text() for n, img in self.images.items()},
         }
 
-
-@dataclass(frozen=True)
-class Cover:
-    """Word-level data of a character-ring map (see the module docstring)."""
-
-    name: str
-    source: VariableSet
-    words: Mapping[str, tuple[int, ...]]
-    images: Mapping[int, tuple[int, ...]]
-    rank: int
-    target: VariableSet
-    relations: Mapping[str, Polynomial]
+    @cached_property
+    def flags(self) -> dict[str, bool]:
+        """``symbolic_check``'s flags, computed on the first call."""
+        flags = {rel: self.apply_poly(p).is_zero() for rel, p in self.relations.items()}
+        if self.involution:
+            flags["involution_on_generators"] = all(
+                self.apply_poly(self.apply_poly(p)) == reduce_mod_phi(p)
+                for p in (Polynomial.variable(F3_VARS, n) for n in F3_VARS)
+            )
+        return flags
 
 
 #: The maps by ``slchar cover map`` key, in ``verify covers`` row order.
 COVERS = {
-    "c02s04": Cover(
+    "c02s04": RingMap(
         name="cover_c02_to_s04",
         source=S04_VARS,
         # A, B, C, D; x = tr AB, y = tr BC, z = tr AC
         words={"a": (1,), "b": (2,), "c": (3,), "d": (4,),
                "x": (1, 2), "y": (2, 3), "z": (1, 3)},
         # A -> UV, B -> V^-1 U, C -> U^-2 V U, D -> U^-1 V^-1
-        images={1: (1, 2), 2: (-2, 1), 3: (-1, -1, 2, 1), 4: (-1, -2)},
+        generators={1: (1, 2), 2: (-2, 1), 3: (-1, -1, 2, 1), 4: (-1, -2)},
         rank=2,
         target=VariableSet(("u", "v", "w")),  # (tr U, tr V, tr UV)
         relations={"defining_quartic": s04_defining_poly()},
     ),
-    "c11s12": Cover(
+    "c11s12": RingMap(
         name="cover_c11_to_s12",
         source=S12_VARS,
         # U, X, Y; v = tr UX, w = tr UY, z = tr XY, a = tr UXY, b = tr UYX
         words={"u": (1,), "x": (2,), "y": (3,), "v": (1, 2), "w": (1, 3),
                "z": (2, 3), "a": (1, 2, 3), "b": (1, 3, 2)},
         # U -> PQ, X -> QP^-1, Y -> P^2
-        images={1: (1, 2), 2: (2, -1), 3: (1, 1)},
+        generators={1: (1, 2), 2: (2, -1), 3: (1, 1)},
         rank=2,
         target=VariableSet(("p", "q", "r")),  # (tr P, tr Q, tr PQ)
         relations=dict(zip(("sum_relation", "product_relation"), s12_relation_polys())),
     ),
-    "embed": Cover(
+    "embed": RingMap(
         name="embed_r2_in_r3",
         source=F3_VARS,
         words=COORDINATES[F3_VARS],
         # Y1 -> X1^2, Y2 -> X1^-1 X2^-1, Y3 -> X2^2
-        images={1: (1, 1), 2: (-1, -2), 3: (2, 2)},
+        generators={1: (1, 1), 2: (-1, -2), 3: (2, 2)},
         rank=2,
         target=VariableSet(("x1", "x2", "x12")),
         relations={"phi_image": PHI},
     ),
-    "deck": Cover(
+    "deck": RingMap(
         name="deck_involution_f3",
         source=F3_VARS,
         words=COORDINATES[F3_VARS],
         # conjugation by X1 on Y1 = X1^2, Y2 = X1^-1 X2^-1, Y3 = X2^2, as
         # words in the Y's: Y1 -> Y1, Y2 -> Y3^-1 Y2^-1 Y1^-1,
         # Y3 -> Y1 Y2 Y3 Y2^-1 Y1^-1
-        images={1: (1,), 2: (-3, -2, -1), 3: (1, 2, 3, -2, -1)},
+        generators={1: (1,), 2: (-3, -2, -1), 3: (1, 2, 3, -2, -1)},
         rank=3,
         target=F3_VARS,
         relations={"phi_in_ideal": PHI},
+        involution=True,
     ),
 }
 
 
-@lru_cache(maxsize=None)
 def ring_map(key: str) -> RingMap:
-    """The map ``COVERS[key]``: each source coordinate's word, pushed
-    through the generator images, traced in the base coordinates."""
-    cover = COVERS[key]
-    images = {
-        name: trace_poly(Word(cover.rank, tuple(h for g in word for h in cover.images[g])))
-        .rename_variables(cover.target)
-        for name, word in cover.words.items()
-    }
-    return RingMap(cover.name, cover.source, cover.target, images)
+    """The map ``COVERS[key]``."""
+    return COVERS[key]
 
 
 def cover_c02_to_s04() -> RingMap:
@@ -194,16 +200,4 @@ def symbolic_check(name: str) -> dict[str, bool]:
     The check runs once per map and process; each call gets a fresh dict."""
     if name not in COVERS:
         raise ValueError(f"unknown map {name!r}")
-    return dict(_symbolic_flags(name))
-
-
-@lru_cache(maxsize=None)
-def _symbolic_flags(name: str) -> dict[str, bool]:
-    rm = ring_map(name)
-    flags = {rel: rm.apply_poly(p).is_zero() for rel, p in COVERS[name].relations.items()}
-    if name == "deck":
-        flags["involution_on_generators"] = all(
-            rm.apply_poly(rm.apply_poly(p)) == reduce_mod_phi(p)
-            for p in (Polynomial.variable(F3_VARS, n) for n in F3_VARS)
-        )
-    return flags
+    return dict(COVERS[name].flags)

@@ -183,21 +183,16 @@ def _addmul_into(out: dict, a: Mapping, b: Mapping, limit: int = 0) -> dict:
     return out
 
 
-def _pow_terms(terms: Mapping, n: int, limit: int, squares: list | None = None) -> dict:
-    """``terms ** n`` by repeated squaring.  ``squares`` caches
-    ``terms ** (2**j)`` at index j across calls on the same base."""
-    if squares is None:
-        squares = [terms]
-    out = {0: 1}
-    j = 0
+def _pow_terms(terms: Mapping, n: int, limit: int) -> dict:
+    """``terms ** n`` in a new dict, by repeated squaring."""
+    out = None
     while n:
-        if j == len(squares):
-            squares.append(_addmul_into({}, squares[-1], squares[-1], limit))
         if n & 1:
-            out = _addmul_into({}, out, squares[j], limit)
+            out = dict(terms) if out is None else _addmul_into({}, out, terms, limit)
         n >>= 1
-        j += 1
-    return out
+        if n:
+            terms = _addmul_into({}, terms, terms, limit)
+    return {0: 1} if out is None else out
 
 
 class Polynomial:
@@ -422,22 +417,19 @@ class Polynomial:
         needs no product: exponent k adds ``k * m`` to the packed key and
         multiplies the coefficient by ``c**k``.  The terms are grouped by
         their exponents on the variables with larger images, and each
-        group is multiplied once by the product of those images' powers.
+        group is multiplied once by the product of those images' powers,
+        kept in one list ``[p^0, p^1, ...]`` per image p, grown as needed.
         """
         if target is None:
-            for img in mapping.values():
-                target = img.variables
-                break
-            else:
-                target = self.variables
-        singles, several = [], []  # (shift, key, coefficient), (index, shift, terms)
+            target = next((img.variables for img in mapping.values()), self.variables)
+        singles, several = [], []  # (shift, key, coefficient), (shift, [p^0, p^1, ...])
         for i, name in enumerate(self.variables):
             img = mapping[name] if name in mapping else Polynomial.variable(target, name)
             if img.variables != target:
                 raise ValueError(f"image of {name!r} is over {img.variables}, expected {target}")
             terms = img._terms
             if len(terms) > 1:
-                several.append((i, self.variables._shifts[i], terms))
+                several.append((self.variables._shifts[i], [{0: 1}, terms]))
             else:
                 singles.append((self.variables._shifts[i], *next(iter(terms.items()), (0, 0))))
         limit = target._limit
@@ -451,22 +443,20 @@ class Polynomial:
                     c *= a**k
             if key >= limit:
                 raise OverflowError(f"product degree exceeds {_MASK} ({WIDTH}-bit fields)")
-            group = groups.setdefault(tuple(e >> s & _MASK for _, s, _ in several), {})
+            group = groups.setdefault(tuple(e >> s & _MASK for s, _ in several), {})
             c += group.get(key, 0)
             if c:
                 group[key] = c if type(c) is int else _norm_coeff(c)
             else:  # cancelled, or a zero image
                 group.pop(key, None)
-        squares = {i: [terms] for i, _, terms in several}
-        powers: dict[tuple[int, int], dict] = {}
         out: dict[int, object] = {}
         for exps, group in groups.items():
             factor = None
-            for (i, _, terms), k in zip(several, exps):
+            for (_, powers), k in zip(several, exps):
+                while len(powers) <= k:
+                    powers.append(_addmul_into({}, powers[-1], powers[1], limit))
                 if k:
-                    pk = powers.get((i, k))
-                    if pk is None:
-                        pk = powers[i, k] = _pow_terms(terms, k, limit, squares[i])
+                    pk = powers[k]
                     factor = pk if factor is None else _addmul_into({}, factor, pk, limit)
             _addmul_into(out, group, {0: 1} if factor is None else factor, limit)
         return Polynomial._trusted(target, out)
