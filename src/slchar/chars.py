@@ -15,7 +15,7 @@ from numbers import Rational
 import numpy as np
 
 from . import mat2
-from .mat2 import GeometryError, normal_form_pair, principal_sqrt
+from .mat2 import GeometryError, _principal_root, normal_form_pair, principal_sqrt
 from .polyring import F3_VARS, sum_product
 from .tracepoly import coordinate_traces, kappa_value
 
@@ -283,8 +283,7 @@ def construct_triple(t1, t2, t3, t12, t23, t13, branch: str = "+"):
         return xi1, xi2, candidates[0]
 
     # reducible base pair: explicit upper-triangular forms
-    a1 = (t1 + principal_sqrt(t1 * t1 - 4)) / 2
-    a2 = (t2 + principal_sqrt(t2 * t2 - 4)) / 2
+    a1, a2 = _principal_root(t1), _principal_root(t2)
     xi3 = mat2.mat2(t3, -1, 1, 0)
     both_plus = abs(a1 * a2 + 1 / (a1 * a2) - t12) <= abs(a1 / a2 + a2 / a1 - t12)
     if both_plus:

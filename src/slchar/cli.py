@@ -130,20 +130,21 @@ def cmd_construct(args) -> int:
     return 0
 
 
-#: Per surface: the number of coordinates, and the verdict as JSON.
+#: Per surface: the ``--coords`` names in order, and the verdict as JSON.
 _FRICKE = {
-    "s03": (3, lambda coords: fricke.member_s03(*coords).to_json()),
-    "s11": (3, lambda coords: fricke.member_s11(*coords).to_json()),
-    "s04": (7, lambda coords: fricke.member_s04(CharacterS04(*coords)).to_json()),
-    "s12": (8, lambda coords: fricke.member_s12(CharacterS12(*coords)).to_json()),
-    "c02": (3, lambda coords: {"member": fricke.member_c02(*coords)}),
-    "c11": (3, lambda coords: {"member": fricke.member_c11(*coords)}),
+    "s03": ("x,y,z", lambda coords: fricke.member_s03(*coords).to_json()),
+    "s11": ("x,y,z", lambda coords: fricke.member_s11(*coords).to_json()),
+    "s04": ("a,b,c,d,x,y,z", lambda coords: fricke.member_s04(CharacterS04(*coords)).to_json()),
+    "s12": ("a,b,u,x,y,v,w,z", lambda coords: fricke.member_s12(CharacterS12(*coords)).to_json()),
+    "c02": ("p,q,r", lambda coords: {"member": fricke.member_c02(*coords)}),
+    "c11": ("p,q,r", lambda coords: {"member": fricke.member_c11(*coords)}),
 }
 
 
 def cmd_fricke(args) -> int:
     coords = [parse_number_exact(v) for v in args.coords.split(",")]
-    need, verdict_of = _FRICKE[args.surface]
+    names, verdict_of = _FRICKE[args.surface]
+    need = names.count(",") + 1
     if len(coords) != need:
         raise GeometryError(
             f"surface {args.surface} takes {need} coordinates, got {len(coords)}"
@@ -394,8 +395,9 @@ def build_parser() -> argparse.ArgumentParser:
     ptest = fsub.add_parser("test")
     ptest.add_argument("surface", choices=sorted(_FRICKE))
     ptest.add_argument("--coords", required=True,
-                       help="comma-separated coordinates (decimal or p/q); "
-                       "use --coords=-3,... for negative leading values")
+                       help="comma-separated coordinates (decimal or p/q), in the order "
+                       + "; ".join(f"{k}: {n}" for k, (n, _) in sorted(_FRICKE.items()))
+                       + "; use --coords=-3,... for negative leading values")
     ptest.add_argument("--mode", choices=("float", "exact"), default="float")
     ptest.add_argument("--report-only", action="store_true",
                        help="exit 0 even for nonmembers")

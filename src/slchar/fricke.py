@@ -306,7 +306,7 @@ def member_s04(ch: CharacterS04) -> S04Result:
         else:
             f_plus = product / f_minus if f_minus else f_plus
     else:
-        off = res_f > ONVARIETY_TOL
+        off = not res_f <= ONVARIETY_TOL  # a NaN residual is off the variety
         component = f_plus > 0 and f_minus > 0
     if off:
         verdict = S04Verdict.NONMEMBER_OFF_VARIETY
@@ -375,24 +375,22 @@ def s12_relation_polys() -> tuple[Polynomial, Polynomial]:
 
 def member_s12(ch: CharacterS12) -> S12Result:
     """On-variety check of both relations, then Button's inequalities
-    kappa(x,y,z) < -2, kappa(y,u,w) < -2, kappa(u,x,v) < -2."""
+    kappa(x,y,z) < -2, kappa(y,u,w) < -2, kappa(u,x,v) < -2, decided
+    exactly for exact input; the reported kappas are floats."""
     a, b, u, v, w, x, y, z = (
         ch.a, ch.b, ch.u, ch.v, ch.w, ch.x, ch.y, ch.z
     )
     r1, r2 = _s12_relations(a, b, u, v, w, x, y, z)
     residuals = (abs(float(r1)), abs(float(r2)))
-    kappas = (
-        float(kappa_value(x, y, z)),
-        float(kappa_value(y, u, w)),
-        float(kappa_value(u, x, v)),
-    )
+    ks = (kappa_value(x, y, z), kappa_value(y, u, w), kappa_value(u, x, v))
+    kappas = tuple(map(float, ks))
     if _is_exact(a, b, u, v, w, x, y, z):
         off = r1 != 0 or r2 != 0
-    else:
-        off = residuals[0] > ONVARIETY_TOL or residuals[1] > ONVARIETY_TOL
+    else:  # a NaN residual is off the variety
+        off = not (residuals[0] <= ONVARIETY_TOL and residuals[1] <= ONVARIETY_TOL)
     if off:
         return S12Result(S12Verdict.NONMEMBER_OFF_VARIETY, residuals, kappas)
-    if all(k < -2 for k in kappas):
+    if all(k < -2 for k in ks):  # in the input's arithmetic
         return S12Result(S12Verdict.MEMBER, residuals, kappas)
     return S12Result(S12Verdict.NONMEMBER_INEQUALITIES, residuals, kappas)
 

@@ -180,17 +180,26 @@ def sign_normalize(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def _principal_root(z: complex) -> complex:
+    """The root f = (z + s)/2 of f + 1/f = z, with s = sqrt(z^2 - 4)
+    principal.  Where Re(z conj(s)) < 0 that sum cancels, so f is taken
+    as 2/(z - s), the same root since f (z - s)/2 = 1."""
+    s = principal_sqrt(z * z - 4)
+    f = 2 / (z - s) if (z * s.conjugate()).real < 0 else (z + s) / 2
+    if not 0 < abs(f) < math.inf:  # z * z overflowed: |z| above about 1e154
+        raise GeometryError("degenerate branch value")
+    return f
+
+
 def normal_form_pair(x: complex, y: complex, z: complex) -> tuple[np.ndarray, np.ndarray]:
     """A unimodular pair with traces (x, y) and product trace z.
 
     xi = [[x, -1], [1, 0]], eta = [[0, 1/f], [-f, y]] where f + 1/f = z
-    and f = (z + sqrt(z^2 - 4))/2 with the principal square root.
-    z = +-2 gives f = +-1, which is still valid.
+    and f = (z + sqrt(z^2 - 4))/2 with the principal square root
+    (``_principal_root``).  z = +-2 gives f = +-1, which is still valid.
     """
     x, y, z = complex(x), complex(y), complex(z)
-    f = (z + principal_sqrt(z * z - 4)) / 2
-    if f == 0:  # unreachable for finite z, kept as a guard
-        raise GeometryError("degenerate branch value")
+    f = _principal_root(z)
     xi = mat2(x, -1, 1, 0)
     eta = mat2(0, 1 / f, -f, y)
     return xi, eta

@@ -257,6 +257,13 @@ class TestConstructTriple:
         for g, w in zip(got, (3, 3, 1, 2, 4, -2)):
             assert abs(g - w) <= 1e-8
 
+    def test_reducible_large_negative_eigenvalue_sum(self):
+        # t2 = 2 and t12 = t1 make the base pair reducible; the eigenvalue
+        # a1 of xi1 (a1 + 1/a1 = t1) must not cancel for t1 < 0
+        t1 = -1e4
+        tri = construct_triple(t1, 2, 3, t1, 4, 5, "+")
+        assert abs(mat2.trace(tri[0]) - t1) <= 1e-12 * abs(t1)
+
     def test_invalid_branch(self):
         with pytest.raises(ValueError):
             construct_triple(1, 2, 3, 4, 5, 6, "plus")

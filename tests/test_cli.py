@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -122,6 +123,13 @@ class TestConstruct:
         assert code == 0
         assert json.loads(out)["character"]["x"].startswith("2.5")
 
+    @pytest.mark.parametrize("z", ["-1e6", "-1e12"])
+    def test_pair_large_negative_product_trace(self, capsys, z):
+        code, out, _ = run(capsys, "construct", "pair", "1", "2", z, "--json")
+        assert code == 0
+        got = complex(json.loads(out)["character"]["z"].replace("i", "j"))
+        assert abs(got - float(z)) <= 1e-12 * (1 + abs(float(z)))
+
 
 class TestFricke:
     def test_s03_member(self, capsys):
@@ -150,6 +158,41 @@ class TestFricke:
                            "--mode", "exact")
         assert code == 1
         assert json.loads(out)["verdict"] == "nonmember-off-variety"
+
+    def test_s12_exact_kappa_just_below_minus_two(self, capsys):
+        from test_fricke import TestS12Exact
+
+        coords = ",".join(map(str, TestS12Exact.POINT))
+        code, out, _ = run(capsys, "fricke", "test", "s12", f"--coords={coords}",
+                           "--mode", "exact")
+        assert code == 0
+        data = json.loads(out)
+        assert data["verdict"] == "member" and data["kappas"][0] == -2.0
+
+    @pytest.mark.parametrize("surface, coords", [
+        ("s04", "2,2,2,2,-1e200,1e200,1e200"),
+        ("s12", ",".join(["1e200"] * 8)),
+    ])
+    def test_nan_residual_is_off_variety(self, capsys, surface, coords):
+        code, out, _ = run(capsys, "fricke", "test", surface, f"--coords={coords}")
+        assert code == 1
+        assert json.loads(out)["verdict"] == "nonmember-off-variety"
+        assert "NaN" in out
+
+    def test_s12_coords_in_documented_order(self, capsys):
+        # the c11s12 image of (p, q, r) = (3, 3.5, 2.5), in the order that
+        # the --coords help names, not the "source" order of cover map
+        with pytest.raises(SystemExit):
+            main(["fricke", "test", "--help"])
+        order = re.search(r"s12:\s+([a-z,]+);", capsys.readouterr().out).group(1)
+        assert order == "a,b,u,x,y,v,w,z"
+        code, out, _ = run(capsys, "cover", "map", "c11s12", "--eval", "p=3,q=3.5,r=2.5")
+        image = {n: complex(v.replace("i", "j")).real
+                 for n, v in json.loads(out)["evaluation"].items()}
+        coords = ",".join(str(image[n]) for n in order.split(","))
+        code, out, _ = run(capsys, "fricke", "test", "s12", f"--coords={coords}")
+        assert code == 0
+        assert json.loads(out)["verdict"] == "member"
 
     def test_nonmember_exit_code(self, capsys):
         code, out, _ = run(capsys, "fricke", "test", "s11", "--coords=3,3,10")

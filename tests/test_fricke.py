@@ -376,6 +376,28 @@ class TestS12:
             assert abs(rel2.evaluate(point)) <= 1e-8
 
 
+class TestS12Exact:
+    # X = diag(2, 1/2), Y = [[1, 1], [r, 1 + r]] with r = (16 + 4e-20)/9 and a
+    # rational U, so that kappa(x, y, z) = -2 - 1e-20: -2.0 as a float
+    POINT = tuple(map(Fraction, (
+        "226675000000000000000043/4050000000000000000000",
+        "217112500000000000000133/4050000000000000000000", "175/9", "5/2",
+        "850000000000000000001/225000000000000000000", "661/18",
+        "71762500000000000000043/2025000000000000000000",
+        "1525000000000000000001/450000000000000000000",
+    )))
+
+    def test_inequalities_decided_exactly(self):
+        ch = CharacterS12(*self.POINT)
+        assert kappa_value(ch.x, ch.y, ch.z) == -2 - Fraction(1, 10**20)
+        res = member_s12(ch)
+        assert res.residuals == (0.0, 0.0)
+        assert res.kappas[0] == -2.0
+        assert res.verdict is S12Verdict.MEMBER
+        floats = member_s12(CharacterS12(*map(float, self.POINT)))
+        assert floats.verdict is not S12Verdict.MEMBER
+
+
 class TestFenchelNielsen:
     def test_x_is_length_trace(self):
         for _ in range(50):

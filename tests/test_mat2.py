@@ -232,6 +232,21 @@ class TestNormalFormPair:
         xi, eta = normal_form_pair(1, 1, 2)
         assert abs(mat2.trace(xi @ eta) - 2) <= 1e-12
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+        st.floats(2, 1e15).flatmap(lambda t: st.sampled_from((t, -t))),
+        st.complex_numbers(max_magnitude=1e15, allow_nan=False, allow_infinity=False),
+    ))
+    def test_product_trace_has_no_cancellation(self, z):
+        # f + 1/f = z with f computed without cancelling for Re z < 0 too
+        xi, eta = normal_form_pair(1, 2, z)
+        assert abs(mat2.trace(xi @ eta) - z) <= 1e-12 * (1 + abs(z))
+
+    @pytest.mark.parametrize("z", [1e200, -1e200, 1e155j])
+    def test_overflowing_square_rejected(self, z):
+        with pytest.raises(GeometryError, match="degenerate branch value"):
+            normal_form_pair(1, 2, z)
+
 
 class TestConjugatingInvolution:
     @pytest.mark.parametrize("char", [(0, 0, 0), (3, 3, 3)])

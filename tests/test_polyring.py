@@ -372,6 +372,22 @@ class TestNormalForm:
         assert_normal_form(q)
         assert q == naive_substitute(p, mapping, target)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_substitute_power_lists_match_naive_reference(self, data):
+        # two or three several-term images, whose exponents 0-6 the groups
+        # need in mixed order, so that each power list grows across groups
+        several = data.draw(st.sets(st.sampled_from(F3_VARS.names), min_size=2, max_size=3))
+        image = st.dictionaries(st.tuples(*[st.integers(0, 1)] * 3), COEFFS.filter(bool),
+                                min_size=2, max_size=3).map(lambda t: Polynomial(TARGET, t))
+        mapping = {n: data.draw(image if n in several else one_term_images(TARGET))
+                   for n in F3_VARS}
+        exps = st.tuples(*[st.integers(0, 6 if n in several else 1) for n in F3_VARS])
+        p = Polynomial(F3_VARS, data.draw(st.dictionaries(exps, COEFFS, max_size=8)))
+        q = p.substitute(mapping, target=TARGET)
+        assert_normal_form(q)
+        assert q == naive_substitute(p, mapping, TARGET)
+
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from((F2_VARS, F3_VARS)), st.data())
     def test_packed_arithmetic_matches_tuple_reference(self, vars_, data):
@@ -565,14 +581,15 @@ class TestSumProduct:
 
 
 #: A bound on the ``_addmul_into`` calls of deck(deck(p)) for DECK_GUARD_POLY,
-#: which needs no timing: 40 calls when substitute multiplies once per group
-#: of terms that share an x13 exponent and reduce_mod_phi lowers x123 in one
-#: pass; 2466 when both did one product per term.
+#: which needs no timing: 34 calls when substitute multiplies once per group
+#: of terms that share an x13 exponent, reading x13's image's powers from one
+#: list, and reduce_mod_phi lowers x123 in one pass; 40 when each power was
+#: squared up from the unit; 2466 when both did one product per term.
 DECK_GUARD_POLY = Polynomial(F3_VARS, {
     (1, 2, 0, 1, 2, 0, 1): 3, (0, 1, 1, 0, 2, 1, 0): -2, (2, 0, 1, 1, 1, 0, 2): 1,
     (0, 2, 2, 0, 0, 1, 1): 5, (1, 1, 0, 2, 1, 1, 0): -4, (0, 0, 1, 1, 2, 2, 1): 2,
 })
-DECK_GUARD_CALLS = 50
+DECK_GUARD_CALLS = 40
 
 
 def test_deck_squared_kernel_calls(monkeypatch):
