@@ -85,7 +85,7 @@ class RingMap:
         }
 
     @cached_property
-    def flags(self) -> dict[str, bool]:
+    def _flags(self) -> dict[str, bool]:
         """``symbolic_check``'s flags, computed on the first call."""
         flags = {rel: self.apply_poly(p).is_zero() for rel, p in self.relations.items()}
         if self.involution:
@@ -200,4 +200,4 @@ def symbolic_check(name: str) -> dict[str, bool]:
     The check runs once per map and process; each call gets a fresh dict."""
     if name not in COVERS:
         raise ValueError(f"unknown map {name!r}")
-    return dict(COVERS[name].flags)
+    return dict(COVERS[name]._flags)
