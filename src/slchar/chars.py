@@ -253,12 +253,21 @@ def construct_triple(t1, t2, t3, t12, t23, t13, branch: str = "+"):
     triple-trace quadratic tr(xi1 xi2 xi3) realizes ('+' is the root
     with larger real part).  In the reducible case the triple is
     assembled from explicit upper-triangular matrices and the branch
-    choice may be unrealizable (the two sheets collide).
+    choice may be unrealizable (the two sheets collide).  A triple with
+    a non-finite entry (the traces overflow the arithmetic) raises
+    ``GeometryError``.
     """
     if branch not in ("+", "-"):
         raise ValueError(f"branch must be '+' or '-', got {branch!r}")
-    t1, t2, t3 = complex(t1), complex(t2), complex(t3)
-    t12, t23, t13 = complex(t12), complex(t23), complex(t13)
+    traces = [complex(t) for t in (t1, t2, t3, t12, t23, t13)]
+    with np.errstate(all="ignore"):
+        triple = _construct_triple(*traces, branch)
+    if not np.isfinite(triple).all():
+        raise GeometryError("degenerate branch value")
+    return triple
+
+
+def _construct_triple(t1, t2, t3, t12, t23, t13, branch):
     if is_irreducible(CharacterF2(t1, t2, t12)):
         xi1, xi2 = normal_form_pair(t1, t2, t12)
         # affine system: tr(w) = t3, tr(xi2 w) = t23, tr(xi1 w) = t13

@@ -222,11 +222,22 @@ def _trials(cfg):
         yield sampling.rng_for(cfg.seed, trial)
 
 
+#: Integer numerator (N, d) of a draw m = N / d per ``--mode``; the
+#: identities suite runs on N, float matrices standing for themselves.
+_NUMERATOR = {
+    "float": lambda m: (m, 1),
+    "exact": mat2.clear_denominators,
+}
+
+
 def _suite_identities(cfg):
-    draw = _RANDOM_MATRIX[cfg.mode]
+    """Each identity written with adjugates is homogeneous in the matrices,
+    so it holds for N as for m = N / d, with the commutator row's constant
+    2 det(xi) det(eta) scaled by (d_xi d_eta)^2."""
+    draw, numerator = _RANDOM_MATRIX[cfg.mode], _NUMERATOR[cfg.mode]
     for rnd in _trials(cfg):
-        xi = draw(rnd)
-        eta = draw(rnd)
+        xi, dx = numerator(draw(rnd))
+        eta, de = numerator(draw(rnd))
         eye = np.eye(2, dtype=xi.dtype)
         ch = xi @ xi - mat2.trace(xi) * xi + mat2.det(xi) * eye
         yield "cayley-hamilton", float(np.abs(ch).max())
@@ -239,7 +250,7 @@ def _suite_identities(cfg):
         yield "trace-of-inverse", abs(mat2.trace(xi) - mat2.trace(mat2.adjoint(xi)))
         comm = mat2.trace(
             xi @ eta @ mat2.adjoint(xi) @ mat2.adjoint(eta)
-        ) + mat2.det(mat2.lie_product(xi, eta)) - 2
+        ) + mat2.det(mat2.lie_product(xi, eta)) - 2 * (dx * de) ** 2
         yield "commutator-vs-lie-det", abs(comm)
 
 

@@ -11,9 +11,12 @@ Exact matrices are object-dtype numpy arrays of ``Fraction`` (or int)
 entries; ``is_exact`` tells them apart, and integer dtypes count as
 numeric.  ``trace``, ``det``, ``adjoint``, ``lie_product``,
 ``evaluate_word`` and the ``@`` product compute on them exactly and keep
-the object dtype; numeric input gives complex128 results.  Exact
+the object dtype; numeric input gives complex128 results.  Exact word
 products run on integer numerators with one denominator per matrix,
-m = N / d (``clear_denominators``), and divide once at the end.
+m = N / d: each N is an int 4-tuple (a, b, c, e) of its rows, the
+tuples are multiplied as plain ints, and ``Fraction``s are formed once,
+from the product and the product of the d's.  ``clear_denominators``
+gives the same N as an object array.
 
 Sign conventions: several formulas only determine a matrix up to a
 global sign (the underlying statements are projective).  ``sign_normalize`` picks
@@ -115,11 +118,32 @@ def is_exact(m: np.ndarray) -> bool:
     return m.dtype.hasobject
 
 
+def _numerator(m: np.ndarray) -> tuple[tuple, int]:
+    """(N, d) with m = N / d for an exact m: N the int 4-tuple (a, b, c, e)
+    of its rows and d > 0 the least common denominator of the entries."""
+    a, b, c, e = m.flat
+    d = math.lcm(a.denominator, b.denominator, c.denominator, e.denominator)
+    return tuple(v.numerator * (d // v.denominator) for v in (a, b, c, e)), d
+
+
+def _mul(n: tuple, k: tuple) -> tuple:
+    """The product of two 2x2 matrices given as 4-tuples of their rows."""
+    a, b, c, e = n
+    p, q, r, s = k
+    return (a * p + b * r, a * q + b * s, c * p + e * r, c * q + e * s)
+
+
+def _adjugate(n: tuple) -> tuple:
+    """The adjugate of a 2x2 matrix given as a 4-tuple of its rows."""
+    a, b, c, e = n
+    return (e, -b, -c, a)
+
+
 def clear_denominators(m: np.ndarray) -> tuple[np.ndarray, int]:
     """(N, d) with m = N / d for an exact m: N an object array of ints and
     d > 0 the least common denominator of the entries."""
-    d = math.lcm(*(v.denominator for v in m.flat))
-    return np.frompyfunc(lambda v: v.numerator * (d // v.denominator), 1, 1)(m), d
+    n, d = _numerator(m)
+    return np.array(n, dtype=object).reshape(2, 2), d
 
 
 def adjoint(m: np.ndarray) -> np.ndarray:
@@ -144,21 +168,27 @@ def inverse(m: np.ndarray) -> np.ndarray:
 
 
 def evaluate_word(w: Word, assignment) -> np.ndarray:
-    """The product w(xi_1, ..., xi_n), inverse letters by the adjugate."""
+    """The product w(xi_1, ..., xi_n), inverse letters by the adjugate.
+    Exact matrices multiply as int 4-tuples of their numerators, and the
+    product is divided once by the product of the letters' denominators."""
     mats = list(assignment)
     if len(mats) != w.rank:
         raise ValueError(
             f"assignment has {len(mats)} matrices for a rank-{w.rank} word"
         )
-    exact = all(map(is_exact, mats))
-    if exact:
-        mats, ds = zip(*map(clear_denominators, mats))
+    if all(map(is_exact, mats)):
+        ns, ds = zip(*map(_numerator, mats))
+        invs = [_adjugate(n) for n in ns]
+        out = (1, 0, 0, 1)
+        for g in w.letters:
+            out = _mul(out, ns[g - 1] if g > 0 else invs[-g - 1])
+        # adj(N / d) = adj(N) / d, so divide once by the letters' ds
+        den = math.prod(ds[abs(g) - 1] for g in w.letters)
+        return np.array([Fraction(v, den) for v in out], dtype=object).reshape(2, 2)
     invs = [adjoint(m) for m in mats]
     out = np.eye(2, dtype=object) if is_exact(mats[0]) else I2.copy()
     for g in w.letters:
         out = out @ (mats[g - 1] if g > 0 else invs[-g - 1])
-    if exact:  # adj(N / d) = adj(N) / d, so divide once by the letters' ds
-        return np.frompyfunc(Fraction, 2, 1)(out, math.prod(ds[abs(g) - 1] for g in w.letters))
     return out
 
 

@@ -47,9 +47,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 
-from . import mat2, polyring
+from . import mat2
 from .polyring import F2_VARS, F3_VARS, WIDTH, Polynomial, VariableSet, _addmul_into
 from .words import Word
 
@@ -60,8 +61,6 @@ __all__ = [
     "trace_poly_f2",
     "trace_poly_f3",
     "kappa",
-    "phi_polynomial",
-    "sum_product_relation_polys",
     "quadruple_trace_check",
     "generator_count",
     "clear_cache",
@@ -218,17 +217,6 @@ def kappa_value(x, y, z):
     return x * x + y * y + z * z - x * y * z - 2
 
 
-def phi_polynomial() -> Polynomial:
-    """Generator of the principal ideal cutting out the rank-3 variety."""
-    return polyring.PHI
-
-
-def sum_product_relation_polys() -> tuple[Polynomial, Polynomial]:
-    """(f_Sigma, f_Pi): the triple traces are the roots of
-    t^2 - f_Sigma t + f_Pi."""
-    return polyring.SUM_RELATION, polyring.PRODUCT_RELATION
-
-
 @functools.cache
 def _quadruple_poly() -> Polynomial:
     """2 tr(X1 X2 X3 X4) in the rank-4 coordinates, with integer
@@ -265,16 +253,18 @@ def generator_count(n: int) -> int:
 def _numerator_traces(mats, words) -> tuple[dict, tuple | None]:
     """tr X_I for each index tuple I in ``words``, X_I being its prefix's
     product (listed before it) times the last matrix, and None; for exact
-    matrices, the traces of the integer numerators N_i = d_i m_i
-    (:func:`mat2.clear_denominators`) and the d_i."""
-    ds = None
+    matrices, the int traces of the integer numerators N_i = d_i m_i,
+    multiplied as int 4-tuples of their rows (``mat2._numerator``), and
+    the d_i."""
+    ds, mul, trace = None, operator.matmul, mat2.trace
     if all(map(mat2.is_exact, mats)):
-        mats, ds = zip(*map(mat2.clear_denominators, mats))
+        mats, ds = zip(*map(mat2._numerator, mats))
+        mul, trace = mat2._mul, lambda n: n[0] + n[3]
     products, traces = {}, {}
     for word in words:
         last = mats[word[-1] - 1]
-        products[word] = p = products[word[:-1]] @ last if len(word) > 1 else last
-        traces[word] = mat2.trace(p)
+        products[word] = p = mul(products[word[:-1]], last) if len(word) > 1 else last
+        traces[word] = trace(p)
     return traces, ds
 
 

@@ -47,15 +47,21 @@ from slchar.hypgeom import (
     hexagon_certificate,
 )
 from slchar.mat2 import normal_form_pair
-from slchar.polyring import F3_VARS, Polynomial, VariableSet, reduce_mod_phi
+from slchar.polyring import (
+    F3_VARS,
+    PHI,
+    PRODUCT_RELATION,
+    SUM_RELATION,
+    Polynomial,
+    VariableSet,
+    reduce_mod_phi,
+)
 from slchar.sampling import random_reduced_word, random_unimodular, rng_for
 from slchar.tracepoly import (
     clear_cache,
     evaluate_at_character,
     kappa_value,
-    phi_polynomial,
     quadruple_trace_check,
-    sum_product_relation_polys,
     trace_poly_f2,
     trace_poly_f3,
 )
@@ -106,8 +112,8 @@ def test_03_rank3_oracle_and_relations():
         tr = mat2.trace(mat2.evaluate_word(w, ms))
         worst = max(worst, abs(val - tr) / (1 + abs(tr)))
     assert worst <= 1e-7
-    phi = phi_polynomial()
-    fsum, fprod = sum_product_relation_polys()
+    phi = PHI
+    fsum, fprod = SUM_RELATION, PRODUCT_RELATION
     worst_rel = 0.0
     for trial in range(500):
         rnd = rng_for(2027, trial)

@@ -1,4 +1,5 @@
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -19,8 +20,9 @@ from slchar.chars import (
     triple_trace_roots,
 )
 from slchar.mat2 import GeometryError, normal_form_pair
+from slchar.polyring import PHI
 from slchar.sampling import random_unimodular
-from slchar.tracepoly import evaluate_at_character, phi_polynomial
+from slchar.tracepoly import evaluate_at_character
 from slchar.words import parse_word
 
 RND = random.Random(30)
@@ -223,7 +225,7 @@ class TestConstructTriple:
             for g, w in zip(got, (t1, t2, t3, t12, t23, t13)):
                 assert abs(g - w) <= 1e-8 * (1 + abs(w))
             # the character satisfies the hypersurface relation
-            phi_val = evaluate_at_character(phi_polynomial(), tri)
+            phi_val = evaluate_at_character(PHI, tri)
             assert abs(phi_val) <= 1e-7 * (1 + abs(c.t123) ** 2)
 
     def test_branch_selection(self):
@@ -267,6 +269,19 @@ class TestConstructTriple:
     def test_invalid_branch(self):
         with pytest.raises(ValueError):
             construct_triple(1, 2, 3, 4, 5, 6, "plus")
+
+    @pytest.mark.parametrize("traces", [
+        (1e300, 2, 2, 2, 2, 2),
+        (3, 0, 0, 1e-300, -1e154, 0),
+        (3, 3, 3, 1e300, 1e300, 1e300),
+    ])
+    def test_non_finite_triple_is_refused_without_warnings(self, traces):
+        # the determinant quadratic overflows to NaN; no RuntimeWarning
+        # may escape on the way to the error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GeometryError, match="degenerate branch value"):
+                construct_triple(*traces)
 
 
 class TestCharacterOfTriple:

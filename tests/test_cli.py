@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -339,6 +340,33 @@ class TestVerify:
         assert code == 0
         assert out.count("max-residual=0.0") == 4
 
+    def test_exact_identities_catch_a_wrong_adjugate_sign(self, capsys, monkeypatch):
+        # the exact suite runs on integer numerators through mat2.adjoint;
+        # an adjugate that keeps the sign of its upper right entry must FAIL
+        from slchar import mat2
+
+        true_adjoint = mat2.adjoint
+        monkeypatch.setattr(mat2, "adjoint", lambda m: true_adjoint(m) * [[1, -1], [1, 1]])
+        code, out, _ = run(capsys, "verify", "identities", "--trials", "5", "--mode", "exact")
+        assert code == 1
+        assert "identities/basic-identity: max-residual=" in out
+        assert "identities/basic-identity: max-residual=0.0" not in out
+        assert out.count(" FAIL") == 2 and out.endswith("result=FAIL\n")
+
+    @pytest.mark.parametrize("helper, wrong", [
+        ("_adjugate", lambda n: (n[3], n[1], -n[2], n[0])),
+        ("_mul", lambda n, k: (n[0] * k[0] + n[1] * k[2], n[0] * k[1] - n[1] * k[3],
+                               n[2] * k[0] + n[3] * k[2], n[2] * k[1] + n[3] * k[3])),
+    ])
+    def test_exact_oracle_catches_a_wrong_int_tuple_helper(self, capsys, monkeypatch,
+                                                            helper, wrong):
+        from slchar import mat2
+
+        monkeypatch.setattr(mat2, helper, wrong)
+        code, out, _ = run(capsys, "verify", "oracle", "--trials", "5", "--mode", "exact")
+        assert code == 1
+        assert "oracle/rank2-words:" in out and " FAIL" in out
+
     def test_rows_report_their_maximum_in_first_yield_order(self, capsys, monkeypatch):
         from slchar import cli
 
@@ -462,6 +490,17 @@ class TestNoTraceback:
         code, out, err = run(capsys, *argv)
         assert_error_line(code, out, err)
         assert err.startswith("error: not a finite number: ")
+
+    @pytest.mark.parametrize("numbers", [
+        ("1e300", "2", "2", "2", "2", "2"),
+        ("--", "3", "0", "0", "1e-300", "-1e154", "0"),
+    ])
+    def test_construct_triple_that_overflows(self, capsys, numbers):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+            code, out, err = run(capsys, "construct", "triple", *numbers)
+        assert_error_line(code, out, err)
+        assert err == "error: degenerate branch value\n"
 
     def test_non_finite_option_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from slchar import mat2
 from slchar.mat2 import (
@@ -31,7 +31,7 @@ from slchar.sampling import (
     random_unimodular,
 )
 from slchar.words import Word, parse_word
-from tuple2x2 import RATIONAL, as_tuple, word_product
+from tuple2x2 import RATIONAL, as_tuple, inverse, matmul, product, trace, word_product
 
 RND = random.Random(10)
 
@@ -180,6 +180,15 @@ class TestExactMatrices:
         assert all(type(v) is Fraction for v in out.flat)
         assert as_tuple(out) == word_product(w, mats)
 
+    def test_evaluate_word_on_int_matrices_with_zero_entries(self):
+        # object arrays of ints only (every d is 1), singular ones included
+        mats = [((0, 1), (-1, 0)), ((2, 0), (3, 0)), ((0, 4), (0, 5))]
+        for w in (parse_word("X Y^-1 Z x", 3), parse_word("Y^2 z X Z^-2", 3), Word(3, ())):
+            out = evaluate_word(w, [np.array(m, dtype=object) for m in mats])
+            assert out.dtype == object and out.shape == (2, 2)
+            assert all(type(v) is Fraction for v in out.flat)
+            assert as_tuple(out) == word_product(w, mats)
+
     def test_evaluate_word_inverse_letters_scale_by_denominator(self):
         # det m = 1/4: the adjugate of m = N/2 is adj(N)/2, not adj(N)/4 or adj(N)
         half, eighth = Fraction(1, 2), Fraction(1, 8)
@@ -194,6 +203,53 @@ class TestExactMatrices:
         ms = [random_unimodular(RND) for _ in range(2)]
         assert evaluate_word(parse_word("X Y x", 2), ms).dtype == np.complex128
         assert evaluate_word(Word(2, ()), ms).dtype == np.complex128
+
+
+#: Integer 2x2 matrices of any determinant, singular and zero ones included.
+INTEGERS = st.integers(-30, 30)
+INT_MATRICES = st.tuples(st.tuples(INTEGERS, INTEGERS), st.tuples(INTEGERS, INTEGERS))
+
+
+def _det(m):
+    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+
+
+def _flat(m):
+    return (*m[0], *m[1])
+
+
+class TestHomogenisedIdentities:
+    """With inverses written as adjugates, the identities of ``verify
+    identities`` hold for integer matrices of any determinant, which is
+    what lets the exact suite run on the numerators N = d m."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(INT_MATRICES, INT_MATRICES)
+    @example(((0, 0), (0, 0)), ((1, 2), (2, 4)))
+    @example(((0, 3), (0, 0)), ((0, 0), (-5, 0)))
+    def test_identities_hold_exactly(self, n, m):
+        # tuple reference: inverse() is the adjugate for any determinant
+        nn, tn = matmul(n, n), trace(n)
+        assert all(nn[i][j] - tn * n[i][j] + _det(n) * (i == j) == 0
+                   for i in range(2) for j in range(2))
+        assert trace(matmul(n, m)) + trace(matmul(n, inverse(m))) == tn * trace(m)
+        assert trace(inverse(n)) == tn
+        nm, mn = matmul(n, m), matmul(m, n)
+        lie = tuple(tuple(nm[i][j] - mn[i][j] for j in range(2)) for i in range(2))
+        assert (trace(product(n, m, inverse(n), inverse(m))) + _det(lie)
+                == 2 * _det(n) * _det(m))
+        # the library's arithmetic on object arrays of ints, as the suite uses it
+        xi, eta = np.array(n, dtype=object), np.array(m, dtype=object)
+        adj_xi, adj_eta = mat2.adjoint(xi), mat2.adjoint(eta)
+        ch = xi @ xi - mat2.trace(xi) * xi + mat2.det(xi) * np.eye(2, dtype=object)
+        assert not ch.any()
+        assert mat2.trace(xi @ eta) + mat2.trace(xi @ adj_eta) == mat2.trace(xi) * mat2.trace(eta)
+        assert mat2.trace(adj_xi) == mat2.trace(xi)
+        comm = mat2.trace(xi @ eta @ adj_xi @ adj_eta) + mat2.det(lie_product(xi, eta))
+        assert type(comm) is int and comm == 2 * _det(n) * _det(m)
+        # the private int 4-tuple helpers of the exact word products
+        assert mat2._mul(_flat(n), _flat(m)) == _flat(nm)
+        assert mat2._adjugate(_flat(n)) == _flat(inverse(n))
 
 
 class TestLieProduct:

@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from slchar import mat2, tracepoly
-from slchar.polyring import F2_VARS, F3_VARS, Polynomial, reduce_mod_phi
+from slchar.polyring import (
+    F2_VARS,
+    F3_VARS,
+    PHI,
+    PRODUCT_RELATION,
+    SUM_RELATION,
+    Polynomial,
+    reduce_mod_phi,
+)
 from slchar.sampling import (
     random_rational_unimodular,
     random_reduced_word,
@@ -17,9 +25,7 @@ from slchar.tracepoly import (
     evaluate_at_character,
     generator_count,
     kappa,
-    phi_polynomial,
     quadruple_trace_check,
-    sum_product_relation_polys,
     trace_poly,
     trace_poly_f2,
     trace_poly_f3,
@@ -75,7 +81,7 @@ class TestRank3BaseValues:
 
     def test_reversed_triple(self):
         got = trace_poly_f3(parse_word("X1 X3 X2", 3))
-        fsum, _ = sum_product_relation_polys()
+        fsum = SUM_RELATION
         assert got == fsum - Polynomial.variable(F3_VARS, "x123")
 
     def test_pair_variables(self):
@@ -307,24 +313,24 @@ class TestExactOracle:
 
 class TestPhiAndRelations:
     def test_phi_monic_quadratic(self):
-        phi = phi_polynomial()
+        phi = PHI
         assert phi.degree_in("x123") == 2
-        fsum, fprod = sum_product_relation_polys()
+        fsum, fprod = SUM_RELATION, PRODUCT_RELATION
         x123 = Polynomial.variable(F3_VARS, "x123")
         assert phi == x123 * x123 - fsum * x123 + fprod
 
     def test_phi_at_trivial_rep(self):
         point = {n: 2 for n in F3_VARS}
-        assert phi_polynomial().evaluate(point) == 0
+        assert PHI.evaluate(point) == 0
 
     def test_phi_vanishes_on_characters(self):
         for _ in range(100):
             ms = [random_unimodular(RND) for _ in range(3)]
-            val = evaluate_at_character(phi_polynomial(), ms)
+            val = evaluate_at_character(PHI, ms)
             assert abs(val) <= 1e-8
 
     def test_sum_product_on_characters(self):
-        fsum, fprod = sum_product_relation_polys()
+        fsum, fprod = SUM_RELATION, PRODUCT_RELATION
         for _ in range(100):
             ms = [random_unimodular(RND) for _ in range(3)]
             t123 = mat2.trace(ms[0] @ ms[1] @ ms[2])
@@ -335,13 +341,13 @@ class TestPhiAndRelations:
             assert abs(t123 * t132 - p) <= 1e-8 * (1 + abs(p))
 
     def test_trivial_rep_roots(self):
-        fsum, fprod = sum_product_relation_polys()
+        fsum, fprod = SUM_RELATION, PRODUCT_RELATION
         point = {n: 2 for n in F3_VARS}
         assert fsum.evaluate(point) == 4
         assert fprod.evaluate(point) == 4  # roots of t^2 - 4t + 4: (2, 2)
 
     def test_discriminant_is_branch_locus(self):
-        fsum, fprod = sum_product_relation_polys()
+        fsum, fprod = SUM_RELATION, PRODUCT_RELATION
         disc = fsum * fsum - fprod * 4
         # on the branch locus the two triple traces coincide
         for _ in range(50):
@@ -417,6 +423,16 @@ class TestExactIntegerCore:
         assert ds is None
         for w in words:
             assert numeric[w] == mat2.trace(product_of(floats, w))
+
+    def test_product_traces_on_int_matrices_with_zero_entries(self):
+        # object arrays of ints only (every d is 1), singular ones included
+        mats = [((0, 1), (-1, 0)), ((2, 0), (3, 0)), ((0, 0), (0, 5)), ((0, 0), (0, 0))]
+        words = ((1,), (2,), (3,), (4,), (1, 2), (1, 2, 3), (2, 3), (3, 1), (1, 2, 3, 4), (2, 2))
+        got, ds = tracepoly._numerator_traces([exact(m) for m in mats], words)
+        assert ds == (1, 1, 1, 1)
+        for w in words:
+            assert type(got[w]) is int
+            assert got[w] == trace(product(*(mats[i - 1] for i in w))), w
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 3), st.data())
