@@ -253,13 +253,15 @@ def construct_triple(t1, t2, t3, t12, t23, t13, branch: str = "+"):
     triple-trace quadratic tr(xi1 xi2 xi3) realizes ('+' is the root
     with larger real part).  In the reducible case the triple is
     assembled from explicit upper-triangular matrices and the branch
-    choice may be unrealizable (the two sheets collide).  A triple with
-    a non-finite entry (the traces overflow the arithmetic) raises
-    ``GeometryError``.
+    choice may be unrealizable (the two sheets collide).  A non-finite
+    kappa(t1, t2, t12) or a triple with a non-finite entry (the traces
+    overflow the arithmetic) raises ``GeometryError``.
     """
     if branch not in ("+", "-"):
         raise ValueError(f"branch must be '+' or '-', got {branch!r}")
     traces = [complex(t) for t in (t1, t2, t3, t12, t23, t13)]
+    if not cmath.isfinite(kappa_value(traces[0], traces[1], traces[3])):
+        raise GeometryError("degenerate branch value")
     with np.errstate(all="ignore"):
         triple = _construct_triple(*traces, branch)
     if not np.isfinite(triple).all():

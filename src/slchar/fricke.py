@@ -8,6 +8,11 @@ four-holed sphere test takes boundary traces >= 2 with strict
 x < -2.  On-variety residuals use an absolute 1e-8 tolerance on float
 inputs; exact rational inputs are checked exactly.
 
+Integer numerators.  For exact input (ints and ``Fraction``s) ``member_s04``
+and ``member_s12`` evaluate each polynomial of their tests, built once from
+its hand formula, as an int numerator over a positive denominator, compare
+ints, and report num/den, correctly rounded like ``float(Fraction)``.
+
 The four-holed sphere component test works with the factorization
 
     F~(+|-) = S+/sqrt(-2-x) +- S-/sqrt(2-x),
@@ -27,9 +32,9 @@ F~- > 0.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from numbers import Rational
 
 import numpy as np
@@ -67,6 +72,12 @@ ONVARIETY_TOL = 1e-8
 
 def _is_exact(*values) -> bool:
     return all(isinstance(v, Rational) for v in values)
+
+
+def _exact_ratios(polys, point):
+    """Numerators, denominators and each polynomial's (num, den) at an exact point."""
+    nums, dens = [int(t.numerator) for t in point], [int(t.denominator) for t in point]
+    return nums, dens, [p._evaluate_ratio(nums, dens) for p in polys]
 
 
 @dataclass(frozen=True)
@@ -277,31 +288,40 @@ def _s04_component_terms(a, b, c, d, x, y, z):
     return kab, kcd, s_minus, s_plus
 
 
+@functools.cache
+def _s04_polys() -> tuple[Polynomial, ...]:
+    return (s04_defining_poly(), *_s04_component_terms(*_s04_variables()))
+
+
 def member_s04(ch: CharacterS04) -> S04Result:
     """Boundary traces >= 2 and x < -2, on the quartic, and F~+ > 0 and
-    F~- > 0.  For exact input the last test is its exact equivalent
-    S+ > 0 and (2-x) S+^2 > (-2-x) S-^2, and of the floats F~+- the one
-    whose two terms share a sign is summed, the other is the exact product
-    F~+ F~- = S+^2/(-2-x) - S-^2/(2-x) over it, free of cancellation."""
-    a, b, c, d, x, y, z = point = ch.as_tuple()
-    kab, kcd, s_minus, s_plus = _s04_component_terms(*point)
-    residual = s04_quartic(*point)
-    res_f = abs(float(residual))
-    cusps = tuple(n for n, t in zip("abcd", (a, b, c, d)) if t == 2)
-
-    in_range = min(a, b, c, d) >= 2 and x < -2
-    if not in_range:
-        return S04Result(
-            S04Verdict.NONMEMBER_RANGE, res_f, float(kab), float(kcd),
-            float(s_minus), float(s_plus), None, None, cusps,
-        )
-    f_plus = float(s_plus) / math.sqrt(float(-2 - x)) + float(s_minus) / math.sqrt(float(2 - x))
-    f_minus = float(s_plus) / math.sqrt(float(-2 - x)) - float(s_minus) / math.sqrt(float(2 - x))
-    if _is_exact(*point):
-        off = residual != 0
-        component = s_plus > 0 and (2 - x) * s_plus * s_plus > (-2 - x) * s_minus * s_minus
-        product = float(Fraction(s_plus * s_plus, -2 - x) - Fraction(s_minus * s_minus, 2 - x))
-        if s_plus * s_minus >= 0:  # |F~+| >= |F~-|
+    F~- > 0.  Exact input is decided on integer numerators, the last test as
+    its exact equivalent S+ > 0 and (2-x) S+^2 > (-2-x) S-^2; of the floats
+    F~+- the one whose two terms share a sign is summed, the other is the
+    exact product F~+ F~- = S+^2/(-2-x) - S-^2/(2-x) over it, free of
+    cancellation."""
+    point = ch.as_tuple()
+    if exact := _is_exact(*point):
+        nums, dens, ratios = _exact_ratios(_s04_polys(), point)
+    else:  # each value is its own numerator over 1
+        nums, dens = point, (1,) * 7
+        ratios = [(v, 1) for v in (s04_quartic(*point), *_s04_component_terms(*point))]
+    (rn, rd), *terms = ratios
+    res_f, kab, kcd, s_minus, s_plus = abs(float(rn / rd)), *(float(n / e) for n, e in terms)
+    nx, dx = nums[4], dens[4]
+    cusps = tuple(v for v, n, e in zip("abcd", nums, dens) if n == 2 * e)
+    if not (min(n - 2 * e for n, e in zip(nums[:4], dens)) >= 0 and nx < -2 * dx):
+        return S04Result(S04Verdict.NONMEMBER_RANGE, res_f, kab, kcd, s_minus, s_plus,
+                         None, None, cusps)
+    below, above = -2 * dx - nx, 2 * dx - nx  # dx (-2-x) > 0 and dx (2-x) > 0
+    plus, minus = s_plus / math.sqrt(below / dx), s_minus / math.sqrt(above / dx)
+    f_plus, f_minus = plus + minus, plus - minus
+    if exact:  # S+- = N+-/D+-: (2-x) S+^2 > (-2-x) S-^2 times dx (D+ D-)^2
+        (mn, md), (pn, pd) = terms[2:]
+        hi, lo = above * (pn * md) ** 2, below * (mn * pd) ** 2
+        off, component = rn != 0, pn > 0 and hi > lo
+        product = dx * (hi - lo) / (above * below * (pd * md) ** 2)
+        if pn * mn >= 0:  # |F~+| >= |F~-|
             f_minus = product / f_plus if f_plus else f_minus
         else:
             f_plus = product / f_minus if f_minus else f_plus
@@ -314,10 +334,7 @@ def member_s04(ch: CharacterS04) -> S04Result:
         verdict = S04Verdict.MEMBER
     else:
         verdict = S04Verdict.NONMEMBER_WRONG_COMPONENT
-    return S04Result(
-        verdict, res_f, float(kab), float(kcd),
-        float(s_minus), float(s_plus), f_plus, f_minus, cusps,
-    )
+    return S04Result(verdict, res_f, kab, kcd, s_minus, s_plus, f_plus, f_minus, cusps)
 
 
 def defining_identity_residual() -> Polynomial:
@@ -368,29 +385,37 @@ def _s12_relations(a, b, u, v, w, x, y, z):
     return rel1, rel2
 
 
+def _s12_tests(a, b, u, v, w, x, y, z):
+    """The two relations, then the kappas of Button's three tests."""
+    return (*_s12_relations(a, b, u, v, w, x, y, z),
+            kappa_value(x, y, z), kappa_value(y, u, w), kappa_value(u, x, v))
+
+
+@functools.cache
+def _s12_polys() -> tuple[Polynomial, ...]:
+    return _s12_tests(*(Polynomial.variable(S12_VARS, n) for n in S12_VARS))
+
+
 def s12_relation_polys() -> tuple[Polynomial, Polynomial]:
     """The two relations as polynomials over (a,b,u,v,w,x,y,z)."""
-    return _s12_relations(*(Polynomial.variable(S12_VARS, n) for n in S12_VARS))
+    return _s12_polys()[:2]
 
 
 def member_s12(ch: CharacterS12) -> S12Result:
     """On-variety check of both relations, then Button's inequalities
-    kappa(x,y,z) < -2, kappa(y,u,w) < -2, kappa(u,x,v) < -2, decided
-    exactly for exact input; the reported kappas are floats."""
-    a, b, u, v, w, x, y, z = (
-        ch.a, ch.b, ch.u, ch.v, ch.w, ch.x, ch.y, ch.z
-    )
-    r1, r2 = _s12_relations(a, b, u, v, w, x, y, z)
-    residuals = (abs(float(r1)), abs(float(r2)))
-    ks = (kappa_value(x, y, z), kappa_value(y, u, w), kappa_value(u, x, v))
-    kappas = tuple(map(float, ks))
-    if _is_exact(a, b, u, v, w, x, y, z):
-        off = r1 != 0 or r2 != 0
-    else:  # a NaN residual is off the variety
-        off = not (residuals[0] <= ONVARIETY_TOL and residuals[1] <= ONVARIETY_TOL)
-    if off:
+    kappa(x,y,z) < -2, kappa(y,u,w) < -2, kappa(u,x,v) < -2, decided on
+    integer numerators for exact input; the reported values are floats."""
+    point = (ch.a, ch.b, ch.u, ch.v, ch.w, ch.x, ch.y, ch.z)
+    if exact := _is_exact(*point):
+        *_, ratios = _exact_ratios(_s12_polys(), point)
+    else:  # each value is its own numerator over 1; a NaN residual is off the variety
+        ratios = [(v, 1) for v in _s12_tests(*point)]
+    (n1, d1), (n2, d2), *ks = ratios
+    residuals = (abs(float(n1 / d1)), abs(float(n2 / d2)))
+    kappas = tuple(float(n / e) for n, e in ks)
+    if not (n1 == n2 == 0 if exact else all(r <= ONVARIETY_TOL for r in residuals)):
         return S12Result(S12Verdict.NONMEMBER_OFF_VARIETY, residuals, kappas)
-    if all(k < -2 for k in ks):  # in the input's arithmetic
+    if all(n < -2 * e for n, e in ks):
         return S12Result(S12Verdict.MEMBER, residuals, kappas)
     return S12Result(S12Verdict.NONMEMBER_INEQUALITIES, residuals, kappas)
 
@@ -436,9 +461,9 @@ def fn_to_traces(coords: FNCoords) -> FNResult:
     uncorrected closed form, which is reported for comparison and does
     not hold against the matrix oracle.
     """
-    l, tau, b = coords.l, coords.tau, coords.b
-    mu_half = math.asinh(math.cosh(b / 4) / math.sinh(l / 2))
-    X = np.diag([math.exp(l / 2), math.exp(-l / 2)]).astype(complex)
+    l2, tau2, b4 = coords.l / 2, coords.tau / 2, coords.b / 4  # divided once: Fractions are slow
+    mu_half = math.asinh(math.cosh(b4) / math.sinh(l2))
+    X = np.diag([math.exp(l2), math.exp(-l2)]).astype(complex)
     Y0 = np.array(
         [
             [math.cosh(mu_half), math.sinh(mu_half)],
@@ -446,19 +471,19 @@ def fn_to_traces(coords: FNCoords) -> FNResult:
         ],
         dtype=complex,
     )
-    Y = Y0 @ np.diag([math.exp(tau / 2), math.exp(-tau / 2)]).astype(complex)
+    Y = Y0 @ np.diag([math.exp(tau2), math.exp(-tau2)]).astype(complex)
     x = float(mat2.trace(X).real)
     y = float(mat2.trace(Y).real)
     z = float(mat2.trace(X @ Y).real)
     k = kappa_value(x, y, z)
-    boundary = -2 * math.cosh(b / 2)
+    boundary = -2 * math.cosh(coords.b / 2)
     corrected_y = (
-        2 * math.sqrt(1 + math.cosh(b / 4) ** 2 / math.sinh(l / 2) ** 2)
-        * math.cosh(tau / 2)
+        2 * math.sqrt(1 + math.cosh(b4) ** 2 / math.sinh(l2) ** 2)
+        * math.cosh(tau2)
     )
-    arg = 1 - 4 * math.sinh(b / 4) ** 2 / math.sinh(l / 2) ** 2
+    arg = 1 - 4 * math.sinh(b4) ** 2 / math.sinh(l2) ** 2
     uncorrected_y = (
-        2 * math.sqrt(arg) * math.cosh(tau / 2) if arg >= 0 else float("nan")
+        2 * math.sqrt(arg) * math.cosh(tau2) if arg >= 0 else float("nan")
     )
     result = FNResult(
         x=x, y=y, z=z, kappa=k, boundary_trace=boundary,

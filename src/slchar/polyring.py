@@ -379,7 +379,7 @@ class Polynomial:
         return total
 
     def evaluate_exact(self, assignment: Mapping[str, Rational]) -> Fraction:
-        """Evaluate at a rational point exactly (see ``_evaluate_fraction``).
+        """Evaluate at a rational point exactly (see ``_evaluate_ratio``).
         Every variable must be bound."""
         self._check_bound(assignment)
         vals = [Fraction(assignment[name]) for name in self.variables]
@@ -387,12 +387,15 @@ class Polynomial:
                                        [v.denominator for v in vals])
 
     def _evaluate_fraction(self, nums, dens) -> Fraction:
+        return Fraction(*self._evaluate_ratio(nums, dens))
+
+    def _evaluate_ratio(self, nums, dens) -> tuple:
         """The exact value where variable i is nums[i]/dens[i] (ints, each
-        dens[i] > 0, not necessarily in lowest terms): with top_i the degree
-        of an occurring variable, sum c * prod n_i^k d_i^(top_i - k) over the
-        terms (k = 0 where a term lacks the variable), in ints if the
-        coefficients are, each power computed once, then divide by
-        prod d_i^top_i once."""
+        dens[i] > 0, not necessarily in lowest terms), as ``(num, den)``, not
+        reduced: with top_i the degree of an occurring variable, num sums
+        c * prod n_i^k d_i^(top_i - k) over the terms (k = 0 where a term
+        lacks the variable), an int if the coefficients are, each power
+        computed once, and den = prod d_i^top_i > 0."""
         pairs, coeffs, slots = self._plan or self._evaluation_plan()
         powers = [nums[i] ** k * dens[i] ** r for i, k, r in pairs]
         total = 0
@@ -400,7 +403,7 @@ class Polynomial:
             for s in term_slots:
                 c *= powers[s]
             total += c
-        return Fraction(total, math.prod(p for (_, k, _), p in zip(pairs, powers) if not k))
+        return total, math.prod(p for (_, k, _), p in zip(pairs, powers) if not k)
 
     def substitute(
         self,

@@ -274,6 +274,9 @@ class TestConstructTriple:
         (1e300, 2, 2, 2, 2, 2),
         (3, 0, 0, 1e-300, -1e154, 0),
         (3, 3, 3, 1e300, 1e300, 1e300),
+        # kappa(t1, t2, t12) = inf - inf is NaN, which must not read as
+        # reducible (that branch built a finite triple with t12 = 2)
+        (1e154,) * 6,
     ])
     def test_non_finite_triple_is_refused_without_warnings(self, traces):
         # the determinant quadratic overflows to NaN; no RuntimeWarning

@@ -494,6 +494,7 @@ class TestNoTraceback:
     @pytest.mark.parametrize("numbers", [
         ("1e300", "2", "2", "2", "2", "2"),
         ("--", "3", "0", "0", "1e-300", "-1e154", "0"),
+        ("--", "1e154", "1e154", "1e154", "1e154", "1e154", "1e154"),
     ])
     def test_construct_triple_that_overflows(self, capsys, numbers):
         with warnings.catch_warnings():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from slchar import fricke, mat2
 from slchar.fricke import (
@@ -33,7 +33,7 @@ from slchar.fricke import (
 from slchar.polyring import S04_VARS, S12_VARS
 from slchar.sampling import random_rational_unimodular
 from slchar.tracepoly import kappa_value
-from tuple2x2 import SL2, as_tuple, commutator_trace, inverse, product, trace
+from tuple2x2 import FRACTIONS, SL2, as_tuple, commutator_trace, inverse, product, trace
 
 RND = random.Random(50)
 
@@ -396,6 +396,209 @@ class TestS12Exact:
         assert res.verdict is S12Verdict.MEMBER
         floats = member_s12(CharacterS12(*map(float, self.POINT)))
         assert floats.verdict is not S12Verdict.MEMBER
+
+
+def _with_trace(t, p, s):
+    """A rational unimodular matrix of trace t (s != 0)."""
+    return ((p, s), ((p * (t - p) - 1) / s, t - p))
+
+
+def _int_sl2(b, c):
+    return ((1, b), (c, 1 + b * c))
+
+
+def _normal_pair(a, b, s):
+    """A, B of traces a, b with AB = ((1/s, as - b), (0, s)), so that
+    tr AB = s + 1/s < -2 for s < 0, s != -1."""
+    return ((a, -1), (1, 0)), ((0, s), (-1 / Fraction(s), b))
+
+
+def _s04_glued(a, b, c, d, s, k):
+    """A point of the Fricke space: the pants (A, B, AB) and (C, D, CD) of
+    the normal form, glued along CD = (AB)^-1 and twisted by (AB)^-k."""
+    s = Fraction(s)
+    A, B = _normal_pair(a, b, s)
+    C0, _ = _normal_pair(c, d, 1 / s)  # C0 D0 = ((s, c/s - d), (0, 1/s))
+    t = (b - a * s - (c / s - d)) / (1 / s - s)  # conjugates C0 D0 onto (AB)^-1
+    P = product(*[inverse(product(A, B))] * k, ((1, t), (0, 1)))
+    return _s04_point(A, B, product(P, C0, inverse(P)))
+
+
+def _mixed(point, flags):
+    """Each integral coordinate as an int or as a Fraction, by its flag."""
+    return tuple((int(t) if flag else Fraction(t)) if Fraction(t).denominator == 1 else t
+                 for t, flag in zip(point, flags))
+
+
+def _exact_points(points, size):
+    """Integral coordinates all ints, all Fractions, or mixed."""
+    flags = st.one_of(st.just([True] * size), st.just([False] * size),
+                      st.lists(st.booleans(), min_size=size, max_size=size))
+    return st.builds(_mixed, points, flags)
+
+
+#: Numerators and denominators above 2**64.
+BIG = st.builds(Fraction, st.integers(-2**80, 2**80), st.integers(2**64, 2**80))
+COORD = st.one_of(st.integers(-9, 9), FRACTIONS, BIG)
+ENTRY = st.one_of(FRACTIONS, BIG)
+#: Traces >= 2, the cusp 2 among them.
+TRACE = st.one_of(st.just(2), st.fractions(min_value=2, max_value=12, max_denominator=12),
+                  BIG.map(lambda q: 2 + abs(q)))
+NEGATIVE = st.one_of(st.integers(-9, -2), st.fractions(max_value=0, max_denominator=12),
+                     BIG.map(lambda q: -abs(q))).filter(lambda s: s not in (0, -1))
+TRACED = st.builds(_with_trace, TRACE, ENTRY, ENTRY.filter(bool))
+INT_SL2 = st.builds(_int_sl2, st.integers(-6, 6), st.integers(-6, 6))
+TINY = Fraction(1, 10**20)
+
+
+def _in_range(point):
+    a, b, c, d, x, y, z = point
+    return (*(2 + abs(t) for t in (a, b, c, d)), -2 - abs(x), y, z)
+
+
+def _x_near_minus_two(point, sign):
+    return point[:4] + (-2 + sign * TINY,) + point[5:]
+
+
+def _s_plus_zero(point):
+    a, b, c, d, x, y, _ = point
+    return point if x == -2 else point[:6] + (Fraction((a + b) * (c + d)) / (2 + x) - y,)
+
+
+S04_MEMBERS = st.builds(_s04_glued, TRACE, TRACE, TRACE, TRACE, NEGATIVE, st.integers(0, 3))
+S04_ON_VARIETY = st.one_of(
+    st.builds(_s04_point, SL2, SL2, SL2),
+    st.builds(_s04_point, *[INT_SL2] * 3),
+    S04_MEMBERS,
+    # the normal-form pair and a third matrix: mostly the wrong component
+    st.builds(lambda a, b, s, C: _s04_point(*_normal_pair(a, b, s), C),
+              TRACE, TRACE, NEGATIVE, TRACED).filter(lambda p: p[3] >= 2),
+    COORD.map(lambda t: (2, 2, 2, 2, -2 - abs(t), 2, 4 + 2 + abs(t))),
+)
+FREE = st.one_of(st.tuples(*[COORD] * 7), st.tuples(*[st.integers(-9, 9)] * 7))
+S04_POINTS = _exact_points(st.one_of(
+    S04_MEMBERS,
+    S04_ON_VARIETY,
+    FREE,
+    FREE.map(_in_range),
+    st.builds(_x_near_minus_two, S04_ON_VARIETY, st.sampled_from((1, -1))),
+    FREE.map(_in_range).map(_s_plus_zero),
+), 7)
+
+
+def _s12_point(U, X, Y):
+    """(a, b, u, v, w, x, y, z), in ``S12_VARS`` order, of a representation."""
+    return (trace(product(U, X, Y)), trace(product(U, Y, X)), trace(U),
+            trace(product(U, X)), trace(product(U, Y)), trace(X), trace(Y), trace(product(X, Y)))
+
+
+def _rotated(lam, t):
+    """diag(lam, 1/lam) conjugated by the rational rotation with
+    tan(theta/2) = t, which turns its axis by 2 theta about i."""
+    t = Fraction(t)
+    c, s = (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)
+    return product(((c, s), (-s, c)), ((lam, 0), (0, 1 / Fraction(lam))), ((c, -s), (s, c)))
+
+
+def _spread(l1, l2, l3, t):
+    """Axes about 60 degrees apart (tan 15 ~ 4/15, tan 30 ~ 4/7), as in
+    ``_rotated_hyperbolics``: members once the lengths are large."""
+    return _s12_point(_rotated(l1, t), _rotated(l2, t + Fraction(4, 15)),
+                      _rotated(l3, t + Fraction(4, 7)))
+
+
+def _nudged(point, i, sign):
+    return point[:i] + (point[i] + sign * TINY,) + point[i + 1:]
+
+
+S12_MEMBERS = st.builds(_spread, *[TRACE.map(lambda t: 2 * t)] * 3,
+                        st.one_of(st.just(0), BIG.map(lambda q: q / (2**20 + abs(q)))))
+S12_ON_VARIETY = st.one_of(
+    st.builds(_s12_point, SL2, SL2, SL2),
+    st.builds(_s12_point, *[INT_SL2] * 3),
+    S12_MEMBERS,
+)
+S12_POINTS = _exact_points(st.one_of(
+    S12_MEMBERS,
+    S12_ON_VARIETY,
+    st.builds(_nudged, S12_ON_VARIETY, st.integers(0, 7), st.sampled_from((1, -1))),
+    st.tuples(*[COORD] * 8),
+    st.tuples(*[st.integers(-9, 9)] * 8),
+), 8)
+
+
+def _s04_reference(point):
+    """Every field of ``member_s04`` at an exact point, from the public
+    hand formulas in Fraction arithmetic."""
+    a, b, c, d, x, y, z = point = tuple(map(Fraction, point))
+    residual = s04_quartic(*point)
+    kab, kcd = kappa_value(a, b, x) - 2, kappa_value(c, d, x) - 2
+    s_minus = (y - z) * (2 - x) + (a - b) * (c - d)
+    s_plus = (y + z) * (2 + x) - (a + b) * (c + d)
+    floats = [abs(float(residual)), *map(float, (kab, kcd, s_minus, s_plus))]
+    cusps = tuple(n for n, t in zip("abcd", (a, b, c, d)) if t == 2)
+    if not (min(a, b, c, d) >= 2 and x < -2):
+        return S04Verdict.NONMEMBER_RANGE, floats + [None, None], cusps
+    plus = float(s_plus) / math.sqrt(float(-2 - x))
+    minus = float(s_minus) / math.sqrt(float(2 - x))
+    f_plus, f_minus = plus + minus, plus - minus
+    product_ = float(s_plus**2 / (-2 - x) - s_minus**2 / (2 - x))  # F+ F-
+    if s_plus * s_minus >= 0:  # |F+| >= |F-|: F- from the product
+        f_minus = product_ / f_plus if f_plus else f_minus
+    else:
+        f_plus = product_ / f_minus if f_minus else f_plus
+    if residual != 0:
+        verdict = S04Verdict.NONMEMBER_OFF_VARIETY
+    elif _exact_component_rule(*point):
+        verdict = S04Verdict.MEMBER
+    else:
+        verdict = S04Verdict.NONMEMBER_WRONG_COMPONENT
+    return verdict, floats + [f_plus, f_minus], cusps
+
+
+def _value_at(p, point):
+    """A polynomial at a rational point, term by term in Fractions."""
+    return sum(c * math.prod(t**k for t, k in zip(point, e)) for e, c in p.terms())
+
+
+def _s12_reference(point):
+    """The verdict and the reported floats of ``member_s12`` at an exact
+    point in ``S12_VARS`` order, in Fraction arithmetic."""
+    a, b, u, v, w, x, y, z = point = tuple(map(Fraction, point))
+    rels = [_value_at(p, point) for p in s12_relation_polys()]
+    ks = (kappa_value(x, y, z), kappa_value(y, u, w), kappa_value(u, x, v))
+    if any(rels):
+        verdict = S12Verdict.NONMEMBER_OFF_VARIETY
+    elif all(k < -2 for k in ks):
+        verdict = S12Verdict.MEMBER
+    else:
+        verdict = S12Verdict.NONMEMBER_INEQUALITIES
+    return verdict, [abs(float(r)) for r in rels], [float(k) for k in ks]
+
+
+class TestExactPredicatesMatchFractionReference:
+    """Exact input is decided on integer numerators; every field must be
+    what Fraction arithmetic on the hand formulas gives, to the last bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(S04_POINTS)
+    def test_s04(self, point):
+        res = member_s04(CharacterS04(*point))
+        verdict, floats, cusps = _s04_reference(point)
+        assert res.verdict is verdict
+        got = (res.residual, res.kappa_ab, res.kappa_cd, res.s_minus, res.s_plus,
+               res.f_plus, res.f_minus)
+        assert list(map(repr, got)) == list(map(repr, floats))
+        assert res.cusps == cusps
+
+    @settings(max_examples=300, deadline=None)
+    @given(S12_POINTS)
+    def test_s12(self, point):
+        res = member_s12(CharacterS12(**dict(zip(S12_VARS, point))))
+        verdict, residuals, kappas = _s12_reference(point)
+        assert res.verdict is verdict
+        assert list(map(repr, res.residuals)) == list(map(repr, residuals))
+        assert list(map(repr, res.kappas)) == list(map(repr, kappas))
 
 
 class TestFenchelNielsen:

@@ -454,6 +454,30 @@ class TestNormalForm:
         dens = [Fraction(point[n]).denominator * g for n in vars_]
         assert p._evaluate_fraction(nums, dens) == naive_evaluate_exact(p, point)
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from((F2_VARS, F3_VARS, S12_VARS)), st.data())
+    def test_evaluate_ratio_is_the_exact_value_over_a_positive_denominator(self, vars_, data):
+        p = data.draw(st.one_of(
+            st.just(Polynomial.zero(vars_)),
+            st.one_of(st.integers(-9, 9), COEFFS).map(lambda c: Polynomial.constant(vars_, c)),
+            polys(vars_, max_terms=6, max_deg=4),
+        ))
+        point = {n: Fraction(data.draw(VALUES)) for n in vars_}
+        # each numerator and denominator scaled by its own factor: not reduced
+        gs = [data.draw(st.integers(1, 9)) for _ in vars_]
+        nums = [point[n].numerator * g for n, g in zip(vars_, gs)]
+        dens = [point[n].denominator * g for n, g in zip(vars_, gs)]
+        num, den = p._evaluate_ratio(nums, dens)
+        assert type(den) is int and den > 0
+        assert Fraction(num, den) == p.evaluate_exact(point) == naive_evaluate_exact(p, point)
+
+    def test_evaluate_ratio_of_zero_and_constants(self):
+        nums, dens = [3, -4, 0], [6, 10, 7]
+        assert Polynomial.zero(F2_VARS)._evaluate_ratio(nums, dens) == (0, 1)
+        assert Polynomial.constant(F2_VARS, -5)._evaluate_ratio(nums, dens) == (-5, 1)
+        x = Polynomial.variable(F2_VARS, "x")
+        assert (x * x - 1)._evaluate_ratio(nums, dens) == (9 - 36, 36)
+
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from((F2_VARS, F3_VARS, S12_VARS)), st.data())
     def test_evaluate_matches_reference_bit_for_bit(self, vars_, data):
