@@ -116,11 +116,15 @@ def cmd_construct(args) -> int:
         }
     else:
         tri = chars.construct_triple(*coords, args.branch)
+        with np.errstate(all="ignore"):  # a trace that overflows is refused below
+            character = chars.character_of_triple(*tri)
+        if not np.isfinite(character.as_tuple()).all():
+            raise GeometryError("degenerate branch value")
         payload = {
             "xi1": mat2.matrix_to_json(tri[0]),
             "xi2": mat2.matrix_to_json(tri[1]),
             "xi3": mat2.matrix_to_json(tri[2]),
-            "character": chars.character_of_triple(*tri).to_json(),
+            "character": character.to_json(),
         }
     if args.json:
         _print_json(payload)

@@ -8,10 +8,14 @@ four-holed sphere test takes boundary traces >= 2 with strict
 x < -2.  On-variety residuals use an absolute 1e-8 tolerance on float
 inputs; exact rational inputs are checked exactly.
 
+Sum/Product.  The S04 quartic is ``polyring.PHI`` at (x1, x2, x3, x12, x13,
+x23, x123) = (a, b, c, x, z, y, d); the S12 relations are a + b = f_Sigma and
+ab = f_Pi of ``sum_product`` at (u, x, y, v, w, z); k_pq(x) = kappa(p, q, x) - 2.
+
 Integer numerators.  For exact input (ints and ``Fraction``s) ``member_s04``
 and ``member_s12`` evaluate each polynomial of their tests, built once from
-its hand formula, as an int numerator over a positive denominator, compare
-ints, and report num/den, correctly rounded like ``float(Fraction)``.
+the same generic formulas, as an int numerator over a positive denominator,
+compare ints, and report num/den, correctly rounded like ``float(Fraction)``.
 
 The four-holed sphere component test works with the factorization
 
@@ -40,7 +44,7 @@ from numbers import Rational
 import numpy as np
 
 from . import mat2
-from .polyring import S04_VARS, S12_VARS, Polynomial
+from .polyring import S04_VARS, S12_VARS, Polynomial, sum_product
 from .tracepoly import kappa_value
 
 __all__ = [
@@ -260,12 +264,9 @@ class S04Result:
 def s04_quartic(a, b, c, d, x, y, z):
     """The quartic cutting the four-holed-sphere character variety out
     of C^7, in the arithmetic of the arguments (exact if they are
-    rational)."""
-    return (
-        x * x + y * y + z * z + x * y * z
-        - ((a * b + c * d) * x + (a * d + b * c) * y + (a * c + b * d) * z)
-        + a * a + b * b + c * c + d * d + a * b * c * d - 4
-    )
+    rational): PHI at (x1, x2, x3, x12, x13, x23, x123) = (a, b, c, x, z, y, d)."""
+    fsum, fprod = sum_product(a, b, c, x, z, y)
+    return d * d - fsum * d + fprod
 
 
 def _s04_variables() -> list[Polynomial]:
@@ -279,10 +280,9 @@ def s04_defining_poly() -> Polynomial:
 
 
 def _s04_component_terms(a, b, c, d, x, y, z):
-    """(k_ab(x), k_cd(x), S-, S+), where k_pq(x) = x^2 + p^2 + q^2 - pqx
-    - 4 = kappa(p, q, x) - 2."""
-    kab = x * x + a * a + b * b - a * b * x - 4
-    kcd = x * x + c * c + d * d - c * d * x - 4
+    """(k_ab(x), k_cd(x), S-, S+), where k_pq(x) = kappa(p, q, x) - 2."""
+    kab = kappa_value(a, b, x) - 2
+    kcd = kappa_value(c, d, x) - 2
     s_minus = (y - z) * (2 - x) + (a - b) * (c - d)
     s_plus = (y + z) * (2 + x) - (a + b) * (c + d)
     return kab, kcd, s_minus, s_plus
@@ -370,24 +370,11 @@ class S12Result:
         }
 
 
-def _s12_relations(a, b, u, v, w, x, y, z):
-    """LHS - RHS of the two relations of the two-holed-torus character
-    variety, in the arithmetic of the arguments:
-
-    a + b = yv + xw + zu - uxy
-    ab    = x^2+y^2+u^2+v^2+w^2+z^2 - xyz - yuw - uxv + vwz - 4
-    """
-    rel1 = (a + b) - (y * v + x * w + z * u - u * x * y)
-    rel2 = (a * b) - (
-        x * x + y * y + u * u + v * v + w * w + z * z
-        - x * y * z - y * u * w - u * x * v + v * w * z - 4
-    )
-    return rel1, rel2
-
-
 def _s12_tests(a, b, u, v, w, x, y, z):
-    """The two relations, then the kappas of Button's three tests."""
-    return (*_s12_relations(a, b, u, v, w, x, y, z),
+    """LHS - RHS of the two relations (see ``s12_relation_polys``), then the
+    kappas of Button's three tests, in the arithmetic of the arguments."""
+    fsum, fprod = sum_product(u, x, y, v, w, z)
+    return (a + b - fsum, a * b - fprod,
             kappa_value(x, y, z), kappa_value(y, u, w), kappa_value(u, x, v))
 
 
@@ -397,7 +384,9 @@ def _s12_polys() -> tuple[Polynomial, ...]:
 
 
 def s12_relation_polys() -> tuple[Polynomial, Polynomial]:
-    """The two relations as polynomials over (a,b,u,v,w,x,y,z)."""
+    """The two relations as polynomials over (a,b,u,v,w,x,y,z): a + b -
+    SUM_RELATION and ab - PRODUCT_RELATION relabelled (x1, x2, x3, x12,
+    x13, x23) -> (u, x, y, v, w, z)."""
     return _s12_polys()[:2]
 
 

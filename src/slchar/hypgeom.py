@@ -125,8 +125,8 @@ def involution_fixing(z1: complex, z2: complex | None = None) -> np.ndarray:
 
 def minkowski_inner(a, b) -> float:
     """<A, B> = (1/2) tr(AB) on traceless real matrices; <A, A> = -det A."""
-    a, b = _as_matrix(a), _as_matrix(b)
-    return float(((a @ b)[0, 0] + (a @ b)[1, 1]).real) / 2
+    ab = _as_matrix(a) @ _as_matrix(b)
+    return float((ab[0, 0] + ab[1, 1]).real) / 2
 
 
 class HalfPlaneRelation(enum.Enum):

@@ -1,3 +1,4 @@
+import cmath
 import json
 import os
 import pathlib
@@ -495,6 +496,7 @@ class TestNoTraceback:
         ("1e300", "2", "2", "2", "2", "2"),
         ("--", "3", "0", "0", "1e-300", "-1e154", "0"),
         ("--", "1e154", "1e154", "1e154", "1e154", "1e154", "1e154"),
+        ("2", "2", "0", "2", "1e308", "1e308"),  # finite triple, t123 overflows
     ])
     def test_construct_triple_that_overflows(self, capsys, numbers):
         with warnings.catch_warnings():
@@ -502,6 +504,18 @@ class TestNoTraceback:
             code, out, err = run(capsys, "construct", "triple", *numbers)
         assert_error_line(code, out, err)
         assert err == "error: degenerate branch value\n"
+
+    @pytest.mark.parametrize("numbers", [
+        ("--", "2", "0", "-1e154", "0", "1e-300", "1e300"),
+        ("--", "2", "3", "1e154", "3", "1e150", "1e154"),
+    ])
+    def test_construct_triple_character_without_warnings(self, capsys, numbers):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # overflow inside the character's products
+            code, out, err = run(capsys, "construct", "triple", "--json", *numbers)
+        assert (code, err) == (0, "")
+        character = json.loads(out)["character"]
+        assert all(cmath.isfinite(complex(v[:-1] + "j")) for v in character.values())
 
     def test_non_finite_option_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -29,7 +29,10 @@ rounding of a boundary may change; print ``_digest(_predicate_lines())``.  It wa
 re-recorded once when the root f of f + 1/f = z stopped cancelling for
 Re z < 0: only the ``construct triple`` lines for ``0 -2 4 -4 4 0`` and
 ``-2/3 -3 3 -3 -1/2 3`` (both branches) moved, in the last bits (t12 now
-prints -4 and -3 exactly).
+prints -4 and -3 exactly).  It was re-recorded again when the S04 quartic
+and the S12 relations began evaluating ``polyring.sum_product``: only
+float-mode ``residual`` (36 s04 lines) and ``residuals`` (15 s12 lines)
+values moved, by at most 1.8e-11, and no verdict.
 
 ``EVAL_DIGEST`` pins polynomial evaluation itself: ``repr`` of
 ``evaluate`` at seeded complex points whose coordinates include 0, -0.0,
@@ -84,7 +87,7 @@ from slchar.words import Word
 EXACT_DIGEST = "624d279a57ec01a51983e3a959ba81f8aad039a844605204c3c7beeea153b3eb"
 SYMBOLIC_DIGEST = "eabbaf72485625ee4c876305d9378c6402533fb4cd4281a5314dfd65666cb755"
 VERIFY_DIGEST = "fd56e039333c826b711b4f7045d365b4cddfb5c0b13cd86b5bfd2ee010daac29"
-PREDICATE_DIGEST = "d44c292c71687a6b42c9c3748c2fb8152a154796e7674d713985838b871a6941"
+PREDICATE_DIGEST = "b2f211d8a306562ae1c9f27204cd99a96ac387e0c97199343321676511989b49"
 EVAL_DIGEST = "da524158eabb286595050303ec49f4519b32dc7db4193bf59f8eda97a949fee2"
 TABLE_DIGEST = "b349aaeb3302627c9df38c942c394a64ed8c673da701b406896cbdab8d441ab0"
 VERIFY_RUNS_DIGEST = "3a0e5908656d3f6caaf222e38ed6fb1182f94e27117234884627db12687050bc"

@@ -1,5 +1,6 @@
-"""sympy as an independent oracle for the covering maps and the S04
-component identity.
+"""sympy as an independent oracle for the covering maps, the S04
+component identity and the S04/S12 relations, which ``fricke`` derives
+from the Sum/Product relation and ``kappa_value``: here they are typed out.
 
 Every polynomial is converted term by term to a sympy expression, and
 the substitutions and expansions run in sympy, not in :mod:`slchar.polyring`.
@@ -12,7 +13,9 @@ import sympy
 
 from slchar import fricke
 from slchar.covers import COVERS, ring_map
-from slchar.polyring import F3_VARS, PHI, S04_VARS
+from slchar.polyring import (
+    F3_VARS, PHI, PRODUCT_RELATION, S04_VARS, S12_VARS, SUM_RELATION, Polynomial,
+)
 
 
 def to_sympy(p, prefix):
@@ -71,3 +74,44 @@ def test_s04_quartic_and_component_identity():
     rhs = sympy.expand((2 + x) * s_minus**2 + (2 - x) * s_plus**2 - kab * kcd * 4)
     assert lhs == rhs
     assert to_sympy(fricke.defining_identity_residual(), "") == 0
+
+
+def test_s04_commutator_terms_by_hand():
+    a, b, c, d, x, y, z = point = sympy.symbols(S04_VARS.names)
+    k_pq = tuple(x**2 + p**2 + q**2 - p * q * x - 4 for p, q in ((a, b), (c, d)))
+    for got in (fricke._s04_component_terms(*point)[:2],
+                tuple(to_sympy(p, "") for p in fricke._s04_polys()[1:3])):
+        assert tuple(sympy.expand(g - k) for g, k in zip(got, k_pq)) == (0, 0)
+
+
+def test_s12_relations_by_hand():
+    a, b, u, v, w, x, y, z = point = sympy.symbols(S12_VARS.names)
+    relations = (
+        a + b - (y * v + x * w + z * u - u * x * y),
+        a * b - (x**2 + y**2 + u**2 + v**2 + w**2 + z**2
+                 - x * y * z - y * u * w - u * x * v + v * w * z - 4),
+    )
+    for got in (fricke._s12_tests(*point)[:2],
+                tuple(to_sympy(p, "") for p in fricke.s12_relation_polys())):
+        assert tuple(sympy.expand(g - r) for g, r in zip(got, relations)) == (0, 0)
+
+
+def _relabelling(target, names):
+    """Each F3 coordinate to the named variable of ``target``; x123 to 0
+    when no name is given for it."""
+    images = {n: Polynomial.variable(target, m) for n, m in zip(F3_VARS.names, names)}
+    return {n: images.get(n, Polynomial.zero(target)) for n in F3_VARS.names}
+
+
+def test_s04_quartic_is_relabelled_phi():
+    relabel = _relabelling(S04_VARS, ("a", "b", "c", "x", "z", "y", "d"))
+    assert fricke.s04_defining_poly() == PHI.substitute(relabel)
+
+
+def test_s12_relations_are_relabelled_sum_product():
+    relabel = _relabelling(S12_VARS, ("u", "x", "y", "v", "w", "z"))
+    a, b = (Polynomial.variable(S12_VARS, n) for n in "ab")
+    assert fricke.s12_relation_polys() == (
+        a + b - SUM_RELATION.substitute(relabel),
+        a * b - PRODUCT_RELATION.substitute(relabel),
+    )
