@@ -200,8 +200,8 @@ def cmd_cover(args) -> int:
 # -- verification suites ----------------------------------------------------------
 
 
-#: Matrix sampler per ``--mode``: exact mode draws object arrays of
-#: Fractions, on which the same suite bodies compute exactly.
+#: Matrix sampler per ``--mode``: exact mode draws integer numerators
+#: (N, d), m = N / d, on which the same suite bodies compute exactly.
 _RANDOM_MATRIX = {
     "float": sampling.random_unimodular,
     "exact": sampling.random_rational_unimodular,
@@ -226,11 +226,11 @@ def _trials(cfg):
         yield sampling.rng_for(cfg.seed, trial)
 
 
-#: Integer numerator (N, d) of a draw m = N / d per ``--mode``; the
+#: A draw as a 2x2 array and its denominator per ``--mode``; the
 #: identities suite runs on N, float matrices standing for themselves.
 _NUMERATOR = {
     "float": lambda m: (m, 1),
-    "exact": mat2.clear_denominators,
+    "exact": lambda m: (np.array(m[0], dtype=object).reshape(2, 2), m[1]),
 }
 
 

@@ -7,16 +7,14 @@ requires ``|det - 1| <= TOL_CONJUGACY``, and the real-matrix tests of
 ``hat`` and ``glide_reflection_sqrt`` allow imaginary parts up to
 ``TOL_CONJUGACY``.
 
-Exact matrices are object-dtype numpy arrays of ``Fraction`` (or int)
-entries; ``is_exact`` tells them apart, and integer dtypes count as
-numeric.  ``trace``, ``det``, ``adjoint``, ``lie_product``,
-``evaluate_word`` and the ``@`` product compute on them exactly and keep
-the object dtype; numeric input gives complex128 results.  Exact word
-products run on integer numerators with one denominator per matrix,
-m = N / d: each N is an int 4-tuple (a, b, c, e) of its rows, the
-tuples are multiplied as plain ints, and ``Fraction``s are formed once,
-from the product and the product of the d's.  ``clear_denominators``
-gives the same N as an object array.
+An exact matrix m is a pair (N, d): N the int 4-tuple (a, b, c, e) of
+the rows of d m, and d > 0, so m = N / d; :mod:`slchar.sampling` draws
+them.  ``evaluate_word`` multiplies the Ns as plain ints when every
+letter is such a pair and forms ``Fraction``s once, from the product and
+the product of the d's; the result is an object array of ``Fraction``,
+on which ``trace``, ``det``, ``adjoint``, ``lie_product`` and the ``@``
+product compute exactly and keep the object dtype.  A numpy array is
+always numeric (integer dtypes included) and gives complex128 results.
 
 Sign conventions: several formulas only determine a matrix up to a
 global sign (the underlying statements are projective).  ``sign_normalize`` picks
@@ -46,8 +44,6 @@ __all__ = [
     "det",
     "adjoint",
     "inverse",
-    "is_exact",
-    "clear_denominators",
     "evaluate_word",
     "lie_product",
     "normal_form_pair",
@@ -112,20 +108,6 @@ def det(m: np.ndarray) -> complex:
     return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
 
 
-def is_exact(m: np.ndarray) -> bool:
-    """Whether m is an exact matrix: an object array (of Fractions or ints).
-    Any other dtype, integer dtypes included, is numeric."""
-    return m.dtype.hasobject
-
-
-def _numerator(m: np.ndarray) -> tuple[tuple, int]:
-    """(N, d) with m = N / d for an exact m: N the int 4-tuple (a, b, c, e)
-    of its rows and d > 0 the least common denominator of the entries."""
-    a, b, c, e = m.flat
-    d = math.lcm(a.denominator, b.denominator, c.denominator, e.denominator)
-    return tuple(v.numerator * (d // v.denominator) for v in (a, b, c, e)), d
-
-
 def _mul(n: tuple, k: tuple) -> tuple:
     """The product of two 2x2 matrices given as 4-tuples of their rows."""
     a, b, c, e = n
@@ -139,18 +121,11 @@ def _adjugate(n: tuple) -> tuple:
     return (e, -b, -c, a)
 
 
-def clear_denominators(m: np.ndarray) -> tuple[np.ndarray, int]:
-    """(N, d) with m = N / d for an exact m: N an object array of ints and
-    d > 0 the least common denominator of the entries."""
-    n, d = _numerator(m)
-    return np.array(n, dtype=object).reshape(2, 2), d
-
-
 def adjoint(m: np.ndarray) -> np.ndarray:
     """Adjugate: ``m @ adjoint(m) == det(m) * I``."""
     return np.array(
         [[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]],
-        dtype=object if is_exact(m) else complex,
+        dtype=object if m.dtype.hasobject else complex,
     )
 
 
@@ -169,15 +144,16 @@ def inverse(m: np.ndarray) -> np.ndarray:
 
 def evaluate_word(w: Word, assignment) -> np.ndarray:
     """The product w(xi_1, ..., xi_n), inverse letters by the adjugate.
-    Exact matrices multiply as int 4-tuples of their numerators, and the
-    product is divided once by the product of the letters' denominators."""
+    When every letter is an exact pair (N, d), the Ns multiply as int
+    4-tuples and the product, an object array of Fractions, is divided
+    once by the product of the letters' ds; numpy arrays are numeric."""
     mats = list(assignment)
     if len(mats) != w.rank:
         raise ValueError(
             f"assignment has {len(mats)} matrices for a rank-{w.rank} word"
         )
-    if all(map(is_exact, mats)):
-        ns, ds = zip(*map(_numerator, mats))
+    if all(isinstance(m, tuple) for m in mats):
+        ns, ds = zip(*mats)
         invs = [_adjugate(n) for n in ns]
         out = (1, 0, 0, 1)
         for g in w.letters:
@@ -186,7 +162,7 @@ def evaluate_word(w: Word, assignment) -> np.ndarray:
         den = math.prod(ds[abs(g) - 1] for g in w.letters)
         return np.array([Fraction(v, den) for v in out], dtype=object).reshape(2, 2)
     invs = [adjoint(m) for m in mats]
-    out = np.eye(2, dtype=object) if is_exact(mats[0]) else I2.copy()
+    out = I2.copy()
     for g in w.letters:
         out = out @ (mats[g - 1] if g > 0 else invs[-g - 1])
     return out

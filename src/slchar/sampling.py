@@ -4,15 +4,17 @@ Random unimodular matrices: entries uniform in [-2,2] (both real and
 imaginary parts in the complex case), then the last entry solved to
 force det = 1, rejecting ill-conditioned draws (|pivot| < 1e-3).
 Exact matrices have small rational entries, with the last entry solved
-the same way so that det = 1 holds exactly; they are object-dtype numpy
-arrays of ``Fraction``, on which the :mod:`slchar.mat2` arithmetic and
-``@`` are exact.  Streams derive deterministically from
+the same way so that det = 1 holds exactly; they are drawn as the pair
+(N, d) of :mod:`slchar.mat2`, m = N / d with N an int 4-tuple, so no
+``Fraction`` is built.  ``exact_evaluate_word`` takes ``Fraction``
+matrices and is the one place that writes them as (N, d).  Streams derive deterministically from
 (seed, trial-index), so suites may parallelize trials without changing
 results.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -58,16 +60,18 @@ def random_real_unimodular(rnd: random.Random) -> np.ndarray:
             return np.array([[a, b], [c, d]], dtype=complex)
 
 
-def random_rational_unimodular(rnd: random.Random) -> np.ndarray:
-    """A unimodular object array with small rational entries (exact det 1)."""
+def random_rational_unimodular(rnd: random.Random) -> tuple[tuple, int]:
+    """A unimodular matrix with small rational entries as (N, d): N the
+    int 4-tuple of the rows of d m and d > 0, so det N = d^2 exactly."""
     while True:
         an, ad = rnd.randint(-8, 8), rnd.randint(1, 3)
         bn, bd = rnd.randint(-8, 8), rnd.randint(1, 3)
         cn, cd = rnd.randint(-8, 8), rnd.randint(1, 3)
-        if an:  # d = (1 + b c) / a as one Fraction
-            d = Fraction((bd * cd + bn * cn) * ad, bd * cd * an)
-            return np.array([[Fraction(an, ad), Fraction(bn, bd)],
-                             [Fraction(cn, cd), d]], dtype=object)
+        if an:  # e = (1 + b c) / a = (bd cd + bn cn) ad / (bd cd an)
+            q = bd * cd * an
+            d = math.lcm(ad, q)
+            e = (bd * cd + bn * cn) * ad * (d // q)
+            return (an * (d // ad), bn * (d // bd), cn * (d // cd), e), d
 
 
 def random_reduced_word(rnd: random.Random, rank: int, max_len: int) -> Word:
@@ -85,8 +89,14 @@ def random_reduced_word(rnd: random.Random, rank: int, max_len: int) -> Word:
 
 def exact_evaluate_word(w: Word, mats) -> np.ndarray:
     """Exact product along a word of unimodular Fraction matrices, given
-    as object arrays or as nested tuples."""
-    return mat2.evaluate_word(w, [np.array(m, dtype=object) for m in mats])
+    as object arrays or as nested tuples, each written as (N, d) with d
+    the least common denominator of its entries."""
+    pairs = []
+    for m in mats:
+        entries = [Fraction(v) for row in m for v in row]
+        d = math.lcm(*(v.denominator for v in entries))
+        pairs.append((tuple(v.numerator * (d // v.denominator) for v in entries), d))
+    return mat2.evaluate_word(w, pairs)
 
 
 def exact_trace(m) -> Fraction:

@@ -253,12 +253,11 @@ def generator_count(n: int) -> int:
 def _numerator_traces(mats, words) -> tuple[dict, tuple | None]:
     """tr X_I for each index tuple I in ``words``, X_I being its prefix's
     product (listed before it) times the last matrix, and None; for exact
-    matrices, the int traces of the integer numerators N_i = d_i m_i,
-    multiplied as int 4-tuples of their rows (``mat2._numerator``), and
-    the d_i."""
+    matrices (N_i, d_i), the int traces of the products of the N_i,
+    multiplied as int 4-tuples of their rows, and the d_i."""
     ds, mul, trace = None, operator.matmul, mat2.trace
-    if all(map(mat2.is_exact, mats)):
-        mats, ds = zip(*map(mat2._numerator, mats))
+    if all(isinstance(m, tuple) for m in mats):
+        mats, ds = zip(*mats)
         mul, trace = mat2._mul, lambda n: n[0] + n[3]
     products, traces = {}, {}
     for word in words:
@@ -289,8 +288,9 @@ def coordinate_traces(variables: VariableSet, mats) -> dict:
 def evaluate_at_character(p: Polynomial, mats):
     """Evaluate a trace polynomial at the character of a matrix tuple:
     a complex number, or an exact Fraction when the matrices are exact
-    (object arrays of Fractions, see :mod:`slchar.mat2`), taken on their
-    integer numerators with no Fraction per coordinate (``_character``)."""
+    pairs (N, d) (see :mod:`slchar.mat2`), taken on the integer numerators
+    with no Fraction per coordinate (``_character``); numpy arrays are
+    numeric."""
     mats = list(mats)
     if _VARSETS.get(len(mats)) != p.variables:
         raise ValueError(f"cannot evaluate over {p.variables.names} at {len(mats)} matrices")

@@ -33,7 +33,8 @@ from slchar.fricke import (
 from slchar.polyring import S04_VARS, S12_VARS
 from slchar.sampling import random_rational_unimodular
 from slchar.tracepoly import kappa_value
-from tuple2x2 import FRACTIONS, SL2, as_tuple, commutator_trace, inverse, product, trace
+from tuple2x2 import (FRACTIONS, SL2, as_tuple, commutator_trace, from_pair, inverse, product,
+                      trace)
 
 RND = random.Random(50)
 
@@ -261,7 +262,8 @@ class TestS04Exact:
         rnd = random.Random(404)
         seen = set()
         for _ in range(3000):
-            A, B, C = (random_rational_unimodular(rnd) for _ in range(3))
+            A, B, C = (np.array(from_pair(random_rational_unimodular(rnd)), dtype=object)
+                       for _ in range(3))
             # conjugating C by a diagonal matrix keeps tr C and makes
             # AC and BC large, where floats lose the component sign
             scale = Fraction(10) ** rnd.randint(0, 9)

@@ -83,6 +83,7 @@ from slchar.covers import (
 from slchar.polyring import PHI, PRODUCT_RELATION, SUM_RELATION, Polynomial
 from slchar.tracepoly import trace_poly
 from slchar.words import Word
+from tuple2x2 import from_pair
 
 EXACT_DIGEST = "624d279a57ec01a51983e3a959ba81f8aad039a844605204c3c7beeea153b3eb"
 SYMBOLIC_DIGEST = "eabbaf72485625ee4c876305d9378c6402533fb4cd4281a5314dfd65666cb755"
@@ -217,7 +218,8 @@ def _s04_point(rnd):
 
 def _s12_point(rnd):
     """(a, b, u, x, y, v, w, z) of a rational triple U, X, Y: on the variety."""
-    U, X, Y = (sampling.random_rational_unimodular(rnd) for _ in range(3))
+    U, X, Y = (np.array(from_pair(sampling.random_rational_unimodular(rnd)), dtype=object)
+               for _ in range(3))
     return tuple(mat2.trace(m) for m in (U @ X @ Y, U @ Y @ X, U, X, Y, U @ X, U @ Y, X @ Y))
 
 

@@ -31,7 +31,8 @@ from slchar.sampling import (
     random_unimodular,
 )
 from slchar.words import Word, parse_word
-from tuple2x2 import RATIONAL, as_tuple, inverse, matmul, product, trace, word_product
+from tuple2x2 import (RATIONAL, as_pair, as_tuple, from_pair, inverse, matmul, product, trace,
+                      word_product)
 
 RND = random.Random(10)
 
@@ -102,12 +103,18 @@ class TestEvaluateWord:
             evaluate_word(Word(2, (1,)), [I2])
 
 
+def _fraction_draw(rnd):
+    """A rational draw as an object array of Fractions."""
+    return np.array(from_pair(random_rational_unimodular(rnd)), dtype=object)
+
+
 class TestExactMatrices:
-    """Object arrays of Fractions go through the same functions exactly."""
+    """Exact pairs (N, d) multiply exactly along words, and object arrays
+    of Fractions go through the same functions exactly."""
 
     def test_adjoint_keeps_object_dtype(self):
         for _ in range(20):
-            m = random_rational_unimodular(RND)
+            m = _fraction_draw(RND)
             adj = mat2.adjoint(m)
             assert adj.dtype == object
             assert as_tuple(adj) == ((m[1, 1], -m[0, 1]), (-m[1, 0], m[0, 0]))
@@ -121,20 +128,20 @@ class TestExactMatrices:
                 mats = [random_rational_unimodular(RND) for _ in range(rank)]
                 out = evaluate_word(w, mats)
                 assert out.dtype == object
-                want = word_product(w, [as_tuple(m) for m in mats])
+                want = word_product(w, [from_pair(m) for m in mats])
                 assert as_tuple(out) == want
                 assert all(isinstance(v, (int, Fraction)) for v in out.flat)
                 assert mat2.det(out) == 1
 
     def test_exact_evaluate_word_accepts_tuples(self):
         w = parse_word("X Y^2 x z Y", 3)
-        tuples = [as_tuple(random_rational_unimodular(RND)) for _ in range(3)]
+        tuples = [from_pair(random_rational_unimodular(RND)) for _ in range(3)]
         out = exact_evaluate_word(w, tuples)
         assert as_tuple(out) == word_product(w, tuples)
 
     def test_exact_trace_of_array_and_tuples(self):
         for _ in range(10):
-            m = random_rational_unimodular(RND)
+            m = _fraction_draw(RND)
             t = exact_trace(m)
             assert type(t) is Fraction and t == m[0, 0] + m[1, 1] == mat2.trace(m)
             assert exact_trace(as_tuple(m)) == t
@@ -146,25 +153,17 @@ class TestExactMatrices:
         for seed in range(300):
             rnd, old = random.Random(seed), random.Random(seed)
             for _ in range(5):
-                m = random_rational_unimodular(rnd)
+                n, d = random_rational_unimodular(rnd)
                 while True:
                     a = Fraction(old.randint(-8, 8), old.randint(1, 3))
                     b = Fraction(old.randint(-8, 8), old.randint(1, 3))
                     c = Fraction(old.randint(-8, 8), old.randint(1, 3))
                     if a != 0:
                         break
-                assert m.dtype == object
-                assert m.tolist() == [[a, b], [c, (1 + b * c) / a]]
-                assert all(type(v) is Fraction for v in m.flat)
+                assert all(type(v) is int for v in n) and type(d) is int and d > 0
+                assert from_pair((n, d)) == ((a, b), (c, (1 + b * c) / a))
+                assert n[0] * n[3] - n[1] * n[2] == d * d
             assert rnd.getstate() == old.getstate()
-
-    def test_clear_denominators(self):
-        m = np.array([[2, Fraction(1, 6)], [Fraction(-3, 4), 0]], dtype=object)
-        n, d = mat2.clear_denominators(m)
-        assert d == 12 and as_tuple(n) == ((24, 2), (-9, 0))
-        assert all(type(v) is int for v in n.flat)
-        n, d = mat2.clear_denominators(np.array([[1, 0], [0, 1]], dtype=object))
-        assert d == 1 and as_tuple(n) == ((1, 0), (0, 1))
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 3), st.data())
@@ -175,16 +174,16 @@ class TestExactMatrices:
         letters = data.draw(st.lists(st.sampled_from(
             [g for k in range(1, rank + 1) for g in (k, -k)]), max_size=8))
         w = Word(rank, tuple(letters))
-        out = evaluate_word(w, [np.array(m, dtype=object) for m in mats])
+        out = evaluate_word(w, [as_pair(m) for m in mats])
         assert out.dtype == object and out.shape == (2, 2)
         assert all(type(v) is Fraction for v in out.flat)
         assert as_tuple(out) == word_product(w, mats)
 
     def test_evaluate_word_on_int_matrices_with_zero_entries(self):
-        # object arrays of ints only (every d is 1), singular ones included
+        # int matrices only (every d is 1), singular ones included
         mats = [((0, 1), (-1, 0)), ((2, 0), (3, 0)), ((0, 4), (0, 5))]
         for w in (parse_word("X Y^-1 Z x", 3), parse_word("Y^2 z X Z^-2", 3), Word(3, ())):
-            out = evaluate_word(w, [np.array(m, dtype=object) for m in mats])
+            out = evaluate_word(w, [as_pair(m) for m in mats])
             assert out.dtype == object and out.shape == (2, 2)
             assert all(type(v) is Fraction for v in out.flat)
             assert as_tuple(out) == word_product(w, mats)
@@ -192,7 +191,7 @@ class TestExactMatrices:
     def test_evaluate_word_inverse_letters_scale_by_denominator(self):
         # det m = 1/4: the adjugate of m = N/2 is adj(N)/2, not adj(N)/4 or adj(N)
         half, eighth = Fraction(1, 2), Fraction(1, 8)
-        m = np.array([[half, 0], [0, half]], dtype=object)
+        m = as_pair(((half, 0), (0, half)))
         assert as_tuple(evaluate_word(Word(1, (-1,)), [m])) == ((half, 0), (0, half))
         assert as_tuple(evaluate_word(Word(1, (1, -1, -1)), [m])) == ((eighth, 0), (0, eighth))
 

@@ -31,7 +31,8 @@ from slchar.tracepoly import (
     trace_poly_f3,
 )
 from slchar.words import Word, parse_word
-from tuple2x2 import RATIONAL, SL2, as_tuple, inverse, matmul, product, trace, word_product
+from tuple2x2 import (RATIONAL, SL2, as_pair, from_pair, inverse, matmul, product, trace,
+                      word_product)
 
 RND = random.Random(20)
 
@@ -164,7 +165,7 @@ class TestEngine:
             p = trace_poly(w)
             assert rank < 3 or p.degree_in("x123") <= 1
             assert evaluate_at_character(p, mats) == trace(
-                word_product(w, [as_tuple(m) for m in mats]))
+                word_product(w, [from_pair(m) for m in mats]))
 
     def test_rank4_words_exact(self):
         # rank 4 is internal: its table eliminates four-letter products by s_4 = 0
@@ -174,7 +175,7 @@ class TestEngine:
             mats = [random_rational_unimodular(rnd) for _ in range(4)]
             p = tracepoly._trace(4, tracepoly._cyclic_core(w))
             assert evaluate_at_character(p, mats) == trace(
-                word_product(w, [as_tuple(m) for m in mats])), w
+                word_product(w, [from_pair(m) for m in mats])), w
 
     def test_rank4_is_not_public(self):
         with pytest.raises(ValueError, match=r"rank <= 3, got 4"):
@@ -244,7 +245,8 @@ class TestEvaluateAtCharacter:
             p = trace_poly(random_reduced_word(rnd, rank, 6))
             got = evaluate_at_character(p, mats)
             assert type(got) is Fraction
-            assert got == p.evaluate_exact(_per_rank_assignment(rank, mats))
+            arrays = [np.array(from_pair(m), dtype=object) for m in mats]
+            assert got == p.evaluate_exact(_per_rank_assignment(rank, arrays))
 
     def test_coordinates_name_the_variables(self):
         for variables, words in tracepoly.COORDINATES.items():
@@ -281,7 +283,7 @@ class TestOracle:
 
 
 class TestExactOracle:
-    """Object arrays of Fractions: the same functions evaluate exactly."""
+    """Exact pairs (N, d): the same functions evaluate exactly."""
 
     def test_evaluate_at_character_exact(self):
         for rank, poly_of, max_len in ((1, trace_poly, 8), (2, trace_poly_f2, 10),
@@ -291,7 +293,7 @@ class TestExactOracle:
                 ms = [random_rational_unimodular(RND) for _ in range(rank)]
                 val = evaluate_at_character(poly_of(w), ms)
                 assert type(val) is Fraction
-                assert val == trace(word_product(w, [as_tuple(m) for m in ms]))
+                assert val == trace(word_product(w, [from_pair(m) for m in ms]))
 
     def test_complex_input_stays_complex(self):
         ms = [random_unimodular(RND) for _ in range(2)]
@@ -370,10 +372,6 @@ def quadruple_residual(ms):
         - t(4) * t(1) * t(2, 3) - t(4, 1) * t(2) * t(3)))
 
 
-def exact(m):
-    return np.array(m, dtype=object)
-
-
 def product_of(mats, word):
     """The numpy product along index tuple ``word``, left to right."""
     out = mats[word[0] - 1]
@@ -391,7 +389,7 @@ class TestExactIntegerCore:
     def test_coordinate_traces_on_any_rational_matrices(self, variables, data):
         rank = max(map(max, tracepoly.COORDINATES[variables].values()))
         mats = [data.draw(RATIONAL) for _ in range(rank)]
-        got = tracepoly.coordinate_traces(variables, [exact(m) for m in mats])
+        got = tracepoly.coordinate_traces(variables, [as_pair(m) for m in mats])
         for name, word in tracepoly.COORDINATES[variables].items():
             assert type(got[name]) is Fraction
             assert got[name] == trace(product(*(mats[i - 1] for i in word)))
@@ -404,7 +402,7 @@ class TestExactIntegerCore:
         # the residual nonzero; a denominator power that is wrong for one
         # matrix in every trace would scale every term alike and still give
         # 0.  So the traces themselves are checked below.
-        res = quadruple_trace_check([exact(m) for m in mats])
+        res = quadruple_trace_check([as_pair(m) for m in mats])
         assert type(res) is Fraction and res == 0 == quadruple_residual(mats)
 
     @settings(max_examples=60, deadline=None)
@@ -412,7 +410,7 @@ class TestExactIntegerCore:
     def test_product_traces_on_any_rational_matrices(self, mats):
         words = ((1,), (2,), (3,), (4,), (1, 2), (1, 2, 3), (1, 2, 3, 4), (2, 3), (2, 3, 4),
                  (3, 4), (3, 4, 1), (4, 1), (4, 1, 2), (1, 3), (2, 4), (2, 4, 2), (2, 4, 2, 2))
-        got, ds = tracepoly._numerator_traces([exact(m) for m in mats], words)
+        got, ds = tracepoly._numerator_traces([as_pair(m) for m in mats], words)
         for w in words:
             assert type(got[w]) is int
             # tr X_I = tr N_I / prod d_i, i running over the word's letters
@@ -425,10 +423,10 @@ class TestExactIntegerCore:
             assert numeric[w] == mat2.trace(product_of(floats, w))
 
     def test_product_traces_on_int_matrices_with_zero_entries(self):
-        # object arrays of ints only (every d is 1), singular ones included
+        # int matrices only (every d is 1), singular ones included
         mats = [((0, 1), (-1, 0)), ((2, 0), (3, 0)), ((0, 0), (0, 5)), ((0, 0), (0, 0))]
         words = ((1,), (2,), (3,), (4,), (1, 2), (1, 2, 3), (2, 3), (3, 1), (1, 2, 3, 4), (2, 2))
-        got, ds = tracepoly._numerator_traces([exact(m) for m in mats], words)
+        got, ds = tracepoly._numerator_traces([as_pair(m) for m in mats], words)
         assert ds == (1, 1, 1, 1)
         for w in words:
             assert type(got[w]) is int
@@ -439,7 +437,7 @@ class TestExactIntegerCore:
     def test_exact_character_matches_matrix_trace(self, rank, data):
         alphabet = [g for i in range(1, rank + 1) for g in (i, -i)]
         w = Word(rank, tuple(data.draw(st.lists(st.sampled_from(alphabet), max_size=9))))
-        ms = [exact(m) for m in data.draw(st.lists(SL2, min_size=rank, max_size=rank))]
+        ms = [as_pair(m) for m in data.draw(st.lists(SL2, min_size=rank, max_size=rank))]
         for word in (w, Word(rank, ())):
             got = evaluate_at_character(trace_poly(word), ms)
             assert type(got) is Fraction
@@ -451,7 +449,7 @@ class TestExactIntegerCore:
         for rank, w in ((2, "X Y^-1 X^2 y"), (3, "X1 X3^-1 X2 X3 X1^-1")):
             p = trace_poly(parse_word(w, rank))
             ms = mats[:rank]
-            got = evaluate_at_character(p, [exact(m) for m in ms])
+            got = evaluate_at_character(p, [as_pair(m) for m in ms])
             assert type(got) is Fraction
             assert got == trace(word_product(parse_word(w, rank), ms))
 

@@ -2,9 +2,11 @@
 
 Written without numpy and without :mod:`slchar`, so that exact results
 of the library (object arrays of Fractions, generic identity functions)
-can be checked against an independent product.
+can be checked against an independent product.  ``as_pair`` and
+``from_pair`` convert to and from the library's exact matrices (N, d).
 """
 
+import math
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -17,6 +19,21 @@ FRACTIONS = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 def as_tuple(m):
     """Nested tuples from a 2x2 numpy array (or any nested sequence)."""
     return tuple(tuple(row) for row in (m.tolist() if hasattr(m, "tolist") else m))
+
+
+def as_pair(m):
+    """The exact pair (N, d) of a rational 2x2 matrix, as the library takes
+    it: N the int 4-tuple of the rows of d m, d > 0 the least common
+    denominator of the entries."""
+    entries = [Fraction(v) for row in as_tuple(m) for v in row]
+    d = math.lcm(*(v.denominator for v in entries))
+    return tuple(int(v * d) for v in entries), d
+
+
+def from_pair(pair):
+    """Nested Fraction tuples of the matrix N / d of an exact pair."""
+    n, d = pair
+    return tuple(tuple(Fraction(v, d) for v in n[i:i + 2]) for i in (0, 2))
 
 
 def matmul(m, n):
