@@ -254,8 +254,10 @@ def construct_triple(t1, t2, t3, t12, t23, t13, branch: str = "+"):
     with larger real part).  In the reducible case the triple is
     assembled from explicit upper-triangular matrices and the branch
     choice may be unrealizable (the two sheets collide).  A non-finite
-    kappa(t1, t2, t12) or a triple with a non-finite entry (the traces
-    overflow the arithmetic) raises ``GeometryError``.
+    kappa(t1, t2, t12), or a triple or realized trace with a non-finite
+    value (the traces overflow the arithmetic), raises ``GeometryError``,
+    and so does a triple whose six traces miss the prescribed t by more
+    than 1e-6 (1 + |t|).
     """
     if branch not in ("+", "-"):
         raise ValueError(f"branch must be '+' or '-', got {branch!r}")
@@ -263,9 +265,13 @@ def construct_triple(t1, t2, t3, t12, t23, t13, branch: str = "+"):
     if not cmath.isfinite(kappa_value(traces[0], traces[1], traces[3])):
         raise GeometryError("degenerate branch value")
     with np.errstate(all="ignore"):
-        triple = _construct_triple(*traces, branch)
-    if not np.isfinite(triple).all():
+        triple = m1, m2, m3 = _construct_triple(*traces, branch)
+        realized = [mat2.trace(m) for m in (m1, m2, m3, m1 @ m2, m2 @ m3, m1 @ m3)]
+    if not (np.isfinite(triple).all() and np.isfinite(realized).all()):
         raise GeometryError("degenerate branch value")
+    for name, r, t in zip(("t1", "t2", "t3", "t12", "t23", "t13"), realized, traces):
+        if not abs(r - t) <= 1e-6 * (1 + abs(t)):
+            raise GeometryError(f"the constructed triple misses the prescribed {name}")
     return triple
 
 

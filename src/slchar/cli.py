@@ -31,7 +31,10 @@ from .words import Word, WordSyntaxError, parse_word
 def parse_number(text: str) -> float:
     """Finite decimal or rational 'p/q' literal."""
     text = text.strip()
-    v = float(Fraction(text)) if "/" in text else float(text)
+    try:
+        v = float(Fraction(text)) if "/" in text else float(text)
+    except (ZeroDivisionError, OverflowError):  # p/0, or p/q beyond the floats
+        v = math.inf
     if not math.isfinite(v):
         raise ValueError(f"not a finite number: {text!r}")
     return v
@@ -40,7 +43,10 @@ def parse_number(text: str) -> float:
 def parse_number_exact(text: str):
     text = text.strip()
     if "/" in text or "." not in text and "e" not in text.lower():
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"not a finite number: {text!r}") from None
     return parse_number(text)
 
 
@@ -89,7 +95,10 @@ def cmd_eval_word(args) -> int:
         raise GeometryError(
             f"need {args.rank} matrices, got {len(mats)}"
         )
-    result = mat2.evaluate_word(w, mats)
+    with np.errstate(all="ignore"):  # a product that overflows is refused below
+        result = mat2.evaluate_word(w, mats)
+    if not np.isfinite(result).all():
+        raise GeometryError("the word's matrix is not finite")
     tr = mat2.trace(result)
     if args.json:
         _print_json({
@@ -108,24 +117,17 @@ def cmd_construct(args) -> int:
         raise ValueError(f"construct {args.kind} takes {need} coordinates, got {len(args.coords)}")
     coords = [complex(parse_number(v)) for v in args.coords]
     if args.kind == "pair":
-        xi, eta = mat2.normal_form_pair(*coords)
-        payload = {
-            "xi": mat2.matrix_to_json(xi),
-            "eta": mat2.matrix_to_json(eta),
-            "character": chars.character_of_pair(xi, eta).to_json(),
-        }
+        names, mats = ("xi", "eta"), mat2.normal_form_pair(*coords)
+        character_of = chars.character_of_pair
     else:
-        tri = chars.construct_triple(*coords, args.branch)
-        with np.errstate(all="ignore"):  # a trace that overflows is refused below
-            character = chars.character_of_triple(*tri)
-        if not np.isfinite(character.as_tuple()).all():
-            raise GeometryError("degenerate branch value")
-        payload = {
-            "xi1": mat2.matrix_to_json(tri[0]),
-            "xi2": mat2.matrix_to_json(tri[1]),
-            "xi3": mat2.matrix_to_json(tri[2]),
-            "character": character.to_json(),
-        }
+        names, mats = ("xi1", "xi2", "xi3"), chars.construct_triple(*coords, args.branch)
+        character_of = chars.character_of_triple
+    with np.errstate(all="ignore"):  # a trace that overflows is refused below
+        character = character_of(*mats)
+    if not np.isfinite(character.as_tuple()).all():
+        raise GeometryError("degenerate branch value")
+    payload = {name: mat2.matrix_to_json(m) for name, m in zip(names, mats)}
+    payload["character"] = character.to_json()
     if args.json:
         _print_json(payload)
     else:
@@ -449,6 +451,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    # argparse before Python 3.12 drops a value "--" and stores [] in its place
+    for name, value in vars(args).items():
+        if value == []:
+            ap.error(f"argument {name}: expected a value, got '--'")
     if getattr(args, "trials", 1) < 1:
         ap.error("--trials must be >= 1")
     if getattr(args, "tolerance", 0) < 0:

@@ -287,6 +287,22 @@ class TestConstructTriple:
                 construct_triple(*traces)
 
 
+    def test_triple_that_misses_its_traces_is_refused(self):
+        # least squares on rows holding 1e80 next to O(1) entries: the
+        # triple is finite, but t3, t13 and t23 come out far from 1e80, 5, 1e80
+        with pytest.raises(GeometryError, match="misses the prescribed t3"):
+            construct_triple(1e80, 3, 1e80, 2, 1e80, 5)
+
+    @pytest.mark.parametrize("scale", [1e2, 1e3])
+    def test_large_random_traces_are_realized(self, scale):
+        rnd = random.Random(int(scale))
+        for _ in range(200):
+            t = [scale * complex(rnd.uniform(-1, 1), rnd.uniform(-1, 1)) for _ in range(6)]
+            c = character_of_triple(*construct_triple(*t))
+            got = (c.t1, c.t2, c.t3, c.t12, c.t23, c.t13)
+            assert all(abs(g - w) <= 1e-6 * (1 + abs(w)) for g, w in zip(got, t))
+
+
 class TestCharacterOfTriple:
     def test_invariants_hold(self):
         for _ in range(100):

@@ -1,4 +1,6 @@
 import cmath
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -10,6 +12,7 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slchar.cli import build_parser, main, parse_number
 from slchar.words import MAX_WORD_LETTERS
@@ -410,7 +413,8 @@ class TestNumberParsing:
     def test_decimal(self):
         assert parse_number("2.5") == 2.5
 
-    @pytest.mark.parametrize("text", ["nan", "inf", "-Infinity", "1e400"])
+    @pytest.mark.parametrize("text", ["nan", "inf", "-Infinity", "1e400", "1/0",
+                                      "1" + "0" * 400 + "/3"])
     def test_non_finite_refused(self, text):
         with pytest.raises(ValueError, match="not a finite number"):
             parse_number(text)
@@ -517,6 +521,47 @@ class TestNoTraceback:
         character = json.loads(out)["character"]
         assert all(cmath.isfinite(complex(v[:-1] + "j")) for v in character.values())
 
+    @pytest.mark.parametrize("argv", [
+        ("construct", "pair", "1/0", "2", "3"),
+        ("fricke", "test", "s03", "--coords=1/0,2,2"),
+    ])
+    def test_zero_denominator(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert_error_line(code, out, err)
+        assert err == "error: not a finite number: '1/0'\n"
+
+    @pytest.mark.parametrize("argv, text", [
+        (("fn2trace", "1/0", "1"), "1/0"),
+        (("verify", "identities", "--tolerance", "1/0"), "1/0"),
+        (("fn2trace", "1" + "0" * 400 + "/3", "1"), "1" + "0" * 400 + "/3"),  # beyond floats
+    ])
+    def test_zero_denominator_option_is_usage_error(self, capsys, argv, text):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].endswith(f"invalid parse_number value: {text!r}")
+
+    @pytest.mark.parametrize("argv", [
+        ("fricke", "test", "c11", "--coords=--"),
+        ("fn2trace", "--", "1", "--"),
+        ("verify", "oracle", "--tolerance=--"),
+        ("eval-word", "X", "--seed=--"),
+    ])
+    def test_dash_dash_as_a_value_is_usage_error(self, capsys, argv):
+        # argparse before Python 3.12 stores [] for such a value
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith("slchar")
+
+    def test_construct_triple_that_misses_its_traces(self, capsys):
+        # least squares on rows holding 1e80 next to O(1) entries loses t3, t13, t23
+        code, out, err = run(capsys, "construct", "triple", "--", "1e80", "3", "1e80", "2",
+                             "1e80", "5")
+        assert_error_line(code, out, err)
+        assert err == "error: the constructed triple misses the prescribed t3\n"
+
     def test_non_finite_option_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["fn2trace", "nan", "1"])
@@ -561,3 +606,139 @@ class TestNoTraceback:
                              "--eval", "x1=1e200,x2=1e200,x12=1e200")
         assert_error_line(code, out, err)
         assert err == "error: complex exponentiation\n"
+
+
+#: Numbers at the edges of the floats and of the parsers, then malformed ones.
+EXTREMES = ["0", "2", "-2", "2.0000000001", "1.9999999999", "-2.0000000001", "1e-300",
+            "1e154", "-1e154", "1e300", "-1e300", "7/3", "-7/2",
+            "123456789012345678901234567890/7", "-" + "9" * 40 + "/11", "1" + "0" * 400 + "/3"]
+MALFORMED = ["1/0", "-5/0", "nan", "-inf", "1e999", "abc", "", "1/2/3", "0x10", "--"]
+NUMBERS = st.sampled_from(EXTREMES + MALFORMED)
+
+#: Words that are short, that exceed ``MAX_WORD_LETTERS`` or that do not parse.
+SHORT_WORDS = ["X Y x y", "X1 X3 X2", "XY", "X^-3 Y", "X4", "xxxxx", "",
+               f"X^{MAX_WORD_LETTERS + 1}", "X Q", "X #", "X^"]
+#: Trace-poly also takes a long word whose cyclic core is one letter.
+TRACE_WORDS = SHORT_WORDS + ["X^49000 Y X^-49000"]
+
+MATRIX_ENTRIES = st.sampled_from([0.0, 2.0, -2.0, 1e-300, 1e154, -1e154, 1e300, float("nan")])
+BAD_JSON = ["[", "{}", "[{}]", "5", '[{"re": 5}]', '{"re": [[1, 0], [0, 1]]}',
+            "@/nonexistent/matrices.json"]
+
+
+def _numbers(draw, need):
+    """Mostly ``need`` numbers, sometimes one too few or one too many."""
+    count = draw(st.sampled_from([need, need, need, need - 1, need + 1]))
+    return draw(st.lists(NUMBERS, min_size=count, max_size=count))
+
+
+def _flags(draw, *flags):
+    return draw(st.lists(st.sampled_from(flags), max_size=2, unique=True))
+
+
+def _matrices(draw):
+    if draw(st.booleans()):
+        return draw(st.sampled_from(BAD_JSON))
+    entries = st.lists(MATRIX_ENTRIES, min_size=4, max_size=4)
+    mats = draw(st.lists(entries, min_size=1, max_size=3))
+    return json.dumps([{"re": [e[:2], e[2:]]} for e in mats])
+
+
+def _optional(draw, *args):
+    return list(args) if draw(st.booleans()) else []
+
+
+#: The ``--coords`` count per ``fricke test`` surface, and ``--eval`` names per map.
+FRICKE_ARITY = {"s03": 3, "s11": 3, "s04": 7, "s12": 8, "c02": 3, "c11": 3, "s9": 3}
+COVER_NAMES = {
+    "embed": ["x1", "x2", "x12"], "deck": ["x1", "x2", "x3", "x12", "x13", "x23", "x123"],
+    "c02s04": ["u", "v", "w"], "c11s12": ["p", "q", "r"], "s9": ["y"],
+}
+
+
+def _eval(draw, name):
+    """``--eval`` text: the map's names, one dropped or repeated or foreign at times."""
+    names = list(COVER_NAMES[name])
+    edit = draw(st.sampled_from(["none", "none", "drop", "repeat", "foreign"]))
+    if edit == "drop":
+        names.pop()
+    elif edit != "none":
+        names.append(names[0] if edit == "repeat" else "y")
+    return ",".join(f"{n}={draw(NUMBERS)}" for n in names)
+
+
+def _construct(draw):
+    kind, need = draw(st.sampled_from([("pair", 3), ("triple", 6), ("quad", 4)]))
+    return ["construct", kind, *_flags(draw, "--json", "--branch=-"),
+            *_optional(draw, "--"), *_numbers(draw, need)]
+
+
+def _fricke(draw):
+    surface = draw(st.sampled_from(sorted(FRICKE_ARITY)))
+    coords = ",".join(_numbers(draw, FRICKE_ARITY[surface]))
+    return ["fricke", "test", surface, f"--coords={coords}",
+            *_flags(draw, "--mode=exact", "--report-only")]
+
+
+def _cover(draw):
+    name = draw(st.sampled_from(sorted(COVER_NAMES)))
+    return ["cover", "map", name, *_flags(draw, "--symbolic-check"),
+            *_optional(draw, "--eval", _eval(draw, name))]
+
+
+#: An argv builder per subcommand, each drawing wrong arities and bad tokens too.
+_ARGV = {
+    "trace-poly": lambda draw: [
+        "trace-poly", draw(st.sampled_from(TRACE_WORDS)),
+        *_flags(draw, "--json", "--rank=1", "--rank=3", "--rank=4")],
+    "eval-word": lambda draw: [
+        "eval-word", draw(st.sampled_from(SHORT_WORDS)),
+        *_flags(draw, "--json", "--rank=1", "--rank=3", "--seed=7", "--seed=x"),
+        *_optional(draw, "--matrices", _matrices(draw))],
+    "construct": _construct,
+    "fricke": _fricke,
+    "fn2trace": lambda draw: ["fn2trace", *_flags(draw, "--json"), *_numbers(draw, 3)],
+    "cover": _cover,
+    "verify": lambda draw: [
+        "verify", draw(st.sampled_from(["identities", "oracle", "fricke", "covers", "coxeter",
+                                        "x"])),
+        "--trials", draw(st.sampled_from(["1", "2", "0", "-1", "x"])),
+        "--seed", draw(st.sampled_from(["0", "7", "-3", "1.5"])),
+        *_flags(draw, "--mode=exact"), *_optional(draw, "--tolerance", draw(NUMBERS))],
+}
+
+
+@st.composite
+def argvs(draw):
+    return _ARGV[draw(st.sampled_from(sorted(_ARGV)))](draw)
+
+
+class TestContract:
+    """Every subcommand keeps the exit-code contract on extreme and
+    malformed input: no exception escapes ``main``, the exit code is 0, 1
+    or 2, a failure on exit 1 is either a verdict on stdout (nothing on
+    stderr) or one ``error:`` line, and exit 2 ends stderr with a usage
+    error line (``slchar``'s own or argparse's).
+
+    Trace-poly words either exceed ``MAX_WORD_LETTERS`` or cancel to a
+    short cyclic core: the engine has no length budget yet, and an
+    accepted long power such as ``X^100000`` would run for hours.  Exit 0
+    with NaN or infinity in the output is not checked here; float fields
+    that overflow are still printed as they come."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(argvs())
+    def test_exit_code_contract(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        err = err.getvalue()
+        assert code in (0, 1, 2), (argv, code)
+        if code == 1:
+            assert err == "" or (err.startswith("error: ") and err.count("\n") == 1), argv
+        if code == 2:
+            last = err.splitlines()[-1] if err else ""
+            assert re.match(r"usage error: |slchar( [\w-]+)*: error: ", last), (argv, err)
