@@ -265,11 +265,15 @@ def construct_triple(t1, t2, t3, t12, t23, t13, branch: str = "+"):
     if not cmath.isfinite(kappa_value(traces[0], traces[1], traces[3])):
         raise GeometryError("degenerate branch value")
     with np.errstate(all="ignore"):
-        triple = m1, m2, m3 = _construct_triple(*traces, branch)
-        realized = [mat2.trace(m) for m in (m1, m2, m3, m1 @ m2, m2 @ m3, m1 @ m3)]
-    if not (np.isfinite(triple).all() and np.isfinite(realized).all()):
+        triple = _construct_triple(*traces, branch)
+    if not np.isfinite(triple).all():
         raise GeometryError("degenerate branch value")
-    for name, r, t in zip(("t1", "t2", "t3", "t12", "t23", "t13"), realized, traces):
+    m1, m2, m3 = (tuple(m.ravel().tolist()) for m in triple)
+    realized = (m1, m2, m3, mat2._mul(m1, m2), mat2._mul(m2, m3), mat2._mul(m1, m3))
+    for name, m, t in zip(("t1", "t2", "t3", "t12", "t23", "t13"), realized, traces):
+        r = m[0] + m[3]
+        if not cmath.isfinite(r):
+            raise GeometryError("degenerate branch value")
         if not abs(r - t) <= 1e-6 * (1 + abs(t)):
             raise GeometryError(f"the constructed triple misses the prescribed {name}")
     return triple

@@ -7,9 +7,9 @@ Exact matrices have small rational entries, with the last entry solved
 the same way so that det = 1 holds exactly; they are drawn as the pair
 (N, d) of :mod:`slchar.mat2`, m = N / d with N an int 4-tuple, so no
 ``Fraction`` is built.  ``exact_evaluate_word`` takes ``Fraction``
-matrices and is the one place that writes them as (N, d).  Streams derive deterministically from
-(seed, trial-index), so suites may parallelize trials without changing
-results.
+matrices and is the one place that writes them as (N, d).  Streams
+derive deterministically from (seed, trial-index), so suites may
+parallelize trials without changing results.
 """
 
 from __future__ import annotations
