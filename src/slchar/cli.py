@@ -451,10 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    # argparse before Python 3.12 drops a value "--" and stores [] in its place
-    for name, value in vars(args).items():
-        if value == []:
-            ap.error(f"argument {name}: expected a value, got '--'")
+    if [] in vars(args).values():  # argparse before Python 3.12 stores [] for a value "--"
+        ap.error("'--' is not a value")
     if getattr(args, "trials", 1) < 1:
         ap.error("--trials must be >= 1")
     if getattr(args, "tolerance", 0) < 0:

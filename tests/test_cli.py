@@ -548,12 +548,16 @@ class TestNoTraceback:
         ("verify", "oracle", "--tolerance=--"),
         ("eval-word", "X", "--seed=--"),
     ])
-    def test_dash_dash_as_a_value_is_usage_error(self, capsys, argv):
-        # argparse before Python 3.12 stores [] for such a value
-        with pytest.raises(SystemExit) as exc:
-            main(list(argv))
-        assert exc.value.code == 2
-        assert capsys.readouterr().err.splitlines()[-1].startswith("slchar")
+    def test_dash_dash_as_a_value(self, capsys, argv):
+        # argparse before Python 3.12 stores [] for such a value, which main
+        # refuses as a usage error; later versions may pass "--" on as text
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert (code == 2 and re.match(r"slchar[\w -]*: error: ", last)) or (
+            code == 1 and last.startswith("error: "))
 
     def test_construct_triple_that_misses_its_traces(self, capsys):
         # least squares on rows holding 1e80 next to O(1) entries loses t3, t13, t23
