@@ -74,7 +74,7 @@ __all__ = [
 ONVARIETY_TOL = 1e-8
 
 
-def _is_exact(*values) -> bool:
+def _all_rational(*values) -> bool:
     return all(isinstance(v, Rational) for v in values)
 
 
@@ -301,7 +301,7 @@ def member_s04(ch: CharacterS04) -> S04Result:
     exact product F~+ F~- = S+^2/(-2-x) - S-^2/(2-x) over it, free of
     cancellation."""
     point = ch.as_tuple()
-    if exact := _is_exact(*point):
+    if exact := _all_rational(*point):
         nums, dens, ratios = _exact_ratios(_s04_polys(), point)
     else:  # each value is its own numerator over 1
         nums, dens = point, (1,) * 7
@@ -395,7 +395,7 @@ def member_s12(ch: CharacterS12) -> S12Result:
     kappa(x,y,z) < -2, kappa(y,u,w) < -2, kappa(u,x,v) < -2, decided on
     integer numerators for exact input; the reported values are floats."""
     point = (ch.a, ch.b, ch.u, ch.v, ch.w, ch.x, ch.y, ch.z)
-    if exact := _is_exact(*point):
+    if exact := _all_rational(*point):
         *_, ratios = _exact_ratios(_s12_polys(), point)
     else:  # each value is its own numerator over 1; a NaN residual is off the variety
         ratios = [(v, 1) for v in _s12_tests(*point)]

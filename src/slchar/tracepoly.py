@@ -250,7 +250,7 @@ def generator_count(n: int) -> int:
     return num // 6
 
 
-def _numerator_traces(mats, words) -> tuple[dict, tuple | None]:
+def _prefix_traces(mats, words) -> tuple[dict, tuple | None]:
     """tr X_I for each index tuple I in ``words``, X_I being its prefix's
     product (listed before it) times the last matrix, and None; for exact
     matrices (N_i, d_i), the int traces of the products of the N_i,
@@ -270,10 +270,10 @@ def _numerator_traces(mats, words) -> tuple[dict, tuple | None]:
 def _character(variables: VariableSet, mats, *extra) -> tuple[list, list | None]:
     """tr X_I for each coordinate x_I of ``variables`` in declared order,
     then for each I in ``extra``, and None; for exact matrices, tr N_I
-    (:func:`_numerator_traces`) and each one's denominator, the product of
+    (:func:`_prefix_traces`) and each one's denominator, the product of
     the d_i for i in I.  Evaluation at a character splits here only."""
     words = [COORDINATES[variables][name] for name in variables] + list(extra)
-    traces, ds = _numerator_traces(mats, words)
+    traces, ds = _prefix_traces(mats, words)
     dens = None if ds is None else [math.prod(ds[i - 1] for i in w) for w in words]
     return [traces[w] for w in words], dens
 

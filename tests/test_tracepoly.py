@@ -410,14 +410,14 @@ class TestExactIntegerCore:
     def test_product_traces_on_any_rational_matrices(self, mats):
         words = ((1,), (2,), (3,), (4,), (1, 2), (1, 2, 3), (1, 2, 3, 4), (2, 3), (2, 3, 4),
                  (3, 4), (3, 4, 1), (4, 1), (4, 1, 2), (1, 3), (2, 4), (2, 4, 2), (2, 4, 2, 2))
-        got, ds = tracepoly._numerator_traces([as_pair(m) for m in mats], words)
+        got, ds = tracepoly._prefix_traces([as_pair(m) for m in mats], words)
         for w in words:
             assert type(got[w]) is int
             # tr X_I = tr N_I / prod d_i, i running over the word's letters
             value = Fraction(got[w], math.prod(ds[i - 1] for i in w))
             assert value == trace(product(*(mats[i - 1] for i in w))), w
         floats = [np.array(m, dtype=complex) for m in mats]
-        numeric, ds = tracepoly._numerator_traces(floats, words)
+        numeric, ds = tracepoly._prefix_traces(floats, words)
         assert ds is None
         for w in words:
             assert numeric[w] == mat2.trace(product_of(floats, w))
@@ -426,7 +426,7 @@ class TestExactIntegerCore:
         # int matrices only (every d is 1), singular ones included
         mats = [((0, 1), (-1, 0)), ((2, 0), (3, 0)), ((0, 0), (0, 5)), ((0, 0), (0, 0))]
         words = ((1,), (2,), (3,), (4,), (1, 2), (1, 2, 3), (2, 3), (3, 1), (1, 2, 3, 4), (2, 2))
-        got, ds = tracepoly._numerator_traces([as_pair(m) for m in mats], words)
+        got, ds = tracepoly._prefix_traces([as_pair(m) for m in mats], words)
         assert ds == (1, 1, 1, 1)
         for w in words:
             assert type(got[w]) is int
