@@ -690,7 +690,7 @@ def _cover(draw):
             *_optional(draw, "--eval", _eval(draw, name))]
 
 
-#: An argv builder per subcommand, each drawing wrong arities and bad tokens too.
+#: How to draw the argv of each subcommand, wrong arities and bad tokens too.
 _ARGV = {
     "trace-poly": lambda draw: [
         "trace-poly", draw(st.sampled_from(TRACE_WORDS)),
