@@ -1,22 +1,39 @@
 """Trace coordinates on SL(2,C) character varieties of free groups of
 rank two and three, and Fricke-space membership tests for the six
-simplest hyperbolic surfaces."""
+simplest hyperbolic surfaces.
 
-from . import chars, covers, fricke, hypgeom, mat2, polyring, sampling, tracepoly, words
-from .chars import CharacterF2, CharacterF3, character_of_pair, character_of_triple
-from .fricke import CharacterS04, CharacterS12, FNCoords
-from .polyring import Polynomial, VariableSet
-from .tracepoly import kappa, trace_poly, trace_poly_f2, trace_poly_f3
-from .words import Word, parse_word
+The submodules and the names below load on first use (PEP 562), so
+``import slchar`` loads no numpy.  Importing ``mat2``, ``chars`` or
+``hypgeom``, which build numpy arrays, loads it; the other modules load
+it only inside the functions that build arrays."""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "words", "polyring", "mat2", "tracepoly", "chars", "hypgeom",
-    "fricke", "covers", "sampling",
-    "Word", "parse_word", "Polynomial", "VariableSet",
-    "trace_poly", "trace_poly_f2", "trace_poly_f3", "kappa",
-    "CharacterF2", "CharacterF3", "character_of_pair", "character_of_triple",
-    "CharacterS04", "CharacterS12", "FNCoords",
-    "__version__",
-]
+#: Each lazy name and the submodule that owns it; a submodule owns itself.
+_OWNERS = {
+    **{m: m for m in ("words", "polyring", "mat2", "tracepoly", "chars", "hypgeom",
+                      "fricke", "covers", "sampling")},
+    "Word": "words", "parse_word": "words",
+    "Polynomial": "polyring", "VariableSet": "polyring",
+    "trace_poly": "tracepoly", "trace_poly_f2": "tracepoly", "trace_poly_f3": "tracepoly",
+    "kappa": "tracepoly",
+    "CharacterF2": "chars", "CharacterF3": "chars",
+    "character_of_pair": "chars", "character_of_triple": "chars",
+    "CharacterS04": "fricke", "CharacterS12": "fricke", "FNCoords": "fricke",
+}
+
+__all__ = [*_OWNERS, "__version__"]
+
+
+def __getattr__(name):
+    owner = _OWNERS.get(name)
+    if owner is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{owner}")
+    return module if owner == name else getattr(module, name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -17,7 +17,7 @@ import numpy as np
 from . import mat2
 from .mat2 import GeometryError, _principal_root, normal_form_pair, principal_sqrt
 from .polyring import F3_VARS, sum_product
-from .tracepoly import coordinate_traces, kappa_value
+from .tracepoly import _mul, coordinate_traces, kappa_value
 
 __all__ = [
     "CharacterF2",
@@ -268,7 +268,7 @@ def construct_triple(t1, t2, t3, t12, t23, t13, branch: str = "+"):
     if not np.isfinite(triple).all():
         raise GeometryError("degenerate branch value")
     m1, m2, m3 = (tuple(m.ravel().tolist()) for m in triple)
-    realized = (m1, m2, m3, mat2._mul(m1, m2), mat2._mul(m2, m3), mat2._mul(m1, m3))
+    realized = (m1, m2, m3, _mul(m1, m2), _mul(m2, m3), _mul(m1, m3))
     for name, m, t in zip(("t1", "t2", "t3", "t12", "t23", "t13"), realized, traces):
         if not abs(m[0] + m[3] - t) <= 1e-6 * (1 + abs(t)):
             raise GeometryError(f"the constructed triple misses the prescribed {name}")

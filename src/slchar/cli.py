@@ -8,6 +8,10 @@ same seed and configuration, output is byte-identical.
 Each ``verify`` suite yields ``(row, residual)`` pairs over its seeded
 trials; a row reports the largest residual its suite yields for it, and
 rows print in the order each was first yielded.
+
+numpy and the modules that build matrices (``mat2``, ``chars``,
+``hypgeom``) load inside the commands and suites that use them, so the
+symbolic commands (``trace-poly``, ``cover map``) start without them.
 """
 
 from __future__ import annotations
@@ -20,11 +24,8 @@ import re
 import sys
 from fractions import Fraction
 
-import numpy as np
-
-from . import chars, covers, fricke, hypgeom, mat2, sampling, tracepoly
+from . import covers, fricke, sampling, tracepoly
 from .fricke import CharacterS04, CharacterS12, FNCoords
-from .mat2 import GeometryError
 from .words import Word, WordSyntaxError, parse_word
 
 
@@ -72,6 +73,10 @@ def cmd_trace_poly(args) -> int:
 
 
 def cmd_eval_word(args) -> int:
+    import numpy as np
+
+    from . import mat2
+
     w = parse_word(args.word, args.rank)
     if args.matrices:
         raw = args.matrices
@@ -92,13 +97,13 @@ def cmd_eval_word(args) -> int:
         rnd = sampling.rng_for(args.seed)
         mats = [sampling.random_unimodular(rnd) for _ in range(args.rank)]
     if len(mats) != args.rank:
-        raise GeometryError(
+        raise mat2.GeometryError(
             f"need {args.rank} matrices, got {len(mats)}"
         )
     with np.errstate(all="ignore"):  # a product that overflows is refused below
         result = mat2.evaluate_word(w, mats)
     if not np.isfinite(result).all():
-        raise GeometryError("the word's matrix is not finite")
+        raise mat2.GeometryError("the word's matrix is not finite")
     tr = mat2.trace(result)
     if args.json:
         _print_json({
@@ -112,6 +117,10 @@ def cmd_eval_word(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    import numpy as np
+
+    from . import chars, mat2
+
     need = 3 if args.kind == "pair" else 6
     if len(args.coords) != need:
         raise ValueError(f"construct {args.kind} takes {need} coordinates, got {len(args.coords)}")
@@ -125,7 +134,7 @@ def cmd_construct(args) -> int:
     with np.errstate(all="ignore"):  # a trace that overflows is refused below
         character = character_of(*mats)
     if not np.isfinite(character.as_tuple()).all():
-        raise GeometryError("degenerate branch value")
+        raise mat2.GeometryError("degenerate branch value")
     payload = {name: mat2.matrix_to_json(m) for name, m in zip(names, mats)}
     payload["character"] = character.to_json()
     if args.json:
@@ -152,7 +161,7 @@ def cmd_fricke(args) -> int:
     names, verdict_of = _FRICKE[args.surface]
     need = names.count(",") + 1
     if len(coords) != need:
-        raise GeometryError(
+        raise ValueError(
             f"surface {args.surface} takes {need} coordinates, got {len(coords)}"
         )
     if args.mode == "float":
@@ -189,6 +198,8 @@ def cmd_cover(args) -> int:
         if set(point) != set(rm.target):
             raise ValueError(f"--eval for {args.map} takes {', '.join(rm.target)}; "
                              f"got {', '.join(point)}")
+        from . import mat2
+
         images = rm.apply_point(point)
         payload["evaluation"] = {
             n: mat2.format_complex(complex(v)) for n, v in images.items()
@@ -228,11 +239,11 @@ def _trials(cfg):
         yield sampling.rng_for(cfg.seed, trial)
 
 
-#: A draw as a 2x2 array and its denominator per ``--mode``; the
-#: identities suite runs on N, float matrices standing for themselves.
+#: A draw as a 2x2 array and its denominator per ``--mode``, given numpy;
+#: the identities suite runs on N, float matrices standing for themselves.
 _NUMERATOR = {
-    "float": lambda m: (m, 1),
-    "exact": lambda m: (np.array(m[0], dtype=object).reshape(2, 2), m[1]),
+    "float": lambda np, m: (m, 1),
+    "exact": lambda np, m: (np.array(m[0], dtype=object).reshape(2, 2), m[1]),
 }
 
 
@@ -240,7 +251,11 @@ def _suite_identities(cfg):
     """Each identity written with adjugates is homogeneous in the matrices,
     so it holds for N as for m = N / d, with the commutator row's constant
     2 det(xi) det(eta) scaled by (d_xi d_eta)^2."""
-    draw, numerator = _RANDOM_MATRIX[cfg.mode], _NUMERATOR[cfg.mode]
+    import numpy as np
+
+    from . import mat2
+
+    draw, numerator = _RANDOM_MATRIX[cfg.mode], functools.partial(_NUMERATOR[cfg.mode], np)
     for rnd in _trials(cfg):
         xi, dx = numerator(draw(rnd))
         eta, de = numerator(draw(rnd))
@@ -261,6 +276,8 @@ def _suite_identities(cfg):
 
 
 def _suite_oracle(cfg):
+    from . import mat2
+
     draw = _RANDOM_MATRIX[cfg.mode]
     len2, len3 = _ORACLE_WORD_LENGTHS[cfg.mode]
     residual = _ORACLE_RESIDUAL[cfg.mode]
@@ -278,6 +295,10 @@ def _suite_oracle(cfg):
 
 
 def _suite_fricke(cfg):
+    import numpy as np
+
+    from . import hypgeom
+
     ok = fricke.defining_identity_residual().is_zero()
     yield "defining-identity-symbolic", 0.0 if ok else 1.0
     for rnd in _trials(cfg):
@@ -302,6 +323,8 @@ def _suite_fricke(cfg):
 
 
 def _suite_covers(cfg):
+    from . import chars
+
     for name in covers.COVERS:
         ok = all(covers.symbolic_check(name).values())
         yield f"symbolic-{name}", 0.0 if ok else 1.0
@@ -313,6 +336,10 @@ def _suite_covers(cfg):
 
 
 def _suite_coxeter(cfg):
+    import numpy as np
+
+    from . import chars, hypgeom, mat2
+
     # a rejected draw still uses up its stream index, so no _trials here
     done = 0
     trial = 0
@@ -462,7 +489,7 @@ def main(argv=None) -> int:
     except WordSyntaxError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (GeometryError, ValueError, ZeroDivisionError, OverflowError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:  # GeometryError too
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping
 
-from .chars import CharacterF3, triple_trace_roots
 from .fricke import s04_defining_poly, s12_relation_polys
 from .polyring import F3_VARS, PHI, S04_VARS, S12_VARS, Polynomial, VariableSet, reduce_mod_phi
 from .tracepoly import COORDINATES, trace_poly
@@ -184,6 +183,8 @@ def deck_involution_f3(arg):
     rm = deck_ring_map()
     if isinstance(arg, Polynomial):
         return rm.apply_poly(arg)
+    from .chars import CharacterF3, triple_trace_roots  # loads numpy, as polynomials need not
+
     if isinstance(arg, CharacterF3):
         vals = rm.apply_point(dict(zip(F3_VARS, arg.as_tuple())))
         *six, t123 = vals.values()

@@ -35,15 +35,13 @@ F~- > 0.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import functools
 import math
 from dataclasses import dataclass, field
 from numbers import Rational
 
-import numpy as np
-
-from . import mat2
 from .polyring import S04_VARS, S12_VARS, Polynomial, sum_product
 from .tracepoly import kappa_value
 
@@ -432,6 +430,17 @@ class FNResult:
         }
 
 
+@contextlib.contextmanager
+def _overflow_names(**args):
+    """Turn a float overflow of the block (a ZeroDivisionError too: a
+    square that underflowed to 0) into a ValueError naming ``args``."""
+    try:
+        yield
+    except (OverflowError, ZeroDivisionError):
+        named = ", ".join(f"{name} = {value}" for name, value in args.items())
+        raise ValueError(f"Fenchel-Nielsen coordinates out of float range at {named}") from None
+
+
 def fn_to_traces(coords: FNCoords) -> FNResult:
     """Trace coordinates of the one-holed torus structure with
     Fenchel-Nielsen coordinates (l, tau, b), by explicit matrix
@@ -449,30 +458,40 @@ def fn_to_traces(coords: FNCoords) -> FNResult:
     2 sqrt(1 + csch^2(l/2) cosh^2(b/4)) cosh(tau/2) differ from the
     uncorrected closed form, which is reported for comparison and does
     not hold against the matrix oracle.
+
+    Coordinates whose functions leave the float range, or whose traces
+    miss the constraint or the slice (float cancellation, from about
+    l = 15), raise ``ValueError``.
     """
+    import numpy as np
+
+    from . import mat2
+
     l2, tau2, b4 = coords.l / 2, coords.tau / 2, coords.b / 4  # divided once: Fractions are slow
-    mu_half = math.asinh(math.cosh(b4) / math.sinh(l2))
-    X = np.diag([math.exp(l2), math.exp(-l2)]).astype(complex)
-    Y0 = np.array(
-        [
-            [math.cosh(mu_half), math.sinh(mu_half)],
-            [math.sinh(mu_half), math.cosh(mu_half)],
-        ],
-        dtype=complex,
-    )
-    Y = Y0 @ np.diag([math.exp(tau2), math.exp(-tau2)]).astype(complex)
-    x = float(mat2.trace(X).real)
-    y = float(mat2.trace(Y).real)
-    z = float(mat2.trace(X @ Y).real)
+    # each argument's own functions first, so that an overflow names it
+    with _overflow_names(l=coords.l):
+        exp_l, sinh_l = [math.exp(l2), math.exp(-l2)], math.sinh(l2)
+        sinh_l_sq = sinh_l ** 2
+    with _overflow_names(tau=coords.tau):
+        exp_tau, cosh_tau = [math.exp(tau2), math.exp(-tau2)], math.cosh(tau2)
+    with _overflow_names(b=coords.b):
+        cosh_b, sinh_b_sq = math.cosh(b4), math.sinh(b4) ** 2
+        cosh_b_sq, boundary = cosh_b ** 2, -2 * math.cosh(coords.b / 2)
+    with _overflow_names(l=coords.l, b=coords.b):  # cosh(b/4)/sinh(l/2) and its square
+        mu_half = math.asinh(cosh_b / sinh_l)
+        cosh_mu, sinh_mu = math.cosh(mu_half), math.sinh(mu_half)
+        csch_cosh_sq, arg = cosh_b_sq / sinh_l_sq, 1 - 4 * sinh_b_sq / sinh_l_sq
+    X = np.diag(exp_l).astype(complex)
+    Y0 = np.array([[cosh_mu, sinh_mu], [sinh_mu, cosh_mu]], dtype=complex)
+    with np.errstate(all="ignore"):  # a non-finite trace fails the constraint below
+        Y = Y0 @ np.diag(exp_tau).astype(complex)
+        x = float(mat2.trace(X).real)
+        y = float(mat2.trace(Y).real)
+        z = float(mat2.trace(X @ Y).real)
     k = kappa_value(x, y, z)
-    boundary = -2 * math.cosh(coords.b / 2)
-    corrected_y = (
-        2 * math.sqrt(1 + math.cosh(b4) ** 2 / math.sinh(l2) ** 2)
-        * math.cosh(tau2)
-    )
-    arg = 1 - 4 * math.sinh(b4) ** 2 / math.sinh(l2) ** 2
+    corrected_y = 2 * math.sqrt(1 + csch_cosh_sq) * cosh_tau
     uncorrected_y = (
-        2 * math.sqrt(arg) * math.cosh(tau2) if arg >= 0 else float("nan")
+        2 * math.sqrt(arg) * cosh_tau if arg >= 0 else float("nan")
     )
     result = FNResult(
         x=x, y=y, z=z, kappa=k, boundary_trace=boundary,
@@ -489,18 +508,16 @@ def fn_to_traces(coords: FNCoords) -> FNResult:
             ),
         },
     )
-    if result.metadata["constraint_residual"] > 1e-9 * (1 + abs(k)):
-        raise AssertionError(
-            f"boundary-trace constraint violated: {k} vs {boundary}"
-        )
+    if not result.metadata["constraint_residual"] <= 1e-9 * (1 + abs(k)):  # NaN too
+        miss = f"boundary-trace constraint violated: kappa = {k} vs {boundary}"
     # the image is the closed slice; at a cusp (b = 0) rounding may land
     # an epsilon outside the exact predicate
-    in_slice = member_s11(x, y, z).verdict is S11Verdict.MEMBER_SLICE or (
-        k <= -2 + 1e-9 and min(x, y, z) > 2
-    )
-    if not in_slice:
-        raise AssertionError(f"({x}, {y}, {z}) escaped the one-holed-torus slice")
-    return result
+    elif not (member_s11(x, y, z).verdict is S11Verdict.MEMBER_SLICE
+              or k <= -2 + 1e-9 and min(x, y, z) > 2):
+        miss = f"({x}, {y}, {z}) escaped the one-holed-torus slice"
+    else:
+        return result
+    raise ValueError(f"{miss} at (l, tau, b) = ({coords.l}, {coords.tau}, {coords.b})")
 
 
 def pants_curve_count(g: int, n: int) -> int:

@@ -1,7 +1,9 @@
 """Complex 2x2 (and 3x3) matrix kernel.
 
 All explicit matrix formulas live here, together with the numeric
-oracle ``evaluate_word`` for trace polynomials.  Matrices are plain
+oracle ``evaluate_word`` for trace polynomials; only the int 4-tuple
+product ``_mul`` is :mod:`slchar.tracepoly`'s, which needs it without
+numpy.  Matrices are plain
 2x2 (or 3x3) complex numpy arrays.  Tolerances are fixed: ``inverse``
 requires ``|det - 1| <= TOL_CONJUGACY``, and the real-matrix tests of
 ``hat`` and ``glide_reflection_sqrt`` allow imaginary parts up to
@@ -31,6 +33,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .tracepoly import _mul
 from .words import Word
 
 __all__ = [
@@ -106,13 +109,6 @@ def trace(m: np.ndarray) -> complex:
 
 def det(m: np.ndarray) -> complex:
     return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-
-
-def _mul(n: tuple, k: tuple) -> tuple:
-    """The product of two 2x2 matrices given as 4-tuples of their rows."""
-    a, b, c, e = n
-    p, q, r, s = k
-    return (a * p + b * r, a * q + b * s, c * p + e * r, c * q + e * s)
 
 
 def _adjugate(n: tuple) -> tuple:

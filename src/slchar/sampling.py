@@ -7,9 +7,10 @@ Exact matrices have small rational entries, with the last entry solved
 the same way so that det = 1 holds exactly; they are drawn as the pair
 (N, d) of :mod:`slchar.mat2`, m = N / d with N an int 4-tuple, so no
 ``Fraction`` is built.  ``exact_evaluate_word`` takes ``Fraction``
-matrices and is the one place that writes them as (N, d).  Streams
-derive deterministically from (seed, trial-index), so suites may
-parallelize trials without changing results.
+matrices and is the one place that writes them as (N, d).  Only the
+float draws, complex numpy arrays, and ``exact_evaluate_word`` load
+numpy.  Streams derive deterministically from (seed, trial-index), so
+suites may parallelize trials without changing results.
 """
 
 from __future__ import annotations
@@ -18,9 +19,6 @@ import math
 import random
 from fractions import Fraction
 
-import numpy as np
-
-from . import mat2
 from .words import Word
 
 __all__ = [
@@ -40,7 +38,9 @@ def rng_for(seed: int, trial: int | None = None) -> random.Random:
     return random.Random(f"slchar:{seed}:{trial}")
 
 
-def random_unimodular(rnd: random.Random) -> np.ndarray:
+def random_unimodular(rnd: random.Random):
+    import numpy as np
+
     while True:
         a = complex(rnd.uniform(-2, 2), rnd.uniform(-2, 2))
         b = complex(rnd.uniform(-2, 2), rnd.uniform(-2, 2))
@@ -50,7 +50,9 @@ def random_unimodular(rnd: random.Random) -> np.ndarray:
             return np.array([[a, b], [c, d]], dtype=complex)
 
 
-def random_real_unimodular(rnd: random.Random) -> np.ndarray:
+def random_real_unimodular(rnd: random.Random):
+    import numpy as np
+
     while True:
         a = rnd.uniform(-2, 2)
         b = rnd.uniform(-2, 2)
@@ -87,10 +89,12 @@ def random_reduced_word(rnd: random.Random, rank: int, max_len: int) -> Word:
     return Word(rank, tuple(letters))
 
 
-def exact_evaluate_word(w: Word, mats) -> np.ndarray:
+def exact_evaluate_word(w: Word, mats):
     """Exact product along a word of unimodular Fraction matrices, given
     as object arrays or as nested tuples, each written as (N, d) with d
     the least common denominator of its entries."""
+    from . import mat2
+
     pairs = []
     for m in mats:
         entries = [Fraction(v) for row in m for v in row]

@@ -39,7 +39,9 @@ scope), and ``trace_poly`` refuses rank-4 words.
 ``COORDINATES`` names each coordinate by the increasing product whose
 trace it is (x_I = tr X_I); the engine's basis and ``coordinate_traces``
 (behind ``evaluate_at_character``) both read it.  Results are memoized
-on the rank and the cyclically reduced letters.
+on the rank and the cyclically reduced letters.  Exact evaluation
+multiplies int 4-tuples (``_mul``, which :mod:`slchar.mat2` and
+:mod:`slchar.chars` share), so only numpy matrices load ``mat2``.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ import math
 import operator
 from fractions import Fraction
 
-from . import mat2
 from .polyring import F2_VARS, F3_VARS, WIDTH, Polynomial, VariableSet, _addmul_into
 from .words import Word
 
@@ -250,15 +251,25 @@ def generator_count(n: int) -> int:
     return num // 6
 
 
+def _mul(n: tuple, k: tuple) -> tuple:
+    """The product of two 2x2 matrices given as 4-tuples of their rows."""
+    a, b, c, e = n
+    p, q, r, s = k
+    return (a * p + b * r, a * q + b * s, c * p + e * r, c * q + e * s)
+
+
 def _prefix_traces(mats, words) -> tuple[dict, tuple | None]:
     """tr X_I for each index tuple I in ``words``, X_I being its prefix's
     product (listed before it) times the last matrix, and None; for exact
     matrices (N_i, d_i), the int traces of the products of the N_i,
     multiplied as int 4-tuples of their rows, and the d_i."""
-    ds, mul, trace = None, operator.matmul, mat2.trace
     if all(isinstance(m, tuple) for m in mats):
         mats, ds = zip(*mats)
-        mul, trace = mat2._mul, lambda n: n[0] + n[3]
+        mul, trace = _mul, lambda n: n[0] + n[3]
+    else:
+        from . import mat2
+
+        ds, mul, trace = None, operator.matmul, mat2.trace
     products, traces = {}, {}
     for word in words:
         last = mats[word[-1] - 1]

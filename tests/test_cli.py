@@ -542,6 +542,25 @@ class TestNoTraceback:
         err = capsys.readouterr().err
         assert err.splitlines()[-1].endswith(f"invalid parse_number value: {text!r}")
 
+    @pytest.mark.parametrize("numbers", [("15.5", "2", "1"), ("16", "0")])
+    def test_fn2trace_float_cancellation(self, capsys, numbers):
+        code, out, err = run(capsys, "fn2trace", *numbers)
+        assert_error_line(code, out, err)
+        assert err.startswith("error: boundary-trace constraint violated: kappa = ")
+        l, tau, b = (*map(float, numbers), 0.0)[:3]
+        assert err.endswith(f" at (l, tau, b) = ({l}, {tau}, {b})\n")
+
+    @pytest.mark.parametrize("numbers, named", [
+        (("1e3", "1", "1"), "l = 1000.0"),
+        (("1e300", "1"), "l = 1e+300"),
+        (("1", "1e300"), "tau = 1e+300"),
+        (("1", "0", "1e300"), "b = 1e+300"),
+    ])
+    def test_fn2trace_overflow_names_the_argument(self, capsys, numbers, named):
+        code, out, err = run(capsys, "fn2trace", *numbers)
+        assert_error_line(code, out, err)
+        assert err == f"error: Fenchel-Nielsen coordinates out of float range at {named}\n"
+
     @pytest.mark.parametrize("argv", [
         ("fricke", "test", "c11", "--coords=--"),
         ("fn2trace", "--", "1", "--"),

@@ -643,6 +643,30 @@ class TestFenchelNielsen:
         with pytest.raises(ValueError):
             FNCoords(l=1, tau=0, b=-1)
 
+    @settings(max_examples=400, deadline=None)
+    @given(st.floats(min_value=0, max_value=1e300, exclude_min=True),
+           st.floats(min_value=-1e300, max_value=1e300),
+           st.floats(min_value=0, max_value=1e300))
+    def test_a_slice_point_or_value_error(self, l, tau, b):
+        # float cancellation (l from about 15) and overflow end in ValueError
+        try:
+            res = fn_to_traces(FNCoords(l=l, tau=tau, b=b))
+        except ValueError:
+            return
+        x, y, z = res.traces()
+        assert abs(res.kappa - res.boundary_trace) <= 1e-9 * (1 + abs(res.kappa))
+        assert min(x, y, z) > 2
+        assert member_s11(x, y, z).verdict is S11Verdict.MEMBER_SLICE or res.kappa <= -2 + 1e-9
+
+    @pytest.mark.parametrize("coords, named", [  # the CLI tests take large l, tau and b
+        (FNCoords(l=1, tau=-1e300), "tau = -1e+300"),  # exp(-tau/2) overflows
+        (FNCoords(l=1e-200, tau=0), "l = 1e-200, b = 0.0"),  # sinh(l/2)^2 underflows
+    ])
+    def test_overflow_names_the_argument(self, coords, named):
+        with pytest.raises(ValueError) as exc:
+            fn_to_traces(coords)
+        assert str(exc.value) == f"Fenchel-Nielsen coordinates out of float range at {named}"
+
 
 class TestPantsCurves:
     def test_values(self):

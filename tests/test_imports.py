@@ -1,0 +1,68 @@
+"""numpy loads only where matrices are built.  ``import slchar`` is lazy
+(PEP 562), and the symbolic path (words, polyring, tracepoly, covers,
+fricke, sampling's exact draws, ``slchar trace-poly`` and ``slchar
+cover map``) leaves numpy out of ``sys.modules``.  Each footprint runs
+in a fresh interpreter."""
+
+import importlib
+import inspect
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import slchar
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+def numpy_loaded(code: str) -> bool:
+    """Whether numpy is in ``sys.modules`` after running ``code``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    script = f"{code}\nimport sys\nprint('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1] == "True"
+
+
+@pytest.mark.parametrize("code", [
+    "import slchar",
+    "from slchar import words, polyring, tracepoly, covers, fricke, sampling\n"
+    "w = words.parse_word('X1 X2 X3 X1^-1 X2', 3)\n"
+    "p = tracepoly.trace_poly(w)\n"
+    "covers.deck_ring_map().apply_poly(p)\n"
+    "mats = [sampling.random_rational_unimodular(sampling.rng_for(0)) for _ in range(3)]\n"
+    "tracepoly.evaluate_at_character(p, mats)\n"
+    "fricke.member_s04(fricke.CharacterS04(2, 2, 2, 2, -3, 3, 3))",
+    "from slchar.cli import main\nmain(['trace-poly', 'X Y x y'])",
+    "from slchar.cli import main\nmain(['cover', 'map', 'deck', '--symbolic-check'])",
+], ids=["import", "symbolic-modules", "cli-trace-poly", "cli-cover-map"])
+def test_symbolic_path_loads_no_numpy(code):
+    assert not numpy_loaded(code)
+
+
+def test_matrix_modules_load_numpy():
+    # the probe sees numpy where it is used
+    assert numpy_loaded("import slchar\nslchar.mat2")
+
+
+@pytest.mark.parametrize("name", [n for n in slchar.__all__ if n != "__version__"])
+def test_lazy_name_is_its_owners_attribute(name):
+    obj = getattr(slchar, name)
+    if inspect.ismodule(obj):
+        assert obj is importlib.import_module(f"slchar.{name}")
+    else:
+        assert obj is getattr(importlib.import_module(obj.__module__), name)
+
+
+def test_dir_lists_all():
+    assert set(slchar.__all__) <= set(dir(slchar))
+
+
+def test_unknown_name():
+    with pytest.raises(AttributeError, match="has no attribute 'nonexistent'"):
+        slchar.nonexistent
