@@ -10,13 +10,15 @@ trials; a row reports the largest residual its suite yields for it, and
 rows print in the order each was first yielded.
 
 numpy and the modules that build matrices (``mat2``, ``chars``,
-``hypgeom``) load inside the commands and suites that use them, so the
-symbolic commands (``trace-poly``, ``cover map``) start without them.
+``hypgeom``) load inside the commands and suites that use them, so
+``trace-poly``, ``cover map`` without ``--eval``, ``fricke test`` and
+``fn2trace`` start without them.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import json
 import math
@@ -200,10 +202,11 @@ def cmd_cover(args) -> int:
                              f"got {', '.join(point)}")
         from . import mat2
 
-        images = rm.apply_point(point)
-        payload["evaluation"] = {
-            n: mat2.format_complex(complex(v)) for n, v in images.items()
-        }
+        images = {n: complex(v) for n, v in rm.apply_point(point).items()}
+        for n, v in images.items():
+            if not cmath.isfinite(v):
+                raise ValueError(f"the image {n} of the --eval point is not finite")
+        payload["evaluation"] = {n: mat2.format_complex(v) for n, v in images.items()}
     _print_json(payload)
     if args.symbolic_check and not all(payload["symbolic_check"].values()):
         return 1

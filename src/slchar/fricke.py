@@ -136,14 +136,6 @@ class S03Verdict(enum.Enum):
     NONMEMBER = "nonmember"
 
 
-_S03_OCTANTS = (
-    (-1, -1, -1),
-    (-1, +1, +1),
-    (+1, +1, -1),
-    (+1, -1, +1),
-)
-
-
 @dataclass(frozen=True)
 class S03Result:
     verdict: S03Verdict
@@ -159,7 +151,7 @@ def member_s03(x: float, y: float, z: float) -> S03Result:
     the all-negative octant is the slice.  Coordinates within 1e-12 of
     -2 (or 2) are cusps."""
     coords = (float(x), float(y), float(z))
-    for signs in _S03_OCTANTS:
+    for signs in h1z2_action(-1, -1, -1):  # the slice's octant, then its sign images
         if all(s * t >= 2 for s, t in zip(signs, coords)):
             cusps = tuple(name for name, t in zip("xyz", coords) if abs(abs(t) - 2) <= 1e-12)
             verdict = (
@@ -443,30 +435,26 @@ def _overflow_names(**args):
 
 def fn_to_traces(coords: FNCoords) -> FNResult:
     """Trace coordinates of the one-holed torus structure with
-    Fenchel-Nielsen coordinates (l, tau, b), by explicit matrix
-    products.
+    Fenchel-Nielsen coordinates (l, tau, b).
 
     rho(X) = diag(e^{l/2}, e^{-l/2}); the orthogonal-axis generator
     rho0(Y) is hyperbolic with axis through +-1 and half-translation
     mu/2 solved from sinh(mu/2) = cosh(b/4)/sinh(l/2) (which makes the
     commutator trace equal -2 cosh(b/2)); the twist multiplies by
-    diag(e^{tau/2}, e^{-tau/2}).
+    diag(e^{tau/2}, e^{-tau/2}).  rho(X) is diagonal, so only the
+    diagonal cosh(mu/2) e^{+-tau/2} of rho(Y) enters the three traces.
 
     The returned metadata records the closed forms:  the constraint is
     kappa = 2 - 4 sinh^2(l/2) sinh^2(mu/2); the factor 4 and the sign
     under the square root in y = 2 cosh(mu/2) cosh(tau/2) =
     2 sqrt(1 + csch^2(l/2) cosh^2(b/4)) cosh(tau/2) differ from the
     uncorrected closed form, which is reported for comparison and does
-    not hold against the matrix oracle.
+    not hold against these traces.
 
     Coordinates whose functions leave the float range, or whose traces
     miss the constraint or the slice (float cancellation, from about
     l = 15), raise ``ValueError``.
     """
-    import numpy as np
-
-    from . import mat2
-
     l2, tau2, b4 = coords.l / 2, coords.tau / 2, coords.b / 4  # divided once: Fractions are slow
     # each argument's own functions first, so that an overflow names it
     with _overflow_names(l=coords.l):
@@ -479,15 +467,11 @@ def fn_to_traces(coords: FNCoords) -> FNResult:
         cosh_b_sq, boundary = cosh_b ** 2, -2 * math.cosh(coords.b / 2)
     with _overflow_names(l=coords.l, b=coords.b):  # cosh(b/4)/sinh(l/2) and its square
         mu_half = math.asinh(cosh_b / sinh_l)
-        cosh_mu, sinh_mu = math.cosh(mu_half), math.sinh(mu_half)
+        cosh_mu = math.cosh(mu_half)
         csch_cosh_sq, arg = cosh_b_sq / sinh_l_sq, 1 - 4 * sinh_b_sq / sinh_l_sq
-    X = np.diag(exp_l).astype(complex)
-    Y0 = np.array([[cosh_mu, sinh_mu], [sinh_mu, cosh_mu]], dtype=complex)
-    with np.errstate(all="ignore"):  # a non-finite trace fails the constraint below
-        Y = Y0 @ np.diag(exp_tau).astype(complex)
-        x = float(mat2.trace(X).real)
-        y = float(mat2.trace(Y).real)
-        z = float(mat2.trace(X @ Y).real)
+    y0, y1 = cosh_mu * exp_tau[0], cosh_mu * exp_tau[1]  # a non-finite trace fails below
+    x, y = exp_l[0] + exp_l[1], y0 + y1
+    z = exp_l[0] * y0 + exp_l[1] * y1
     k = kappa_value(x, y, z)
     corrected_y = 2 * math.sqrt(1 + csch_cosh_sq) * cosh_tau
     uncorrected_y = (

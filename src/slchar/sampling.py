@@ -38,28 +38,23 @@ def rng_for(seed: int, trial: int | None = None) -> random.Random:
     return random.Random(f"slchar:{seed}:{trial}")
 
 
-def random_unimodular(rnd: random.Random):
+def _unimodular(rnd: random.Random, entry):
+    """The first draw a, b, c of ``entry(rnd)`` with |a| >= 1e-3, the
+    last entry solved for det = 1, as a complex numpy array."""
     import numpy as np
 
     while True:
-        a = complex(rnd.uniform(-2, 2), rnd.uniform(-2, 2))
-        b = complex(rnd.uniform(-2, 2), rnd.uniform(-2, 2))
-        c = complex(rnd.uniform(-2, 2), rnd.uniform(-2, 2))
+        a, b, c = entry(rnd), entry(rnd), entry(rnd)
         if abs(a) >= 1e-3:
-            d = (1 + b * c) / a
-            return np.array([[a, b], [c, d]], dtype=complex)
+            return np.array([[a, b], [c, (1 + b * c) / a]], dtype=complex)
+
+
+def random_unimodular(rnd: random.Random):
+    return _unimodular(rnd, lambda r: complex(r.uniform(-2, 2), r.uniform(-2, 2)))
 
 
 def random_real_unimodular(rnd: random.Random):
-    import numpy as np
-
-    while True:
-        a = rnd.uniform(-2, 2)
-        b = rnd.uniform(-2, 2)
-        c = rnd.uniform(-2, 2)
-        if abs(a) >= 1e-3:
-            d = (1 + b * c) / a
-            return np.array([[a, b], [c, d]], dtype=complex)
+    return _unimodular(rnd, lambda r: r.uniform(-2, 2))
 
 
 def random_rational_unimodular(rnd: random.Random) -> tuple[tuple, int]:

@@ -630,6 +630,13 @@ class TestNoTraceback:
         assert_error_line(code, out, err)
         assert err == "error: complex exponentiation\n"
 
+    def test_cover_eval_not_finite(self, capsys):
+        # the images overflow to inf without an exception
+        code, out, err = run(capsys, "cover", "map", "c11s12",
+                             "--eval", "p=1e154,q=1e154,r=1e154")
+        assert_error_line(code, out, err)
+        assert err == "error: the image w of the --eval point is not finite\n"
+
 
 #: Numbers at the edges of the floats and of the parsers, then malformed ones.
 EXTREMES = ["0", "2", "-2", "2.0000000001", "1.9999999999", "-2.0000000001", "1e-300",

@@ -667,6 +667,32 @@ class TestFenchelNielsen:
             fn_to_traces(coords)
         assert str(exc.value) == f"Fenchel-Nielsen coordinates out of float range at {named}"
 
+    @staticmethod
+    def matrix_traces(l, tau, mu):
+        """tr rho(X), tr rho(Y), tr rho(XY) as numpy products of the matrices."""
+        X = np.diag([math.exp(l / 2), math.exp(-l / 2)]).astype(complex)
+        ch, sh = math.cosh(mu / 2), math.sinh(mu / 2)  # mu / 2 is the half-translation exactly
+        Y = np.array([[ch, sh], [sh, ch]], dtype=complex) @ np.diag(
+            [math.exp(tau / 2), math.exp(-tau / 2)]).astype(complex)
+        return tuple(float(mat2.trace(m).real) for m in (X, Y, X @ Y))
+
+    def test_float_traces_match_matrix_products(self):
+        rnd = random.Random(22)
+        grid = [(l, tau, b) for l in (0.1, 0.7, 1, 2.5, 5, 10) for tau in (-4, -0.3, 0, 1.1, 6)
+                for b in (0, 1e-8, 0.5, 3)]
+        seeded = [(rnd.uniform(0.05, 5), rnd.uniform(-4, 4), rnd.uniform(0, 4)) for _ in range(500)]
+        for l, tau, b in grid + seeded:
+            res = fn_to_traces(FNCoords(l=l, tau=tau, b=b))
+            assert res.traces() == self.matrix_traces(l, tau, res.metadata["mu"]), (l, tau, b)
+
+    @pytest.mark.parametrize("l, tau, b", [
+        (Fraction(1, 7), 0, 0), (1, Fraction(2, 3), Fraction(1, 5)), (Fraction(20, 7), -3, 2),
+        (5, Fraction(5, 3), 4), (Fraction(3, 7), Fraction(-1, 3), 0), (1, 0, 0), (2, -3, 1),
+    ])
+    def test_exact_input_traces_match_matrix_products(self, l, tau, b):
+        res = fn_to_traces(FNCoords(l=l, tau=tau, b=b))
+        assert res.traces() == self.matrix_traces(l, tau, res.metadata["mu"])
+
 
 class TestPantsCurves:
     def test_values(self):

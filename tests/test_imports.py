@@ -1,8 +1,8 @@
 """numpy loads only where matrices are built.  ``import slchar`` is lazy
 (PEP 562), and the symbolic path (words, polyring, tracepoly, covers,
-fricke, sampling's exact draws, ``slchar trace-poly`` and ``slchar
-cover map``) leaves numpy out of ``sys.modules``.  Each footprint runs
-in a fresh interpreter."""
+fricke with ``fn_to_traces``, sampling's exact draws, ``slchar
+trace-poly``, ``slchar cover map`` and ``slchar fn2trace``) leaves numpy
+out of ``sys.modules``.  Each footprint runs in a fresh interpreter."""
 
 import importlib
 import inspect
@@ -40,7 +40,10 @@ def numpy_loaded(code: str) -> bool:
     "fricke.member_s04(fricke.CharacterS04(2, 2, 2, 2, -3, 3, 3))",
     "from slchar.cli import main\nmain(['trace-poly', 'X Y x y'])",
     "from slchar.cli import main\nmain(['cover', 'map', 'deck', '--symbolic-check'])",
-], ids=["import", "symbolic-modules", "cli-trace-poly", "cli-cover-map"])
+    "from slchar import fricke\nfricke.fn_to_traces(fricke.FNCoords(l=2, tau=0.5, b=1))",
+    "from slchar.cli import main\nmain(['fn2trace', '1', '0'])",
+], ids=["import", "symbolic-modules", "cli-trace-poly", "cli-cover-map", "fn-to-traces",
+        "cli-fn2trace"])
 def test_symbolic_path_loads_no_numpy(code):
     assert not numpy_loaded(code)
 
