@@ -11,8 +11,8 @@ rows print in the order each was first yielded.
 
 numpy and the modules that build matrices (``mat2``, ``chars``,
 ``hypgeom``) load inside the commands and suites that use them, so
-``trace-poly``, ``cover map`` without ``--eval``, ``fricke test`` and
-``fn2trace`` start without them.
+``trace-poly``, ``cover map`` (``--eval`` included), ``fricke test``
+and ``fn2trace`` start without them.
 """
 
 from __future__ import annotations
@@ -110,11 +110,11 @@ def cmd_eval_word(args) -> int:
     if args.json:
         _print_json({
             "matrix": mat2.matrix_to_json(result),
-            "trace": mat2.format_complex(tr),
+            "trace": tracepoly._format_complex(tr),
         })
     else:
         print("matrix:", np.array2string(result, precision=12))
-        print("trace:", mat2.format_complex(tr))
+        print("trace:", tracepoly._format_complex(tr))
     return 0
 
 
@@ -200,13 +200,11 @@ def cmd_cover(args) -> int:
         if set(point) != set(rm.target):
             raise ValueError(f"--eval for {args.map} takes {', '.join(rm.target)}; "
                              f"got {', '.join(point)}")
-        from . import mat2
-
         images = {n: complex(v) for n, v in rm.apply_point(point).items()}
         for n, v in images.items():
             if not cmath.isfinite(v):
                 raise ValueError(f"the image {n} of the --eval point is not finite")
-        payload["evaluation"] = {n: mat2.format_complex(v) for n, v in images.items()}
+        payload["evaluation"] = {n: tracepoly._format_complex(v) for n, v in images.items()}
     _print_json(payload)
     if args.symbolic_check and not all(payload["symbolic_check"].values()):
         return 1

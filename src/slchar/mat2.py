@@ -2,11 +2,12 @@
 
 All explicit matrix formulas live here, together with the numeric
 oracle ``evaluate_word`` for trace polynomials; only the int 4-tuple
-product ``_mul`` is :mod:`slchar.tracepoly`'s, which needs it without
-numpy.  Matrices are plain
-2x2 (or 3x3) complex numpy arrays.  Tolerances are fixed: ``inverse``
-requires ``|det - 1| <= TOL_CONJUGACY``, and the real-matrix tests of
-``hat`` and ``glide_reflection_sqrt`` allow imaginary parts up to
+product ``_mul`` and the string formatter ``format_complex`` live in
+:mod:`slchar.tracepoly`, so that exact evaluation and ``slchar cover
+map --eval`` use them without numpy.  Matrices are plain 2x2 (or 3x3)
+complex numpy arrays.  Tolerances are fixed: ``inverse`` requires
+``|det - 1| <= TOL_CONJUGACY``, and the real-matrix tests of ``hat``
+and ``glide_reflection_sqrt`` allow imaginary parts up to
 ``TOL_CONJUGACY``.
 
 An exact matrix m is a pair (N, d): N the int 4-tuple (a, b, c, e) of
@@ -33,7 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .tracepoly import _mul
+from .tracepoly import _format_complex as format_complex, _mul
 from .words import Word
 
 __all__ = [
@@ -289,14 +290,6 @@ def glide_reflection_sqrt(xi: np.ndarray) -> np.ndarray:
 
 
 # -- JSON wire format ----------------------------------------------------------
-
-
-def format_complex(v: complex) -> str:
-    """``a+bi`` with 17 significant digits."""
-    re = f"{v.real:.17g}"
-    im = f"{abs(v.imag):.17g}"
-    sign = "+" if v.imag >= 0 else "-"
-    return f"{re}{sign}{im}i"
 
 
 def matrix_to_json(m: np.ndarray) -> dict:

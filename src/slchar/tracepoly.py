@@ -20,9 +20,18 @@ a basis element times a generator X_g into increasing products:
 
 and an inverse letter is X_g^-1 = x_g - X_g.  So right multiplication
 by a letter is a fixed table with polynomial entries, built once per
-rank, and a word's trace is one pass of right multiplications from 1,
-followed by tr 1 = 2 and tr X_I = x_I on the basis.  No table entry
-contains x123, so a rank-3 result already has degree at most one in it.
+rank.  A word w = u v of n letters, v its last min(n // 2, 8), is traced
+as two passes of right multiplications from 1, which write the parts in
+the basis, u = sum c_b X_b and v = sum d_c X_c.  The trace form
+(A, B) -> tr(AB) is bilinear, so tr(w) = sum c_b d_c tr(X_b X_c), and
+tr(X_b X_c) is X_b times c's letters followed by tr 1 = 2 and
+tr X_I = x_I on the basis, kept one pair at a time (at most 15^2 per
+rank).  In one pass the last letters cost the most, each a pass over
+the largest coefficients; the pairing instead multiplies each c_b once,
+by the small f_b = sum_c d_c tr(X_b X_c).  A v longer than 8 letters
+makes the f_b cost more than it saves (see ``_trace``).  No table
+entry contains x123, so no c_b or d_c does and each tr(X_b X_c) is
+linear in it: a rank-3 result already has degree at most one in x123.
 
 From rank 4 on, the rules also give increasing products X_s of four
 letters, which the table keeps as formal keys while it is built.  The
@@ -34,14 +43,17 @@ substituted into every entry holding X_s (ranks 1-3 have no such keys).
 Rank 4 serves the quadruple-trace identity only: its coordinates
 satisfy relations, so its polynomials are not canonical (a normal form
 modulo them, Drensky 2003, Algebr. Represent. Theory 6, is out of
-scope), and ``trace_poly`` refuses rank-4 words.
+scope; a rank-4 word is one pass, since the pairing would give other
+representatives), and ``trace_poly`` refuses rank-4 words.
 
 ``COORDINATES`` names each coordinate by the increasing product whose
 trace it is (x_I = tr X_I); the engine's basis and ``coordinate_traces``
 (behind ``evaluate_at_character``) both read it.  Results are memoized
 on the rank and the cyclically reduced letters.  Exact evaluation
 multiplies int 4-tuples (``_mul``, which :mod:`slchar.mat2` and
-:mod:`slchar.chars` share), so only numpy matrices load ``mat2``.
+:mod:`slchar.chars` share), so only numpy matrices load ``mat2``; its
+complex formatter is ``_format_complex`` here, so that ``slchar cover
+map --eval`` prints its images without numpy.
 """
 
 from __future__ import annotations
@@ -162,20 +174,50 @@ def _table(rank: int) -> dict:
     return {k: {b: c for b, c in el.items() if c} for k, el in table.items()}
 
 
+def _expand(table: dict, element: dict, letters) -> dict:
+    """``element`` times each of ``letters`` in turn, in the basis."""
+    for g in letters:
+        element = _times_letter(table, element, g)
+    return element
+
+
+@functools.cache
+def _pairing(rank: int, b: tuple, c: tuple) -> dict:
+    """tr(X_b X_c) as a coefficient term dict: X_b times c's letters, then
+    tr 1 = 2 and tr X_I = x_I."""
+    terms: dict = {}
+    for b2, c2 in _expand(_table(rank), {b: {0: 1}}, c).items():
+        _addmul_into(terms, c2, _var(rank, b2)._terms if b2 else {0: 2})
+    return terms
+
+
 @functools.lru_cache(maxsize=None)
 def _trace(rank: int, letters: tuple[int, ...]) -> Polynomial:
-    """Trace polynomial of reduced letters, by one right-multiplication pass.
-    Each letter raises the total degree by at most one, so a word shorter
-    than 2**WIDTH letters cannot overflow a packed exponent field."""
+    """Trace polynomial of reduced letters w = u v: both parts expanded in
+    the basis, u = sum c_b X_b and v = sum d_c X_c, and joined by the
+    trace pairing, tr(w) = sum c_b d_c tr(X_b X_c).  Weighting X_b by |b|,
+    deg c_b + |b| <= |u| and deg tr(X_b X_c) <= |b| + |c|, so no product
+    exceeds degree len(w) and a word shorter than 2**WIDTH letters cannot
+    overflow a packed exponent field.  Rank-4 polynomials are not
+    canonical, and the pairing gives other, equally true ones from five
+    letters on; so at rank 4, which serves the quadruple trace only, v is
+    empty and w is one pass."""
     if len(letters) >> WIDTH:
         raise OverflowError(f"a word of {len(letters)} letters overflows {WIDTH}-bit exponents")
     table = _table(rank)
-    element = {(): {0: 1}}
-    for g in letters:
-        element = _times_letter(table, element, g)
+    # v is at most 8 letters: on the 1,296 trace_cold words of seeds 1-3 this
+    # halves the multiply-adds of one pass (2.55M -> 1.24M), while a midpoint
+    # split takes more than one pass at rank 2 from 64 letters (2.5x at 96)
+    # and 1.3x the capped split at rank 3 with 36; the fewest multiply-adds
+    # come at a v of 6-12 letters at every length from 24 to 96.
+    cut = len(letters) - (min(len(letters) // 2, 8) if rank < 4 else 0)
+    v = _expand(table, {(): {0: 1}}, letters[cut:])
     terms: dict = {}
-    for b, c in element.items():  # tr 1 = 2, tr X_b = x_b
-        _addmul_into(terms, c, _var(rank, b)._terms if b else {0: 2})
+    for b, cb in _expand(table, {(): {0: 1}}, letters[:cut]).items():
+        f: dict = {}
+        for c, dc in v.items():
+            _addmul_into(f, dc, _pairing(rank, b, c))
+        _addmul_into(terms, cb, f)
     return Polynomial._trusted(_VARSETS[rank], terms)
 
 
@@ -256,6 +298,14 @@ def _mul(n: tuple, k: tuple) -> tuple:
     a, b, c, e = n
     p, q, r, s = k
     return (a * p + b * r, a * q + b * s, c * p + e * r, c * q + e * s)
+
+
+def _format_complex(v: complex) -> str:
+    """``a+bi`` with 17 significant digits (``mat2.format_complex``)."""
+    re = f"{v.real:.17g}"
+    im = f"{abs(v.imag):.17g}"
+    sign = "+" if v.imag >= 0 else "-"
+    return f"{re}{sign}{im}i"
 
 
 def _prefix_traces(mats, words) -> tuple[dict, tuple | None]:

@@ -1,8 +1,9 @@
 """numpy loads only where matrices are built.  ``import slchar`` is lazy
 (PEP 562), and the symbolic path (words, polyring, tracepoly, covers,
 fricke with ``fn_to_traces``, sampling's exact draws, ``slchar
-trace-poly``, ``slchar cover map`` and ``slchar fn2trace``) leaves numpy
-out of ``sys.modules``.  Each footprint runs in a fresh interpreter."""
+trace-poly``, ``slchar cover map`` with and without ``--eval`` and
+``slchar fn2trace``) leaves numpy out of ``sys.modules``.  Each
+footprint runs in a fresh interpreter."""
 
 import importlib
 import inspect
@@ -40,10 +41,11 @@ def numpy_loaded(code: str) -> bool:
     "fricke.member_s04(fricke.CharacterS04(2, 2, 2, 2, -3, 3, 3))",
     "from slchar.cli import main\nmain(['trace-poly', 'X Y x y'])",
     "from slchar.cli import main\nmain(['cover', 'map', 'deck', '--symbolic-check'])",
+    "from slchar.cli import main\nmain(['cover', 'map', 'embed', '--eval', 'x1=2,x2=2,x12=2'])",
     "from slchar import fricke\nfricke.fn_to_traces(fricke.FNCoords(l=2, tau=0.5, b=1))",
     "from slchar.cli import main\nmain(['fn2trace', '1', '0'])",
-], ids=["import", "symbolic-modules", "cli-trace-poly", "cli-cover-map", "fn-to-traces",
-        "cli-fn2trace"])
+], ids=["import", "symbolic-modules", "cli-trace-poly", "cli-cover-map", "cli-cover-eval",
+        "fn-to-traces", "cli-fn2trace"])
 def test_symbolic_path_loads_no_numpy(code):
     assert not numpy_loaded(code)
 

@@ -14,6 +14,7 @@ from slchar.polyring import (
     PRODUCT_RELATION,
     SUM_RELATION,
     Polynomial,
+    _addmul_into,
     reduce_mod_phi,
 )
 from slchar.sampling import (
@@ -126,6 +127,35 @@ def _exact_length_word(rnd, rank, length):
     return Word(rank, tuple(letters))
 
 
+def _reduced_letters(rank, picks):
+    """Freely reduced letters, one per pick: each pick chooses among the
+    letters that do not cancel the one before."""
+    letters = []
+    for p in picks:
+        choices = [g for k in range(1, rank + 1) for g in (k, -k)
+                   if not letters or g != -letters[-1]]
+        letters.append(choices[p % len(choices)])
+    return tuple(letters)
+
+
+#: Longest word each rank draws against the one-pass oracle; rank-4
+#: polynomials grow fastest.
+_ONE_PASS_LENGTHS = {1: 40, 2: 40, 3: 40, 4: 17}
+
+
+def _one_pass(rank, letters):
+    """The trace by one pass of right multiplications over the whole
+    word, then tr 1 = 2 and tr X_b = x_b: the oracle for the split."""
+    table = tracepoly._table(rank)
+    element = {(): {0: 1}}
+    for g in letters:
+        element = tracepoly._times_letter(table, element, g)
+    terms = {}
+    for b, c in element.items():
+        _addmul_into(terms, c, tracepoly._var(rank, b)._terms if b else {0: 2})
+    return Polynomial._trusted(tracepoly._VARSETS[rank], terms)
+
+
 class TestEngine:
     """The right-multiplication table and the pass built on it."""
 
@@ -155,6 +185,42 @@ class TestEngine:
                     got = tuple(tuple(got[i][j] + c * m[i][j] for j in range(2))
                                 for i in range(2))
                 assert got == want, (rank, b, g)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(SL2, SL2, SL2, SL2)
+    def test_pairing_is_the_trace_form(self, m1, m2, m3, m4):
+        for rank in (1, 2, 3, 4):
+            mats = (m1, m2, m3, m4)[:rank]
+
+            def basis_matrix(b):
+                return product(*(mats[i - 1] for i in b))
+
+            character = {name: trace(basis_matrix(b))
+                         for b, name in tracepoly._GEN_NAMES[rank].items()}
+            basis = [(), *tracepoly._GEN_NAMES[rank]]
+            for b in basis:
+                for c in basis:
+                    tau = Polynomial._trusted(tracepoly._VARSETS[rank],
+                                              tracepoly._pairing(rank, b, c))
+                    assert rank != 3 or tau.degree_in("x123") <= 1
+                    assert tau.evaluate_exact(character) == trace(
+                        matmul(basis_matrix(b), basis_matrix(c))), (rank, b, c)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(1, 4), st.lists(st.integers(0, 6), max_size=40))
+    def test_split_equals_one_pass(self, rank, picks):
+        letters = _reduced_letters(rank, picks[:_ONE_PASS_LENGTHS[rank]])
+        assert tracepoly._trace(rank, letters) == _one_pass(rank, letters), letters
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_split_shapes_equal_one_pass(self, rank):
+        # the split is empty below two letters and at its cap of 8 from 16 on;
+        # rank 4 is one pass either way, and its long words are slow
+        rnd = random.Random(rank)
+        for length in (0, 1, 2, 15, 16, 17):
+            for _ in range(3 if rank < 4 else 1):
+                letters = _exact_length_word(rnd, rank, length).letters
+                assert tracepoly._trace(rank, letters) == _one_pass(rank, letters), letters
 
     @pytest.mark.parametrize("rank, length", [(2, 40), (3, 16)])
     def test_long_words_exact(self, rank, length):
