@@ -20,18 +20,16 @@ a basis element times a generator X_g into increasing products:
 
 and an inverse letter is X_g^-1 = x_g - X_g.  So right multiplication
 by a letter is a fixed table with polynomial entries, built once per
-rank.  A word w = u v of n letters, v its last min(n // 2, 8), is traced
-as two passes of right multiplications from 1, which write the parts in
-the basis, u = sum c_b X_b and v = sum d_c X_c.  The trace form
-(A, B) -> tr(AB) is bilinear, so tr(w) = sum c_b d_c tr(X_b X_c), and
-tr(X_b X_c) is X_b times c's letters followed by tr 1 = 2 and
-tr X_I = x_I on the basis, kept one pair at a time (at most 15^2 per
-rank).  In one pass the last letters cost the most, each a pass over
-the largest coefficients; the pairing instead multiplies each c_b once,
-by the small f_b = sum_c d_c tr(X_b X_c).  A v longer than 8 letters
-makes the f_b cost more than it saves (see ``_trace``).  No table
-entry contains x123, so no c_b or d_c does and each tr(X_b X_c) is
-linear in it: a rank-3 result already has degree at most one in x123.
+rank.  A word w = u v of n letters, v its last min(n // 2, 8), is two
+passes of right multiplications from 1, which write u = sum c_b X_b and
+v = sum d_c X_c in the basis.  The trace form (A, B) -> tr(AB) is
+bilinear, so tr(w) = sum c_b d_c tr(X_b X_c); tr(X_b X_c) is X_b times
+c's letters, then tr 1 = 2 and tr X_I = x_I, kept one pair at a time.
+The last letters of one pass cost the most, each a pass over the
+largest coefficients; the pairing multiplies each c_b once, by the small
+f_b = sum_c d_c tr(X_b X_c), and the cap on v keeps f_b small.  No
+table entry contains x123, so no c_b or d_c does and each tr(X_b X_c)
+is linear in it: a rank-3 result has degree at most one in x123.
 
 From rank 4 on, the rules also give increasing products X_s of four
 letters, which the table keeps as formal keys while it is built.  The
@@ -43,8 +41,8 @@ substituted into every entry holding X_s (ranks 1-3 have no such keys).
 Rank 4 serves the quadruple-trace identity only: its coordinates
 satisfy relations, so its polynomials are not canonical (a normal form
 modulo them, Drensky 2003, Algebr. Represent. Theory 6, is out of
-scope; a rank-4 word is one pass, since the pairing would give other
-representatives), and ``trace_poly`` refuses rank-4 words.
+scope, and a rank-4 word is one pass), and ``trace_poly`` refuses
+rank-4 words.
 
 ``COORDINATES`` names each coordinate by the increasing product whose
 trace it is (x_I = tr X_I); the engine's basis and ``coordinate_traces``
@@ -193,15 +191,13 @@ def _pairing(rank: int, b: tuple, c: tuple) -> dict:
 
 @functools.lru_cache(maxsize=None)
 def _trace(rank: int, letters: tuple[int, ...]) -> Polynomial:
-    """Trace polynomial of reduced letters w = u v: both parts expanded in
-    the basis, u = sum c_b X_b and v = sum d_c X_c, and joined by the
-    trace pairing, tr(w) = sum c_b d_c tr(X_b X_c).  Weighting X_b by |b|,
+    """Trace polynomial of reduced letters w = u v, by the trace pairing
+    tr(w) = sum c_b d_c tr(X_b X_c).  Weighting X_b by |b|,
     deg c_b + |b| <= |u| and deg tr(X_b X_c) <= |b| + |c|, so no product
     exceeds degree len(w) and a word shorter than 2**WIDTH letters cannot
     overflow a packed exponent field.  Rank-4 polynomials are not
     canonical, and the pairing gives other, equally true ones from five
-    letters on; so at rank 4, which serves the quadruple trace only, v is
-    empty and w is one pass."""
+    letters on; so at rank 4 v is empty and w is one pass."""
     if len(letters) >> WIDTH:
         raise OverflowError(f"a word of {len(letters)} letters overflows {WIDTH}-bit exponents")
     table = _table(rank)
