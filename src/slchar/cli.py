@@ -102,11 +102,13 @@ def cmd_eval_word(args) -> int:
         raise mat2.GeometryError(
             f"need {args.rank} matrices, got {len(mats)}"
         )
-    with np.errstate(all="ignore"):  # a product that overflows is refused below
+    with np.errstate(all="ignore"):  # a product or trace that overflows is refused below
         result = mat2.evaluate_word(w, mats)
+        tr = mat2.trace(result)
     if not np.isfinite(result).all():
         raise mat2.GeometryError("the word's matrix is not finite")
-    tr = mat2.trace(result)
+    if not np.isfinite(tr):
+        raise mat2.GeometryError("the word's trace is not finite")
     if args.json:
         _print_json({
             "matrix": mat2.matrix_to_json(result),

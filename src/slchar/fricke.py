@@ -12,10 +12,13 @@ Sum/Product.  The S04 quartic is ``polyring.PHI`` at (x1, x2, x3, x12, x13,
 x23, x123) = (a, b, c, x, z, y, d); the S12 relations are a + b = f_Sigma and
 ab = f_Pi of ``sum_product`` at (u, x, y, v, w, z); k_pq(x) = kappa(p, q, x) - 2.
 
-Integer numerators.  For exact input (ints and ``Fraction``s) ``member_s04``
-and ``member_s12`` evaluate each polynomial of their tests, built once from
-the same generic formulas, as an int numerator over a positive denominator,
-compare ints, and report num/den, correctly rounded like ``float(Fraction)``.
+Exact or float.  ``member_s04`` and ``member_s12`` share one step,
+``_ratios``: exact input (ints and ``Fraction``s) goes through their tests'
+polynomials, built once from the formulas the float input goes through, on
+int numerators over a positive denominator, so the predicate compares ints
+and reports num/den, rounded like ``float(Fraction)``.  ``member_s03`` and
+``member_s11`` decide in floats.  The five result records share one
+``to_json``, that of ``_Record``.
 
 The four-holed sphere component test works with the factorization
 
@@ -36,6 +39,7 @@ F~- > 0.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import enum
 import functools
 import math
@@ -72,14 +76,32 @@ __all__ = [
 ONVARIETY_TOL = 1e-8
 
 
-def _all_rational(*values) -> bool:
-    return all(isinstance(v, Rational) for v in values)
+def _ratios(tests, polys, point):
+    """Whether ``point`` is exact, its numerators and denominators, and each
+    test's value as (num, den): on int numerators through ``polys()``, the
+    cached ``tests`` at the variables, if every coordinate is an int or a
+    ``Fraction``, else through ``tests`` in floats, each value over 1."""
+    if all(isinstance(t, Rational) for t in point):
+        nums, dens = [int(t.numerator) for t in point], [int(t.denominator) for t in point]
+        return True, nums, dens, [p._evaluate_ratio(nums, dens) for p in polys()]
+    return False, point, (1,) * len(point), [(v, 1) for v in tests(*point)]
 
 
-def _exact_ratios(polys, point):
-    """Numerators, denominators and each polynomial's (num, den) at an exact point."""
-    nums, dens = [int(t.numerator) for t in point], [int(t.denominator) for t in point]
-    return nums, dens, [p._evaluate_ratio(nums, dens) for p in polys]
+#: The ``to_json`` keys of ``S04Result`` that differ from its field names.
+_JSON_KEYS = {"s_minus": "S_minus", "s_plus": "S_plus", "f_plus": "F_plus", "f_minus": "F_minus"}
+
+
+class _Record:
+    """A result record whose ``to_json`` is its fields in order, enums by
+    value and tuples as lists, under the keys of ``_JSON_KEYS``."""
+
+    def to_json(self):
+        out = {}
+        for f in dataclasses.fields(self):
+            v = getattr(self, f.name)
+            out[_JSON_KEYS.get(f.name, f.name)] = (
+                v.value if isinstance(v, enum.Enum) else list(v) if isinstance(v, tuple) else v)
+        return out
 
 
 @dataclass(frozen=True)
@@ -137,12 +159,9 @@ class S03Verdict(enum.Enum):
 
 
 @dataclass(frozen=True)
-class S03Result:
+class S03Result(_Record):
     verdict: S03Verdict
     cusps: tuple[str, ...]
-
-    def to_json(self):
-        return {"verdict": self.verdict.value, "cusps": list(self.cusps)}
 
 
 def member_s03(x: float, y: float, z: float) -> S03Result:
@@ -170,13 +189,10 @@ class S11Verdict(enum.Enum):
 
 
 @dataclass(frozen=True)
-class S11Result:
+class S11Result(_Record):
     verdict: S11Verdict
     kappa: float
     cusp: bool
-
-    def to_json(self):
-        return {"verdict": self.verdict.value, "kappa": self.kappa, "cusp": self.cusp}
 
 
 def member_s11(x: float, y: float, z: float) -> S11Result:
@@ -226,7 +242,7 @@ class S04Verdict(enum.Enum):
 
 
 @dataclass(frozen=True)
-class S04Result:
+class S04Result(_Record):
     verdict: S04Verdict
     residual: float
     kappa_ab: float
@@ -236,19 +252,6 @@ class S04Result:
     f_plus: float | None
     f_minus: float | None
     cusps: tuple[str, ...]
-
-    def to_json(self):
-        return {
-            "verdict": self.verdict.value,
-            "residual": self.residual,
-            "kappa_ab": self.kappa_ab,
-            "kappa_cd": self.kappa_cd,
-            "S_minus": self.s_minus,
-            "S_plus": self.s_plus,
-            "F_plus": self.f_plus,
-            "F_minus": self.f_minus,
-            "cusps": list(self.cusps),
-        }
 
 
 def s04_quartic(a, b, c, d, x, y, z):
@@ -269,18 +272,17 @@ def s04_defining_poly() -> Polynomial:
     return s04_quartic(*_s04_variables())
 
 
-def _s04_component_terms(a, b, c, d, x, y, z):
-    """(k_ab(x), k_cd(x), S-, S+), where k_pq(x) = kappa(p, q, x) - 2."""
-    kab = kappa_value(a, b, x) - 2
-    kcd = kappa_value(c, d, x) - 2
-    s_minus = (y - z) * (2 - x) + (a - b) * (c - d)
-    s_plus = (y + z) * (2 + x) - (a + b) * (c + d)
-    return kab, kcd, s_minus, s_plus
+def _s04_tests(a, b, c, d, x, y, z):
+    """The quartic, then k_ab(x), k_cd(x), S-, S+, where k_pq(x) =
+    kappa(p, q, x) - 2, in the arithmetic of the arguments."""
+    return (s04_quartic(a, b, c, d, x, y, z),
+            kappa_value(a, b, x) - 2, kappa_value(c, d, x) - 2,
+            (y - z) * (2 - x) + (a - b) * (c - d), (y + z) * (2 + x) - (a + b) * (c + d))
 
 
 @functools.cache
 def _s04_polys() -> tuple[Polynomial, ...]:
-    return (s04_defining_poly(), *_s04_component_terms(*_s04_variables()))
+    return _s04_tests(*_s04_variables())
 
 
 def member_s04(ch: CharacterS04) -> S04Result:
@@ -290,13 +292,7 @@ def member_s04(ch: CharacterS04) -> S04Result:
     F~+- the one whose two terms share a sign is summed, the other is the
     exact product F~+ F~- = S+^2/(-2-x) - S-^2/(2-x) over it, free of
     cancellation."""
-    point = ch.as_tuple()
-    if exact := _all_rational(*point):
-        nums, dens, ratios = _exact_ratios(_s04_polys(), point)
-    else:  # each value is its own numerator over 1
-        nums, dens = point, (1,) * 7
-        ratios = [(v, 1) for v in (s04_quartic(*point), *_s04_component_terms(*point))]
-    (rn, rd), *terms = ratios
+    exact, nums, dens, ((rn, rd), *terms) = _ratios(_s04_tests, _s04_polys, ch.as_tuple())
     res_f, kab, kcd, s_minus, s_plus = abs(float(rn / rd)), *(float(n / e) for n, e in terms)
     nx, dx = nums[4], dens[4]
     cusps = tuple(v for v, n, e in zip("abcd", nums, dens) if n == 2 * e)
@@ -330,9 +326,10 @@ def member_s04(ch: CharacterS04) -> S04Result:
 def defining_identity_residual() -> Polynomial:
     """LHS - RHS of the exact identity behind the component test; the
     zero polynomial.  Checked symbolically by the test suite."""
-    a, b, c, d, x, y, z = point = _s04_variables()
-    kab, kcd, s_minus, s_plus = _s04_component_terms(*point)
-    lhs = (4 - x * x) * s04_quartic(*point) * 4
+    point = _s04_variables()
+    phi, kab, kcd, s_minus, s_plus = _s04_tests(*point)
+    x = point[4]
+    lhs = (4 - x * x) * phi * 4
     rhs = (2 + x) * s_minus * s_minus + (2 - x) * s_plus * s_plus - kab * kcd * 4
     return lhs - rhs
 
@@ -347,17 +344,10 @@ class S12Verdict(enum.Enum):
 
 
 @dataclass(frozen=True)
-class S12Result:
+class S12Result(_Record):
     verdict: S12Verdict
     residuals: tuple[float, float]
     kappas: tuple[float, float, float]
-
-    def to_json(self):
-        return {
-            "verdict": self.verdict.value,
-            "residuals": list(self.residuals),
-            "kappas": list(self.kappas),
-        }
 
 
 def _s12_tests(a, b, u, v, w, x, y, z):
@@ -385,13 +375,10 @@ def member_s12(ch: CharacterS12) -> S12Result:
     kappa(x,y,z) < -2, kappa(y,u,w) < -2, kappa(u,x,v) < -2, decided on
     integer numerators for exact input; the reported values are floats."""
     point = (ch.a, ch.b, ch.u, ch.v, ch.w, ch.x, ch.y, ch.z)
-    if exact := _all_rational(*point):
-        *_, ratios = _exact_ratios(_s12_polys(), point)
-    else:  # each value is its own numerator over 1; a NaN residual is off the variety
-        ratios = [(v, 1) for v in _s12_tests(*point)]
-    (n1, d1), (n2, d2), *ks = ratios
+    exact, _, _, ((n1, d1), (n2, d2), *ks) = _ratios(_s12_tests, _s12_polys, point)
     residuals = (abs(float(n1 / d1)), abs(float(n2 / d2)))
     kappas = tuple(float(n / e) for n, e in ks)
+    # a NaN residual is off the variety
     if not (n1 == n2 == 0 if exact else all(r <= ONVARIETY_TOL for r in residuals)):
         return S12Result(S12Verdict.NONMEMBER_OFF_VARIETY, residuals, kappas)
     if all(n < -2 * e for n, e in ks):
@@ -403,7 +390,7 @@ def member_s12(ch: CharacterS12) -> S12Result:
 
 
 @dataclass(frozen=True)
-class FNResult:
+class FNResult(_Record):
     x: float
     y: float
     z: float
@@ -413,13 +400,6 @@ class FNResult:
 
     def traces(self):
         return (self.x, self.y, self.z)
-
-    def to_json(self):
-        return {
-            "x": self.x, "y": self.y, "z": self.z,
-            "kappa": self.kappa, "boundary_trace": self.boundary_trace,
-            "metadata": self.metadata,
-        }
 
 
 @contextlib.contextmanager

@@ -383,11 +383,8 @@ class Polynomial:
         Every variable must be bound."""
         self._check_bound(assignment)
         vals = [Fraction(assignment[name]) for name in self.variables]
-        return self._evaluate_fraction([v.numerator for v in vals],
-                                       [v.denominator for v in vals])
-
-    def _evaluate_fraction(self, nums, dens) -> Fraction:
-        return Fraction(*self._evaluate_ratio(nums, dens))
+        return Fraction(*self._evaluate_ratio([v.numerator for v in vals],
+                                              [v.denominator for v in vals]))
 
     def _evaluate_ratio(self, nums, dens) -> tuple:
         """The exact value where variable i is nums[i]/dens[i] (ints, each

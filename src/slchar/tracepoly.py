@@ -276,7 +276,8 @@ def quadruple_trace_check(assignment):
     top = 2 * traces.pop()
     if dens is None:
         return abs(top - _quadruple_poly().evaluate(dict(zip(F4_VARS, traces))))
-    return abs(top - _quadruple_poly()._evaluate_fraction(traces, [1] * len(traces))) / dens[-1]
+    value = Fraction(*_quadruple_poly()._evaluate_ratio(traces, [1] * len(traces)))
+    return abs(top - value) / dens[-1]
 
 
 def generator_count(n: int) -> int:
@@ -354,4 +355,4 @@ def evaluate_at_character(p: Polynomial, mats):
     traces, dens = _character(p.variables, mats)
     if dens is None:
         return p.evaluate(dict(zip(p.variables, traces)))
-    return p._evaluate_fraction(traces, dens)
+    return Fraction(*p._evaluate_ratio(traces, dens))

@@ -1,5 +1,6 @@
 import cmath
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -264,6 +265,14 @@ class TestCover:
             data = json.loads(out)
             assert all(data["symbolic_check"].values())
 
+    def test_symbolic_check_failure_exits_1(self, capsys, monkeypatch):
+        from slchar import covers
+
+        monkeypatch.setattr(covers, "symbolic_check", lambda name: {"sum": True, "product": False})
+        code, out, err = run(capsys, "cover", "map", "c11s12", "--symbolic-check")
+        assert (code, err) == (1, "")
+        assert json.loads(out)["symbolic_check"] == {"sum": True, "product": False}
+
     def test_eval(self, capsys):
         code, out, _ = run(
             capsys, "cover", "map", "embed", "--eval", "x1=2,x2=2,x12=2"
@@ -370,6 +379,44 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "oracle", "--trials", "5", "--mode", "exact")
         assert code == 1
         assert "oracle/rank2-words:" in out and " FAIL" in out
+
+    def test_hexagon_row_fails_when_not_a_right_hexagon(self, capsys, monkeypatch):
+        from slchar import hypgeom
+
+        true_certificate = hypgeom.hexagon_certificate
+        monkeypatch.setattr(hypgeom, "hexagon_certificate", lambda x, y, z: dataclasses.replace(
+            true_certificate(x, y, z), verdict="not-a-hexagon"))
+        code, out, _ = run(capsys, "verify", "fricke", "--trials", "2", "--seed", "7")
+        assert code == 1
+        assert "fricke/hexagon-inner-products: max-residual=1.00000000000000000e+00 FAIL" in out
+        assert out.count(" FAIL") == 1
+
+    def test_coxeter_rejected_draw_uses_up_its_stream_index(self, capsys, monkeypatch):
+        from slchar import chars, hypgeom, sampling
+
+        streams, extensions = [], []
+        true_rng, true_pair, true_extension = (
+            sampling.rng_for, chars.character_of_pair, hypgeom.coxeter_extension)
+
+        def rng_for(seed, trial=0):
+            streams.append(trial)
+            return true_rng(seed, trial)
+
+        def character_of_pair(xi, eta):  # the draw of stream 1 is taken as reducible
+            return chars.CharacterF2(2, 2, 2) if streams[-1] == 1 else true_pair(xi, eta)
+
+        def coxeter_extension(xi, eta):
+            extensions.append(streams[-1])
+            return true_extension(xi, eta)
+
+        monkeypatch.setattr(sampling, "rng_for", rng_for)
+        monkeypatch.setattr(chars, "character_of_pair", character_of_pair)
+        monkeypatch.setattr(hypgeom, "coxeter_extension", coxeter_extension)
+        code, out, _ = run(capsys, "verify", "coxeter", "--trials", "3", "--seed", "5")
+        assert code == 0 and out.endswith("suite=coxeter trials=3 seed=5 tolerance=1e-08 "
+                                          "mode=float result=pass\n")
+        assert streams == [0, 1, 2, 3]
+        assert extensions == [0, 2, 3]
 
     def test_rows_report_their_maximum_in_first_yield_order(self, capsys, monkeypatch):
         from slchar import cli
@@ -607,6 +654,16 @@ class TestNoTraceback:
         assert_error_line(code, out, err)
         assert err == f"error: construct {kind} takes {need} coordinates, got {len(values)}\n"
 
+    @pytest.mark.parametrize("flags", [(), ("--json",)])
+    def test_eval_word_trace_not_finite(self, capsys, flags):
+        # the matrix is finite, its trace 2e308 overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+            code, out, err = run(capsys, "eval-word", "X", "--rank", "1", *flags,
+                                 "--matrices", '[{"re": [[1e308, 0], [0, 1e308]]}]')
+        assert_error_line(code, out, err)
+        assert err == "error: the word's trace is not finite\n"
+
     def test_eval_word_matrices_from_file(self, capsys, tmp_path):
         path = tmp_path / "m.json"
         path.write_text('[{"re": [[1, 1], [0, 1]]}, {"re": [[2, 1], [1, 1]]}]')
@@ -651,7 +708,8 @@ SHORT_WORDS = ["X Y x y", "X1 X3 X2", "XY", "X^-3 Y", "X4", "xxxxx", "",
 #: Trace-poly also takes a long word whose cyclic core is one letter.
 TRACE_WORDS = SHORT_WORDS + ["X^49000 Y X^-49000"]
 
-MATRIX_ENTRIES = st.sampled_from([0.0, 2.0, -2.0, 1e-300, 1e154, -1e154, 1e300, float("nan")])
+MATRIX_ENTRIES = st.sampled_from([0.0, 2.0, -2.0, 1e-300, 1e154, -1e154, 1e300, 1e308,
+                                  float("nan")])
 BAD_JSON = ["[", "{}", "[{}]", "5", '[{"re": 5}]', '{"re": [[1, 0], [0, 1]]}',
             "@/nonexistent/matrices.json"]
 

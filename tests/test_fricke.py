@@ -253,7 +253,7 @@ class TestS04Exact:
         # the product F+ F-, round to 0.0 as floats
         eps = Fraction(1, 10**330)
         point = (2, 2, 2, 2, -3, (-16 - eps - eps / 5) / 2, (-16 - eps + eps / 5) / 2)
-        assert fricke._s04_component_terms(*point)[2:] == (-eps, eps)
+        assert fricke._s04_tests(*point)[3:] == (-eps, eps)
         res = member_s04(CharacterS04(*point))
         assert res.verdict is S04Verdict.NONMEMBER_OFF_VARIETY
         assert res.f_plus == 0.0 and res.f_minus == 0.0
@@ -293,7 +293,7 @@ class TestIdentitiesAtRationalCharacters:
         a, b, c, d, x, y, z = point
         assert s04_quartic(*point) == 0
         assert s04_defining_poly().evaluate_exact(dict(zip(S04_VARS, point))) == 0
-        kab, kcd, s_minus, s_plus = fricke._s04_component_terms(*point)
+        _, kab, kcd, s_minus, s_plus = fricke._s04_tests(*point)
         assert kab == commutator_trace(A, B) - 2
         assert kcd == commutator_trace(C, inverse(product(A, B, C))) - 2
         # F+ F- = 4 k_ab k_cd / (x^2 - 4) on the variety, denominators cleared

@@ -426,6 +426,18 @@ class TestRealNormalForm:
             assert abs(mat2.trace(Y).real - y) <= 1e-9
             assert abs(mat2.trace(X @ Y).real - z) <= 1e-9
 
+    def test_lower_left_minus_one_fallback(self):
+        # at (0, 0, 3) the lower-left entry 1 leaves no real Y; -1 does
+        X, Y = real_normal_form_pair(0, 0, 3)
+        assert not X.imag.any() and not Y.imag.any()
+        assert Y[1, 0] == -1
+        assert mat2.det(Y) == 1
+        assert (mat2.trace(X), mat2.trace(Y), mat2.trace(X @ Y)) == (0, 0, 3)
+
+    def test_no_real_normal_form(self):
+        with pytest.raises(GeometryError, match="no real normal form"):
+            real_normal_form_pair(0, 0, 0)
+
     def test_axes_cross_domain(self):
         for _ in range(100):
             x = RND.uniform(2.5, 6)
