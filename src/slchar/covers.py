@@ -63,10 +63,12 @@ class RingMap:
         })
 
     def apply_poly(self, p: Polynomial) -> Polynomial:
-        """Push a polynomial over the source variables through the map."""
+        """Push a polynomial over the source variables through the map:
+        ``substitute`` of the images as they are (not copied), then, on the
+        rank-3 ring, ``reduce_mod_phi``."""
         if p.variables != self.source:
             raise ValueError(f"{self.name}: expected a polynomial over {self.source}")
-        out = p.substitute(dict(self.images), target=self.target)
+        out = p.substitute(self.images, target=self.target)
         if self.target == F3_VARS:
             out = reduce_mod_phi(out)
         return out

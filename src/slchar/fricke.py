@@ -17,8 +17,11 @@ Exact or float.  ``member_s04`` and ``member_s12`` share one step,
 polynomials, built once from the formulas the float input goes through, on
 int numerators over a positive denominator, so the predicate compares ints
 and reports num/den, rounded like ``float(Fraction)``.  ``member_s03`` and
-``member_s11`` decide in floats.  The five result records share one
-``to_json``, that of ``_Record``.
+``member_s11`` decide in floats, but where a float value overflowed at
+finite input (inf - inf is NaN), ``member_s11`` and ``member_c11`` decide
+its sign exactly, on the ``Fraction``s of those floats
+(``_unless_overflowed``).  The five result records share one ``to_json``,
+that of ``_Record``.
 
 The four-holed sphere component test works with the factorization
 
@@ -44,6 +47,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from numbers import Rational
 
 from .polyring import S04_VARS, S12_VARS, Polynomial, sum_product
@@ -195,15 +199,26 @@ class S11Result(_Record):
     cusp: bool
 
 
+def _unless_overflowed(value, formula, *args):
+    """``value``, which is ``formula(*args)``, unless it is a float that is
+    not finite though every argument is: then ``formula`` on the exact
+    ``Fraction``s of the arguments, so that an overflow decides no sign."""
+    if isinstance(value, float) and not math.isfinite(value):
+        with contextlib.suppress(OverflowError, ValueError):  # an argument is inf or NaN
+            return formula(*map(Fraction, args))
+    return value
+
+
 def member_s11(x: float, y: float, z: float) -> S11Result:
     """One-holed torus: x^2 + y^2 + z^2 - xyz <= 0 (kappa <= -2) is the
     full orbit; the slice additionally has x, y, z > 2.  kappa = -2 is
     the cusped boundary."""
     x, y, z = float(x), float(y), float(z)
     k = kappa_value(x, y, z)
-    if k > -2:
+    sign = _unless_overflowed(k, kappa_value, x, y, z)
+    if sign > -2:
         return S11Result(S11Verdict.NONMEMBER, k, False)
-    cusp = k == -2
+    cusp = sign == -2
     if x > 2 and y > 2 and z > 2:
         return S11Result(S11Verdict.MEMBER_SLICE, k, cusp)
     return S11Result(S11Verdict.MEMBER_ORBIT, k, cusp)
@@ -226,9 +241,14 @@ def member_c02(p: float, q: float, r: float) -> bool:
     return r <= -2 and p * q + r >= 2
 
 
+def _klein(p, q, r):
+    """p^2 + q^2 - pqr, in the arithmetic of the arguments."""
+    return p * p + q * q - p * q * r
+
+
 def member_c11(p: float, q: float, r: float) -> bool:
     """One-holed Klein bottle: p^2 + q^2 - pqr >= 0."""
-    return p * p + q * q - p * q * r >= 0
+    return _unless_overflowed(_klein(p, q, r), _klein, p, q, r) >= 0
 
 
 # -- four-holed sphere ---------------------------------------------------------

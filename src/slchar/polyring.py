@@ -34,9 +34,12 @@ results preserve it by construction and are wrapped by the unchecked
 ``Polynomial._trusted``.  ``+``, ``scale``, ``*``, ``**``,
 ``substitute``, ``reduce_mod_phi`` and the trace engine in
 :mod:`slchar.tracepoly` all go through one kernel, ``_addmul_into``
-(``out += a*b``).  ``evaluate`` sums floats in the canonical
-term order, so a float value depends only on the polynomial, not on the
-order in which arithmetic built its term dict.
+(``out += a*b``); ``substitute`` needs it only for the images of
+several terms, which it multiplies by Horner's rule, after one pass
+over the terms that adds the keys of the one-term images.
+``evaluate`` sums floats in the canonical term order, so a float value
+depends only on the polynomial, not on the order in which arithmetic
+built its term dict.
 
 Text form: ``3/2*x^2*y - z + 1``.
 JSON form: ``{"variables": [...], "terms": [{"exp": [...], "num": ..., "den": ...}]}``.
@@ -46,6 +49,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import groupby
 from numbers import Rational
 from operator import index
 from typing import Iterable, Mapping
@@ -193,6 +197,29 @@ def _pow_terms(terms: Mapping, n: int, limit: int) -> dict:
         if n:
             terms = _addmul_into({}, terms, terms, limit)
     return {0: 1} if out is None else out
+
+
+def _horner(groups: list, several: list, limit: int) -> dict:
+    """The sum over ``(gkey, terms)`` in ``groups`` (gkey descending, no
+    terms empty) of ``terms * prod p**k``, for each ``(shift, p)`` in
+    ``several`` with k gkey's field at shift, by Horner's rule in the first
+    p: ``acc = acc * p + low`` from the top k down, low summing the groups
+    of one k, recursively.  Writes over the term dicts; products check
+    ``limit``."""
+    if not several:  # one group
+        return groups[0][1]
+    (s, p), rest = several[0], several[1:]
+    acc, top = None, 0
+    for k, run in groupby(groups, key=lambda g: g[0] >> s & _MASK):
+        low = _horner(list(run), rest, limit)
+        if acc is not None:
+            for _ in range(top - k - 1):
+                acc = _addmul_into({}, acc, p, limit)
+            low = _addmul_into(low, acc, p, limit)
+        acc, top = low, k
+    for _ in range(top):
+        acc = _addmul_into({}, acc, p, limit)
+    return acc
 
 
 class Polynomial:
@@ -413,53 +440,56 @@ class Polynomial:
         in the target set.  When all images share one variable set the
         target may be omitted.
 
-        An image of at most one term c*m (a variable, a constant, zero)
-        needs no product: exponent k adds ``k * m`` to the packed key and
-        multiplies the coefficient by ``c**k``.  The terms are grouped by
-        their exponents on the variables with larger images, and each
-        group is multiplied once by the product of those images' powers,
-        kept in one list ``[p^0, p^1, ...]`` per image p, grown as needed.
+        One pass over the terms handles the images of at most one term
+        c*m (a variable, a constant, zero), which need no product:
+        exponent k adds ``k * m`` to the packed key and, unless c is 1,
+        multiplies the coefficient by ``c**k``.  It puts each term in the
+        group keyed by its packed exponents on the variables with larger
+        images (the source key masked to their fields, an int).  The
+        groups are then summed by Horner's rule in each larger image, in
+        declared order (see ``_horner``), so no power of an image is
+        built or kept.
         """
         if target is None:
             target = next((img.variables for img in mapping.values()), self.variables)
-        singles, several = [], []  # (shift, key, coefficient), (shift, [p^0, p^1, ...])
-        for i, name in enumerate(self.variables):
+        singles, scaled, several = [], [], []  # (shift, key), (shift, c), (shift, terms)
+        gmask = 0
+        for name, s in zip(self.variables.names, self.variables._shifts):
             img = mapping[name] if name in mapping else Polynomial.variable(target, name)
             if img.variables != target:
                 raise ValueError(f"image of {name!r} is over {img.variables}, expected {target}")
             terms = img._terms
             if len(terms) > 1:
-                several.append((self.variables._shifts[i], [{0: 1}, terms]))
-            else:
-                singles.append((self.variables._shifts[i], *next(iter(terms.items()), (0, 0))))
-        limit = target._limit
-        groups: dict[tuple, dict] = {}
+                several.append((s, terms))
+                gmask |= _MASK << s
+                continue
+            m, a = next(iter(terms.items()), (0, 0))
+            if m:
+                singles.append((s, m))
+            if a != 1:
+                scaled.append((s, a))
+        limit, mask = target._limit, _MASK
+        groups: dict[int, dict] = {}
         for e, c in self._terms.items():
             key = 0
-            for s, m, a in singles:
-                k = e >> s & _MASK
-                if k:
-                    key += k * m
-                    c *= a**k
+            for s, m in singles:
+                key += (e >> s & mask) * m
             if key >= limit:
                 raise OverflowError(f"product degree exceeds {_MASK} ({WIDTH}-bit fields)")
-            group = groups.setdefault(tuple(e >> s & _MASK for s, _ in several), {})
+            for s, a in scaled:
+                k = e >> s & mask
+                if k:
+                    c *= a**k
+            group = groups.get(e & gmask)
+            if group is None:
+                group = groups[e & gmask] = {}
             c += group.get(key, 0)
             if c:
                 group[key] = c if type(c) is int else _norm_coeff(c)
             else:  # cancelled, or a zero image
                 group.pop(key, None)
-        out: dict[int, object] = {}
-        for exps, group in groups.items():
-            factor = None
-            for (_, powers), k in zip(several, exps):
-                while len(powers) <= k:
-                    powers.append(_addmul_into({}, powers[-1], powers[1], limit))
-                if k:
-                    pk = powers[k]
-                    factor = pk if factor is None else _addmul_into({}, factor, pk, limit)
-            _addmul_into(out, group, {0: 1} if factor is None else factor, limit)
-        return Polynomial._trusted(target, out)
+        ordered = sorted(((g, t) for g, t in groups.items() if t), reverse=True)
+        return Polynomial._trusted(target, _horner(ordered, several, limit) if ordered else {})
 
     def rename_variables(self, target: VariableSet) -> "Polynomial":
         """Reinterpret over a same-length variable set, positionally."""

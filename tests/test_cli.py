@@ -3,6 +3,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import os
 import pathlib
 import re
@@ -184,6 +185,23 @@ class TestFricke:
         assert code == 1
         assert json.loads(out)["verdict"] == "nonmember-off-variety"
         assert "NaN" in out
+
+    @pytest.mark.parametrize("surface, coords, mode, code, verdict", [
+        # kappa = 2e400 - 1.5e400 - 2 > -2, though inf - inf is NaN in floats
+        ("s11", "1e200,1e200,1.5", "float", 1, {"verdict": "nonmember", "cusp": False}),
+        ("s11", "1e200,1e200,1.5", "exact", 1, {"verdict": "nonmember", "cusp": False}),
+        ("s11", "1e300,1e300,1e300", "float", 0, {"verdict": "member-slice", "cusp": False}),
+        # p^2 + q^2 - pqr = 0.5e400 >= 0
+        ("c11", "1e200,1e200,1.5", "float", 0, {"member": True}),
+        ("c11", "1e200,1e200,1.5", "exact", 0, {"member": True}),
+    ])
+    def test_overflowed_sign_decided_exactly(self, capsys, surface, coords, mode, code, verdict):
+        got, out, _ = run(capsys, "fricke", "test", surface, f"--coords={coords}", "--mode", mode)
+        data = json.loads(out)
+        assert got == code
+        assert {k: data[k] for k in verdict} == verdict
+        if surface == "s11":
+            assert math.isnan(data["kappa"])  # the reported kappa is still the float one
 
     def test_s12_coords_in_documented_order(self, capsys):
         # the c11s12 image of (p, q, r) = (3, 3.5, 2.5), in the order that

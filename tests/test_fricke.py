@@ -126,6 +126,17 @@ class TestCrossSurfaces:
         assert not member_c11(1, 1, 3)
         assert member_c11(0, 0, 0)
 
+    def test_overflowed_signs_decided_exactly(self):
+        # the float terms overflow (inf - inf is NaN); the exact values are
+        # kappa = 0.5e400 - 2, and 0.5e400, 0 and -0.5e400 for c11
+        res = member_s11(1e200, 1e200, 1.5)
+        assert res.verdict is S11Verdict.NONMEMBER and math.isnan(res.kappa)
+        assert member_s11(1e300, 1e300, 1e300).verdict is S11Verdict.MEMBER_SLICE
+        assert member_c11(1e200, 1e200, 1.5)
+        assert member_c11(1e200, 1e200, 2.0)
+        assert not member_c11(1e200, 1e200, 2.5)
+        assert not member_c11(float("inf"), 1.0, 1.0)  # non-finite input stays in floats
+
 
 class TestS04:
     def test_defining_identity_symbolic(self):

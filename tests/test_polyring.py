@@ -531,6 +531,38 @@ class TestNormalForm:
         with pytest.raises(OverflowError, match="product degree exceeds"):
             (x * y - x**2).substitute(too_high, target=F2_VARS)  # even if the terms cancel
 
+    def test_product_through_several_term_images_overflows(self):
+        # Horner's rule multiplies by the several-term images: a product
+        # reaching degree 2**WIDTH - 1 fits, one degree more does not
+        top = (1 << WIDTH) - 1
+        h = top // 2
+        x, y = V("x"), V("y")
+        for low in (y, 0):  # y's image of two terms, then of one
+            fits = {"x": x**h + 1, "y": x ** (h + 1) + low}
+            got = (x * y + y).substitute(fits, target=F2_VARS)
+            assert got == (x**h + 1) * (x ** (h + 1) + low) + x ** (h + 1) + low
+            assert max(sum(e) for e, _ in got.terms()) == top
+            too_high = {"x": x**h + 1, "y": x ** (h + 2) + low}
+            with pytest.raises(OverflowError, match="product degree exceeds"):
+                (x * y + y).substitute(too_high, target=F2_VARS)
+        # a group whose terms cancel is multiplied by nothing, so it cannot overflow
+        cancels = x**2 * y - x**2 * V("z")
+        assert cancels.substitute({"x": x ** (h + 1) + 1, "z": y}, F2_VARS).is_zero()
+
+    def test_zero_and_negative_fraction_images(self):
+        x, y, z = V("x"), V("y"), V("z")
+        c = Fraction(-3, 2)
+        p = x * y**2 * z + 2 * y**3 + x**2 - 5
+        mapping = {"x": Polynomial.zero(F2_VARS), "y": (z * x).scale(c), "z": x + z}
+        got = p.substitute(mapping, target=F2_VARS)
+        assert_normal_form(got)
+        assert got == 2 * c**3 * (z * x) ** 3 - 5
+        assert got == naive_substitute(p, mapping, F2_VARS)
+        mapping["x"] = y.scale(c)  # now every image but z's is one scaled term
+        got = p.substitute(mapping, target=F2_VARS)
+        assert got == c**3 * y * (z * x) ** 2 * (x + z) + 2 * c**3 * (z * x) ** 3 + c**2 * y**2 - 5
+        assert got == naive_substitute(p, mapping, F2_VARS)
+
     def test_fields_read_in_full(self):
         k = 1 << WIDTH - 1  # only the top bit of the field is set
         p = Polynomial(F2_VARS, {(k, 1, 0): 1})
@@ -566,6 +598,30 @@ class TestNormalForm:
         with pytest.raises(ValueError):
             Polynomial.from_json({"variables": ["x", "y", "z"],
                                   "terms": [{"exp": [1, 2, 3, 4], "num": 1}]})
+
+
+class TestCoversAgainstReference:
+    @pytest.mark.parametrize("key", sorted(covers.COVERS))
+    @settings(max_examples=10, deadline=None)  # the reference needs up to a second
+    @given(data=st.data())
+    def test_apply_poly_matches_naive_reference(self, key, data):
+        # exponents 0-6 on the variables whose images have several terms, so
+        # that substitute's Horner's rule recurses over up to six images
+        rm = covers.COVERS[key]
+        degrees = {n: 6 if len(img._terms) > 1 else 2 for n, img in rm.images.items()}
+        p = data.draw(polys(rm.source, max_terms=2, degrees=degrees))
+        want = naive_substitute(p, rm.images, rm.target)
+        if rm.target == F3_VARS:
+            want = naive_reduce_mod_phi(want)
+        got = rm.apply_poly(p)
+        assert_normal_form(got)
+        assert got == want
+
+    @settings(max_examples=30, deadline=None)
+    @given(polys(F3_VARS, max_terms=4, max_deg=2, degrees={"x13": 6}))
+    def test_deck_squares_to_reduction(self, p):
+        deck = covers.deck_ring_map()
+        assert deck.apply_poly(deck.apply_poly(p)) == reduce_mod_phi(p)
 
 
 class TestSympyOracle:
@@ -605,9 +661,10 @@ class TestSumProduct:
 
 
 #: A bound on the ``_addmul_into`` calls of deck(deck(p)) for DECK_GUARD_POLY,
-#: which needs no timing: 34 calls when substitute multiplies once per group
-#: of terms that share an x13 exponent, reading x13's image's powers from one
-#: list, and reduce_mod_phi lowers x123 in one pass; 40 when each power was
+#: which needs no timing: 28 calls when substitute sums the groups of terms
+#: that share an x13 exponent by Horner's rule in x13's image, and
+#: reduce_mod_phi lowers x123 in one pass; 34 when each group was multiplied
+#: by a power of that image read from one list; 40 when each power was
 #: squared up from the unit; 2466 when both did one product per term.
 DECK_GUARD_POLY = Polynomial(F3_VARS, {
     (1, 2, 0, 1, 2, 0, 1): 3, (0, 1, 1, 0, 2, 1, 0): -2, (2, 0, 1, 1, 1, 0, 2): 1,
