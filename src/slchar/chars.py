@@ -15,7 +15,7 @@ from numbers import Rational
 import numpy as np
 
 from . import mat2
-from .mat2 import GeometryError, _principal_root, normal_form_pair, principal_sqrt
+from .mat2 import GeometryError, _principal_root, principal_sqrt
 from .polyring import F3_VARS, sum_product
 from .tracepoly import _mul, coordinate_traces, kappa_value
 
@@ -232,83 +232,95 @@ def triple_trace_roots(t1, t2, t3, t12, t13, t23) -> tuple[complex, complex]:
     return r2, r1
 
 
-def _solve_quadratic_smallest(a: complex, b: complex, c: complex) -> list[complex]:
-    """Roots of a s^2 + b s + c = 0, sorted by |s| then by (re, im)."""
-    if abs(a) < 1e-14:
-        if abs(b) < 1e-14:
-            raise GeometryError("degenerate determinant equation")
-        return [-c / b]
-    disc = principal_sqrt(b * b - 4 * a * c)
-    roots = [(-b + disc) / (2 * a), (-b - disc) / (2 * a)]
-    roots.sort(key=lambda s: (abs(s), s.real, s.imag))
-    return roots
-
-
 def construct_triple(t1, t2, t3, t12, t23, t13, branch: str = "+"):
     """A unimodular triple realizing six prescribed traces.
 
-    When (t1, t2, t12) is an irreducible rank-2 character the third
-    matrix is found on the affine line omega_0 + s Lie(xi1, xi2) by
-    solving det = 1, and the branch sign selects which root of the
-    triple-trace quadratic tr(xi1 xi2 xi3) realizes ('+' is the root
-    with larger real part).  In the reducible case the triple is
-    assembled from explicit upper-triangular matrices and the branch
-    choice may be unrealizable (the two sheets collide).  A non-finite
-    kappa(t1, t2, t12) or a triple with a non-finite entry (the traces
-    overflow the arithmetic) raises ``GeometryError``, and so does a
-    realized trace that misses its t by more than 1e-6 (1 + |t|), NaN too.
+    When (t1, t2, t12) is an irreducible rank-2 character the branch
+    sign first picks t123 among the roots of t^2 - f_Sigma t + f_Pi
+    (``triple_trace_roots``; '+' is the root with larger real part).
+    xi1, xi2 is ``normal_form_pair(t1, t2, t12)`` and xi3 = [[p, q],
+    [r, s]] is the matrix whose traces against I, xi1, xi2, xi1 xi2 are
+    t3, t13, t23, t123.  Those four equations are linear: s = t3 - p,
+    q = t13 - t1 p + r, and (p, r) solves a 2x2 system with determinant
+    -(kappa(t1, t2, t12) - 2), nonzero exactly on irreducible pairs.  One
+    step of iterative refinement solves the same system for the
+    residuals and adds the correction.  det xi3 = 1 then holds by the
+    Sum/Product relation, so no quadratic is solved and no root chosen.
+    In the reducible case the triple is assembled from explicit
+    upper-triangular matrices and the branch choice may be unrealizable
+    (the two sheets collide).  A non-finite kappa(t1, t2, t12), a zero or
+    non-finite determinant, a triple with a non-finite entry or a modulus
+    beyond the float range (the traces overflow the arithmetic) raises
+    ``GeometryError``, and so does a realized trace that misses its t by
+    more than 1e-6 (1 + |t|), NaN too.
     """
     if branch not in ("+", "-"):
         raise ValueError(f"branch must be '+' or '-', got {branch!r}")
     traces = [complex(t) for t in (t1, t2, t3, t12, t23, t13)]
     if not cmath.isfinite(kappa_value(traces[0], traces[1], traces[3])):
         raise GeometryError("degenerate branch value")
-    with np.errstate(all="ignore"):
+    try:
         triple = _construct_triple(*traces, branch)
-    if not np.isfinite(triple).all():
-        raise GeometryError("degenerate branch value")
-    m1, m2, m3 = (tuple(m.ravel().tolist()) for m in triple)
-    realized = (m1, m2, m3, _mul(m1, m2), _mul(m2, m3), _mul(m1, m3))
-    for name, m, t in zip(("t1", "t2", "t3", "t12", "t23", "t13"), realized, traces):
-        if not abs(m[0] + m[3] - t) <= 1e-6 * (1 + abs(t)):
-            raise GeometryError(f"the constructed triple misses the prescribed {name}")
-    return triple
+        if not all(cmath.isfinite(v) for m in triple for v in m):
+            raise GeometryError("degenerate branch value")
+        m1, m2, m3 = triple
+        realized = (m1, m2, m3, _mul(m1, m2), _mul(m2, m3), _mul(m1, m3))
+        for name, m, t in zip(("t1", "t2", "t3", "t12", "t23", "t13"), realized, traces):
+            if not abs(m[0] + m[3] - t) <= 1e-6 * (1 + abs(t)):
+                raise GeometryError(f"the constructed triple misses the prescribed {name}")
+    except OverflowError:  # abs() of a finite complex whose modulus leaves the float range
+        raise GeometryError("degenerate branch value") from None
+    return tuple(mat2.mat2(*m) for m in triple)
+
+
+def _tr(m, k):
+    """tr(m k) for 2x2 matrices given as 4-tuples of their rows."""
+    return m[0] * k[0] + m[1] * k[2] + m[2] * k[1] + m[3] * k[3]
+
+
+def _trace_form_solver(t1, t2, f):
+    """For xi1 = [[t1, -1], [1, 0]] and xi2 = [[0, 1/f], [-f, t2]]: the
+    determinant -(kappa - 2) of the 2x2 system, and the map from traces
+    (e3, e13, e23, e123) against I, xi1, xi2, xi1 xi2 to the entries
+    (p, q, r, s) of the matrix with those traces.  Field arithmetic only,
+    so symbols go through as well as numbers."""
+    g = 1 / f
+    # xi1 xi2 = [[f, h], [0, g]]; the (p, r) system is [[a, h], [c, -a]]
+    h, a, c = t1 * g - t2, f - g, f * t1 - t2
+    det = -a * a - h * c
+
+    def solve(e3, e13, e23, e123):
+        e1, e2 = e123 - e3 * g, e23 + f * e13 - t2 * e3
+        p, r = (-a * e1 - h * e2) / det, (a * e2 - c * e1) / det
+        return p, e13 - t1 * p + r, r, e3 - p
+
+    return det, solve
 
 
 def _construct_triple(t1, t2, t3, t12, t23, t13, branch):
+    """The triple as three 4-tuples of complex entries, rows first."""
     if is_irreducible(CharacterF2(t1, t2, t12)):
-        xi1, xi2 = normal_form_pair(t1, t2, t12)
-        # affine system: tr(w) = t3, tr(xi2 w) = t23, tr(xi1 w) = t13
-        rows = []
-        for m in (mat2.I2, xi2, xi1):
-            # tr(m @ w) as a linear functional of w = [[w00,w01],[w10,w11]]
-            rows.append([m[0, 0], m[1, 0], m[0, 1], m[1, 1]])
-        rhs = np.array([t3, t23, t13], dtype=complex)
-        w0, *_ = np.linalg.lstsq(np.array(rows, dtype=complex), rhs, rcond=None)
-        omega0 = w0.reshape(2, 2)
-        L = mat2.lie_product(xi1, xi2)
-        # det(omega0 + s L) = det(omega0) + s (tr(omega0)tr(L) - tr(omega0 L)) + s^2 det(L)
-        a = mat2.det(L)
-        b = mat2.trace(omega0) * mat2.trace(L) - mat2.trace(omega0 @ L)
-        c = mat2.det(omega0) - 1
-        roots = _solve_quadratic_smallest(a, b, c)
-        want = triple_trace_roots(t1, t2, t3, t12, t13, t23)[0 if branch == "+" else 1]
-        candidates = [omega0 + s * L for s in roots]
-        candidates.sort(
-            key=lambda m: abs(mat2.trace(xi1 @ xi2 @ m) - want)
-        )
-        return xi1, xi2, candidates[0]
+        t123 = triple_trace_roots(t1, t2, t3, t12, t13, t23)[0 if branch == "+" else 1]
+        f = _principal_root(t12)
+        det, solve = _trace_form_solver(t1, t2, f)
+        if det == 0 or not cmath.isfinite(det):
+            raise GeometryError("degenerate branch value")
+        xi1, xi2 = (t1, -1, 1, 0), (0, 1 / f, -f, t2)
+        traces = (t3, t13, t23, t123)
+        xi3 = solve(*traces)
+        # one step of iterative refinement: the same solve for the residuals
+        basis = ((1, 0, 0, 1), xi1, xi2, _mul(xi1, xi2))
+        fix = solve(*(t - _tr(b, xi3) for b, t in zip(basis, traces)))
+        return xi1, xi2, tuple(x + d for x, d in zip(xi3, fix))
 
     # reducible base pair: explicit upper-triangular forms
     a1, a2 = _principal_root(t1), _principal_root(t2)
-    xi3 = mat2.mat2(t3, -1, 1, 0)
     both_plus = abs(a1 * a2 + 1 / (a1 * a2) - t12) <= abs(a1 / a2 + a2 / a1 - t12)
     if both_plus:
-        xi1 = mat2.mat2(a1, t13 - a1 * t3, 0, 1 / a1)
+        xi1 = (a1, t13 - a1 * t3, 0, 1 / a1)
     else:
-        xi1 = mat2.mat2(1 / a1, t13 - t3 / a1, 0, a1)
-    xi2 = mat2.mat2(a2, t23 - a2 * t3, 0, 1 / a2)
-    return xi1, xi2, xi3
+        xi1 = (1 / a1, t13 - t3 / a1, 0, a1)
+    return xi1, (a2, t23 - a2 * t3, 0, 1 / a2), (t3, -1, 1, 0)
 
 
 def hermitian_invariant_form(x: float, y: float, z: float) -> np.ndarray:

@@ -445,11 +445,8 @@ def fn_to_traces(coords: FNCoords) -> FNResult:
     diagonal cosh(mu/2) e^{+-tau/2} of rho(Y) enters the three traces.
 
     The returned metadata records the closed forms:  the constraint is
-    kappa = 2 - 4 sinh^2(l/2) sinh^2(mu/2); the factor 4 and the sign
-    under the square root in y = 2 cosh(mu/2) cosh(tau/2) =
-    2 sqrt(1 + csch^2(l/2) cosh^2(b/4)) cosh(tau/2) differ from the
-    uncorrected closed form, which is reported for comparison and does
-    not hold against these traces.
+    kappa = 2 - 4 sinh^2(l/2) sinh^2(mu/2), and y = 2 cosh(mu/2)
+    cosh(tau/2) = 2 sqrt(1 + csch^2(l/2) cosh^2(b/4)) cosh(tau/2).
 
     Coordinates whose functions leave the float range, or whose traces
     miss the constraint or the slice (float cancellation, from about
@@ -463,20 +460,17 @@ def fn_to_traces(coords: FNCoords) -> FNResult:
     with _overflow_names(tau=coords.tau):
         exp_tau, cosh_tau = [math.exp(tau2), math.exp(-tau2)], math.cosh(tau2)
     with _overflow_names(b=coords.b):
-        cosh_b, sinh_b_sq = math.cosh(b4), math.sinh(b4) ** 2
+        cosh_b = math.cosh(b4)
         cosh_b_sq, boundary = cosh_b ** 2, -2 * math.cosh(coords.b / 2)
     with _overflow_names(l=coords.l, b=coords.b):  # cosh(b/4)/sinh(l/2) and its square
         mu_half = math.asinh(cosh_b / sinh_l)
         cosh_mu = math.cosh(mu_half)
-        csch_cosh_sq, arg = cosh_b_sq / sinh_l_sq, 1 - 4 * sinh_b_sq / sinh_l_sq
+        csch_cosh_sq = cosh_b_sq / sinh_l_sq
     y0, y1 = cosh_mu * exp_tau[0], cosh_mu * exp_tau[1]  # a non-finite trace fails below
     x, y = exp_l[0] + exp_l[1], y0 + y1
     z = exp_l[0] * y0 + exp_l[1] * y1
     k = kappa_value(x, y, z)
     corrected_y = 2 * math.sqrt(1 + csch_cosh_sq) * cosh_tau
-    uncorrected_y = (
-        2 * math.sqrt(arg) * cosh_tau if arg >= 0 else float("nan")
-    )
     result = FNResult(
         x=x, y=y, z=z, kappa=k, boundary_trace=boundary,
         metadata={
@@ -484,12 +478,6 @@ def fn_to_traces(coords: FNCoords) -> FNResult:
             "constraint_residual": abs(k - boundary),
             "closed_form_y": corrected_y,
             "closed_form_y_matches": abs(corrected_y - y) <= 1e-9 * (1 + abs(y)),
-            "uncorrected_closed_form_y": uncorrected_y,
-            "uncorrected_matches": (
-                abs(uncorrected_y - y) <= 1e-9 * (1 + abs(y))
-                if uncorrected_y == uncorrected_y
-                else False
-            ),
         },
     )
     if not result.metadata["constraint_residual"] <= 1e-9 * (1 + abs(k)):  # NaN too

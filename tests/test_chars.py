@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from slchar import mat2
 from slchar.chars import (
@@ -22,7 +23,7 @@ from slchar.chars import (
 from slchar.mat2 import GeometryError, normal_form_pair
 from slchar.polyring import PHI
 from slchar.sampling import random_unimodular
-from slchar.tracepoly import evaluate_at_character
+from slchar.tracepoly import _mul, evaluate_at_character, kappa_value
 from slchar.words import parse_word
 
 RND = random.Random(30)
@@ -288,9 +289,14 @@ class TestConstructTriple:
 
 
     def test_triple_that_misses_its_traces_is_refused(self):
-        # least squares on rows holding 1e80 next to O(1) entries: the
-        # triple is finite, but t3, t13 and t23 come out far from 1e80, 5, 1e80
+        # t13 = 1e43 beside O(1) traces: xi3 has entries near 1e43, which
+        # its trace must cancel down to t3 = -0.98; the floats cannot
         with pytest.raises(GeometryError, match="misses the prescribed t3"):
+            construct_triple(-1.727585853128668, 0.44225414182184153, -0.9822634553665281,
+                             1.353820935630572, 18.540068704306236, 1e43)
+        # 1e80 beside O(1) traces: f_Sigma^2 overflows, so the branch root
+        # t123 is not finite and no triple is built
+        with pytest.raises(GeometryError, match="degenerate branch value"):
             construct_triple(1e80, 3, 1e80, 2, 1e80, 5)
 
     @pytest.mark.parametrize("scale", [1e2, 1e3])
@@ -301,6 +307,81 @@ class TestConstructTriple:
             c = character_of_triple(*construct_triple(*t))
             got = (c.t1, c.t2, c.t3, c.t12, c.t23, c.t13)
             assert all(abs(g - w) <= 1e-6 * (1 + abs(w)) for g, w in zip(got, t))
+
+
+def _traces(part):
+    """Six traces, each real or complex with parts drawn from ``part``,
+    +-2 and 0 included."""
+    part = st.one_of(st.sampled_from([2.0, -2.0, 0.0]), part)
+    return st.lists(st.one_of(part, st.builds(complex, part, part)), min_size=6, max_size=6)
+
+
+#: Magnitudes 1e5 to 1e150 of either sign.
+_EXTREME = st.builds(lambda sign, exponent: sign * 10.0 ** exponent,
+                     st.sampled_from([1, -1]), st.floats(5, 150))
+
+
+def _term_scale(six, branch):
+    """The largest entry of xi1, xi2 times the largest entry of xi3, with
+    xi3 from numpy's solve of the trace equations tr(B xi3) = t3, t13,
+    t23, t123 for B = I, xi1, xi2, xi1 xi2: the size of the terms that
+    a realized trace sums."""
+    t1, t2, t3, t12, t23, t13 = six
+    xi1, xi2 = normal_form_pair(t1, t2, t12)
+    t123 = triple_trace_roots(t1, t2, t3, t12, t13, t23)["+-".index(branch)]
+    rows = [[b[0, 0], b[1, 0], b[0, 1], b[1, 1]] for b in (mat2.I2, xi1, xi2, xi1 @ xi2)]
+    xi3 = np.linalg.solve(np.array(rows), np.array([t3, t13, t23, t123]))
+    return max(1, np.abs(xi1).max(), np.abs(xi2).max()) * np.abs(xi3).max()
+
+
+class TestConstructTripleProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(_traces(st.floats(-1e3, 1e3)), st.sampled_from("+-"))
+    # two points that the solve without its refinement step refuses
+    @example([-613.6573751733412, -2.0, -837.4963748210839, 617.9878802065455,
+              208.0905820357509, -323.5569879435476 + 782.499823216099j], "+")
+    @example([0.0, -662.0, 307.0, 662j, 2.0, 0.0], "+")
+    def test_moderate_traces_are_realized(self, traces, branch):
+        t1, t2, t3, t12, t23, t13 = six = [complex(t) for t in traces]
+        irreducible = is_irreducible(CharacterF2(t1, t2, t12))
+        try:
+            tri = construct_triple(*traces, branch)
+        except GeometryError as exc:
+            name = str(exc).rsplit(" ", 1)[-1]
+            if irreducible:
+                # only where the terms summing to the missed trace are so
+                # large that rounding them alone misses it
+                t = six[("t1", "t2", "t3", "t12", "t23", "t13").index(name)]
+                assert 10 * 2**-52 * _term_scale(six, branch) >= 1e-6 * (1 + abs(t)), exc
+            else:
+                # within IRREDUCIBILITY_TOL of kappa = 2 but off it, as at
+                # (2, 1e-5, 0): the upper-triangular pair may miss t12
+                assert kappa_value(t1, t2, t12) != 2 and name == "t12", exc
+            return
+        m1, m2, m3 = (tuple(m.ravel()) for m in tri)
+        realized = (m1, m2, m3, _mul(m1, m2), _mul(m2, m3), _mul(m1, m3))
+        for m, t in zip(realized, six):
+            assert abs(m[0] + m[3] - t) <= 1e-6 * (1 + abs(t))
+        if irreducible:
+            want = triple_trace_roots(t1, t2, t3, t12, t13, t23)["+-".index(branch)]
+            got = mat2.trace(tri[0] @ tri[1] @ tri[2])
+            assert abs(got - want) <= 1e-6 * (1 + abs(want))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_traces(st.one_of(st.floats(-10, 10), _EXTREME)), st.sampled_from("+-"))
+    # kappa(t1, t2, t12) rounds to -2, but the 2x2 determinant to exactly 0
+    @example([2.627485498975235e+35j, 0.0, 1.0, -2.627485498975235e+35, 1.0, 1.0], "+")
+    # a finite kappa(t1, t2, t12) whose modulus abs() cannot return
+    @example([-1.0161487477133847e+134, -2.1623109034270505e+123,
+              1.411075327685987 - 76707020551.98409j, 7.483025421959379e+50 - 8.012300058726012e+50j,
+              8.798131358364261e+35 + 1.1909159945612767e+58j, -8.932589100141898], "+")
+    def test_extreme_traces_fail_only_as_geometry_errors(self, traces, branch):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                construct_triple(*traces, branch)
+            except GeometryError:
+                pass
 
 
 class TestCharacterOfTriple:

@@ -2,6 +2,7 @@ import cmath
 import contextlib
 import dataclasses
 import io
+import itertools
 import json
 import math
 import os
@@ -644,11 +645,17 @@ class TestNoTraceback:
             code == 1 and last.startswith("error: "))
 
     def test_construct_triple_that_misses_its_traces(self, capsys):
-        # least squares on rows holding 1e80 next to O(1) entries loses t3, t13, t23
+        # xi3 has entries near 1e43 (t13), which its trace must cancel to t3
+        code, out, err = run(capsys, "construct", "triple", "--", "-1.727585853128668",
+                             "0.44225414182184153", "-0.9822634553665281", "1.353820935630572",
+                             "18.540068704306236", "1e43")
+        assert_error_line(code, out, err)
+        assert err == "error: the constructed triple misses the prescribed t3\n"
+        # 1e80 beside O(1) traces: the branch root t123 overflows first
         code, out, err = run(capsys, "construct", "triple", "--", "1e80", "3", "1e80", "2",
                              "1e80", "5")
         assert_error_line(code, out, err)
-        assert err == "error: the constructed triple misses the prescribed t3\n"
+        assert err == "error: degenerate branch value\n"
 
     def test_non_finite_option_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -829,8 +836,9 @@ class TestContract:
     Trace-poly words either exceed ``MAX_WORD_LETTERS`` or cancel to a
     short cyclic core: the engine has no length budget yet, and an
     accepted long power such as ``X^100000`` would run for hours.  Exit 0
-    with NaN or infinity in the output is not checked here; float fields
-    that overflow are still printed as they come."""
+    with NaN or infinity in the output is checked only for ``fn2trace
+    --json``; other float fields that overflow are still printed as they
+    come."""
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(argvs())
@@ -848,3 +856,21 @@ class TestContract:
         if code == 2:
             last = err.splitlines()[-1] if err else ""
             assert re.match(r"usage error: |slchar( [\w-]+)*: error: ", last), (argv, err)
+
+    def test_fn2trace_json_has_no_nan_or_infinity(self):
+        # every argv of three EXTREMES; `2 0 7/3` once printed a NaN field
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        printed = []
+        for numbers in itertools.product(EXTREMES, repeat=3):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    code = main(["fn2trace", "--json", *numbers])
+                except SystemExit as exc:
+                    code = exc.code
+            if code == 0:
+                json.loads(out.getvalue(), parse_constant=refuse)
+                printed.append(numbers)
+        assert ("2", "0", "7/3") in printed

@@ -643,10 +643,14 @@ class TestFenchelNielsen:
         # y carries cosh(tau/2), z carries cosh((tau+l)/2)
         assert res2.z == pytest.approx(res1.y, rel=1e-12)
 
-    def test_metadata_flags_uncorrected_form(self):
-        res = fn_to_traces(FNCoords(l=2.0, tau=0.5, b=1.0))
+    def test_uncorrected_closed_form_misses_y(self):
+        # y = 2 sqrt(1 + csch^2(l/2) cosh^2(b/4)) cosh(tau/2) holds; the
+        # uncorrected 2 sqrt(1 - 4 sinh^2(b/4)/sinh^2(l/2)) cosh(tau/2) does not
+        l, tau, b = 2.0, 0.5, 1.0
+        res = fn_to_traces(FNCoords(l=l, tau=tau, b=b))
         assert res.metadata["closed_form_y_matches"]
-        assert not res.metadata["uncorrected_matches"]
+        uncorrected = 2 * math.sqrt(1 - 4 * math.sinh(b / 4) ** 2 / math.sinh(l / 2) ** 2)
+        assert abs(uncorrected * math.cosh(tau / 2) - res.y) > 0.1 * res.y
 
     def test_domain_validation(self):
         with pytest.raises(ValueError):

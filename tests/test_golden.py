@@ -2,6 +2,11 @@
 ``slchar verify`` output must stay byte-identical across refactors of
 the arithmetic kernel and the trace engine.
 
+``PYTHONPATH=src python tests/test_golden.py`` prints every digest at the
+current source as ``NAME = "digest"`` lines; ``--lines NAME`` prints the
+records of one corpus, so that ``diff`` against the same export of
+another commit names the records that moved.
+
 Each test hashes a fixed, seeded corpus and compares the SHA-256 with a
 recorded digest.  ``EXACT_DIGEST`` covers only the exact lines (trace
 polynomial text and JSON, ring-map JSON, image text); it was recorded
@@ -32,7 +37,14 @@ Re z < 0: only the ``construct triple`` lines for ``0 -2 4 -4 4 0`` and
 prints -4 and -3 exactly).  It was re-recorded again when the S04 quartic
 and the S12 relations began evaluating ``polyring.sum_product``: only
 float-mode ``residual`` (36 s04 lines) and ``residuals`` (15 s12 lines)
-values moved, by at most 1.8e-11, and no verdict.
+values moved, by at most 1.8e-11, and no verdict.  It was re-recorded
+once more when ``construct_triple`` began solving for xi3 in closed form
+and ``fn_to_traces`` stopped reporting the uncorrected closed form: only
+the twelve ``construct triple`` records of the six seeded irreducible
+inputs (both branches) moved, xi3 by at most 4.5e-15 relative to its
+largest entry with xi1 and xi2 byte-identical, and the four
+``fn2trace --json`` records lost ``uncorrected_closed_form_y`` and
+``uncorrected_matches``; no exit code changed.
 
 ``EVAL_DIGEST`` pins polynomial evaluation itself: ``repr`` of
 ``evaluate`` at seeded complex points whose coordinates include 0, -0.0,
@@ -88,7 +100,7 @@ from tuple2x2 import from_pair
 EXACT_DIGEST = "624d279a57ec01a51983e3a959ba81f8aad039a844605204c3c7beeea153b3eb"
 SYMBOLIC_DIGEST = "eabbaf72485625ee4c876305d9378c6402533fb4cd4281a5314dfd65666cb755"
 VERIFY_DIGEST = "fd56e039333c826b711b4f7045d365b4cddfb5c0b13cd86b5bfd2ee010daac29"
-PREDICATE_DIGEST = "b2f211d8a306562ae1c9f27204cd99a96ac387e0c97199343321676511989b49"
+PREDICATE_DIGEST = "b4f8d5b58d13989bbe3fe28ac8bedf6753f79a3e318a6145939c51e689e32903"
 EVAL_DIGEST = "da524158eabb286595050303ec49f4519b32dc7db4193bf59f8eda97a949fee2"
 TABLE_DIGEST = "b349aaeb3302627c9df38c942c394a64ed8c673da701b406896cbdab8d441ab0"
 VERIFY_RUNS_DIGEST = "3a0e5908656d3f6caaf222e38ed6fb1182f94e27117234884627db12687050bc"
@@ -450,6 +462,19 @@ def _ring_map_lines():
     return lines
 
 
+#: Each recorded digest and the corpus it hashes.
+CORPORA = {
+    "EXACT_DIGEST": lambda: _symbolic_lines(floats=False),
+    "SYMBOLIC_DIGEST": _symbolic_lines,
+    "VERIFY_DIGEST": _verify_lines,
+    "PREDICATE_DIGEST": _predicate_lines,
+    "EVAL_DIGEST": _eval_lines,
+    "TABLE_DIGEST": _table_lines,
+    "VERIFY_RUNS_DIGEST": _verify_run_lines,
+    "RING_MAP_DIGEST": _ring_map_lines,
+}
+
+
 def test_exact_outputs_match_digest():
     assert _digest(_symbolic_lines(floats=False)) == EXACT_DIGEST
 
@@ -480,3 +505,23 @@ def test_verify_runs_match_digest():
 
 def test_ring_maps_match_digest():
     assert _digest(_ring_map_lines()) == RING_MAP_DIGEST
+
+
+def main(argv=None):
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        description="Print each golden digest at the current source as NAME = \"digest\", "
+                    "or the records of one corpus.")
+    parser.add_argument("--lines", choices=list(CORPORA), metavar="NAME",
+                        help="print the records of this corpus instead, one after another")
+    args = parser.parse_args(argv)
+    if args.lines:
+        print("\n".join(CORPORA[args.lines]()))
+    else:
+        for name, lines in CORPORA.items():
+            print(f'{name} = "{_digest(lines())}"')
+
+
+if __name__ == "__main__":
+    main()

@@ -1,6 +1,9 @@
 """sympy as an independent oracle for the covering maps, the S04
 component identity and the S04/S12 relations, which ``fricke`` derives
 from the Sum/Product relation and ``kappa_value``: here they are typed out.
+The closed form of ``construct_triple`` runs on sympy symbols itself and
+is checked against the traces it must realize and the Sum/Product
+relation.
 
 Every polynomial is converted term by term to a sympy expression, and
 the substitutions and expansions run in sympy, not in :mod:`slchar.polyring`.
@@ -11,10 +14,10 @@ rings share variable names (``embed``, ``deck``) substitute simultaneously.
 import pytest
 import sympy
 
-from slchar import fricke
+from slchar import chars, fricke
 from slchar.covers import COVERS, ring_map
 from slchar.polyring import (
-    F3_VARS, PHI, PRODUCT_RELATION, S04_VARS, S12_VARS, SUM_RELATION, Polynomial,
+    F3_VARS, PHI, PRODUCT_RELATION, S04_VARS, S12_VARS, SUM_RELATION, Polynomial, sum_product,
 )
 
 
@@ -115,3 +118,25 @@ def test_s12_relations_are_relabelled_sum_product():
         a + b - SUM_RELATION.substitute(relabel),
         a * b - PRODUCT_RELATION.substitute(relabel),
     )
+
+
+def test_construct_triple_closed_form():
+    t1, t2, t3, t13, t23, t123, f = sympy.symbols("t1 t2 t3 t13 t23 t123 f")
+    det, solve = chars._trace_form_solver(t1, t2, f)
+    p, q, r, s = solve(t3, t13, t23, t123)
+    xi1, xi2 = sympy.Matrix([[t1, -1], [1, 0]]), sympy.Matrix([[0, 1 / f], [-f, t2]])
+    xi3 = sympy.Matrix([[p, q], [r, s]])
+    # the four trace equations hold identically
+    got = (xi3.trace(), (xi1 * xi3).trace(), (xi2 * xi3).trace(), (xi1 * xi2 * xi3).trace())
+    assert [sympy.cancel(g - t) for g, t in zip(got, (t3, t13, t23, t123))] == [0] * 4
+    # the 2x2 determinant is -(kappa - 2), kappa taken at t12 = f + 1/f
+    t12 = f + 1 / f
+    kappa = t1**2 + t2**2 + t12**2 - t1 * t2 * t12 - 2
+    assert sympy.cancel(det + kappa - 2) == 0
+    # det xi3 = 1 on the roots of t123^2 - f_Sigma t123 + f_Pi: the
+    # numerator of det xi3 - 1 has zero remainder modulo f^2 times it
+    fsum, fprod = sum_product(t1, t2, t3, t12, t13, t23)
+    quadratic = sympy.expand(f**2 * (t123**2 - fsum * t123 + fprod))
+    numerator, _ = sympy.fraction(sympy.cancel(p * s - q * r - 1))
+    assert sympy.degree(numerator, t123) == 2
+    assert sympy.rem(numerator, quadratic, t123) == 0
