@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import math
 from dataclasses import dataclass
 from numbers import Rational
 
@@ -37,6 +38,15 @@ __all__ = [
 
 #: Tolerance for equality tests against 2 (irreducibility) in float mode.
 IRREDUCIBILITY_TOL = 1e-9
+
+
+def _modulus(v) -> float:
+    """|v|, or inf for a finite complex whose modulus leaves the float
+    range: such a value is beyond every tolerance."""
+    try:
+        return abs(v)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -76,7 +86,7 @@ class CharacterF3:
         """Absolute residuals of the Sum and Product relations."""
         *six, t123, t132 = self.as_tuple()
         fsum, fprod = sum_product(*six)
-        return abs(t123 + t132 - fsum), abs(t123 * t132 - fprod)
+        return _modulus(t123 + t132 - fsum), _modulus(t123 * t132 - fprod)
 
     def is_valid(self) -> bool:
         """Both residuals at most 1e-9."""
@@ -114,7 +124,7 @@ def is_irreducible(c: CharacterF2) -> bool:
     k = kappa_value(*c.as_tuple())
     if isinstance(k, Rational):
         return k != 2
-    return abs(k - 2) > IRREDUCIBILITY_TOL
+    return _modulus(k - 2) > IRREDUCIBILITY_TOL
 
 
 @dataclass(frozen=True)
@@ -126,12 +136,13 @@ class IrreducibilityReport:
     irreducible: bool
 
     def witnesses_agree(self) -> bool:
-        """Each witness within 1e-8 (1 + |kappa|) of its value."""
-        eps = 1e-8 * (1 + abs(self.kappa))
+        """Each witness within 1e-8 (1 + |kappa|) of its value, both sides
+        halved (exactly), so that no finite modulus leaves the float range."""
+        eps = 1e-8 * (0.5 + abs(self.kappa * 0.5))
         return (
-            abs(self.commutator_trace - self.kappa) <= eps
-            and abs(self.lie_determinant - (2 - self.kappa)) <= eps
-            and abs(self.basis_determinant - (2 - self.kappa)) <= eps
+            abs((self.commutator_trace - self.kappa) * 0.5) <= eps
+            and abs((self.lie_determinant - (2 - self.kappa)) * 0.5) <= eps
+            and abs((self.basis_determinant - (2 - self.kappa)) * 0.5) <= eps
         )
 
 

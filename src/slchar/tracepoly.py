@@ -31,6 +31,25 @@ f_b = sum_c d_c tr(X_b X_c), and the cap on v keeps f_b small.  No
 table entry contains x123, so no c_b or d_c does and each tr(X_b X_c)
 is linear in it: a rank-3 result has degree at most one in x123.
 
+An expansion sum c_b X_b is one flat dict.  Basis element b has a slot
+(1 is slot 0, then the products of ``COORDINATES`` in order), and the
+term m X_b, m a packed monomial (:mod:`slchar.polyring`), has the key
+m + slot * ``VariableSet._limit``: the slot sits in the bits above the
+monomial fields, which no product of degree below 2**WIDTH reaches.  The
+table becomes rows: per slot, the (key delta, coefficient) pairs of X_b
+times the letters, so that a step is one loop, out[key + delta] += k * c
+(``_step``).  A pass steps by the rows of two letters at once, the merged
+product of the two letters' rows: at rank 2 such a row has 3.4 terms
+against 4.25 for two steps, and a pass rebuilds its dict half as often.
+The join is two more steps of the same loop: f_b by the rows of
+tr(X_b X_c) over v's keys, and then sum c_b f_b by the f_b as rows over
+u's keys.  Rows and pairings depend on the rank and the letters only,
+never on a word, so they stay cached (``_rows``, ``_pairing_rows``) and
+survive ``clear_cache()`` as ``_table`` does; each is built when first
+needed.  Rank 4 steps one letter at a time: it traces only short words, in
+one pass with no pairing, and merging its rows of up to 68 terms would
+cost more than that pass.
+
 From rank 4 on, the rules also give increasing products X_s of four
 letters, which the table keeps as formal keys while it is built.  The
 standard polynomial s_4 vanishes on 2x2 matrices (Amitsur-Levitzki
@@ -62,8 +81,9 @@ import math
 import operator
 from fractions import Fraction
 
-from .polyring import F2_VARS, F3_VARS, WIDTH, Polynomial, VariableSet, _addmul_into
-from .words import Word
+from .polyring import (F2_VARS, F3_VARS, WIDTH, Polynomial, VariableSet, _addmul_into,
+                       _norm_coeff)
+from .words import Word, _cyclic_reduce
 
 __all__ = [
     "COORDINATES",
@@ -106,6 +126,9 @@ _GEN_NAMES = {
     for rank, variables in _VARSETS.items()
 }
 
+#: Each rank's basis, 1 and then the products of ``COORDINATES``, by slot.
+_BASIS = {rank: ((),) + tuple(names) for rank, names in _GEN_NAMES.items()}
+
 
 @functools.cache
 def _var(rank: int, key: tuple[int, ...]) -> Polynomial:
@@ -123,7 +146,8 @@ def _combine(*pairs) -> dict:
 
 
 def _times_letter(table: dict, element: dict, g: int) -> dict:
-    """``element`` times the letter g: the engine's one such product."""
+    """``element``, a coefficient term dict per basis element, times the
+    letter g: the product on which ``_table`` builds its entries."""
     out: dict = {}
     for b, c in element.items():
         for b2, c2 in table[b, g].items():
@@ -172,21 +196,86 @@ def _table(rank: int) -> dict:
     return {k: {b: c for b, c in el.items() if c} for k, el in table.items()}
 
 
-def _expand(table: dict, element: dict, letters) -> dict:
-    """``element`` times each of ``letters`` in turn, in the basis."""
-    for g in letters:
-        element = _times_letter(table, element, g)
-    return element
+def _shift(rank: int) -> int:
+    """Bits below a flat key's slot: the fields of the rank's monomials."""
+    return _VARSETS[rank]._limit.bit_length() - 1
+
+
+def _step(element: dict, rows, shift: int) -> dict:
+    """The flat expansion sum of k * rows[key >> shift] over ``element``'s
+    keys and coefficients k, a row being (key delta, coefficient) pairs:
+    the engine's one multiply-add loop, keeping the normal form."""
+    out: dict = {}
+    get = out.get
+    for key, k in element.items():
+        for delta, c in rows[key >> shift]:
+            e = key + delta
+            s = get(e, 0) + k * c
+            if s:
+                out[e] = s if type(s) is int else _norm_coeff(s)
+            else:
+                del out[e]
+    return out
+
+
+def _as_rows(elements, shift: int) -> tuple:
+    """Per slot, its flat expansion as rows: each key less the slot's own."""
+    return tuple(tuple((key - (b << shift), c) for key, c in el.items())
+                 for b, el in enumerate(elements))
+
+
+@functools.cache
+def _rows(rank: int, letters: tuple[int, ...]) -> tuple:
+    """Right multiplication by ``letters`` on flat keys, per slot: the
+    ``_table`` entries of one letter, else the rows of all letters but the
+    last, each times the last letter's rows."""
+    shift = _shift(rank)
+    if len(letters) > 1:
+        last = _rows(rank, letters[-1:])
+        return _as_rows((_step({(b << shift) + d: c for d, c in row}, last, shift)
+                         for b, row in enumerate(_rows(rank, letters[:-1]))), shift)
+    basis = _BASIS[rank]
+    slot = {b: i << shift for i, b in enumerate(basis)}
+    return _as_rows(({slot[b2] + m: c for b2, terms in _table(rank)[b, letters[0]].items()
+                      for m, c in terms.items()} for b in basis), shift)
+
+
+@functools.cache
+def _trace_rows(rank: int) -> tuple:
+    """tr 1 = 2 and tr X_b = x_b as rows: flat keys to monomials."""
+    return _as_rows([{0: 2}] + [_var(rank, b)._terms for b in _BASIS[rank][1:]], _shift(rank))
 
 
 @functools.cache
 def _pairing(rank: int, b: tuple, c: tuple) -> dict:
     """tr(X_b X_c) as a coefficient term dict: X_b times c's letters, then
     tr 1 = 2 and tr X_I = x_I."""
-    terms: dict = {}
-    for b2, c2 in _expand(_table(rank), {b: {0: 1}}, c).items():
-        _addmul_into(terms, c2, _var(rank, b2)._terms if b2 else {0: 2})
-    return terms
+    shift = _shift(rank)
+    element = {_BASIS[rank].index(b) << shift: 1}
+    if c:
+        element = _step(element, _rows(rank, c), shift)
+    return _step(element, _trace_rows(rank), shift)
+
+
+@functools.cache
+def _pairing_rows(rank: int) -> tuple:
+    """Per slot b, tr(X_b X_c) as rows over c's flat keys."""
+    basis = _BASIS[rank]
+    return tuple(_as_rows((_pairing(rank, b, c) for c in basis), _shift(rank)) for b in basis)
+
+
+def _pass(rank: int, letters: tuple[int, ...]) -> dict:
+    """The flat expansion of the product of ``letters``: one step per two
+    letters, after the first letter's row from 1 if they are odd; one per
+    letter at rank 4, whose long rows would cost more to merge than its
+    one short pass saves."""
+    shift = _shift(rank)
+    size = 2 if rank < 4 else 1
+    odd = len(letters) % size
+    element = dict(_rows(rank, letters[:1])[0]) if odd else {0: 1}  # slot 0 keys are deltas
+    for i in range(odd, len(letters), size):
+        element = _step(element, _rows(rank, letters[i:i + size]), shift)
+    return element
 
 
 @functools.lru_cache(maxsize=None)
@@ -195,26 +284,25 @@ def _trace(rank: int, letters: tuple[int, ...]) -> Polynomial:
     tr(w) = sum c_b d_c tr(X_b X_c).  Weighting X_b by |b|,
     deg c_b + |b| <= |u| and deg tr(X_b X_c) <= |b| + |c|, so no product
     exceeds degree len(w) and a word shorter than 2**WIDTH letters cannot
-    overflow a packed exponent field.  Rank-4 polynomials are not
-    canonical, and the pairing gives other, equally true ones from five
+    overflow a packed exponent field into a slot.  Rank-4 polynomials are
+    not canonical, and the pairing gives other, equally true ones from five
     letters on; so at rank 4 v is empty and w is one pass."""
     if len(letters) >> WIDTH:
         raise OverflowError(f"a word of {len(letters)} letters overflows {WIDTH}-bit exponents")
-    table = _table(rank)
+    shift = _shift(rank)
     # v is at most 8 letters: on the 1,296 trace_cold words of seeds 1-3 this
-    # halves the multiply-adds of one pass (2.55M -> 1.24M), while a midpoint
-    # split takes more than one pass at rank 2 from 64 letters (2.5x at 96)
-    # and 1.3x the capped split at rank 3 with 36; the fewest multiply-adds
-    # come at a v of 6-12 letters at every length from 24 to 96.
+    # takes the multiply-adds from 1.89M for one pass to 1.10M, while a
+    # midpoint split takes more than one pass at rank 2 from 48 letters (3.1x
+    # at 96) and 1.4x the capped split at rank 3 with 36; the fewest
+    # multiply-adds come at a v of 4-16 letters at lengths 24-96, and a v of
+    # 8 comes within 11% of them.
     cut = len(letters) - (min(len(letters) // 2, 8) if rank < 4 else 0)
-    v = _expand(table, {(): {0: 1}}, letters[cut:])
-    terms: dict = {}
-    for b, cb in _expand(table, {(): {0: 1}}, letters[:cut]).items():
-        f: dict = {}
-        for c, dc in v.items():
-            _addmul_into(f, dc, _pairing(rank, b, c))
-        _addmul_into(terms, cb, f)
-    return Polynomial._trusted(_VARSETS[rank], terms)
+    if cut == len(letters):
+        rows = _trace_rows(rank)
+    else:  # f_b = sum_c d_c tr(X_b X_c), as rows over b's flat keys
+        v = _pass(rank, letters[cut:])
+        rows = _as_rows((_step(v, pairing, shift) for pairing in _pairing_rows(rank)), shift)
+    return Polynomial._trusted(_VARSETS[rank], _step(_pass(rank, letters[:cut]), rows, shift))
 
 
 def clear_cache() -> None:
@@ -222,7 +310,7 @@ def clear_cache() -> None:
 
 
 def _cyclic_core(w: Word) -> tuple[int, ...]:
-    return w.cyclic_reduce()[0].letters
+    return _cyclic_reduce(w.letters)[0]
 
 
 def trace_poly(w: Word) -> Polynomial:

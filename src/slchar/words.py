@@ -74,6 +74,15 @@ def _free_reduce(letters: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _cyclic_reduce(letters: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The letters of :meth:`Word.cyclic_reduce`'s core and conjugator."""
+    w = _free_reduce(letters)
+    k = 0  # matching end pairs: w[k] is inverse to w[-1 - k]
+    while len(w) - 2 * k >= 2 and w[k] == -w[-1 - k]:
+        k += 1
+    return w[k:len(w) - k], w[:k]
+
+
 @dataclass(frozen=True)
 class Word:
     """A word in the free group of rank ``rank``.
@@ -151,11 +160,8 @@ class Word:
         The core is cyclically reduced: its first letter is not inverse
         to its last.
         """
-        w = self.reduce().letters
-        k = 0  # matching end pairs: w[k] is inverse to w[-1 - k]
-        while len(w) - 2 * k >= 2 and w[k] == -w[-1 - k]:
-            k += 1
-        return Word(self.rank, w[k:len(w) - k]), Word(self.rank, w[:k])
+        core, conjugator = _cyclic_reduce(self.letters)
+        return Word(self.rank, core), Word(self.rank, conjugator)
 
     @staticmethod
     def identity(rank: int) -> "Word":

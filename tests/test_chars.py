@@ -1,5 +1,8 @@
+import cmath
+import math
 import random
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 from slchar import mat2
 from slchar.chars import (
     CharacterF2,
+    CharacterF3,
+    IrreducibilityReport,
     RealCharClass,
     axes_cross,
     character_of_pair,
@@ -72,6 +77,24 @@ class TestIrreducibility:
         assert not is_irreducible(CharacterF2(3 + 0j, 3 + 0j, 7.0 + 1e-13 + 0j))
         assert is_irreducible(CharacterF2(Fraction(3), Fraction(3), 7 + Fraction(1, 10**13)))
         assert not is_irreducible(CharacterF2(Fraction(3), Fraction(3), Fraction(7)))
+
+    def test_modulus_beyond_the_float_range(self):
+        # kappa is finite, but |kappa - 2| leaves the float range: irreducible
+        c = CharacterF2(-1.0161487477133847e+134, -2.1623109034270505e+123,
+                        7.483025421959379e+50 - 8.012300058726012e+50j)
+        assert cmath.isfinite(c.kappa())
+        assert is_irreducible(c)
+        big = 1.5e308 + 1.5e308j
+        triple = CharacterF3(0, 0, 0, 0, 0, 0, big, 0)
+        assert triple.sum_product_residuals() == (math.inf, 4)
+        assert not triple.is_valid()
+        report = IrreducibilityReport(kappa=big, commutator_trace=big, lie_determinant=2 - big,
+                                      basis_determinant=2 - big, irreducible=True)
+        assert report.witnesses_agree()
+        # the tolerance, 1e-8 (1 + |kappa|), is about 2.1e300 here
+        assert replace(report, commutator_trace=big - 1e300).witnesses_agree()
+        assert not replace(report, commutator_trace=big - 1e301).witnesses_agree()
+        assert not replace(report, basis_determinant=big).witnesses_agree()
 
     def test_upper_triangular_witnesses(self):
         xi = mat2.mat2(2, 1, 0, 0.5)

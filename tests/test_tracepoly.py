@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -222,7 +223,43 @@ class TestEngine:
                 letters = _exact_length_word(rnd, rank, length).letters
                 assert tracepoly._trace(rank, letters) == _one_pass(rank, letters), letters
 
-    @pytest.mark.parametrize("rank, length", [(2, 40), (3, 16)])
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_two_letter_rows_are_two_steps(self, rank):
+        # every row of a letter pair, from every slot, is the first letter's
+        # step and then the second's, which are in turn the table's products;
+        # rank 4 steps one letter at a time
+        shift = tracepoly._shift(rank)
+        basis = tracepoly._BASIS[rank]
+        table = tracepoly._table(rank)
+        alphabet = [g for k in range(1, rank + 1) for g in (k, -k)]
+        for g, h in itertools.product(alphabet, alphabet):
+            pair = tracepoly._rows(rank, (g, h))
+            assert len(pair) == len(basis)
+            for slot, b in enumerate(basis):
+                unit = {slot << shift: 1}
+                steps = tracepoly._step(tracepoly._step(unit, tracepoly._rows(rank, (g,)), shift),
+                                        tracepoly._rows(rank, (h,)), shift)
+                assert dict(pair[slot]) == {key - (slot << shift): c for key, c in steps.items()}
+                nested = tracepoly._times_letter(table, tracepoly._times_letter(
+                    table, {b: {0: 1}}, g), h)
+                assert steps == {(basis.index(b2) << shift) + m: c
+                                 for b2, terms in nested.items() for m, c in terms.items()}
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_pass_parities_equal_one_pass(self, rank):
+        # a pass of odd length takes one letter's row before the pairs; lengths
+        # 0-7 give u and v every parity (lengths 0-3 included), rank 4 is u only
+        rnd = random.Random(10 + rank)
+        parities = set()
+        for length in range(8):
+            cut = length - (min(length // 2, 8) if rank < 4 else 0)
+            parities.add((cut % 2, (length - cut) % 2))
+            for _ in range(4):
+                letters = _exact_length_word(rnd, rank, length).letters
+                assert tracepoly._trace(rank, letters) == _one_pass(rank, letters), letters
+        assert len(parities) == (4 if rank < 4 else 2)
+
+    @pytest.mark.parametrize("rank, length", [(2, 40), (3, 16), (2, 64), (3, 24)])
     def test_long_words_exact(self, rank, length):
         rnd = random.Random(length)
         for _ in range(3):
