@@ -204,7 +204,8 @@ def _shift(rank: int) -> int:
 def _step(element: dict, rows, shift: int) -> dict:
     """The flat expansion sum of k * rows[key >> shift] over ``element``'s
     keys and coefficients k, a row being (key delta, coefficient) pairs:
-    the engine's one multiply-add loop, keeping the normal form."""
+    the engine's one multiply-add loop.  A cancelled key is removed; an
+    integral Fraction is kept, for only rank 4's rows hold Fractions."""
     out: dict = {}
     get = out.get
     for key, k in element.items():
@@ -212,7 +213,7 @@ def _step(element: dict, rows, shift: int) -> dict:
             e = key + delta
             s = get(e, 0) + k * c
             if s:
-                out[e] = s if type(s) is int else _norm_coeff(s)
+                out[e] = s
             else:
                 del out[e]
     return out
@@ -302,7 +303,10 @@ def _trace(rank: int, letters: tuple[int, ...]) -> Polynomial:
     else:  # f_b = sum_c d_c tr(X_b X_c), as rows over b's flat keys
         v = _pass(rank, letters[cut:])
         rows = _as_rows((_step(v, pairing, shift) for pairing in _pairing_rows(rank)), shift)
-    return Polynomial._trusted(_VARSETS[rank], _step(_pass(rank, letters[:cut]), rows, shift))
+    terms = _step(_pass(rank, letters[:cut]), rows, shift)
+    if rank > 3:  # the s_4 substitution brings in Fractions, integral ones too
+        terms = {m: _norm_coeff(c) for m, c in terms.items()}
+    return Polynomial._trusted(_VARSETS[rank], terms)
 
 
 def clear_cache() -> None:

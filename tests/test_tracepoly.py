@@ -277,6 +277,7 @@ class TestEngine:
             w = random_reduced_word(rnd, 4, 9)
             mats = [random_rational_unimodular(rnd) for _ in range(4)]
             p = tracepoly._trace(4, tracepoly._cyclic_core(w))
+            assert all(type(c) is int or c.denominator > 1 for c in p._terms.values()), w
             assert evaluate_at_character(p, mats) == trace(
                 word_product(w, [from_pair(m) for m in mats])), w
 
