@@ -247,7 +247,6 @@ def _trace_rows(rank: int) -> tuple:
     return _as_rows([{0: 2}] + [_var(rank, b)._terms for b in _BASIS[rank][1:]], _shift(rank))
 
 
-@functools.cache
 def _pairing(rank: int, b: tuple, c: tuple) -> dict:
     """tr(X_b X_c) as a coefficient term dict: X_b times c's letters, then
     tr 1 = 2 and tr X_I = x_I."""
