@@ -216,9 +216,11 @@ class TestEngine:
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
     def test_split_shapes_equal_one_pass(self, rank):
         # the split is empty below two letters and at its cap of 8 from 16 on;
-        # rank 4 is one pass either way, and its long words are slow
+        # lengths 0-7 give u and v each an odd and an even length, so that a
+        # pass starts with one letter's row or not; rank 4 is one pass either
+        # way, and its long words are slow
         rnd = random.Random(rank)
-        for length in (0, 1, 2, 15, 16, 17):
+        for length in (0, 1, 2, 3, 4, 5, 6, 7, 15, 16, 17):
             for _ in range(3 if rank < 4 else 1):
                 letters = _exact_length_word(rnd, rank, length).letters
                 assert tracepoly._trace(rank, letters) == _one_pass(rank, letters), letters
@@ -244,20 +246,6 @@ class TestEngine:
                     table, {b: {0: 1}}, g), h)
                 assert steps == {(basis.index(b2) << shift) + m: c
                                  for b2, terms in nested.items() for m, c in terms.items()}
-
-    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
-    def test_pass_parities_equal_one_pass(self, rank):
-        # a pass of odd length takes one letter's row before the pairs; lengths
-        # 0-7 give u and v every parity (lengths 0-3 included), rank 4 is u only
-        rnd = random.Random(10 + rank)
-        parities = set()
-        for length in range(8):
-            cut = length - (min(length // 2, 8) if rank < 4 else 0)
-            parities.add((cut % 2, (length - cut) % 2))
-            for _ in range(4):
-                letters = _exact_length_word(rnd, rank, length).letters
-                assert tracepoly._trace(rank, letters) == _one_pass(rank, letters), letters
-        assert len(parities) == (4 if rank < 4 else 2)
 
     @pytest.mark.parametrize("rank, length", [(2, 40), (3, 16), (2, 64), (3, 24)])
     def test_long_words_exact(self, rank, length):
