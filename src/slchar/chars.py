@@ -18,7 +18,7 @@ import numpy as np
 from . import mat2
 from .mat2 import GeometryError, _principal_root, principal_sqrt
 from .polyring import F3_VARS, sum_product
-from .tracepoly import _mul, coordinate_traces, kappa_value
+from .tracepoly import _characters, _mul, kappa_value
 
 __all__ = [
     "CharacterF2",
@@ -27,6 +27,7 @@ __all__ = [
     "IrreducibilityReport",
     "character_of_pair",
     "character_of_triple",
+    "characters_of_triples",
     "is_irreducible",
     "irreducibility_witnesses",
     "classify_real_character",
@@ -114,8 +115,15 @@ def character_of_pair(xi: np.ndarray, eta: np.ndarray) -> CharacterF2:
 
 
 def character_of_triple(m1, m2, m3) -> CharacterF3:
-    coords = coordinate_traces(F3_VARS, (m1, m2, m3))
-    return CharacterF3(*coords.values(), t132=mat2.trace(m1 @ m3 @ m2))
+    return characters_of_triples([(m1, m2, m3)])[0]
+
+
+def characters_of_triples(mats) -> list[CharacterF3]:
+    """``character_of_triple`` of each triple of a (T, 3, 2, 2) stack, the
+    traces taken on the whole stack at once (``tracepoly._characters``),
+    or of a list of triples.  t132 is tr((m1 m3) m2), m1 m3 being the
+    product behind t13."""
+    return [CharacterF3(*traces) for traces, _ in _characters(F3_VARS, mats, (1, 3, 2))]
 
 
 def is_irreducible(c: CharacterF2) -> bool:

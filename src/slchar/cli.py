@@ -6,8 +6,12 @@ arguments accept finite decimals or rational literals ``p/q``.  Given the
 same seed and configuration, output is byte-identical.
 
 Each ``verify`` suite yields ``(row, residual)`` pairs over its seeded
-trials; a row reports the largest residual its suite yields for it, and
-rows print in the order each was first yielded.
+trials; a row reports the largest residual its suite yields for it (a
+NaN residual, once yielded, is the row's and fails it), and rows print
+in the order each was first yielded.  The ``oracle`` and ``covers``
+suites draw 100 trials at a time and then compute them as one batch,
+on numpy stacks in float mode (:mod:`slchar.mat2`), yielding rows in
+trial order; the other suites compute each trial as they draw it.
 
 numpy and the modules that build matrices (``mat2``, ``chars``,
 ``hypgeom``) load inside the commands and suites that use them, so
@@ -20,6 +24,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import functools
+import itertools
 import json
 import math
 import re
@@ -216,12 +221,26 @@ def cmd_cover(args) -> int:
 # -- verification suites ----------------------------------------------------------
 
 
-#: Matrix sampler per ``--mode``: exact mode draws integer numerators
-#: (N, d), m = N / d, on which the same suite bodies compute exactly.
+#: Matrix draw per ``--mode``: float mode draws the four complex entries
+#: of the rows, exact mode integer numerators (N, d), m = N / d, on which
+#: the same suite bodies compute exactly.
 _RANDOM_MATRIX = {
-    "float": sampling.random_unimodular,
+    "float": sampling.random_unimodular_entries,
     "exact": sampling.random_rational_unimodular,
 }
+
+
+def _stack(draws):
+    """Per trial, k float draws of four entries each, as one (T, k, 2, 2)
+    complex numpy stack."""
+    import numpy as np
+
+    return np.array(draws, dtype=complex).reshape(len(draws), -1, 2, 2)
+
+
+#: The trials' matrix draws per ``--mode`` as the batch that the stacked
+#: kernels take: a numpy stack, or the exact pairs per trial as a list.
+_BATCH = {"float": _stack, "exact": list}
 
 #: Longest rank-2 and rank-3 oracle words per ``--mode``; exact
 #: products of rational matrices grow fast with the word length.
@@ -236,16 +255,28 @@ _ORACLE_RESIDUAL = {
 }
 
 
+#: Trials drawn before they are computed as one batch; a fixed size, so
+#: that memory does not grow with ``--trials``.
+_CHUNK = 100
+
+
 def _trials(cfg):
     """One seeded random stream per trial."""
     for trial in range(cfg.trials):
         yield sampling.rng_for(cfg.seed, trial)
 
 
+def _chunks(cfg, draw_trial):
+    """``draw_trial(rnd)`` on each trial's stream, in trial order, in
+    lists of ``_CHUNK``; a stream is dropped once its trial is drawn."""
+    trials = map(draw_trial, _trials(cfg))
+    return iter(lambda: list(itertools.islice(trials, _CHUNK)), [])
+
+
 #: A draw as a 2x2 array and its denominator per ``--mode``, given numpy;
 #: the identities suite runs on N, float matrices standing for themselves.
 _NUMERATOR = {
-    "float": lambda np, m: (m, 1),
+    "float": lambda np, m: (np.array(m, dtype=complex).reshape(2, 2), 1),
     "exact": lambda np, m: (np.array(m[0], dtype=object).reshape(2, 2), m[1]),
 }
 
@@ -279,22 +310,31 @@ def _suite_identities(cfg):
 
 
 def _suite_oracle(cfg):
+    """Each chunk of trials draws its words and matrices first, in trial
+    order, and then computes them as one batch (``_BATCH``)."""
     from . import mat2
 
-    draw = _RANDOM_MATRIX[cfg.mode]
+    draw, batch = _RANDOM_MATRIX[cfg.mode], _BATCH[cfg.mode]
     len2, len3 = _ORACLE_WORD_LENGTHS[cfg.mode]
     residual = _ORACLE_RESIDUAL[cfg.mode]
-    for rnd in _trials(cfg):
+
+    def draw_trial(rnd):
         w2 = sampling.random_reduced_word(rnd, 2, len2)
         m2 = [draw(rnd) for _ in range(2)]
-        v = tracepoly.evaluate_at_character(tracepoly.trace_poly_f2(w2), m2)
-        yield "rank2-words", residual(v, mat2.trace(mat2.evaluate_word(w2, m2)))
         w3 = sampling.random_reduced_word(rnd, 3, len3)
         m3 = [draw(rnd) for _ in range(3)]
-        v = tracepoly.evaluate_at_character(tracepoly.trace_poly_f3(w3), m3)
-        yield "rank3-words", residual(v, mat2.trace(mat2.evaluate_word(w3, m3)))
-        m4 = [draw(rnd) for _ in range(4)]
-        yield "quadruple-trace", tracepoly.quadruple_trace_check(m4)
+        return w2, m2, w3, m3, [draw(rnd) for _ in range(4)]
+
+    for trials in _chunks(cfg, draw_trial):
+        w2s, m2s, w3s, m3s, m4s = zip(*trials)
+        m2s, m3s, m4s = batch(m2s), batch(m3s), batch(m4s)
+        v2s = tracepoly.evaluate_at_characters(map(tracepoly.trace_poly_f2, w2s), m2s)
+        v3s = tracepoly.evaluate_at_characters(map(tracepoly.trace_poly_f3, w3s), m3s)
+        t2s, t3s = mat2.word_traces(w2s, m2s), mat2.word_traces(w3s, m3s)
+        for v2, t2, v3, t3, q in zip(v2s, t2s, v3s, t3s, tracepoly.quadruple_trace_checks(m4s)):
+            yield "rank2-words", residual(v2, t2)
+            yield "rank3-words", residual(v3, t3)
+            yield "quadruple-trace", q
 
 
 def _suite_fricke(cfg):
@@ -331,11 +371,14 @@ def _suite_covers(cfg):
     for name in covers.COVERS:
         ok = all(covers.symbolic_check(name).values())
         yield f"symbolic-{name}", 0.0 if ok else 1.0
-    for rnd in _trials(cfg):
-        ms = [sampling.random_unimodular(rnd) for _ in range(3)]
-        img = covers.deck_involution_f3(chars.character_of_triple(*ms))
-        for r in img.sum_product_residuals():
-            yield "deck-character-validity", r
+
+    def draw_trial(rnd):
+        return [sampling.random_unimodular_entries(rnd) for _ in range(3)]
+
+    for draws in _chunks(cfg, draw_trial):
+        for character in chars.characters_of_triples(_stack(draws)):
+            for r in covers.deck_involution_f3(character).sum_product_residuals():
+                yield "deck-character-validity", r
 
 
 def _suite_coxeter(cfg):
@@ -382,7 +425,8 @@ _SUITES = {
 def cmd_verify(args) -> int:
     rows = {}
     for name, r in _SUITES[args.suite](args):
-        rows[name] = max(rows.get(name, 0.0), r)
+        # a NaN residual wins its row, and fails it: max(0.0, nan) would be 0.0
+        rows[name] = r if r != r else max(rows.get(name, 0.0), r)
     failed = False
     for name, residual in rows.items():
         ok = residual <= args.tolerance

@@ -10,7 +10,12 @@ the same way so that det = 1 holds exactly; they are drawn as the pair
 matrices and is the one place that writes them as (N, d).  Only the
 float draws, complex numpy arrays, and ``exact_evaluate_word`` load
 numpy.  Streams derive deterministically from (seed, trial-index), so
-suites may parallelize trials without changing results.
+a suite may draw its trials before it computes any of them without
+changing results: the ``oracle`` and ``covers`` suites of ``slchar
+verify`` draw 100 trials at a time, each from its own stream in trial
+order, and then compute them as one batch, a numpy stack of the float
+draws of ``random_unimodular_entries`` in float mode.  ``identities``,
+``fricke`` and ``coxeter`` compute each trial as they draw it.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from .words import Word
 __all__ = [
     "rng_for",
     "random_unimodular",
+    "random_unimodular_entries",
     "random_real_unimodular",
     "random_rational_unimodular",
     "random_reduced_word",
@@ -38,23 +44,37 @@ def rng_for(seed: int, trial: int | None = None) -> random.Random:
     return random.Random(f"slchar:{seed}:{trial}")
 
 
-def _unimodular(rnd: random.Random, entry):
-    """The first draw a, b, c of ``entry(rnd)`` with |a| >= 1e-3, the
-    last entry solved for det = 1, as a complex numpy array."""
-    import numpy as np
-
+def _unimodular(rnd: random.Random, entry) -> tuple:
+    """The first draw a, b, c of ``entry(rnd)`` with |a| >= 1e-3, and the
+    last entry solved for det = 1: the rows (a, b, c, (1 + b c) / a)."""
     while True:
         a, b, c = entry(rnd), entry(rnd), entry(rnd)
         if abs(a) >= 1e-3:
-            return np.array([[a, b], [c, (1 + b * c) / a]], dtype=complex)
+            return a, b, c, (1 + b * c) / a
+
+
+def _complex_entry(rnd: random.Random) -> complex:
+    return complex(rnd.uniform(-2, 2), rnd.uniform(-2, 2))
+
+
+def _as_array(entries):
+    import numpy as np
+
+    return np.array(entries, dtype=complex).reshape(2, 2)
+
+
+def random_unimodular_entries(rnd: random.Random) -> tuple[complex, complex, complex, complex]:
+    """The draw of ``random_unimodular`` as the four complex entries of
+    its rows, no numpy array built."""
+    return _unimodular(rnd, _complex_entry)
 
 
 def random_unimodular(rnd: random.Random):
-    return _unimodular(rnd, lambda r: complex(r.uniform(-2, 2), r.uniform(-2, 2)))
+    return _as_array(_unimodular(rnd, _complex_entry))
 
 
 def random_real_unimodular(rnd: random.Random):
-    return _unimodular(rnd, lambda r: r.uniform(-2, 2))
+    return _as_array(_unimodular(rnd, lambda r: r.uniform(-2, 2)))
 
 
 def random_rational_unimodular(rnd: random.Random) -> tuple[tuple, int]:
@@ -72,7 +92,11 @@ def random_rational_unimodular(rnd: random.Random) -> tuple[tuple, int]:
 
 
 def random_reduced_word(rnd: random.Random, rank: int, max_len: int) -> Word:
-    """A uniformly drawn freely reduced word of length <= max_len."""
+    """A freely reduced word of length at most max_len: the length is
+    uniform on 0..max_len, and then the word is uniform among the reduced
+    words of that length: each letter is drawn uniformly from the
+    generators and their inverses, and a letter that would cancel the
+    one before it is drawn again."""
     length = rnd.randint(0, max_len)
     letters: list[int] = []
     alphabet = [g for k in range(1, rank + 1) for g in (k, -k)]

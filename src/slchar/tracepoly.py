@@ -66,11 +66,18 @@ rank-4 words.
 ``COORDINATES`` names each coordinate by the increasing product whose
 trace it is (x_I = tr X_I); the engine's basis and ``coordinate_traces``
 (behind ``evaluate_at_character``) both read it.  Results are memoized
-on the rank and the cyclically reduced letters.  Exact evaluation
-multiplies int 4-tuples (``_mul``, which :mod:`slchar.mat2` and
-:mod:`slchar.chars` share), so only numpy matrices load ``mat2``; its
-complex formatter is ``_format_complex`` here, so that ``slchar cover
-map --eval`` prints its images without numpy.
+on the rank and the cyclically reduced letters.
+
+Evaluation at characters takes a batch of trials, one matrix tuple
+being a batch of one: a (T, k, 2, 2) numpy stack, on which each word
+length of the coordinate products is one ``@`` and the traces one
+``+`` (so each trial's traces are bit for bit its own, see
+:mod:`slchar.mat2`), or a list of T tuples of exact pairs, multiplied
+per trial as int 4-tuples (``_mul``, which :mod:`slchar.mat2` and
+:mod:`slchar.chars` share).  Polynomials are evaluated per trial.  Only
+a numpy stack loads numpy; ``mat2``'s complex formatter is
+``_format_complex`` here, so that ``slchar cover map --eval`` prints
+its images without numpy.
 """
 
 from __future__ import annotations
@@ -78,7 +85,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from fractions import Fraction
 
 from .polyring import (F2_VARS, F3_VARS, WIDTH, Polynomial, VariableSet, _addmul_into,
@@ -88,11 +94,14 @@ from .words import Word, _cyclic_reduce
 __all__ = [
     "COORDINATES",
     "coordinate_traces",
+    "evaluate_at_character",
+    "evaluate_at_characters",
     "trace_poly",
     "trace_poly_f2",
     "trace_poly_f3",
     "kappa",
     "quadruple_trace_check",
+    "quadruple_trace_checks",
     "generator_count",
     "clear_cache",
 ]
@@ -360,15 +369,29 @@ def quadruple_trace_check(assignment):
     Each term is linear in each m_i, so exact matrices are checked on their
     integer numerators N_i = d_i m_i, whose traces the polynomial takes as
     they are, and the residual divided once by the product of the d_i."""
-    ms = list(assignment)
-    if len(ms) != 4:
+    return quadruple_trace_checks([list(assignment)])[0]
+
+
+def quadruple_trace_checks(mats) -> list:
+    """``quadruple_trace_check`` at each trial of a batch of four matrices
+    per trial (see ``evaluate_at_characters``).  A float residual is a
+    numpy float: the differences are taken on a stack."""
+    if len(mats[0]) != 4:
         raise ValueError("quadruple_trace_check needs exactly four matrices")
-    traces, dens = _character(F4_VARS, ms, (1, 2, 3, 4))
-    top = 2 * traces.pop()
-    if dens is None:
-        return abs(top - _quadruple_poly().evaluate(dict(zip(F4_VARS, traces))))
-    value = Fraction(*_quadruple_poly()._evaluate_ratio(traces, [1] * len(traces)))
-    return abs(top - value) / dens[-1]
+    poly = _quadruple_poly()
+    tops, values, dens = [], [], []
+    for traces, d in _characters(F4_VARS, mats, (1, 2, 3, 4)):
+        tops.append(2 * traces.pop())
+        if d is None:
+            values.append(poly.evaluate(dict(zip(F4_VARS, traces))))
+        else:
+            values.append(Fraction(*poly._evaluate_ratio(traces, [1] * len(traces))))
+            dens.append(d[-1])
+    if dens:
+        return [abs(t - v) / d for t, v, d in zip(tops, values, dens)]
+    import numpy as np
+
+    return [abs(v) for v in np.subtract(tops, values)]
 
 
 def generator_count(n: int) -> int:
@@ -398,33 +421,58 @@ def _format_complex(v: complex) -> str:
 
 def _prefix_traces(mats, words) -> tuple[dict, tuple | None]:
     """tr X_I for each index tuple I in ``words``, X_I being its prefix's
-    product (listed before it) times the last matrix, and None; for exact
-    matrices (N_i, d_i), the int traces of the products of the N_i,
-    multiplied as int 4-tuples of their rows, and the d_i."""
-    if all(isinstance(m, tuple) for m in mats):
+    product (also in ``words``) times the last matrix, and None.  Float
+    matrices are a numpy stack (..., k, 2, 2), or k arrays stacked here:
+    the products of each word length are one ``@`` over the stack, from
+    the products one letter shorter, and the traces one ``+``, as Python
+    complex numbers, each a list over the trials when the stack has a
+    trial axis.  For exact matrices (N_i, d_i), the int traces of the
+    products of the N_i, multiplied as int 4-tuples of their rows, and
+    the d_i."""
+    if not hasattr(mats, "shape") and all(isinstance(m, tuple) for m in mats):
         mats, ds = zip(*mats)
-        mul, trace = _mul, lambda n: n[0] + n[3]
-    else:
-        from . import mat2
+        products = {}
+        for word in words:
+            last = mats[word[-1] - 1]
+            products[word] = _mul(products[word[:-1]], last) if len(word) > 1 else last
+        return {w: p[0] + p[3] for w, p in products.items()}, ds
+    import numpy as np
 
-        ds, mul, trace = None, operator.matmul, mat2.trace
-    products, traces = {}, {}
-    for word in words:
-        last = mats[word[-1] - 1]
-        products[word] = p = mul(products[word[:-1]], last) if len(word) > 1 else last
-        traces[word] = trace(p)
-    return traces, ds
+    stack = np.asarray(mats)
+    order, levels, column = [], [], {}  # column: a word's place in its level
+    for n in range(1, max(map(len, words)) + 1):
+        level = list(dict.fromkeys(w for w in words if len(w) == n))
+        last = stack[..., [w[-1] - 1 for w in level], :, :]
+        if n > 1:
+            last = levels[-1][..., [column[w[:-1]] for w in level], :, :] @ last
+        levels.append(last)
+        order += level
+        column.update((w, i) for i, w in enumerate(level))
+    products = np.concatenate(levels, axis=-3)
+    traces = np.moveaxis(products[..., 0, 0] + products[..., 1, 1], -1, 0).tolist()
+    return dict(zip(order, traces)), None
 
 
 def _character(variables: VariableSet, mats, *extra) -> tuple[list, list | None]:
     """tr X_I for each coordinate x_I of ``variables`` in declared order,
-    then for each I in ``extra``, and None; for exact matrices, tr N_I
+    then for each I in ``extra`` (each a list over the trials of a stack
+    with a trial axis), and None; for exact matrices, tr N_I
     (:func:`_prefix_traces`) and each one's denominator, the product of
     the d_i for i in I.  Evaluation at a character splits here only."""
     words = [COORDINATES[variables][name] for name in variables] + list(extra)
     traces, ds = _prefix_traces(mats, words)
     dens = None if ds is None else [math.prod(ds[i - 1] for i in w) for w in words]
     return [traces[w] for w in words], dens
+
+
+def _characters(variables: VariableSet, mats, *extra) -> list[tuple[list, list | None]]:
+    """``_character`` at each trial of a batch: a (T, k, 2, 2) numpy
+    stack, whose traces :func:`_prefix_traces` takes at once, or a list of
+    T matrix tuples, one trial at a time."""
+    if not hasattr(mats, "shape"):
+        return [_character(variables, trial, *extra) for trial in mats]
+    columns, _ = _character(variables, mats, *extra)
+    return [(list(row), None) for row in zip(*columns)]
 
 
 def coordinate_traces(variables: VariableSet, mats) -> dict:
@@ -440,10 +488,24 @@ def evaluate_at_character(p: Polynomial, mats):
     pairs (N, d) (see :mod:`slchar.mat2`), taken on the integer numerators
     with no Fraction per coordinate (``_character``); numpy arrays are
     numeric."""
-    mats = list(mats)
-    if _VARSETS.get(len(mats)) != p.variables:
-        raise ValueError(f"cannot evaluate over {p.variables.names} at {len(mats)} matrices")
-    traces, dens = _character(p.variables, mats)
-    if dens is None:
-        return p.evaluate(dict(zip(p.variables, traces)))
-    return Fraction(*p._evaluate_ratio(traces, dens))
+    return evaluate_at_characters([p], [list(mats)])[0]
+
+
+def evaluate_at_characters(polys, mats) -> list:
+    """``evaluate_at_character`` of polys[t] at trial t of a batch: a
+    (T, k, 2, 2) numpy stack, whose traces are taken on the whole stack
+    at once and are bit for bit those of each trial alone, or a list of T
+    matrix tuples.  Each polynomial is evaluated on its own."""
+    polys, k = list(polys), len(mats[0])
+    for p in polys:
+        if _VARSETS.get(k) != p.variables:
+            raise ValueError(f"cannot evaluate over {p.variables.names} at {k} matrices")
+    if len(polys) != len(mats):
+        raise ValueError(f"{len(polys)} polynomials for {len(mats)} trials")
+    out = []
+    for p, (traces, dens) in zip(polys, _characters(_VARSETS[k], mats)):
+        if dens is None:
+            out.append(p.evaluate(dict(zip(p.variables, traces))))
+        else:
+            out.append(Fraction(*p._evaluate_ratio(traces, dens)))
+    return out

@@ -18,6 +18,7 @@ from slchar.chars import (
     axes_cross,
     character_of_pair,
     character_of_triple,
+    characters_of_triples,
     classify_real_character,
     construct_triple,
     hermitian_invariant_form,
@@ -419,3 +420,13 @@ class TestCharacterOfTriple:
     def test_identity_triple(self):
         c = character_of_triple(mat2.I2, mat2.I2, mat2.I2)
         assert c.as_tuple() == (2,) * 8
+
+    def test_stacked_triples_bit_for_bit(self):
+        rnd = random.Random(2860)
+        stack = np.array([[random_unimodular(rnd) for _ in range(3)] for _ in range(200)])
+        got = characters_of_triples(stack)
+        assert len(got) == 200
+        for c, (m1, m2, m3) in zip(got, stack):
+            want = (*character_of_triple(m1, m2, m3).as_tuple()[:-1], mat2.trace(m1 @ m3 @ m2))
+            assert ([(complex(v).real.hex(), complex(v).imag.hex()) for v in c.as_tuple()]
+                    == [(complex(v).real.hex(), complex(v).imag.hex()) for v in want])

@@ -461,6 +461,27 @@ class TestVerify:
         assert out.splitlines()[-1].endswith("result=pass")
 
 
+    @pytest.mark.parametrize("residuals", [(math.nan, 0.5), (0.5, math.nan), (0.0, math.nan, 2.0)],
+                             ids=["nan-first", "nan-last", "nan-between"])
+    def test_nan_residual_fails_its_row(self, capsys, monkeypatch, residuals):
+        from slchar import cli
+
+        def planted(cfg):
+            for r in residuals:
+                yield "a", r
+                yield "b", 0.25
+
+        monkeypatch.setitem(cli._SUITES, "oracle", planted)
+        code, out, _ = run(capsys, "verify", "oracle", "--trials", "3", "--seed", "5",
+                           "--tolerance", "1")
+        assert code == 1
+        assert out.splitlines() == [
+            "oracle/a: max-residual=nan FAIL",
+            "oracle/b: max-residual=2.50000000000000000e-01 pass",
+            "suite=oracle trials=3 seed=5 tolerance=1 mode=float result=FAIL",
+        ]
+
+
 def test_python_dash_m_runs_the_cli():
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)

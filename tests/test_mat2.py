@@ -29,6 +29,7 @@ from slchar.sampling import (
     random_real_unimodular,
     random_reduced_word,
     random_unimodular,
+    random_unimodular_entries,
 )
 from slchar.words import Word, parse_word
 from tuple2x2 import (RATIONAL, as_pair, as_tuple, from_pair, inverse, matmul, product, trace,
@@ -202,6 +203,71 @@ class TestExactMatrices:
         ms = [random_unimodular(RND) for _ in range(2)]
         assert evaluate_word(parse_word("X Y x", 2), ms).dtype == np.complex128
         assert evaluate_word(Word(2, ()), ms).dtype == np.complex128
+
+
+def _bits(z):
+    """The bits of a complex number's parts, signed zeros included."""
+    z = complex(z)
+    return z.real.hex(), z.imag.hex()
+
+
+def _word_by_2x2(w, mats):
+    """The product along a word one 2x2 ``@`` at a time from I, inverse
+    letters by ``adjoint``."""
+    out = I2.copy()
+    for g in w.letters:
+        out = out @ (mats[g - 1] if g > 0 else mat2.adjoint(mats[-g - 1]))
+    return out
+
+
+def _batch_words(rnd, rank, trials=240):
+    """Seeded reduced words of up to 12 letters, led by the empty word,
+    one-letter words and a word of inverse letters only."""
+    lead = [Word(rank, ()), Word(rank, (1,)), Word(rank, (-rank,)), Word(rank, (-1, -1))]
+    return lead + [random_reduced_word(rnd, rank, 12) for _ in range(trials - len(lead))]
+
+
+class TestWordTraces:
+    """``word_traces`` over a (T, k, 2, 2) stack gives each trial the bits
+    of its word's trace computed alone; exact batches give Fractions."""
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_float_bit_for_bit(self, rank):
+        rnd = random.Random(2840 + rank)
+        words = _batch_words(rnd, rank)
+        draws = [[random_unimodular_entries(rnd) for _ in range(rank)] for _ in words]
+        stack = np.array(draws, dtype=complex).reshape(len(words), rank, 2, 2)
+        got = mat2.word_traces(words, stack)
+        assert len(got) == len(words)
+        for value, w, trial in zip(got, words, stack):
+            mats = list(trial)
+            assert type(value) is complex
+            assert _bits(value) == _bits(mat2.trace(evaluate_word(w, mats)))
+            assert _bits(value) == _bits(mat2.trace(_word_by_2x2(w, mats)))
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_exact(self, rank):
+        rnd = random.Random(2850 + rank)
+        words = _batch_words(rnd, rank)
+        batch = [tuple(random_rational_unimodular(rnd) for _ in range(rank)) for _ in words]
+        got = mat2.word_traces(words, batch)
+        for value, w, trial in zip(got, words, batch):
+            assert type(value) is Fraction
+            assert value == mat2.trace(evaluate_word(w, trial))
+            assert value == trace(word_product(w, [from_pair(m) for m in trial]))
+
+    def test_adjugates_negate_signed_zeros(self):
+        # negation, not a product with -1, so that -0.0 and 0.0 swap as adjoint's do
+        m = np.array([[1, complex(0.0, -0.0)], [complex(-0.0, 0.0), 1]])
+        assert ([_bits(v) for v in mat2._adjugates(m[None])[0].flat]
+                == [_bits(v) for v in mat2.adjoint(m).flat])
+
+    def test_shape_is_checked(self):
+        stack = np.array([[I2, I2]] * 3)
+        with pytest.raises(ValueError):
+            mat2.word_traces([Word(2, (1,))] * 2, stack)
+        with pytest.raises(ValueError):
+            mat2.word_traces([Word(3, (1,))] * 3, stack)
 
 
 #: Integer 2x2 matrices of any determinant, singular and zero ones included.

@@ -22,6 +22,7 @@ from slchar.sampling import (
     random_rational_unimodular,
     random_reduced_word,
     random_unimodular,
+    random_unimodular_entries,
 )
 from slchar.tracepoly import (
     evaluate_at_character,
@@ -593,3 +594,108 @@ class TestGeneratorCount:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             generator_count(0)
+
+
+def _bits(z):
+    """The bits of a complex number's parts, signed zeros included."""
+    z = complex(z)
+    return z.real.hex(), z.imag.hex()
+
+
+def _stacked_draws(rnd, rank, trials):
+    """``trials`` float draws of ``rank`` matrices as a (T, k, 2, 2) stack."""
+    draws = [[random_unimodular_entries(rnd) for _ in range(rank)] for _ in range(trials)]
+    return np.array(draws, dtype=complex).reshape(trials, rank, 2, 2)
+
+
+def _stacked_words(rnd, rank, trials):
+    """Seeded reduced words of up to 7 letters, led by the empty word, a
+    one-letter word and a one-letter inverse."""
+    lead = [Word(rank, ()), Word(rank, (rank,)), Word(rank, (-1,))]
+    return lead + [random_reduced_word(rnd, rank, 7) for _ in range(trials - len(lead))]
+
+
+class TestStackedKernels:
+    """The batch kernels over a (T, k, 2, 2) stack give each trial the
+    bits that the one-trial functions, and 2x2 products one trial at a
+    time, give it alone; exact batches give the same Fractions."""
+
+    TRIALS = 240
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_coordinate_traces_bit_for_bit(self, rank):
+        rnd = random.Random(2800 + rank)
+        stack = _stacked_draws(rnd, rank, self.TRIALS)
+        variables = tracepoly._VARSETS[rank]
+        extra = ((1, 2, 3, 4),) if rank == 4 else ()
+        words = list(tracepoly.COORDINATES[variables].values()) + list(extra)
+        characters = tracepoly._characters(variables, stack, *extra)
+        assert len(characters) == self.TRIALS
+        for (traces, dens), trial in zip(characters, stack):
+            mats = list(trial)
+            assert dens is None
+            alone = list(tracepoly.coordinate_traces(variables, mats).values())
+            by_2x2 = [mat2.trace(product_of(mats, w)) for w in words]
+            assert [_bits(v) for v in traces[:len(alone)]] == [_bits(v) for v in alone]
+            assert [_bits(v) for v in traces] == [_bits(v) for v in by_2x2]
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_evaluate_at_characters_bit_for_bit(self, rank):
+        rnd = random.Random(2810 + rank)
+        stack = _stacked_draws(rnd, rank, self.TRIALS)
+        polys = [trace_poly(w) for w in _stacked_words(rnd, rank, self.TRIALS)]
+        got = tracepoly.evaluate_at_characters(polys, stack)
+        assert len(got) == self.TRIALS
+        for value, p, trial in zip(got, polys, stack):
+            mats = list(trial)
+            assert type(value) is complex
+            assert _bits(value) == _bits(evaluate_at_character(p, mats))
+            assert _bits(value) == _bits(p.evaluate(_per_rank_assignment(rank, mats)))
+
+    def test_quadruple_trace_checks_bit_for_bit(self):
+        rnd = random.Random(2814)
+        stack = _stacked_draws(rnd, 4, self.TRIALS)
+        got = tracepoly.quadruple_trace_checks(stack)
+        assert len(got) == self.TRIALS
+        poly = tracepoly._quadruple_poly()
+        names = tracepoly.COORDINATES[tracepoly.F4_VARS]
+        for value, trial in zip(got, stack):
+            mats = list(trial)
+            assert isinstance(value, float)
+            assert value.hex() == quadruple_trace_check(mats).hex()
+            assert value.hex() == float(abs(
+                2 * mat2.trace(product_of(mats, (1, 2, 3, 4)))
+                - poly.evaluate({n: mat2.trace(product_of(mats, w)) for n, w in names.items()})
+            )).hex()
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_exact_batches(self, rank):
+        rnd = random.Random(2820 + rank)
+        batch = [tuple(random_rational_unimodular(rnd) for _ in range(rank))
+                 for _ in range(self.TRIALS)]
+        variables = tracepoly._VARSETS[rank]
+        for (traces, dens), trial in zip(tracepoly._characters(variables, batch), batch):
+            got = dict(zip(variables, map(Fraction, traces, dens)))
+            assert got == tracepoly.coordinate_traces(variables, trial)
+            tuples = [from_pair(m) for m in trial]
+            assert got == {n: trace(product(*(tuples[i - 1] for i in w)))
+                           for n, w in tracepoly.COORDINATES[variables].items()}
+        if rank == 4:
+            got = tracepoly.quadruple_trace_checks(batch)
+            assert got == [0] * self.TRIALS
+            assert all(type(v) is Fraction for v in got)
+            return
+        polys = [trace_poly(w) for w in _stacked_words(rnd, rank, self.TRIALS)]
+        got = tracepoly.evaluate_at_characters(polys, batch)
+        for value, p, trial in zip(got, polys, batch):
+            assert type(value) is Fraction
+            assert value == evaluate_at_character(p, trial)
+
+    def test_batch_checks_its_shape(self):
+        stack = _stacked_draws(random.Random(2830), 3, 4)
+        with pytest.raises(ValueError):
+            tracepoly.evaluate_at_characters([trace_poly_f3(Word(3, (1,)))] * 3, stack)
+        with pytest.raises(ValueError):
+            tracepoly.evaluate_at_characters([trace_poly_f2(Word(2, (1,)))] * 4, stack)
+        with pytest.raises(ValueError):
+            tracepoly.quadruple_trace_checks(stack)
