@@ -46,21 +46,10 @@ tr(X_b X_c) over v's keys, and then sum c_b f_b by the f_b as rows over
 u's keys.  Rows and pairings depend on the rank and the letters only,
 never on a word, so they stay cached (``_rows``, ``_pairing_rows``) and
 survive ``clear_cache()`` as ``_table`` does; each is built when first
-needed.  Rank 4 steps one letter at a time: it traces only short words, in
-one pass with no pairing, and merging its rows of up to 68 terms would
-cost more than that pass.
+needed.
 
-From rank 4 on, the rules also give increasing products X_s of four
-letters, which the table keeps as formal keys while it is built.  The
-standard polynomial s_4 vanishes on 2x2 matrices (Amitsur-Levitzki
-1950), and each of its 24 signed products, pushed depth first through
-the right multiplication that traces words so that they share their
-prefixes, is X_s plus shorter ones; so s_4(X_s) = 24 X_s + rest = 0 is
-substituted into every entry holding X_s (ranks 1-3 have no such keys).
-Rank 4 serves the quadruple-trace identity only: its coordinates
-satisfy relations, so its polynomials are not canonical (a normal form
-modulo them, Drensky 2003, Algebr. Represent. Theory 6, is out of
-scope, and a rank-4 word is one pass), and ``trace_poly`` refuses
+Rank 4 has coordinates but no engine: they serve the quadruple-trace
+identity, written out as a polynomial, and ``trace_poly`` refuses
 rank-4 words.
 
 ``COORDINATES`` names each coordinate by the increasing product whose
@@ -87,8 +76,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .polyring import (F2_VARS, F3_VARS, WIDTH, Polynomial, VariableSet, _addmul_into,
-                       _norm_coeff)
+from .polyring import F2_VARS, F3_VARS, WIDTH, Polynomial, VariableSet, _addmul_into
 from .words import Word, _cyclic_reduce
 
 __all__ = [
@@ -154,16 +142,6 @@ def _combine(*pairs) -> dict:
     return out
 
 
-def _times_letter(table: dict, element: dict, g: int) -> dict:
-    """``element``, a coefficient term dict per basis element, times the
-    letter g: the product on which ``_table`` builds its entries."""
-    out: dict = {}
-    for b, c in element.items():
-        for b2, c2 in table[b, g].items():
-            _addmul_into(out.setdefault(b2, {}), c, c2)
-    return out
-
-
 @functools.cache
 def _table(rank: int) -> dict:
     """Right multiplication of each basis element by each letter:
@@ -174,7 +152,7 @@ def _table(rank: int) -> dict:
     table: dict = {}
     for b in sorted(((),) + tuple(_GEN_NAMES[rank]), key=len):
         for g in range(1, rank + 1):
-            if not b or b[-1] < g:  # increasing; four letters stay a formal key
+            if not b or b[-1] < g:  # increasing
                 el = {b + (g,): {0: 1}}
             elif b[-1] == g:  # X_g X_g = x_g X_g - 1
                 el = {b: x(g), b[:-1]: {0: -1}}
@@ -186,22 +164,6 @@ def _table(rank: int) -> dict:
                               (x(g), {b: {0: 1}}), (x(j), hg), (k._terms, {h: {0: 1}}))
             table[b, g] = el
             table[b, -g] = _combine((x(g), {b: {0: 1}}), ({0: -1}, el))  # X_g^-1 = x_g - X_g
-
-    def signed_products(el, rest, sign):  # depth first: the products share prefixes
-        if not rest:
-            yield {0: sign}, el
-        for i, g in enumerate(rest):  # g goes before i smaller letters
-            yield from signed_products(_times_letter(table, el, g), rest[:i] + rest[i + 1:],
-                                       -sign if i % 2 else sign)
-
-    for s in itertools.combinations(range(1, rank + 1), 4):
-        # s_4(X_s) = 0, each signed product being X_s plus shorter products
-        s4 = _combine(*signed_products({(): {0: 1}}, s, 1))
-        assert s4.pop(s) == {0: 24}, s
-        for key, el in table.items():
-            if s in el:
-                c = _addmul_into({}, el.pop(s), {0: Fraction(-1, 24)})
-                table[key] = _combine(({0: 1}, el), (c, s4))
     return {k: {b: c for b, c in el.items() if c} for k, el in table.items()}
 
 
@@ -213,8 +175,7 @@ def _shift(rank: int) -> int:
 def _step(element: dict, rows, shift: int) -> dict:
     """The flat expansion sum of k * rows[key >> shift] over ``element``'s
     keys and coefficients k, a row being (key delta, coefficient) pairs:
-    the engine's one multiply-add loop.  A cancelled key is removed; an
-    integral Fraction is kept, for only rank 4's rows hold Fractions."""
+    the engine's one multiply-add loop.  A cancelled key is removed."""
     out: dict = {}
     get = out.get
     for key, k in element.items():
@@ -275,15 +236,12 @@ def _pairing_rows(rank: int) -> tuple:
 
 def _pass(rank: int, letters: tuple[int, ...]) -> dict:
     """The flat expansion of the product of ``letters``: one step per two
-    letters, after the first letter's row from 1 if they are odd; one per
-    letter at rank 4, whose long rows would cost more to merge than its
-    one short pass saves."""
+    letters, after the first letter's row from 1 if they are odd."""
     shift = _shift(rank)
-    size = 2 if rank < 4 else 1
-    odd = len(letters) % size
+    odd = len(letters) % 2
     element = dict(_rows(rank, letters[:1])[0]) if odd else {0: 1}  # slot 0 keys are deltas
-    for i in range(odd, len(letters), size):
-        element = _step(element, _rows(rank, letters[i:i + size]), shift)
+    for i in range(odd, len(letters), 2):
+        element = _step(element, _rows(rank, letters[i:i + 2]), shift)
     return element
 
 
@@ -293,9 +251,7 @@ def _trace(rank: int, letters: tuple[int, ...]) -> Polynomial:
     tr(w) = sum c_b d_c tr(X_b X_c).  Weighting X_b by |b|,
     deg c_b + |b| <= |u| and deg tr(X_b X_c) <= |b| + |c|, so no product
     exceeds degree len(w) and a word shorter than 2**WIDTH letters cannot
-    overflow a packed exponent field into a slot.  Rank-4 polynomials are
-    not canonical, and the pairing gives other, equally true ones from five
-    letters on; so at rank 4 v is empty and w is one pass."""
+    overflow a packed exponent field into a slot."""
     if len(letters) >> WIDTH:
         raise OverflowError(f"a word of {len(letters)} letters overflows {WIDTH}-bit exponents")
     shift = _shift(rank)
@@ -305,16 +261,13 @@ def _trace(rank: int, letters: tuple[int, ...]) -> Polynomial:
     # at 96) and 1.4x the capped split at rank 3 with 36; the fewest
     # multiply-adds come at a v of 4-16 letters at lengths 24-96, and a v of
     # 8 comes within 11% of them.
-    cut = len(letters) - (min(len(letters) // 2, 8) if rank < 4 else 0)
+    cut = len(letters) - min(len(letters) // 2, 8)
     if cut == len(letters):
         rows = _trace_rows(rank)
     else:  # f_b = sum_c d_c tr(X_b X_c), as rows over b's flat keys
         v = _pass(rank, letters[cut:])
         rows = _as_rows((_step(v, pairing, shift) for pairing in _pairing_rows(rank)), shift)
-    terms = _step(_pass(rank, letters[:cut]), rows, shift)
-    if rank > 3:  # the s_4 substitution brings in Fractions, integral ones too
-        terms = {m: _norm_coeff(c) for m, c in terms.items()}
-    return Polynomial._trusted(_VARSETS[rank], terms)
+    return Polynomial._trusted(_VARSETS[rank], _step(_pass(rank, letters[:cut]), rows, shift))
 
 
 def clear_cache() -> None:
@@ -327,7 +280,7 @@ def _cyclic_core(w: Word) -> tuple[int, ...]:
 
 def trace_poly(w: Word) -> Polynomial:
     """Trace polynomial of a word of rank 1, 2 or 3."""
-    if w.rank > 3:
+    if w.rank not in (1, 2, 3):
         raise ValueError(f"trace polynomials are implemented for rank <= 3, got {w.rank}")
     return _trace(w.rank, _cyclic_core(w))
 
@@ -358,13 +311,16 @@ def kappa_value(x, y, z):
 
 @functools.cache
 def _quadruple_poly() -> Polynomial:
-    """2 tr(X1 X2 X3 X4) in the rank-4 coordinates, with integer
-    coefficients; every term is linear in each X_i."""
-    return _trace(4, (1, 2, 3, 4)).scale(2)
+    """2 tr(X1 X2 X3 X4) in the rank-4 coordinates, by the classical
+    12-term identity; every term is linear in each X_i."""
+    x1, x2, x3, x4, x12, x13, x14, x23, x24, x34, x123, x124, x134, x234 = (
+        Polynomial.variable(F4_VARS, name) for name in F4_VARS)
+    return (x1 * x2 * x3 * x4 - x1 * x2 * x34 - x1 * x4 * x23 - x2 * x3 * x14 - x3 * x4 * x12
+            + x1 * x234 + x2 * x134 + x3 * x124 + x4 * x123 + x12 * x34 - x13 * x24 + x14 * x23)
 
 
 def quadruple_trace_check(assignment):
-    """|2 tr(m1 m2 m3 m4) - f(traces)|, f being the engine's polynomial for
+    """|2 tr(m1 m2 m3 m4) - f(traces)|, f being the 12-term polynomial for
     2 tr(X1 X2 X3 X4); exact (a Fraction) when the matrices are exact.
     Each term is linear in each m_i, so exact matrices are checked on their
     integer numerators N_i = d_i m_i, whose traces the polynomial takes as
@@ -376,8 +332,6 @@ def quadruple_trace_checks(mats) -> list:
     """``quadruple_trace_check`` at each trial of a batch of four matrices
     per trial (see ``evaluate_at_characters``).  A float residual is a
     numpy float: the differences are taken on a stack."""
-    if len(mats[0]) != 4:
-        raise ValueError("quadruple_trace_check needs exactly four matrices")
     poly = _quadruple_poly()
     tops, values, dens = [], [], []
     for traces, d in _characters(F4_VARS, mats, (1, 2, 3, 4)):
@@ -458,7 +412,11 @@ def _character(variables: VariableSet, mats, *extra) -> tuple[list, list | None]
     then for each I in ``extra`` (each a list over the trials of a stack
     with a trial axis), and None; for exact matrices, tr N_I
     (:func:`_prefix_traces`) and each one's denominator, the product of
-    the d_i for i in I.  Evaluation at a character splits here only."""
+    the d_i for i in I.  Evaluation at a character splits here only, and
+    a matrix count other than the rank of ``variables`` is a ValueError."""
+    k = mats.shape[-3] if hasattr(mats, "shape") else len(mats)
+    if _VARSETS.get(k) is not variables:
+        raise ValueError(f"cannot evaluate over {variables.names} at {k} matrices")
     words = [COORDINATES[variables][name] for name in variables] + list(extra)
     traces, ds = _prefix_traces(mats, words)
     dens = None if ds is None else [math.prod(ds[i - 1] for i in w) for w in words]
@@ -496,14 +454,14 @@ def evaluate_at_characters(polys, mats) -> list:
     (T, k, 2, 2) numpy stack, whose traces are taken on the whole stack
     at once and are bit for bit those of each trial alone, or a list of T
     matrix tuples.  Each polynomial is evaluated on its own."""
-    polys, k = list(polys), len(mats[0])
-    for p in polys:
-        if _VARSETS.get(k) != p.variables:
-            raise ValueError(f"cannot evaluate over {p.variables.names} at {k} matrices")
+    polys = list(polys)
     if len(polys) != len(mats):
         raise ValueError(f"{len(polys)} polynomials for {len(mats)} trials")
+    variables = {p.variables for p in polys}
+    if len(variables) != 1:
+        raise ValueError(f"a batch evaluates over one variable set, got {len(variables)}")
     out = []
-    for p, (traces, dens) in zip(polys, _characters(_VARSETS[k], mats)):
+    for p, (traces, dens) in zip(polys, _characters(*variables, mats)):
         if dens is None:
             out.append(p.evaluate(dict(zip(p.variables, traces))))
         else:

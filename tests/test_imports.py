@@ -1,9 +1,9 @@
 """numpy loads only where matrices are built.  ``import slchar`` is lazy
 (PEP 562), and the symbolic path (words, polyring, tracepoly, covers,
-fricke with ``fn_to_traces``, sampling's exact draws, ``slchar
-trace-poly``, ``slchar cover map`` with and without ``--eval`` and
-``slchar fn2trace``) leaves numpy out of ``sys.modules``.  Each
-footprint runs in a fresh interpreter."""
+fricke with ``fn_to_traces``, sampling's exact draws and the exact
+quadruple-trace check on them, ``slchar trace-poly``, ``slchar cover
+map`` with and without ``--eval`` and ``slchar fn2trace``) leaves numpy
+out of ``sys.modules``.  Each footprint runs in a fresh interpreter."""
 
 import importlib
 import inspect
@@ -38,6 +38,9 @@ def numpy_loaded(code: str) -> bool:
     "covers.deck_ring_map().apply_poly(p)\n"
     "mats = [sampling.random_rational_unimodular(sampling.rng_for(0)) for _ in range(3)]\n"
     "tracepoly.evaluate_at_character(p, mats)\n"
+    "rnd = sampling.rng_for(4)\n"
+    "assert tracepoly.quadruple_trace_check("
+    "[sampling.random_rational_unimodular(rnd) for _ in range(4)]) == 0\n"
     "fricke.member_s04(fricke.CharacterS04(2, 2, 2, 2, -3, 3, 3))",
     "from slchar.cli import main\nmain(['trace-poly', 'X Y x y'])",
     "from slchar.cli import main\nmain(['cover', 'map', 'deck', '--symbolic-check'])",

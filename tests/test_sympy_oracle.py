@@ -3,7 +3,8 @@ component identity and the S04/S12 relations, which ``fricke`` derives
 from the Sum/Product relation and ``kappa_value``: here they are typed out.
 The closed form of ``construct_triple`` runs on sympy symbols itself and
 is checked against the traces it must realize and the Sum/Product
-relation.
+relation, and the quadruple-trace polynomial against the traces of four
+generic matrices.
 
 Every polynomial is converted term by term to a sympy expression, and
 the substitutions and expansions run in sympy, not in :mod:`slchar.polyring`.
@@ -11,10 +12,13 @@ Source and target variables get distinct prefixes, so that maps whose two
 rings share variable names (``embed``, ``deck``) substitute simultaneously.
 """
 
+import functools
+import operator
+
 import pytest
 import sympy
 
-from slchar import chars, fricke
+from slchar import chars, fricke, tracepoly
 from slchar.covers import COVERS, ring_map
 from slchar.polyring import (
     F3_VARS, PHI, PRODUCT_RELATION, S04_VARS, S12_VARS, SUM_RELATION, Polynomial, sum_product,
@@ -140,3 +144,18 @@ def test_construct_triple_closed_form():
     numerator, _ = sympy.fraction(sympy.cancel(p * s - q * r - 1))
     assert sympy.degree(numerator, t123) == 2
     assert sympy.rem(numerator, quadratic, t123) == 0
+
+
+def test_quadruple_trace_identity():
+    # four generic 2x2 matrices, 16 free entries: the identity is multilinear
+    # and follows from the polarised Cayley-Hamilton identity alone, so it
+    # holds without det = 1
+    mats = [sympy.Matrix(2, 2, sympy.symbols(f"m{i}_:4")) for i in range(1, 5)]
+
+    def trace(word):
+        return functools.reduce(operator.mul, (mats[i - 1] for i in word)).trace()
+
+    poly = tracepoly._quadruple_poly()
+    traces = {sympy.Symbol(n): trace(w) for n, w in tracepoly.COORDINATES[poly.variables].items()}
+    got = to_sympy(poly, "").xreplace(traces)
+    assert sympy.expand(2 * trace((1, 2, 3, 4)) - got) == 0

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slchar import mat2, tracepoly
+from slchar import chars, mat2, tracepoly
 from slchar.polyring import (
     F2_VARS,
     F3_VARS,
@@ -140,9 +140,14 @@ def _reduced_letters(rank, picks):
     return tuple(letters)
 
 
-#: Longest word each rank draws against the one-pass oracle; rank-4
-#: polynomials grow fastest.
-_ONE_PASS_LENGTHS = {1: 40, 2: 40, 3: 40, 4: 17}
+def _times_letter(table, element, g):
+    """``element``, a coefficient term dict per basis element, times the
+    letter g, entry by entry of the table: no flat keys and no rows."""
+    out = {}
+    for b, c in element.items():
+        for b2, c2 in table[b, g].items():
+            _addmul_into(out.setdefault(b2, {}), c, c2)
+    return out
 
 
 def _one_pass(rank, letters):
@@ -151,7 +156,7 @@ def _one_pass(rank, letters):
     table = tracepoly._table(rank)
     element = {(): {0: 1}}
     for g in letters:
-        element = tracepoly._times_letter(table, element, g)
+        element = _times_letter(table, element, g)
     terms = {}
     for b, c in element.items():
         _addmul_into(terms, c, tracepoly._var(rank, b)._terms if b else {0: 2})
@@ -162,10 +167,10 @@ class TestEngine:
     """The right-multiplication table and the pass built on it."""
 
     @settings(max_examples=30, deadline=None, derandomize=True)
-    @given(SL2, SL2, SL2, SL2)
-    def test_table_entries_are_exact_products(self, m1, m2, m3, m4):
-        for rank in (1, 2, 3, 4):
-            mats = (m1, m2, m3, m4)[:rank]
+    @given(SL2, SL2, SL2)
+    def test_table_entries_are_exact_products(self, m1, m2, m3):
+        for rank in (1, 2, 3):
+            mats = (m1, m2, m3)[:rank]
 
             def basis_matrix(b):
                 return product(*(mats[i - 1] for i in b))
@@ -189,10 +194,10 @@ class TestEngine:
                 assert got == want, (rank, b, g)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
-    @given(SL2, SL2, SL2, SL2)
-    def test_pairing_is_the_trace_form(self, m1, m2, m3, m4):
-        for rank in (1, 2, 3, 4):
-            mats = (m1, m2, m3, m4)[:rank]
+    @given(SL2, SL2, SL2)
+    def test_pairing_is_the_trace_form(self, m1, m2, m3):
+        for rank in (1, 2, 3):
+            mats = (m1, m2, m3)[:rank]
 
             def basis_matrix(b):
                 return product(*(mats[i - 1] for i in b))
@@ -209,28 +214,26 @@ class TestEngine:
                         matmul(basis_matrix(b), basis_matrix(c))), (rank, b, c)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(st.integers(1, 4), st.lists(st.integers(0, 6), max_size=40))
+    @given(st.integers(1, 3), st.lists(st.integers(0, 6), max_size=40))
     def test_split_equals_one_pass(self, rank, picks):
-        letters = _reduced_letters(rank, picks[:_ONE_PASS_LENGTHS[rank]])
+        letters = _reduced_letters(rank, picks)
         assert tracepoly._trace(rank, letters) == _one_pass(rank, letters), letters
 
-    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    @pytest.mark.parametrize("rank", [1, 2, 3])
     def test_split_shapes_equal_one_pass(self, rank):
         # the split is empty below two letters and at its cap of 8 from 16 on;
         # lengths 0-7 give u and v each an odd and an even length, so that a
-        # pass starts with one letter's row or not; rank 4 is one pass either
-        # way, and its long words are slow
+        # pass starts with one letter's row or not
         rnd = random.Random(rank)
         for length in (0, 1, 2, 3, 4, 5, 6, 7, 15, 16, 17):
-            for _ in range(3 if rank < 4 else 1):
+            for _ in range(3):
                 letters = _exact_length_word(rnd, rank, length).letters
                 assert tracepoly._trace(rank, letters) == _one_pass(rank, letters), letters
 
     @pytest.mark.parametrize("rank", [1, 2, 3])
     def test_two_letter_rows_are_two_steps(self, rank):
         # every row of a letter pair, from every slot, is the first letter's
-        # step and then the second's, which are in turn the table's products;
-        # rank 4 steps one letter at a time
+        # step and then the second's, which are in turn the table's products
         shift = tracepoly._shift(rank)
         basis = tracepoly._BASIS[rank]
         table = tracepoly._table(rank)
@@ -243,8 +246,7 @@ class TestEngine:
                 steps = tracepoly._step(tracepoly._step(unit, tracepoly._rows(rank, (g,)), shift),
                                         tracepoly._rows(rank, (h,)), shift)
                 assert dict(pair[slot]) == {key - (slot << shift): c for key, c in steps.items()}
-                nested = tracepoly._times_letter(table, tracepoly._times_letter(
-                    table, {b: {0: 1}}, g), h)
+                nested = _times_letter(table, _times_letter(table, {b: {0: 1}}, g), h)
                 assert steps == {(basis.index(b2) << shift) + m: c
                                  for b2, terms in nested.items() for m, c in terms.items()}
 
@@ -258,17 +260,6 @@ class TestEngine:
             assert rank < 3 or p.degree_in("x123") <= 1
             assert evaluate_at_character(p, mats) == trace(
                 word_product(w, [from_pair(m) for m in mats]))
-
-    def test_rank4_words_exact(self):
-        # rank 4 is internal: its table eliminates four-letter products by s_4 = 0
-        rnd = random.Random(4)
-        for _ in range(40):
-            w = random_reduced_word(rnd, 4, 9)
-            mats = [random_rational_unimodular(rnd) for _ in range(4)]
-            p = tracepoly._trace(4, tracepoly._cyclic_core(w))
-            assert all(type(c) is int or c.denominator > 1 for c in p._terms.values()), w
-            assert evaluate_at_character(p, mats) == trace(
-                word_product(w, [from_pair(m) for m in mats])), w
 
     def test_rank4_is_not_public(self):
         with pytest.raises(ValueError, match=r"rank <= 3, got 4"):
@@ -565,18 +556,6 @@ class TestQuadrupleTrace:
         with pytest.raises(ValueError):
             quadruple_trace_check([mat2.I2] * 3)
 
-    def test_engine_polynomial_is_the_twelve_term_formula(self):
-        # the identity as it was typed out by hand before the engine derived it
-        def t(*idx):
-            return Polynomial.variable(tracepoly.F4_VARS, "x" + "".join(map(str, sorted(idx))))
-
-        formula = (
-            t(1) * t(2) * t(3) * t(4) + t(1) * t(2, 3, 4) + t(2) * t(3, 4, 1)
-            + t(3) * t(4, 1, 2) + t(4) * t(1, 2, 3) + t(1, 2) * t(3, 4) + t(4, 1) * t(2, 3)
-            - t(1, 3) * t(2, 4) - t(1) * t(2) * t(3, 4) - t(1, 2) * t(3) * t(4)
-            - t(4) * t(1) * t(2, 3) - t(4, 1) * t(2) * t(3))
-        assert tracepoly._trace(4, (1, 2, 3, 4)).scale(2) == formula
-
 
 class TestGeneratorCount:
     def test_values(self):
@@ -699,3 +678,30 @@ class TestStackedKernels:
             tracepoly.evaluate_at_characters([trace_poly_f2(Word(2, (1,)))] * 4, stack)
         with pytest.raises(ValueError):
             tracepoly.quadruple_trace_checks(stack)
+        with pytest.raises(ValueError):
+            tracepoly.evaluate_at_characters(
+                [trace_poly_f3(Word(3, (1,))), trace_poly_f2(Word(2, (1,)))], stack[:2])
+
+    @pytest.mark.parametrize("surplus", [-1, 1])
+    def test_wrong_matrix_count_raises(self, surplus):
+        # one matrix too few or too many is one ValueError where the traces
+        # are taken, at every entry: exact and float, on a stack and a list
+        rnd = random.Random(2840 + surplus)
+        p = trace_poly_f3(Word(3, (1, 2, 3)))
+        entries = {  # per rank: the entries on one matrix tuple, then on a batch
+            3: ((lambda ms: tracepoly.coordinate_traces(F3_VARS, ms),
+                 lambda ms: evaluate_at_character(p, ms)),
+                (lambda batch: tracepoly.evaluate_at_characters([p, p], batch),
+                 chars.characters_of_triples)),
+            4: ((quadruple_trace_check,), (tracepoly.quadruple_trace_checks,)),
+        }
+        for rank, (on_tuple, on_batch) in entries.items():
+            count = rank + surplus
+            stack = _stacked_draws(rnd, count, 2)
+            exact = [random_rational_unimodular(rnd) for _ in range(count)]
+            calls = [(f, ms) for f in on_tuple for ms in (list(stack[0]), stack[0], exact)]
+            calls += [(f, batch) for f in on_batch
+                      for batch in (stack, [list(stack[0])] * 2, [exact] * 2)]
+            for f, mats in calls:
+                with pytest.raises(ValueError, match=f"at {count} matrices"):
+                    f(mats)
