@@ -117,10 +117,10 @@ COORDINATES = {
 
 _VARSETS = dict(enumerate(COORDINATES, 1))
 
-#: ``COORDINATES`` by rank and product: the engine's basis elements.
+#: ``COORDINATES`` by rank and product: the engine's basis (ranks 1-3).
 _GEN_NAMES = {
     rank: {word: name for name, word in COORDINATES[variables].items()}
-    for rank, variables in _VARSETS.items()
+    for rank, variables in enumerate((F1_VARS, F2_VARS, F3_VARS), 1)
 }
 
 #: Each rank's basis, 1 and then the products of ``COORDINATES``, by slot.
@@ -415,8 +415,9 @@ def _character(variables: VariableSet, mats, *extra) -> tuple[list, list | None]
     the d_i for i in I.  Evaluation at a character splits here only, and
     a matrix count other than the rank of ``variables`` is a ValueError."""
     k = mats.shape[-3] if hasattr(mats, "shape") else len(mats)
-    if _VARSETS.get(k) is not variables:
+    if _VARSETS.get(k) != variables:
         raise ValueError(f"cannot evaluate over {variables.names} at {k} matrices")
+    variables = _VARSETS[k]
     words = [COORDINATES[variables][name] for name in variables] + list(extra)
     traces, ds = _prefix_traces(mats, words)
     dens = None if ds is None else [math.prod(ds[i - 1] for i in w) for w in words]

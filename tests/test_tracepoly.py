@@ -15,6 +15,7 @@ from slchar.polyring import (
     PRODUCT_RELATION,
     SUM_RELATION,
     Polynomial,
+    VariableSet,
     _addmul_into,
     reduce_mod_phi,
 )
@@ -331,6 +332,19 @@ class TestEvaluateAtCharacter:
             assert type(got) is Fraction
             arrays = [np.array(from_pair(m), dtype=object) for m in mats]
             assert got == p.evaluate_exact(_per_rank_assignment(rank, arrays))
+
+    def test_equal_variable_sets_evaluate_alike(self):
+        # VariableSet compares by value: a copy of a canonical set is the same set
+        rnd = random.Random(2011)
+        p = trace_poly_f2(random_reduced_word(rnd, 2, 8))
+        copy = Polynomial.from_json(p.to_json())
+        assert copy.variables == F2_VARS and copy.variables is not F2_VARS
+        for mats in ([random_unimodular(rnd) for _ in range(2)],
+                     [random_rational_unimodular(rnd) for _ in range(2)]):
+            assert evaluate_at_character(copy, mats) == evaluate_at_character(p, mats)
+        triple = [random_rational_unimodular(rnd) for _ in range(3)]
+        assert (tracepoly.coordinate_traces(VariableSet(F3_VARS.names), triple)
+                == tracepoly.coordinate_traces(F3_VARS, triple))
 
     def test_coordinates_name_the_variables(self):
         for variables, words in tracepoly.COORDINATES.items():
