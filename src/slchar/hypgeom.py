@@ -5,11 +5,21 @@ vectors, half-plane separation tests, common perpendiculars, the
 Coxeter extension by three involutions, the 3-dimensional orthogonal
 picture (symmetric square, bilinear forms, reflections), and the
 right-hexagon certificate behind the three-holed-sphere Fricke test.
+
+The certificate builds its matrices as float 4-tuples of rows: the real
+normal form (``_real_normal_form``, which ``real_normal_form_pair``
+wraps in arrays), Z = adj(XY) and the three hats (``mat2._hat``, which
+``mat2.hat`` wraps); their entries round exactly as numpy's
+elementwise arithmetic rounds them.  Products of two hats stay numpy
+``@`` products, taken on one (3, 2, 2) stack of the hats: BLAS gemm
+rounds a e + b g as one fused multiply-add, which plain floats do not
+reproduce and ``PREDICATE_DIGEST`` and ``VERIFY_DIGEST`` pin.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +30,6 @@ from .mat2 import (
     NotHyperbolicError,
     ReduciblePairError,
     conjugating_involution,
-    hat,
     lie_product,
 )
 from .tracepoly import kappa_value
@@ -282,25 +291,25 @@ def real_normal_form_pair(x: float, y: float, z: float) -> tuple[np.ndarray, np.
     with all |traces| > 2 and kappa <= -2, and the hexagon domain
     x, y, z <= -2.
     """
-    x, y, z = float(x), float(y), float(z)
-    X = np.array([[x, -1], [1, 0]], dtype=complex)
+    X, Y = _real_normal_form(float(x), float(y), float(z))
+    return np.array(X, dtype=complex).reshape(2, 2), np.array(Y, dtype=complex).reshape(2, 2)
+
+
+def _real_normal_form(x: float, y: float, z: float) -> tuple[tuple, tuple]:
+    """``real_normal_form_pair`` as two float 4-tuples of rows."""
     # gamma = 1: alpha^2 - (x+y) alpha + (z+2) = 0
     disc = (x + y) ** 2 - 4 * (z + 2)
     if disc >= 0:
-        alpha = ((x + y) + np.sqrt(disc)) / 2
-        beta = z + 1 - x * alpha
-        Y = np.array([[alpha, beta], [1, y - alpha]], dtype=complex)
-        return X, Y
+        alpha = ((x + y) + math.sqrt(disc)) / 2
+        return (x, -1.0, 1.0, 0.0), (alpha, z + 1 - x * alpha, 1.0, y - alpha)
     # gamma = -1: alpha^2 - (y-x) alpha + (2-z) = 0
     disc = (y - x) ** 2 - 4 * (2 - z)
     if disc < 0:
         raise GeometryError(
             f"no real normal form with the fixed off-diagonal entries for {(x, y, z)}"
         )
-    alpha = ((y - x) + np.sqrt(disc)) / 2
-    beta = z - 1 - x * alpha
-    Y = np.array([[alpha, beta], [-1, y - alpha]], dtype=complex)
-    return X, Y
+    alpha = ((y - x) + math.sqrt(disc)) / 2
+    return (x, -1.0, 1.0, 0.0), (alpha, z - 1 - x * alpha, -1.0, y - alpha)
 
 
 @dataclass(frozen=True)
@@ -327,6 +336,11 @@ class HexagonCertificate:
         }
 
 
+def _half_traces(stack: np.ndarray) -> list[float]:
+    """(1/2) tr of each 2x2 matrix of a (k, 2, 2) stack, as floats."""
+    return [(m[0][0] + m[1][1]) / 2 for m in stack.tolist()]
+
+
 def hexagon_certificate(x: float, y: float, z: float) -> HexagonCertificate:
     """Certify that traces x, y, z <= -2 bound a right hexagon.
 
@@ -340,48 +354,58 @@ def hexagon_certificate(x: float, y: float, z: float) -> HexagonCertificate:
     vectors puts the hexagon inside all three half-planes (the inner
     products themselves do not depend on it).  The domain, cusp and
     boundary tests allow 1e-9.
+
+    X, Y, Z and their hats are float 4-tuples; X's entries are x, -1, 1
+    and 0, so each entry of XY is one rounded product, as in gemm.  The
+    products of two hats are numpy ``@`` products (see the module
+    docstring) of the (3, 2, 2) stack of the hats, a cusp's as zeros,
+    and that stack rolled by one, so that all three pairs take one call.
     """
     tol = 1e-9
     x, y, z = float(x), float(y), float(z)
     for name, t in (("x", x), ("y", y), ("z", z)):
         if t > -2 + tol:
             raise GeometryError(f"hexagon domain needs {name} <= -2, got {t}")
-    X, Y = real_normal_form_pair(x, y, z)
-    Z = mat2.adjoint(X @ Y)
-    elements = {"X": X, "Y": Y, "Z": Z}
-    cusped = {"X": abs(x + 2) <= tol, "Y": abs(y + 2) <= tol, "Z": abs(z + 2) <= tol}
-    hats = {n: hat(m) for n, m in elements.items() if not cusped[n]}
-    pairs = []
-    for n1, n2 in (("X", "Y"), ("Y", "Z"), ("Z", "X")):
-        if cusped[n1] or cusped[n2]:
-            pairs.append(HexagonPair(n1 + n2, -1.0, "ideal"))
-        else:
-            inner = minkowski_inner(hats[n1], hats[n2])
-            pairs.append(HexagonPair(n1 + n2, float(inner), "disjoint"))
+    X, Y = _real_normal_form(x, y, z)
+    ya, yb, yc, ye = Y
+    # X @ Y with X's entries x, -1, 1, 0: one rounded product per entry
+    Z = mat2._adjugate((x * ya - yc, x * yb - ye, ya, yb))
+    cusped = (abs(x + 2) <= tol, abs(y + 2) <= tol, abs(z + 2) <= tol)
+    hats = [(0.0,) * 4 if c else mat2._hat(m) for m, c in zip((X, Y, Z), cusped)]
+    h = np.array(hats).reshape(3, 2, 2)
+    nxt = np.array(hats[1:] + hats[:1]).reshape(3, 2, 2)  # pair i is (h[i], nxt[i])
+    prod = h @ nxt
+    inner = _half_traces(prod)
+    pairs = [
+        HexagonPair(names, -1.0, "ideal") if cusped[i] or cusped[(i + 1) % 3]
+        else HexagonPair(names, inner[i], "disjoint")
+        for i, names in enumerate(("XY", "YZ", "ZX"))
+    ]
 
     # which global sign of the three hats makes the half-planes cover
     # the plane pairwise (complements disjoint, hexagon inside): for
     # each pair, the foot of the common perpendicular on the second
-    # axis must lie inside the first half-plane
+    # axis must lie inside the first half-plane; one pair with a
+    # degenerate foot leaves the sign undetermined
     sign_choice = "undetermined"
-    if not any(cusped.values()):
-        votes = []
-        for n1, n2 in (("X", "Y"), ("Y", "Z"), ("Z", "X")):
-            v1, v2 = hats[n1].real, hats[n2].real
-            w = v1 @ v2 - v2 @ v1  # common perpendicular geodesic
-            foot = v2 @ w - w @ v2  # its crossing point with the second axis
-            n2_ = minkowski_inner(foot, foot)
-            if n2_ >= -tol:
-                votes = []
-                break
-            foot = foot / np.sqrt(-n2_)
-            if foot[1, 0] < 0:
-                foot = -foot
-            votes.append(minkowski_inner(foot, v1) > 0)
-        if votes and all(votes):
-            sign_choice = "identity"
-        elif votes and not any(votes):
-            sign_choice = "negated"
+    if not any(cusped):
+        # all three pairs are computed even after a degenerate one, which
+        # decides alone, so the pairs past it must not warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = prod - nxt @ h  # common perpendicular geodesics
+            foot = nxt @ w - w @ nxt  # their crossing points with the second axes
+            norm = _half_traces(foot @ foot)
+        if not any(n >= -tol for n in norm):
+            foot = foot / np.sqrt(np.negative(norm))[:, None, None]
+            # the foot is taken with foot[1, 0] >= 0; negating it negates
+            # its products exactly, so the sign is applied to the vote
+            flip = (foot[:, 1, 0] < 0).tolist()
+            side = _half_traces(foot @ h)
+            votes = [s < 0 if f else s > 0 for s, f in zip(side, flip)]
+            if all(votes):
+                sign_choice = "identity"
+            elif not any(votes):
+                sign_choice = "negated"
 
     ok = all(
         p.inner < -1 or (p.status == "ideal" and p.inner <= -1 + tol)

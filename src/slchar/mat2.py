@@ -316,11 +316,21 @@ def hat(a: np.ndarray) -> np.ndarray:
     t = trace(a)
     if abs(t.imag) > TOL_CONJUGACY or not _is_real(a, TOL_CONJUGACY):
         raise GeometryError("hat() requires a real matrix")
-    tr_ = t.real
-    if tr_ * tr_ <= 4 + TOL_CONJUGACY:
-        raise NotHyperbolicError(f"matrix is not hyperbolic: tr = {tr_}")
-    h = (2 * a.real - tr_ * np.eye(2)) / np.sqrt(tr_ * tr_ - 4)
-    return h.astype(complex)
+    return np.array(_hat(a.real.ravel().tolist()), dtype=complex).reshape(2, 2)
+
+
+def _hat(n) -> tuple:
+    """``hat`` of the real matrix given as the 4-tuple of its rows (floats,
+    or ints), entry by entry as numpy rounds (2A - tr(A) I)/sqrt(tr(A)^2
+    - 4): the off-diagonal entries subtract tr(A) * 0.0, whose sign of
+    zero counts.  ``hypgeom.hexagon_certificate`` calls it on tuples."""
+    a, b, c, e = n
+    t = a + e
+    if t * t <= 4 + TOL_CONJUGACY:
+        raise NotHyperbolicError(f"matrix is not hyperbolic: tr = {t}")
+    s = math.sqrt(t * t - 4)
+    off = t * 0.0
+    return ((2 * a - t) / s, (2 * b - off) / s, (2 * c - off) / s, (2 * e - t) / s)
 
 
 def sym2(xi: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import random
+import re
 import types
 
 import numpy as np
@@ -9,6 +10,8 @@ from slchar.hypgeom import (
     DeSitterVec,
     FormSignature,
     HalfPlaneRelation,
+    HexagonCertificate,
+    HexagonPair,
     IsometryType,
     PointH2,
     SYM2_FORM,
@@ -413,6 +416,127 @@ class TestHexagonCertificate:
         data = hexagon_certificate(-3, -3, -3).to_json()
         assert set(data) == {"pairs", "verdict", "sign_choice"}
         assert {p["names"] for p in data["pairs"]} == {"XY", "YZ", "ZX"}
+
+
+def _reference_hat(a):
+    t = a[0, 0] + a[1, 1]
+    if t * t <= 4 + mat2.TOL_CONJUGACY:
+        raise mat2.NotHyperbolicError(f"matrix is not hyperbolic: tr = {t}")
+    return (2 * a - t * np.eye(2)) / np.sqrt(t * t - 4)
+
+
+def _reference_inner(a, b):
+    ab = a @ b
+    return float(ab[0, 0] + ab[1, 1]) / 2
+
+
+def _reference_hexagon(x, y, z):
+    """The certificate on real 2x2 numpy arrays, pair by pair: Z as
+    adj(X @ Y), each hat from its matrix, one inner product per pair,
+    and the sign votes in a loop that stops at the first degenerate
+    foot."""
+    tol = 1e-9
+    x, y, z = float(x), float(y), float(z)
+    for name, t in (("x", x), ("y", y), ("z", z)):
+        if t > -2 + tol:
+            raise GeometryError(f"hexagon domain needs {name} <= -2, got {t}")
+    X, Y = (m.real for m in real_normal_form_pair(x, y, z))
+    XY = X @ Y
+    Z = np.array([[XY[1, 1], -XY[0, 1]], [-XY[1, 0], XY[0, 0]]])
+    cusped = {n: abs(t + 2) <= tol for n, t in zip("XYZ", (x, y, z))}
+    hats = {n: _reference_hat(m) for n, m in zip("XYZ", (X, Y, Z)) if not cusped[n]}
+    names = (("X", "Y"), ("Y", "Z"), ("Z", "X"))
+    pairs = tuple(
+        HexagonPair(n1 + n2, -1.0, "ideal") if cusped[n1] or cusped[n2]
+        else HexagonPair(n1 + n2, _reference_inner(hats[n1], hats[n2]), "disjoint")
+        for n1, n2 in names
+    )
+    sign_choice = "undetermined"
+    if not any(cusped.values()):
+        votes = []
+        for n1, n2 in names:
+            v1, v2 = hats[n1], hats[n2]
+            w = v1 @ v2 - v2 @ v1
+            foot = v2 @ w - w @ v2
+            norm = _reference_inner(foot, foot)
+            if norm >= -tol:
+                votes = []
+                break
+            foot = foot / np.sqrt(-norm)
+            if foot[1, 0] < 0:
+                foot = -foot
+            votes.append(_reference_inner(foot, v1) > 0)
+        if votes and all(votes):
+            sign_choice = "identity"
+        elif votes and not any(votes):
+            sign_choice = "negated"
+    ok = all(p.inner < -1 or (p.status == "ideal" and p.inner <= -1 + tol) for p in pairs)
+    verdict = "right-hexagon" if ok else "fail"
+    if ok and any(p.status == "ideal" for p in pairs):
+        verdict = "right-hexagon-with-cusps"
+    return HexagonCertificate(pairs, verdict, sign_choice)
+
+
+def _outcome(f, point):
+    try:
+        return repr(f(*point))
+    except GeometryError as e:
+        return f"{type(e).__name__}: {e}"
+
+
+def _kind(outcome):
+    """The exception's name, or the certificate's verdict and sign choice."""
+    if outcome.startswith("HexagonCertificate("):
+        return "/".join(re.findall(r"(?:verdict|sign_choice)='([^']*)'", outcome))
+    return outcome.partition(":")[0]
+
+
+def _hexagon_points(regime, rnd):
+    uniform = lambda: rnd.uniform(-10, -2.01)  # noqa: E731
+    quarter = lambda: -2 - rnd.randint(0, 32) / 4  # noqa: E731
+    # 1e-10 to 5e-9 either side of -2, around the 1e-9 cusp and domain tests
+    near = lambda: -2 + rnd.choice((1, -1)) * 10 ** rnd.uniform(-10, np.log10(5e-9))  # noqa: E731
+    large = lambda: -2 - 10 ** rnd.uniform(-10, 8)  # noqa: E731
+    outside = lambda: rnd.uniform(-2 + 1e-9, 3)  # noqa: E731
+    draws = {
+        "uniform": (uniform,),
+        "quarter": (quarter,),
+        "near-cusp": (near, near, uniform, quarter),
+        "large": (large, large, near, uniform),
+        "outside": (outside, uniform, near),
+    }[regime]
+    for _ in range(400):
+        yield tuple(rnd.choice(draws)() for _ in range(3))
+
+
+class TestHexagonReference:
+    """``hexagon_certificate`` runs on float 4-tuples and one stacked
+    product; an independent pair-by-pair numpy computation must give the
+    same ``repr``, last bits, refusals and sign votes included."""
+
+    @pytest.mark.parametrize("regime", ["uniform", "quarter", "near-cusp", "large", "outside"])
+    def test_same_certificate_as_pairwise_numpy(self, regime):
+        rnd = random.Random(f"hexagon-{regime}")
+        kinds = set()
+        for point in _hexagon_points(regime, rnd):
+            got = _outcome(hexagon_certificate, point)
+            assert got == _outcome(_reference_hexagon, point), point
+            kinds.add(_kind(got))
+        assert {
+            "uniform": {"right-hexagon/negated"},
+            "quarter": {"right-hexagon/negated", "right-hexagon-with-cusps/undetermined"},
+            "near-cusp": {"GeometryError", "right-hexagon-with-cusps/undetermined"},
+            # the sign is left undetermined away from the cusps too
+            "large": {"right-hexagon/negated", "right-hexagon/undetermined"},
+            "outside": {"GeometryError"},
+        }[regime] <= kinds
+
+    def test_refusal_not_hyperbolic(self):
+        # a trace near -2 next to a huge one: the rounded trace of Z falls inside [-2, 2]
+        point = (-2.0000000002677902, -2.000000432249956, -5.234325492769716e+23)
+        got = _outcome(hexagon_certificate, point)
+        assert got.startswith("NotHyperbolicError: matrix is not hyperbolic")
+        assert got == _outcome(_reference_hexagon, point)
 
 
 class TestRealNormalForm:

@@ -2,8 +2,9 @@
 (PEP 562), and the symbolic path (words, polyring, tracepoly, covers,
 fricke with ``fn_to_traces``, sampling's exact draws and the exact
 quadruple-trace check on them, ``slchar trace-poly``, ``slchar cover
-map`` with and without ``--eval`` and ``slchar fn2trace``) leaves numpy
-out of ``sys.modules``.  Each footprint runs in a fresh interpreter."""
+map`` with and without ``--eval``, ``slchar fn2trace`` and ``slchar
+fricke test``) leaves numpy out of ``sys.modules``.  Each footprint runs
+in a fresh interpreter."""
 
 import importlib
 import inspect
@@ -36,7 +37,9 @@ def numpy_loaded(code: str) -> bool:
     "w = words.parse_word('X1 X2 X3 X1^-1 X2', 3)\n"
     "p = tracepoly.trace_poly(w)\n"
     "covers.deck_ring_map().apply_poly(p)\n"
-    "mats = [sampling.random_rational_unimodular(sampling.rng_for(0)) for _ in range(3)]\n"
+    "rnd = sampling.rng_for(0)\n"
+    "mats = [sampling.random_rational_unimodular(rnd) for _ in range(3)]\n"
+    "assert len(set(mats)) == 3, mats\n"
     "tracepoly.evaluate_at_character(p, mats)\n"
     "rnd = sampling.rng_for(4)\n"
     "assert tracepoly.quadruple_trace_check("
@@ -47,8 +50,11 @@ def numpy_loaded(code: str) -> bool:
     "from slchar.cli import main\nmain(['cover', 'map', 'embed', '--eval', 'x1=2,x2=2,x12=2'])",
     "from slchar import fricke\nfricke.fn_to_traces(fricke.FNCoords(l=2, tau=0.5, b=1))",
     "from slchar.cli import main\nmain(['fn2trace', '1', '0'])",
+    "from slchar.cli import main\nmain(['fricke', 'test', 's11', '--coords=3,3,3'])",
+    "from slchar.cli import main\n"
+    "main(['fricke', 'test', 's04', '--mode', 'exact', '--coords=2,2,2,2,-3,3,3'])",
 ], ids=["import", "symbolic-modules", "cli-trace-poly", "cli-cover-map", "cli-cover-eval",
-        "fn-to-traces", "cli-fn2trace"])
+        "fn-to-traces", "cli-fn2trace", "cli-fricke-test-s11", "cli-fricke-test-s04-exact"])
 def test_symbolic_path_loads_no_numpy(code):
     assert not numpy_loaded(code)
 
