@@ -532,7 +532,7 @@ class TestHexagonReference:
         }[regime] <= kinds
 
     def test_refusal_not_hyperbolic(self):
-        # a trace near -2 next to a huge one: the rounded trace of Z falls inside [-2, 2]
+        # y near -2 beside a huge z: Y's diagonal entries near 7e11 cancel to a trace of -2.0
         point = (-2.0000000002677902, -2.000000432249956, -5.234325492769716e+23)
         got = _outcome(hexagon_certificate, point)
         assert got.startswith("NotHyperbolicError: matrix is not hyperbolic")
