@@ -338,7 +338,7 @@ def _suite_oracle(cfg):
 
 
 def _suite_fricke(cfg):
-    from . import hypgeom
+    from . import hypgeom, mat2
 
     ok = fricke.defining_identity_residual().is_zero()
     yield "defining-identity-symbolic", 0.0 if ok else 1.0
@@ -352,15 +352,11 @@ def _suite_fricke(cfg):
         cert = hypgeom.hexagon_certificate(x, y, z)
         if cert.verdict != "right-hexagon":
             yield "hexagon-inner-products", 1.0
-        for pair, expect in zip(
-            cert.pairs,
-            (
-                (2 * z - x * y) / math.sqrt((x * x - 4) * (y * y - 4)),
-                (2 * x - y * z) / math.sqrt((y * y - 4) * (z * z - 4)),
-                (2 * y - z * x) / math.sqrt((z * z - 4) * (x * x - 4)),
-            ),
-        ):
-            yield "hexagon-inner-products", abs(pair.inner - expect)
+        # the closed form against the hats of a real pair with these traces
+        X, Y = hypgeom.real_normal_form_pair(x, y, z)
+        hx, hy, hz = (mat2.hat(m) for m in (X, Y, mat2.adjoint(X @ Y)))
+        for pair, (h1, h2) in zip(cert.pairs, ((hx, hy), (hy, hz), (hz, hx))):
+            yield "hexagon-inner-products", abs(pair.inner - hypgeom.minkowski_inner(h1, h2))
 
 
 def _suite_covers(cfg):
@@ -421,6 +417,10 @@ _SUITES = {
 
 
 def cmd_verify(args) -> int:
+    if args.mode == "exact" and args.suite in ("fricke", "coxeter"):
+        print(f"usage error: verify {args.suite} takes square roots and has no --mode exact",
+              file=sys.stderr)
+        return 2
     rows = {}
     for name, r in _SUITES[args.suite](args):
         # a NaN residual wins its row, and fails it: max(0.0, nan) would be 0.0

@@ -343,9 +343,11 @@ def member_s04(ch: CharacterS04) -> S04Result:
     return S04Result(verdict, res_f, kab, kcd, s_minus, s_plus, f_plus, f_minus, cusps)
 
 
+@functools.cache
 def defining_identity_residual() -> Polynomial:
     """LHS - RHS of the exact identity behind the component test; the
-    zero polynomial.  Checked symbolically by the test suite."""
+    zero polynomial.  Checked symbolically by the test suite.  Built once
+    per process."""
     point = _s04_variables()
     phi, kab, kcd, s_minus, s_plus = _s04_tests(*point)
     x = point[4]

@@ -6,14 +6,10 @@ Coxeter extension by three involutions, the 3-dimensional orthogonal
 picture (symmetric square, bilinear forms, reflections), and the
 right-hexagon certificate behind the three-holed-sphere Fricke test.
 
-The certificate builds its matrices as float 4-tuples of rows: the real
-normal form (``_real_normal_form``, which ``real_normal_form_pair``
-wraps in arrays), Z = adj(XY) and the three hats (``mat2._hat``, which
-``mat2.hat`` wraps); their entries round exactly as numpy's
-elementwise arithmetic rounds them.  Products of two hats stay numpy
-``@`` products, taken on one (3, 2, 2) stack of the hats: BLAS gemm
-rounds a e + b g as one fused multiply-add, which plain floats do not
-reproduce and ``PREDICATE_DIGEST`` and ``VERIFY_DIGEST`` pin.
+The certificate reads the three inner products of its axes off the
+traces in closed form and builds no matrix; ``real_normal_form_pair``
+gives a pair of matrices with the same traces, from which the same
+numbers follow through ``mat2.hat`` and ``minkowski_inner``.
 """
 
 from __future__ import annotations
@@ -25,14 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mat2
-from .mat2 import (
-    GeometryError,
-    NotHyperbolicError,
-    ReduciblePairError,
-    conjugating_involution,
-    lie_product,
-)
-from .tracepoly import kappa_value
+from .mat2 import GeometryError, conjugating_involution
 
 __all__ = [
     "PointH2",
@@ -291,17 +280,12 @@ def real_normal_form_pair(x: float, y: float, z: float) -> tuple[np.ndarray, np.
     with all |traces| > 2 and kappa <= -2, and the hexagon domain
     x, y, z <= -2.
     """
-    X, Y = _real_normal_form(float(x), float(y), float(z))
-    return np.array(X, dtype=complex).reshape(2, 2), np.array(Y, dtype=complex).reshape(2, 2)
-
-
-def _real_normal_form(x: float, y: float, z: float) -> tuple[tuple, tuple]:
-    """``real_normal_form_pair`` as two float 4-tuples of rows."""
+    x, y, z = float(x), float(y), float(z)
     # gamma = 1: alpha^2 - (x+y) alpha + (z+2) = 0
     disc = (x + y) ** 2 - 4 * (z + 2)
     if disc >= 0:
         alpha = ((x + y) + math.sqrt(disc)) / 2
-        return (x, -1.0, 1.0, 0.0), (alpha, z + 1 - x * alpha, 1.0, y - alpha)
+        return mat2.mat2(x, -1, 1, 0), mat2.mat2(alpha, z + 1 - x * alpha, 1, y - alpha)
     # gamma = -1: alpha^2 - (y-x) alpha + (2-z) = 0
     disc = (y - x) ** 2 - 4 * (2 - z)
     if disc < 0:
@@ -309,7 +293,7 @@ def _real_normal_form(x: float, y: float, z: float) -> tuple[tuple, tuple]:
             f"no real normal form with the fixed off-diagonal entries for {(x, y, z)}"
         )
     alpha = ((y - x) + math.sqrt(disc)) / 2
-    return (x, -1.0, 1.0, 0.0), (alpha, z - 1 - x * alpha, -1.0, y - alpha)
+    return mat2.mat2(x, -1, 1, 0), mat2.mat2(alpha, z - 1 - x * alpha, -1, y - alpha)
 
 
 @dataclass(frozen=True)
@@ -336,82 +320,68 @@ class HexagonCertificate:
         }
 
 
-def _half_traces(stack: np.ndarray) -> list[float]:
-    """(1/2) tr of each 2x2 matrix of a (k, 2, 2) stack, as floats."""
-    return [(m[0][0] + m[1][1]) / 2 for m in stack.tolist()]
+def _axis_inner(p: float, q: float, r: float) -> float:
+    """<hat P, hat Q> = (2r - pq)/sqrt((p^2 - 4)(q^2 - 4)) for traces
+    p, q < -2 and r = tr(PQ), divided through by pq > 0 so that no
+    square overflows: p + 2 is exact near -2, and 2 r/(pq) and -1 have
+    one sign, so nothing cancels.  Counting one rounding per operation
+    (three in the numerator, eleven in the radicand, which the square
+    root halves, and two more), the relative error is below 11 * 2^-53,
+    unless the value lies past the float range and reads -inf."""
+    radicand = (p - 2) / p * ((p + 2) / p) * ((q - 2) / q) * ((q + 2) / q)
+    return (2 * (r / p / q) - 1) / math.sqrt(radicand)
 
 
 def hexagon_certificate(x: float, y: float, z: float) -> HexagonCertificate:
     """Certify that traces x, y, z <= -2 bound a right hexagon.
 
-    Builds a real pair X, Y with the character (and Z = (XY)^-1),
-    computes the three pairwise Minkowski inner products of the axis
-    reflections, and checks they are all < -1.  A trace equal to -2 is
-    a cusp: the pair is reported as "ideal" with the conventional
-    boundary value -1 instead of dividing by zero.
+    The sides lie on the axes of X, Y and Z = (XY)^-1, for any real pair
+    X, Y with this character (``real_normal_form_pair``); tr(YZ) = x and
+    tr(ZX) = y.  Each pair of axes gets the Minkowski inner product of
+    its axis reflections in closed form (``_axis_inner``): XY, YZ, ZX in
+    that order.  A trace within 1e-9 of -2 is a cusp: its two pairs are
+    reported as "ideal" with the conventional boundary value -1.  The
+    domain test accepts finite traces with t + 2 <= 1e-9 and raises
+    ``GeometryError`` otherwise, NaN and infinities included.  It reads
+    the same difference t + 2 as the cusp test (exact near -2), so every
+    accepted trace that is not a cusp lies below -2 - 1e-9.
 
-    The certificate also records which global sign of the three hat
-    vectors puts the hexagon inside all three half-planes (the inner
-    products themselves do not depend on it).  The domain, cusp and
-    boundary tests allow 1e-9.
+    Every accepted point is a right hexagon, so the verdict is read off
+    the cusps.  (yz - 2x)^2 - (y^2 - 4)(z^2 - 4) = 4 (kappa - 2) with
+    kappa = x^2 + y^2 + z^2 - xyz - 2, which increases with each of -x,
+    -y, -z while all three are positive, so kappa >= 18 - 2.4e-8 on the
+    domain, its value with every trace at -2 + 1e-9.  The numerator
+    2x - yz is negative there, so every non-ideal pair has inner product
+    < -1: its axes are ultraparallel.  Its float value can still read
+    -1.0, or round to within a few units in the last place of it, when
+    one pair's traces are huge beside the third; and it reads -inf where
+    the exact value lies past the float range, as with two traces within
+    2e-9 of -2 beside a third near -1e300.
 
-    X, Y, Z and their hats are float 4-tuples; X's entries are x, -1, 1
-    and 0, so each entry of XY is one rounded product, as in gemm.  The
-    products of two hats are numpy ``@`` products (see the module
-    docstring) of the (3, 2, 2) stack of the hats, a cusp's as zeros,
-    and that stack rolled by one, so that all three pairs take one call.
+    ``sign_choice`` is the global sign of the three axis reflections
+    that puts the hexagon inside all three half-planes (the inner
+    products do not depend on it); "undetermined" when a trace is
+    cusped.  With no cusp it is constant: the points with every trace
+    below -2 - 1e-9 form a connected set; on it the normal form always
+    takes its first branch (disc = (x + y)^2 - 4 (z + 2) >= 16), so X,
+    Y, Z and their reflections vary continuously; the axes are pairwise
+    ultraparallel, so the foot of each common perpendicular lies off
+    the other axis and never changes side.  At (-3, -3, -3) it is
+    "negated", so it is "negated" everywhere.
     """
     tol = 1e-9
     x, y, z = float(x), float(y), float(z)
     for name, t in (("x", x), ("y", y), ("z", z)):
-        if t > -2 + tol:
+        if not math.isfinite(t):
+            raise GeometryError(f"hexagon domain needs finite traces, got {name} = {t}")
+        if t + 2 > tol:
             raise GeometryError(f"hexagon domain needs {name} <= -2, got {t}")
-    X, Y = _real_normal_form(x, y, z)
-    ya, yb, yc, ye = Y
-    # X @ Y with X's entries x, -1, 1, 0: one rounded product per entry
-    Z = mat2._adjugate((x * ya - yc, x * yb - ye, ya, yb))
-    cusped = (abs(x + 2) <= tol, abs(y + 2) <= tol, abs(z + 2) <= tol)
-    hats = [(0.0,) * 4 if c else mat2._hat(m) for m, c in zip((X, Y, Z), cusped)]
-    h = np.array(hats).reshape(3, 2, 2)
-    nxt = np.array(hats[1:] + hats[:1]).reshape(3, 2, 2)  # pair i is (h[i], nxt[i])
-    prod = h @ nxt
-    inner = _half_traces(prod)
-    pairs = [
-        HexagonPair(names, -1.0, "ideal") if cusped[i] or cusped[(i + 1) % 3]
-        else HexagonPair(names, inner[i], "disjoint")
-        for i, names in enumerate(("XY", "YZ", "ZX"))
-    ]
-
-    # which global sign of the three hats makes the half-planes cover
-    # the plane pairwise (complements disjoint, hexagon inside): for
-    # each pair, the foot of the common perpendicular on the second
-    # axis must lie inside the first half-plane; one pair with a
-    # degenerate foot leaves the sign undetermined
-    sign_choice = "undetermined"
-    if not any(cusped):
-        # all three pairs are computed even after a degenerate one, which
-        # decides alone, so the pairs past it must not warn
-        with np.errstate(over="ignore", invalid="ignore"):
-            w = prod - nxt @ h  # common perpendicular geodesics
-            foot = nxt @ w - w @ nxt  # their crossing points with the second axes
-            norm = _half_traces(foot @ foot)
-        if not any(n >= -tol for n in norm):
-            foot = foot / np.sqrt(np.negative(norm))[:, None, None]
-            # the foot is taken with foot[1, 0] >= 0; negating it negates
-            # its products exactly, so the sign is applied to the vote
-            flip = (foot[:, 1, 0] < 0).tolist()
-            side = _half_traces(foot @ h)
-            votes = [s < 0 if f else s > 0 for s, f in zip(side, flip)]
-            if all(votes):
-                sign_choice = "identity"
-            elif not any(votes):
-                sign_choice = "negated"
-
-    ok = all(
-        p.inner < -1 or (p.status == "ideal" and p.inner <= -1 + tol)
-        for p in pairs
+    cusped = {"X": abs(x + 2) <= tol, "Y": abs(y + 2) <= tol, "Z": abs(z + 2) <= tol}
+    pairs = tuple(
+        HexagonPair(names, -1.0, "ideal") if cusped[names[0]] or cusped[names[1]]
+        else HexagonPair(names, _axis_inner(p, q, r), "disjoint")
+        for names, (p, q, r) in (("XY", (x, y, z)), ("YZ", (y, z, x)), ("ZX", (z, x, y)))
     )
-    verdict = "right-hexagon" if ok else "fail"
-    if ok and any(p.status == "ideal" for p in pairs):
-        verdict = "right-hexagon-with-cusps"
-    return HexagonCertificate(tuple(pairs), verdict, sign_choice)
+    if any(cusped.values()):
+        return HexagonCertificate(pairs, "right-hexagon-with-cusps", "undetermined")
+    return HexagonCertificate(pairs, "right-hexagon", "negated")

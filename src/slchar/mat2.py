@@ -313,24 +313,21 @@ def hat(a: np.ndarray) -> np.ndarray:
     de Sitter locus: tr = 0 and (1/2) tr(hat^2) = 1, i.e. det = -1.
     Consequently hat(A)^2 = I and hat(A^-1) = -hat(A).
     """
-    t = trace(a)
-    if abs(t.imag) > TOL_CONJUGACY or not _is_real(a, TOL_CONJUGACY):
+    # on Python numbers, as numpy would test and round them: the trace's
+    # imaginary part is one sum, a NaN part is not real, and the
+    # off-diagonal entries of (2A - tr(A) I)/sqrt(tr(A)^2 - 4) subtract
+    # tr(A) * 0.0, whose sign of zero counts
+    (a, b), (c, e) = a.tolist()
+    if abs(a.imag + e.imag) > TOL_CONJUGACY or not all(
+            abs(v.imag) <= TOL_CONJUGACY for v in (a, b, c, e)):
         raise GeometryError("hat() requires a real matrix")
-    return np.array(_hat(a.real.ravel().tolist()), dtype=complex).reshape(2, 2)
-
-
-def _hat(n) -> tuple:
-    """``hat`` of the real matrix given as the 4-tuple of its rows (floats,
-    or ints), entry by entry as numpy rounds (2A - tr(A) I)/sqrt(tr(A)^2
-    - 4): the off-diagonal entries subtract tr(A) * 0.0, whose sign of
-    zero counts.  ``hypgeom.hexagon_certificate`` calls it on tuples."""
-    a, b, c, e = n
+    a, b, c, e = a.real, b.real, c.real, e.real
     t = a + e
     if t * t <= 4 + TOL_CONJUGACY:
         raise NotHyperbolicError(f"matrix is not hyperbolic: tr = {t}")
     s = math.sqrt(t * t - 4)
     off = t * 0.0
-    return ((2 * a - t) / s, (2 * b - off) / s, (2 * c - off) / s, (2 * e - t) / s)
+    return mat2((2 * a - t) / s, (2 * b - off) / s, (2 * c - off) / s, (2 * e - t) / s)
 
 
 def sym2(xi: np.ndarray) -> np.ndarray:

@@ -332,6 +332,12 @@ class TestVerify:
                            "--tolerance", "0")
         assert code == 0 and "result=pass" in out
 
+    @pytest.mark.parametrize("suite", ["fricke", "coxeter"])
+    def test_exact_mode_refused_where_square_roots_are_taken(self, capsys, suite):
+        code, out, err = run(capsys, "verify", suite, "--trials", "2", "--mode", "exact")
+        assert (code, out) == (2, "")
+        assert err == f"usage error: verify {suite} takes square roots and has no --mode exact\n"
+
     def test_exact_mode_flag(self, capsys):
         code, out, _ = run(
             capsys, "verify", "covers", "--trials", "5", "--seed", "1",

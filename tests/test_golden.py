@@ -66,6 +66,17 @@ with the default 100 trials, and of ``verify covers --seed 7`` (exit
 its products with the per-letter step; print ``_digest(_table_lines())``
 and ``_digest(_verify_run_lines())``.
 
+``PREDICATE_DIGEST``, ``VERIFY_DIGEST`` and ``VERIFY_RUNS_DIGEST`` were
+re-recorded together when ``hexagon_certificate`` began taking its inner
+products in closed form from the traces and ``verify fricke|coxeter
+--mode exact`` became a usage error.  Only these records moved: 11 of
+the 16 ``hexagon_certificate`` records (last digits of inner products,
+and (-2 + 1e-9, -3, -4), now refused by the domain test instead of
+raising ``NotHyperbolicError``); the float
+``fricke/hexagon-inner-products`` rows, whose matrix side is now the
+hats of ``real_normal_form_pair``; and the exact ``fricke`` and
+``coxeter`` runs, which now read exit 2 with no output.
+
 ``RING_MAP_DIGEST`` pins the ring maps at higher degree than the
 corpus above: the JSON of ``deck(p)`` and ``deck(deck(p))`` for seeded
 rank-3 polynomials of 1-8 terms with exponents 0-2 (so x123 reaches
@@ -99,11 +110,11 @@ from tuple2x2 import from_pair
 
 EXACT_DIGEST = "624d279a57ec01a51983e3a959ba81f8aad039a844605204c3c7beeea153b3eb"
 SYMBOLIC_DIGEST = "eabbaf72485625ee4c876305d9378c6402533fb4cd4281a5314dfd65666cb755"
-VERIFY_DIGEST = "fd56e039333c826b711b4f7045d365b4cddfb5c0b13cd86b5bfd2ee010daac29"
-PREDICATE_DIGEST = "b4f8d5b58d13989bbe3fe28ac8bedf6753f79a3e318a6145939c51e689e32903"
+VERIFY_DIGEST = "43d7319fbfaf3f0edd59dc96710b8c7a1252d54134d3e4c7b1c415c62a679798"
+PREDICATE_DIGEST = "e8fb6d6040457ed6718baee005e53295edd03b8139f67f60e9afab7ef5760fea"
 EVAL_DIGEST = "da524158eabb286595050303ec49f4519b32dc7db4193bf59f8eda97a949fee2"
 TABLE_DIGEST = "76d3f4a554409537ad34d6a52878c0a6c21021103622b4b677a3f10a6fdc0372"
-VERIFY_RUNS_DIGEST = "3a0e5908656d3f6caaf222e38ed6fb1182f94e27117234884627db12687050bc"
+VERIFY_RUNS_DIGEST = "379742ec2662460837f057eb43b0030995a47673cac389923df3a7051dab9363"
 RING_MAP_DIGEST = "32e6dc7c42ca5e36ab7351f195f99e13c7b528fc44aa2fc47e27f154229b521d"
 
 SUITES = ("identities", "oracle", "fricke", "covers", "coxeter")

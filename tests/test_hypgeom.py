@@ -1,9 +1,12 @@
+import math
 import random
-import re
+import sys
 import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slchar import mat2
 from slchar.hypgeom import (
@@ -399,7 +402,7 @@ class TestHexagonCertificate:
             for p in cert.pairs:
                 assert p.inner < -1
                 assert p.inner == pytest.approx(expected[p.names], abs=1e-8)
-            assert cert.sign_choice in ("identity", "negated")
+            assert cert.sign_choice == "negated"
 
     def test_single_cusp(self):
         cert = hexagon_certificate(-2, -3, -4)
@@ -409,8 +412,11 @@ class TestHexagonCertificate:
         assert cert.verdict == "right-hexagon-with-cusps"
 
     def test_domain_violation(self):
-        with pytest.raises(GeometryError):
-            hexagon_certificate(-3, -3, 0)
+        # t + 2 for the float -2 + 1e-9 is 1.00000008e-9, past the cusp test
+        for point in ((-3, -3, 0), (math.nan, -3, -3), (-math.inf, -3, -3), (-3, math.inf, -3),
+                      (-2 + 1e-9, -3, -4)):
+            with pytest.raises(GeometryError, match="hexagon domain needs"):
+                hexagon_certificate(*point)
 
     def test_json_shape(self):
         data = hexagon_certificate(-3, -3, -3).to_json()
@@ -431,14 +437,18 @@ def _reference_inner(a, b):
 
 
 def _reference_hexagon(x, y, z):
-    """The certificate on real 2x2 numpy arrays, pair by pair: Z as
-    adj(X @ Y), each hat from its matrix, one inner product per pair,
-    and the sign votes in a loop that stops at the first degenerate
-    foot."""
+    """The certificate by matrices, on real 2x2 numpy arrays, pair by
+    pair: Z as adj(X @ Y), each hat from its matrix, one inner product
+    per pair, the verdict from their signs, and the sign votes in a loop
+    that stops at the first degenerate foot.  Rounding leaves it
+    undecided at large traces: it can raise ``NotHyperbolicError``, read
+    "fail" or leave the sign "undetermined" there."""
     tol = 1e-9
     x, y, z = float(x), float(y), float(z)
     for name, t in (("x", x), ("y", y), ("z", z)):
-        if t > -2 + tol:
+        if not math.isfinite(t):
+            raise GeometryError(f"hexagon domain needs finite traces, got {name} = {t}")
+        if t + 2 > tol:
             raise GeometryError(f"hexagon domain needs {name} <= -2, got {t}")
     X, Y = (m.real for m in real_normal_form_pair(x, y, z))
     XY = X @ Y
@@ -477,18 +487,65 @@ def _reference_hexagon(x, y, z):
     return HexagonCertificate(pairs, verdict, sign_choice)
 
 
+U = Fraction(1, 2**53)
+#: An underflow of r/p/q loses at most 2^-1074 absolute in it, against
+#: |2 r/(pq) - 1| >= 1.
+UNDERFLOW = Fraction(1, 2**1072)
+#: Bounds on (v/I)^2 for the certificate's float inner product v and the
+#: exact I = (2r - pq)/sqrt((p^2 - 4)(q^2 - 4)), from the operations of
+#: ``_axis_inner``, each rounded once: the numerator two divisions and
+#: one subtraction of terms of one sign (no cancellation); the radicand
+#: two per factor (t -+ 2, then / t) and three products; the square root
+#: and the last division one each.
+SQUARED_BOUNDS = (
+    ((1 - U) ** 3 - UNDERFLOW) ** 2 * (1 - U) ** 2 / (1 + U) ** 13,
+    ((1 + U) ** 3 + UNDERFLOW) ** 2 * (1 + U) ** 2 / (1 - U) ** 13,
+)
+
+
+def _assert_exact_inner(pair, p, q, r):
+    """A disjoint pair's inner product is negative and within the
+    rounding bound of the exact value, compared squared in rationals; it
+    reads -inf only where that bound reaches past the largest float."""
+    p, q, r = (Fraction(t) for t in (p, q, r))
+    exact_squared = (2 * r - p * q) ** 2 / ((p * p - 4) * (q * q - 4))
+    lo, hi = SQUARED_BOUNDS
+    if pair.inner == -math.inf:
+        assert exact_squared * hi >= Fraction(sys.float_info.max) ** 2, pair
+        return
+    assert pair.inner < 0 and lo <= Fraction(pair.inner) ** 2 / exact_squared <= hi, pair
+
+
+def _assert_certificate(cert, x, y, z):
+    """What holds at every accepted point: the cusp statuses, the verdict
+    they imply, the proved sign, and each inner product within its bound."""
+    cusped = {n: abs(t + 2) <= 1e-9 for n, t in zip("XYZ", (x, y, z))}
+    traces = {"XY": (x, y, z), "YZ": (y, z, x), "ZX": (z, x, y)}
+    assert [p.names for p in cert.pairs] == list(traces)
+    for pair in cert.pairs:
+        if cusped[pair.names[0]] or cusped[pair.names[1]]:
+            assert (pair.inner, pair.status) == (-1.0, "ideal")
+        else:
+            assert pair.status == "disjoint"
+            _assert_exact_inner(pair, *traces[pair.names])
+    if any(cusped.values()):
+        assert (cert.verdict, cert.sign_choice) == ("right-hexagon-with-cusps", "undetermined")
+    else:
+        assert (cert.verdict, cert.sign_choice) == ("right-hexagon", "negated")
+
+
 def _outcome(f, point):
     try:
-        return repr(f(*point))
+        return f(*point)
     except GeometryError as e:
         return f"{type(e).__name__}: {e}"
 
 
 def _kind(outcome):
     """The exception's name, or the certificate's verdict and sign choice."""
-    if outcome.startswith("HexagonCertificate("):
-        return "/".join(re.findall(r"(?:verdict|sign_choice)='([^']*)'", outcome))
-    return outcome.partition(":")[0]
+    if isinstance(outcome, str):
+        return outcome.partition(":")[0]
+    return f"{outcome.verdict}/{outcome.sign_choice}"
 
 
 def _hexagon_points(regime, rnd):
@@ -509,34 +566,89 @@ def _hexagon_points(regime, rnd):
         yield tuple(rnd.choice(draws)() for _ in range(3))
 
 
+#: Finite traces of the hexagon domain, t + 2 <= 1e-9, with the edges of
+#: the cusp test and the most negative float drawn often.
+DOMAIN_TRACES = (
+    st.floats(max_value=-2 + 1e-9, allow_infinity=False).filter(lambda t: t + 2 <= 1e-9)
+    | st.sampled_from([-2.0, -2 + 1e-9 - 2**-52, -2 - 1e-9, -2 - 2e-9, -sys.float_info.max])
+)
+
+
 class TestHexagonReference:
-    """``hexagon_certificate`` runs on float 4-tuples and one stacked
-    product; an independent pair-by-pair numpy computation must give the
-    same ``repr``, last bits, refusals and sign votes included."""
+    """``hexagon_certificate`` takes its inner products in closed form
+    from the traces; each must lie within the rounding bound of the exact
+    value.  An independent numpy computation by matrices must refuse the
+    same points and find the same cusps, and the same verdict and sign
+    wherever its own rounding lets it decide them."""
 
     @pytest.mark.parametrize("regime", ["uniform", "quarter", "near-cusp", "large", "outside"])
     def test_same_certificate_as_pairwise_numpy(self, regime):
         rnd = random.Random(f"hexagon-{regime}")
-        kinds = set()
+        kinds, reference_kinds = set(), set()
         for point in _hexagon_points(regime, rnd):
-            got = _outcome(hexagon_certificate, point)
-            assert got == _outcome(_reference_hexagon, point), point
+            got, ref = _outcome(hexagon_certificate, point), _outcome(_reference_hexagon, point)
             kinds.add(_kind(got))
+            reference_kinds.add(_kind(ref))
+            if isinstance(got, str):
+                assert got == ref, point
+                continue
+            _assert_certificate(got, *point)
+            if isinstance(ref, str):  # the matrices lost a trace to rounding
+                assert ref.startswith("NotHyperbolicError"), (point, ref)
+                continue
+            assert [p.status for p in got.pairs] == [p.status for p in ref.pairs], point
+            if ref.verdict != "fail":
+                assert got.verdict == ref.verdict, point
+            if ref.sign_choice != "undetermined":
+                assert got.sign_choice == ref.sign_choice, point
         assert {
             "uniform": {"right-hexagon/negated"},
             "quarter": {"right-hexagon/negated", "right-hexagon-with-cusps/undetermined"},
             "near-cusp": {"GeometryError", "right-hexagon-with-cusps/undetermined"},
-            # the sign is left undetermined away from the cusps too
-            "large": {"right-hexagon/negated", "right-hexagon/undetermined"},
+            "large": {"right-hexagon/negated", "right-hexagon-with-cusps/undetermined"},
             "outside": {"GeometryError"},
         }[regime] <= kinds
+        if regime == "large":
+            # where the matrices leave the sign open, the proof still gives it
+            assert "right-hexagon/undetermined" in reference_kinds
 
     def test_refusal_not_hyperbolic(self):
-        # y near -2 beside a huge z: Y's diagonal entries near 7e11 cancel to a trace of -2.0
+        # the matrices refuse this point: Y's diagonal entries near 7e11
+        # cancel to a trace of -2.0; the closed form answers it, with x
+        # within 1e-9 of -2, so a cusp
         point = (-2.0000000002677902, -2.000000432249956, -5.234325492769716e+23)
-        got = _outcome(hexagon_certificate, point)
-        assert got.startswith("NotHyperbolicError: matrix is not hyperbolic")
-        assert got == _outcome(_reference_hexagon, point)
+        assert _outcome(_reference_hexagon, point).startswith(
+            "NotHyperbolicError: matrix is not hyperbolic")
+        cert = hexagon_certificate(*point)
+        _assert_certificate(cert, *point)
+        assert cert.verdict == "right-hexagon-with-cusps"
+        assert [p.status for p in cert.pairs] == ["ideal", "disjoint", "ideal"]
+        assert cert.pairs[1].inner == pytest.approx(-1521.011829, rel=1e-9)
+
+    def test_large_traces_that_the_matrices_got_wrong(self):
+        # the matrices read YZ as -8.458 or +7.427 here, varying by process
+        point = (-1835263984.008, -6513531.0415, -7788.5798)
+        cert = hexagon_certificate(*point)
+        _assert_certificate(cert, *point)
+        assert cert.pairs[1].inner == pytest.approx(-1.0723525744, rel=1e-9)
+
+    def test_inner_product_past_the_float_range(self):
+        # YZ is about 2x / (4e-9), beyond the largest float
+        point = (-3.595386568107072e+299, -2.000000001, -2.000000001)
+        cert = hexagon_certificate(*point)
+        _assert_certificate(cert, *point)
+        assert cert.pairs[1].inner == -math.inf and cert.verdict == "right-hexagon"
+
+    def test_axes_within_rounding_of_asymptotic(self):
+        # YZ is -(1e400 + 6)/(1e400 - 4) exactly, which reads -1.0
+        cert = hexagon_certificate(-3, -1e200, -1e200)
+        _assert_certificate(cert, -3, -1e200, -1e200)
+        assert cert.pairs[1].inner == -1.0 and cert.verdict == "right-hexagon"
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.tuples(*[DOMAIN_TRACES] * 3))
+    def test_every_finite_point_is_a_right_hexagon(self, point):
+        _assert_certificate(hexagon_certificate(*point), *point)
 
 
 class TestRealNormalForm:
