@@ -11,6 +11,7 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from numbers import Rational
 
 import numpy as np
@@ -119,11 +120,12 @@ def character_of_triple(m1, m2, m3) -> CharacterF3:
 
 
 def characters_of_triples(mats) -> list[CharacterF3]:
-    """``character_of_triple`` of each triple of a (T, 3, 2, 2) stack, the
-    traces taken on the whole stack at once (``tracepoly._characters``),
-    or of a list of triples.  t132 is tr((m1 m3) m2), m1 m3 being the
-    product behind t13."""
-    return [CharacterF3(*traces) for traces, _ in _characters(F3_VARS, mats, (1, 3, 2))]
+    """``character_of_triple`` of each triple of a batch (see
+    ``tracepoly.evaluate_at_characters``): Fractions for exact pairs
+    (N, d).  t132 is tr((m1 m3) m2), m1 m3 being the product behind
+    t13."""
+    return [CharacterF3(*(traces if dens is None else map(Fraction, traces, dens)))
+            for traces, dens in _characters(F3_VARS, mats, (1, 3, 2))]
 
 
 def is_irreducible(c: CharacterF2) -> bool:

@@ -10,8 +10,11 @@ trials; a row reports the largest residual its suite yields for it (a
 NaN residual, once yielded, is the row's and fails it), and rows print
 in the order each was first yielded.  The ``oracle`` and ``covers``
 suites draw 100 trials at a time and then compute them as one batch,
-on numpy stacks in float mode (:mod:`slchar.mat2`), yielding rows in
-trial order; the other suites compute each trial as they draw it.
+yielding rows in trial order; the other suites compute each trial as
+they draw it.  ``identities``, ``oracle`` and ``covers`` take their
+matrices as drawn, 4-tuples of their rows (float entries, or the pairs
+(N, d) of :mod:`slchar.mat2`), multiplied with no numpy; ``fricke``,
+``covers`` and ``coxeter`` take square roots and have no exact mode.
 
 numpy and the modules that build matrices (``mat2``, ``chars``,
 ``hypgeom``) load inside the commands and suites that use them, so
@@ -230,18 +233,6 @@ _RANDOM_MATRIX = {
 }
 
 
-def _stack(draws):
-    """Per trial, k float draws of four entries each, as one (T, k, 2, 2)
-    complex numpy stack."""
-    import numpy as np
-
-    return np.array(draws, dtype=complex).reshape(len(draws), -1, 2, 2)
-
-
-#: The trials' matrix draws per ``--mode`` as the batch that the stacked
-#: kernels take: a numpy stack, or the exact pairs per trial as a list.
-_BATCH = {"float": _stack, "exact": list}
-
 #: Longest rank-2 and rank-3 oracle words per ``--mode``; exact
 #: products of rational matrices grow fast with the word length.
 _ORACLE_WORD_LENGTHS = {"float": (12, 8), "exact": (10, 6)}
@@ -273,48 +264,42 @@ def _chunks(cfg, draw_trial):
     return iter(lambda: list(itertools.islice(trials, _CHUNK)), [])
 
 
-#: A draw as a 2x2 array and its denominator per ``--mode``, given numpy;
-#: the identities suite runs on N, float matrices standing for themselves.
-_NUMERATOR = {
-    "float": lambda np, m: (np.array(m, dtype=complex).reshape(2, 2), 1),
-    "exact": lambda np, m: (np.array(m[0], dtype=object).reshape(2, 2), m[1]),
-}
-
-
 def _suite_identities(cfg):
     """Each identity written with adjugates is homogeneous in the matrices,
     so it holds for N as for m = N / d, with the commutator row's constant
-    2 det(xi) det(eta) scaled by (d_xi d_eta)^2."""
-    import numpy as np
-
+    2 det(xi) det(eta) scaled by (d_xi d_eta)^2.  The matrices are 4-tuples
+    of their rows (float entries, or the ints of N), multiplied by
+    ``mat2._mul`` and inverted by ``mat2._adjugate``."""
     from . import mat2
 
-    draw, numerator = _RANDOM_MATRIX[cfg.mode], functools.partial(_NUMERATOR[cfg.mode], np)
+    mul, adj = mat2._mul, mat2._adjugate
+
+    def tr(n):
+        return n[0] + n[3]
+
+    def det(n):
+        return n[0] * n[3] - n[1] * n[2]
+
+    draw = _RANDOM_MATRIX[cfg.mode]
     for rnd in _trials(cfg):
-        xi, dx = numerator(draw(rnd))
-        eta, de = numerator(draw(rnd))
-        eye = np.eye(2, dtype=xi.dtype)
-        ch = xi @ xi - mat2.trace(xi) * xi + mat2.det(xi) * eye
-        yield "cayley-hamilton", float(np.abs(ch).max())
-        basic = (
-            mat2.trace(xi @ eta)
-            + mat2.trace(xi @ mat2.adjoint(eta))
-            - mat2.trace(xi) * mat2.trace(eta)
-        )
-        yield "basic-identity", abs(basic)
-        yield "trace-of-inverse", abs(mat2.trace(xi) - mat2.trace(mat2.adjoint(xi)))
-        comm = mat2.trace(
-            xi @ eta @ mat2.adjoint(xi) @ mat2.adjoint(eta)
-        ) + mat2.det(mat2.lie_product(xi, eta)) - 2 * (dx * de) ** 2
+        (xi, eta), ds = tracepoly._numerators([draw(rnd), draw(rnd)])
+        t, d, sq = tr(xi), det(xi), mul(xi, xi)
+        ch = (sq[0] - t * xi[0] + d, sq[1] - t * xi[1], sq[2] - t * xi[2], sq[3] - t * xi[3] + d)
+        yield "cayley-hamilton", float(max(map(abs, ch)))
+        yield "basic-identity", abs(tr(mul(xi, eta)) + tr(mul(xi, adj(eta))) - t * tr(eta))
+        yield "trace-of-inverse", abs(t - tr(adj(xi)))
+        lie = tuple(p - q for p, q in zip(mul(xi, eta), mul(eta, xi)))
+        scale = 1 if ds is None else math.prod(ds) ** 2
+        comm = tr(mul(mul(mul(xi, eta), adj(xi)), adj(eta))) + det(lie) - 2 * scale
         yield "commutator-vs-lie-det", abs(comm)
 
 
 def _suite_oracle(cfg):
     """Each chunk of trials draws its words and matrices first, in trial
-    order, and then computes them as one batch (``_BATCH``)."""
+    order, and then computes them as one batch."""
     from . import mat2
 
-    draw, batch = _RANDOM_MATRIX[cfg.mode], _BATCH[cfg.mode]
+    draw = _RANDOM_MATRIX[cfg.mode]
     len2, len3 = _ORACLE_WORD_LENGTHS[cfg.mode]
     residual = _ORACLE_RESIDUAL[cfg.mode]
 
@@ -327,7 +312,6 @@ def _suite_oracle(cfg):
 
     for trials in _chunks(cfg, draw_trial):
         w2s, m2s, w3s, m3s, m4s = zip(*trials)
-        m2s, m3s, m4s = batch(m2s), batch(m3s), batch(m4s)
         v2s = tracepoly.evaluate_at_characters(map(tracepoly.trace_poly_f2, w2s), m2s)
         v3s = tracepoly.evaluate_at_characters(map(tracepoly.trace_poly_f3, w3s), m3s)
         t2s, t3s = mat2.word_traces(w2s, m2s), mat2.word_traces(w3s, m3s)
@@ -370,7 +354,7 @@ def _suite_covers(cfg):
         return [sampling.random_unimodular_entries(rnd) for _ in range(3)]
 
     for draws in _chunks(cfg, draw_trial):
-        for character in chars.characters_of_triples(_stack(draws)):
+        for character in chars.characters_of_triples(draws):
             for r in covers.deck_involution_f3(character).sum_product_residuals():
                 yield "deck-character-validity", r
 
@@ -417,7 +401,7 @@ _SUITES = {
 
 
 def cmd_verify(args) -> int:
-    if args.mode == "exact" and args.suite in ("fricke", "coxeter"):
+    if args.mode == "exact" and args.suite in ("fricke", "covers", "coxeter"):
         print(f"usage error: verify {args.suite} takes square roots and has no --mode exact",
               file=sys.stderr)
         return 2

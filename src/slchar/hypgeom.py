@@ -327,7 +327,8 @@ def _axis_inner(p: float, q: float, r: float) -> float:
     one sign, so nothing cancels.  Counting one rounding per operation
     (three in the numerator, eleven in the radicand, which the square
     root halves, and two more), the relative error is below 11 * 2^-53,
-    unless the value lies past the float range and reads -inf."""
+    unless the value lies past the float range and reads -inf, which
+    ``hexagon_certificate`` refuses."""
     radicand = (p - 2) / p * ((p + 2) / p) * ((q - 2) / q) * ((q + 2) / q)
     return (2 * (r / p / q) - 1) / math.sqrt(radicand)
 
@@ -342,9 +343,11 @@ def hexagon_certificate(x: float, y: float, z: float) -> HexagonCertificate:
     that order.  A trace within 1e-9 of -2 is a cusp: its two pairs are
     reported as "ideal" with the conventional boundary value -1.  The
     domain test accepts finite traces with t + 2 <= 1e-9 and raises
-    ``GeometryError`` otherwise, NaN and infinities included.  It reads
-    the same difference t + 2 as the cusp test (exact near -2), so every
-    accepted trace that is not a cusp lies below -2 - 1e-9.
+    ``GeometryError`` otherwise, NaN, infinities and exact traces past
+    the float range included.  It reads the same difference t + 2 as the
+    cusp test (exact near -2), so every accepted trace that is not a cusp
+    lies below -2 - 1e-9.  An inner product past the float range, which
+    JSON cannot carry, raises ``GeometryError`` too.
 
     Every accepted point is a right hexagon, so the verdict is read off
     the cusps.  (yz - 2x)^2 - (y^2 - 4)(z^2 - 4) = 4 (kappa - 2) with
@@ -354,8 +357,8 @@ def hexagon_certificate(x: float, y: float, z: float) -> HexagonCertificate:
     2x - yz is negative there, so every non-ideal pair has inner product
     < -1: its axes are ultraparallel.  Its float value can still read
     -1.0, or round to within a few units in the last place of it, when
-    one pair's traces are huge beside the third; and it reads -inf where
-    the exact value lies past the float range, as with two traces within
+    one pair's traces are huge beside the third; and it lies past the
+    float range, so that the point is refused, with two traces within
     2e-9 of -2 beside a third near -1e300.
 
     ``sign_choice`` is the global sign of the three axis reflections
@@ -370,18 +373,28 @@ def hexagon_certificate(x: float, y: float, z: float) -> HexagonCertificate:
     "negated", so it is "negated" everywhere.
     """
     tol = 1e-9
-    x, y, z = float(x), float(y), float(z)
+    traces = []
     for name, t in (("x", x), ("y", y), ("z", z)):
+        try:
+            t = float(t)
+        except OverflowError:  # an int or Fraction beyond the largest float
+            raise GeometryError(
+                f"hexagon domain needs finite traces, got {name} past the float range") from None
+        traces.append(t)
         if not math.isfinite(t):
             raise GeometryError(f"hexagon domain needs finite traces, got {name} = {t}")
         if t + 2 > tol:
             raise GeometryError(f"hexagon domain needs {name} <= -2, got {t}")
+    x, y, z = traces
     cusped = {"X": abs(x + 2) <= tol, "Y": abs(y + 2) <= tol, "Z": abs(z + 2) <= tol}
     pairs = tuple(
         HexagonPair(names, -1.0, "ideal") if cusped[names[0]] or cusped[names[1]]
         else HexagonPair(names, _axis_inner(p, q, r), "disjoint")
         for names, (p, q, r) in (("XY", (x, y, z)), ("YZ", (y, z, x)), ("ZX", (z, x, y)))
     )
+    for pair in pairs:
+        if not math.isfinite(pair.inner):
+            raise GeometryError(f"the {pair.names} inner product lies past the float range")
     if any(cusped.values()):
         return HexagonCertificate(pairs, "right-hexagon-with-cusps", "undetermined")
     return HexagonCertificate(pairs, "right-hexagon", "negated")

@@ -1,7 +1,7 @@
 """Complex 2x2 (and 3x3) matrix kernel.
 
 All explicit matrix formulas live here, together with the numeric
-oracle ``evaluate_word`` for trace polynomials; only the int 4-tuple
+oracle ``evaluate_word`` for trace polynomials; only the 4-tuple
 product ``_mul`` and the string formatter ``format_complex`` live in
 :mod:`slchar.tracepoly`, so that exact evaluation and ``slchar cover
 map --eval`` use them without numpy.  Matrices are plain 2x2 (or 3x3)
@@ -19,25 +19,15 @@ on which ``trace``, ``det``, ``adjoint``, ``lie_product`` and the ``@``
 product compute exactly and keep the object dtype.  A numpy array is
 always numeric (integer dtypes included) and gives complex128 results.
 
-Stacked form: ``word_traces`` and the character kernels of
-:mod:`slchar.tracepoly` also take a batch of T trials, either a numpy
-stack of shape (T, k, 2, 2), trial t's k matrices at [t], or a list of
-T tuples of exact pairs, multiplied per trial as int 4-tuples.  Word
-products start from I and take one ``@`` per letter position over the
-trials whose word is still running, the letters picked by indexing from
-the stack and its stacked adjugates (``_adjugates``); every trace is one
-``+`` over the stack, then ``.tolist()``.  Only ``@``, ``+``, ``-``,
-negation and indexing are batched, because they give each trial the
-bits it gets alone: elementwise sums and negations round the same way
-in either form, and a stacked ``@`` calls the same BLAS gemm once per
-2x2 slice (0 of 5,000 stacked products differed from the products of
-each slice alone).  That gemm uses fused multiply-adds, which plain
-Python cannot reproduce (19,917 of 20,000 products differed), so the
-stack stays in numpy; and numpy's vectorised complex ``*`` and
-``np.abs`` differ from the scalar product and ``abs()`` (in 93,008 and
-69,835 of 200,000 cases), so entrywise products, moduli and residuals
-stay per trial.  (Counts with numpy 2.4 and its OpenBLAS 0.3 on
-x86-64.)
+A float matrix inside the trace layer is the 4-tuple of the complex
+entries of its rows, the format of the numerators N.  ``word_traces``
+and the character kernels of :mod:`slchar.tracepoly` take a batch of T
+trials, a list of T tuples of float 4-tuples or exact pairs, or a
+(T, k, 2, 2) numpy stack, each matrix then its ``.ravel().tolist()``.
+Every trial is multiplied alone, as 4-tuples by ``_mul``, inverse
+letters by ``_adjugate``: the one 2x2 product for complex numbers and
+ints alike, which gives each trial the bits of the textbook product
+a p + b r, with no fused multiply-add.
 
 Sign conventions: several formulas only determine a matrix up to a
 global sign (the underlying statements are projective).  ``sign_normalize`` picks
@@ -54,7 +44,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .tracepoly import _format_complex as format_complex, _mul
+from .tracepoly import _format_complex as format_complex, _mul, _numerators
 from .words import Word
 
 __all__ = [
@@ -160,39 +150,19 @@ def inverse(m: np.ndarray) -> np.ndarray:
     return adjoint(m)
 
 
-def _adjugates(mats: np.ndarray) -> np.ndarray:
-    """The adjugate of every 2x2 matrix of a stack (..., 2, 2), by
-    indexing and negation only (``_adjugate`` on the stack)."""
-    a, b, c, e = (mats[..., i, j] for i in (0, 1) for j in (0, 1))
-    return np.stack((e, -b, -c, a), axis=-1).reshape(mats.shape)
-
-
-def _word_products(words, mats):
-    """The product words[t](mats[t]) of each trial, inverse letters by
-    the adjugate.  For a (T, k, 2, 2) stack, a (T, 2, 2) stack: from I,
-    one ``@`` per letter position over the trials whose word is still
-    running, each with that letter's matrix or its adjugate, drawn from
-    the stack and its stacked adjugates.  For a list of T tuples of exact
-    pairs (N, d), per trial the int 4-tuple product of the Ns (adj(N / d)
-    = adj(N) / d) and the product of the letters' ds."""
-    if not hasattr(mats, "shape"):
-        out = []
-        for w, trial in zip(words, mats):
-            ns, ds = zip(*trial)
-            invs = [_adjugate(n) for n in ns]
-            p = (1, 0, 0, 1)
-            for g in w.letters:
-                p = _mul(p, ns[g - 1] if g > 0 else invs[-g - 1])
-            out.append((p, math.prod(ds[abs(g) - 1] for g in w.letters)))
-        return out
-    k = mats.shape[1]
-    letters = np.concatenate((mats, _adjugates(mats)), axis=1)  # g at g - 1, g^-1 at k - g - 1
-    out = np.empty((len(mats), 2, 2), dtype=np.result_type(mats, complex))
-    out[:] = I2
-    for j in range(max((len(w.letters) for w in words), default=0)):
-        run = [t for t, w in enumerate(words) if len(w.letters) > j]
-        pick = [g - 1 if g > 0 else k - g - 1 for g in (words[t].letters[j] for t in run)]
-        out[run] = out[run] @ letters[run, pick]
+def _word_products(words, mats) -> list:
+    """The product words[t](mats[t]) of each trial as a 4-tuple, from I
+    by ``_mul``, inverse letters by the adjugate, and the product of the
+    letters' denominators: for exact pairs (N, d), the int product of the
+    Ns (adj(N / d) = adj(N) / d) and an int; for float matrices, None."""
+    out = []
+    for w, trial in zip(words, mats):
+        ns, ds = _numerators(trial)
+        invs = [_adjugate(n) for n in ns]
+        p = (1, 0, 0, 1)
+        for g in w.letters:
+            p = _mul(p, ns[g - 1] if g > 0 else invs[-g - 1])
+        out.append((p, None if ds is None else math.prod(ds[abs(g) - 1] for g in w.letters)))
     return out
 
 
@@ -209,25 +179,22 @@ def evaluate_word(w: Word, assignment) -> np.ndarray:
     once by the product of the letters' ds; numpy arrays are numeric."""
     mats = list(assignment)
     _check_rank([w], len(mats))
-    if not all(isinstance(m, tuple) for m in mats):
-        return _word_products([w], np.stack(mats)[None])[0]
     ((n, den),) = _word_products([w], [mats])
+    if den is None:
+        return np.array(n, dtype=complex).reshape(2, 2)
     return np.array([Fraction(v, den) for v in n], dtype=object).reshape(2, 2)
 
 
 def word_traces(words, mats) -> list:
-    """tr words[t](mats[t]) for each trial t of a batch: a (T, k, 2, 2)
-    numpy stack, whose traces are one ``+`` over the products of
-    ``_word_products`` and come out as Python complex numbers, or a list
-    of T tuples of exact pairs (N, d), whose traces are Fractions."""
+    """tr words[t](mats[t]) for each trial t of a batch (see
+    ``evaluate_at_characters``): a complex number, or a Fraction for exact
+    pairs (N, d)."""
     words = list(words)
     _check_rank(words, len(mats[0]))
     if len(words) != len(mats):
         raise ValueError(f"{len(words)} words for {len(mats)} trials")
-    products = _word_products(words, mats)
-    if hasattr(products, "shape"):
-        return (products[:, 0, 0] + products[:, 1, 1]).tolist()
-    return [Fraction(n[0] + n[3], den) for n, den in products]
+    return [complex(n[0] + n[3]) if den is None else Fraction(n[0] + n[3], den)
+            for n, den in _word_products(words, mats)]
 
 
 def lie_product(xi: np.ndarray, eta: np.ndarray) -> np.ndarray:

@@ -58,13 +58,15 @@ trace it is (x_I = tr X_I); the engine's basis and ``coordinate_traces``
 on the rank and the cyclically reduced letters.
 
 Evaluation at characters takes a batch of trials, one matrix tuple
-being a batch of one: a (T, k, 2, 2) numpy stack, on which each word
-length of the coordinate products is one ``@`` and the traces one
-``+`` (so each trial's traces are bit for bit its own, see
-:mod:`slchar.mat2`), or a list of T tuples of exact pairs, multiplied
-per trial as int 4-tuples (``_mul``, which :mod:`slchar.mat2` and
-:mod:`slchar.chars` share).  Polynomials are evaluated per trial.  Only
-a numpy stack loads numpy; ``mat2``'s complex formatter is
+being a batch of one: a list of T tuples of matrices, each the pair
+(N, d) of an exact matrix (see :mod:`slchar.mat2`) or the 4-tuple of the
+rows of a float one, or a (T, k, 2, 2) numpy stack.  A numpy matrix
+becomes the 4-tuple of its rows by ``.ravel().tolist()``
+(``_numerators``), so numpy is never loaded here.  Every trial is
+multiplied alone by ``_mul``, the one 2x2 product of the trace layer,
+which :mod:`slchar.mat2` and :mod:`slchar.chars` share; floats and
+exact numerators differ only in having denominators.  Polynomials are
+evaluated per trial.  ``mat2``'s complex formatter is
 ``_format_complex`` here, so that ``slchar cover map --eval`` prints
 its images without numpy.
 """
@@ -105,8 +107,8 @@ def _subset_coordinates(rank: int) -> dict:
 F1_VARS = VariableSet(("x",))
 F4_VARS = VariableSet(_subset_coordinates(4))
 
-#: The trace coordinates of each rank, by the increasing generator
-#: indices of the product whose trace they are.  Rank 4 serves the
+#: The trace coordinates of each rank, in the order of its variable set,
+#: by the increasing generator indices of the product whose trace they are.  Rank 4 serves the
 #: quadruple-trace identity only (see the module docstring).
 COORDINATES = {
     F1_VARS: {"x": (1,)},
@@ -330,22 +332,17 @@ def quadruple_trace_check(assignment):
 
 def quadruple_trace_checks(mats) -> list:
     """``quadruple_trace_check`` at each trial of a batch of four matrices
-    per trial (see ``evaluate_at_characters``).  A float residual is a
-    numpy float: the differences are taken on a stack."""
+    per trial (see ``evaluate_at_characters``)."""
     poly = _quadruple_poly()
-    tops, values, dens = [], [], []
+    out = []
     for traces, d in _characters(F4_VARS, mats, (1, 2, 3, 4)):
-        tops.append(2 * traces.pop())
+        top = 2 * traces.pop()
         if d is None:
-            values.append(poly.evaluate(dict(zip(F4_VARS, traces))))
+            out.append(abs(top - poly.evaluate(dict(zip(F4_VARS, traces)))))
         else:
-            values.append(Fraction(*poly._evaluate_ratio(traces, [1] * len(traces))))
-            dens.append(d[-1])
-    if dens:
-        return [abs(t - v) / d for t, v, d in zip(tops, values, dens)]
-    import numpy as np
-
-    return [abs(v) for v in np.subtract(tops, values)]
+            value = Fraction(*poly._evaluate_ratio(traces, [1] * len(traces)))
+            out.append(abs(top - value) / d[-1])
+    return out
 
 
 def generator_count(n: int) -> int:
@@ -373,65 +370,51 @@ def _format_complex(v: complex) -> str:
     return f"{re}{sign}{im}i"
 
 
+def _numerators(mats) -> tuple[list, tuple | None]:
+    """k matrices as 4-tuples of their rows, and their denominators: the
+    Ns and ds of exact pairs (N, d), else the matrices, a numpy array by
+    ``.ravel().tolist()``, and None.  Float and exact evaluation split
+    here only."""
+    mats = [tuple(m.ravel().tolist()) if hasattr(m, "ravel") else m for m in mats]
+    if all(len(m) == 2 for m in mats):
+        ns, ds = zip(*mats)
+        return ns, ds
+    return mats, None
+
+
 def _prefix_traces(mats, words) -> tuple[dict, tuple | None]:
     """tr X_I for each index tuple I in ``words``, X_I being its prefix's
-    product (also in ``words``) times the last matrix, and None.  Float
-    matrices are a numpy stack (..., k, 2, 2), or k arrays stacked here:
-    the products of each word length are one ``@`` over the stack, from
-    the products one letter shorter, and the traces one ``+``, as Python
-    complex numbers, each a list over the trials when the stack has a
-    trial axis.  For exact matrices (N_i, d_i), the int traces of the
-    products of the N_i, multiplied as int 4-tuples of their rows, and
-    the d_i."""
-    if not hasattr(mats, "shape") and all(isinstance(m, tuple) for m in mats):
-        mats, ds = zip(*mats)
-        products = {}
-        for word in words:
-            last = mats[word[-1] - 1]
-            products[word] = _mul(products[word[:-1]], last) if len(word) > 1 else last
-        return {w: p[0] + p[3] for w, p in products.items()}, ds
-    import numpy as np
-
-    stack = np.asarray(mats)
-    order, levels, column = [], [], {}  # column: a word's place in its level
-    for n in range(1, max(map(len, words)) + 1):
-        level = list(dict.fromkeys(w for w in words if len(w) == n))
-        last = stack[..., [w[-1] - 1 for w in level], :, :]
-        if n > 1:
-            last = levels[-1][..., [column[w[:-1]] for w in level], :, :] @ last
-        levels.append(last)
-        order += level
-        column.update((w, i) for i, w in enumerate(level))
-    products = np.concatenate(levels, axis=-3)
-    traces = np.moveaxis(products[..., 0, 0] + products[..., 1, 1], -1, 0).tolist()
-    return dict(zip(order, traces)), None
+    product (also in ``words``) times the last matrix, multiplied as
+    4-tuples by ``_mul``, and the denominators of ``_numerators``: for
+    exact matrices (N_i, d_i), the int traces of the products of the N_i
+    and the d_i."""
+    ns, ds = _numerators(mats)
+    products = {}
+    for word in words:
+        last = ns[word[-1] - 1]
+        products[word] = _mul(products[word[:-1]], last) if len(word) > 1 else last
+    return {w: p[0] + p[3] for w, p in products.items()}, ds
 
 
 def _character(variables: VariableSet, mats, *extra) -> tuple[list, list | None]:
     """tr X_I for each coordinate x_I of ``variables`` in declared order,
-    then for each I in ``extra`` (each a list over the trials of a stack
-    with a trial axis), and None; for exact matrices, tr N_I
+    then for each I in ``extra``, and None; for exact matrices, tr N_I
     (:func:`_prefix_traces`) and each one's denominator, the product of
-    the d_i for i in I.  Evaluation at a character splits here only, and
-    a matrix count other than the rank of ``variables`` is a ValueError."""
-    k = mats.shape[-3] if hasattr(mats, "shape") else len(mats)
+    the d_i for i in I.  A matrix count other than the rank of
+    ``variables`` is a ValueError."""
+    k = len(mats)
     if _VARSETS.get(k) != variables:
         raise ValueError(f"cannot evaluate over {variables.names} at {k} matrices")
     variables = _VARSETS[k]
-    words = [COORDINATES[variables][name] for name in variables] + list(extra)
+    words = [*COORDINATES[variables].values(), *extra]
     traces, ds = _prefix_traces(mats, words)
     dens = None if ds is None else [math.prod(ds[i - 1] for i in w) for w in words]
     return [traces[w] for w in words], dens
 
 
 def _characters(variables: VariableSet, mats, *extra) -> list[tuple[list, list | None]]:
-    """``_character`` at each trial of a batch: a (T, k, 2, 2) numpy
-    stack, whose traces :func:`_prefix_traces` takes at once, or a list of
-    T matrix tuples, one trial at a time."""
-    if not hasattr(mats, "shape"):
-        return [_character(variables, trial, *extra) for trial in mats]
-    columns, _ = _character(variables, mats, *extra)
-    return [(list(row), None) for row in zip(*columns)]
+    """``_character`` at each trial of a batch."""
+    return [_character(variables, trial, *extra) for trial in mats]
 
 
 def coordinate_traces(variables: VariableSet, mats) -> dict:
@@ -451,10 +434,9 @@ def evaluate_at_character(p: Polynomial, mats):
 
 
 def evaluate_at_characters(polys, mats) -> list:
-    """``evaluate_at_character`` of polys[t] at trial t of a batch: a
-    (T, k, 2, 2) numpy stack, whose traces are taken on the whole stack
-    at once and are bit for bit those of each trial alone, or a list of T
-    matrix tuples.  Each polynomial is evaluated on its own."""
+    """``evaluate_at_character`` of polys[t] at trial t of a batch: a list
+    of T matrix tuples, or a (T, k, 2, 2) numpy stack.  Each trial is
+    computed alone, so it gets the bits it gets outside the batch."""
     polys = list(polys)
     if len(polys) != len(mats):
         raise ValueError(f"{len(polys)} polynomials for {len(mats)} trials")

@@ -27,10 +27,11 @@ from slchar.chars import (
     triple_trace_roots,
 )
 from slchar.mat2 import GeometryError, normal_form_pair
-from slchar.polyring import PHI
-from slchar.sampling import random_unimodular
-from slchar.tracepoly import _mul, evaluate_at_character, kappa_value
+from slchar.polyring import F3_VARS, PHI
+from slchar.sampling import random_rational_unimodular, random_unimodular, rng_for
+from slchar.tracepoly import _mul, coordinate_traces, evaluate_at_character, kappa_value
 from slchar.words import parse_word
+from tuple2x2 import from_pair, matmul, trace
 
 RND = random.Random(30)
 
@@ -422,11 +423,38 @@ class TestCharacterOfTriple:
         assert c.as_tuple() == (2,) * 8
 
     def test_stacked_triples_bit_for_bit(self):
+        # a numpy stack gives each triple the bits of its 4-tuples alone, and
+        # those are the textbook products of tuple2x2.matmul, t132 = tr((m1 m3) m2)
         rnd = random.Random(2860)
         stack = np.array([[random_unimodular(rnd) for _ in range(3)] for _ in range(200)])
+        rows = [[tuple(m.ravel().tolist()) for m in trial] for trial in stack]
         got = characters_of_triples(stack)
         assert len(got) == 200
-        for c, (m1, m2, m3) in zip(got, stack):
-            want = (*character_of_triple(m1, m2, m3).as_tuple()[:-1], mat2.trace(m1 @ m3 @ m2))
-            assert ([(complex(v).real.hex(), complex(v).imag.hex()) for v in c.as_tuple()]
-                    == [(complex(v).real.hex(), complex(v).imag.hex()) for v in want])
+        assert [_bits(c) for c in got] == [_bits(c) for c in characters_of_triples(rows)]
+        for c, trial in zip(got, rows):
+            m1, m2, m3 = ((m[:2], m[2:]) for m in trial)
+            m12, m13 = matmul(m1, m2), matmul(m1, m3)
+            want = [trace(m) for m in (m1, m2, m3, m12, m13, matmul(m2, m3),
+                                       matmul(m12, m3), matmul(m13, m2))]
+            assert _bits(c) == _bits(character_of_triple(*trial))
+            assert _bits(c) == [(complex(v).real.hex(), complex(v).imag.hex()) for v in want]
+
+    def test_exact_pairs_give_fractions(self):
+        # the denominators 12, 1, 12 must divide the traces of the numerators:
+        # tr N1 = 6, where t1 = 1/2
+        rnd = rng_for(5)
+        triple = [random_rational_unimodular(rnd) for _ in range(3)]
+        assert [d for _, d in triple] == [12, 1, 12]
+        c = character_of_triple(*triple)
+        assert all(type(v) is Fraction for v in c.as_tuple())
+        assert c.t1 == Fraction(1, 2)
+        assert c.as_tuple()[:7] == tuple(coordinate_traces(F3_VARS, triple).values())
+        m1, m2, m3 = map(from_pair, triple)
+        assert c.t132 == trace(matmul(matmul(m1, m3), m2))
+        assert c.sum_product_residuals() == (0, 0)
+        assert characters_of_triples([triple, triple]) == [c, c]
+
+
+def _bits(c):
+    """The bits of the parts of a character's eight traces."""
+    return [(complex(v).real.hex(), complex(v).imag.hex()) for v in c.as_tuple()]

@@ -332,18 +332,19 @@ class TestVerify:
                            "--tolerance", "0")
         assert code == 0 and "result=pass" in out
 
-    @pytest.mark.parametrize("suite", ["fricke", "coxeter"])
+    @pytest.mark.parametrize("suite", ["fricke", "covers", "coxeter"])
     def test_exact_mode_refused_where_square_roots_are_taken(self, capsys, suite):
         code, out, err = run(capsys, "verify", suite, "--trials", "2", "--mode", "exact")
         assert (code, out) == (2, "")
         assert err == f"usage error: verify {suite} takes square roots and has no --mode exact\n"
 
     def test_exact_mode_flag(self, capsys):
-        code, out, _ = run(
-            capsys, "verify", "covers", "--trials", "5", "--seed", "1",
-            "--mode", "exact",
-        )
-        assert code == 0
+        for suite in ("identities", "oracle"):
+            code, out, _ = run(
+                capsys, "verify", suite, "--trials", "5", "--seed", "1",
+                "--mode", "exact",
+            )
+            assert code == 0 and out.endswith(" mode=exact result=pass\n")
 
     def test_exact_oracle_residual_zero(self, capsys):
         code, out, _ = run(
@@ -379,12 +380,11 @@ class TestVerify:
         assert out.count("max-residual=0.0") == 4
 
     def test_exact_identities_catch_a_wrong_adjugate_sign(self, capsys, monkeypatch):
-        # the exact suite runs on integer numerators through mat2.adjoint;
+        # the exact suite runs on integer numerators through mat2._adjugate;
         # an adjugate that keeps the sign of its upper right entry must FAIL
         from slchar import mat2
 
-        true_adjoint = mat2.adjoint
-        monkeypatch.setattr(mat2, "adjoint", lambda m: true_adjoint(m) * [[1, -1], [1, 1]])
+        monkeypatch.setattr(mat2, "_adjugate", lambda n: (n[3], n[1], -n[2], n[0]))
         code, out, _ = run(capsys, "verify", "identities", "--trials", "5", "--mode", "exact")
         assert code == 1
         assert "identities/basic-identity: max-residual=" in out

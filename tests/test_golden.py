@@ -77,6 +77,19 @@ raising ``NotHyperbolicError``); the float
 hats of ``real_normal_form_pair``; and the exact ``fricke`` and
 ``coxeter`` runs, which now read exit 2 with no output.
 
+``VERIFY_DIGEST``, ``VERIFY_RUNS_DIGEST``, ``EVAL_DIGEST`` and
+``PREDICATE_DIGEST`` were re-recorded together when float matrices in
+the trace layer became the complex 4-tuples of their rows, multiplied
+by the same textbook product as the exact numerators instead of
+numpy's gemm, and ``verify covers --mode exact`` became a usage error.
+Only these records moved: the float ``identities``, ``oracle`` and
+``covers`` rows (last digits); the exact ``covers`` runs, now exit 2
+with no output; in ``EVAL_DIGEST`` 16 of the 30 float
+``evaluate_at_character`` values (last digits) and the 12
+``quadruple_trace_check`` lines, whose float residual is now a Python
+float; in ``PREDICATE_DIGEST`` the character digits of ``construct
+triple`` and the matrix and trace digits of ``eval-word``.
+
 ``RING_MAP_DIGEST`` pins the ring maps at higher degree than the
 corpus above: the JSON of ``deck(p)`` and ``deck(deck(p))`` for seeded
 rank-3 polynomials of 1-8 terms with exponents 0-2 (so x123 reaches
@@ -110,11 +123,11 @@ from tuple2x2 import from_pair
 
 EXACT_DIGEST = "624d279a57ec01a51983e3a959ba81f8aad039a844605204c3c7beeea153b3eb"
 SYMBOLIC_DIGEST = "eabbaf72485625ee4c876305d9378c6402533fb4cd4281a5314dfd65666cb755"
-VERIFY_DIGEST = "43d7319fbfaf3f0edd59dc96710b8c7a1252d54134d3e4c7b1c415c62a679798"
-PREDICATE_DIGEST = "e8fb6d6040457ed6718baee005e53295edd03b8139f67f60e9afab7ef5760fea"
-EVAL_DIGEST = "da524158eabb286595050303ec49f4519b32dc7db4193bf59f8eda97a949fee2"
+VERIFY_DIGEST = "044faa5a9f22e0cc93d9a381328ffeae829bbdcb30cae2972f2c13326063bbc1"
+PREDICATE_DIGEST = "c8e6144b96b073f70c076b5d941172867a66403cd5781b2b07e81e411f29713c"
+EVAL_DIGEST = "36a9d870e865c380a5fe0e459ba49a9bfa40269ad1284634b1896ca3429c95ce"
 TABLE_DIGEST = "76d3f4a554409537ad34d6a52878c0a6c21021103622b4b677a3f10a6fdc0372"
-VERIFY_RUNS_DIGEST = "379742ec2662460837f057eb43b0030995a47673cac389923df3a7051dab9363"
+VERIFY_RUNS_DIGEST = "c2e145caa79a56a634519ef46a2382c052c3dc2934c77796da08103671b39ee4"
 RING_MAP_DIGEST = "32e6dc7c42ca5e36ab7351f195f99e13c7b528fc44aa2fc47e27f154229b521d"
 
 SUITES = ("identities", "oracle", "fricke", "covers", "coxeter")

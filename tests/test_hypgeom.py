@@ -418,6 +418,13 @@ class TestHexagonCertificate:
             with pytest.raises(GeometryError, match="hexagon domain needs"):
                 hexagon_certificate(*point)
 
+    def test_exact_traces_past_the_float_range(self):
+        # float() of these raises OverflowError, which must not escape
+        for name, point in (("x", (Fraction(-10**400), -3, -3)), ("z", (-3, -3, -10**400))):
+            with pytest.raises(GeometryError,
+                               match=f"needs finite traces, got {name} past the float range"):
+                hexagon_certificate(*point)
+
     def test_json_shape(self):
         data = hexagon_certificate(-3, -3, -3).to_json()
         assert set(data) == {"pairs", "verdict", "sign_choice"}
@@ -503,17 +510,29 @@ SQUARED_BOUNDS = (
 )
 
 
+def _exact_squared(p, q, r):
+    """The square of the exact inner product of a pair with traces p, q
+    and product trace r, in rationals."""
+    p, q, r = (Fraction(t) for t in (p, q, r))
+    return (2 * r - p * q) ** 2 / ((p * p - 4) * (q * q - 4))
+
+
 def _assert_exact_inner(pair, p, q, r):
     """A disjoint pair's inner product is negative and within the
-    rounding bound of the exact value, compared squared in rationals; it
-    reads -inf only where that bound reaches past the largest float."""
-    p, q, r = (Fraction(t) for t in (p, q, r))
-    exact_squared = (2 * r - p * q) ** 2 / ((p * p - 4) * (q * q - 4))
+    rounding bound of the exact value, compared squared in rationals."""
     lo, hi = SQUARED_BOUNDS
-    if pair.inner == -math.inf:
-        assert exact_squared * hi >= Fraction(sys.float_info.max) ** 2, pair
-        return
+    exact_squared = _exact_squared(p, q, r)
     assert pair.inner < 0 and lo <= Fraction(pair.inner) ** 2 / exact_squared <= hi, pair
+
+
+def _assert_past_the_float_range(error, x, y, z):
+    """A refused point of the domain: the pair the error names is not
+    cusped, and the rounding bound of its exact value reaches past the
+    largest float."""
+    names = str(error).split()[1]
+    traces = {"XY": (x, y, z), "YZ": (y, z, x), "ZX": (z, x, y)}[names]
+    assert all(abs(t + 2) > 1e-9 for t in traces[:2]), error
+    assert _exact_squared(*traces) * SQUARED_BOUNDS[1] >= Fraction(sys.float_info.max) ** 2, error
 
 
 def _assert_certificate(cert, x, y, z):
@@ -633,11 +652,12 @@ class TestHexagonReference:
         assert cert.pairs[1].inner == pytest.approx(-1.0723525744, rel=1e-9)
 
     def test_inner_product_past_the_float_range(self):
-        # YZ is about 2x / (4e-9), beyond the largest float
+        # YZ is about 2x / (4e-9), beyond the largest float: it would read
+        # -inf, which to_json would write as -Infinity, not JSON
         point = (-3.595386568107072e+299, -2.000000001, -2.000000001)
-        cert = hexagon_certificate(*point)
-        _assert_certificate(cert, *point)
-        assert cert.pairs[1].inner == -math.inf and cert.verdict == "right-hexagon"
+        with pytest.raises(GeometryError, match="the YZ inner product lies past the float range") as e:
+            hexagon_certificate(*point)
+        _assert_past_the_float_range(e.value, *point)
 
     def test_axes_within_rounding_of_asymptotic(self):
         # YZ is -(1e400 + 6)/(1e400 - 4) exactly, which reads -1.0
@@ -648,7 +668,13 @@ class TestHexagonReference:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.tuples(*[DOMAIN_TRACES] * 3))
     def test_every_finite_point_is_a_right_hexagon(self, point):
-        _assert_certificate(hexagon_certificate(*point), *point)
+        # but for the points refused where an inner product overflows
+        try:
+            cert = hexagon_certificate(*point)
+        except GeometryError as e:
+            _assert_past_the_float_range(e, *point)
+            return
+        _assert_certificate(cert, *point)
 
 
 class TestRealNormalForm:

@@ -211,15 +211,6 @@ def _bits(z):
     return z.real.hex(), z.imag.hex()
 
 
-def _word_by_2x2(w, mats):
-    """The product along a word one 2x2 ``@`` at a time from I, inverse
-    letters by ``adjoint``."""
-    out = I2.copy()
-    for g in w.letters:
-        out = out @ (mats[g - 1] if g > 0 else mat2.adjoint(mats[-g - 1]))
-    return out
-
-
 def _batch_words(rnd, rank, trials=240):
     """Seeded reduced words of up to 12 letters, led by the empty word,
     one-letter words and a word of inverse letters only."""
@@ -228,8 +219,10 @@ def _batch_words(rnd, rank, trials=240):
 
 
 class TestWordTraces:
-    """``word_traces`` over a (T, k, 2, 2) stack gives each trial the bits
-    of its word's trace computed alone; exact batches give Fractions."""
+    """``word_traces`` gives each trial the bits of its word's trace
+    computed alone, which are those of the textbook products of
+    ``tuple2x2.matmul``; a numpy stack gives the bits of the same list of
+    4-tuples; exact batches give Fractions."""
 
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
     def test_float_bit_for_bit(self, rank):
@@ -237,13 +230,14 @@ class TestWordTraces:
         words = _batch_words(rnd, rank)
         draws = [[random_unimodular_entries(rnd) for _ in range(rank)] for _ in words]
         stack = np.array(draws, dtype=complex).reshape(len(words), rank, 2, 2)
-        got = mat2.word_traces(words, stack)
+        got = mat2.word_traces(words, draws)
         assert len(got) == len(words)
-        for value, w, trial in zip(got, words, stack):
-            mats = list(trial)
+        assert [_bits(v) for v in got] == [_bits(v) for v in mat2.word_traces(words, stack)]
+        for value, w, trial in zip(got, words, draws):
             assert type(value) is complex
-            assert _bits(value) == _bits(mat2.trace(evaluate_word(w, mats)))
-            assert _bits(value) == _bits(mat2.trace(_word_by_2x2(w, mats)))
+            assert _bits(value) == _bits(mat2.word_traces([w], [trial])[0])
+            assert _bits(value) == _bits(mat2.trace(evaluate_word(w, trial)))
+            assert _bits(value) == _bits(trace(word_product(w, [(m[:2], m[2:]) for m in trial])))
 
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
     def test_exact(self, rank):
@@ -259,7 +253,7 @@ class TestWordTraces:
     def test_adjugates_negate_signed_zeros(self):
         # negation, not a product with -1, so that -0.0 and 0.0 swap as adjoint's do
         m = np.array([[1, complex(0.0, -0.0)], [complex(-0.0, 0.0), 1]])
-        assert ([_bits(v) for v in mat2._adjugates(m[None])[0].flat]
+        assert ([_bits(v) for v in mat2._adjugate(tuple(m.ravel().tolist()))]
                 == [_bits(v) for v in mat2.adjoint(m).flat])
 
     def test_shape_is_checked(self):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -35,8 +36,8 @@ from slchar.tracepoly import (
     trace_poly_f3,
 )
 from slchar.words import Word, parse_word
-from tuple2x2 import (RATIONAL, SL2, as_pair, from_pair, inverse, matmul, product, trace,
-                      word_product)
+from tuple2x2 import (RATIONAL, SL2, as_pair, as_tuple, from_pair, inverse, matmul, product,
+                      trace, word_product)
 
 RND = random.Random(20)
 
@@ -277,17 +278,18 @@ class TestEngine:
 
 def _per_rank_assignment(rank, mats):
     """The coordinates of each rank written out by hand, left-to-right
-    products, as ``evaluate_at_character`` once spelled them."""
+    ``tuple2x2`` products of nested-tuple matrices, as
+    ``evaluate_at_character`` once spelled them."""
     if rank == 1:
-        return {"x": mat2.trace(mats[0])}
+        return {"x": trace(mats[0])}
     if rank == 2:
         xi, eta = mats
-        return {"x": mat2.trace(xi), "y": mat2.trace(eta), "z": mat2.trace(xi @ eta)}
+        return {"x": trace(xi), "y": trace(eta), "z": trace(matmul(xi, eta))}
     m1, m2, m3 = mats
     return {
-        "x1": mat2.trace(m1), "x2": mat2.trace(m2), "x3": mat2.trace(m3),
-        "x12": mat2.trace(m1 @ m2), "x13": mat2.trace(m1 @ m3),
-        "x23": mat2.trace(m2 @ m3), "x123": mat2.trace(m1 @ m2 @ m3),
+        "x1": trace(m1), "x2": trace(m2), "x3": trace(m3),
+        "x12": trace(matmul(m1, m2)), "x13": trace(matmul(m1, m3)),
+        "x23": trace(matmul(m2, m3)), "x123": trace(matmul(matmul(m1, m2), m3)),
     }
 
 
@@ -309,6 +311,8 @@ class TestEvaluateAtCharacter:
             evaluate_at_character(s04_defining_poly(), mats)
 
     def test_bitwise_equal_to_per_rank_formulas(self):
+        # numpy matrices and the 4-tuples of their rows give the bits of the
+        # textbook products of tuple2x2.matmul
         rnd = random.Random(2009)
         words = {rank: [random_reduced_word(rnd, rank, 8) for _ in range(4)]
                  for rank in (1, 2, 3)}
@@ -316,12 +320,14 @@ class TestEvaluateAtCharacter:
             triple = [random_unimodular(rnd) for _ in range(3)]
             for rank in (1, 2, 3):
                 mats = triple[:rank]
-                assignment = _per_rank_assignment(rank, mats)
+                rows = [tuple(m.ravel().tolist()) for m in mats]
+                assignment = _per_rank_assignment(rank, [as_tuple(m) for m in mats])
                 for w in words[rank]:
                     p = trace_poly(w)
                     got = evaluate_at_character(p, mats)
                     assert type(got) is complex
-                    assert got == p.evaluate(assignment), (rank, w)
+                    assert _bits(got) == _bits(p.evaluate(assignment)), (rank, w)
+                    assert _bits(got) == _bits(evaluate_at_character(p, rows)), (rank, w)
 
     def test_exact_matrices_give_fractions(self):
         rnd = random.Random(2010)
@@ -330,8 +336,7 @@ class TestEvaluateAtCharacter:
             p = trace_poly(random_reduced_word(rnd, rank, 6))
             got = evaluate_at_character(p, mats)
             assert type(got) is Fraction
-            arrays = [np.array(from_pair(m), dtype=object) for m in mats]
-            assert got == p.evaluate_exact(_per_rank_assignment(rank, arrays))
+            assert got == p.evaluate_exact(_per_rank_assignment(rank, [from_pair(m) for m in mats]))
 
     def test_equal_variable_sets_evaluate_alike(self):
         # VariableSet compares by value: a copy of a canonical set is the same set
@@ -471,11 +476,9 @@ def quadruple_residual(ms):
 
 
 def product_of(mats, word):
-    """The numpy product along index tuple ``word``, left to right."""
-    out = mats[word[0] - 1]
-    for i in word[1:]:
-        out = out @ mats[i - 1]
-    return out
+    """The product of nested-tuple matrices along index tuple ``word``,
+    left to right by ``tuple2x2.matmul``."""
+    return functools.reduce(matmul, (mats[i - 1] for i in word))
 
 
 class TestExactIntegerCore:
@@ -518,7 +521,7 @@ class TestExactIntegerCore:
         numeric, ds = tracepoly._prefix_traces(floats, words)
         assert ds is None
         for w in words:
-            assert numeric[w] == mat2.trace(product_of(floats, w))
+            assert numeric[w] == trace(product_of([as_tuple(m) for m in floats], w))
 
     def test_product_traces_on_int_matrices_with_zero_entries(self):
         # int matrices only (every d is 1), singular ones included
@@ -596,9 +599,15 @@ def _bits(z):
 
 
 def _stacked_draws(rnd, rank, trials):
-    """``trials`` float draws of ``rank`` matrices as a (T, k, 2, 2) stack."""
+    """``trials`` float draws of ``rank`` matrices, as a list of 4-tuples
+    per trial and as a (T, k, 2, 2) numpy stack."""
     draws = [[random_unimodular_entries(rnd) for _ in range(rank)] for _ in range(trials)]
-    return np.array(draws, dtype=complex).reshape(trials, rank, 2, 2)
+    return draws, np.array(draws, dtype=complex).reshape(trials, rank, 2, 2)
+
+
+def _nested(m):
+    """A 4-tuple of rows as nested tuples, for ``tuple2x2``."""
+    return m[:2], m[2:]
 
 
 def _stacked_words(rnd, rank, trials):
@@ -609,57 +618,63 @@ def _stacked_words(rnd, rank, trials):
 
 
 class TestStackedKernels:
-    """The batch kernels over a (T, k, 2, 2) stack give each trial the
-    bits that the one-trial functions, and 2x2 products one trial at a
-    time, give it alone; exact batches give the same Fractions."""
+    """The batch kernels give each trial the bits that the one-trial
+    functions give it alone, and those of the textbook 2x2 products of
+    ``tuple2x2.matmul``; a numpy stack gives the bits of the same list of
+    4-tuples; exact batches give the same Fractions."""
 
     TRIALS = 240
 
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
     def test_coordinate_traces_bit_for_bit(self, rank):
         rnd = random.Random(2800 + rank)
-        stack = _stacked_draws(rnd, rank, self.TRIALS)
+        draws, stack = _stacked_draws(rnd, rank, self.TRIALS)
         variables = tracepoly._VARSETS[rank]
         extra = ((1, 2, 3, 4),) if rank == 4 else ()
         words = list(tracepoly.COORDINATES[variables].values()) + list(extra)
-        characters = tracepoly._characters(variables, stack, *extra)
+        characters = tracepoly._characters(variables, draws, *extra)
         assert len(characters) == self.TRIALS
-        for (traces, dens), trial in zip(characters, stack):
-            mats = list(trial)
+        assert ([[_bits(v) for v in traces] for traces, _ in characters]
+                == [[_bits(v) for v in traces]
+                    for traces, _ in tracepoly._characters(variables, stack, *extra)])
+        for (traces, dens), trial in zip(characters, draws):
             assert dens is None
-            alone = list(tracepoly.coordinate_traces(variables, mats).values())
-            by_2x2 = [mat2.trace(product_of(mats, w)) for w in words]
+            alone = list(tracepoly.coordinate_traces(variables, trial).values())
+            by_2x2 = [trace(product_of([_nested(m) for m in trial], w)) for w in words]
             assert [_bits(v) for v in traces[:len(alone)]] == [_bits(v) for v in alone]
             assert [_bits(v) for v in traces] == [_bits(v) for v in by_2x2]
 
     @pytest.mark.parametrize("rank", [1, 2, 3])
     def test_evaluate_at_characters_bit_for_bit(self, rank):
         rnd = random.Random(2810 + rank)
-        stack = _stacked_draws(rnd, rank, self.TRIALS)
+        draws, stack = _stacked_draws(rnd, rank, self.TRIALS)
         polys = [trace_poly(w) for w in _stacked_words(rnd, rank, self.TRIALS)]
-        got = tracepoly.evaluate_at_characters(polys, stack)
+        got = tracepoly.evaluate_at_characters(polys, draws)
         assert len(got) == self.TRIALS
-        for value, p, trial in zip(got, polys, stack):
-            mats = list(trial)
+        assert ([_bits(v) for v in got]
+                == [_bits(v) for v in tracepoly.evaluate_at_characters(polys, stack)])
+        for value, p, trial in zip(got, polys, draws):
             assert type(value) is complex
-            assert _bits(value) == _bits(evaluate_at_character(p, mats))
-            assert _bits(value) == _bits(p.evaluate(_per_rank_assignment(rank, mats)))
+            assert _bits(value) == _bits(evaluate_at_character(p, trial))
+            by_2x2 = _per_rank_assignment(rank, [_nested(m) for m in trial])
+            assert _bits(value) == _bits(p.evaluate(by_2x2))
 
     def test_quadruple_trace_checks_bit_for_bit(self):
         rnd = random.Random(2814)
-        stack = _stacked_draws(rnd, 4, self.TRIALS)
-        got = tracepoly.quadruple_trace_checks(stack)
+        draws, stack = _stacked_draws(rnd, 4, self.TRIALS)
+        got = tracepoly.quadruple_trace_checks(draws)
         assert len(got) == self.TRIALS
+        assert [v.hex() for v in got] == [v.hex() for v in tracepoly.quadruple_trace_checks(stack)]
         poly = tracepoly._quadruple_poly()
         names = tracepoly.COORDINATES[tracepoly.F4_VARS]
-        for value, trial in zip(got, stack):
-            mats = list(trial)
-            assert isinstance(value, float)
-            assert value.hex() == quadruple_trace_check(mats).hex()
-            assert value.hex() == float(abs(
-                2 * mat2.trace(product_of(mats, (1, 2, 3, 4)))
-                - poly.evaluate({n: mat2.trace(product_of(mats, w)) for n, w in names.items()})
-            )).hex()
+        for value, trial in zip(got, draws):
+            mats = [_nested(m) for m in trial]
+            assert type(value) is float
+            assert value.hex() == quadruple_trace_check(trial).hex()
+            assert value.hex() == abs(
+                2 * trace(product_of(mats, (1, 2, 3, 4)))
+                - poly.evaluate({n: trace(product_of(mats, w)) for n, w in names.items()})
+            ).hex()
 
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
     def test_exact_batches(self, rank):
@@ -685,7 +700,7 @@ class TestStackedKernels:
             assert value == evaluate_at_character(p, trial)
 
     def test_batch_checks_its_shape(self):
-        stack = _stacked_draws(random.Random(2830), 3, 4)
+        _, stack = _stacked_draws(random.Random(2830), 3, 4)
         with pytest.raises(ValueError):
             tracepoly.evaluate_at_characters([trace_poly_f3(Word(3, (1,)))] * 3, stack)
         with pytest.raises(ValueError):
@@ -711,11 +726,12 @@ class TestStackedKernels:
         }
         for rank, (on_tuple, on_batch) in entries.items():
             count = rank + surplus
-            stack = _stacked_draws(rnd, count, 2)
+            draws, stack = _stacked_draws(rnd, count, 2)
             exact = [random_rational_unimodular(rnd) for _ in range(count)]
-            calls = [(f, ms) for f in on_tuple for ms in (list(stack[0]), stack[0], exact)]
+            calls = [(f, ms) for f in on_tuple
+                     for ms in (list(stack[0]), stack[0], draws[0], exact)]
             calls += [(f, batch) for f in on_batch
-                      for batch in (stack, [list(stack[0])] * 2, [exact] * 2)]
+                      for batch in (stack, [list(stack[0])] * 2, draws, [exact] * 2)]
             for f, mats in calls:
                 with pytest.raises(ValueError, match=f"at {count} matrices"):
                     f(mats)
