@@ -17,9 +17,10 @@ from numbers import Rational
 import numpy as np
 
 from . import mat2
+from .fricke import _floats
 from .mat2 import GeometryError, _principal_root, principal_sqrt
 from .polyring import F3_VARS, sum_product
-from .tracepoly import _characters, _mul, kappa_value
+from .tracepoly import _character, _mul, kappa_value
 
 __all__ = [
     "CharacterF2",
@@ -28,7 +29,6 @@ __all__ = [
     "IrreducibilityReport",
     "character_of_pair",
     "character_of_triple",
-    "characters_of_triples",
     "is_irreducible",
     "irreducibility_witnesses",
     "classify_real_character",
@@ -116,16 +116,10 @@ def character_of_pair(xi: np.ndarray, eta: np.ndarray) -> CharacterF2:
 
 
 def character_of_triple(m1, m2, m3) -> CharacterF3:
-    return characters_of_triples([(m1, m2, m3)])[0]
-
-
-def characters_of_triples(mats) -> list[CharacterF3]:
-    """``character_of_triple`` of each triple of a batch (see
-    ``tracepoly.evaluate_at_characters``): Fractions for exact pairs
-    (N, d).  t132 is tr((m1 m3) m2), m1 m3 being the product behind
-    t13."""
-    return [CharacterF3(*(traces if dens is None else map(Fraction, traces, dens)))
-            for traces, dens in _characters(F3_VARS, mats, (1, 3, 2))]
+    """Fractions for exact pairs (N, d).  t132 is tr((m1 m3) m2), m1 m3
+    being the product behind t13."""
+    traces, dens = _character(F3_VARS, (m1, m2, m3), (1, 3, 2))
+    return CharacterF3(*(traces if dens is None else map(Fraction, traces, dens)))
 
 
 def is_irreducible(c: CharacterF2) -> bool:
@@ -222,9 +216,10 @@ def axes_cross(x: float, y: float, z: float) -> bool:
     SL(2,R) with crossing axes.
 
     Verified constructively: build a real pair with this character and
-    check that the Lie product has positive determinant.
+    check that the Lie product has positive determinant.  An exact trace
+    past the float range raises ``GeometryError``.
     """
-    x, y, z = float(x), float(y), float(z)
+    x, y, z = _floats(GeometryError, "axes_cross", x=x, y=y, z=z)
     k = kappa_value(x, y, z)
     if k > -2 + 1e-12:
         raise GeometryError(f"axes_cross requires kappa <= -2, got {k}")

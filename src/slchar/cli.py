@@ -9,17 +9,17 @@ Each ``verify`` suite yields ``(row, residual)`` pairs over its seeded
 trials; a row reports the largest residual its suite yields for it (a
 NaN residual, once yielded, is the row's and fails it), and rows print
 in the order each was first yielded.  The ``oracle`` and ``covers``
-suites draw 100 trials at a time and then compute them as one batch,
-yielding rows in trial order; the other suites compute each trial as
-they draw it.  ``identities``, ``oracle`` and ``covers`` take their
-matrices as drawn, 4-tuples of their rows (float entries, or the pairs
-(N, d) of :mod:`slchar.mat2`), multiplied with no numpy; ``fricke``,
+suites draw 100 trials at a time and then compute them phase by phase,
+one trial at a time, yielding rows in trial order; the other suites
+compute each trial as they draw it.  ``identities``, ``oracle`` and
+``covers`` take their matrices as drawn, 4-tuples of their rows (float
+entries, or the pairs (N, d) of :mod:`slchar.mat2`); ``fricke``,
 ``covers`` and ``coxeter`` take square roots and have no exact mode.
 
 numpy and the modules that build matrices (``mat2``, ``chars``,
 ``hypgeom``) load inside the commands and suites that use them, so
-``trace-poly``, ``cover map`` (``--eval`` included), ``fricke test``
-and ``fn2trace`` start without them.
+``trace-poly``, ``cover map`` (``--eval`` included), ``fricke test``,
+``fn2trace`` and ``verify identities`` and ``oracle`` start without them.
 """
 
 from __future__ import annotations
@@ -177,7 +177,8 @@ def cmd_fricke(args) -> int:
             f"surface {args.surface} takes {need} coordinates, got {len(coords)}"
         )
     if args.mode == "float":
-        coords = [float(v) for v in coords]
+        coords = fricke._floats(ValueError, f"surface {args.surface}",
+                                **dict(zip(names.split(","), coords)))
     verdict = verdict_of(coords)
     _print_json(verdict)
     member = verdict.get("verdict", "").startswith("member") or verdict.get("member") is True
@@ -246,8 +247,8 @@ _ORACLE_RESIDUAL = {
 }
 
 
-#: Trials drawn before they are computed as one batch; a fixed size, so
-#: that memory does not grow with ``--trials``.
+#: Trials drawn before they are computed; a fixed size, so that memory
+#: does not grow with ``--trials``.
 _CHUNK = 100
 
 
@@ -269,10 +270,8 @@ def _suite_identities(cfg):
     so it holds for N as for m = N / d, with the commutator row's constant
     2 det(xi) det(eta) scaled by (d_xi d_eta)^2.  The matrices are 4-tuples
     of their rows (float entries, or the ints of N), multiplied by
-    ``mat2._mul`` and inverted by ``mat2._adjugate``."""
-    from . import mat2
-
-    mul, adj = mat2._mul, mat2._adjugate
+    ``tracepoly._mul`` and inverted by ``tracepoly._adjugate``."""
+    mul, adj = tracepoly._mul, tracepoly._adjugate
 
     def tr(n):
         return n[0] + n[3]
@@ -296,9 +295,8 @@ def _suite_identities(cfg):
 
 def _suite_oracle(cfg):
     """Each chunk of trials draws its words and matrices first, in trial
-    order, and then computes them as one batch."""
-    from . import mat2
-
+    order, and then traces every word, evaluates every trace polynomial,
+    takes every oracle trace and every quadruple check, in that order."""
     draw = _RANDOM_MATRIX[cfg.mode]
     len2, len3 = _ORACLE_WORD_LENGTHS[cfg.mode]
     residual = _ORACLE_RESIDUAL[cfg.mode]
@@ -312,10 +310,14 @@ def _suite_oracle(cfg):
 
     for trials in _chunks(cfg, draw_trial):
         w2s, m2s, w3s, m3s, m4s = zip(*trials)
-        v2s = tracepoly.evaluate_at_characters(map(tracepoly.trace_poly_f2, w2s), m2s)
-        v3s = tracepoly.evaluate_at_characters(map(tracepoly.trace_poly_f3, w3s), m3s)
-        t2s, t3s = mat2.word_traces(w2s, m2s), mat2.word_traces(w3s, m3s)
-        for v2, t2, v3, t3, q in zip(v2s, t2s, v3s, t3s, tracepoly.quadruple_trace_checks(m4s)):
+        p2s = [tracepoly.trace_poly_f2(w) for w in w2s]
+        p3s = [tracepoly.trace_poly_f3(w) for w in w3s]
+        v2s = [tracepoly.evaluate_at_character(p, m) for p, m in zip(p2s, m2s)]
+        v3s = [tracepoly.evaluate_at_character(p, m) for p, m in zip(p3s, m3s)]
+        t2s = [tracepoly.word_trace(w, m) for w, m in zip(w2s, m2s)]
+        t3s = [tracepoly.word_trace(w, m) for w, m in zip(w3s, m3s)]
+        qs = [tracepoly.quadruple_trace_check(m) for m in m4s]
+        for v2, t2, v3, t3, q in zip(v2s, t2s, v3s, t3s, qs):
             yield "rank2-words", residual(v2, t2)
             yield "rank3-words", residual(v3, t3)
             yield "quadruple-trace", q
@@ -354,8 +356,9 @@ def _suite_covers(cfg):
         return [sampling.random_unimodular_entries(rnd) for _ in range(3)]
 
     for draws in _chunks(cfg, draw_trial):
-        for character in chars.characters_of_triples(draws):
-            for r in covers.deck_involution_f3(character).sum_product_residuals():
+        characters = [chars.character_of_triple(*trial) for trial in draws]
+        for image in [covers.deck_involution_f3(c) for c in characters]:
+            for r in image.sum_product_residuals():
                 yield "deck-character-validity", r
 
 

@@ -168,12 +168,24 @@ class S03Result(_Record):
     cusps: tuple[str, ...]
 
 
+def _floats(error, owner: str, **coords) -> list[float]:
+    """The coordinates as floats; an int or Fraction beyond the largest
+    float raises ``error`` naming ``owner`` and the coordinate."""
+    for name, t in coords.items():
+        try:
+            coords[name] = float(t)
+        except OverflowError:
+            raise error(f"{owner} needs finite traces, got {name} past the float range") from None
+    return list(coords.values())
+
+
 def member_s03(x: float, y: float, z: float) -> S03Result:
     """Three-holed sphere: the four closed octants with an even number
     of positive coordinates, each coordinate at distance >= 2 from 0;
     the all-negative octant is the slice.  Coordinates within 1e-12 of
-    -2 (or 2) are cusps."""
-    coords = (float(x), float(y), float(z))
+    -2 (or 2) are cusps.  An exact coordinate past the float range is a
+    ValueError."""
+    coords = _floats(ValueError, "member_s03", x=x, y=y, z=z)
     for signs in h1z2_action(-1, -1, -1):  # the slice's octant, then its sign images
         if all(s * t >= 2 for s, t in zip(signs, coords)):
             cusps = tuple(name for name, t in zip("xyz", coords) if abs(abs(t) - 2) <= 1e-12)
@@ -212,8 +224,9 @@ def _unless_overflowed(value, formula, *args):
 def member_s11(x: float, y: float, z: float) -> S11Result:
     """One-holed torus: x^2 + y^2 + z^2 - xyz <= 0 (kappa <= -2) is the
     full orbit; the slice additionally has x, y, z > 2.  kappa = -2 is
-    the cusped boundary."""
-    x, y, z = float(x), float(y), float(z)
+    the cusped boundary.  An exact coordinate past the float range is a
+    ValueError."""
+    x, y, z = _floats(ValueError, "member_s11", x=x, y=y, z=z)
     k = kappa_value(x, y, z)
     sign = _unless_overflowed(k, kappa_value, x, y, z)
     if sign > -2:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mat2
+from .fricke import _floats
 from .mat2 import GeometryError, conjugating_involution
 
 __all__ = [
@@ -278,9 +279,10 @@ def real_normal_form_pair(x: float, y: float, z: float) -> tuple[np.ndarray, np.
     with the lower-left entry fixed to 1, falling back to -1 when the
     first choice is not real.  Covers in particular every character
     with all |traces| > 2 and kappa <= -2, and the hexagon domain
-    x, y, z <= -2.
+    x, y, z <= -2.  An exact trace past the float range raises
+    ``GeometryError``.
     """
-    x, y, z = float(x), float(y), float(z)
+    x, y, z = _floats(GeometryError, "real_normal_form_pair", x=x, y=y, z=z)
     # gamma = 1: alpha^2 - (x+y) alpha + (z+2) = 0
     disc = (x + y) ** 2 - 4 * (z + 2)
     if disc >= 0:
@@ -373,14 +375,8 @@ def hexagon_certificate(x: float, y: float, z: float) -> HexagonCertificate:
     "negated", so it is "negated" everywhere.
     """
     tol = 1e-9
-    traces = []
-    for name, t in (("x", x), ("y", y), ("z", z)):
-        try:
-            t = float(t)
-        except OverflowError:  # an int or Fraction beyond the largest float
-            raise GeometryError(
-                f"hexagon domain needs finite traces, got {name} past the float range") from None
-        traces.append(t)
+    traces = _floats(GeometryError, "hexagon domain", x=x, y=y, z=z)
+    for name, t in zip("xyz", traces):
         if not math.isfinite(t):
             raise GeometryError(f"hexagon domain needs finite traces, got {name} = {t}")
         if t + 2 > tol:

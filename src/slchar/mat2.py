@@ -2,10 +2,12 @@
 
 All explicit matrix formulas live here, together with the numeric
 oracle ``evaluate_word`` for trace polynomials; only the 4-tuple
-product ``_mul`` and the string formatter ``format_complex`` live in
-:mod:`slchar.tracepoly`, so that exact evaluation and ``slchar cover
-map --eval`` use them without numpy.  Matrices are plain 2x2 (or 3x3)
-complex numpy arrays.  Tolerances are fixed: ``inverse`` requires
+kernel behind it (``_mul``, ``_adjugate``, the word product and
+``word_trace``) and the string formatter ``format_complex`` live in
+:mod:`slchar.tracepoly`, so that exact evaluation, ``slchar verify
+identities`` and ``oracle``, and ``slchar cover map --eval`` run
+without numpy.  Matrices are plain 2x2 (or 3x3) complex numpy arrays.
+Tolerances are fixed: ``inverse`` requires
 ``|det - 1| <= TOL_CONJUGACY``, and the real-matrix tests of ``hat``
 and ``glide_reflection_sqrt`` allow imaginary parts up to
 ``TOL_CONJUGACY``.
@@ -19,15 +21,11 @@ on which ``trace``, ``det``, ``adjoint``, ``lie_product`` and the ``@``
 product compute exactly and keep the object dtype.  A numpy array is
 always numeric (integer dtypes included) and gives complex128 results.
 
-A float matrix inside the trace layer is the 4-tuple of the complex
-entries of its rows, the format of the numerators N.  ``word_traces``
-and the character kernels of :mod:`slchar.tracepoly` take a batch of T
-trials, a list of T tuples of float 4-tuples or exact pairs, or a
-(T, k, 2, 2) numpy stack, each matrix then its ``.ravel().tolist()``.
-Every trial is multiplied alone, as 4-tuples by ``_mul``, inverse
-letters by ``_adjugate``: the one 2x2 product for complex numbers and
-ints alike, which gives each trial the bits of the textbook product
-a p + b r, with no fused multiply-add.
+``evaluate_word`` takes one trial at a time and multiplies each matrix
+as the 4-tuple of its rows (a numpy matrix by ``.ravel().tolist()``),
+from the word's first letter: the one 2x2 product for complex numbers
+and ints alike, with the bits of the textbook product a p + b r and no
+fused multiply-add.
 
 Sign conventions: several formulas only determine a matrix up to a
 global sign (the underlying statements are projective).  ``sign_normalize`` picks
@@ -44,7 +42,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .tracepoly import _format_complex as format_complex, _mul, _numerators
+from .tracepoly import _format_complex as format_complex, _word_product
 from .words import Word
 
 __all__ = [
@@ -59,7 +57,6 @@ __all__ = [
     "adjoint",
     "inverse",
     "evaluate_word",
-    "word_traces",
     "lie_product",
     "normal_form_pair",
     "conjugating_involution",
@@ -123,12 +120,6 @@ def det(m: np.ndarray) -> complex:
     return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
 
 
-def _adjugate(n: tuple) -> tuple:
-    """The adjugate of a 2x2 matrix given as a 4-tuple of its rows."""
-    a, b, c, e = n
-    return (e, -b, -c, a)
-
-
 def adjoint(m: np.ndarray) -> np.ndarray:
     """Adjugate: ``m @ adjoint(m) == det(m) * I``."""
     return np.array(
@@ -150,51 +141,15 @@ def inverse(m: np.ndarray) -> np.ndarray:
     return adjoint(m)
 
 
-def _word_products(words, mats) -> list:
-    """The product words[t](mats[t]) of each trial as a 4-tuple, from I
-    by ``_mul``, inverse letters by the adjugate, and the product of the
-    letters' denominators: for exact pairs (N, d), the int product of the
-    Ns (adj(N / d) = adj(N) / d) and an int; for float matrices, None."""
-    out = []
-    for w, trial in zip(words, mats):
-        ns, ds = _numerators(trial)
-        invs = [_adjugate(n) for n in ns]
-        p = (1, 0, 0, 1)
-        for g in w.letters:
-            p = _mul(p, ns[g - 1] if g > 0 else invs[-g - 1])
-        out.append((p, None if ds is None else math.prod(ds[abs(g) - 1] for g in w.letters)))
-    return out
-
-
-def _check_rank(words, k: int) -> None:
-    for w in words:
-        if w.rank != k:
-            raise ValueError(f"assignment has {k} matrices for a rank-{w.rank} word")
-
-
 def evaluate_word(w: Word, assignment) -> np.ndarray:
     """The product w(xi_1, ..., xi_n), inverse letters by the adjugate.
     When every letter is an exact pair (N, d), the Ns multiply as int
     4-tuples and the product, an object array of Fractions, is divided
     once by the product of the letters' ds; numpy arrays are numeric."""
-    mats = list(assignment)
-    _check_rank([w], len(mats))
-    ((n, den),) = _word_products([w], [mats])
+    n, den = _word_product(w, assignment)
     if den is None:
         return np.array(n, dtype=complex).reshape(2, 2)
     return np.array([Fraction(v, den) for v in n], dtype=object).reshape(2, 2)
-
-
-def word_traces(words, mats) -> list:
-    """tr words[t](mats[t]) for each trial t of a batch (see
-    ``evaluate_at_characters``): a complex number, or a Fraction for exact
-    pairs (N, d)."""
-    words = list(words)
-    _check_rank(words, len(mats[0]))
-    if len(words) != len(mats):
-        raise ValueError(f"{len(words)} words for {len(mats)} trials")
-    return [complex(n[0] + n[3]) if den is None else Fraction(n[0] + n[3], den)
-            for n, den in _word_products(words, mats)]
 
 
 def lie_product(xi: np.ndarray, eta: np.ndarray) -> np.ndarray:

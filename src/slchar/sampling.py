@@ -13,8 +13,8 @@ numpy.  Streams derive deterministically from (seed, trial-index), so
 a suite may draw its trials before it computes any of them without
 changing results: the ``oracle`` and ``covers`` suites of ``slchar
 verify`` draw 100 trials at a time, each from its own stream in trial
-order, and then compute them as one batch.  ``identities``, ``oracle``
-and ``covers`` take float matrices as the 4-tuples of
+order, and then compute them one trial at a time.  ``identities``,
+``oracle`` and ``covers`` take float matrices as the 4-tuples of
 ``random_unimodular_entries``, in the format of the exact numerators N.
 """
 

@@ -57,18 +57,15 @@ trace it is (x_I = tr X_I); the engine's basis and ``coordinate_traces``
 (behind ``evaluate_at_character``) both read it.  Results are memoized
 on the rank and the cyclically reduced letters.
 
-Evaluation at characters takes a batch of trials, one matrix tuple
-being a batch of one: a list of T tuples of matrices, each the pair
-(N, d) of an exact matrix (see :mod:`slchar.mat2`) or the 4-tuple of the
-rows of a float one, or a (T, k, 2, 2) numpy stack.  A numpy matrix
-becomes the 4-tuple of its rows by ``.ravel().tolist()``
-(``_numerators``), so numpy is never loaded here.  Every trial is
-multiplied alone by ``_mul``, the one 2x2 product of the trace layer,
-which :mod:`slchar.mat2` and :mod:`slchar.chars` share; floats and
-exact numerators differ only in having denominators.  Polynomials are
-evaluated per trial.  ``mat2``'s complex formatter is
-``_format_complex`` here, so that ``slchar cover map --eval`` prints
-its images without numpy.
+Evaluation at characters and the word oracle ``word_trace`` take one
+trial at a time: a tuple of matrices, each the pair (N, d) of an exact
+matrix (see :mod:`slchar.mat2`) or the 4-tuple of the rows of a float
+one; a numpy matrix becomes its ``.ravel().tolist()`` (``_numerators``),
+so numpy is never loaded here.  ``_mul`` and ``_adjugate`` are the one
+2x2 arithmetic of the trace layer, shared with ``mat2``, ``chars`` and
+``slchar verify``; floats and exact numerators differ only in having
+denominators.  ``mat2``'s complex formatter is ``_format_complex`` here,
+so that ``slchar cover map --eval`` prints its images without numpy.
 """
 
 from __future__ import annotations
@@ -85,13 +82,12 @@ __all__ = [
     "COORDINATES",
     "coordinate_traces",
     "evaluate_at_character",
-    "evaluate_at_characters",
     "trace_poly",
     "trace_poly_f2",
     "trace_poly_f3",
     "kappa",
     "quadruple_trace_check",
-    "quadruple_trace_checks",
+    "word_trace",
     "generator_count",
     "clear_cache",
 ]
@@ -327,22 +323,12 @@ def quadruple_trace_check(assignment):
     Each term is linear in each m_i, so exact matrices are checked on their
     integer numerators N_i = d_i m_i, whose traces the polynomial takes as
     they are, and the residual divided once by the product of the d_i."""
-    return quadruple_trace_checks([list(assignment)])[0]
-
-
-def quadruple_trace_checks(mats) -> list:
-    """``quadruple_trace_check`` at each trial of a batch of four matrices
-    per trial (see ``evaluate_at_characters``)."""
     poly = _quadruple_poly()
-    out = []
-    for traces, d in _characters(F4_VARS, mats, (1, 2, 3, 4)):
-        top = 2 * traces.pop()
-        if d is None:
-            out.append(abs(top - poly.evaluate(dict(zip(F4_VARS, traces)))))
-        else:
-            value = Fraction(*poly._evaluate_ratio(traces, [1] * len(traces)))
-            out.append(abs(top - value) / d[-1])
-    return out
+    traces, dens = _character(F4_VARS, assignment, (1, 2, 3, 4))
+    top = 2 * traces.pop()
+    if dens is None:
+        return abs(top - poly.evaluate(dict(zip(F4_VARS, traces))))
+    return abs(top - Fraction(*poly._evaluate_ratio(traces, [1] * len(traces)))) / dens[-1]
 
 
 def generator_count(n: int) -> int:
@@ -360,6 +346,12 @@ def _mul(n: tuple, k: tuple) -> tuple:
     a, b, c, e = n
     p, q, r, s = k
     return (a * p + b * r, a * q + b * s, c * p + e * r, c * q + e * s)
+
+
+def _adjugate(n: tuple) -> tuple:
+    """The adjugate of a 2x2 matrix given as a 4-tuple of its rows."""
+    a, b, c, e = n
+    return (e, -b, -c, a)
 
 
 def _format_complex(v: complex) -> str:
@@ -380,6 +372,28 @@ def _numerators(mats) -> tuple[list, tuple | None]:
         ns, ds = zip(*mats)
         return ns, ds
     return mats, None
+
+
+def _word_product(w: Word, mats) -> tuple[tuple, int | None]:
+    """The product w(mats) as a 4-tuple, from the first letter's factor
+    (I for the empty word) by ``_mul``, inverse letters by the adjugate,
+    and the product of the letters' denominators: for exact pairs (N, d),
+    the int product of the Ns (adj(N / d) = adj(N) / d) and an int; for
+    float matrices, None.  A matrix count other than the word's rank is
+    a ValueError."""
+    ns, ds = _numerators(mats)
+    if len(ns) != w.rank:
+        raise ValueError(f"cannot evaluate a rank-{w.rank} word at {len(ns)} matrices")
+    factors = [ns[g - 1] if g > 0 else _adjugate(ns[-g - 1]) for g in w.letters]
+    p = functools.reduce(_mul, factors) if factors else (1, 0, 0, 1)
+    return p, None if ds is None else math.prod(ds[abs(g) - 1] for g in w.letters)
+
+
+def word_trace(w: Word, mats):
+    """tr w(mats), the oracle for trace polynomials: a complex number, or
+    a Fraction for exact pairs (N, d)."""
+    n, den = _word_product(w, mats)
+    return complex(n[0] + n[3]) if den is None else Fraction(n[0] + n[3], den)
 
 
 def _prefix_traces(mats, words) -> tuple[dict, tuple | None]:
@@ -405,16 +419,10 @@ def _character(variables: VariableSet, mats, *extra) -> tuple[list, list | None]
     k = len(mats)
     if _VARSETS.get(k) != variables:
         raise ValueError(f"cannot evaluate over {variables.names} at {k} matrices")
-    variables = _VARSETS[k]
     words = [*COORDINATES[variables].values(), *extra]
     traces, ds = _prefix_traces(mats, words)
     dens = None if ds is None else [math.prod(ds[i - 1] for i in w) for w in words]
     return [traces[w] for w in words], dens
-
-
-def _characters(variables: VariableSet, mats, *extra) -> list[tuple[list, list | None]]:
-    """``_character`` at each trial of a batch."""
-    return [_character(variables, trial, *extra) for trial in mats]
 
 
 def coordinate_traces(variables: VariableSet, mats) -> dict:
@@ -430,23 +438,7 @@ def evaluate_at_character(p: Polynomial, mats):
     pairs (N, d) (see :mod:`slchar.mat2`), taken on the integer numerators
     with no Fraction per coordinate (``_character``); numpy arrays are
     numeric."""
-    return evaluate_at_characters([p], [list(mats)])[0]
-
-
-def evaluate_at_characters(polys, mats) -> list:
-    """``evaluate_at_character`` of polys[t] at trial t of a batch: a list
-    of T matrix tuples, or a (T, k, 2, 2) numpy stack.  Each trial is
-    computed alone, so it gets the bits it gets outside the batch."""
-    polys = list(polys)
-    if len(polys) != len(mats):
-        raise ValueError(f"{len(polys)} polynomials for {len(mats)} trials")
-    variables = {p.variables for p in polys}
-    if len(variables) != 1:
-        raise ValueError(f"a batch evaluates over one variable set, got {len(variables)}")
-    out = []
-    for p, (traces, dens) in zip(polys, _characters(*variables, mats)):
-        if dens is None:
-            out.append(p.evaluate(dict(zip(p.variables, traces))))
-        else:
-            out.append(Fraction(*p._evaluate_ratio(traces, dens)))
-    return out
+    traces, dens = _character(p.variables, mats)
+    if dens is None:
+        return p.evaluate(dict(zip(p.variables, traces)))
+    return Fraction(*p._evaluate_ratio(traces, dens))

@@ -219,6 +219,17 @@ class TestFricke:
         assert code == 0
         assert json.loads(out)["verdict"] == "member"
 
+    @pytest.mark.parametrize("surface, mode, error", [
+        ("s03", "exact", "member_s03 needs finite traces, got x past the float range"),
+        ("s11", "exact", "member_s11 needs finite traces, got x past the float range"),
+        ("s03", "float", "surface s03 needs finite traces, got x past the float range"),
+        ("c11", "float", "surface c11 needs finite traces, got p past the float range"),
+    ])
+    def test_coordinate_past_the_float_range(self, capsys, surface, mode, error):
+        code, out, err = run(capsys, "fricke", "test", surface, f"--coords=1{'0' * 400},3,3",
+                             "--mode", mode)
+        assert (code, out, err) == (1, "", f"error: {error}\n")
+
     def test_nonmember_exit_code(self, capsys):
         code, out, _ = run(capsys, "fricke", "test", "s11", "--coords=3,3,10")
         assert code == 1
@@ -380,11 +391,11 @@ class TestVerify:
         assert out.count("max-residual=0.0") == 4
 
     def test_exact_identities_catch_a_wrong_adjugate_sign(self, capsys, monkeypatch):
-        # the exact suite runs on integer numerators through mat2._adjugate;
+        # the exact suite runs on integer numerators through tracepoly._adjugate;
         # an adjugate that keeps the sign of its upper right entry must FAIL
-        from slchar import mat2
+        from slchar import tracepoly
 
-        monkeypatch.setattr(mat2, "_adjugate", lambda n: (n[3], n[1], -n[2], n[0]))
+        monkeypatch.setattr(tracepoly, "_adjugate", lambda n: (n[3], n[1], -n[2], n[0]))
         code, out, _ = run(capsys, "verify", "identities", "--trials", "5", "--mode", "exact")
         assert code == 1
         assert "identities/basic-identity: max-residual=" in out
@@ -398,9 +409,9 @@ class TestVerify:
     ])
     def test_exact_oracle_catches_a_wrong_int_tuple_helper(self, capsys, monkeypatch,
                                                             helper, wrong):
-        from slchar import mat2
+        from slchar import tracepoly
 
-        monkeypatch.setattr(mat2, helper, wrong)
+        monkeypatch.setattr(tracepoly, helper, wrong)
         code, out, _ = run(capsys, "verify", "oracle", "--trials", "5", "--mode", "exact")
         assert code == 1
         assert "oracle/rank2-words:" in out and " FAIL" in out

@@ -57,6 +57,12 @@ class TestS03:
         assert member_s03(-3, -3, 0).verdict is S03Verdict.NONMEMBER
         assert member_s03(3, 3, 3).verdict is S03Verdict.NONMEMBER
 
+    def test_exact_coordinate_past_the_float_range(self):
+        # float() of it raises OverflowError, which must not escape unnamed
+        for name, point in (("x", (Fraction(10**400), 3, 3)), ("z", (-3, -3, -10**400))):
+            with pytest.raises(ValueError, match=f"member_s03 needs finite traces, got {name} past"):
+                member_s03(*point)
+
     def test_slice_points_have_hexagons(self):
         from slchar.hypgeom import hexagon_certificate
 
@@ -83,6 +89,11 @@ class TestS11:
 
     def test_quaternion_orbit_only(self):
         assert member_s11(0, 0, 0).verdict is S11Verdict.MEMBER_ORBIT
+
+    def test_exact_coordinate_past_the_float_range(self):
+        for name, point in (("x", (Fraction(10**400), 3, 3)), ("y", (3, -10**400, 3))):
+            with pytest.raises(ValueError, match=f"member_s11 needs finite traces, got {name} past"):
+                member_s11(*point)
 
     def test_invariant_under_sign_action(self):
         for _ in range(200):

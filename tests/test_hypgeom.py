@@ -700,6 +700,12 @@ class TestRealNormalForm:
         with pytest.raises(GeometryError, match="no real normal form"):
             real_normal_form_pair(0, 0, 0)
 
+    def test_exact_traces_past_the_float_range(self):
+        for name, point in (("x", (Fraction(-10**400), -3, -3)), ("z", (-3, -3, 10**400))):
+            with pytest.raises(GeometryError, match=f"real_normal_form_pair needs finite traces, "
+                                                    f"got {name} past the float range"):
+                real_normal_form_pair(*point)
+
     def test_axes_cross_domain(self):
         for _ in range(100):
             x = RND.uniform(2.5, 6)

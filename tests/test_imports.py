@@ -2,8 +2,9 @@
 (PEP 562), and the symbolic path (words, polyring, tracepoly, covers,
 fricke with ``fn_to_traces``, sampling's exact draws and the exact
 quadruple-trace check on them, ``slchar trace-poly``, ``slchar cover
-map`` with and without ``--eval``, ``slchar fn2trace`` and ``slchar
-fricke test``) leaves numpy out of ``sys.modules``.  Each footprint runs
+map`` with and without ``--eval``, ``slchar fn2trace``, ``slchar
+fricke test`` and ``slchar verify identities`` and ``oracle`` in both
+modes) leaves numpy out of ``sys.modules``.  Each footprint runs
 in a fresh interpreter."""
 
 import importlib
@@ -53,8 +54,12 @@ def numpy_loaded(code: str) -> bool:
     "from slchar.cli import main\nmain(['fricke', 'test', 's11', '--coords=3,3,3'])",
     "from slchar.cli import main\n"
     "main(['fricke', 'test', 's04', '--mode', 'exact', '--coords=2,2,2,2,-3,3,3'])",
+    *(f"from slchar.cli import main\nmain(['verify', '{suite}', '--mode', '{mode}'])"
+      for suite in ("identities", "oracle") for mode in ("float", "exact")),
 ], ids=["import", "symbolic-modules", "cli-trace-poly", "cli-cover-map", "cli-cover-eval",
-        "fn-to-traces", "cli-fn2trace", "cli-fricke-test-s11", "cli-fricke-test-s04-exact"])
+        "fn-to-traces", "cli-fn2trace", "cli-fricke-test-s11", "cli-fricke-test-s04-exact",
+        "cli-verify-identities", "cli-verify-identities-exact", "cli-verify-oracle",
+        "cli-verify-oracle-exact"])
 def test_symbolic_path_loads_no_numpy(code):
     assert not numpy_loaded(code)
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from slchar import mat2
+from slchar import mat2, tracepoly
 from slchar.mat2 import (
     GeometryError,
     I2,
@@ -219,10 +219,9 @@ def _batch_words(rnd, rank, trials=240):
 
 
 class TestWordTraces:
-    """``word_traces`` gives each trial the bits of its word's trace
-    computed alone, which are those of the textbook products of
-    ``tuple2x2.matmul``; a numpy stack gives the bits of the same list of
-    4-tuples; exact batches give Fractions."""
+    """``word_trace`` gives each trial the bits of the textbook products of
+    ``tuple2x2.matmul``, and of ``evaluate_word``; a trial given as numpy
+    matrices gets the bits of its 4-tuples; exact trials give Fractions."""
 
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
     def test_float_bit_for_bit(self, rank):
@@ -230,12 +229,11 @@ class TestWordTraces:
         words = _batch_words(rnd, rank)
         draws = [[random_unimodular_entries(rnd) for _ in range(rank)] for _ in words]
         stack = np.array(draws, dtype=complex).reshape(len(words), rank, 2, 2)
-        got = mat2.word_traces(words, draws)
-        assert len(got) == len(words)
-        assert [_bits(v) for v in got] == [_bits(v) for v in mat2.word_traces(words, stack)]
-        for value, w, trial in zip(got, words, draws):
+        for w, trial, as_numpy in zip(words, draws, stack):
+            value = tracepoly.word_trace(w, trial)
             assert type(value) is complex
-            assert _bits(value) == _bits(mat2.word_traces([w], [trial])[0])
+            assert _bits(value) == _bits(tracepoly.word_trace(w, as_numpy))
+            assert _bits(value) == _bits(tracepoly.word_trace(w, list(as_numpy)))
             assert _bits(value) == _bits(mat2.trace(evaluate_word(w, trial)))
             assert _bits(value) == _bits(trace(word_product(w, [(m[:2], m[2:]) for m in trial])))
 
@@ -244,8 +242,8 @@ class TestWordTraces:
         rnd = random.Random(2850 + rank)
         words = _batch_words(rnd, rank)
         batch = [tuple(random_rational_unimodular(rnd) for _ in range(rank)) for _ in words]
-        got = mat2.word_traces(words, batch)
-        for value, w, trial in zip(got, words, batch):
+        for w, trial in zip(words, batch):
+            value = tracepoly.word_trace(w, trial)
             assert type(value) is Fraction
             assert value == mat2.trace(evaluate_word(w, trial))
             assert value == trace(word_product(w, [from_pair(m) for m in trial]))
@@ -253,15 +251,26 @@ class TestWordTraces:
     def test_adjugates_negate_signed_zeros(self):
         # negation, not a product with -1, so that -0.0 and 0.0 swap as adjoint's do
         m = np.array([[1, complex(0.0, -0.0)], [complex(-0.0, 0.0), 1]])
-        assert ([_bits(v) for v in mat2._adjugate(tuple(m.ravel().tolist()))]
+        assert ([_bits(v) for v in tracepoly._adjugate(tuple(m.ravel().tolist()))]
                 == [_bits(v) for v in mat2.adjoint(m).flat])
 
-    def test_shape_is_checked(self):
-        stack = np.array([[I2, I2]] * 3)
-        with pytest.raises(ValueError):
-            mat2.word_traces([Word(2, (1,))] * 2, stack)
-        with pytest.raises(ValueError):
-            mat2.word_traces([Word(3, (1,))] * 3, stack)
+    def test_empty_word_is_the_identity(self):
+        # the one product that starts at I: trace 2, complex or exact
+        value = tracepoly.word_trace(Word(2, ()), [random_unimodular_entries(RND) for _ in range(2)])
+        assert type(value) is complex and value == 2
+        value = tracepoly.word_trace(Word(2, ()), [random_rational_unimodular(RND) for _ in range(2)])
+        assert type(value) is Fraction and value == 2
+
+    def test_one_letter_word_is_the_letter(self):
+        # a product from the first letter, not from I: I m would add 0 * entries
+        # to each entry and lose the signed zeros
+        m = np.array([[complex(-0.0, 1.5), complex(0.0, -0.0)],
+                      [complex(-0.0, -0.0), complex(2.0, -0.0)]])
+        for trial in ([m], [tuple(m.ravel().tolist())]):
+            got = evaluate_word(Word(1, (1,)), trial)
+            assert [_bits(v) for v in got.flat] == [_bits(v) for v in m.flat]
+        got = evaluate_word(Word(1, (-1,)), [m])
+        assert [_bits(v) for v in got.flat] == [_bits(v) for v in mat2.adjoint(m).flat]
 
 
 #: Integer 2x2 matrices of any determinant, singular and zero ones included.
@@ -307,8 +316,8 @@ class TestHomogenisedIdentities:
         comm = mat2.trace(xi @ eta @ adj_xi @ adj_eta) + mat2.det(lie_product(xi, eta))
         assert type(comm) is int and comm == 2 * _det(n) * _det(m)
         # the private int 4-tuple helpers of the exact word products
-        assert mat2._mul(_flat(n), _flat(m)) == _flat(nm)
-        assert mat2._adjugate(_flat(n)) == _flat(inverse(n))
+        assert tracepoly._mul(_flat(n), _flat(m)) == _flat(nm)
+        assert tracepoly._adjugate(_flat(n)) == _flat(inverse(n))
 
 
 class TestLieProduct:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slchar import chars, mat2, tracepoly
+from slchar import mat2, tracepoly
 from slchar.polyring import (
     F2_VARS,
     F3_VARS,
@@ -600,7 +600,8 @@ def _bits(z):
 
 def _stacked_draws(rnd, rank, trials):
     """``trials`` float draws of ``rank`` matrices, as a list of 4-tuples
-    per trial and as a (T, k, 2, 2) numpy stack."""
+    per trial and as a (T, k, 2, 2) numpy stack, whose first axis gives
+    each trial as numpy matrices."""
     draws = [[random_unimodular_entries(rnd) for _ in range(rank)] for _ in range(trials)]
     return draws, np.array(draws, dtype=complex).reshape(trials, rank, 2, 2)
 
@@ -618,10 +619,9 @@ def _stacked_words(rnd, rank, trials):
 
 
 class TestStackedKernels:
-    """The batch kernels give each trial the bits that the one-trial
-    functions give it alone, and those of the textbook 2x2 products of
-    ``tuple2x2.matmul``; a numpy stack gives the bits of the same list of
-    4-tuples; exact batches give the same Fractions."""
+    """The one-trial kernels give each trial the bits of the textbook 2x2
+    products of ``tuple2x2.matmul``; a trial given as numpy matrices gets
+    the bits of its 4-tuples; exact trials give the same Fractions."""
 
     TRIALS = 240
 
@@ -632,13 +632,11 @@ class TestStackedKernels:
         variables = tracepoly._VARSETS[rank]
         extra = ((1, 2, 3, 4),) if rank == 4 else ()
         words = list(tracepoly.COORDINATES[variables].values()) + list(extra)
-        characters = tracepoly._characters(variables, draws, *extra)
-        assert len(characters) == self.TRIALS
-        assert ([[_bits(v) for v in traces] for traces, _ in characters]
-                == [[_bits(v) for v in traces]
-                    for traces, _ in tracepoly._characters(variables, stack, *extra)])
-        for (traces, dens), trial in zip(characters, draws):
+        for trial, as_numpy in zip(draws, stack):
+            traces, dens = tracepoly._character(variables, trial, *extra)
             assert dens is None
+            assert ([_bits(v) for v in traces]
+                    == [_bits(v) for v in tracepoly._character(variables, as_numpy, *extra)[0]])
             alone = list(tracepoly.coordinate_traces(variables, trial).values())
             by_2x2 = [trace(product_of([_nested(m) for m in trial], w)) for w in words]
             assert [_bits(v) for v in traces[:len(alone)]] == [_bits(v) for v in alone]
@@ -649,28 +647,24 @@ class TestStackedKernels:
         rnd = random.Random(2810 + rank)
         draws, stack = _stacked_draws(rnd, rank, self.TRIALS)
         polys = [trace_poly(w) for w in _stacked_words(rnd, rank, self.TRIALS)]
-        got = tracepoly.evaluate_at_characters(polys, draws)
-        assert len(got) == self.TRIALS
-        assert ([_bits(v) for v in got]
-                == [_bits(v) for v in tracepoly.evaluate_at_characters(polys, stack)])
-        for value, p, trial in zip(got, polys, draws):
+        for p, trial, as_numpy in zip(polys, draws, stack):
+            value = evaluate_at_character(p, trial)
             assert type(value) is complex
-            assert _bits(value) == _bits(evaluate_at_character(p, trial))
+            assert _bits(value) == _bits(evaluate_at_character(p, as_numpy))
+            assert _bits(value) == _bits(evaluate_at_character(p, list(as_numpy)))
             by_2x2 = _per_rank_assignment(rank, [_nested(m) for m in trial])
             assert _bits(value) == _bits(p.evaluate(by_2x2))
 
     def test_quadruple_trace_checks_bit_for_bit(self):
         rnd = random.Random(2814)
         draws, stack = _stacked_draws(rnd, 4, self.TRIALS)
-        got = tracepoly.quadruple_trace_checks(draws)
-        assert len(got) == self.TRIALS
-        assert [v.hex() for v in got] == [v.hex() for v in tracepoly.quadruple_trace_checks(stack)]
         poly = tracepoly._quadruple_poly()
         names = tracepoly.COORDINATES[tracepoly.F4_VARS]
-        for value, trial in zip(got, draws):
+        for trial, as_numpy in zip(draws, stack):
+            value = quadruple_trace_check(trial)
             mats = [_nested(m) for m in trial]
             assert type(value) is float
-            assert value.hex() == quadruple_trace_check(trial).hex()
+            assert value.hex() == quadruple_trace_check(as_numpy).hex()
             assert value.hex() == abs(
                 2 * trace(product_of(mats, (1, 2, 3, 4)))
                 - poly.evaluate({n: trace(product_of(mats, w)) for n, w in names.items()})
@@ -682,56 +676,44 @@ class TestStackedKernels:
         batch = [tuple(random_rational_unimodular(rnd) for _ in range(rank))
                  for _ in range(self.TRIALS)]
         variables = tracepoly._VARSETS[rank]
-        for (traces, dens), trial in zip(tracepoly._characters(variables, batch), batch):
+        for trial in batch:
+            traces, dens = tracepoly._character(variables, trial)
             got = dict(zip(variables, map(Fraction, traces, dens)))
             assert got == tracepoly.coordinate_traces(variables, trial)
             tuples = [from_pair(m) for m in trial]
             assert got == {n: trace(product(*(tuples[i - 1] for i in w)))
                            for n, w in tracepoly.COORDINATES[variables].items()}
         if rank == 4:
-            got = tracepoly.quadruple_trace_checks(batch)
+            got = [quadruple_trace_check(trial) for trial in batch]
             assert got == [0] * self.TRIALS
             assert all(type(v) is Fraction for v in got)
             return
-        polys = [trace_poly(w) for w in _stacked_words(rnd, rank, self.TRIALS)]
-        got = tracepoly.evaluate_at_characters(polys, batch)
-        for value, p, trial in zip(got, polys, batch):
+        for w, trial in zip(_stacked_words(rnd, rank, self.TRIALS), batch):
+            p = trace_poly(w)
+            value = evaluate_at_character(p, trial)
             assert type(value) is Fraction
-            assert value == evaluate_at_character(p, trial)
-
-    def test_batch_checks_its_shape(self):
-        _, stack = _stacked_draws(random.Random(2830), 3, 4)
-        with pytest.raises(ValueError):
-            tracepoly.evaluate_at_characters([trace_poly_f3(Word(3, (1,)))] * 3, stack)
-        with pytest.raises(ValueError):
-            tracepoly.evaluate_at_characters([trace_poly_f2(Word(2, (1,)))] * 4, stack)
-        with pytest.raises(ValueError):
-            tracepoly.quadruple_trace_checks(stack)
-        with pytest.raises(ValueError):
-            tracepoly.evaluate_at_characters(
-                [trace_poly_f3(Word(3, (1,))), trace_poly_f2(Word(2, (1,)))], stack[:2])
+            tuples = [from_pair(m) for m in trial]
+            assert value == p.evaluate_exact(_per_rank_assignment(rank, tuples))
 
     @pytest.mark.parametrize("surplus", [-1, 1])
     def test_wrong_matrix_count_raises(self, surplus):
         # one matrix too few or too many is one ValueError where the traces
-        # are taken, at every entry: exact and float, on a stack and a list
+        # are taken, at every entry: exact and float, as numpy matrices, as
+        # one (k, 2, 2) array and as 4-tuples
         rnd = random.Random(2840 + surplus)
         p = trace_poly_f3(Word(3, (1, 2, 3)))
-        entries = {  # per rank: the entries on one matrix tuple, then on a batch
-            3: ((lambda ms: tracepoly.coordinate_traces(F3_VARS, ms),
-                 lambda ms: evaluate_at_character(p, ms)),
-                (lambda batch: tracepoly.evaluate_at_characters([p, p], batch),
-                 chars.characters_of_triples)),
-            4: ((quadruple_trace_check,), (tracepoly.quadruple_trace_checks,)),
+        entries = {
+            3: (lambda ms: tracepoly.coordinate_traces(F3_VARS, ms),
+                lambda ms: evaluate_at_character(p, ms),
+                lambda ms: tracepoly.word_trace(Word(3, (1, -3)), ms),
+                lambda ms: mat2.evaluate_word(Word(3, (2,)), ms)),
+            4: (quadruple_trace_check, lambda ms: tracepoly.word_trace(Word(4, (4,)), ms)),
         }
-        for rank, (on_tuple, on_batch) in entries.items():
+        for rank, on_tuple in entries.items():
             count = rank + surplus
-            draws, stack = _stacked_draws(rnd, count, 2)
+            draws, stack = _stacked_draws(rnd, count, 1)
             exact = [random_rational_unimodular(rnd) for _ in range(count)]
-            calls = [(f, ms) for f in on_tuple
-                     for ms in (list(stack[0]), stack[0], draws[0], exact)]
-            calls += [(f, batch) for f in on_batch
-                      for batch in (stack, [list(stack[0])] * 2, draws, [exact] * 2)]
-            for f, mats in calls:
-                with pytest.raises(ValueError, match=f"at {count} matrices"):
-                    f(mats)
+            for f in on_tuple:
+                for mats in (list(stack[0]), stack[0], draws[0], exact):
+                    with pytest.raises(ValueError, match=f"at {count} matrices"):
+                        f(mats)
