@@ -17,10 +17,11 @@ from numbers import Rational
 import numpy as np
 
 from . import mat2
-from .fricke import _floats
-from .mat2 import GeometryError, _principal_root, principal_sqrt
-from .polyring import F3_VARS, sum_product
-from .tracepoly import _character, _mul, kappa_value
+from .fricke import _floats, _unless_overflowed
+from .mat2 import GeometryError, _normal_form, _principal_root, principal_sqrt
+from .polyring import F2_VARS, F3_VARS, sum_product
+from .tracepoly import _character, _entries, _mul, _trace_of_product, kappa_value, word_trace
+from .words import Word
 
 __all__ = [
     "CharacterF2",
@@ -111,8 +112,10 @@ class RealCharClass(enum.Enum):
     REDUCIBLE_UNDETERMINED = "Reducible-undetermined"
 
 
-def character_of_pair(xi: np.ndarray, eta: np.ndarray) -> CharacterF2:
-    return CharacterF2(mat2.trace(xi), mat2.trace(eta), mat2.trace(xi @ eta))
+def character_of_pair(xi, eta) -> CharacterF2:
+    """Fractions for exact pairs (N, d)."""
+    traces, dens = _character(F2_VARS, (xi, eta))
+    return CharacterF2(*(traces if dens is None else map(Fraction, traces, dens)))
 
 
 def character_of_triple(m1, m2, m3) -> CharacterF3:
@@ -156,23 +159,21 @@ def irreducibility_witnesses(xi: np.ndarray, eta: np.ndarray) -> IrreducibilityR
     The witnesses: tr[xi,eta] (must differ from 2), det of the Lie
     product (must be nonzero, equals 2 - kappa), and the 4x4
     determinant of {I, xi, eta, xi eta} in the elementary-matrix
-    basis (also equals 2 - kappa).
+    basis (also 2 - kappa), by two 3x3 minors along I's column.
     """
     c = character_of_pair(xi, eta)
-    k = kappa_value(*c.as_tuple())
-    comm = mat2.trace(
-        xi @ eta @ mat2.adjoint(xi) @ mat2.adjoint(eta)
-    )
-    dlie = mat2.det(mat2.lie_product(xi, eta))
-    basis = np.column_stack(
-        [m.reshape(-1) for m in (mat2.I2, xi, eta, xi @ eta)]
-    )
-    bdet = complex(np.linalg.det(basis))
+    a, b = _entries(xi), _entries(eta)
+    rows = list(zip(a, b, _mul(a, b)))
+
+    def minor(r0, r1, r2):
+        return (r0[0] * (r1[1] * r2[2] - r1[2] * r2[1]) - r0[1] * (r1[0] * r2[2] - r1[2] * r2[0])
+                + r0[2] * (r1[0] * r2[1] - r1[1] * r2[0]))
+
     report = IrreducibilityReport(
-        kappa=k,
-        commutator_trace=comm,
-        lie_determinant=dlie,
-        basis_determinant=bdet,
+        kappa=kappa_value(*c.as_tuple()),
+        commutator_trace=word_trace(Word(2, (1, 2, -1, -2)), (xi, eta)),
+        lie_determinant=mat2.det(mat2.lie_product(xi, eta)),
+        basis_determinant=minor(*rows[1:]) - minor(*rows[:3]),
         irreducible=is_irreducible(c),
     )
     if not report.witnesses_agree():
@@ -213,23 +214,26 @@ def classify_real_character(x: float, y: float, z: float) -> RealCharClass:
 def axes_cross(x: float, y: float, z: float) -> bool:
     """For a real character with kappa <= -2, other than the quaternion
     character (0,0,0): the generators act as hyperbolic elements of
-    SL(2,R) with crossing axes.
+    SL(2,R) with crossing axes, so the answer is always True.
 
-    Verified constructively: build a real pair with this character and
-    check that the Lie product has positive determinant.  An exact trace
-    past the float range raises ``GeometryError``.
+    If |x| <= 2, |xyz| <= y^2 + z^2, so kappa + 2 >= x^2 >= 0, with
+    equality only at the origin; likewise for y and z.  So on kappa <= -2
+    every |trace| > 2 but at the origin, and det[X,Y] = 2 - kappa >= 4:
+    hyperbolic axes cross exactly when kappa < 2 (Goldman, Geom. Topol.
+    7, 2003).  ``GeometryError`` refuses a kappa above -2 + 1e-12 or NaN
+    (one that overflows at finite traces decided exactly, by
+    ``fricke._unless_overflowed``), the origin within 1e-12 and an exact
+    trace past the float range.
     """
     x, y, z = _floats(GeometryError, "axes_cross", x=x, y=y, z=z)
     k = kappa_value(x, y, z)
-    if k > -2 + 1e-12:
-        raise GeometryError(f"axes_cross requires kappa <= -2, got {k}")
+    exact = _unless_overflowed(k, kappa_value, x, y, z)
+    if not exact <= -2 + 1e-12:
+        got = k if exact is k else "one past the float range"
+        raise GeometryError(f"axes_cross requires kappa <= -2, got {got}")
     if abs(x) < 1e-12 and abs(y) < 1e-12 and abs(z) < 1e-12:
         raise GeometryError("the quaternion character (0,0,0) is excluded")
-    from .hypgeom import real_normal_form_pair
-
-    X, Y = real_normal_form_pair(x, y, z)
-    dlie = mat2.det(mat2.lie_product(X, Y))
-    return dlie.real > 0
+    return True
 
 
 def triple_trace_roots(t1, t2, t3, t12, t13, t23) -> tuple[complex, complex]:
@@ -289,11 +293,6 @@ def construct_triple(t1, t2, t3, t12, t23, t13, branch: str = "+"):
     return tuple(mat2.mat2(*m) for m in triple)
 
 
-def _tr(m, k):
-    """tr(m k) for 2x2 matrices given as 4-tuples of their rows."""
-    return m[0] * k[0] + m[1] * k[2] + m[2] * k[1] + m[3] * k[3]
-
-
 def _trace_form_solver(t1, t2, f):
     """For xi1 = [[t1, -1], [1, 0]] and xi2 = [[0, 1/f], [-f, t2]]: the
     determinant -(kappa - 2) of the 2x2 system, and the map from traces
@@ -317,16 +316,15 @@ def _construct_triple(t1, t2, t3, t12, t23, t13, branch):
     """The triple as three 4-tuples of complex entries, rows first."""
     if is_irreducible(CharacterF2(t1, t2, t12)):
         t123 = triple_trace_roots(t1, t2, t3, t12, t13, t23)[0 if branch == "+" else 1]
-        f = _principal_root(t12)
-        det, solve = _trace_form_solver(t1, t2, f)
+        xi1, xi2 = _normal_form(t1, t2, t12)
+        det, solve = _trace_form_solver(t1, t2, -xi2[2])  # xi2 = [[0, 1/f], [-f, t2]]
         if det == 0 or not cmath.isfinite(det):
             raise GeometryError("degenerate branch value")
-        xi1, xi2 = (t1, -1, 1, 0), (0, 1 / f, -f, t2)
         traces = (t3, t13, t23, t123)
         xi3 = solve(*traces)
         # one step of iterative refinement: the same solve for the residuals
         basis = ((1, 0, 0, 1), xi1, xi2, _mul(xi1, xi2))
-        fix = solve(*(t - _tr(b, xi3) for b, t in zip(basis, traces)))
+        fix = solve(*(t - _trace_of_product(b, xi3) for b, t in zip(basis, traces)))
         return xi1, xi2, tuple(x + d for x, d in zip(xi3, fix))
 
     # reducible base pair: explicit upper-triangular forms

@@ -11,10 +11,10 @@ NaN residual, once yielded, is the row's and fails it), and rows print
 in the order each was first yielded.  The ``oracle`` and ``covers``
 suites draw 100 trials at a time and then compute them phase by phase,
 one trial at a time, yielding rows in trial order; the other suites
-compute each trial as they draw it.  ``identities``, ``oracle`` and
-``covers`` take their matrices as drawn, 4-tuples of their rows (float
-entries, or the pairs (N, d) of :mod:`slchar.mat2`); ``fricke``,
-``covers`` and ``coxeter`` take square roots and have no exact mode.
+compute each trial as they draw it.  Every suite multiplies 2x2
+matrices as 4-tuples of their rows (float entries, or the pairs (N, d)
+of :mod:`slchar.mat2`) by ``tracepoly._mul``; ``fricke``, ``covers``
+and ``coxeter`` take square roots and have no exact mode.
 
 numpy and the modules that build matrices (``mat2``, ``chars``,
 ``hypgeom``) load inside the commands and suites that use them, so
@@ -129,8 +129,6 @@ def cmd_eval_word(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    import numpy as np
-
     from . import chars, mat2
 
     need = 3 if args.kind == "pair" else 6
@@ -143,9 +141,8 @@ def cmd_construct(args) -> int:
     else:
         names, mats = ("xi1", "xi2", "xi3"), chars.construct_triple(*coords, args.branch)
         character_of = chars.character_of_triple
-    with np.errstate(all="ignore"):  # a trace that overflows is refused below
-        character = character_of(*mats)
-    if not np.isfinite(character.as_tuple()).all():
+    character = character_of(*mats)  # on 4-tuples: a trace that overflows is refused below
+    if not all(map(cmath.isfinite, character.as_tuple())):
         raise mat2.GeometryError("degenerate branch value")
     payload = {name: mat2.matrix_to_json(m) for name, m in zip(names, mats)}
     payload["character"] = character.to_json()
@@ -339,8 +336,9 @@ def _suite_fricke(cfg):
         if cert.verdict != "right-hexagon":
             yield "hexagon-inner-products", 1.0
         # the closed form against the hats of a real pair with these traces
-        X, Y = hypgeom.real_normal_form_pair(x, y, z)
-        hx, hy, hz = (mat2.hat(m) for m in (X, Y, mat2.adjoint(X @ Y)))
+        X, Y = mat2.normal_form_pair(x, y, z)
+        Z = mat2.evaluate_word(Word(2, (-2, -1)), (X, Y))  # (XY)^-1
+        hx, hy, hz = map(mat2.hat, (X, Y, Z))
         for pair, (h1, h2) in zip(cert.pairs, ((hx, hy), (hy, hz), (hz, hx))):
             yield "hexagon-inner-products", abs(pair.inner - hypgeom.minkowski_inner(h1, h2))
 
@@ -363,9 +361,12 @@ def _suite_covers(cfg):
 
 
 def _suite_coxeter(cfg):
-    import numpy as np
-
     from . import chars, hypgeom, mat2
+
+    mul = tracepoly._mul
+
+    def dist(m, k):
+        return max(abs(p - q) for p, q in zip(m, k))
 
     # a rejected draw still uses up its stream index, so no _trials here
     done = 0
@@ -373,25 +374,19 @@ def _suite_coxeter(cfg):
     while done < cfg.trials:
         rnd = sampling.rng_for(cfg.seed, trial)
         trial += 1
-        xi = sampling.random_unimodular(rnd)
-        eta = sampling.random_unimodular(rnd)
+        xi = sampling.random_unimodular_entries(rnd)
+        eta = sampling.random_unimodular_entries(rnd)
         if abs(chars.character_of_pair(xi, eta).kappa() - 2) < 1e-3:
             continue
         done += 1
-        i_xy, i_yz, i_zx = hypgeom.coxeter_extension(xi, eta)
-        zeta = mat2.adjoint(xi @ eta)
+        involutions = hypgeom.coxeter_extension(mat2.mat2(*xi), mat2.mat2(*eta))
+        i_xy, i_yz, i_zx = map(tracepoly._entries, involutions)
+        zeta = tracepoly._adjugate(mul(xi, eta))
         for inv in (i_xy, i_yz, i_zx):
-            yield "involution-factorization", float(np.abs(inv @ inv + mat2.I2).max())
-        for prod, target in (
-            (i_zx @ i_xy, xi),
-            (i_xy @ i_yz, eta),
-            (i_yz @ i_zx, zeta),
-        ):
-            dev = min(
-                float(np.abs(prod - target).max()),
-                float(np.abs(prod + target).max()),
-            )
-            yield "involution-factorization", dev / max(1.0, float(np.abs(target).max()))
+            yield "involution-factorization", dist(mul(inv, inv), (-1, 0, 0, -1))
+        for p, q, target in ((i_zx, i_xy, xi), (i_xy, i_yz, eta), (i_yz, i_zx, zeta)):
+            dev = min(dist(mul(p, q), target), dist(mul(p, q), [-t for t in target]))
+            yield "involution-factorization", dev / max(1.0, *map(abs, target))
 
 
 _SUITES = {

@@ -46,6 +46,7 @@ import dataclasses
 import enum
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
@@ -177,6 +178,17 @@ def _floats(error, owner: str, **coords) -> list[float]:
         except OverflowError:
             raise error(f"{owner} needs finite traces, got {name} past the float range") from None
     return list(coords.values())
+
+
+def _report(owner: str, names: str, ratios) -> list[float]:
+    """n / d for each (n, d) in ``ratios``, d > 0; an int quotient past the
+    float range raises ValueError naming its field in ``names``."""
+    try:
+        return [n / d for n, d in ratios]
+    except OverflowError:  # exact input only: a float quotient would read inf
+        name = next(m for m, (n, d) in zip(names.split(), ratios)
+                    if Fraction(abs(n), d) > sys.float_info.max)
+        raise ValueError(f"{owner} reports floats, but {name} lies past the float range") from None
 
 
 def member_s03(x: float, y: float, z: float) -> S03Result:
@@ -324,9 +336,10 @@ def member_s04(ch: CharacterS04) -> S04Result:
     its exact equivalent S+ > 0 and (2-x) S+^2 > (-2-x) S-^2; of the floats
     F~+- the one whose two terms share a sign is summed, the other is the
     exact product F~+ F~- = S+^2/(-2-x) - S-^2/(2-x) over it, free of
-    cancellation."""
+    cancellation.  A report past the float range is a ValueError."""
     exact, nums, dens, ((rn, rd), *terms) = _ratios(_s04_tests, _s04_polys, ch.as_tuple())
-    res_f, kab, kcd, s_minus, s_plus = abs(float(rn / rd)), *(float(n / e) for n, e in terms)
+    res_f, kab, kcd, s_minus, s_plus = _report(
+        "member_s04", "residual kappa_ab kappa_cd S_minus S_plus", ((abs(rn), rd), *terms))
     nx, dx = nums[4], dens[4]
     cusps = tuple(v for v, n, e in zip("abcd", nums, dens) if n == 2 * e)
     if not (min(n - 2 * e for n, e in zip(nums[:4], dens)) >= 0 and nx < -2 * dx):
@@ -408,11 +421,13 @@ def s12_relation_polys() -> tuple[Polynomial, Polynomial]:
 def member_s12(ch: CharacterS12) -> S12Result:
     """On-variety check of both relations, then Button's inequalities
     kappa(x,y,z) < -2, kappa(y,u,w) < -2, kappa(u,x,v) < -2, decided on
-    integer numerators for exact input; the reported values are floats."""
+    integer numerators for exact input; the reported values are floats (one
+    past the float range is a ValueError)."""
     point = (ch.a, ch.b, ch.u, ch.v, ch.w, ch.x, ch.y, ch.z)
     exact, _, _, ((n1, d1), (n2, d2), *ks) = _ratios(_s12_tests, _s12_polys, point)
-    residuals = (abs(float(n1 / d1)), abs(float(n2 / d2)))
-    kappas = tuple(float(n / e) for n, e in ks)
+    r1, r2, *kappas = _report("member_s12", "residuals[0] residuals[1] kappas[0] kappas[1] "
+                              "kappas[2]", ((abs(n1), d1), (abs(n2), d2), *ks))
+    residuals, kappas = (r1, r2), tuple(kappas)
     # a NaN residual is off the variety
     if not (n1 == n2 == 0 if exact else all(r <= ONVARIETY_TOL for r in residuals)):
         return S12Result(S12Verdict.NONMEMBER_OFF_VARIETY, residuals, kappas)

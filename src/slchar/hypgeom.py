@@ -7,9 +7,10 @@ picture (symmetric square, bilinear forms, reflections), and the
 right-hexagon certificate behind the three-holed-sphere Fricke test.
 
 The certificate reads the three inner products of its axes off the
-traces in closed form and builds no matrix; ``real_normal_form_pair``
-gives a pair of matrices with the same traces, from which the same
-numbers follow through ``mat2.hat`` and ``minkowski_inner``.
+traces in closed form and builds no matrix; ``mat2.normal_form_pair``
+gives a real pair of matrices with the same traces, from which the same
+numbers follow through ``mat2.hat`` and ``minkowski_inner``.  A 2x2
+product here is ``tracepoly._mul``, numpy's ``@`` a 3x3 one.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ import numpy as np
 from . import mat2
 from .fricke import _floats
 from .mat2 import GeometryError, conjugating_involution
+from .tracepoly import _entries, _trace_of_product
+from .words import Word
 
 __all__ = [
     "PointH2",
@@ -43,7 +46,6 @@ __all__ = [
     "reflections_from_form",
     "form_signature",
     "hexagon_certificate",
-    "real_normal_form_pair",
     "SYM2_FORM",
 ]
 
@@ -92,10 +94,6 @@ class DeSitterVec:
         return f"DeSitterVec({self.m.tolist()})"
 
 
-def _as_matrix(v) -> np.ndarray:
-    return v.m if isinstance(v, DeSitterVec) else np.asarray(v)
-
-
 def point_to_involution(p: PointH2) -> np.ndarray:
     """The real trace-0, det-1 matrix (1/u)[[x, -(x^2+u^2)], [1, -x]]
     whose projective action is the half-turn about p."""
@@ -124,8 +122,8 @@ def involution_fixing(z1: complex, z2: complex | None = None) -> np.ndarray:
 
 def minkowski_inner(a, b) -> float:
     """<A, B> = (1/2) tr(AB) on traceless real matrices; <A, A> = -det A."""
-    ab = _as_matrix(a) @ _as_matrix(b)
-    return float((ab[0, 0] + ab[1, 1]).real) / 2
+    a, b = (_entries(v.m if isinstance(v, DeSitterVec) else np.asarray(v)) for v in (a, b))
+    return float(_trace_of_product(a, b).real) / 2
 
 
 class HalfPlaneRelation(enum.Enum):
@@ -161,7 +159,7 @@ def coxeter_extension(xi: np.ndarray, eta: np.ndarray):
     i_zx i_xy = xi, i_xy i_yz = eta, i_yz i_zx = zeta; as matrices the
     products recover them up to sign.
     """
-    zeta = mat2.adjoint(xi @ eta)
+    zeta = mat2.evaluate_word(Word(2, (-2, -1)), (xi, eta))
     i_xy = conjugating_involution(xi, eta)
     i_yz = conjugating_involution(eta, zeta)
     i_zx = conjugating_involution(zeta, xi)
@@ -272,32 +270,6 @@ def form_signature(form: BilinearForm3) -> FormSignature:
     return FormSignature.DEGENERATE_RANK1
 
 
-def real_normal_form_pair(x: float, y: float, z: float) -> tuple[np.ndarray, np.ndarray]:
-    """A real unimodular pair with character (x, y, z).
-
-    X is the companion matrix [[x, -1], [1, 0]]; Y is solved linearly
-    with the lower-left entry fixed to 1, falling back to -1 when the
-    first choice is not real.  Covers in particular every character
-    with all |traces| > 2 and kappa <= -2, and the hexagon domain
-    x, y, z <= -2.  An exact trace past the float range raises
-    ``GeometryError``.
-    """
-    x, y, z = _floats(GeometryError, "real_normal_form_pair", x=x, y=y, z=z)
-    # gamma = 1: alpha^2 - (x+y) alpha + (z+2) = 0
-    disc = (x + y) ** 2 - 4 * (z + 2)
-    if disc >= 0:
-        alpha = ((x + y) + math.sqrt(disc)) / 2
-        return mat2.mat2(x, -1, 1, 0), mat2.mat2(alpha, z + 1 - x * alpha, 1, y - alpha)
-    # gamma = -1: alpha^2 - (y-x) alpha + (2-z) = 0
-    disc = (y - x) ** 2 - 4 * (2 - z)
-    if disc < 0:
-        raise GeometryError(
-            f"no real normal form with the fixed off-diagonal entries for {(x, y, z)}"
-        )
-    alpha = ((y - x) + math.sqrt(disc)) / 2
-    return mat2.mat2(x, -1, 1, 0), mat2.mat2(alpha, z - 1 - x * alpha, -1, y - alpha)
-
-
 @dataclass(frozen=True)
 class HexagonPair:
     names: str
@@ -339,7 +311,7 @@ def hexagon_certificate(x: float, y: float, z: float) -> HexagonCertificate:
     """Certify that traces x, y, z <= -2 bound a right hexagon.
 
     The sides lie on the axes of X, Y and Z = (XY)^-1, for any real pair
-    X, Y with this character (``real_normal_form_pair``); tr(YZ) = x and
+    X, Y with this character (``mat2.normal_form_pair``); tr(YZ) = x and
     tr(ZX) = y.  Each pair of axes gets the Minkowski inner product of
     its axis reflections in closed form (``_axis_inner``): XY, YZ, ZX in
     that order.  A trace within 1e-9 of -2 is a cusp: its two pairs are
@@ -367,12 +339,12 @@ def hexagon_certificate(x: float, y: float, z: float) -> HexagonCertificate:
     that puts the hexagon inside all three half-planes (the inner
     products do not depend on it); "undetermined" when a trace is
     cusped.  With no cusp it is constant: the points with every trace
-    below -2 - 1e-9 form a connected set; on it the normal form always
-    takes its first branch (disc = (x + y)^2 - 4 (z + 2) >= 16), so X,
-    Y, Z and their reflections vary continuously; the axes are pairwise
-    ultraparallel, so the foot of each common perpendicular lies off
-    the other axis and never changes side.  At (-3, -3, -3) it is
-    "negated", so it is "negated" everywhere.
+    below -2 - 1e-9 form a connected set; on it ``mat2.normal_form_pair``
+    takes f = 2/(z - sqrt(z^2 - 4)), so X = [[x, -1], [1, 0]], Y = [[0,
+    1/f], [-f, y]], Z and their reflections stay real and continuous;
+    the axes are pairwise ultraparallel, so the foot of each common
+    perpendicular lies off the other axis and never changes side.  At
+    (-3, -3, -3) it is "negated", so it is "negated" everywhere.
     """
     tol = 1e-9
     traces = _floats(GeometryError, "hexagon domain", x=x, y=y, z=z)

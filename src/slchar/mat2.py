@@ -1,31 +1,27 @@
 """Complex 2x2 (and 3x3) matrix kernel.
 
 All explicit matrix formulas live here, together with the numeric
-oracle ``evaluate_word`` for trace polynomials; only the 4-tuple
-kernel behind it (``_mul``, ``_adjugate``, the word product and
-``word_trace``) and the string formatter ``format_complex`` live in
+oracle ``evaluate_word`` for trace polynomials.  Matrices are plain 2x2
+(or 3x3) complex numpy arrays, but every 2x2 product, ``evaluate_word``'s
+included, is ``tracepoly._mul`` on the 4-tuples of their rows
+(``tracepoly._entries``): the textbook product a p + b r for complex
+numbers and ints alike, with no fused multiply-add, so that no digit
+depends on numpy's BLAS.  That kernel (``_mul``, ``_adjugate``, the word
+product and ``word_trace``) and ``format_complex`` live in
 :mod:`slchar.tracepoly`, so that exact evaluation, ``slchar verify
-identities`` and ``oracle``, and ``slchar cover map --eval`` run
-without numpy.  Matrices are plain 2x2 (or 3x3) complex numpy arrays.
-Tolerances are fixed: ``inverse`` requires
-``|det - 1| <= TOL_CONJUGACY``, and the real-matrix tests of ``hat``
-and ``glide_reflection_sqrt`` allow imaginary parts up to
-``TOL_CONJUGACY``.
+identities`` and ``oracle``, and ``slchar cover map --eval`` run without
+numpy.  Tolerances are fixed: ``inverse`` requires ``|det - 1| <=
+TOL_CONJUGACY``, and the real-matrix tests of ``hat`` and
+``glide_reflection_sqrt`` allow imaginary parts up to ``TOL_CONJUGACY``.
 
 An exact matrix m is a pair (N, d): N the int 4-tuple (a, b, c, e) of
 the rows of d m, and d > 0, so m = N / d; :mod:`slchar.sampling` draws
 them.  ``evaluate_word`` multiplies the Ns as plain ints when every
 letter is such a pair and forms ``Fraction``s once, from the product and
 the product of the d's; the result is an object array of ``Fraction``,
-on which ``trace``, ``det``, ``adjoint``, ``lie_product`` and the ``@``
-product compute exactly and keep the object dtype.  A numpy array is
-always numeric (integer dtypes included) and gives complex128 results.
-
-``evaluate_word`` takes one trial at a time and multiplies each matrix
-as the 4-tuple of its rows (a numpy matrix by ``.ravel().tolist()``),
-from the word's first letter: the one 2x2 product for complex numbers
-and ints alike, with the bits of the textbook product a p + b r and no
-fused multiply-add.
+on which ``trace``, ``det``, ``adjoint`` and ``lie_product`` compute
+exactly and keep the object dtype.  ``evaluate_word`` takes a numpy
+array as numeric (integer dtypes too) and gives a complex128 product.
 
 Sign conventions: several formulas only determine a matrix up to a
 global sign (the underlying statements are projective).  ``sign_normalize`` picks
@@ -42,7 +38,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .tracepoly import _format_complex as format_complex, _word_product
+from .tracepoly import _adjugate, _entries, _format_complex as format_complex, _mul, _word_product
 from .words import Word
 
 __all__ = [
@@ -120,12 +116,15 @@ def det(m: np.ndarray) -> complex:
     return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
 
 
+def _array(n: tuple, *like: np.ndarray) -> np.ndarray:
+    """The rows n as a 2x2 array, of objects if one of ``like`` is, else complex."""
+    exact = any(m.dtype.hasobject for m in like)
+    return np.array(n, dtype=object if exact else complex).reshape(2, 2)
+
+
 def adjoint(m: np.ndarray) -> np.ndarray:
-    """Adjugate: ``m @ adjoint(m) == det(m) * I``."""
-    return np.array(
-        [[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]],
-        dtype=object if m.dtype.hasobject else complex,
-    )
+    """Adjugate: ``m adjoint(m) == det(m) I``."""
+    return _array(_adjugate(_entries(m)), m)
 
 
 def _is_real(m: np.ndarray, tol: float) -> bool:
@@ -153,8 +152,9 @@ def evaluate_word(w: Word, assignment) -> np.ndarray:
 
 
 def lie_product(xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """xi @ eta - eta @ xi; always traceless."""
-    return xi @ eta - eta @ xi
+    """xi eta - eta xi; always traceless."""
+    a, b = _entries(xi), _entries(eta)
+    return _array([p - q for p, q in zip(_mul(a, b), _mul(b, a))], xi, eta)
 
 
 def sign_normalize(m: np.ndarray) -> np.ndarray:
@@ -181,18 +181,22 @@ def _principal_root(z: complex) -> complex:
     return f
 
 
+def _normal_form(x: complex, y: complex, z: complex) -> tuple[tuple, tuple]:
+    """``normal_form_pair`` as the 4-tuples of its rows."""
+    f = _principal_root(z)
+    return (x, -1, 1, 0), (0, 1 / f, -f, y)
+
+
 def normal_form_pair(x: complex, y: complex, z: complex) -> tuple[np.ndarray, np.ndarray]:
     """A unimodular pair with traces (x, y) and product trace z.
 
     xi = [[x, -1], [1, 0]], eta = [[0, 1/f], [-f, y]] where f + 1/f = z
     and f = (z + sqrt(z^2 - 4))/2 with the principal square root
     (``_principal_root``).  z = +-2 gives f = +-1, which is still valid.
+    For real z with |z| >= 2, f is real, and so is the pair.
     """
-    x, y, z = complex(x), complex(y), complex(z)
-    f = _principal_root(z)
-    xi = mat2(x, -1, 1, 0)
-    eta = mat2(0, 1 / f, -f, y)
-    return xi, eta
+    xi, eta = _normal_form(complex(x), complex(y), complex(z))
+    return mat2(*xi), mat2(*eta)
 
 
 def conjugating_involution(xi: np.ndarray, eta: np.ndarray) -> np.ndarray:

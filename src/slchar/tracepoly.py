@@ -60,10 +60,10 @@ on the rank and the cyclically reduced letters.
 Evaluation at characters and the word oracle ``word_trace`` take one
 trial at a time: a tuple of matrices, each the pair (N, d) of an exact
 matrix (see :mod:`slchar.mat2`) or the 4-tuple of the rows of a float
-one; a numpy matrix becomes its ``.ravel().tolist()`` (``_numerators``),
+one; a numpy matrix becomes its ``.ravel().tolist()`` (``_entries``),
 so numpy is never loaded here.  ``_mul`` and ``_adjugate`` are the one
-2x2 arithmetic of the trace layer, shared with ``mat2``, ``chars`` and
-``slchar verify``; floats and exact numerators differ only in having
+2x2 arithmetic of the package, shared with ``mat2``, ``chars``, ``hypgeom``
+and ``slchar verify``; floats and exact numerators differ only in having
 denominators.  ``mat2``'s complex formatter is ``_format_complex`` here,
 so that ``slchar cover map --eval`` prints its images without numpy.
 """
@@ -354,6 +354,11 @@ def _adjugate(n: tuple) -> tuple:
     return (e, -b, -c, a)
 
 
+def _trace_of_product(n: tuple, k: tuple):
+    """tr(n k) for 4-tuples of rows, from the four products on ``_mul``'s diagonal."""
+    return n[0] * k[0] + n[1] * k[2] + n[2] * k[1] + n[3] * k[3]
+
+
 def _format_complex(v: complex) -> str:
     """``a+bi`` with 17 significant digits (``mat2.format_complex``)."""
     re = f"{v.real:.17g}"
@@ -362,12 +367,16 @@ def _format_complex(v: complex) -> str:
     return f"{re}{sign}{im}i"
 
 
+def _entries(m) -> tuple:
+    """A numpy matrix as the 4-tuple of its rows; a tuple as it is."""
+    return tuple(m.ravel().tolist()) if hasattr(m, "ravel") else m
+
+
 def _numerators(mats) -> tuple[list, tuple | None]:
     """k matrices as 4-tuples of their rows, and their denominators: the
-    Ns and ds of exact pairs (N, d), else the matrices, a numpy array by
-    ``.ravel().tolist()``, and None.  Float and exact evaluation split
-    here only."""
-    mats = [tuple(m.ravel().tolist()) if hasattr(m, "ravel") else m for m in mats]
+    Ns and ds of exact pairs (N, d), else the ``_entries`` of the
+    matrices and None.  Float and exact evaluation split here only."""
+    mats = [_entries(m) for m in mats]
     if all(len(m) == 2 for m in mats):
         ns, ds = zip(*mats)
         return ns, ds
@@ -396,33 +405,24 @@ def word_trace(w: Word, mats):
     return complex(n[0] + n[3]) if den is None else Fraction(n[0] + n[3], den)
 
 
-def _prefix_traces(mats, words) -> tuple[dict, tuple | None]:
-    """tr X_I for each index tuple I in ``words``, X_I being its prefix's
-    product (also in ``words``) times the last matrix, multiplied as
-    4-tuples by ``_mul``, and the denominators of ``_numerators``: for
-    exact matrices (N_i, d_i), the int traces of the products of the N_i
-    and the d_i."""
-    ns, ds = _numerators(mats)
-    products = {}
-    for word in words:
-        last = ns[word[-1] - 1]
-        products[word] = _mul(products[word[:-1]], last) if len(word) > 1 else last
-    return {w: p[0] + p[3] for w, p in products.items()}, ds
-
-
 def _character(variables: VariableSet, mats, *extra) -> tuple[list, list | None]:
     """tr X_I for each coordinate x_I of ``variables`` in declared order,
-    then for each I in ``extra``, and None; for exact matrices, tr N_I
-    (:func:`_prefix_traces`) and each one's denominator, the product of
-    the d_i for i in I.  A matrix count other than the rank of
-    ``variables`` is a ValueError."""
+    then for each I in ``extra``, X_I being its prefix's product (also
+    among them) times the last matrix by ``_mul``, and None; for exact
+    matrices (N_i, d_i), the int traces of the products of the N_i and
+    each one's denominator, the product of the d_i for i in I.  A matrix
+    count other than the rank of ``variables`` is a ValueError."""
     k = len(mats)
     if _VARSETS.get(k) != variables:
         raise ValueError(f"cannot evaluate over {variables.names} at {k} matrices")
+    ns, ds = _numerators(mats)
     words = [*COORDINATES[variables].values(), *extra]
-    traces, ds = _prefix_traces(mats, words)
-    dens = None if ds is None else [math.prod(ds[i - 1] for i in w) for w in words]
-    return [traces[w] for w in words], dens
+    products, traces = {}, []
+    for word in words:
+        last = ns[word[-1] - 1]
+        p = products[word] = _mul(products[word[:-1]], last) if len(word) > 1 else last
+        traces.append(p[0] + p[3])
+    return traces, None if ds is None else [math.prod(ds[i - 1] for i in w) for w in words]
 
 
 def coordinate_traces(variables: VariableSet, mats) -> dict:

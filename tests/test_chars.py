@@ -201,6 +201,21 @@ class TestAxesCross:
                                match=f"axes_cross needs finite traces, got {name} past"):
                 axes_cross(*point)
 
+    @pytest.mark.parametrize("point", [
+        (4575261.631960612, 2.004335101334511, 4509978.176695907),  # exact kappa about -8.5e10
+        (1e17, 2e17, 3e17),
+        (1e200, 1e200, 1e200),  # kappa reads inf - inf = NaN in floats, exactly about -1e600
+    ])
+    def test_axes_cross_on_the_whole_domain(self, point):
+        # far from the slice, where a Lie product of real matrices rounds badly
+        assert axes_cross(*point) is True
+
+    def test_kappa_that_overflows_is_decided_exactly(self):
+        # kappa reads inf - inf = NaN in floats; exactly it is 1e400 - 1 > -2
+        with pytest.raises(GeometryError,
+                           match="axes_cross requires kappa <= -2, got one past the float range"):
+            axes_cross(1e200, 1e200, 1)
+
     def test_orbit_patterns(self):
         # sign-flipped images of the slice still have crossing axes
         for _ in range(50):

@@ -230,6 +230,18 @@ class TestFricke:
                              "--mode", mode)
         assert (code, out, err) == (1, "", f"error: {error}\n")
 
+    @pytest.mark.parametrize("surface, coords, field", [
+        ("s04", "2,2,2,-3,3,3", "residual"),
+        ("s12", "2,2,2,-3,3,3,3", "residuals[0]"),
+    ])
+    def test_report_past_the_float_range(self, capsys, surface, coords, field):
+        # decided exactly, but the float report cannot hold the field
+        code, out, err = run(capsys, "fricke", "test", surface,
+                             f"--coords=1{'0' * 400},{coords}", "--mode", "exact")
+        assert (code, out) == (1, "")
+        assert err == (f"error: member_{surface} reports floats, but {field} lies past the "
+                       "float range\n")
+
     def test_nonmember_exit_code(self, capsys):
         code, out, _ = run(capsys, "fricke", "test", "s11", "--coords=3,3,10")
         assert code == 1

@@ -270,6 +270,12 @@ class TestS04Exact:
         assert res.f_plus == pytest.approx(3.1428e-8, rel=1e-4)
         _assert_f_pair_close(res, point)
 
+    def test_report_past_the_float_range(self):
+        # decided exactly, but the float report cannot hold the residual
+        with pytest.raises(ValueError, match="member_s04 reports floats, but residual lies "
+                                             "past the float range"):
+            member_s04(CharacterS04(10**400, 2, 2, 2, -3, 3, 3))
+
     def test_opposite_signs_that_underflow_give_a_verdict(self):
         # S+ = 1e-330 and S- = -1e-330 have opposite signs, and both, like
         # the product F+ F-, round to 0.0 as floats
@@ -410,6 +416,12 @@ class TestS12Exact:
         "71762500000000000000043/2025000000000000000000",
         "1525000000000000000001/450000000000000000000",
     )))
+
+    def test_report_past_the_float_range(self):
+        # decided exactly, but the float report cannot hold the first residual
+        with pytest.raises(ValueError, match=r"member_s12 reports floats, but residuals\[0\] "
+                                             "lies past the float range"):
+            member_s12(CharacterS12(10**400, 2, 2, 2, -3, 3, 3, 3))
 
     def test_inequalities_decided_exactly(self):
         ch = CharacterS12(*self.POINT)

@@ -73,7 +73,7 @@ products in closed form from the traces and ``verify fricke|coxeter
 the 16 ``hexagon_certificate`` records (last digits of inner products,
 and (-2 + 1e-9, -3, -4), now refused by the domain test instead of
 raising ``NotHyperbolicError``); the float
-``fricke/hexagon-inner-products`` rows, whose matrix side is now the
+``fricke/hexagon-inner-products`` rows, whose matrix side became the
 hats of ``real_normal_form_pair``; and the exact ``fricke`` and
 ``coxeter`` runs, which now read exit 2 with no output.
 
@@ -90,6 +90,20 @@ with no output; in ``EVAL_DIGEST`` 16 of the 30 float
 float; in ``PREDICATE_DIGEST`` the character digits of ``construct
 triple`` and the matrix and trace digits of ``eval-word``.
 
+``VERIFY_DIGEST``, ``VERIFY_RUNS_DIGEST`` and ``PREDICATE_DIGEST`` were
+re-recorded together when every 2x2 product of the package became
+``tracepoly._mul`` on 4-tuples instead of numpy's ``@``, and ``verify
+fricke`` took its matrices from ``mat2.normal_form_pair`` instead of the
+retired ``real_normal_form_pair``.  Only these records moved (last
+digits): in ``VERIFY_DIGEST`` the float ``fricke/hexagon-inner-products``
+row of seed 1 and the float ``coxeter/involution-factorization`` rows of
+seeds 1 and 2; in ``VERIFY_RUNS_DIGEST`` that ``fricke`` row of seeds
+0-2 and that ``coxeter`` row of seeds 0-3; in ``PREDICATE_DIGEST`` the
+six ``conjugating_involution`` and six ``_witnesses`` records.  Since
+then no printed digit depends on numpy's BLAS kernel, which
+``test_digests_do_not_depend_on_the_blas_kernel`` checks under
+``OPENBLAS_CORETYPE=Prescott``.
+
 ``RING_MAP_DIGEST`` pins the ring maps at higher degree than the
 corpus above: the JSON of ``deck(p)`` and ``deck(deck(p))`` for seeded
 rank-3 polynomials of 1-8 terms with exponents 0-2 (so x123 reaches
@@ -104,10 +118,14 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from slchar import chars, cli, covers, hypgeom, mat2, sampling, tracepoly
 from slchar.covers import (
@@ -123,11 +141,11 @@ from tuple2x2 import from_pair
 
 EXACT_DIGEST = "624d279a57ec01a51983e3a959ba81f8aad039a844605204c3c7beeea153b3eb"
 SYMBOLIC_DIGEST = "eabbaf72485625ee4c876305d9378c6402533fb4cd4281a5314dfd65666cb755"
-VERIFY_DIGEST = "044faa5a9f22e0cc93d9a381328ffeae829bbdcb30cae2972f2c13326063bbc1"
-PREDICATE_DIGEST = "c8e6144b96b073f70c076b5d941172867a66403cd5781b2b07e81e411f29713c"
+VERIFY_DIGEST = "2bc99d5917599b3eda58f7bc44115d1410dc9810210ba5dd422d6a0e2a3692ce"
+PREDICATE_DIGEST = "55b37b21a4e7c164ee6d158bb210566d517638e0cd5d74f728c4c4f170e80fc6"
 EVAL_DIGEST = "36a9d870e865c380a5fe0e459ba49a9bfa40269ad1284634b1896ca3429c95ce"
 TABLE_DIGEST = "76d3f4a554409537ad34d6a52878c0a6c21021103622b4b677a3f10a6fdc0372"
-VERIFY_RUNS_DIGEST = "c2e145caa79a56a634519ef46a2382c052c3dc2934c77796da08103671b39ee4"
+VERIFY_RUNS_DIGEST = "06f728f55788db32090e4e7986ab164eb9f8d56cac667a06e1171ed27d2af5f4"
 RING_MAP_DIGEST = "32e6dc7c42ca5e36ab7351f195f99e13c7b528fc44aa2fc47e27f154229b521d"
 
 SUITES = ("identities", "oracle", "fricke", "covers", "coxeter")
@@ -529,6 +547,26 @@ def test_verify_runs_match_digest():
 
 def test_ring_maps_match_digest():
     assert _digest(_ring_map_lines()) == RING_MAP_DIGEST
+
+
+def _blas_name() -> str:
+    """The name of numpy's BLAS, or "" where numpy does not report it."""
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"].get("name") or ""
+    except (TypeError, KeyError):  # numpy before 1.25 takes no mode
+        return ""
+
+
+@pytest.mark.skipif("openblas" not in _blas_name().lower(), reason="numpy's BLAS is not OpenBLAS")
+def test_digests_do_not_depend_on_the_blas_kernel():
+    # the oldest x86-64 kernel of OpenBLAS, whose products round otherwise
+    # than the fused multiply-adds of the kernels chosen on newer CPUs
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott", PYTHONPATH=path)
+    out = subprocess.run([sys.executable, os.path.abspath(__file__)], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines() == [f'{name} = "{globals()[name]}"' for name in CORPORA]
 
 
 def main(argv=None):

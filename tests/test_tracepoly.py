@@ -511,27 +511,29 @@ class TestExactIntegerCore:
     def test_product_traces_on_any_rational_matrices(self, mats):
         words = ((1,), (2,), (3,), (4,), (1, 2), (1, 2, 3), (1, 2, 3, 4), (2, 3), (2, 3, 4),
                  (3, 4), (3, 4, 1), (4, 1), (4, 1, 2), (1, 3), (2, 4), (2, 4, 2), (2, 4, 2, 2))
-        got, ds = tracepoly._prefix_traces([as_pair(m) for m in mats], words)
-        for w in words:
-            assert type(got[w]) is int
+        # every word as an extra of the rank-4 coordinates, whose traces come first
+        pairs = [as_pair(m) for m in mats]
+        got, dens = tracepoly._character(tracepoly.F4_VARS, pairs, *words)
+        got, dens = got[-len(words):], dens[-len(words):]
+        for w, t, den in zip(words, got, dens):
+            assert type(t) is int and den == math.prod(pairs[i - 1][1] for i in w)
             # tr X_I = tr N_I / prod d_i, i running over the word's letters
-            value = Fraction(got[w], math.prod(ds[i - 1] for i in w))
-            assert value == trace(product(*(mats[i - 1] for i in w))), w
+            assert Fraction(t, den) == trace(product(*(mats[i - 1] for i in w))), w
         floats = [np.array(m, dtype=complex) for m in mats]
-        numeric, ds = tracepoly._prefix_traces(floats, words)
-        assert ds is None
-        for w in words:
-            assert numeric[w] == trace(product_of([as_tuple(m) for m in floats], w))
+        numeric, dens = tracepoly._character(tracepoly.F4_VARS, floats, *words)
+        assert dens is None
+        for w, t in zip(words, numeric[-len(words):]):
+            assert t == trace(product_of([as_tuple(m) for m in floats], w))
 
     def test_product_traces_on_int_matrices_with_zero_entries(self):
         # int matrices only (every d is 1), singular ones included
         mats = [((0, 1), (-1, 0)), ((2, 0), (3, 0)), ((0, 0), (0, 5)), ((0, 0), (0, 0))]
         words = ((1,), (2,), (3,), (4,), (1, 2), (1, 2, 3), (2, 3), (3, 1), (1, 2, 3, 4), (2, 2))
-        got, ds = tracepoly._prefix_traces([as_pair(m) for m in mats], words)
-        assert ds == (1, 1, 1, 1)
-        for w in words:
-            assert type(got[w]) is int
-            assert got[w] == trace(product(*(mats[i - 1] for i in w))), w
+        got, dens = tracepoly._character(tracepoly.F4_VARS, [as_pair(m) for m in mats], *words)
+        assert dens == [1] * len(got)
+        for w, t in zip(words, got[-len(words):]):
+            assert type(t) is int
+            assert t == trace(product(*(mats[i - 1] for i in w))), w
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 3), st.data())
