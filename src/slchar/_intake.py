@@ -1,0 +1,63 @@
+"""How the public numeric functions take numbers in, and name one past
+the float range.  Every public function of ``fricke``, ``chars``,
+``hypgeom`` and ``mat2`` that takes trace coordinates passes them through
+``take`` once; NaN and infinities pass as they are.  This module loads
+neither numpy nor another module of the package."""
+
+from __future__ import annotations
+
+import contextlib
+import math
+import sys
+from fractions import Fraction
+from numbers import Rational
+
+
+def take(error, owner: str, names: str, args, kind=float, exact: bool = False):
+    """``args`` as they are if each is a float or a ``kind``, or if ``exact``
+    and all are exact; else each as a float, a complex staying complex if
+    ``kind`` is complex.  An exact one past the float range raises ``error``
+    naming ``owner`` and its name among the space-separated ``names``."""
+    if all(type(t) is float or type(t) is kind for t in args) or exact and all(
+            type(t) is int or type(t) is Fraction or isinstance(t, Rational) for t in args):
+        return args
+    out = []
+    for t in args:
+        try:
+            out.append(complex(t) if kind is complex and isinstance(t, complex) else float(t))
+        except OverflowError:
+            name = names.split()[len(out)]
+            raise error(f"{owner} needs finite traces, got {name} past the float range") from None
+    return out
+
+
+def report(owner: str, names: str, ratios) -> list[float]:
+    """n / d for each (n, d) in ``ratios``, d > 0; an int quotient past the
+    float range raises ValueError naming its field in ``names``."""
+    try:
+        return [n / d for n, d in ratios]
+    except OverflowError:  # exact input only: a float quotient would read inf
+        name = next(m for m, (n, d) in zip(names.split(), ratios)
+                    if Fraction(abs(n), d) > sys.float_info.max)
+        raise ValueError(f"{owner} reports floats, but {name} lies past the float range") from None
+
+
+def unless_overflowed(value, formula, *args):
+    """``value``, which is ``formula(*args)``, unless it is a float that is
+    not finite though every argument is: then ``formula`` on the exact
+    ``Fraction``s of the arguments, so that an overflow decides no sign."""
+    if isinstance(value, float) and not math.isfinite(value):
+        with contextlib.suppress(OverflowError, ValueError):  # an argument is inf or NaN
+            return formula(*map(Fraction, args))
+    return value
+
+
+@contextlib.contextmanager
+def overflow_names(**args):
+    """Turn a float overflow of the block (a ZeroDivisionError too: a
+    square that underflowed to 0) into a ValueError naming ``args``."""
+    try:
+        yield
+    except (OverflowError, ZeroDivisionError):
+        named = ", ".join(f"{name} = {value}" for name, value in args.items())
+        raise ValueError(f"Fenchel-Nielsen coordinates out of float range at {named}") from None

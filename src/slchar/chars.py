@@ -17,7 +17,7 @@ from numbers import Rational
 import numpy as np
 
 from . import mat2
-from .fricke import _floats, _unless_overflowed
+from ._intake import take, unless_overflowed
 from .mat2 import GeometryError, _normal_form, _principal_root, principal_sqrt
 from .polyring import F2_VARS, F3_VARS, sum_product
 from .tracepoly import _character, _entries, _mul, _trace_of_product, kappa_value, word_trace
@@ -193,7 +193,7 @@ def classify_real_character(x: float, y: float, z: float) -> RealCharClass:
     comparison allows ``IRREDUCIBILITY_TOL``.
     """
     tol = IRREDUCIBILITY_TOL
-    x, y, z = float(x), float(y), float(z)
+    x, y, z = take(GeometryError, "classify_real_character", "x y z", (x, y, z))
     k = kappa_value(x, y, z)
     in_cube = all(abs(t) <= 2 + tol for t in (x, y, z))
     if abs(k - 2) > tol:
@@ -222,12 +222,12 @@ def axes_cross(x: float, y: float, z: float) -> bool:
     hyperbolic axes cross exactly when kappa < 2 (Goldman, Geom. Topol.
     7, 2003).  ``GeometryError`` refuses a kappa above -2 + 1e-12 or NaN
     (one that overflows at finite traces decided exactly, by
-    ``fricke._unless_overflowed``), the origin within 1e-12 and an exact
+    ``_intake.unless_overflowed``), the origin within 1e-12 and an exact
     trace past the float range.
     """
-    x, y, z = _floats(GeometryError, "axes_cross", x=x, y=y, z=z)
+    x, y, z = take(GeometryError, "axes_cross", "x y z", (x, y, z))
     k = kappa_value(x, y, z)
-    exact = _unless_overflowed(k, kappa_value, x, y, z)
+    exact = unless_overflowed(k, kappa_value, x, y, z)
     if not exact <= -2 + 1e-12:
         got = k if exact is k else "one past the float range"
         raise GeometryError(f"axes_cross requires kappa <= -2, got {got}")
@@ -243,7 +243,9 @@ def triple_trace_roots(t1, t2, t3, t12, t13, t23) -> tuple[complex, complex]:
     larger imaginary part (the deterministic sheet labeling of the
     double cover).
     """
-    fsum, fprod = sum_product(t1, t2, t3, t12, t13, t23)
+    six = take(GeometryError, "triple_trace_roots", "t1 t2 t3 t12 t13 t23",
+               (t1, t2, t3, t12, t13, t23), complex)
+    fsum, fprod = sum_product(*six)
     disc = principal_sqrt(fsum * fsum - 4 * fprod)
     r1 = (fsum + disc) / 2
     r2 = (fsum - disc) / 2
@@ -276,7 +278,8 @@ def construct_triple(t1, t2, t3, t12, t23, t13, branch: str = "+"):
     """
     if branch not in ("+", "-"):
         raise ValueError(f"branch must be '+' or '-', got {branch!r}")
-    traces = [complex(t) for t in (t1, t2, t3, t12, t23, t13)]
+    traces = [complex(t) for t in take(GeometryError, "construct_triple", "t1 t2 t3 t12 t23 t13",
+                                       (t1, t2, t3, t12, t23, t13), complex)]
     if not cmath.isfinite(kappa_value(traces[0], traces[1], traces[3])):
         raise GeometryError("degenerate branch value")
     try:
@@ -342,7 +345,7 @@ def hermitian_invariant_form(x: float, y: float, z: float) -> np.ndarray:
     character with |z| <= 2; its determinant equals 2 - kappa(x,y,z),
     so the form is definite exactly on the SU(2) characters.
     """
-    x, y, z = float(x), float(y), float(z)
+    x, y, z = take(GeometryError, "hermitian_invariant_form", "x y z", (x, y, z))
     if abs(z) > 2:
         raise GeometryError(f"requires |z| <= 2, got z = {z}")
     sin_t = np.sqrt(max(0.0, 1 - (z / 2) ** 2))

@@ -8,10 +8,8 @@ same seed and configuration, output is byte-identical.
 Each ``verify`` suite yields ``(row, residual)`` pairs over its seeded
 trials; a row reports the largest residual its suite yields for it (a
 NaN residual, once yielded, is the row's and fails it), and rows print
-in the order each was first yielded.  The ``oracle`` and ``covers``
-suites draw 100 trials at a time and then compute them phase by phase,
-one trial at a time, yielding rows in trial order; the other suites
-compute each trial as they draw it.  Every suite multiplies 2x2
+in the order each was first yielded.  Every suite computes each trial as
+it draws it, from the trial's own seeded stream, and multiplies 2x2
 matrices as 4-tuples of their rows (float entries, or the pairs (N, d)
 of :mod:`slchar.mat2`) by ``tracepoly._mul``; ``fricke``, ``covers``
 and ``coxeter`` take square roots and have no exact mode.
@@ -27,7 +25,6 @@ from __future__ import annotations
 import argparse
 import cmath
 import functools
-import itertools
 import json
 import math
 import re
@@ -35,6 +32,7 @@ import sys
 from fractions import Fraction
 
 from . import covers, fricke, sampling, tracepoly
+from ._intake import take
 from .fricke import CharacterS04, CharacterS12, FNCoords
 from .words import Word, WordSyntaxError, parse_word
 
@@ -174,8 +172,7 @@ def cmd_fricke(args) -> int:
             f"surface {args.surface} takes {need} coordinates, got {len(coords)}"
         )
     if args.mode == "float":
-        coords = fricke._floats(ValueError, f"surface {args.surface}",
-                                **dict(zip(names.split(","), coords)))
+        coords = take(ValueError, f"surface {args.surface}", names.replace(",", " "), coords)
     verdict = verdict_of(coords)
     _print_json(verdict)
     member = verdict.get("verdict", "").startswith("member") or verdict.get("member") is True
@@ -244,22 +241,10 @@ _ORACLE_RESIDUAL = {
 }
 
 
-#: Trials drawn before they are computed; a fixed size, so that memory
-#: does not grow with ``--trials``.
-_CHUNK = 100
-
-
 def _trials(cfg):
     """One seeded random stream per trial."""
     for trial in range(cfg.trials):
         yield sampling.rng_for(cfg.seed, trial)
-
-
-def _chunks(cfg, draw_trial):
-    """``draw_trial(rnd)`` on each trial's stream, in trial order, in
-    lists of ``_CHUNK``; a stream is dropped once its trial is drawn."""
-    trials = map(draw_trial, _trials(cfg))
-    return iter(lambda: list(itertools.islice(trials, _CHUNK)), [])
 
 
 def _suite_identities(cfg):
@@ -291,33 +276,19 @@ def _suite_identities(cfg):
 
 
 def _suite_oracle(cfg):
-    """Each chunk of trials draws its words and matrices first, in trial
-    order, and then traces every word, evaluates every trace polynomial,
-    takes every oracle trace and every quadruple check, in that order."""
+    """Per trial, a rank-2 and a rank-3 word, each with its matrices, whose
+    traces check the words' trace polynomials, then the quadruple check."""
     draw = _RANDOM_MATRIX[cfg.mode]
     len2, len3 = _ORACLE_WORD_LENGTHS[cfg.mode]
     residual = _ORACLE_RESIDUAL[cfg.mode]
-
-    def draw_trial(rnd):
-        w2 = sampling.random_reduced_word(rnd, 2, len2)
-        m2 = [draw(rnd) for _ in range(2)]
-        w3 = sampling.random_reduced_word(rnd, 3, len3)
-        m3 = [draw(rnd) for _ in range(3)]
-        return w2, m2, w3, m3, [draw(rnd) for _ in range(4)]
-
-    for trials in _chunks(cfg, draw_trial):
-        w2s, m2s, w3s, m3s, m4s = zip(*trials)
-        p2s = [tracepoly.trace_poly_f2(w) for w in w2s]
-        p3s = [tracepoly.trace_poly_f3(w) for w in w3s]
-        v2s = [tracepoly.evaluate_at_character(p, m) for p, m in zip(p2s, m2s)]
-        v3s = [tracepoly.evaluate_at_character(p, m) for p, m in zip(p3s, m3s)]
-        t2s = [tracepoly.word_trace(w, m) for w, m in zip(w2s, m2s)]
-        t3s = [tracepoly.word_trace(w, m) for w, m in zip(w3s, m3s)]
-        qs = [tracepoly.quadruple_trace_check(m) for m in m4s]
-        for v2, t2, v3, t3, q in zip(v2s, t2s, v3s, t3s, qs):
-            yield "rank2-words", residual(v2, t2)
-            yield "rank3-words", residual(v3, t3)
-            yield "quadruple-trace", q
+    for rnd in _trials(cfg):
+        for row, trace_poly, rank, length in (("rank2-words", tracepoly.trace_poly_f2, 2, len2),
+                                              ("rank3-words", tracepoly.trace_poly_f3, 3, len3)):
+            w = sampling.random_reduced_word(rnd, rank, length)
+            m = [draw(rnd) for _ in range(rank)]
+            yield row, residual(tracepoly.evaluate_at_character(trace_poly(w), m),
+                                tracepoly.word_trace(w, m))
+        yield "quadruple-trace", tracepoly.quadruple_trace_check([draw(rnd) for _ in range(4)])
 
 
 def _suite_fricke(cfg):
@@ -350,14 +321,11 @@ def _suite_covers(cfg):
         ok = all(covers.symbolic_check(name).values())
         yield f"symbolic-{name}", 0.0 if ok else 1.0
 
-    def draw_trial(rnd):
-        return [sampling.random_unimodular_entries(rnd) for _ in range(3)]
-
-    for draws in _chunks(cfg, draw_trial):
-        characters = [chars.character_of_triple(*trial) for trial in draws]
-        for image in [covers.deck_involution_f3(c) for c in characters]:
-            for r in image.sum_product_residuals():
-                yield "deck-character-validity", r
+    for rnd in _trials(cfg):
+        character = chars.character_of_triple(
+            *(sampling.random_unimodular_entries(rnd) for _ in range(3)))
+        for r in covers.deck_involution_f3(character).sum_product_residuals():
+            yield "deck-character-validity", r
 
 
 def _suite_coxeter(cfg):

@@ -12,16 +12,17 @@ Sum/Product.  The S04 quartic is ``polyring.PHI`` at (x1, x2, x3, x12, x13,
 x23, x123) = (a, b, c, x, z, y, d); the S12 relations are a + b = f_Sigma and
 ab = f_Pi of ``sum_product`` at (u, x, y, v, w, z); k_pq(x) = kappa(p, q, x) - 2.
 
-Exact or float.  ``member_s04`` and ``member_s12`` share one step,
-``_ratios``: exact input (ints and ``Fraction``s) goes through their tests'
-polynomials, built once from the formulas the float input goes through, on
-int numerators over a positive denominator, so the predicate compares ints
-and reports num/den, rounded like ``float(Fraction)``.  ``member_s03`` and
-``member_s11`` decide in floats, but where a float value overflowed at
-finite input (inf - inf is NaN), ``member_s11`` and ``member_c11`` decide
-its sign exactly, on the ``Fraction``s of those floats
-(``_unless_overflowed``).  The five result records share one ``to_json``,
-that of ``_Record``.
+Exact or float.  Every predicate takes its coordinates in through
+``_intake.take``, which keeps exact input (ints and ``Fraction``s) exact
+for ``member_s04``, ``member_s12``, ``member_c02`` and ``member_c11``.
+The first two share one step, ``_ratios``: exact input goes through their
+tests' polynomials, built once from the formulas that float input goes
+through, on int numerators over a positive denominator, so the predicate
+compares ints and reports num/den, rounded like ``float(Fraction)``.
+``member_s11`` and ``member_c11`` decide a sign whose float value
+overflowed at finite input (inf - inf is NaN) exactly, on the
+``Fraction``s of those floats.  The five result records share one
+``to_json``, that of ``_Record``.
 
 The four-holed sphere component test works with the factorization
 
@@ -41,16 +42,13 @@ F~- > 0.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import enum
 import functools
 import math
-import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
-from numbers import Rational
 
+from ._intake import overflow_names, report, take, unless_overflowed
 from .polyring import S04_VARS, S12_VARS, Polynomial, sum_product
 from .tracepoly import kappa_value
 
@@ -81,12 +79,13 @@ __all__ = [
 ONVARIETY_TOL = 1e-8
 
 
-def _ratios(tests, polys, point):
+def _ratios(owner, names, tests, polys, point):
     """Whether ``point`` is exact, its numerators and denominators, and each
     test's value as (num, den): on int numerators through ``polys()``, the
     cached ``tests`` at the variables, if every coordinate is an int or a
     ``Fraction``, else through ``tests`` in floats, each value over 1."""
-    if all(isinstance(t, Rational) for t in point):
+    point = take(ValueError, owner, names, point, complex, exact=True)
+    if not isinstance(point[0], (float, complex)):
         nums, dens = [int(t.numerator) for t in point], [int(t.denominator) for t in point]
         return True, nums, dens, [p._evaluate_ratio(nums, dens) for p in polys()]
     return False, point, (1,) * len(point), [(v, 1) for v in tests(*point)]
@@ -169,35 +168,13 @@ class S03Result(_Record):
     cusps: tuple[str, ...]
 
 
-def _floats(error, owner: str, **coords) -> list[float]:
-    """The coordinates as floats; an int or Fraction beyond the largest
-    float raises ``error`` naming ``owner`` and the coordinate."""
-    for name, t in coords.items():
-        try:
-            coords[name] = float(t)
-        except OverflowError:
-            raise error(f"{owner} needs finite traces, got {name} past the float range") from None
-    return list(coords.values())
-
-
-def _report(owner: str, names: str, ratios) -> list[float]:
-    """n / d for each (n, d) in ``ratios``, d > 0; an int quotient past the
-    float range raises ValueError naming its field in ``names``."""
-    try:
-        return [n / d for n, d in ratios]
-    except OverflowError:  # exact input only: a float quotient would read inf
-        name = next(m for m, (n, d) in zip(names.split(), ratios)
-                    if Fraction(abs(n), d) > sys.float_info.max)
-        raise ValueError(f"{owner} reports floats, but {name} lies past the float range") from None
-
-
 def member_s03(x: float, y: float, z: float) -> S03Result:
     """Three-holed sphere: the four closed octants with an even number
     of positive coordinates, each coordinate at distance >= 2 from 0;
     the all-negative octant is the slice.  Coordinates within 1e-12 of
     -2 (or 2) are cusps.  An exact coordinate past the float range is a
     ValueError."""
-    coords = _floats(ValueError, "member_s03", x=x, y=y, z=z)
+    coords = take(ValueError, "member_s03", "x y z", (x, y, z))
     for signs in h1z2_action(-1, -1, -1):  # the slice's octant, then its sign images
         if all(s * t >= 2 for s, t in zip(signs, coords)):
             cusps = tuple(name for name, t in zip("xyz", coords) if abs(abs(t) - 2) <= 1e-12)
@@ -223,24 +200,14 @@ class S11Result(_Record):
     cusp: bool
 
 
-def _unless_overflowed(value, formula, *args):
-    """``value``, which is ``formula(*args)``, unless it is a float that is
-    not finite though every argument is: then ``formula`` on the exact
-    ``Fraction``s of the arguments, so that an overflow decides no sign."""
-    if isinstance(value, float) and not math.isfinite(value):
-        with contextlib.suppress(OverflowError, ValueError):  # an argument is inf or NaN
-            return formula(*map(Fraction, args))
-    return value
-
-
 def member_s11(x: float, y: float, z: float) -> S11Result:
     """One-holed torus: x^2 + y^2 + z^2 - xyz <= 0 (kappa <= -2) is the
     full orbit; the slice additionally has x, y, z > 2.  kappa = -2 is
     the cusped boundary.  An exact coordinate past the float range is a
     ValueError."""
-    x, y, z = _floats(ValueError, "member_s11", x=x, y=y, z=z)
+    x, y, z = take(ValueError, "member_s11", "x y z", (x, y, z))
     k = kappa_value(x, y, z)
-    sign = _unless_overflowed(k, kappa_value, x, y, z)
+    sign = unless_overflowed(k, kappa_value, x, y, z)
     if sign > -2:
         return S11Result(S11Verdict.NONMEMBER, k, False)
     cusp = sign == -2
@@ -263,6 +230,7 @@ def h1z2_action(x, y, z):
 
 def member_c02(p: float, q: float, r: float) -> bool:
     """Two-holed cross-surface: r <= -2 and pq + r >= 2."""
+    p, q, r = take(ValueError, "member_c02", "p q r", (p, q, r), complex, exact=True)
     return r <= -2 and p * q + r >= 2
 
 
@@ -273,7 +241,8 @@ def _klein(p, q, r):
 
 def member_c11(p: float, q: float, r: float) -> bool:
     """One-holed Klein bottle: p^2 + q^2 - pqr >= 0."""
-    return _unless_overflowed(_klein(p, q, r), _klein, p, q, r) >= 0
+    p, q, r = take(ValueError, "member_c11", "p q r", (p, q, r), complex, exact=True)
+    return unless_overflowed(_klein(p, q, r), _klein, p, q, r) >= 0
 
 
 # -- four-holed sphere ---------------------------------------------------------
@@ -337,8 +306,9 @@ def member_s04(ch: CharacterS04) -> S04Result:
     F~+- the one whose two terms share a sign is summed, the other is the
     exact product F~+ F~- = S+^2/(-2-x) - S-^2/(2-x) over it, free of
     cancellation.  A report past the float range is a ValueError."""
-    exact, nums, dens, ((rn, rd), *terms) = _ratios(_s04_tests, _s04_polys, ch.as_tuple())
-    res_f, kab, kcd, s_minus, s_plus = _report(
+    exact, nums, dens, ((rn, rd), *terms) = _ratios(
+        "member_s04", "a b c d x y z", _s04_tests, _s04_polys, ch.as_tuple())
+    res_f, kab, kcd, s_minus, s_plus = report(
         "member_s04", "residual kappa_ab kappa_cd S_minus S_plus", ((abs(rn), rd), *terms))
     nx, dx = nums[4], dens[4]
     cusps = tuple(v for v, n, e in zip("abcd", nums, dens) if n == 2 * e)
@@ -424,8 +394,9 @@ def member_s12(ch: CharacterS12) -> S12Result:
     integer numerators for exact input; the reported values are floats (one
     past the float range is a ValueError)."""
     point = (ch.a, ch.b, ch.u, ch.v, ch.w, ch.x, ch.y, ch.z)
-    exact, _, _, ((n1, d1), (n2, d2), *ks) = _ratios(_s12_tests, _s12_polys, point)
-    r1, r2, *kappas = _report("member_s12", "residuals[0] residuals[1] kappas[0] kappas[1] "
+    exact, _, _, ((n1, d1), (n2, d2), *ks) = _ratios(
+        "member_s12", "a b u v w x y z", _s12_tests, _s12_polys, point)
+    r1, r2, *kappas = report("member_s12", "residuals[0] residuals[1] kappas[0] kappas[1] "
                               "kappas[2]", ((abs(n1), d1), (abs(n2), d2), *ks))
     residuals, kappas = (r1, r2), tuple(kappas)
     # a NaN residual is off the variety
@@ -452,17 +423,6 @@ class FNResult(_Record):
         return (self.x, self.y, self.z)
 
 
-@contextlib.contextmanager
-def _overflow_names(**args):
-    """Turn a float overflow of the block (a ZeroDivisionError too: a
-    square that underflowed to 0) into a ValueError naming ``args``."""
-    try:
-        yield
-    except (OverflowError, ZeroDivisionError):
-        named = ", ".join(f"{name} = {value}" for name, value in args.items())
-        raise ValueError(f"Fenchel-Nielsen coordinates out of float range at {named}") from None
-
-
 def fn_to_traces(coords: FNCoords) -> FNResult:
     """Trace coordinates of the one-holed torus structure with
     Fenchel-Nielsen coordinates (l, tau, b).
@@ -478,21 +438,23 @@ def fn_to_traces(coords: FNCoords) -> FNResult:
     kappa = 2 - 4 sinh^2(l/2) sinh^2(mu/2), and y = 2 cosh(mu/2)
     cosh(tau/2) = 2 sqrt(1 + csch^2(l/2) cosh^2(b/4)) cosh(tau/2).
 
-    Coordinates whose functions leave the float range, or whose traces
-    miss the constraint or the slice (float cancellation, from about
-    l = 15), raise ``ValueError``.
+    Coordinates past the float range or whose functions leave it, or
+    whose traces miss the constraint or the slice (float cancellation,
+    from about l = 15), raise ``ValueError``.
     """
-    l2, tau2, b4 = coords.l / 2, coords.tau / 2, coords.b / 4  # divided once: Fractions are slow
-    # each argument's own functions first, so that an overflow names it
-    with _overflow_names(l=coords.l):
+    # each argument as a float and its own functions first, so that an overflow names it
+    with overflow_names(l=coords.l):
+        l2 = float(coords.l) / 2
         exp_l, sinh_l = [math.exp(l2), math.exp(-l2)], math.sinh(l2)
         sinh_l_sq = sinh_l ** 2
-    with _overflow_names(tau=coords.tau):
+    with overflow_names(tau=coords.tau):
+        tau2 = float(coords.tau) / 2
         exp_tau, cosh_tau = [math.exp(tau2), math.exp(-tau2)], math.cosh(tau2)
-    with _overflow_names(b=coords.b):
-        cosh_b = math.cosh(b4)
-        cosh_b_sq, boundary = cosh_b ** 2, -2 * math.cosh(coords.b / 2)
-    with _overflow_names(l=coords.l, b=coords.b):  # cosh(b/4)/sinh(l/2) and its square
+    with overflow_names(b=coords.b):
+        b2 = float(coords.b) / 2
+        cosh_b = math.cosh(b2 / 2)
+        cosh_b_sq, boundary = cosh_b ** 2, -2 * math.cosh(b2)
+    with overflow_names(l=coords.l, b=coords.b):  # cosh(b/4)/sinh(l/2) and its square
         mu_half = math.asinh(cosh_b / sinh_l)
         cosh_mu = math.cosh(mu_half)
         csch_cosh_sq = cosh_b_sq / sinh_l_sq

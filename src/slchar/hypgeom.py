@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mat2
-from .fricke import _floats
+from ._intake import take
 from .mat2 import GeometryError, conjugating_involution
 from .tracepoly import _entries, _trace_of_product
 from .words import Word
@@ -210,6 +210,7 @@ class BilinearForm3:
 def bilinear_form_from_character(x, y, z) -> BilinearForm3:
     """B = [[1, z/2, y/2], [z/2, 1, x/2], [y/2, x/2, 1]] with
     4 det B = 2 - kappa(x, y, z)."""
+    x, y, z = take(GeometryError, "bilinear_form_from_character", "x y z", (x, y, z), complex)
     b = np.array(
         [[1, z / 2, y / 2], [z / 2, 1, x / 2], [y / 2, x / 2, 1]], dtype=complex
     )
@@ -347,13 +348,12 @@ def hexagon_certificate(x: float, y: float, z: float) -> HexagonCertificate:
     (-3, -3, -3) it is "negated", so it is "negated" everywhere.
     """
     tol = 1e-9
-    traces = _floats(GeometryError, "hexagon domain", x=x, y=y, z=z)
+    x, y, z = traces = take(GeometryError, "hexagon domain", "x y z", (x, y, z))
     for name, t in zip("xyz", traces):
         if not math.isfinite(t):
             raise GeometryError(f"hexagon domain needs finite traces, got {name} = {t}")
         if t + 2 > tol:
             raise GeometryError(f"hexagon domain needs {name} <= -2, got {t}")
-    x, y, z = traces
     cusped = {"X": abs(x + 2) <= tol, "Y": abs(y + 2) <= tol, "Z": abs(z + 2) <= tol}
     pairs = tuple(
         HexagonPair(names, -1.0, "ideal") if cusped[names[0]] or cusped[names[1]]

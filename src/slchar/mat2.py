@@ -38,6 +38,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._intake import take
 from .tracepoly import _adjugate, _entries, _format_complex as format_complex, _mul, _word_product
 from .words import Word
 
@@ -195,6 +196,7 @@ def normal_form_pair(x: complex, y: complex, z: complex) -> tuple[np.ndarray, np
     (``_principal_root``).  z = +-2 gives f = +-1, which is still valid.
     For real z with |z| >= 2, f is real, and so is the pair.
     """
+    x, y, z = take(GeometryError, "normal_form_pair", "x y z", (x, y, z), complex)
     xi, eta = _normal_form(complex(x), complex(y), complex(z))
     return mat2(*xi), mat2(*eta)
 

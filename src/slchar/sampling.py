@@ -10,10 +10,8 @@ the same way so that det = 1 holds exactly; they are drawn as the pair
 matrices and is the one place that writes them as (N, d).  Only the
 float draws, complex numpy arrays, and ``exact_evaluate_word`` load
 numpy.  Streams derive deterministically from (seed, trial-index), so
-a suite may draw its trials before it computes any of them without
-changing results: the ``oracle`` and ``covers`` suites of ``slchar
-verify`` draw 100 trials at a time, each from its own stream in trial
-order, and then compute them one trial at a time.  ``identities``,
+each trial of ``slchar verify`` draws from its own stream, whatever the
+trials before it drew.  ``identities``,
 ``oracle`` and ``covers`` take float matrices as the 4-tuples of
 ``random_unimodular_entries``, in the format of the exact numerators N.
 """

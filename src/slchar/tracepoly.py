@@ -227,9 +227,12 @@ def _pairing(rank: int, b: tuple, c: tuple) -> dict:
 
 @functools.cache
 def _pairing_rows(rank: int) -> tuple:
-    """Per slot b, tr(X_b X_c) as rows over c's flat keys."""
+    """Per slot b, tr(X_b X_c) as rows over c's flat keys.  The trace form
+    is symmetric, so each pair is traced once, for b up to c."""
     basis = _BASIS[rank]
-    return tuple(_as_rows((_pairing(rank, b, c) for c in basis), _shift(rank)) for b in basis)
+    traced = {(b, c): _pairing(rank, b, c) for i, b in enumerate(basis) for c in basis[i:]}
+    return tuple(_as_rows((traced[(b, c) if (b, c) in traced else (c, b)] for c in basis),
+                          _shift(rank)) for b in basis)
 
 
 def _pass(rank: int, letters: tuple[int, ...]) -> dict:

@@ -4,8 +4,9 @@ fricke with ``fn_to_traces``, sampling's exact draws and the exact
 quadruple-trace check on them, ``slchar trace-poly``, ``slchar cover
 map`` with and without ``--eval``, ``slchar fn2trace``, ``slchar
 fricke test`` and ``slchar verify identities`` and ``oracle`` in both
-modes) leaves numpy out of ``sys.modules``.  Each footprint runs
-in a fresh interpreter."""
+modes, and the number intake ``slchar._intake``) leaves numpy out of
+``sys.modules``; ``chars`` and ``hypgeom`` leave ``fricke`` out.  Each
+footprint runs in a fresh interpreter."""
 
 import importlib
 import inspect
@@ -21,11 +22,12 @@ import slchar
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
-def numpy_loaded(code: str) -> bool:
-    """Whether numpy is in ``sys.modules`` after running ``code``."""
+def loaded(code: str, module: str = "numpy") -> bool:
+    """Whether ``module``, numpy unless named, is in ``sys.modules`` after
+    running ``code``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
-    script = f"{code}\nimport sys\nprint('numpy' in sys.modules)"
+    script = f"{code}\nimport sys\nprint({module!r} in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
@@ -56,17 +58,26 @@ def numpy_loaded(code: str) -> bool:
     "main(['fricke', 'test', 's04', '--mode', 'exact', '--coords=2,2,2,2,-3,3,3'])",
     *(f"from slchar.cli import main\nmain(['verify', '{suite}', '--mode', '{mode}'])"
       for suite in ("identities", "oracle") for mode in ("float", "exact")),
+    "import slchar._intake",
 ], ids=["import", "symbolic-modules", "cli-trace-poly", "cli-cover-map", "cli-cover-eval",
         "fn-to-traces", "cli-fn2trace", "cli-fricke-test-s11", "cli-fricke-test-s04-exact",
         "cli-verify-identities", "cli-verify-identities-exact", "cli-verify-oracle",
-        "cli-verify-oracle-exact"])
+        "cli-verify-oracle-exact", "intake"])
 def test_symbolic_path_loads_no_numpy(code):
-    assert not numpy_loaded(code)
+    assert not loaded(code)
 
 
 def test_matrix_modules_load_numpy():
     # the probe sees numpy where it is used
-    assert numpy_loaded("import slchar\nslchar.mat2")
+    assert loaded("import slchar\nslchar.mat2")
+
+
+@pytest.mark.parametrize("module, loads_fricke", [
+    ("chars", False), ("hypgeom", False), ("cli", True),  # the last: the probe sees fricke
+])
+def test_fricke_footprint(module, loads_fricke):
+    # chars and hypgeom take their numbers in through slchar._intake, not through fricke
+    assert loaded(f"import slchar.{module}", "slchar.fricke") is loads_fricke
 
 
 @pytest.mark.parametrize("name", [n for n in slchar.__all__ if n != "__version__"])

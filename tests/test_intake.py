@@ -1,0 +1,115 @@
+"""The number intake of the public numeric functions (``slchar._intake``).
+
+Every public function that computes on trace coordinates takes its
+arguments in once: exact input stays exact where the function decides it
+exactly, any other input becomes floats, and an exact argument past the
+float range is refused by the function's ``ValueError`` subclass, which
+names it.  The property draws small ints and ``Fraction``s, finite floats
+up to 1e308 and ints and ``Fraction``s of 1e300 to 1e420 (NaN and
+infinities are not drawn), and calls each entry point: it must return, or
+raise a ``ValueError`` subclass, and one about the float range names an
+argument or the reported quantity that left it."""
+
+import re
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from slchar import _intake, chars, fricke, hypgeom, mat2
+
+
+def _s04(*coords):
+    return fricke.member_s04(fricke.CharacterS04(*coords))
+
+
+def _s12(*coords):
+    return fricke.member_s12(fricke.CharacterS12(*coords))
+
+
+def _form_signature(x, y, z):
+    return hypgeom.form_signature(hypgeom.bilinear_form_from_character(x, y, z))
+
+
+def _fn_to_traces(l, tau, b):
+    return fricke.fn_to_traces(fricke.FNCoords(l, tau, b))
+
+
+#: Each entry point, its arguments' names in order, then the names of the
+#: reported quantities that an error about the float range may name instead.
+ENTRY_POINTS = {
+    "member_s03": (fricke.member_s03, "x y z"),
+    "member_s11": (fricke.member_s11, "x y z"),
+    "member_c02": (fricke.member_c02, "p q r"),
+    "member_c11": (fricke.member_c11, "p q r"),
+    "member_s04": (_s04, "a b c d x y z", "residual kappa_ab kappa_cd S_minus S_plus"),
+    "member_s12": (_s12, "a b u x y v w z",
+                   "residuals[0] residuals[1] kappas[0] kappas[1] kappas[2]"),
+    "classify_real_character": (chars.classify_real_character, "x y z"),
+    "axes_cross": (chars.axes_cross, "x y z", "kappa"),
+    "triple_trace_roots": (chars.triple_trace_roots, "t1 t2 t3 t12 t13 t23"),
+    "construct_triple": (chars.construct_triple, "t1 t2 t3 t12 t23 t13"),
+    "hermitian_invariant_form": (chars.hermitian_invariant_form, "x y z"),
+    "normal_form_pair": (mat2.normal_form_pair, "x y z"),
+    "form_signature": (_form_signature, "x y z"),
+    "hexagon_certificate": (hypgeom.hexagon_certificate, "x y z", "XY YZ ZX"),
+    "fn_to_traces": (_fn_to_traces, "l tau b"),
+}
+
+
+def _signed(magnitudes):
+    return st.builds(lambda m, s: s * m, magnitudes, st.sampled_from((1, -1)))
+
+
+NUMBERS = st.one_of(
+    st.integers(-5, 5),
+    st.fractions(-10, 10, max_denominator=12),
+    st.floats(-1e308, 1e308),
+    _signed(st.integers(10**300, 10**420)),
+    _signed(st.builds(Fraction, st.integers(10**303, 10**420), st.integers(2, 999))),
+)
+
+
+def _calls(name):
+    arity = len(ENTRY_POINTS[name][1].split())
+    return st.tuples(st.just(name), st.lists(NUMBERS, min_size=arity, max_size=arity))
+
+
+@settings(max_examples=1500, deadline=None)
+@given(st.sampled_from(sorted(ENTRY_POINTS)).flatmap(_calls))
+@example(("member_s12", [1.0, 1.0, 0.5, 10**103, 10**103, 1, 1, 10**103]))
+@example(("member_s04", [2.0, 2, 2, 2, -10**200, 3, 3]))
+@example(("classify_real_character", [10**400, 3, 3]))
+@example(("normal_form_pair", [10**400, 3, 3]))
+@example(("construct_triple", [3, Fraction(10**401, 3), 3, 3, 3, 3]))
+@example(("fn_to_traces", [10**400, 0, 0]))
+def test_every_entry_point_returns_or_names_the_number(call):
+    name, args = call
+    function, *names = ENTRY_POINTS[name]
+    try:
+        function(*args)
+    except ValueError as exc:  # GeometryError too
+        if "float range" in str(exc):
+            words = set(re.findall(r"[\w\[\]]+", str(exc)))
+            assert words & set(" ".join(names).split()), exc
+
+
+@pytest.mark.parametrize("name", ["classify_real_character", "triple_trace_roots",
+                                  "normal_form_pair"])
+def test_an_exact_argument_past_the_float_range_is_named(name):
+    function, names, *_ = ENTRY_POINTS[name]
+    args = [-3] * len(names.split())
+    args[1] = Fraction(-(10**400), 3)
+    with pytest.raises(ValueError, match=f"needs finite traces, got {names.split()[1]} past"):
+        function(*args)
+
+
+def test_floats_pass_unchanged_and_exact_input_stays_exact():
+    floats, exact = (3.0, -2.5, 1e308), (3, Fraction(1, 3), 10**400)
+    assert _intake.take(ValueError, "f", "x y z", floats) is floats
+    assert _intake.take(ValueError, "f", "x y z", exact, exact=True) is exact
+    mixed = _intake.take(ValueError, "f", "x y z", (3, Fraction(1, 4), 0.5), exact=True)
+    assert mixed == [3.0, 0.25, 0.5] and all(type(t) is float for t in mixed)
+    assert _intake.take(ValueError, "f", "x y", (1j, 2), complex) == [1j, 2.0]
+    with pytest.raises(TypeError):  # a real-only function takes no complex number
+        _intake.take(ValueError, "f", "x", (1j,))
