@@ -2,7 +2,9 @@
 
 Characters of pairs and triples, irreducibility tests, the real
 character classification, and the explicit reconstruction of a
-rank-3 representation from six traces and a branch choice.
+rank-3 representation from six traces and a branch choice, on the
+4-tuples of :mod:`slchar.tracepoly`: only ``construct_triple`` and
+``hermitian_invariant_form``, whose results are arrays, load ``mat2``.
 """
 
 from __future__ import annotations
@@ -14,13 +16,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
-import numpy as np
-
-from . import mat2
 from ._intake import take, unless_overflowed
-from .mat2 import GeometryError, _normal_form, _principal_root, principal_sqrt
 from .polyring import F2_VARS, F3_VARS, sum_product
-from .tracepoly import _character, _entries, _mul, _trace_of_product, kappa_value, word_trace
+from .tracepoly import (
+    GeometryError, _character, _entries, _format_complex, _mul, _normal_form, _principal_root,
+    _trace_of_product, kappa_value, principal_sqrt, word_trace)
 from .words import Word
 
 __all__ = [
@@ -65,9 +65,9 @@ class CharacterF2:
         return kappa_value(self.x, self.y, self.z)
 
     def to_json(self) -> dict:
-        return {"x": mat2.format_complex(complex(self.x)),
-                "y": mat2.format_complex(complex(self.y)),
-                "z": mat2.format_complex(complex(self.z))}
+        return {"x": _format_complex(complex(self.x)),
+                "y": _format_complex(complex(self.y)),
+                "z": _format_complex(complex(self.z))}
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ class CharacterF3:
 
     def to_json(self) -> dict:
         names = ("t1", "t2", "t3", "t12", "t13", "t23", "t123", "t132")
-        return {n: mat2.format_complex(complex(v))
+        return {n: _format_complex(complex(v))
                 for n, v in zip(names, self.as_tuple())}
 
 
@@ -153,17 +153,20 @@ class IrreducibilityReport:
         )
 
 
-def irreducibility_witnesses(xi: np.ndarray, eta: np.ndarray) -> IrreducibilityReport:
-    """Evaluate all equivalent irreducibility criteria on a pair.
+def irreducibility_witnesses(xi, eta) -> IrreducibilityReport:
+    """Evaluate all equivalent irreducibility criteria on a pair of
+    numeric matrices (arrays, or 4-tuples of their rows).
 
     The witnesses: tr[xi,eta] (must differ from 2), det of the Lie
-    product (must be nonzero, equals 2 - kappa), and the 4x4
-    determinant of {I, xi, eta, xi eta} in the elementary-matrix
+    product xi eta - eta xi (must be nonzero, equals 2 - kappa), and the
+    4x4 determinant of {I, xi, eta, xi eta} in the elementary-matrix
     basis (also 2 - kappa), by two 3x3 minors along I's column.
     """
     c = character_of_pair(xi, eta)
     a, b = _entries(xi), _entries(eta)
-    rows = list(zip(a, b, _mul(a, b)))
+    ab = _mul(a, b)
+    rows = list(zip(a, b, ab))
+    lie = [p - q for p, q in zip(ab, _mul(b, a))]
 
     def minor(r0, r1, r2):
         return (r0[0] * (r1[1] * r2[2] - r1[2] * r2[1]) - r0[1] * (r1[0] * r2[2] - r1[2] * r2[0])
@@ -172,7 +175,7 @@ def irreducibility_witnesses(xi: np.ndarray, eta: np.ndarray) -> IrreducibilityR
     report = IrreducibilityReport(
         kappa=kappa_value(*c.as_tuple()),
         commutator_trace=word_trace(Word(2, (1, 2, -1, -2)), (xi, eta)),
-        lie_determinant=mat2.det(mat2.lie_product(xi, eta)),
+        lie_determinant=lie[0] * lie[3] - lie[1] * lie[2],
         basis_determinant=minor(*rows[1:]) - minor(*rows[:3]),
         irreducible=is_irreducible(c),
     )
@@ -241,12 +244,22 @@ def triple_trace_roots(t1, t2, t3, t12, t13, t23) -> tuple[complex, complex]:
 
     The first root is the one with larger real part, ties broken by
     larger imaginary part (the deterministic sheet labeling of the
-    double cover).
+    double cover).  Exact traces give an exact f_Sigma and discriminant
+    f_Sigma^2 - 4 f_Pi, each rounded once; one past the float range
+    raises ``GeometryError``, which names it, or a trace past the float
+    range if there is one.
     """
-    six = take(GeometryError, "triple_trace_roots", "t1 t2 t3 t12 t13 t23",
-               (t1, t2, t3, t12, t13, t23), complex)
-    fsum, fprod = sum_product(*six)
-    disc = principal_sqrt(fsum * fsum - 4 * fprod)
+    args = ("triple_trace_roots", "t1 t2 t3 t12 t13 t23", (t1, t2, t3, t12, t13, t23), complex)
+    fsum, fprod = sum_product(*take(GeometryError, *args, exact=True))
+    rounded = []
+    for name, v in (("f_Sigma", fsum), ("discriminant", fsum * fsum - 4 * fprod)):
+        try:
+            rounded.append(complex(v))
+        except OverflowError:
+            take(GeometryError, *args)  # names a trace past the float range
+            raise GeometryError(f"triple_trace_roots needs finite traces, got {name} past "
+                                "the float range") from None
+    fsum, disc = rounded[0], principal_sqrt(rounded[1])
     r1 = (fsum + disc) / 2
     r2 = (fsum - disc) / 2
     if (r1.real, r1.imag) >= (r2.real, r2.imag):
@@ -293,6 +306,8 @@ def construct_triple(t1, t2, t3, t12, t23, t13, branch: str = "+"):
                 raise GeometryError(f"the constructed triple misses the prescribed {name}")
     except OverflowError:  # abs() of a finite complex whose modulus leaves the float range
         raise GeometryError("degenerate branch value") from None
+    from . import mat2  # the results are arrays
+
     return tuple(mat2.mat2(*m) for m in triple)
 
 
@@ -340,14 +355,16 @@ def _construct_triple(t1, t2, t3, t12, t23, t13, branch):
     return xi1, (a2, t23 - a2 * t3, 0, 1 / a2), (t3, -1, 1, 0)
 
 
-def hermitian_invariant_form(x: float, y: float, z: float) -> np.ndarray:
+def hermitian_invariant_form(x: float, y: float, z: float):
     """The Hermitian matrix preserved by the normal-form pair of a real
     character with |z| <= 2; its determinant equals 2 - kappa(x,y,z),
     so the form is definite exactly on the SU(2) characters.
     """
+    from . import mat2  # the result is an array
+
     x, y, z = take(GeometryError, "hermitian_invariant_form", "x y z", (x, y, z))
     if abs(z) > 2:
         raise GeometryError(f"requires |z| <= 2, got z = {z}")
-    sin_t = np.sqrt(max(0.0, 1 - (z / 2) ** 2))
+    sin_t = math.sqrt(max(0.0, 1 - (z / 2) ** 2))
     off = -x * sin_t + 1j * (y - x * z / 2)
-    return np.array([[2 * sin_t, off], [np.conj(off), 2 * sin_t]], dtype=complex)
+    return mat2.mat2(2 * sin_t, off, off.conjugate(), 2 * sin_t)

@@ -185,7 +185,7 @@ def deck_involution_f3(arg):
     rm = deck_ring_map()
     if isinstance(arg, Polynomial):
         return rm.apply_poly(arg)
-    from .chars import CharacterF3, triple_trace_roots  # loads numpy, as polynomials need not
+    from .chars import CharacterF3, triple_trace_roots  # characters only: polynomials need not
 
     if isinstance(arg, CharacterF3):
         vals = rm.apply_point(dict(zip(F3_VARS, arg.as_tuple())))

@@ -47,6 +47,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from ._intake import overflow_names, report, take, unless_overflowed
 from .polyring import S04_VARS, S12_VARS, Polynomial, sum_product
@@ -299,13 +300,25 @@ def _s04_polys() -> tuple[Polynomial, ...]:
     return _s04_tests(*_s04_variables())
 
 
+def _over_root(n: int, d: int, t: int, u: int) -> Fraction:
+    """(n / d) / sqrt(t / u) for ints with d, t, u > 0, to 64 bits or more,
+    however far it lies from the float range."""
+    m, e = n * n * u, d * d * t
+    s = max(0, 64 - (m.bit_length() - e.bit_length()) // 2)
+    root = Fraction(math.isqrt((m << 2 * s) // e), 1 << s)
+    return -root if n < 0 else root
+
+
 def member_s04(ch: CharacterS04) -> S04Result:
     """Boundary traces >= 2 and x < -2, on the quartic, and F~+ > 0 and
     F~- > 0.  Exact input is decided on integer numerators, the last test as
     its exact equivalent S+ > 0 and (2-x) S+^2 > (-2-x) S-^2; of the floats
     F~+- the one whose two terms share a sign is summed, the other is the
     exact product F~+ F~- = S+^2/(-2-x) - S-^2/(2-x) over it, free of
-    cancellation.  A report past the float range is a ValueError."""
+    cancellation.  Where -2-x or that product leaves the float range (x
+    within about 1e-308 of -2), the terms S/sqrt(.) are exact to 64 bits
+    (``_over_root``) and F~+- rounded once.  A report past the float range
+    is a ValueError."""
     exact, nums, dens, ((rn, rd), *terms) = _ratios(
         "member_s04", "a b c d x y z", _s04_tests, _s04_polys, ch.as_tuple())
     res_f, kab, kcd, s_minus, s_plus = report(
@@ -316,17 +329,27 @@ def member_s04(ch: CharacterS04) -> S04Result:
         return S04Result(S04Verdict.NONMEMBER_RANGE, res_f, kab, kcd, s_minus, s_plus,
                          None, None, cusps)
     below, above = -2 * dx - nx, 2 * dx - nx  # dx (-2-x) > 0 and dx (2-x) > 0
-    plus, minus = s_plus / math.sqrt(below / dx), s_minus / math.sqrt(above / dx)
-    f_plus, f_minus = plus + minus, plus - minus
     if exact:  # S+- = N+-/D+-: (2-x) S+^2 > (-2-x) S-^2 times dx (D+ D-)^2
         (mn, md), (pn, pd) = terms[2:]
         hi, lo = above * (pn * md) ** 2, below * (mn * pd) ** 2
         off, component = rn != 0, pn > 0 and hi > lo
-        product = dx * (hi - lo) / (above * below * (pd * md) ** 2)
+        num, den = dx * (hi - lo), above * below * (pd * md) ** 2  # F~+ F~- = num / den
+    try:
+        plus, minus = s_plus / math.sqrt(below / dx), s_minus / math.sqrt(above / dx)
+        if exact:
+            product = num / den
+    except (OverflowError, ZeroDivisionError):  # exact only: -2-x or F~+ F~- left the float range
+        plus, minus = _over_root(pn, pd, below, dx), _over_root(mn, md, above, dx)
+        product = Fraction(num, den)
+    f_plus, f_minus = plus + minus, plus - minus
+    if exact:
         if pn * mn >= 0:  # |F~+| >= |F~-|
             f_minus = product / f_plus if f_plus else f_minus
         else:
             f_plus = product / f_minus if f_minus else f_plus
+        if isinstance(f_plus, Fraction):  # rounded once, if they are in the float range
+            f_plus, f_minus = report("member_s04", "F_plus F_minus",
+                                     (f_plus.as_integer_ratio(), f_minus.as_integer_ratio()))
     else:
         off = not res_f <= ONVARIETY_TOL  # a NaN residual is off the variety
         component = f_plus > 0 and f_minus > 0

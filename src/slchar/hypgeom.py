@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -176,9 +177,10 @@ class IsometryType(enum.Enum):
 
 def classify_isometry(xi: np.ndarray) -> IsometryType:
     """Isometry type of a unimodular matrix acting on hyperbolic 3-space:
-    central within 1e-10 entrywise, then by its trace within 1e-9."""
+    central within 1e-10 entrywise, then by its trace within 1e-9, both
+    absolute."""
     tol = 1e-9
-    if np.allclose(xi, mat2.I2, atol=1e-10) or np.allclose(xi, -mat2.I2, atol=1e-10):
+    if any(np.allclose(xi, c, rtol=0, atol=1e-10) for c in (mat2.I2, -mat2.I2)):
         return IsometryType.CENTRAL
     t = mat2.trace(xi)
     if abs(t - 2) <= tol or abs(t + 2) <= tol:
@@ -192,15 +194,16 @@ def classify_isometry(xi: np.ndarray) -> IsometryType:
 
 @dataclass(frozen=True)
 class BilinearForm3:
-    """Symmetric 3x3 matrix with unit diagonal."""
+    """Symmetric 3x3 matrix with unit diagonal, each within 1e-12
+    absolute."""
 
     b: np.ndarray
 
     def __post_init__(self):
         b = np.asarray(self.b)
-        if b.shape != (3, 3) or not np.allclose(b, b.T, atol=1e-12):
+        if b.shape != (3, 3) or not np.allclose(b, b.T, rtol=0, atol=1e-12):
             raise GeometryError("form matrix must be symmetric 3x3")
-        if not np.allclose(np.diag(b).real, 1, atol=1e-12) or np.any(
+        if not np.allclose(np.diag(b).real, 1, rtol=0, atol=1e-12) or np.any(
             np.abs(np.diag(b).imag) > 1e-12 if b.dtype == complex else [False]
         ):
             raise GeometryError("form matrix must have unit diagonal")
@@ -243,22 +246,29 @@ class FormSignature(enum.Enum):
 
 
 def form_signature(form: BilinearForm3) -> FormSignature:
-    """Signature of a real unit-diagonal symmetric form by eigenvalue signs.
+    """Signature of a real unit-diagonal symmetric form, decided exactly.
 
+    Its eigenvalues are real, so Descartes' rule of signs on its
+    characteristic polynomial t^3 - e1 t^2 + e2 t - e3, in ``Fraction``s of
+    the entries on and below the diagonal, counts the positive ones (sign
+    changes of 1, -e1, e2, -e3) and the negative ones (of 1, e1, e2, e3).
     Negative-definite cannot occur (the trace is 3), so the outcomes
     are (3,0), (2,1), (1,2) and the two degenerate ranks.  Imaginary
-    parts up to 1e-10 count as real, and eigenvalues within 1e-10 of 0
-    as zero.
+    parts up to 1e-10 count as real; a non-finite entry is refused.
     """
-    tol = 1e-10
     b = np.asarray(form.b)
     if b.dtype == complex:
-        if not mat2._is_real(b, tol):
+        if not mat2._is_real(b, 1e-10):
             raise GeometryError("signature requires a real form")
         b = b.real
-    eigs = np.linalg.eigvalsh(b)
-    pos = int(np.sum(eigs > tol))
-    neg = int(np.sum(eigs < -tol))
+    if not np.isfinite(b).all():
+        raise GeometryError("signature requires a finite form")
+    (p, _, _), (d, q, _), (e, f, r) = ([Fraction(v) for v in row] for row in b.tolist())
+    e1 = p + q + r
+    e2 = p * q + p * r + q * r - d * d - e * e - f * f
+    e3 = p * q * r + 2 * d * e * f - p * f * f - q * e * e - r * d * d
+    signs = [[c > 0 for c in cs if c] for cs in ((1, -e1, e2, -e3), (1, e1, e2, e3))]
+    pos, neg = (sum(s != t for s, t in zip(v, v[1:])) for v in signs)
     zero = 3 - pos - neg
     if zero == 0:
         return {

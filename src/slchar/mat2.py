@@ -10,7 +10,9 @@ depends on numpy's BLAS.  That kernel (``_mul``, ``_adjugate``, the word
 product and ``word_trace``) and ``format_complex`` live in
 :mod:`slchar.tracepoly`, so that exact evaluation, ``slchar verify
 identities`` and ``oracle``, and ``slchar cover map --eval`` run without
-numpy.  Tolerances are fixed: ``inverse`` requires ``|det - 1| <=
+numpy; so do ``GeometryError`` and its subclasses, ``principal_sqrt``
+and the rows of ``normal_form_pair``, which :mod:`slchar.chars` uses.
+Tolerances are fixed: ``inverse`` requires ``|det - 1| <=
 TOL_CONJUGACY``, and the real-matrix tests of ``hat`` and
 ``glide_reflection_sqrt`` allow imaginary parts up to ``TOL_CONJUGACY``.
 
@@ -32,14 +34,15 @@ outputs reproducible.
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 
 import numpy as np
 
 from ._intake import take
-from .tracepoly import _adjugate, _entries, _format_complex as format_complex, _mul, _word_product
+from .tracepoly import (GeometryError, NotHyperbolicError, NotSemisimpleError, ReduciblePairError,
+                        _adjugate, _entries, _format_complex as format_complex, _mul, _normal_form,
+                        _word_product, principal_sqrt)
 from .words import Word
 
 __all__ = [
@@ -76,34 +79,8 @@ TOL_ALGEBRAIC = 1e-12
 TOL_CONJUGACY = 1e-9
 
 
-class GeometryError(ValueError):
-    """A matrix input violates a geometric precondition."""
-
-
-class ReduciblePairError(GeometryError):
-    """The pair generates a reducible representation."""
-
-
-class NotSemisimpleError(GeometryError):
-    """Parabolic or central input where a semisimple element is required."""
-
-
-class NotHyperbolicError(GeometryError):
-    """Real trace in [-2, 2] where a hyperbolic element is required."""
-
-
 def mat2(a, b, c, d) -> np.ndarray:
     return np.array([[a, b], [c, d]], dtype=complex)
-
-
-def principal_sqrt(w: complex) -> complex:
-    """Principal complex square root with a signed-zero guard: an
-    imaginary part of -0.0 would silently select the lower side of the
-    branch cut, so exact zeros are normalized to +0.0 first."""
-    w = complex(w)
-    if w.imag == 0:
-        w = complex(w.real, 0.0)
-    return cmath.sqrt(w)
 
 
 I2 = np.eye(2, dtype=complex)
@@ -171,29 +148,12 @@ def sign_normalize(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _principal_root(z: complex) -> complex:
-    """The root f = (z + s)/2 of f + 1/f = z, with s = sqrt(z^2 - 4)
-    principal.  Where Re(z conj(s)) < 0 that sum cancels, so f is taken
-    as 2/(z - s), the same root since f (z - s)/2 = 1."""
-    s = principal_sqrt(z * z - 4)
-    f = 2 / (z - s) if (z * s.conjugate()).real < 0 else (z + s) / 2
-    if not 0 < abs(f) < math.inf:  # z * z overflowed: |z| above about 1e154
-        raise GeometryError("degenerate branch value")
-    return f
-
-
-def _normal_form(x: complex, y: complex, z: complex) -> tuple[tuple, tuple]:
-    """``normal_form_pair`` as the 4-tuples of its rows."""
-    f = _principal_root(z)
-    return (x, -1, 1, 0), (0, 1 / f, -f, y)
-
-
 def normal_form_pair(x: complex, y: complex, z: complex) -> tuple[np.ndarray, np.ndarray]:
     """A unimodular pair with traces (x, y) and product trace z.
 
     xi = [[x, -1], [1, 0]], eta = [[0, 1/f], [-f, y]] where f + 1/f = z
     and f = (z + sqrt(z^2 - 4))/2 with the principal square root
-    (``_principal_root``).  z = +-2 gives f = +-1, which is still valid.
+    (``tracepoly._principal_root``).  z = +-2 gives f = +-1, which is still valid.
     For real z with |z| >= 2, f is real, and so is the pair.
     """
     x, y, z = take(GeometryError, "normal_form_pair", "x y z", (x, y, z), complex)

@@ -65,11 +65,14 @@ so numpy is never loaded here.  ``_mul`` and ``_adjugate`` are the one
 2x2 arithmetic of the package, shared with ``mat2``, ``chars``, ``hypgeom``
 and ``slchar verify``; floats and exact numerators differ only in having
 denominators.  ``mat2``'s complex formatter is ``_format_complex`` here,
-so that ``slchar cover map --eval`` prints its images without numpy.
+so that ``slchar cover map --eval`` prints its images without numpy; so
+are its ``GeometryError`` and subclasses, ``principal_sqrt`` and
+``_normal_form``, the rows of its normal form of a pair, for ``chars``.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import math
@@ -360,6 +363,49 @@ def _adjugate(n: tuple) -> tuple:
 def _trace_of_product(n: tuple, k: tuple):
     """tr(n k) for 4-tuples of rows, from the four products on ``_mul``'s diagonal."""
     return n[0] * k[0] + n[1] * k[2] + n[2] * k[1] + n[3] * k[3]
+
+
+class GeometryError(ValueError):
+    """A matrix input violates a geometric precondition."""
+
+
+class ReduciblePairError(GeometryError):
+    """The pair generates a reducible representation."""
+
+
+class NotSemisimpleError(GeometryError):
+    """Parabolic or central input where a semisimple element is required."""
+
+
+class NotHyperbolicError(GeometryError):
+    """Real trace in [-2, 2] where a hyperbolic element is required."""
+
+
+def principal_sqrt(w: complex) -> complex:
+    """Principal complex square root with a signed-zero guard: an
+    imaginary part of -0.0 would silently select the lower side of the
+    branch cut, so exact zeros are normalized to +0.0 first."""
+    w = complex(w)
+    if w.imag == 0:
+        w = complex(w.real, 0.0)
+    return cmath.sqrt(w)
+
+
+def _principal_root(z: complex) -> complex:
+    """The root f = (z + s)/2 of f + 1/f = z, with s = sqrt(z^2 - 4)
+    principal.  Where Re(z conj(s)) < 0 that sum cancels, so f is taken
+    as 2/(z - s), the same root since f (z - s)/2 = 1."""
+    s = principal_sqrt(z * z - 4)
+    f = 2 / (z - s) if (z * s.conjugate()).real < 0 else (z + s) / 2
+    if not 0 < abs(f) < math.inf:  # z * z overflowed: |z| above about 1e154
+        raise GeometryError("degenerate branch value")
+    return f
+
+
+def _normal_form(x: complex, y: complex, z: complex) -> tuple[tuple, tuple]:
+    """``normal_form_pair`` as the 4-tuples of its rows."""
+    f = _principal_root(z)
+    return (x, -1, 1, 0), (0, 1 / f, -f, y)
 
 
 def _format_complex(v: complex) -> str:

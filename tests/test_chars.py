@@ -251,6 +251,17 @@ class TestTripleTraceRoots:
         r1, r2 = triple_trace_roots(0, 0, 5, 0, 7, 7)
         assert (r1.real, r1.imag) >= (r2.real, r2.imag)
 
+    def test_exact_traces_round_f_sigma_once(self):
+        # f_Sigma = 68/15 and the discriminant is negative: the real part
+        # is the float of f_Sigma / 2
+        r1, r2 = triple_trace_roots(Fraction(33, 10), 3, 4, Fraction(7, 3), 5, 6)
+        assert r1.real == r2.real == 2.2666666666666666 == float(Fraction(34, 15))
+
+    @pytest.mark.parametrize("t2, name", [(3, "discriminant"), (10**200, "f_Sigma")])
+    def test_exact_values_past_the_float_range(self, t2, name):
+        with pytest.raises(GeometryError, match=f"got {name} past the float range"):
+            triple_trace_roots(10**200, t2, 3, 3, 3, 3)
+
 
 class TestConstructTriple:
     def test_trivial(self):

@@ -276,6 +276,20 @@ class TestS04Exact:
                                              "past the float range"):
             member_s04(CharacterS04(10**400, 2, 2, 2, -3, 3, 3))
 
+    @pytest.mark.parametrize("k", [320, 330])
+    def test_x_within_the_float_precision_of_minus_two(self, k):
+        # -2 - x = 1e-k: F+ F- lies past the float range (k = 320), and
+        # -2 - x rounds to 0.0 (k = 330); F+- themselves are finite
+        point = (2, 2, 2, 2, -2 - Fraction(1, 10**k), 3, 3)
+        res = member_s04(CharacterS04(*point))
+        assert res.verdict is S04Verdict.NONMEMBER_OFF_VARIETY
+        _assert_f_pair_close(res, point)
+
+    def test_f_past_the_float_range(self):
+        with pytest.raises(ValueError, match="member_s04 reports floats, but F_plus lies "
+                                             "past the float range"):
+            member_s04(CharacterS04(2, 2, 2, 2, -2 - Fraction(1, 10**1000), 3, 3))
+
     def test_opposite_signs_that_underflow_give_a_verdict(self):
         # S+ = 1e-330 and S- = -1e-330 have opposite signs, and both, like
         # the product F+ F-, round to 0.0 as floats

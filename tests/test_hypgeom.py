@@ -6,10 +6,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from slchar import mat2
 from slchar.hypgeom import (
+    BilinearForm3,
     DeSitterVec,
     FormSignature,
     HalfPlaneRelation,
@@ -35,6 +37,16 @@ from slchar.sampling import random_real_unimodular, random_unimodular
 from slchar.tracepoly import kappa_value
 
 RND = random.Random(40)
+
+DYADIC = st.builds(lambda n, k: Fraction(n, 2**k), st.integers(-4096, 4096), st.integers(0, 10))
+#: Rational characters with dyadic traces, reducible ones (2, y, y) and
+#: (-2, y, -y) among them.
+RATIONAL_CHARACTERS = st.one_of(
+    st.tuples(DYADIC, DYADIC, DYADIC),
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3)),
+    DYADIC.map(lambda y: (2, y, y)),
+    DYADIC.map(lambda y: (-2, y, -y)),
+)
 
 
 class TestPointInvolutions:
@@ -236,6 +248,14 @@ class TestClassifyIsometry:
             is IsometryType.SEMISIMPLE_LOXODROMIC_OR_HYPERBOLIC
         )
 
+    def test_central_tolerance_is_absolute(self):
+        # central is within 1e-10 entrywise; numpy's default rtol of 1e-5
+        # took diag(1 + 1e-6, ...), whose trace is 2 within 1e-9, for central
+        assert (classify_isometry(mat2.mat2(1 + 5e-11, 0, 0, 1 / (1 + 5e-11)))
+                is IsometryType.CENTRAL)
+        assert (classify_isometry(mat2.mat2(1 + 1e-6, 0, 0, 1 / (1 + 1e-6)))
+                is IsometryType.PARABOLIC)
+
 
 class TestBilinearForm:
     def test_origin(self):
@@ -251,6 +271,15 @@ class TestBilinearForm:
     def test_degenerate_at_reducible(self):
         b = bilinear_form_from_character(2, 2, 2).b
         assert abs(np.linalg.det(b)) <= 1e-12
+
+    def test_tolerances_are_absolute(self):
+        BilinearForm3(np.diag([1 + 5e-13, 1, 1]))
+        with pytest.raises(GeometryError, match="unit diagonal"):
+            BilinearForm3(np.diag([1 + 1e-8, 1, 1]))
+        b = bilinear_form_from_character(1, 1, 1).b
+        b[0, 1] += 1e-8
+        with pytest.raises(GeometryError, match="symmetric"):
+            BilinearForm3(b)
 
 
 class TestReflections:
@@ -300,8 +329,34 @@ class TestFormSignature:
     def test_degenerate(self):
         assert (
             form_signature(bilinear_form_from_character(2, 2, 2))
-            is not FormSignature.POSITIVE_DEFINITE
+            is FormSignature.DEGENERATE_RANK1
         )
+
+    def test_no_zero_eigenvalue_tolerance(self):
+        # det B = -(2e-11)^2 / 4: an eigenvalue of about -1e-22, which the
+        # old 1e-10 eigenvalue tolerance counted as zero
+        assert (form_signature(bilinear_form_from_character(2 + 2e-11, 2, 2))
+                is FormSignature.SIGNATURE_2_1)
+
+    def test_non_finite_form(self):
+        with pytest.raises(GeometryError, match="finite form"):
+            form_signature(bilinear_form_from_character(math.inf, 2, 2))
+
+    @settings(max_examples=200, deadline=None)
+    @given(RATIONAL_CHARACTERS)
+    def test_matches_sympy_root_counts(self, point):
+        # dyadic traces: the float form is the character's exact form
+        form = bilinear_form_from_character(*point)
+        b = sympy.Matrix(3, 3, [sympy.Rational(*v.as_integer_ratio()) for v in form.b.flat])
+        roots = b.charpoly().real_roots()
+        assert len(roots) == 3
+        pos, neg = len([r for r in roots if r > 0]), len([r for r in roots if r < 0])
+        want = {(3, 0): FormSignature.POSITIVE_DEFINITE, (2, 1): FormSignature.SIGNATURE_2_1,
+                (1, 2): FormSignature.SIGNATURE_1_2}.get((pos, neg))
+        if pos + neg < 3:
+            want = (FormSignature.DEGENERATE_RANK2 if pos + neg == 2
+                    else FormSignature.DEGENERATE_RANK1)
+        assert form_signature(form) is want
 
     def test_definite_iff_cube(self):
         for _ in range(200):

@@ -5,8 +5,10 @@ quadruple-trace check on them, ``slchar trace-poly``, ``slchar cover
 map`` with and without ``--eval``, ``slchar fn2trace``, ``slchar
 fricke test`` and ``slchar verify identities`` and ``oracle`` in both
 modes, and the number intake ``slchar._intake``) leaves numpy out of
-``sys.modules``; ``chars`` and ``hypgeom`` leave ``fricke`` out.  Each
-footprint runs in a fresh interpreter."""
+``sys.modules``, and so do ``import slchar.chars``, ``slchar verify
+covers`` and the deck involution on a character of float 4-tuples;
+``chars`` and ``hypgeom`` leave ``fricke`` out.  Each footprint runs in a
+fresh interpreter."""
 
 import importlib
 import inspect
@@ -59,10 +61,15 @@ def loaded(code: str, module: str = "numpy") -> bool:
     *(f"from slchar.cli import main\nmain(['verify', '{suite}', '--mode', '{mode}'])"
       for suite in ("identities", "oracle") for mode in ("float", "exact")),
     "import slchar._intake",
+    "import slchar.chars",
+    "from slchar.cli import main\nmain(['verify', 'covers', '--trials', '5'])",
+    "from slchar import chars, covers\n"
+    "m1, m2, m3 = (2.0, 1.0, 1.0, 1.0), (1.0, 0.5, 2.0, 2.0), (0.0, -1.0, 1.0, 3.0)\n"
+    "covers.deck_involution_f3(chars.character_of_triple(m1, m2, m3))",
 ], ids=["import", "symbolic-modules", "cli-trace-poly", "cli-cover-map", "cli-cover-eval",
         "fn-to-traces", "cli-fn2trace", "cli-fricke-test-s11", "cli-fricke-test-s04-exact",
         "cli-verify-identities", "cli-verify-identities-exact", "cli-verify-oracle",
-        "cli-verify-oracle-exact", "intake"])
+        "cli-verify-oracle-exact", "intake", "chars", "cli-verify-covers", "deck-involution"])
 def test_symbolic_path_loads_no_numpy(code):
     assert not loaded(code)
 

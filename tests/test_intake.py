@@ -5,10 +5,11 @@ arguments in once: exact input stays exact where the function decides it
 exactly, any other input becomes floats, and an exact argument past the
 float range is refused by the function's ``ValueError`` subclass, which
 names it.  The property draws small ints and ``Fraction``s, finite floats
-up to 1e308 and ints and ``Fraction``s of 1e300 to 1e420 (NaN and
-infinities are not drawn), and calls each entry point: it must return, or
-raise a ``ValueError`` subclass, and one about the float range names an
-argument or the reported quantity that left it."""
+up to 1e308, ints and ``Fraction``s of 1e300 to 1e420 and ``Fraction``s
+within 1e-300 to 1e-400 of -2 (NaN and infinities are not drawn), and
+calls each entry point: it must return, or raise a ``ValueError``
+subclass, and one about the float range names an argument or the reported
+quantity that left it."""
 
 import re
 from fractions import Fraction
@@ -42,12 +43,14 @@ ENTRY_POINTS = {
     "member_s11": (fricke.member_s11, "x y z"),
     "member_c02": (fricke.member_c02, "p q r"),
     "member_c11": (fricke.member_c11, "p q r"),
-    "member_s04": (_s04, "a b c d x y z", "residual kappa_ab kappa_cd S_minus S_plus"),
+    "member_s04": (_s04, "a b c d x y z",
+                   "residual kappa_ab kappa_cd S_minus S_plus F_plus F_minus"),
     "member_s12": (_s12, "a b u x y v w z",
                    "residuals[0] residuals[1] kappas[0] kappas[1] kappas[2]"),
     "classify_real_character": (chars.classify_real_character, "x y z"),
     "axes_cross": (chars.axes_cross, "x y z", "kappa"),
-    "triple_trace_roots": (chars.triple_trace_roots, "t1 t2 t3 t12 t13 t23"),
+    "triple_trace_roots": (chars.triple_trace_roots, "t1 t2 t3 t12 t13 t23",
+                           "f_Sigma discriminant"),
     "construct_triple": (chars.construct_triple, "t1 t2 t3 t12 t23 t13"),
     "hermitian_invariant_form": (chars.hermitian_invariant_form, "x y z"),
     "normal_form_pair": (mat2.normal_form_pair, "x y z"),
@@ -67,6 +70,8 @@ NUMBERS = st.one_of(
     st.floats(-1e308, 1e308),
     _signed(st.integers(10**300, 10**420)),
     _signed(st.builds(Fraction, st.integers(10**303, 10**420), st.integers(2, 999))),
+    # within 1e-300 to 1e-400 of -2, where -2 - x can leave the float range
+    _signed(st.builds(Fraction, st.just(1), st.integers(10**300, 10**400))).map(lambda e: -2 + e),
 )
 
 
@@ -79,6 +84,8 @@ def _calls(name):
 @given(st.sampled_from(sorted(ENTRY_POINTS)).flatmap(_calls))
 @example(("member_s12", [1.0, 1.0, 0.5, 10**103, 10**103, 1, 1, 10**103]))
 @example(("member_s04", [2.0, 2, 2, 2, -10**200, 3, 3]))
+@example(("member_s04", [2, 2, 2, 2, -2 - Fraction(1, 10**320), 3, 3]))
+@example(("member_s04", [2, 2, 2, 2, -2 - Fraction(1, 10**330), 3, 3]))
 @example(("classify_real_character", [10**400, 3, 3]))
 @example(("normal_form_pair", [10**400, 3, 3]))
 @example(("construct_triple", [3, Fraction(10**401, 3), 3, 3, 3, 3]))
