@@ -3,9 +3,9 @@ rank two and three, and Fricke-space membership tests for the six
 simplest hyperbolic surfaces.
 
 The submodules and the names below load on first use (PEP 562), so
-``import slchar`` loads no numpy.  Importing ``mat2``, ``chars`` or
-``hypgeom``, which build numpy arrays, loads it; the other modules load
-it only inside the functions that build arrays."""
+``import slchar`` loads no numpy.  Importing ``mat2``, the array API,
+loads it; the other modules load it only inside the functions whose
+results are arrays."""
 
 import importlib
 

@@ -19,8 +19,8 @@ from numbers import Rational
 from ._intake import take, unless_overflowed
 from .polyring import F2_VARS, F3_VARS, sum_product
 from .tracepoly import (
-    GeometryError, _character, _entries, _format_complex, _mul, _normal_form, _principal_root,
-    _trace_of_product, kappa_value, principal_sqrt, word_trace)
+    GeometryError, _character, _entries, _format_complex, _modulus, _mul, _normal_form,
+    _principal_root, _trace_of_product, kappa_value, principal_sqrt, word_trace)
 from .words import Word
 
 __all__ = [
@@ -41,15 +41,6 @@ __all__ = [
 
 #: Tolerance for equality tests against 2 (irreducibility) in float mode.
 IRREDUCIBILITY_TOL = 1e-9
-
-
-def _modulus(v) -> float:
-    """|v|, or inf for a finite complex whose modulus leaves the float
-    range: such a value is beyond every tolerance."""
-    try:
-        return abs(v)
-    except OverflowError:
-        return math.inf
 
 
 @dataclass(frozen=True)
@@ -245,16 +236,19 @@ def triple_trace_roots(t1, t2, t3, t12, t13, t23) -> tuple[complex, complex]:
     The first root is the one with larger real part, ties broken by
     larger imaginary part (the deterministic sheet labeling of the
     double cover).  Exact traces give an exact f_Sigma and discriminant
-    f_Sigma^2 - 4 f_Pi, each rounded once; one past the float range
-    raises ``GeometryError``, which names it, or a trace past the float
-    range if there is one.
+    f_Sigma^2 - 4 f_Pi, each rounded once; one past the float range (or
+    overflowed at finite float traces) raises ``GeometryError``, which
+    names it, or a trace past the float range if there is one.
     """
     args = ("triple_trace_roots", "t1 t2 t3 t12 t13 t23", (t1, t2, t3, t12, t13, t23), complex)
-    fsum, fprod = sum_product(*take(GeometryError, *args, exact=True))
+    traces = take(GeometryError, *args, exact=True)
+    fsum, fprod = sum_product(*traces)
     rounded = []
     for name, v in (("f_Sigma", fsum), ("discriminant", fsum * fsum - 4 * fprod)):
         try:
             rounded.append(complex(v))
+            if not cmath.isfinite(rounded[-1]) and all(map(cmath.isfinite, traces)):
+                raise OverflowError  # float traces whose arithmetic overflowed
         except OverflowError:
             take(GeometryError, *args)  # names a trace past the float range
             raise GeometryError(f"triple_trace_roots needs finite traces, got {name} past "
@@ -333,7 +327,10 @@ def _trace_form_solver(t1, t2, f):
 def _construct_triple(t1, t2, t3, t12, t23, t13, branch):
     """The triple as three 4-tuples of complex entries, rows first."""
     if is_irreducible(CharacterF2(t1, t2, t12)):
-        t123 = triple_trace_roots(t1, t2, t3, t12, t13, t23)[0 if branch == "+" else 1]
+        try:
+            t123 = triple_trace_roots(t1, t2, t3, t12, t13, t23)[0 if branch == "+" else 1]
+        except GeometryError:  # f_Sigma or the discriminant past the float range
+            raise GeometryError("degenerate branch value") from None
         xi1, xi2 = _normal_form(t1, t2, t12)
         det, solve = _trace_form_solver(t1, t2, -xi2[2])  # xi2 = [[0, 1/f], [-f, t2]]
         if det == 0 or not cmath.isfinite(det):

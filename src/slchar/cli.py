@@ -14,10 +14,9 @@ matrices as 4-tuples of their rows (float entries, or the pairs (N, d)
 of :mod:`slchar.mat2`) by ``tracepoly._mul``; ``fricke``, ``covers``
 and ``coxeter`` take square roots and have no exact mode.
 
-numpy and the modules that build matrices (``mat2``, ``chars``,
-``hypgeom``) load inside the commands and suites that use them, so
-``trace-poly``, ``cover map`` (``--eval`` included), ``fricke test``,
-``fn2trace`` and ``verify identities`` and ``oracle`` start without them.
+``chars`` and ``hypgeom`` load inside the commands and suites that use
+them, and numpy and ``mat2`` only inside ``eval-word`` and ``construct``,
+whose output is matrices: every ``verify`` suite runs without numpy.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from fractions import Fraction
 from . import covers, fricke, sampling, tracepoly
 from ._intake import take
 from .fricke import CharacterS04, CharacterS12, FNCoords
-from .words import Word, WordSyntaxError, parse_word
+from .words import WordSyntaxError, parse_word
 
 
 def parse_number(text: str) -> float:
@@ -292,7 +291,7 @@ def _suite_oracle(cfg):
 
 
 def _suite_fricke(cfg):
-    from . import hypgeom, mat2
+    from . import hypgeom
 
     ok = fricke.defining_identity_residual().is_zero()
     yield "defining-identity-symbolic", 0.0 if ok else 1.0
@@ -307,9 +306,9 @@ def _suite_fricke(cfg):
         if cert.verdict != "right-hexagon":
             yield "hexagon-inner-products", 1.0
         # the closed form against the hats of a real pair with these traces
-        X, Y = mat2.normal_form_pair(x, y, z)
-        Z = mat2.evaluate_word(Word(2, (-2, -1)), (X, Y))  # (XY)^-1
-        hx, hy, hz = map(mat2.hat, (X, Y, Z))
+        X, Y = tracepoly._normal_form(complex(x), complex(y), complex(z))
+        Z = tracepoly._adjugate(tracepoly._mul(X, Y))  # (XY)^-1
+        hx, hy, hz = map(tracepoly._hat, (X, Y, Z))
         for pair, (h1, h2) in zip(cert.pairs, ((hx, hy), (hy, hz), (hz, hx))):
             yield "hexagon-inner-products", abs(pair.inner - hypgeom.minkowski_inner(h1, h2))
 
@@ -329,7 +328,7 @@ def _suite_covers(cfg):
 
 
 def _suite_coxeter(cfg):
-    from . import chars, hypgeom, mat2
+    from . import chars, hypgeom
 
     mul = tracepoly._mul
 
@@ -347,8 +346,7 @@ def _suite_coxeter(cfg):
         if abs(chars.character_of_pair(xi, eta).kappa() - 2) < 1e-3:
             continue
         done += 1
-        involutions = hypgeom.coxeter_extension(mat2.mat2(*xi), mat2.mat2(*eta))
-        i_xy, i_yz, i_zx = map(tracepoly._entries, involutions)
+        i_xy, i_yz, i_zx = hypgeom.coxeter_extension(xi, eta)
         zeta = tracepoly._adjugate(mul(xi, eta))
         for inv in (i_xy, i_yz, i_zx):
             yield "involution-factorization", dist(mul(inv, inv), (-1, 0, 0, -1))

@@ -7,10 +7,12 @@ picture (symmetric square, bilinear forms, reflections), and the
 right-hexagon certificate behind the three-holed-sphere Fricke test.
 
 The certificate reads the three inner products of its axes off the
-traces in closed form and builds no matrix; ``mat2.normal_form_pair``
-gives a real pair of matrices with the same traces, from which the same
-numbers follow through ``mat2.hat`` and ``minkowski_inner``.  A 2x2
-product here is ``tracepoly._mul``, numpy's ``@`` a 3x3 one.
+traces in closed form and builds no matrix; the normal form of a pair
+gives a real pair with the same traces, from which the same numbers
+follow through ``tracepoly._hat`` and ``minkowski_inner``.  A 2x2
+product here is ``tracepoly._mul``, numpy's ``@`` a 3x3 one.  Only the
+functions whose results are arrays, and ``SYM2_FORM`` (PEP 562), load
+numpy or ``mat2``; the others compute on 4-tuples of rows.
 """
 
 from __future__ import annotations
@@ -20,13 +22,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from . import mat2
 from ._intake import take
-from .mat2 import GeometryError, conjugating_involution
-from .tracepoly import _entries, _trace_of_product
-from .words import Word
+from .tracepoly import (GeometryError, _adjugate, _conjugating_involution, _entries, _modulus,
+                        _mul, _sign_normalize, _trace_of_product)
 
 __all__ = [
     "PointH2",
@@ -50,9 +48,14 @@ __all__ = [
     "SYM2_FORM",
 ]
 
-#: Matrix of the inner product preserved by every sym2 image, in the
-#: monomial basis (e.e, e.f, f.f).
-SYM2_FORM = np.array([[0, 0, 1], [0, -0.5, 0], [1, 0, 0]], dtype=complex)
+
+def __getattr__(name):
+    """``SYM2_FORM`` on first use: the form every sym2 image preserves, basis (e.e, e.f, f.f)."""
+    if name != "SYM2_FORM":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import numpy as np
+
+    return globals().setdefault(name, np.array([[0, 0, 1], [0, -0.5, 0], [1, 0, 0]], dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -74,17 +77,19 @@ class DeSitterVec:
 
     __slots__ = ("m",)
 
-    def __init__(self, m: np.ndarray):
+    def __init__(self, m):
+        import numpy as np  # the vector is an array
+
         tol = 1e-10
         m = np.asarray(m)
         if m.dtype == complex:
-            if not mat2._is_real(m, tol):
+            if not np.abs(m.imag).max() <= tol:
                 raise GeometryError("de Sitter vector must be real")
             m = m.real
         m = m.astype(float)
         if abs(m[0, 0] + m[1, 1]) > tol:
             raise GeometryError("de Sitter vector must be traceless")
-        if abs(mat2.det(m) + 1) > tol:
+        if abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0] + 1) > tol:
             raise GeometryError("de Sitter vector must have determinant -1")
         self.m = m
 
@@ -95,35 +100,37 @@ class DeSitterVec:
         return f"DeSitterVec({self.m.tolist()})"
 
 
-def point_to_involution(p: PointH2) -> np.ndarray:
+def point_to_involution(p: PointH2):
     """The real trace-0, det-1 matrix (1/u)[[x, -(x^2+u^2)], [1, -x]]
     whose projective action is the half-turn about p."""
+    from . import mat2  # the result is an array
+
     x, u = p.x, p.u
-    return np.array([[x / u, -(x * x + u * u) / u], [1 / u, -x / u]], dtype=complex)
+    return mat2.mat2(x / u, -(x * x + u * u) / u, 1 / u, -x / u)
 
 
-def involution_fixing(z1: complex, z2: complex | None = None) -> np.ndarray:
+def involution_fixing(z1: complex, z2: complex | None = None):
     """The unimodular involution fixing z1 and z2 on the ideal boundary.
 
     z2 = None means infinity.  Result is sign-normalized; it squares
     to -I.
     """
+    from . import mat2  # the result is an array
+
     z1 = complex(z1)
     if z2 is None or (isinstance(z2, (int, float, complex)) and abs(complex(z2)) == float("inf")):
-        m = 1j * np.array([[-1, 2 * z1], [0, 1]], dtype=complex)
-        return mat2.sign_normalize(m)
-    z2 = complex(z2)
-    if z1 == z2:
-        raise GeometryError("fixed points must be distinct")
-    m = (1j / (z1 - z2)) * np.array(
-        [[z1 + z2, -2 * z1 * z2], [2, -(z1 + z2)]], dtype=complex
-    )
-    return mat2.sign_normalize(m)
+        k, n = 1j, (-1, 2 * z1, 0, 1)
+    else:
+        z2 = complex(z2)
+        if z1 == z2:
+            raise GeometryError("fixed points must be distinct")
+        k, n = 1j / (z1 - z2), (z1 + z2, -2 * z1 * z2, 2, -(z1 + z2))
+    return mat2.mat2(*_sign_normalize(tuple(k * complex(v) for v in n)))
 
 
 def minkowski_inner(a, b) -> float:
-    """<A, B> = (1/2) tr(AB) on traceless real matrices; <A, A> = -det A."""
-    a, b = (_entries(v.m if isinstance(v, DeSitterVec) else np.asarray(v)) for v in (a, b))
+    """<A, B> = (1/2) tr(AB) on traceless real matrices or 4-tuples; <A, A> = -det A."""
+    a, b = (_entries(v.m if isinstance(v, DeSitterVec) else v) for v in (a, b))
     return float(_trace_of_product(a, b).real) / 2
 
 
@@ -145,26 +152,32 @@ def half_plane_relation(v1, v2) -> HalfPlaneRelation:
     return HalfPlaneRelation.CROSSING_OR_ASYMPTOTIC
 
 
-def common_perpendicular(xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
+def common_perpendicular(xi, eta):
     """Unit-normalized Lie product: the involution in the common
     orthogonal geodesic of the invariant axes.  Conjugation by it
     inverts both arguments; requires an irreducible pair."""
-    return conjugating_involution(xi, eta)
+    from . import mat2  # the result is an array
+
+    return mat2.conjugating_involution(xi, eta)
 
 
-def coxeter_extension(xi: np.ndarray, eta: np.ndarray):
+def coxeter_extension(xi, eta):
     """The three involutions factoring an irreducible pair.
 
     With zeta = (xi eta)^-1, returns (i_xy, i_yz, i_zx) built from the
     Lie products of (xi, eta), (eta, zeta), (zeta, xi).  Projectively
     i_zx i_xy = xi, i_xy i_yz = eta, i_yz i_zx = zeta; as matrices the
-    products recover them up to sign.
+    products recover them up to sign.  4-tuples give 4-tuples; arrays give
+    arrays, each of objects if an array of its pair is (zeta is complex).
     """
-    zeta = mat2.evaluate_word(Word(2, (-2, -1)), (xi, eta))
-    i_xy = conjugating_involution(xi, eta)
-    i_yz = conjugating_involution(eta, zeta)
-    i_zx = conjugating_involution(zeta, xi)
-    return i_xy, i_yz, i_zx
+    a, b = _entries(xi), _entries(eta)
+    zeta = tuple(map(complex, _adjugate(_mul(a, b))))
+    i_xy, i_yz, i_zx = (_conjugating_involution(*p) for p in ((a, b), (b, zeta), (zeta, a)))
+    if not hasattr(xi, "ravel"):
+        return i_xy, i_yz, i_zx
+    from .mat2 import _array
+
+    return _array(i_xy, xi, eta), _array(i_yz, eta), _array(i_zx, xi)
 
 
 class IsometryType(enum.Enum):
@@ -175,17 +188,17 @@ class IsometryType(enum.Enum):
     SEMISIMPLE_LOXODROMIC_OR_HYPERBOLIC = "semisimple-loxodromic-or-hyperbolic"
 
 
-def classify_isometry(xi: np.ndarray) -> IsometryType:
-    """Isometry type of a unimodular matrix acting on hyperbolic 3-space:
-    central within 1e-10 entrywise, then by its trace within 1e-9, both
-    absolute."""
+def classify_isometry(xi) -> IsometryType:
+    """Isometry type of a unimodular matrix or 4-tuple acting on hyperbolic
+    3-space: central within 1e-10 entrywise, then by its trace within 1e-9, both absolute."""
     tol = 1e-9
-    if any(np.allclose(xi, c, rtol=0, atol=1e-10) for c in (mat2.I2, -mat2.I2)):
+    n = _entries(xi)
+    if any(all(_modulus(v - w) <= 1e-10 for v, w in zip(n, (s, 0, 0, s))) for s in (1, -1)):
         return IsometryType.CENTRAL
-    t = mat2.trace(xi)
-    if abs(t - 2) <= tol or abs(t + 2) <= tol:
+    t = n[0] + n[3]
+    if _modulus(t - 2) <= tol or _modulus(t + 2) <= tol:
         return IsometryType.PARABOLIC
-    if abs(t) <= tol:
+    if _modulus(t) <= tol:
         return IsometryType.INVOLUTION
     if abs(t.imag) <= tol and -2 < t.real < 2:
         return IsometryType.SEMISIMPLE_ELLIPTIC
@@ -195,29 +208,32 @@ def classify_isometry(xi: np.ndarray) -> IsometryType:
 @dataclass(frozen=True)
 class BilinearForm3:
     """Symmetric 3x3 matrix with unit diagonal, each within 1e-12
-    absolute."""
+    absolute, and finite entries."""
 
-    b: np.ndarray
+    b: object  # a 3x3 numpy array
 
     def __post_init__(self):
+        import numpy as np
+
         b = np.asarray(self.b)
         if b.shape != (3, 3) or not np.allclose(b, b.T, rtol=0, atol=1e-12):
             raise GeometryError("form matrix must be symmetric 3x3")
         if not np.allclose(np.diag(b).real, 1, rtol=0, atol=1e-12) or np.any(
-            np.abs(np.diag(b).imag) > 1e-12 if b.dtype == complex else [False]
-        ):
+                np.abs(np.diag(b).imag) > 1e-12):
             raise GeometryError("form matrix must have unit diagonal")
+        if not np.isfinite(b).all():
+            raise GeometryError("form matrix with a non-finite entry is not a finite form")
         object.__setattr__(self, "b", b)
 
 
 def bilinear_form_from_character(x, y, z) -> BilinearForm3:
     """B = [[1, z/2, y/2], [z/2, 1, x/2], [y/2, x/2, 1]] with
     4 det B = 2 - kappa(x, y, z)."""
+    import numpy as np  # the form is an array
+
     x, y, z = take(GeometryError, "bilinear_form_from_character", "x y z", (x, y, z), complex)
-    b = np.array(
-        [[1, z / 2, y / 2], [z / 2, 1, x / 2], [y / 2, x / 2, 1]], dtype=complex
-    )
-    if mat2._is_real(b, 1e-8):
+    b = np.array([[1, z / 2, y / 2], [z / 2, 1, x / 2], [y / 2, x / 2, 1]], dtype=complex)
+    if np.abs(b.imag).max() <= 1e-8:
         b = b.real.astype(float)
     return BilinearForm3(b)
 
@@ -228,6 +244,8 @@ def reflections_from_form(form: BilinearForm3):
     Each R_i has R_i^2 = I and preserves the form; tr(R_1 R_2)
     = 4 B_12^2 - 1.
     """
+    import numpy as np  # the reflections are arrays
+
     b = form.b
     out = []
     for i in range(3):
@@ -254,16 +272,13 @@ def form_signature(form: BilinearForm3) -> FormSignature:
     changes of 1, -e1, e2, -e3) and the negative ones (of 1, e1, e2, e3).
     Negative-definite cannot occur (the trace is 3), so the outcomes
     are (3,0), (2,1), (1,2) and the two degenerate ranks.  Imaginary
-    parts up to 1e-10 count as real; a non-finite entry is refused.
+    parts up to 1e-10 count as real (a NaN one does not); ``BilinearForm3``
+    has refused a non-finite entry.
     """
-    b = np.asarray(form.b)
-    if b.dtype == complex:
-        if not mat2._is_real(b, 1e-10):
-            raise GeometryError("signature requires a real form")
-        b = b.real
-    if not np.isfinite(b).all():
-        raise GeometryError("signature requires a finite form")
-    (p, _, _), (d, q, _), (e, f, r) = ([Fraction(v) for v in row] for row in b.tolist())
+    rows = form.b.tolist()
+    if not all(abs(v.imag) <= 1e-10 for row in rows for v in row):
+        raise GeometryError("signature requires a real form")
+    (p, _, _), (d, q, _), (e, f, r) = ([Fraction(v.real) for v in row] for row in rows)
     e1 = p + q + r
     e2 = p * q + p * r + q * r - d * d - e * e - f * f
     e3 = p * q * r + 2 * d * e * f - p * f * f - q * e * e - r * d * d

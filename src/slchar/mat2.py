@@ -6,12 +6,11 @@ oracle ``evaluate_word`` for trace polynomials.  Matrices are plain 2x2
 included, is ``tracepoly._mul`` on the 4-tuples of their rows
 (``tracepoly._entries``): the textbook product a p + b r for complex
 numbers and ints alike, with no fused multiply-add, so that no digit
-depends on numpy's BLAS.  That kernel (``_mul``, ``_adjugate``, the word
-product and ``word_trace``) and ``format_complex`` live in
-:mod:`slchar.tracepoly`, so that exact evaluation, ``slchar verify
-identities`` and ``oracle``, and ``slchar cover map --eval`` run without
-numpy; so do ``GeometryError`` and its subclasses, ``principal_sqrt``
-and the rows of ``normal_form_pair``, which :mod:`slchar.chars` uses.
+depends on numpy's BLAS.  That kernel lives in :mod:`slchar.tracepoly`
+with each formula here that needs no array (``format_complex``, the
+errors, tolerances, ``principal_sqrt``, the rows of ``normal_form_pair``;
+``hat``, ``sign_normalize`` and ``conjugating_involution`` only wrap
+its 4-tuples), so that ``chars``, ``hypgeom`` and ``verify`` need no numpy.
 Tolerances are fixed: ``inverse`` requires ``|det - 1| <=
 TOL_CONJUGACY``, and the real-matrix tests of ``hat`` and
 ``glide_reflection_sqrt`` allow imaginary parts up to ``TOL_CONJUGACY``.
@@ -34,15 +33,15 @@ outputs reproducible.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 import numpy as np
 
 from ._intake import take
-from .tracepoly import (GeometryError, NotHyperbolicError, NotSemisimpleError, ReduciblePairError,
-                        _adjugate, _entries, _format_complex as format_complex, _mul, _normal_form,
-                        _word_product, principal_sqrt)
+from .tracepoly import (TOL_ALGEBRAIC, TOL_CONJUGACY, GeometryError, NotHyperbolicError,
+                        NotSemisimpleError, ReduciblePairError, _adjugate, _conjugating_involution,
+                        _entries, _format_complex as format_complex, _hat, _mul, _normal_form,
+                        _sign_normalize, _word_product, principal_sqrt)
 from .words import Word
 
 __all__ = [
@@ -73,11 +72,6 @@ __all__ = [
     "TOL_CONJUGACY",
 ]
 
-#: Tolerance for algebraic identities on well-conditioned inputs.
-TOL_ALGEBRAIC = 1e-12
-#: Tolerance for conjugacy / commutation assertions.
-TOL_CONJUGACY = 1e-9
-
 
 def mat2(a, b, c, d) -> np.ndarray:
     return np.array([[a, b], [c, d]], dtype=complex)
@@ -103,12 +97,6 @@ def _array(n: tuple, *like: np.ndarray) -> np.ndarray:
 def adjoint(m: np.ndarray) -> np.ndarray:
     """Adjugate: ``m adjoint(m) == det(m) I``."""
     return _array(_adjugate(_entries(m)), m)
-
-
-def _is_real(m: np.ndarray, tol: float) -> bool:
-    """Whether every imaginary part of m is at most tol in size (False
-    for NaN)."""
-    return np.abs(m.imag).max() <= tol
 
 
 def inverse(m: np.ndarray) -> np.ndarray:
@@ -139,13 +127,7 @@ def sign_normalize(m: np.ndarray) -> np.ndarray:
     """Of m and -m, return the one whose first nonzero entry (row-major)
     has positive real part, ties broken by positive imaginary part;
     "nonzero" means above 1e-13 relative to the largest entry."""
-    eps = 1e-13 * max(1.0, float(np.abs(m).max()))
-    for v in m.reshape(-1):
-        if abs(v) > eps:
-            if v.real > eps or (abs(v.real) <= eps and v.imag > 0):
-                return m
-            return -m
-    return m
+    return m if _sign_normalize(n := _entries(m)) is n else -m
 
 
 def normal_form_pair(x: complex, y: complex, z: complex) -> tuple[np.ndarray, np.ndarray]:
@@ -167,13 +149,7 @@ def conjugating_involution(xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
     h is the Lie product scaled into SL(2); it exists exactly when the
     pair is irreducible (det of the Lie product nonzero).
     """
-    L = lie_product(xi, eta)
-    dL = det(L)
-    if abs(dL) <= TOL_ALGEBRAIC:
-        raise ReduciblePairError(
-            "pair is reducible (Lie product has zero determinant)"
-        )
-    return sign_normalize(L / principal_sqrt(dL))
+    return _array(_conjugating_involution(_entries(xi), _entries(eta)), xi, eta)
 
 
 def traceless_projection(xi: np.ndarray) -> np.ndarray:
@@ -201,21 +177,7 @@ def hat(a: np.ndarray) -> np.ndarray:
     de Sitter locus: tr = 0 and (1/2) tr(hat^2) = 1, i.e. det = -1.
     Consequently hat(A)^2 = I and hat(A^-1) = -hat(A).
     """
-    # on Python numbers, as numpy would test and round them: the trace's
-    # imaginary part is one sum, a NaN part is not real, and the
-    # off-diagonal entries of (2A - tr(A) I)/sqrt(tr(A)^2 - 4) subtract
-    # tr(A) * 0.0, whose sign of zero counts
-    (a, b), (c, e) = a.tolist()
-    if abs(a.imag + e.imag) > TOL_CONJUGACY or not all(
-            abs(v.imag) <= TOL_CONJUGACY for v in (a, b, c, e)):
-        raise GeometryError("hat() requires a real matrix")
-    a, b, c, e = a.real, b.real, c.real, e.real
-    t = a + e
-    if t * t <= 4 + TOL_CONJUGACY:
-        raise NotHyperbolicError(f"matrix is not hyperbolic: tr = {t}")
-    s = math.sqrt(t * t - 4)
-    off = t * 0.0
-    return mat2((2 * a - t) / s, (2 * b - off) / s, (2 * c - off) / s, (2 * e - t) / s)
+    return mat2(*_hat(_entries(a)))
 
 
 def sym2(xi: np.ndarray) -> np.ndarray:
@@ -242,7 +204,7 @@ def glide_reflection_sqrt(xi: np.ndarray) -> np.ndarray:
     Defined for real xi with tr(xi) > 2; det g = -1.
     """
     t = trace(xi)
-    if abs(t.imag) > TOL_CONJUGACY or not _is_real(xi, TOL_CONJUGACY):
+    if abs(t.imag) > TOL_CONJUGACY or not np.abs(xi.imag).max() <= TOL_CONJUGACY:
         raise GeometryError("glide_reflection_sqrt() requires a real matrix")
     if t.real <= 2 + TOL_CONJUGACY:
         raise NotHyperbolicError(f"trace must exceed 2, got {t.real}")

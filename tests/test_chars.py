@@ -262,6 +262,14 @@ class TestTripleTraceRoots:
         with pytest.raises(GeometryError, match=f"got {name} past the float range"):
             triple_trace_roots(10**200, t2, 3, 3, 3, 3)
 
+    @pytest.mark.parametrize("t1, t2, name", [
+        (1e160, 3.0, "discriminant"), (1e160j, 3.0, "discriminant"),
+        (1e200, 1e200, "f_Sigma"), (complex(1e200, 1e200), 1e200, "f_Sigma")])
+    def test_float_values_past_the_float_range(self, t1, t2, name):
+        # as for exact traces, where the roots read (nan+nanj) before
+        with pytest.raises(GeometryError, match=f"got {name} past the float range"):
+            triple_trace_roots(t1, t2, 3.0, 3.0, 3.0, 3.0)
+
 
 class TestConstructTriple:
     def test_trivial(self):

@@ -111,6 +111,21 @@ moved: ``classify_isometry`` of diag(1 + 1e-10, 1/(1 + 1e-10)), now
 parabolic instead of central.  ``form_signature`` deciding by Descartes'
 rule on exact coefficients instead of ``eigvalsh`` moved none.
 
+``VERIFY_DIGEST``, ``VERIFY_RUNS_DIGEST`` and ``PREDICATE_DIGEST`` were
+re-recorded together when the conjugating involution began dividing the
+Lie product by the root of its determinant with Python's complex
+division on 4-tuples (``tracepoly._conjugating_involution``) instead of
+numpy's, which multiplies by a reciprocal, and ``verify fricke`` and
+``coxeter`` stopped building arrays.  Only these seven records moved
+(last digits): in ``VERIFY_DIGEST`` the float
+``coxeter/involution-factorization`` rows of seed 1 (7.105e-15 to
+1.281e-14) and seed 2 (5.024e-15 to 3.553e-15); in
+``VERIFY_RUNS_DIGEST`` that row of ``verify coxeter --seed 1`` (5.859e-14
+to 2.995e-14) and ``--seed 3`` (1.589e-14 to 1.138e-14); in
+``PREDICATE_DIGEST`` the third, fifth and sixth of the seven
+``conjugating_involution`` records.  No ``fricke`` row, ``hat``,
+``sign_normalize`` or ``classify_isometry`` record moved.
+
 ``RING_MAP_DIGEST`` pins the ring maps at higher degree than the
 corpus above: the JSON of ``deck(p)`` and ``deck(deck(p))`` for seeded
 rank-3 polynomials of 1-8 terms with exponents 0-2 (so x123 reaches
@@ -148,11 +163,11 @@ from tuple2x2 import from_pair
 
 EXACT_DIGEST = "624d279a57ec01a51983e3a959ba81f8aad039a844605204c3c7beeea153b3eb"
 SYMBOLIC_DIGEST = "eabbaf72485625ee4c876305d9378c6402533fb4cd4281a5314dfd65666cb755"
-VERIFY_DIGEST = "2bc99d5917599b3eda58f7bc44115d1410dc9810210ba5dd422d6a0e2a3692ce"
-PREDICATE_DIGEST = "3fbd5fb010cf1555a00e9d8fcbbfd485f2a4f9870de3c52c489acec4271df5b2"
+VERIFY_DIGEST = "16a4635292cb20aa67cec7663480b1e4fd1a82c90611af462cf79ed9d3ec3b0e"
+PREDICATE_DIGEST = "52387a3505d4beacb7cc1a8614866f312314b286d19ab112c718aa7dcb42f2fc"
 EVAL_DIGEST = "36a9d870e865c380a5fe0e459ba49a9bfa40269ad1284634b1896ca3429c95ce"
 TABLE_DIGEST = "76d3f4a554409537ad34d6a52878c0a6c21021103622b4b677a3f10a6fdc0372"
-VERIFY_RUNS_DIGEST = "06f728f55788db32090e4e7986ab164eb9f8d56cac667a06e1171ed27d2af5f4"
+VERIFY_RUNS_DIGEST = "3f7e99d48a2028e01b8674cff46b586f2843106dec360fde8c5db1ce6481bdba"
 RING_MAP_DIGEST = "32e6dc7c42ca5e36ab7351f195f99e13c7b528fc44aa2fc47e27f154229b521d"
 
 SUITES = ("identities", "oracle", "fricke", "covers", "coxeter")

@@ -9,7 +9,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from slchar import mat2
+from slchar import mat2, tracepoly
 from slchar.hypgeom import (
     BilinearForm3,
     DeSitterVec,
@@ -35,6 +35,7 @@ from slchar.hypgeom import (
 from slchar.mat2 import GeometryError, ReduciblePairError, hat, normal_form_pair, sym2
 from slchar.sampling import random_real_unimodular, random_unimodular
 from slchar.tracepoly import kappa_value
+from slchar.words import Word
 
 RND = random.Random(40)
 
@@ -184,6 +185,12 @@ class TestCommonPerpendicular:
             common_perpendicular(d, d @ d)
 
 
+def _bits(z):
+    """The bits of a complex number's parts, signed zeros included."""
+    z = complex(z)
+    return z.real.hex(), z.imag.hex()
+
+
 class TestCoxeterExtension:
     def test_products_recover_generators(self):
         done = 0
@@ -226,6 +233,30 @@ class TestCoxeterExtension:
     def test_reducible_rejected(self):
         with pytest.raises(ReduciblePairError):
             coxeter_extension(mat2.I2, mat2.I2)
+        with pytest.raises(ReduciblePairError):
+            coxeter_extension((1.0, 0.0, 0.0, 1.0), (1.0, 0.0, 0.0, 1.0))
+
+    def test_arrays_and_tuples_give_the_same_numbers(self):
+        # arrays give the arrays of the 4-tuples that their entries give, each
+        # the conjugating involution of its pair, zeta from evaluate_word
+        rnd = random.Random(3802)
+        rational = [np.array([[Fraction(2), 1], [1, 1]], dtype=object),
+                    np.array([[Fraction(1, 2), 3], [Fraction(-1, 3), 0]], dtype=object)]
+        pairs = [(random_unimodular(rnd), random_unimodular(rnd)) for _ in range(30)]
+        pairs += [(rational[0], rational[1]), (rational[0], normal_form_pair(3, 3, 3)[1]),
+                  (normal_form_pair(3, 3, 3)[0], rational[1])]
+        for xi, eta in pairs:
+            got = coxeter_extension(xi, eta)
+            kernel = coxeter_extension(tracepoly._entries(xi), tracepoly._entries(eta))
+            zeta = mat2.evaluate_word(Word(2, (-2, -1)), (xi, eta))
+            old = (mat2.conjugating_involution(xi, eta), mat2.conjugating_involution(eta, zeta),
+                   mat2.conjugating_involution(zeta, xi))
+            assert [m.dtype for m in got] == [m.dtype for m in old]
+            for m, k, o in zip(got, kernel, old):
+                assert isinstance(k, tuple)
+                assert [_bits(v) for v in m.ravel()] == [_bits(v) for v in k]
+                assert [_bits(v) for v in o.ravel()] == [_bits(v) for v in k]
+        assert [m.dtype for m in coxeter_extension(*pairs[-2])] == [object, np.complex128, object]
 
 
 class TestClassifyIsometry:
@@ -271,6 +302,20 @@ class TestBilinearForm:
     def test_degenerate_at_reducible(self):
         b = bilinear_form_from_character(2, 2, 2).b
         assert abs(np.linalg.det(b)) <= 1e-12
+
+    def test_non_finite_entries_refused(self):
+        # the constructor refuses them, before any signature is asked for
+        for x, y, z in ((math.inf, 2, 2), (2, -math.inf, 2), (2, 2, -math.inf)):
+            with pytest.raises(GeometryError, match="not a finite form"):
+                bilinear_form_from_character(x, y, z)
+        for entry in (math.inf, complex(1, math.inf)):
+            b = np.eye(3, dtype=type(entry))
+            b[0, 2] = b[2, 0] = entry
+            with pytest.raises(GeometryError, match="not a finite form"):
+                BilinearForm3(b)
+        b[0, 2] = b[2, 0] = math.nan
+        with pytest.raises(GeometryError, match="symmetric"):  # as before
+            BilinearForm3(b)
 
     def test_tolerances_are_absolute(self):
         BilinearForm3(np.diag([1 + 5e-13, 1, 1]))

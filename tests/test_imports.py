@@ -5,10 +5,11 @@ quadruple-trace check on them, ``slchar trace-poly``, ``slchar cover
 map`` with and without ``--eval``, ``slchar fn2trace``, ``slchar
 fricke test`` and ``slchar verify identities`` and ``oracle`` in both
 modes, and the number intake ``slchar._intake``) leaves numpy out of
-``sys.modules``, and so do ``import slchar.chars``, ``slchar verify
-covers`` and the deck involution on a character of float 4-tuples;
-``chars`` and ``hypgeom`` leave ``fricke`` out.  Each footprint runs in a
-fresh interpreter."""
+``sys.modules``, and so do ``import slchar.chars``, ``import
+slchar.hypgeom`` (which leaves ``mat2`` out too), every other ``slchar
+verify`` suite, the deck involution on a character of float 4-tuples and
+the Coxeter extension of a pair of them; ``chars`` and ``hypgeom`` leave
+``fricke`` out.  Each footprint runs in a fresh interpreter."""
 
 import importlib
 import inspect
@@ -66,12 +67,23 @@ def loaded(code: str, module: str = "numpy") -> bool:
     "from slchar import chars, covers\n"
     "m1, m2, m3 = (2.0, 1.0, 1.0, 1.0), (1.0, 0.5, 2.0, 2.0), (0.0, -1.0, 1.0, 3.0)\n"
     "covers.deck_involution_f3(chars.character_of_triple(m1, m2, m3))",
+    "import slchar.hypgeom",
+    *(f"from slchar.cli import main\nassert main(['verify', '{suite}', '--trials', '5']) == 0"
+      for suite in ("fricke", "coxeter")),
+    "from slchar import hypgeom\n"
+    "out = hypgeom.coxeter_extension((2.0, 1.0, 1.0, 1.0), (1.0, 0.5, 2.0, 2.0))\n"
+    "assert all(type(i) is tuple and len(i) == 4 for i in out), out",
 ], ids=["import", "symbolic-modules", "cli-trace-poly", "cli-cover-map", "cli-cover-eval",
         "fn-to-traces", "cli-fn2trace", "cli-fricke-test-s11", "cli-fricke-test-s04-exact",
         "cli-verify-identities", "cli-verify-identities-exact", "cli-verify-oracle",
-        "cli-verify-oracle-exact", "intake", "chars", "cli-verify-covers", "deck-involution"])
+        "cli-verify-oracle-exact", "intake", "chars", "cli-verify-covers", "deck-involution",
+        "hypgeom", "cli-verify-fricke", "cli-verify-coxeter", "coxeter-extension"])
 def test_symbolic_path_loads_no_numpy(code):
     assert not loaded(code)
+
+
+def test_hypgeom_leaves_mat2_out():
+    assert not loaded("import slchar.hypgeom", "slchar.mat2")
 
 
 def test_matrix_modules_load_numpy():

@@ -539,3 +539,81 @@ class TestJson:
     def test_format_complex(self):
         assert mat2.format_complex(1 + 2j) == "1+2i"
         assert mat2.format_complex(-0.5 - 1.25j) == "-0.5-1.25i"
+
+
+def _numpy_sign_normalize(m):
+    """``sign_normalize`` as it was written on numpy arrays: the reference
+    for the 4-tuple kernel, NaN moduli and overflowing ones included."""
+    with np.errstate(over="ignore"):
+        eps = 1e-13 * max(1.0, float(np.abs(m).max()))
+        for v in m.reshape(-1):
+            if abs(v) > eps:
+                if v.real > eps or (abs(v.real) <= eps and v.imag > 0):
+                    return m
+                return -m
+    return m
+
+
+def _outcome(f, *args):
+    """The bits of each entry of f(*args), or the error it raises."""
+    try:
+        out = f(*args)
+    except GeometryError as exc:
+        return type(exc).__name__, str(exc)
+    return [_bits(v) for v in tracepoly._entries(out)]
+
+
+def _kernel_matrices():
+    """Seeded arrays and the inputs the golden predicate corpus feeds
+    ``hat`` and ``sign_normalize``: near-zero first entries, imaginary
+    parts at and past the realness tolerance, NaN and moduli past the
+    float range."""
+    rnd = random.Random(38)
+    mats = [I2, -I2, mat2.mat2(1, 1, 0, 1), mat2.mat2(0, -1, 1, 0), mat2.mat2(2, 1, 1, 1),
+            mat2.mat2(1 + 1e-10, 0, 0, 1 / (1 + 1e-10)), mat2.mat2(1, 2, 3, 4)]
+    mats += [random_unimodular(rnd) for _ in range(20)]
+    mats += [random_real_unimodular(rnd) for _ in range(20)]
+    mats += [mat2.mat2(first, 1, -1, 0) for first in (-5e-13, -5e-14, 5e-14 + 1e-13j,
+                                                      -2e-13 - 1j, 0.0, -0.0)]
+    for im in (0.0, 5e-10, mat2.TOL_CONJUGACY, np.nextafter(mat2.TOL_CONJUGACY, 1), 1e-6,
+               np.nan):
+        mats.append(mat2.mat2(3 + 1j * im, 1, 2, 1))
+    mats += [mat2.mat2(np.nan, -1, 1, 0), mat2.mat2(-5e-13, np.nan, 10, 0),
+             mat2.mat2(0, 1e-14, complex(np.nan, 1), -1),
+             mat2.mat2(complex(1e308, 1e308), -1, 0, 1), mat2.mat2(-1e-300, 1e308, 1, 0)]
+    return mats
+
+
+class TestArrayWrappersMatchKernels:
+    """``hat``, ``sign_normalize`` and ``conjugating_involution`` build the
+    array of their 4-tuple kernel in :mod:`slchar.tracepoly`, bit for bit."""
+
+    @pytest.mark.parametrize("m", _kernel_matrices())
+    def test_hat(self, m):
+        assert _outcome(hat, m) == _outcome(tracepoly._hat, tracepoly._entries(m))
+        if not isinstance(_outcome(hat, m)[0], str):
+            assert hat(m).dtype == np.complex128
+
+    @pytest.mark.parametrize("m", _kernel_matrices())
+    def test_sign_normalize(self, m):
+        got = mat2.sign_normalize(m)
+        assert _outcome(lambda a: a, got) == _outcome(tracepoly._sign_normalize,
+                                                      tracepoly._entries(m))
+        want = _numpy_sign_normalize(m)
+        assert got.dtype == m.dtype and _outcome(lambda a: a, got) == _outcome(lambda a: a, want)
+
+    def test_sign_normalize_keeps_dtype_and_identity(self):
+        for m in (np.array([[0, -1], [1, 0]]), np.array([[Fraction(-1, 3), 1], [-1, 0]],
+                                                        dtype=object)):
+            got = mat2.sign_normalize(m)
+            assert got.dtype == m.dtype and got.tolist() == (-m).tolist()
+        m = mat2.mat2(2, 1, 1, 1)
+        assert mat2.sign_normalize(m) is m
+
+    def test_conjugating_involution(self):
+        rnd = random.Random(3801)
+        pairs = [(random_unimodular(rnd), random_unimodular(rnd)) for _ in range(30)]
+        pairs.append((mat2.mat2(2, 1, 0, 0.5), mat2.mat2(3, 0, 0, 1 / 3)))  # reducible
+        for xi, eta in pairs:
+            assert _outcome(conjugating_involution, xi, eta) == _outcome(
+                tracepoly._conjugating_involution, tracepoly._entries(xi), tracepoly._entries(eta))
