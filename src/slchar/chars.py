@@ -235,7 +235,8 @@ def triple_trace_roots(t1, t2, t3, t12, t13, t23) -> tuple[complex, complex]:
 
     The first root is the one with larger real part, ties broken by
     larger imaginary part (the deterministic sheet labeling of the
-    double cover).  Exact traces give an exact f_Sigma and discriminant
+    double cover).  A NaN or infinite trace raises ``GeometryError``
+    naming it.  Exact traces give an exact f_Sigma and discriminant
     f_Sigma^2 - 4 f_Pi, each rounded once; one past the float range (or
     overflowed at finite float traces) raises ``GeometryError``, which
     names it, or a trace past the float range if there is one.
@@ -247,10 +248,14 @@ def triple_trace_roots(t1, t2, t3, t12, t13, t23) -> tuple[complex, complex]:
     for name, v in (("f_Sigma", fsum), ("discriminant", fsum * fsum - 4 * fprod)):
         try:
             rounded.append(complex(v))
-            if not cmath.isfinite(rounded[-1]) and all(map(cmath.isfinite, traces)):
-                raise OverflowError  # float traces whose arithmetic overflowed
+            if not cmath.isfinite(rounded[-1]):
+                raise OverflowError  # a trace not finite (each is in f_Sigma), or an overflow
         except OverflowError:
             take(GeometryError, *args)  # names a trace past the float range
+            for t_name, t in zip(args[1].split(), traces):
+                if not cmath.isfinite(t):
+                    raise GeometryError(f"triple_trace_roots needs finite traces, "
+                                        f"got {t_name} = {t}") from None
             raise GeometryError(f"triple_trace_roots needs finite traces, got {name} past "
                                 "the float range") from None
     fsum, disc = rounded[0], principal_sqrt(rounded[1])
@@ -329,7 +334,7 @@ def _construct_triple(t1, t2, t3, t12, t23, t13, branch):
     if is_irreducible(CharacterF2(t1, t2, t12)):
         try:
             t123 = triple_trace_roots(t1, t2, t3, t12, t13, t23)[0 if branch == "+" else 1]
-        except GeometryError:  # f_Sigma or the discriminant past the float range
+        except GeometryError:  # a trace not finite, or f_Sigma or the discriminant
             raise GeometryError("degenerate branch value") from None
         xi1, xi2 = _normal_form(t1, t2, t12)
         det, solve = _trace_form_solver(t1, t2, -xi2[2])  # xi2 = [[0, 1/f], [-f, t2]]

@@ -5,14 +5,17 @@ verify.  Exit codes: 0 ok, 1 math error, 2 usage error.  Numeric
 arguments accept finite decimals or rational literals ``p/q``.  Given the
 same seed and configuration, output is byte-identical.
 
-Each ``verify`` suite yields ``(row, residual)`` pairs over its seeded
-trials; a row reports the largest residual its suite yields for it (a
-NaN residual, once yielded, is the row's and fails it), and rows print
-in the order each was first yielded.  Every suite computes each trial as
-it draws it, from the trial's own seeded stream, and multiplies 2x2
-matrices as 4-tuples of their rows (float entries, or the pairs (N, d)
-of :mod:`slchar.mat2`) by ``tracepoly._mul``; ``fricke``, ``covers``
-and ``coxeter`` take square roots and have no exact mode.
+Each ``verify`` suite is one trial, which yields ``(row, residual)``
+pairs from the seeded stream it is given (none for a rejected draw);
+some suites also have rows computed once, before the trials.
+``cmd_verify`` runs trial k on ``sampling.rng_for(seed, k)``, k = 0, 1,
+..., until ``--trials`` trials have yielded.  A row reports its largest
+residual (a NaN, once yielded, is the row's and fails it), rows print in
+first-yield order, and a FAIL row whose worst residual came from trial k
+ends in ``trial=k``, which ``--trials k+1`` reruns.  Matrices are
+4-tuples of their rows (float entries, or the pairs (N, d) of
+:mod:`slchar.mat2`), multiplied by ``tracepoly._mul``; ``fricke``,
+``covers`` and ``coxeter`` take square roots and have no exact mode.
 
 ``chars`` and ``hypgeom`` load inside the commands and suites that use
 them, and numpy and ``mat2`` only inside ``eval-word`` and ``construct``,
@@ -218,149 +221,115 @@ def cmd_cover(args) -> int:
 # -- verification suites ----------------------------------------------------------
 
 
-#: Matrix draw per ``--mode``: float mode draws the four complex entries
-#: of the rows, exact mode integer numerators (N, d), m = N / d, on which
-#: the same suite bodies compute exactly.
-_RANDOM_MATRIX = {
-    "float": sampling.random_unimodular_entries,
-    "exact": sampling.random_rational_unimodular,
+#: Per ``--mode``: the matrix draw, the longest rank-2 and rank-3 oracle
+#: words and the oracle word residual.  Float mode draws complex entries,
+#: exact mode integer numerators (N, d), m = N / d, on which the same trials
+#: compute exactly; exact products grow fast with the word length.  Float
+#: rounding error grows with the trace, so it is scaled by 1 + |t|; an exact
+#: residual must be zero, and stays absolute so no error hides behind a big trace.
+_MODES = {
+    "float": (sampling.random_unimodular_entries, 12, 8, lambda v, t: abs(v - t) / (1 + abs(t))),
+    "exact": (sampling.random_rational_unimodular, 10, 6, lambda v, t: abs(v - t)),
 }
 
 
-#: Longest rank-2 and rank-3 oracle words per ``--mode``; exact
-#: products of rational matrices grow fast with the word length.
-_ORACLE_WORD_LENGTHS = {"float": (12, 8), "exact": (10, 6)}
-
-#: Oracle word residual per ``--mode``: float rounding error grows with
-#: the trace, so it is scaled by ``1 + |t|``; an exact residual must be
-#: zero, and is kept absolute so that no error hides behind a large trace.
-_ORACLE_RESIDUAL = {
-    "float": lambda v, t: abs(v - t) / (1 + abs(t)),
-    "exact": lambda v, t: abs(v - t),
-}
+def _tr(n):
+    return n[0] + n[3]
 
 
-def _trials(cfg):
-    """One seeded random stream per trial."""
-    for trial in range(cfg.trials):
-        yield sampling.rng_for(cfg.seed, trial)
+def _det(n):
+    return n[0] * n[3] - n[1] * n[2]
 
 
-def _suite_identities(cfg):
+def _dist(m, k):
+    return max(abs(p - q) for p, q in zip(m, k))
+
+
+def _trial_identities(rnd, mode):
     """Each identity written with adjugates is homogeneous in the matrices,
     so it holds for N as for m = N / d, with the commutator row's constant
     2 det(xi) det(eta) scaled by (d_xi d_eta)^2.  The matrices are 4-tuples
     of their rows (float entries, or the ints of N), multiplied by
     ``tracepoly._mul`` and inverted by ``tracepoly._adjugate``."""
-    mul, adj = tracepoly._mul, tracepoly._adjugate
-
-    def tr(n):
-        return n[0] + n[3]
-
-    def det(n):
-        return n[0] * n[3] - n[1] * n[2]
-
-    draw = _RANDOM_MATRIX[cfg.mode]
-    for rnd in _trials(cfg):
-        (xi, eta), ds = tracepoly._numerators([draw(rnd), draw(rnd)])
-        t, d, sq = tr(xi), det(xi), mul(xi, xi)
-        ch = (sq[0] - t * xi[0] + d, sq[1] - t * xi[1], sq[2] - t * xi[2], sq[3] - t * xi[3] + d)
-        yield "cayley-hamilton", float(max(map(abs, ch)))
-        yield "basic-identity", abs(tr(mul(xi, eta)) + tr(mul(xi, adj(eta))) - t * tr(eta))
-        yield "trace-of-inverse", abs(t - tr(adj(xi)))
-        lie = tuple(p - q for p, q in zip(mul(xi, eta), mul(eta, xi)))
-        scale = 1 if ds is None else math.prod(ds) ** 2
-        comm = tr(mul(mul(mul(xi, eta), adj(xi)), adj(eta))) + det(lie) - 2 * scale
-        yield "commutator-vs-lie-det", abs(comm)
+    mul, adj, draw = tracepoly._mul, tracepoly._adjugate, _MODES[mode][0]
+    (xi, eta), ds = tracepoly._numerators([draw(rnd), draw(rnd)])
+    t, d, sq = _tr(xi), _det(xi), mul(xi, xi)
+    ch = (sq[0] - t * xi[0] + d, sq[1] - t * xi[1], sq[2] - t * xi[2], sq[3] - t * xi[3] + d)
+    yield "cayley-hamilton", float(max(map(abs, ch)))
+    yield "basic-identity", abs(_tr(mul(xi, eta)) + _tr(mul(xi, adj(eta))) - t * _tr(eta))
+    yield "trace-of-inverse", abs(t - _tr(adj(xi)))
+    lie = tuple(p - q for p, q in zip(mul(xi, eta), mul(eta, xi)))
+    scale = 1 if ds is None else math.prod(ds) ** 2
+    comm = _tr(mul(mul(mul(xi, eta), adj(xi)), adj(eta))) + _det(lie) - 2 * scale
+    yield "commutator-vs-lie-det", abs(comm)
 
 
-def _suite_oracle(cfg):
-    """Per trial, a rank-2 and a rank-3 word, each with its matrices, whose
-    traces check the words' trace polynomials, then the quadruple check."""
-    draw = _RANDOM_MATRIX[cfg.mode]
-    len2, len3 = _ORACLE_WORD_LENGTHS[cfg.mode]
-    residual = _ORACLE_RESIDUAL[cfg.mode]
-    for rnd in _trials(cfg):
-        for row, trace_poly, rank, length in (("rank2-words", tracepoly.trace_poly_f2, 2, len2),
-                                              ("rank3-words", tracepoly.trace_poly_f3, 3, len3)):
-            w = sampling.random_reduced_word(rnd, rank, length)
-            m = [draw(rnd) for _ in range(rank)]
-            yield row, residual(tracepoly.evaluate_at_character(trace_poly(w), m),
-                                tracepoly.word_trace(w, m))
-        yield "quadruple-trace", tracepoly.quadruple_trace_check([draw(rnd) for _ in range(4)])
+def _trial_oracle(rnd, mode):
+    """A rank-2 and a rank-3 word, each with its matrices, whose traces
+    check the words' trace polynomials, then the quadruple check."""
+    draw, len2, len3, residual = _MODES[mode]
+    for row, trace_poly, rank, length in (("rank2-words", tracepoly.trace_poly_f2, 2, len2),
+                                          ("rank3-words", tracepoly.trace_poly_f3, 3, len3)):
+        w = sampling.random_reduced_word(rnd, rank, length)
+        m = [draw(rnd) for _ in range(rank)]
+        yield row, residual(tracepoly.evaluate_at_character(trace_poly(w), m),
+                            tracepoly.word_trace(w, m))
+    yield "quadruple-trace", tracepoly.quadruple_trace_check([draw(rnd) for _ in range(4)])
 
 
-def _suite_fricke(cfg):
+def _trial_fricke(rnd, mode):
     from . import hypgeom
 
-    ok = fricke.defining_identity_residual().is_zero()
-    yield "defining-identity-symbolic", 0.0 if ok else 1.0
-    for rnd in _trials(cfg):
-        coords = FNCoords(
-            l=rnd.uniform(0.1, 5), tau=rnd.uniform(-4, 4), b=rnd.uniform(0, 4)
-        )
-        res = fricke.fn_to_traces(coords)
-        yield "fn-boundary-constraint", res.metadata["constraint_residual"]
-        x, y, z = (rnd.uniform(-10, -2.01) for _ in range(3))
-        cert = hypgeom.hexagon_certificate(x, y, z)
-        if cert.verdict != "right-hexagon":
-            yield "hexagon-inner-products", 1.0
-        # the closed form against the hats of a real pair with these traces
-        X, Y = tracepoly._normal_form(complex(x), complex(y), complex(z))
-        Z = tracepoly._adjugate(tracepoly._mul(X, Y))  # (XY)^-1
-        hx, hy, hz = map(tracepoly._hat, (X, Y, Z))
-        for pair, (h1, h2) in zip(cert.pairs, ((hx, hy), (hy, hz), (hz, hx))):
-            yield "hexagon-inner-products", abs(pair.inner - hypgeom.minkowski_inner(h1, h2))
+    coords = FNCoords(l=rnd.uniform(0.1, 5), tau=rnd.uniform(-4, 4), b=rnd.uniform(0, 4))
+    yield "fn-boundary-constraint", fricke.fn_to_traces(coords).metadata["constraint_residual"]
+    x, y, z = (rnd.uniform(-10, -2.01) for _ in range(3))
+    cert = hypgeom.hexagon_certificate(x, y, z)
+    if cert.verdict != "right-hexagon":
+        yield "hexagon-inner-products", 1.0
+    # the closed form against the hats of a real pair with these traces
+    X, Y = tracepoly._normal_form(complex(x), complex(y), complex(z))
+    Z = tracepoly._adjugate(tracepoly._mul(X, Y))  # (XY)^-1
+    hx, hy, hz = map(tracepoly._hat, (X, Y, Z))
+    for pair, (h1, h2) in zip(cert.pairs, ((hx, hy), (hy, hz), (hz, hx))):
+        yield "hexagon-inner-products", abs(pair.inner - hypgeom.minkowski_inner(h1, h2))
 
 
-def _suite_covers(cfg):
+def _trial_covers(rnd, mode):
     from . import chars
 
-    for name in covers.COVERS:
-        ok = all(covers.symbolic_check(name).values())
-        yield f"symbolic-{name}", 0.0 if ok else 1.0
-
-    for rnd in _trials(cfg):
-        character = chars.character_of_triple(
-            *(sampling.random_unimodular_entries(rnd) for _ in range(3)))
-        for r in covers.deck_involution_f3(character).sum_product_residuals():
-            yield "deck-character-validity", r
+    character = chars.character_of_triple(
+        *(sampling.random_unimodular_entries(rnd) for _ in range(3)))
+    for r in covers.deck_involution_f3(character).sum_product_residuals():
+        yield "deck-character-validity", r
 
 
-def _suite_coxeter(cfg):
+def _trial_coxeter(rnd, mode):
+    """Nothing for a pair within 1e-3 of kappa = 2, which has no extension."""
     from . import chars, hypgeom
 
     mul = tracepoly._mul
-
-    def dist(m, k):
-        return max(abs(p - q) for p, q in zip(m, k))
-
-    # a rejected draw still uses up its stream index, so no _trials here
-    done = 0
-    trial = 0
-    while done < cfg.trials:
-        rnd = sampling.rng_for(cfg.seed, trial)
-        trial += 1
-        xi = sampling.random_unimodular_entries(rnd)
-        eta = sampling.random_unimodular_entries(rnd)
-        if abs(chars.character_of_pair(xi, eta).kappa() - 2) < 1e-3:
-            continue
-        done += 1
-        i_xy, i_yz, i_zx = hypgeom.coxeter_extension(xi, eta)
-        zeta = tracepoly._adjugate(mul(xi, eta))
-        for inv in (i_xy, i_yz, i_zx):
-            yield "involution-factorization", dist(mul(inv, inv), (-1, 0, 0, -1))
-        for p, q, target in ((i_zx, i_xy, xi), (i_xy, i_yz, eta), (i_yz, i_zx, zeta)):
-            dev = min(dist(mul(p, q), target), dist(mul(p, q), [-t for t in target]))
-            yield "involution-factorization", dev / max(1.0, *map(abs, target))
+    xi, eta = (sampling.random_unimodular_entries(rnd) for _ in range(2))
+    if abs(chars.character_of_pair(xi, eta).kappa() - 2) < 1e-3:
+        return
+    i_xy, i_yz, i_zx = hypgeom.coxeter_extension(xi, eta)
+    zeta = tracepoly._adjugate(mul(xi, eta))
+    for inv in (i_xy, i_yz, i_zx):
+        yield "involution-factorization", _dist(mul(inv, inv), (-1, 0, 0, -1))
+    for p, q, target in ((i_zx, i_xy, xi), (i_xy, i_yz, eta), (i_yz, i_zx, zeta)):
+        dev = min(_dist(mul(p, q), target), _dist(mul(p, q), [-t for t in target]))
+        yield "involution-factorization", dev / max(1.0, *map(abs, target))
 
 
+#: Per suite: its trial, and its rows computed once, before the trials.
 _SUITES = {
-    "identities": _suite_identities,
-    "oracle": _suite_oracle,
-    "fricke": _suite_fricke,
-    "covers": _suite_covers,
-    "coxeter": _suite_coxeter,
+    "identities": (_trial_identities, None),
+    "oracle": (_trial_oracle, None),
+    "fricke": (_trial_fricke, lambda: [
+        ("defining-identity-symbolic", float(not fricke.defining_identity_residual().is_zero()))]),
+    "covers": (_trial_covers, lambda: [
+        (f"symbolic-{name}", float(not all(covers.symbolic_check(name).values())))
+        for name in covers.COVERS]),
+    "coxeter": (_trial_coxeter, None),
 }
 
 
@@ -369,19 +338,31 @@ def cmd_verify(args) -> int:
         print(f"usage error: verify {args.suite} takes square roots and has no --mode exact",
               file=sys.stderr)
         return 2
-    rows = {}
-    for name, r in _SUITES[args.suite](args):
-        # a NaN residual wins its row, and fails it: max(0.0, nan) would be 0.0
-        rows[name] = r if r != r else max(rows.get(name, 0.0), r)
+    trial, once = _SUITES[args.suite]
+    rows = {}  # row -> [largest residual, stream index of the trial that yielded it]
+
+    def fold(pairs, index):  # how many pairs it folded
+        n = 0
+        for n, (name, r) in enumerate(pairs, 1):
+            worst = rows.setdefault(name, [0.0, None])
+            # a NaN residual wins its row, and fails it: max(0.0, nan) would be 0.0
+            if r > worst[0] or r != r and worst[0] == worst[0]:
+                worst[:] = r, index
+        return n
+
+    fold(once() if once else (), None)
+    done = index = 0
+    while done < args.trials:  # a trial that yields no row uses up its stream index
+        done += fold(trial(sampling.rng_for(args.seed, index), args.mode), index) > 0
+        index += 1
     failed = False
-    for name, residual in rows.items():
+    for name, (residual, k) in rows.items():
         ok = residual <= args.tolerance
         failed = failed or not ok
-        print(f"{args.suite}/{name}: max-residual={float(residual):.17e} "
-              f"{'pass' if ok else 'FAIL'}")
-    print(f"suite={args.suite} trials={args.trials} seed={args.seed} "
-          f"tolerance={args.tolerance:g} mode={args.mode} "
-          f"result={'FAIL' if failed else 'pass'}")
+        status = "pass" if ok else "FAIL" if k is None else f"FAIL trial={k}"
+        print(f"{args.suite}/{name}: max-residual={float(residual):.17e} {status}")
+    print(f"suite={args.suite} trials={args.trials} seed={args.seed} tolerance={args.tolerance:g} "
+          f"mode={args.mode} result={'FAIL' if failed else 'pass'}")
     return 1 if failed else 0
 
 

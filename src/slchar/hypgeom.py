@@ -208,14 +208,14 @@ def classify_isometry(xi) -> IsometryType:
 @dataclass(frozen=True)
 class BilinearForm3:
     """Symmetric 3x3 matrix with unit diagonal, each within 1e-12
-    absolute, and finite entries."""
+    absolute, and finite entries; it keeps a read-only copy."""
 
     b: object  # a 3x3 numpy array
 
     def __post_init__(self):
         import numpy as np
 
-        b = np.asarray(self.b)
+        b = np.array(self.b)
         if b.shape != (3, 3) or not np.allclose(b, b.T, rtol=0, atol=1e-12):
             raise GeometryError("form matrix must be symmetric 3x3")
         if not np.allclose(np.diag(b).real, 1, rtol=0, atol=1e-12) or np.any(
@@ -223,6 +223,7 @@ class BilinearForm3:
             raise GeometryError("form matrix must have unit diagonal")
         if not np.isfinite(b).all():
             raise GeometryError("form matrix with a non-finite entry is not a finite form")
+        b.setflags(write=False)
         object.__setattr__(self, "b", b)
 
 

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import re
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -269,6 +270,19 @@ class TestTripleTraceRoots:
         # as for exact traces, where the roots read (nan+nanj) before
         with pytest.raises(GeometryError, match=f"got {name} past the float range"):
             triple_trace_roots(t1, t2, 3.0, 3.0, 3.0, 3.0)
+
+    @pytest.mark.parametrize("traces, named", [
+        ((math.inf, 3.0, 3.0, 3.0, 3.0, 3.0), "t1 = inf"),
+        ((3.0, 3.0, 3.0, math.nan, 3.0, 3.0), "t12 = nan"),
+        ((3, Fraction(1, 3), 3, 3, 3, complex(1, -math.inf)), "t23 = (1-infj)")])
+    def test_non_finite_traces_are_named(self, traces, named):
+        # as hexagon_certificate does, where the roots read (nan+nanj) before
+        with pytest.raises(GeometryError, match=re.escape(f"needs finite traces, got {named}")):
+            triple_trace_roots(*traces)
+
+    def test_construct_triple_with_an_infinite_trace_is_degenerate(self):
+        with pytest.raises(GeometryError, match="degenerate branch value"):
+            construct_triple(3.0, 3.0, math.inf, 3.0, 3.0, 3.0)
 
 
 class TestConstructTriple:

@@ -467,13 +467,14 @@ class TestVerify:
         assert extensions == [0, 2, 3]
 
     def test_rows_report_their_maximum_in_first_yield_order(self, capsys, monkeypatch):
+        # the rows computed once and every trial's rows fold into one maximum
         from slchar import cli
 
-        def planted(cfg):
-            yield from [("b", 0.5), ("a", 0.25), ("b", 2.0), ("a", 0.75),
-                        ("c", 0.0), ("b", 1.0), ("a", 0.5)]
+        def trial(rnd, mode):
+            yield from [("a", 0.75), ("c", 0.0), ("b", 1.0), ("a", 0.5)]
 
-        monkeypatch.setitem(cli._SUITES, "oracle", planted)
+        monkeypatch.setitem(cli._SUITES, "oracle",
+                            (trial, lambda: [("b", 0.5), ("a", 0.25), ("b", 2.0)]))
         code, out, _ = run(capsys, "verify", "oracle", "--trials", "3", "--seed", "5",
                            "--tolerance", "1")
         assert code == 1
@@ -493,14 +494,18 @@ class TestVerify:
     @pytest.mark.parametrize("residuals", [(math.nan, 0.5), (0.5, math.nan), (0.0, math.nan, 2.0)],
                              ids=["nan-first", "nan-last", "nan-between"])
     def test_nan_residual_fails_its_row(self, capsys, monkeypatch, residuals):
+        # no later trial's residual displaces the NaN of the rows computed once
         from slchar import cli
 
-        def planted(cfg):
+        def once():
             for r in residuals:
                 yield "a", r
                 yield "b", 0.25
 
-        monkeypatch.setitem(cli._SUITES, "oracle", planted)
+        def trial(rnd, mode):
+            yield from [("a", 0.5), ("b", 0.25)]
+
+        monkeypatch.setitem(cli._SUITES, "oracle", (trial, once))
         code, out, _ = run(capsys, "verify", "oracle", "--trials", "3", "--seed", "5",
                            "--tolerance", "1")
         assert code == 1
@@ -509,6 +514,67 @@ class TestVerify:
             "oracle/b: max-residual=2.50000000000000000e-01 pass",
             "suite=oracle trials=3 seed=5 tolerance=1 mode=float result=FAIL",
         ]
+
+    @staticmethod
+    def plant(monkeypatch, trial):
+        """``trial`` as the oracle suite, given its stream index as its stream."""
+        from slchar import cli, sampling
+
+        streams = []
+        monkeypatch.setattr(sampling, "rng_for",
+                            lambda seed, index=0: streams.append(index) or index)
+        monkeypatch.setitem(cli._SUITES, "oracle", (trial, None))
+        return streams
+
+    def test_a_trial_that_yields_nothing_uses_up_its_index(self, capsys, monkeypatch):
+        def trial(index, mode):
+            if index != 1:
+                yield "a", index
+
+        streams = self.plant(monkeypatch, trial)
+        code, out, _ = run(capsys, "verify", "oracle", "--trials", "3", "--seed", "5",
+                           "--tolerance", "2.5")
+        assert code == 1 and streams == [0, 1, 2, 3]
+        assert out.splitlines() == [
+            "oracle/a: max-residual=3.00000000000000000e+00 FAIL trial=3",
+            "suite=oracle trials=3 seed=5 tolerance=2.5 mode=float result=FAIL",
+        ]
+
+    def test_nan_row_names_the_trial_of_its_first_nan(self, capsys, monkeypatch):
+        def trial(index, mode):
+            yield "a", math.nan if index in (2, 4) else 0.5
+            yield "b", 0.25 * index
+
+        self.plant(monkeypatch, trial)
+        code, out, _ = run(capsys, "verify", "oracle", "--trials", "6", "--tolerance", "1")
+        assert code == 1
+        assert out.splitlines()[:2] == [
+            "oracle/a: max-residual=nan FAIL trial=2",
+            "oracle/b: max-residual=1.25000000000000000e+00 FAIL trial=5",
+        ]
+
+    @pytest.mark.parametrize("suite, seed, tolerance", [("covers", "7", "1e-8"),
+                                                         ("coxeter", "0", "0")])
+    def test_fail_row_names_the_trial_that_reruns_it(self, capsys, suite, seed, tolerance):
+        code, out, _ = run(capsys, "verify", suite, "--seed", seed, "--tolerance", tolerance)
+        assert code == 1
+        (row,) = [line for line in out.splitlines() if " FAIL trial=" in line]
+        if suite == "covers":
+            assert row == ("covers/deck-character-validity: "
+                           "max-residual=1.22878123093177694e-07 FAIL trial=52")
+        trials = int(row.rpartition("=")[2]) + 1
+        code, out, _ = run(capsys, "verify", suite, "--seed", seed, "--tolerance", tolerance,
+                           "--trials", str(trials))
+        assert code == 1 and row in out.splitlines()
+
+    def test_rows_computed_once_name_no_trial(self, capsys, monkeypatch):
+        from slchar import covers
+
+        monkeypatch.setattr(covers, "symbolic_check", lambda name: {"relation": False})
+        code, out, _ = run(capsys, "verify", "covers", "--trials", "2")
+        assert code == 1
+        assert out.splitlines()[0] == (
+            "covers/symbolic-c02s04: max-residual=1.00000000000000000e+00 FAIL")
 
 
 def test_python_dash_m_runs_the_cli():

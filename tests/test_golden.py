@@ -126,6 +126,11 @@ to 2.995e-14) and ``--seed 3`` (1.589e-14 to 1.138e-14); in
 ``conjugating_involution`` records.  No ``fricke`` row, ``hat``,
 ``sign_normalize`` or ``classify_isometry`` record moved.
 
+``VERIFY_RUNS_DIGEST`` was re-recorded when a ``verify`` row that fails
+began naming the trial of its worst residual.  One line moved: the
+``covers/deck-character-validity`` row of ``verify covers --seed 7``,
+which gained `` trial=52`` after ``FAIL``.
+
 ``RING_MAP_DIGEST`` pins the ring maps at higher degree than the
 corpus above: the JSON of ``deck(p)`` and ``deck(deck(p))`` for seeded
 rank-3 polynomials of 1-8 terms with exponents 0-2 (so x123 reaches
@@ -167,7 +172,7 @@ VERIFY_DIGEST = "16a4635292cb20aa67cec7663480b1e4fd1a82c90611af462cf79ed9d3ec3b0
 PREDICATE_DIGEST = "52387a3505d4beacb7cc1a8614866f312314b286d19ab112c718aa7dcb42f2fc"
 EVAL_DIGEST = "36a9d870e865c380a5fe0e459ba49a9bfa40269ad1284634b1896ca3429c95ce"
 TABLE_DIGEST = "76d3f4a554409537ad34d6a52878c0a6c21021103622b4b677a3f10a6fdc0372"
-VERIFY_RUNS_DIGEST = "3f7e99d48a2028e01b8674cff46b586f2843106dec360fde8c5db1ce6481bdba"
+VERIFY_RUNS_DIGEST = "aa3c32647edc3ceecba50c93c24c3eda80d7e09123d3ba0e0195f60cba163440"
 RING_MAP_DIGEST = "32e6dc7c42ca5e36ab7351f195f99e13c7b528fc44aa2fc47e27f154229b521d"
 
 SUITES = ("identities", "oracle", "fricke", "covers", "coxeter")

@@ -317,11 +317,23 @@ class TestBilinearForm:
         with pytest.raises(GeometryError, match="symmetric"):  # as before
             BilinearForm3(b)
 
+    def test_form_keeps_a_read_only_copy(self):
+        # a later write cannot put an unchecked entry under form_signature
+        b = np.eye(3)
+        form = BilinearForm3(b)
+        assert b.flags.writeable and form.b is not b
+        with pytest.raises(ValueError, match="read-only"):
+            form.b[0, 1] = math.inf
+        form = bilinear_form_from_character(-3, -3, -3)
+        with pytest.raises(ValueError, match="read-only"):
+            form.b[0, 1] = math.inf
+        assert form_signature(form) == FormSignature.SIGNATURE_2_1
+
     def test_tolerances_are_absolute(self):
         BilinearForm3(np.diag([1 + 5e-13, 1, 1]))
         with pytest.raises(GeometryError, match="unit diagonal"):
             BilinearForm3(np.diag([1 + 1e-8, 1, 1]))
-        b = bilinear_form_from_character(1, 1, 1).b
+        b = bilinear_form_from_character(1, 1, 1).b.copy()  # the form's own is read-only
         b[0, 1] += 1e-8
         with pytest.raises(GeometryError, match="symmetric"):
             BilinearForm3(b)
