@@ -2,10 +2,9 @@
 rank two and three, and Fricke-space membership tests for the six
 simplest hyperbolic surfaces.
 
-The submodules and the names below load on first use (PEP 562), so
-``import slchar`` loads no numpy.  Importing ``mat2``, the array API,
-loads it; the other modules load it only inside the functions whose
-results are arrays."""
+The submodules and the names below load on first use (PEP 562), and
+no submodule loads numpy but inside the functions whose results are
+arrays, so ``import slchar`` and every submodule import load none."""
 
 import importlib
 

@@ -1,11 +1,12 @@
 """How the public numeric functions take numbers in, and name one past
-the float range.  Every public function of ``fricke``, ``chars``,
-``hypgeom`` and ``mat2`` that takes trace coordinates passes them through
-``take`` once; NaN and infinities pass as they are.  This module loads
-neither numpy nor another module of the package."""
+the float range or not finite.  Every public function of ``fricke``,
+``chars``, ``hypgeom`` and ``mat2`` that takes trace coordinates passes
+them through ``take`` once, which refuses NaN and infinities by name.
+This module loads neither numpy nor another module of the package."""
 
 from __future__ import annotations
 
+import cmath
 import contextlib
 import math
 import sys
@@ -16,18 +17,25 @@ from numbers import Rational
 def take(error, owner: str, names: str, args, kind=float, exact: bool = False):
     """``args`` as they are if each is a float or a ``kind``, or if ``exact``
     and all are exact; else each as a float, a complex staying complex if
-    ``kind`` is complex.  An exact one past the float range raises ``error``
-    naming ``owner`` and its name among the space-separated ``names``."""
-    if all(type(t) is float or type(t) is kind for t in args) or exact and all(
-            type(t) is int or type(t) is Fraction or isinstance(t, Rational) for t in args):
+    ``kind`` is complex.  An exact one past the float range, or a NaN or an
+    infinity, raises ``error`` naming ``owner`` and its name among the
+    space-separated ``names``."""
+    if all(type(t) is float or type(t) is kind for t in args):
+        out = args
+    elif exact and all(type(t) is int or type(t) is Fraction or isinstance(t, Rational)
+                       for t in args):
         return args
-    out = []
-    for t in args:
-        try:
-            out.append(complex(t) if kind is complex and isinstance(t, complex) else float(t))
-        except OverflowError:
-            name = names.split()[len(out)]
-            raise error(f"{owner} needs finite traces, got {name} past the float range") from None
+    else:
+        out = []
+        for t in args:
+            try:
+                out.append(complex(t) if kind is complex and isinstance(t, complex) else float(t))
+            except OverflowError:
+                raise error(f"{owner} needs finite traces, got {names.split()[len(out)]} past "
+                            "the float range") from None
+    if not cmath.isfinite(sum(out)) and not all(map(cmath.isfinite, out)):  # the sum is cheaper
+        name, t = next((n, t) for n, t in zip(names.split(), out) if not cmath.isfinite(t))
+        raise error(f"{owner} needs finite traces, got {name} = {t}")
     return out
 
 
@@ -43,12 +51,11 @@ def report(owner: str, names: str, ratios) -> list[float]:
 
 
 def unless_overflowed(value, formula, *args):
-    """``value``, which is ``formula(*args)``, unless it is a float that is
-    not finite though every argument is: then ``formula`` on the exact
+    """``value``, which is ``formula(*args)`` at arguments from ``take``,
+    unless it is a float that is not finite: then ``formula`` on the exact
     ``Fraction``s of the arguments, so that an overflow decides no sign."""
     if isinstance(value, float) and not math.isfinite(value):
-        with contextlib.suppress(OverflowError, ValueError):  # an argument is inf or NaN
-            return formula(*map(Fraction, args))
+        return formula(*map(Fraction, args))
     return value
 
 

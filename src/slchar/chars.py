@@ -2,9 +2,9 @@
 
 Characters of pairs and triples, irreducibility tests, the real
 character classification, and the explicit reconstruction of a
-rank-3 representation from six traces and a branch choice, on the
-4-tuples of :mod:`slchar.tracepoly`: only ``construct_triple`` and
-``hermitian_invariant_form``, whose results are arrays, load ``mat2``.
+rank-3 representation from six traces and a branch choice, on 4-tuples
+of rows: only ``construct_triple`` and ``hermitian_invariant_form``,
+whose results are arrays, load numpy.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from numbers import Rational
 
 from ._intake import take, unless_overflowed
 from .polyring import F2_VARS, F3_VARS, sum_product
-from .tracepoly import (
-    GeometryError, _character, _entries, _format_complex, _modulus, _mul, _normal_form,
-    _principal_root, _trace_of_product, kappa_value, principal_sqrt, word_trace)
+from .mat2 import (GeometryError, _modulus, _normal_form, _principal_root, format_complex, mat2,
+                   principal_sqrt)
+from .tracepoly import _character, _entries, _mul, _trace_of_product, kappa_value, word_trace
 from .words import Word
 
 __all__ = [
@@ -56,9 +56,9 @@ class CharacterF2:
         return kappa_value(self.x, self.y, self.z)
 
     def to_json(self) -> dict:
-        return {"x": _format_complex(complex(self.x)),
-                "y": _format_complex(complex(self.y)),
-                "z": _format_complex(complex(self.z))}
+        return {"x": format_complex(complex(self.x)),
+                "y": format_complex(complex(self.y)),
+                "z": format_complex(complex(self.z))}
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,7 @@ class CharacterF3:
 
     def to_json(self) -> dict:
         names = ("t1", "t2", "t3", "t12", "t13", "t23", "t123", "t132")
-        return {n: _format_complex(complex(v))
+        return {n: format_complex(complex(v))
                 for n, v in zip(names, self.as_tuple())}
 
 
@@ -249,13 +249,9 @@ def triple_trace_roots(t1, t2, t3, t12, t13, t23) -> tuple[complex, complex]:
         try:
             rounded.append(complex(v))
             if not cmath.isfinite(rounded[-1]):
-                raise OverflowError  # a trace not finite (each is in f_Sigma), or an overflow
+                raise OverflowError  # an overflow: every trace is finite
         except OverflowError:
             take(GeometryError, *args)  # names a trace past the float range
-            for t_name, t in zip(args[1].split(), traces):
-                if not cmath.isfinite(t):
-                    raise GeometryError(f"triple_trace_roots needs finite traces, "
-                                        f"got {t_name} = {t}") from None
             raise GeometryError(f"triple_trace_roots needs finite traces, got {name} past "
                                 "the float range") from None
     fsum, disc = rounded[0], principal_sqrt(rounded[1])
@@ -305,9 +301,7 @@ def construct_triple(t1, t2, t3, t12, t23, t13, branch: str = "+"):
                 raise GeometryError(f"the constructed triple misses the prescribed {name}")
     except OverflowError:  # abs() of a finite complex whose modulus leaves the float range
         raise GeometryError("degenerate branch value") from None
-    from . import mat2  # the results are arrays
-
-    return tuple(mat2.mat2(*m) for m in triple)
+    return tuple(mat2(*m) for m in triple)
 
 
 def _trace_form_solver(t1, t2, f):
@@ -362,11 +356,9 @@ def hermitian_invariant_form(x: float, y: float, z: float):
     character with |z| <= 2; its determinant equals 2 - kappa(x,y,z),
     so the form is definite exactly on the SU(2) characters.
     """
-    from . import mat2  # the result is an array
-
     x, y, z = take(GeometryError, "hermitian_invariant_form", "x y z", (x, y, z))
     if abs(z) > 2:
         raise GeometryError(f"requires |z| <= 2, got z = {z}")
     sin_t = math.sqrt(max(0.0, 1 - (z / 2) ** 2))
     off = -x * sin_t + 1j * (y - x * z / 2)
-    return mat2.mat2(2 * sin_t, off, off.conjugate(), 2 * sin_t)
+    return mat2(2 * sin_t, off, off.conjugate(), 2 * sin_t)

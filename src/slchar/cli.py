@@ -18,8 +18,8 @@ ends in ``trial=k``, which ``--trials k+1`` reruns.  Matrices are
 ``covers`` and ``coxeter`` take square roots and have no exact mode.
 
 ``chars`` and ``hypgeom`` load inside the commands and suites that use
-them, and numpy and ``mat2`` only inside ``eval-word`` and ``construct``,
-whose output is matrices: every ``verify`` suite runs without numpy.
+them, and numpy only inside ``eval-word`` and ``construct``, whose
+output is matrices: every ``verify`` suite runs without numpy.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import re
 import sys
 from fractions import Fraction
 
-from . import covers, fricke, sampling, tracepoly
+from . import covers, fricke, mat2, sampling, tracepoly
 from ._intake import take
 from .fricke import CharacterS04, CharacterS12, FNCoords
 from .words import WordSyntaxError, parse_word
@@ -53,7 +53,8 @@ def parse_number(text: str) -> float:
 
 def parse_number_exact(text: str):
     text = text.strip()
-    if "/" in text or "." not in text and "e" not in text.lower():
+    non_finite = text.lower().lstrip("+-") in ("nan", "inf", "infinity")  # parse_number refuses
+    if not non_finite and ("/" in text or "." not in text and "e" not in text.lower()):
         try:
             return Fraction(text)
         except ZeroDivisionError:
@@ -84,8 +85,6 @@ def cmd_trace_poly(args) -> int:
 
 def cmd_eval_word(args) -> int:
     import numpy as np
-
-    from . import mat2
 
     w = parse_word(args.word, args.rank)
     if args.matrices:
@@ -120,16 +119,16 @@ def cmd_eval_word(args) -> int:
     if args.json:
         _print_json({
             "matrix": mat2.matrix_to_json(result),
-            "trace": tracepoly._format_complex(tr),
+            "trace": mat2.format_complex(tr),
         })
     else:
         print("matrix:", np.array2string(result, precision=12))
-        print("trace:", tracepoly._format_complex(tr))
+        print("trace:", mat2.format_complex(tr))
     return 0
 
 
 def cmd_construct(args) -> int:
-    from . import chars, mat2
+    from . import chars
 
     need = 3 if args.kind == "pair" else 6
     if len(args.coords) != need:
@@ -211,7 +210,7 @@ def cmd_cover(args) -> int:
         for n, v in images.items():
             if not cmath.isfinite(v):
                 raise ValueError(f"the image {n} of the --eval point is not finite")
-        payload["evaluation"] = {n: tracepoly._format_complex(v) for n, v in images.items()}
+        payload["evaluation"] = {n: mat2.format_complex(v) for n, v in images.items()}
     _print_json(payload)
     if args.symbolic_check and not all(payload["symbolic_check"].values()):
         return 1
@@ -287,9 +286,9 @@ def _trial_fricke(rnd, mode):
     if cert.verdict != "right-hexagon":
         yield "hexagon-inner-products", 1.0
     # the closed form against the hats of a real pair with these traces
-    X, Y = tracepoly._normal_form(complex(x), complex(y), complex(z))
+    X, Y = mat2._normal_form(complex(x), complex(y), complex(z))
     Z = tracepoly._adjugate(tracepoly._mul(X, Y))  # (XY)^-1
-    hx, hy, hz = map(tracepoly._hat, (X, Y, Z))
+    hx, hy, hz = map(mat2.hat, (X, Y, Z))
     for pair, (h1, h2) in zip(cert.pairs, ((hx, hy), (hy, hz), (hz, hx))):
         yield "hexagon-inner-products", abs(pair.inner - hypgeom.minkowski_inner(h1, h2))
 

@@ -9,10 +9,10 @@ right-hexagon certificate behind the three-holed-sphere Fricke test.
 The certificate reads the three inner products of its axes off the
 traces in closed form and builds no matrix; the normal form of a pair
 gives a real pair with the same traces, from which the same numbers
-follow through ``tracepoly._hat`` and ``minkowski_inner``.  A 2x2
-product here is ``tracepoly._mul``, numpy's ``@`` a 3x3 one.  Only the
-functions whose results are arrays, and ``SYM2_FORM`` (PEP 562), load
-numpy or ``mat2``; the others compute on 4-tuples of rows.
+follow through ``mat2.hat`` and ``minkowski_inner``.  A 2x2 product here
+is ``tracepoly._mul``, numpy's ``@`` a 3x3 one.  Only the functions
+whose results are arrays, and ``SYM2_FORM`` (PEP 562), load numpy; the
+others compute on 4-tuples of rows.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._intake import take
-from .tracepoly import (GeometryError, _adjugate, _conjugating_involution, _entries, _modulus,
-                        _mul, _sign_normalize, _trace_of_product)
+from .mat2 import GeometryError, _modulus, conjugating_involution, mat2, sign_normalize
+from .tracepoly import _adjugate, _entries, _mul, _trace_of_product
 
 __all__ = [
     "PointH2",
@@ -103,10 +103,8 @@ class DeSitterVec:
 def point_to_involution(p: PointH2):
     """The real trace-0, det-1 matrix (1/u)[[x, -(x^2+u^2)], [1, -x]]
     whose projective action is the half-turn about p."""
-    from . import mat2  # the result is an array
-
     x, u = p.x, p.u
-    return mat2.mat2(x / u, -(x * x + u * u) / u, 1 / u, -x / u)
+    return mat2(x / u, -(x * x + u * u) / u, 1 / u, -x / u)
 
 
 def involution_fixing(z1: complex, z2: complex | None = None):
@@ -115,8 +113,6 @@ def involution_fixing(z1: complex, z2: complex | None = None):
     z2 = None means infinity.  Result is sign-normalized; it squares
     to -I.
     """
-    from . import mat2  # the result is an array
-
     z1 = complex(z1)
     if z2 is None or (isinstance(z2, (int, float, complex)) and abs(complex(z2)) == float("inf")):
         k, n = 1j, (-1, 2 * z1, 0, 1)
@@ -125,7 +121,7 @@ def involution_fixing(z1: complex, z2: complex | None = None):
         if z1 == z2:
             raise GeometryError("fixed points must be distinct")
         k, n = 1j / (z1 - z2), (z1 + z2, -2 * z1 * z2, 2, -(z1 + z2))
-    return mat2.mat2(*_sign_normalize(tuple(k * complex(v) for v in n)))
+    return mat2(*sign_normalize(tuple(k * complex(v) for v in n)))
 
 
 def minkowski_inner(a, b) -> float:
@@ -156,9 +152,7 @@ def common_perpendicular(xi, eta):
     """Unit-normalized Lie product: the involution in the common
     orthogonal geodesic of the invariant axes.  Conjugation by it
     inverts both arguments; requires an irreducible pair."""
-    from . import mat2  # the result is an array
-
-    return mat2.conjugating_involution(xi, eta)
+    return conjugating_involution(xi, eta)
 
 
 def coxeter_extension(xi, eta):
@@ -170,14 +164,9 @@ def coxeter_extension(xi, eta):
     products recover them up to sign.  4-tuples give 4-tuples; arrays give
     arrays, each of objects if an array of its pair is (zeta is complex).
     """
-    a, b = _entries(xi), _entries(eta)
-    zeta = tuple(map(complex, _adjugate(_mul(a, b))))
-    i_xy, i_yz, i_zx = (_conjugating_involution(*p) for p in ((a, b), (b, zeta), (zeta, a)))
-    if not hasattr(xi, "ravel"):
-        return i_xy, i_yz, i_zx
-    from .mat2 import _array
-
-    return _array(i_xy, xi, eta), _array(i_yz, eta), _array(i_zx, xi)
+    zeta = tuple(map(complex, _adjugate(_mul(_entries(xi), _entries(eta)))))
+    return (conjugating_involution(xi, eta), conjugating_involution(eta, zeta),
+            conjugating_involution(zeta, xi))
 
 
 class IsometryType(enum.Enum):
@@ -376,8 +365,6 @@ def hexagon_certificate(x: float, y: float, z: float) -> HexagonCertificate:
     tol = 1e-9
     x, y, z = traces = take(GeometryError, "hexagon domain", "x y z", (x, y, z))
     for name, t in zip("xyz", traces):
-        if not math.isfinite(t):
-            raise GeometryError(f"hexagon domain needs finite traces, got {name} = {t}")
         if t + 2 > tol:
             raise GeometryError(f"hexagon domain needs {name} <= -2, got {t}")
     cusped = {"X": abs(x + 2) <= tol, "Y": abs(y + 2) <= tol, "Z": abs(z + 2) <= tol}

@@ -1,19 +1,20 @@
 """Complex 2x2 (and 3x3) matrix kernel.
 
 All explicit matrix formulas live here, together with the numeric
-oracle ``evaluate_word`` for trace polynomials.  Matrices are plain 2x2
-(or 3x3) complex numpy arrays, but every 2x2 product, ``evaluate_word``'s
-included, is ``tracepoly._mul`` on the 4-tuples of their rows
-(``tracepoly._entries``): the textbook product a p + b r for complex
-numbers and ints alike, with no fused multiply-add, so that no digit
-depends on numpy's BLAS.  That kernel lives in :mod:`slchar.tracepoly`
-with each formula here that needs no array (``format_complex``, the
-errors, tolerances, ``principal_sqrt``, the rows of ``normal_form_pair``;
-``hat``, ``sign_normalize`` and ``conjugating_involution`` only wrap
-its 4-tuples), so that ``chars``, ``hypgeom`` and ``verify`` need no numpy.
-Tolerances are fixed: ``inverse`` requires ``|det - 1| <=
-TOL_CONJUGACY``, and the real-matrix tests of ``hat`` and
-``glide_reflection_sqrt`` allow imaginary parts up to ``TOL_CONJUGACY``.
+oracle ``evaluate_word`` for trace polynomials.  A matrix is a plain 2x2
+(or 3x3) complex numpy array, or the 4-tuple of the rows of a 2x2 one;
+``hat``, ``sign_normalize``, ``conjugating_involution``, ``lie_product``
+and ``adjoint`` take either and return the kind they are given, so
+``chars``, ``hypgeom`` and ``slchar verify`` compute on 4-tuples.  numpy
+loads only inside the functions that build an array, and ``I2`` on first
+use (PEP 562), so ``import slchar.mat2`` loads none.  Every 2x2 product,
+``evaluate_word``'s included, is ``tracepoly._mul`` on the 4-tuples of
+the rows (``tracepoly._entries``): the textbook product a p + b r for
+complex numbers and ints alike, with no fused multiply-add, so that no
+digit depends on numpy's BLAS.  Tolerances are fixed: ``inverse``
+requires ``|det - 1| <= TOL_CONJUGACY``, and the real-matrix tests of
+``hat`` and ``glide_reflection_sqrt`` allow imaginary parts up to
+``TOL_CONJUGACY``.
 
 An exact matrix m is a pair (N, d): N the int 4-tuple (a, b, c, e) of
 the rows of d m, and d > 0, so m = N / d; :mod:`slchar.sampling` draws
@@ -33,15 +34,12 @@ outputs reproducible.
 
 from __future__ import annotations
 
+import cmath
+import math
 from fractions import Fraction
 
-import numpy as np
-
 from ._intake import take
-from .tracepoly import (TOL_ALGEBRAIC, TOL_CONJUGACY, GeometryError, NotHyperbolicError,
-                        NotSemisimpleError, ReduciblePairError, _adjugate, _conjugating_involution,
-                        _entries, _format_complex as format_complex, _hat, _mul, _normal_form,
-                        _sign_normalize, _word_product, principal_sqrt)
+from .tracepoly import _adjugate, _entries, _mul, _word_product
 from .words import Word
 
 __all__ = [
@@ -73,69 +71,149 @@ __all__ = [
 ]
 
 
-def mat2(a, b, c, d) -> np.ndarray:
+class GeometryError(ValueError):
+    """A matrix input violates a geometric precondition."""
+
+
+class ReduciblePairError(GeometryError):
+    """The pair generates a reducible representation."""
+
+
+class NotSemisimpleError(GeometryError):
+    """Parabolic or central input where a semisimple element is required."""
+
+
+class NotHyperbolicError(GeometryError):
+    """Real trace in [-2, 2] where a hyperbolic element is required."""
+
+
+#: Tolerance for algebraic identities on well-conditioned inputs.
+TOL_ALGEBRAIC = 1e-12
+#: Tolerance for conjugacy / commutation assertions.
+TOL_CONJUGACY = 1e-9
+
+
+def __getattr__(name):
+    """``I2`` on first use: the complex 2x2 identity."""
+    if name != "I2":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return globals().setdefault(name, mat2(1, 0, 0, 1))
+
+
+def mat2(a, b, c, d):
+    import numpy as np
+
     return np.array([[a, b], [c, d]], dtype=complex)
 
 
-I2 = np.eye(2, dtype=complex)
-
-
-def trace(m: np.ndarray) -> complex:
+def trace(m):
     return m[0, 0] + m[1, 1]
 
 
-def det(m: np.ndarray) -> complex:
+def det(m):
     return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
 
 
-def _array(n: tuple, *like: np.ndarray) -> np.ndarray:
-    """The rows n as a 2x2 array, of objects if one of ``like`` is, else complex."""
-    exact = any(m.dtype.hasobject for m in like)
-    return np.array(n, dtype=object if exact else complex).reshape(2, 2)
+def _like(n: tuple, *mats):
+    """The rows n as ``mats`` are given: the 4-tuple itself when none is an
+    array, else a 2x2 array, of objects if one of them is, else complex."""
+    dtypes = [m.dtype for m in mats if hasattr(m, "ravel")]
+    if not dtypes:
+        return n
+    import numpy as np
+
+    return np.array(n, dtype=object if any(d.hasobject for d in dtypes) else complex).reshape(2, 2)
 
 
-def adjoint(m: np.ndarray) -> np.ndarray:
+def _modulus(v) -> float:
+    """|v|, or inf for a finite complex whose modulus leaves the float
+    range (as numpy reads it): such a value is beyond every tolerance."""
+    try:
+        return abs(v)
+    except OverflowError:
+        return math.inf
+
+
+def adjoint(m):
     """Adjugate: ``m adjoint(m) == det(m) I``."""
-    return _array(_adjugate(_entries(m)), m)
+    return _like(_adjugate(_entries(m)), m)
 
 
-def inverse(m: np.ndarray) -> np.ndarray:
+def inverse(m):
     """Inverse by the cofactor formula; requires unimodularity."""
     if not abs(det(m) - 1) <= TOL_CONJUGACY:
         raise GeometryError(f"matrix is not unimodular: det = {det(m)}")
     return adjoint(m)
 
 
-def evaluate_word(w: Word, assignment) -> np.ndarray:
+def evaluate_word(w: Word, assignment):
     """The product w(xi_1, ..., xi_n), inverse letters by the adjugate.
     When every letter is an exact pair (N, d), the Ns multiply as int
     4-tuples and the product, an object array of Fractions, is divided
     once by the product of the letters' ds; numpy arrays are numeric."""
+    import numpy as np
+
     n, den = _word_product(w, assignment)
     if den is None:
         return np.array(n, dtype=complex).reshape(2, 2)
     return np.array([Fraction(v, den) for v in n], dtype=object).reshape(2, 2)
 
 
-def lie_product(xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
+def lie_product(xi, eta):
     """xi eta - eta xi; always traceless."""
     a, b = _entries(xi), _entries(eta)
-    return _array([p - q for p, q in zip(_mul(a, b), _mul(b, a))], xi, eta)
+    return _like(tuple(p - q for p, q in zip(_mul(a, b), _mul(b, a))), xi, eta)
 
 
-def sign_normalize(m: np.ndarray) -> np.ndarray:
+def sign_normalize(m):
     """Of m and -m, return the one whose first nonzero entry (row-major)
     has positive real part, ties broken by positive imaginary part;
-    "nonzero" means above 1e-13 relative to the largest entry."""
-    return m if _sign_normalize(n := _entries(m)) is n else -m
+    "nonzero" means above 1e-13 relative to the largest entry.  As in
+    numpy, the largest modulus is NaN if one is, and max(1.0, NaN) is 1.0."""
+    n = _entries(m)
+    sizes = [_modulus(v) for v in n]
+    eps = 1e-13 * (max(1.0, *sizes) if all(s == s for s in sizes) else 1.0)
+    for v, size in zip(n, sizes):
+        if size > eps:
+            if v.real > eps or (abs(v.real) <= eps and v.imag > 0):
+                return m
+            return tuple(-v for v in n) if n is m else -m
+    return m
 
 
-def normal_form_pair(x: complex, y: complex, z: complex) -> tuple[np.ndarray, np.ndarray]:
+def principal_sqrt(w: complex) -> complex:
+    """Principal complex square root with a signed-zero guard: an
+    imaginary part of -0.0 would silently select the lower side of the
+    branch cut, so exact zeros are normalized to +0.0 first."""
+    w = complex(w)
+    if w.imag == 0:
+        w = complex(w.real, 0.0)
+    return cmath.sqrt(w)
+
+
+def _principal_root(z: complex) -> complex:
+    """The root f = (z + s)/2 of f + 1/f = z, with s = sqrt(z^2 - 4)
+    principal.  Where Re(z conj(s)) < 0 that sum cancels, so f is taken
+    as 2/(z - s), the same root since f (z - s)/2 = 1."""
+    s = principal_sqrt(z * z - 4)
+    f = 2 / (z - s) if (z * s.conjugate()).real < 0 else (z + s) / 2
+    if not 0 < abs(f) < math.inf:  # z * z overflowed: |z| above about 1e154
+        raise GeometryError("degenerate branch value")
+    return f
+
+
+def _normal_form(x: complex, y: complex, z: complex) -> tuple[tuple, tuple]:
+    """``normal_form_pair`` as the 4-tuples of its rows."""
+    f = _principal_root(z)
+    return (x, -1, 1, 0), (0, 1 / f, -f, y)
+
+
+def normal_form_pair(x: complex, y: complex, z: complex):
     """A unimodular pair with traces (x, y) and product trace z.
 
     xi = [[x, -1], [1, 0]], eta = [[0, 1/f], [-f, y]] where f + 1/f = z
     and f = (z + sqrt(z^2 - 4))/2 with the principal square root
-    (``tracepoly._principal_root``).  z = +-2 gives f = +-1, which is still valid.
+    (``_principal_root``).  z = +-2 gives f = +-1, which is still valid.
     For real z with |z| >= 2, f is real, and so is the pair.
     """
     x, y, z = take(GeometryError, "normal_form_pair", "x y z", (x, y, z), complex)
@@ -143,21 +221,29 @@ def normal_form_pair(x: complex, y: complex, z: complex) -> tuple[np.ndarray, np
     return mat2(*xi), mat2(*eta)
 
 
-def conjugating_involution(xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
+def conjugating_involution(xi, eta):
     """The unimodular h with h^2 = -I conjugating (xi, eta) to (xi^-1, eta^-1).
 
-    h is the Lie product scaled into SL(2); it exists exactly when the
+    h is the Lie product divided by the principal root of its
+    determinant, by Python's complex division; it exists exactly when the
     pair is irreducible (det of the Lie product nonzero).
     """
-    return _array(_conjugating_involution(_entries(xi), _entries(eta)), xi, eta)
+    n, k = _entries(xi), _entries(eta)
+    lie = [p - q for p, q in zip(_mul(n, k), _mul(k, n))]
+    d = lie[0] * lie[3] - lie[1] * lie[2]
+    if _modulus(d) <= TOL_ALGEBRAIC:
+        raise ReduciblePairError("pair is reducible (Lie product has zero determinant)")
+    root = principal_sqrt(d)
+    h = sign_normalize(tuple(v / root for v in lie))
+    return h if n is xi and k is eta else _like(h, xi, eta)  # 4-tuples: no second kind test
 
 
-def traceless_projection(xi: np.ndarray) -> np.ndarray:
+def traceless_projection(xi):
     """xi - (tr(xi)/2) I."""
-    return xi - (trace(xi) / 2) * I2
+    return xi - (trace(xi) / 2) * mat2(1, 0, 0, 1)
 
 
-def involution_of(xi: np.ndarray) -> np.ndarray:
+def involution_of(xi):
     """The involution commuting with a semisimple xi.
 
     Normalizes the traceless projection to determinant one; rejects
@@ -170,22 +256,35 @@ def involution_of(xi: np.ndarray) -> np.ndarray:
     return sign_normalize(h)
 
 
-def hat(a: np.ndarray) -> np.ndarray:
+def hat(a):
     """Reflection vector of the invariant axis of a real hyperbolic matrix.
 
     hat(A) = (2A - tr(A) I)/sqrt(tr(A)^2 - 4), normalized to the
     de Sitter locus: tr = 0 and (1/2) tr(hat^2) = 1, i.e. det = -1.
-    Consequently hat(A)^2 = I and hat(A^-1) = -hat(A).
+    Consequently hat(A)^2 = I and hat(A^-1) = -hat(A).  Tested and
+    rounded as numpy would: a NaN part is not real, and tr(A) * 0.0 is a
+    signed zero.  An array gives a complex array.
     """
-    return mat2(*_hat(_entries(a)))
+    p, q, r, s = n = _entries(a)
+    if abs(p.imag + s.imag) > TOL_CONJUGACY or not all(abs(v.imag) <= TOL_CONJUGACY for v in n):
+        raise GeometryError("hat() requires a real matrix")
+    p, q, r, s = p.real, q.real, r.real, s.real
+    t = p + s
+    if t * t <= 4 + TOL_CONJUGACY:
+        raise NotHyperbolicError(f"matrix is not hyperbolic: tr = {t}")
+    root = math.sqrt(t * t - 4)
+    h = (2 * p - t) / root, (2 * q - t * 0.0) / root, (2 * r - t * 0.0) / root, (2 * s - t) / root
+    return h if n is a else mat2(*h)
 
 
-def sym2(xi: np.ndarray) -> np.ndarray:
+def sym2(xi):
     """The induced map on the symmetric square, basis (e.e, e.f, f.f).
 
     tr(sym2(xi)) = tr(xi)^2 - 1 for unimodular xi, and sym2 is
     multiplicative: sym2(xi @ eta) = sym2(xi) @ sym2(eta).
     """
+    import numpy as np
+
     a, b = xi[0, 0], xi[0, 1]
     c, d = xi[1, 0], xi[1, 1]
     return np.array(
@@ -198,29 +297,43 @@ def sym2(xi: np.ndarray) -> np.ndarray:
     )
 
 
-def glide_reflection_sqrt(xi: np.ndarray) -> np.ndarray:
+def glide_reflection_sqrt(xi):
     """The glide reflection g = (xi - I)/sqrt(tr(xi) - 2) with g^2 = xi.
 
     Defined for real xi with tr(xi) > 2; det g = -1.
     """
+    import numpy as np
+
     t = trace(xi)
     if abs(t.imag) > TOL_CONJUGACY or not np.abs(xi.imag).max() <= TOL_CONJUGACY:
         raise GeometryError("glide_reflection_sqrt() requires a real matrix")
     if t.real <= 2 + TOL_CONJUGACY:
         raise NotHyperbolicError(f"trace must exceed 2, got {t.real}")
-    return (xi - I2) / np.sqrt(t.real - 2)
+    return (xi - mat2(1, 0, 0, 1)) / np.sqrt(t.real - 2)
+
+
+def format_complex(v: complex) -> str:
+    """``a+bi`` with 17 significant digits."""
+    re = f"{v.real:.17g}"
+    im = f"{abs(v.imag):.17g}"
+    sign = "+" if v.imag >= 0 else "-"
+    return f"{re}{sign}{im}i"
 
 
 # -- JSON wire format ----------------------------------------------------------
 
 
-def matrix_to_json(m: np.ndarray) -> dict:
+def matrix_to_json(m) -> dict:
+    import numpy as np
+
     m = np.asarray(m, dtype=complex)
     return {"re": m.real.tolist(), "im": m.imag.tolist()}
 
 
-def matrix_from_json(data) -> np.ndarray:
+def matrix_from_json(data):
     """The matrix of ``{"re": 2x2, "im": 2x2}``; ``im`` defaults to zero."""
+    import numpy as np
+
     re = np.array(data["re"], dtype=float)
     im = np.array(data.get("im", [[0, 0], [0, 0]]), dtype=float)
     if re.shape != (2, 2) or im.shape != (2, 2):

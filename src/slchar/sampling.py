@@ -110,7 +110,7 @@ def exact_evaluate_word(w: Word, mats):
     """Exact product along a word of unimodular Fraction matrices, given
     as object arrays or as nested tuples, each written as (N, d) with d
     the least common denominator of its entries."""
-    from . import mat2
+    from . import mat2  # here, so that importing sampling leaves mat2 out
 
     pairs = []
     for m in mats:

@@ -61,18 +61,13 @@ Evaluation at characters and the word oracle ``word_trace`` take one
 trial at a time: a tuple of matrices, each the pair (N, d) of an exact
 matrix (see :mod:`slchar.mat2`) or the 4-tuple of the rows of a float
 one; a numpy matrix becomes its ``.ravel().tolist()`` (``_entries``),
-so numpy is never loaded here.  ``_mul`` and ``_adjugate`` are the one
-2x2 arithmetic of the package, shared with ``mat2``, ``chars``, ``hypgeom``
-and ``slchar verify``; floats and exact numerators differ only in having
-denominators.  So are the numpy-free formulas behind ``mat2``'s arrays
-(``_format_complex``, ``GeometryError`` and subclasses, the tolerances,
-``principal_sqrt``, ``_normal_form``, ``_hat``, ``_sign_normalize`` and
-``_conjugating_involution``), for ``chars``, ``hypgeom`` and ``verify``.
+so neither numpy nor ``mat2`` loads here.  ``_mul`` and ``_adjugate``,
+the package's one 2x2 arithmetic, serve ``mat2``, ``chars``, ``hypgeom``
+and ``verify`` too; exact numerators differ only in having denominators.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import itertools
 import math
@@ -363,110 +358,6 @@ def _adjugate(n: tuple) -> tuple:
 def _trace_of_product(n: tuple, k: tuple):
     """tr(n k) for 4-tuples of rows, from the four products on ``_mul``'s diagonal."""
     return n[0] * k[0] + n[1] * k[2] + n[2] * k[1] + n[3] * k[3]
-
-
-class GeometryError(ValueError):
-    """A matrix input violates a geometric precondition."""
-
-
-class ReduciblePairError(GeometryError):
-    """The pair generates a reducible representation."""
-
-
-class NotSemisimpleError(GeometryError):
-    """Parabolic or central input where a semisimple element is required."""
-
-
-class NotHyperbolicError(GeometryError):
-    """Real trace in [-2, 2] where a hyperbolic element is required."""
-
-
-def principal_sqrt(w: complex) -> complex:
-    """Principal complex square root with a signed-zero guard: an
-    imaginary part of -0.0 would silently select the lower side of the
-    branch cut, so exact zeros are normalized to +0.0 first."""
-    w = complex(w)
-    if w.imag == 0:
-        w = complex(w.real, 0.0)
-    return cmath.sqrt(w)
-
-
-def _principal_root(z: complex) -> complex:
-    """The root f = (z + s)/2 of f + 1/f = z, with s = sqrt(z^2 - 4)
-    principal.  Where Re(z conj(s)) < 0 that sum cancels, so f is taken
-    as 2/(z - s), the same root since f (z - s)/2 = 1."""
-    s = principal_sqrt(z * z - 4)
-    f = 2 / (z - s) if (z * s.conjugate()).real < 0 else (z + s) / 2
-    if not 0 < abs(f) < math.inf:  # z * z overflowed: |z| above about 1e154
-        raise GeometryError("degenerate branch value")
-    return f
-
-
-def _normal_form(x: complex, y: complex, z: complex) -> tuple[tuple, tuple]:
-    """``normal_form_pair`` as the 4-tuples of its rows."""
-    f = _principal_root(z)
-    return (x, -1, 1, 0), (0, 1 / f, -f, y)
-
-
-#: Tolerance for algebraic identities on well-conditioned inputs.
-TOL_ALGEBRAIC = 1e-12
-#: Tolerance for conjugacy / commutation assertions.
-TOL_CONJUGACY = 1e-9
-
-
-def _modulus(v) -> float:
-    """|v|, or inf for a finite complex whose modulus leaves the float
-    range (as numpy reads it): such a value is beyond every tolerance."""
-    try:
-        return abs(v)
-    except OverflowError:
-        return math.inf
-
-
-def _hat(n: tuple) -> tuple:
-    """``mat2.hat`` on the 4-tuple of a matrix's rows, tested and rounded as
-    numpy would: a NaN part is not real, and tr(A) * 0.0 is a signed zero."""
-    a, b, c, e = n
-    if abs(a.imag + e.imag) > TOL_CONJUGACY or not all(abs(v.imag) <= TOL_CONJUGACY for v in n):
-        raise GeometryError("hat() requires a real matrix")
-    a, b, c, e = a.real, b.real, c.real, e.real
-    t = a + e
-    if t * t <= 4 + TOL_CONJUGACY:
-        raise NotHyperbolicError(f"matrix is not hyperbolic: tr = {t}")
-    s = math.sqrt(t * t - 4)
-    return (2 * a - t) / s, (2 * b - t * 0.0) / s, (2 * c - t * 0.0) / s, (2 * e - t) / s
-
-
-def _sign_normalize(n: tuple) -> tuple:
-    """``mat2.sign_normalize`` on 4-tuples: n or its negation.  As in numpy,
-    the largest modulus is NaN if one is, and max(1.0, NaN) is 1.0."""
-    sizes = [_modulus(v) for v in n]
-    eps = 1e-13 * (max(1.0, *sizes) if all(s == s for s in sizes) else 1.0)
-    for v, size in zip(n, sizes):
-        if size > eps:
-            if v.real > eps or (abs(v.real) <= eps and v.imag > 0):
-                return n
-            return tuple(-v for v in n)
-    return n
-
-
-def _conjugating_involution(n: tuple, k: tuple) -> tuple:
-    """``mat2.conjugating_involution`` on 4-tuples: the Lie product divided
-    by the principal root of its determinant, by Python's complex division."""
-    lie = [p - q for p, q in zip(_mul(n, k), _mul(k, n))]
-    det = lie[0] * lie[3] - lie[1] * lie[2]
-    if _modulus(det) <= TOL_ALGEBRAIC:
-        raise ReduciblePairError("pair is reducible (Lie product has zero determinant)")
-    root = principal_sqrt(det)
-    return _sign_normalize(tuple(v / root for v in lie))
-
-
-def _format_complex(v: complex) -> str:
-    """``a+bi`` with 17 significant digits (``mat2.format_complex``)."""
-    re = f"{v.real:.17g}"
-    im = f"{abs(v.imag):.17g}"
-    sign = "+" if v.imag >= 0 else "-"
-    return f"{re}{sign}{im}i"
 
 
 def _entries(m) -> tuple:

@@ -672,6 +672,8 @@ class TestNoTraceback:
         ("fricke", "test", "s04", "--coords=1e400,2,2,2,-3,2,7", "--mode", "exact"),
         ("cover", "map", "embed", "--eval", "x1=nan,x2=2,x12=2"),
         ("construct", "pair", "-inf", "2", "3"),
+        ("fricke", "test", "s03", "--coords=nan,2,2"),
+        ("fricke", "test", "s03", "--coords=inf,2,2"),
     ])
     def test_non_finite_numbers(self, capsys, argv):
         code, out, err = run(capsys, *argv)

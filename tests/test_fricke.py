@@ -146,7 +146,8 @@ class TestCrossSurfaces:
         assert member_c11(1e200, 1e200, 1.5)
         assert member_c11(1e200, 1e200, 2.0)
         assert not member_c11(1e200, 1e200, 2.5)
-        assert not member_c11(float("inf"), 1.0, 1.0)  # non-finite input stays in floats
+        with pytest.raises(ValueError, match="member_c11 needs finite traces, got p = inf"):
+            member_c11(float("inf"), 1.0, 1.0)  # refused at the intake
 
 
 class TestS04:

@@ -5,10 +5,11 @@ quadruple-trace check on them, ``slchar trace-poly``, ``slchar cover
 map`` with and without ``--eval``, ``slchar fn2trace``, ``slchar
 fricke test`` and ``slchar verify identities`` and ``oracle`` in both
 modes, and the number intake ``slchar._intake``) leaves numpy out of
-``sys.modules``, and so do ``import slchar.chars``, ``import
-slchar.hypgeom`` (which leaves ``mat2`` out too), every other ``slchar
-verify`` suite, the deck involution on a character of float 4-tuples and
-the Coxeter extension of a pair of them; ``chars`` and ``hypgeom`` leave
+``sys.modules``, and so do ``import slchar.mat2``, ``import
+slchar.chars``, ``import slchar.hypgeom``, every other ``slchar verify``
+suite, the deck involution on a character of float 4-tuples and the
+Coxeter extension of a pair of them; ``tracepoly``, ``covers`` and
+``fricke`` leave ``mat2`` out, and ``chars`` and ``hypgeom`` leave
 ``fricke`` out.  Each footprint runs in a fresh interpreter."""
 
 import importlib
@@ -62,6 +63,7 @@ def loaded(code: str, module: str = "numpy") -> bool:
     *(f"from slchar.cli import main\nmain(['verify', '{suite}', '--mode', '{mode}'])"
       for suite in ("identities", "oracle") for mode in ("float", "exact")),
     "import slchar._intake",
+    "import slchar.mat2",
     "import slchar.chars",
     "from slchar.cli import main\nmain(['verify', 'covers', '--trials', '5'])",
     "from slchar import chars, covers\n"
@@ -76,19 +78,19 @@ def loaded(code: str, module: str = "numpy") -> bool:
 ], ids=["import", "symbolic-modules", "cli-trace-poly", "cli-cover-map", "cli-cover-eval",
         "fn-to-traces", "cli-fn2trace", "cli-fricke-test-s11", "cli-fricke-test-s04-exact",
         "cli-verify-identities", "cli-verify-identities-exact", "cli-verify-oracle",
-        "cli-verify-oracle-exact", "intake", "chars", "cli-verify-covers", "deck-involution",
+        "cli-verify-oracle-exact", "intake", "mat2", "chars", "cli-verify-covers", "deck-involution",
         "hypgeom", "cli-verify-fricke", "cli-verify-coxeter", "coxeter-extension"])
 def test_symbolic_path_loads_no_numpy(code):
     assert not loaded(code)
 
 
-def test_hypgeom_leaves_mat2_out():
-    assert not loaded("import slchar.hypgeom", "slchar.mat2")
+def test_symbolic_modules_leave_mat2_out():
+    assert not loaded("import slchar.tracepoly, slchar.covers, slchar.fricke", "slchar.mat2")
 
 
 def test_matrix_modules_load_numpy():
-    # the probe sees numpy where it is used
-    assert loaded("import slchar\nslchar.mat2")
+    # the probe sees numpy where an array is built
+    assert loaded("import slchar\nslchar.mat2.I2")
 
 
 @pytest.mark.parametrize("module, loads_fricke", [

@@ -3,14 +3,17 @@
 Every public function that computes on trace coordinates takes its
 arguments in once: exact input stays exact where the function decides it
 exactly, any other input becomes floats, and an exact argument past the
-float range is refused by the function's ``ValueError`` subclass, which
-names it.  The property draws small ints and ``Fraction``s, finite floats
-up to 1e308, ints and ``Fraction``s of 1e300 to 1e420 and ``Fraction``s
-within 1e-300 to 1e-400 of -2 (NaN and infinities are not drawn), and
-calls each entry point: it must return, or raise a ``ValueError``
-subclass, and one about the float range names an argument or the reported
-quantity that left it."""
+float range, NaN and infinities are refused by the function's
+``ValueError`` subclass, which names it.  The property draws small ints
+and ``Fraction``s, floats up to 1e308, NaN and infinities included, ints
+and ``Fraction``s of 1e300 to 1e420 and ``Fraction``s within 1e-300 to
+1e-400 of -2, and calls each entry point: it must return, or raise a
+``ValueError`` subclass, and one about the float range names an argument
+or the reported quantity that left it.  A call with a NaN or an infinity
+must raise, naming an argument that is not finite or past the float
+range; ``fn_to_traces``, whose lengths skip the intake, need only raise."""
 
+import math
 import re
 from fractions import Fraction
 
@@ -67,7 +70,7 @@ def _signed(magnitudes):
 NUMBERS = st.one_of(
     st.integers(-5, 5),
     st.fractions(-10, 10, max_denominator=12),
-    st.floats(-1e308, 1e308),
+    st.floats(allow_nan=True, allow_infinity=True),
     _signed(st.integers(10**300, 10**420)),
     _signed(st.builds(Fraction, st.integers(10**303, 10**420), st.integers(2, 999))),
     # within 1e-300 to 1e-400 of -2, where -2 - x can leave the float range
@@ -90,15 +93,27 @@ def _calls(name):
 @example(("normal_form_pair", [10**400, 3, 3]))
 @example(("construct_triple", [3, Fraction(10**401, 3), 3, 3, 3, 3]))
 @example(("fn_to_traces", [10**400, 0, 0]))
+@example(("member_s11", [math.nan, math.nan, math.nan]))  # each read a verdict before
+@example(("member_s03", [-math.inf, -math.inf, -math.inf]))
+@example(("member_s04", [math.inf, 2, 2, 2, -3, 3, 3]))
+@example(("classify_real_character", [math.nan, 0, 0]))
+@example(("normal_form_pair", [math.nan, 0, 3]))
+@example(("hermitian_invariant_form", [math.nan, 0, 0]))
 def test_every_entry_point_returns_or_names_the_number(call):
     name, args = call
     function, *names = ENTRY_POINTS[name]
+    finite = all(math.isfinite(t) for t in args if isinstance(t, float))
     try:
         function(*args)
     except ValueError as exc:  # GeometryError too
         if "float range" in str(exc):
             words = set(re.findall(r"[\w\[\]]+", str(exc)))
             assert words & set(" ".join(names).split()), exc
+        if not finite and name != "fn_to_traces":
+            named = re.search(r"needs finite traces, got (\w+) (=|past)", str(exc))
+            assert named and named[1] in names[0].split(), exc
+    else:
+        assert finite, args
 
 
 @pytest.mark.parametrize("name", ["classify_real_character", "triple_trace_roots",

@@ -543,7 +543,7 @@ class TestJson:
 
 def _numpy_sign_normalize(m):
     """``sign_normalize`` as it was written on numpy arrays: the reference
-    for the 4-tuple kernel, NaN moduli and overflowing ones included."""
+    for arrays and 4-tuples, NaN moduli and overflowing ones included."""
     with np.errstate(over="ignore"):
         eps = 1e-13 * max(1.0, float(np.abs(m).max()))
         for v in m.reshape(-1):
@@ -584,22 +584,30 @@ def _kernel_matrices():
     return mats
 
 
+def _agree(f, *mats):
+    """f on the arrays ``mats`` and on their 4-tuples gives the same bits,
+    or the same error, and a 4-tuple result is a tuple."""
+    rows = [tracepoly._entries(m) for m in mats]
+    assert _outcome(f, *mats) == _outcome(f, *rows)
+    if not isinstance(_outcome(f, *rows)[0], str):
+        assert type(f(*rows)) is tuple
+
+
 class TestArrayWrappersMatchKernels:
-    """``hat``, ``sign_normalize`` and ``conjugating_involution`` build the
-    array of their 4-tuple kernel in :mod:`slchar.tracepoly`, bit for bit."""
+    """``hat``, ``sign_normalize``, ``conjugating_involution``,
+    ``lie_product`` and ``adjoint`` give an array the bits they give its
+    4-tuple, and a 4-tuple a 4-tuple."""
 
     @pytest.mark.parametrize("m", _kernel_matrices())
     def test_hat(self, m):
-        assert _outcome(hat, m) == _outcome(tracepoly._hat, tracepoly._entries(m))
+        _agree(hat, m)
         if not isinstance(_outcome(hat, m)[0], str):
             assert hat(m).dtype == np.complex128
 
     @pytest.mark.parametrize("m", _kernel_matrices())
     def test_sign_normalize(self, m):
-        got = mat2.sign_normalize(m)
-        assert _outcome(lambda a: a, got) == _outcome(tracepoly._sign_normalize,
-                                                      tracepoly._entries(m))
-        want = _numpy_sign_normalize(m)
+        _agree(mat2.sign_normalize, m)
+        got, want = mat2.sign_normalize(m), _numpy_sign_normalize(m)
         assert got.dtype == m.dtype and _outcome(lambda a: a, got) == _outcome(lambda a: a, want)
 
     def test_sign_normalize_keeps_dtype_and_identity(self):
@@ -607,13 +615,35 @@ class TestArrayWrappersMatchKernels:
                                                         dtype=object)):
             got = mat2.sign_normalize(m)
             assert got.dtype == m.dtype and got.tolist() == (-m).tolist()
+            n = tracepoly._entries(m)
+            assert mat2.sign_normalize(n) == tuple(got.flat)
         m = mat2.mat2(2, 1, 1, 1)
         assert mat2.sign_normalize(m) is m
+        n = tracepoly._entries(m)
+        assert mat2.sign_normalize(n) is n
 
     def test_conjugating_involution(self):
         rnd = random.Random(3801)
         pairs = [(random_unimodular(rnd), random_unimodular(rnd)) for _ in range(30)]
         pairs.append((mat2.mat2(2, 1, 0, 0.5), mat2.mat2(3, 0, 0, 1 / 3)))  # reducible
         for xi, eta in pairs:
-            assert _outcome(conjugating_involution, xi, eta) == _outcome(
-                tracepoly._conjugating_involution, tracepoly._entries(xi), tracepoly._entries(eta))
+            _agree(conjugating_involution, xi, eta)
+
+    def test_lie_product_and_adjoint(self):
+        rnd = random.Random(3802)
+        for xi, eta in [(random_unimodular(rnd), random_unimodular(rnd)) for _ in range(30)]:
+            _agree(lie_product, xi, eta)
+            _agree(mat2.adjoint, xi)
+        for _ in range(30):  # int numerators N, and the Fractions N / d
+            (n, d), (k, e) = random_rational_unimodular(rnd), random_rational_unimodular(rnd)
+            for xi, eta in ((n, k), (tuple(Fraction(v, d) for v in n),
+                                     tuple(Fraction(v, e) for v in k))):
+                arrays = [np.array(m, dtype=object).reshape(2, 2) for m in (xi, eta)]
+                lie, adj = lie_product(xi, eta), mat2.adjoint(xi)
+                assert type(lie) is tuple and lie == tuple(lie_product(*arrays).flat)
+                assert type(adj) is tuple and adj == tuple(mat2.adjoint(arrays[0]).flat)
+                assert all(type(v) is type(xi[0]) for v in lie + adj)
+                ab, ba = (matmul((p[:2], p[2:]), (q[:2], q[2:])) for p, q in ((xi, eta), (eta, xi)))
+                assert lie == tuple(u - v for r, s in zip(ab, ba) for u, v in zip(r, s))
+                det = xi[0] * xi[3] - xi[1] * xi[2]
+                assert tracepoly._mul(xi, adj) == (det, 0, 0, det)
