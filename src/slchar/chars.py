@@ -18,8 +18,8 @@ from numbers import Rational
 
 from ._intake import take, unless_overflowed
 from .polyring import F2_VARS, F3_VARS, sum_product
-from .mat2 import (GeometryError, _modulus, _normal_form, _principal_root, format_complex, mat2,
-                   principal_sqrt)
+from .mat2 import (GeometryError, _modulus, _normal_form, _principal_root, det, format_complex,
+                   mat2, principal_sqrt, trace)
 from .tracepoly import _character, _entries, _mul, _trace_of_product, kappa_value, word_trace
 from .words import Word
 
@@ -157,7 +157,7 @@ def irreducibility_witnesses(xi, eta) -> IrreducibilityReport:
     a, b = _entries(xi), _entries(eta)
     ab = _mul(a, b)
     rows = list(zip(a, b, ab))
-    lie = [p - q for p, q in zip(ab, _mul(b, a))]
+    lie = tuple(p - q for p, q in zip(ab, _mul(b, a)))
 
     def minor(r0, r1, r2):
         return (r0[0] * (r1[1] * r2[2] - r1[2] * r2[1]) - r0[1] * (r1[0] * r2[2] - r1[2] * r2[0])
@@ -166,7 +166,7 @@ def irreducibility_witnesses(xi, eta) -> IrreducibilityReport:
     report = IrreducibilityReport(
         kappa=kappa_value(*c.as_tuple()),
         commutator_trace=word_trace(Word(2, (1, 2, -1, -2)), (xi, eta)),
-        lie_determinant=lie[0] * lie[3] - lie[1] * lie[2],
+        lie_determinant=det(lie),
         basis_determinant=minor(*rows[1:]) - minor(*rows[:3]),
         irreducible=is_irreducible(c),
     )
@@ -297,7 +297,7 @@ def construct_triple(t1, t2, t3, t12, t23, t13, branch: str = "+"):
         m1, m2, m3 = triple
         realized = (m1, m2, m3, _mul(m1, m2), _mul(m2, m3), _mul(m1, m3))
         for name, m, t in zip(("t1", "t2", "t3", "t12", "t23", "t13"), realized, traces):
-            if not abs(m[0] + m[3] - t) <= 1e-6 * (1 + abs(t)):
+            if not abs(trace(m) - t) <= 1e-6 * (1 + abs(t)):
                 raise GeometryError(f"the constructed triple misses the prescribed {name}")
     except OverflowError:  # abs() of a finite complex whose modulus leaves the float range
         raise GeometryError("degenerate branch value") from None
@@ -313,14 +313,14 @@ def _trace_form_solver(t1, t2, f):
     g = 1 / f
     # xi1 xi2 = [[f, h], [0, g]]; the (p, r) system is [[a, h], [c, -a]]
     h, a, c = t1 * g - t2, f - g, f * t1 - t2
-    det = -a * a - h * c
+    system_det = -a * a - h * c
 
     def solve(e3, e13, e23, e123):
         e1, e2 = e123 - e3 * g, e23 + f * e13 - t2 * e3
-        p, r = (-a * e1 - h * e2) / det, (a * e2 - c * e1) / det
+        p, r = (-a * e1 - h * e2) / system_det, (a * e2 - c * e1) / system_det
         return p, e13 - t1 * p + r, r, e3 - p
 
-    return det, solve
+    return system_det, solve
 
 
 def _construct_triple(t1, t2, t3, t12, t23, t13, branch):
@@ -331,8 +331,8 @@ def _construct_triple(t1, t2, t3, t12, t23, t13, branch):
         except GeometryError:  # a trace not finite, or f_Sigma or the discriminant
             raise GeometryError("degenerate branch value") from None
         xi1, xi2 = _normal_form(t1, t2, t12)
-        det, solve = _trace_form_solver(t1, t2, -xi2[2])  # xi2 = [[0, 1/f], [-f, t2]]
-        if det == 0 or not cmath.isfinite(det):
+        system_det, solve = _trace_form_solver(t1, t2, -xi2[2])  # xi2 = [[0, 1/f], [-f, t2]]
+        if system_det == 0 or not cmath.isfinite(system_det):
             raise GeometryError("degenerate branch value")
         traces = (t3, t13, t23, t123)
         xi3 = solve(*traces)

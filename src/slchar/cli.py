@@ -109,12 +109,11 @@ def cmd_eval_word(args) -> int:
         raise mat2.GeometryError(
             f"need {args.rank} matrices, got {len(mats)}"
         )
-    with np.errstate(all="ignore"):  # a product or trace that overflows is refused below
-        result = mat2.evaluate_word(w, mats)
-        tr = mat2.trace(result)
+    result = mat2.evaluate_word(w, mats)  # a product or trace that overflows is refused below
+    tr = mat2.trace(result)
     if not np.isfinite(result).all():
         raise mat2.GeometryError("the word's matrix is not finite")
-    if not np.isfinite(tr):
+    if not cmath.isfinite(tr):
         raise mat2.GeometryError("the word's trace is not finite")
     if args.json:
         _print_json({
@@ -232,14 +231,6 @@ _MODES = {
 }
 
 
-def _tr(n):
-    return n[0] + n[3]
-
-
-def _det(n):
-    return n[0] * n[3] - n[1] * n[2]
-
-
 def _dist(m, k):
     return max(abs(p - q) for p, q in zip(m, k))
 
@@ -249,17 +240,18 @@ def _trial_identities(rnd, mode):
     so it holds for N as for m = N / d, with the commutator row's constant
     2 det(xi) det(eta) scaled by (d_xi d_eta)^2.  The matrices are 4-tuples
     of their rows (float entries, or the ints of N), multiplied by
-    ``tracepoly._mul`` and inverted by ``tracepoly._adjugate``."""
+    ``tracepoly._mul``, inverted by ``tracepoly._adjugate`` and traced by
+    ``mat2.trace``."""
     mul, adj, draw = tracepoly._mul, tracepoly._adjugate, _MODES[mode][0]
     (xi, eta), ds = tracepoly._numerators([draw(rnd), draw(rnd)])
-    t, d, sq = _tr(xi), _det(xi), mul(xi, xi)
+    tr, t, d, sq = mat2.trace, mat2.trace(xi), mat2.det(xi), mul(xi, xi)
     ch = (sq[0] - t * xi[0] + d, sq[1] - t * xi[1], sq[2] - t * xi[2], sq[3] - t * xi[3] + d)
     yield "cayley-hamilton", float(max(map(abs, ch)))
-    yield "basic-identity", abs(_tr(mul(xi, eta)) + _tr(mul(xi, adj(eta))) - t * _tr(eta))
-    yield "trace-of-inverse", abs(t - _tr(adj(xi)))
+    yield "basic-identity", abs(tr(mul(xi, eta)) + tr(mul(xi, adj(eta))) - t * tr(eta))
+    yield "trace-of-inverse", abs(t - tr(adj(xi)))
     lie = tuple(p - q for p, q in zip(mul(xi, eta), mul(eta, xi)))
     scale = 1 if ds is None else math.prod(ds) ** 2
-    comm = _tr(mul(mul(mul(xi, eta), adj(xi)), adj(eta))) + _det(lie) - 2 * scale
+    comm = tr(mul(mul(mul(xi, eta), adj(xi)), adj(eta))) + mat2.det(lie) - 2 * scale
     yield "commutator-vs-lie-det", abs(comm)
 
 

@@ -151,6 +151,7 @@ class FNCoords:
     b: float = 0.0
 
     def __post_init__(self):
+        take(ValueError, "FNCoords", "l tau b", (self.l, self.tau, self.b))
         if not self.l > 0:
             raise ValueError(f"length must be positive, got {self.l}")
         if self.b < 0:

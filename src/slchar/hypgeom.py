@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._intake import take
-from .mat2 import GeometryError, _modulus, conjugating_involution, mat2, sign_normalize
+from .mat2 import GeometryError, _modulus, conjugating_involution, det, mat2, sign_normalize, trace
 from .tracepoly import _adjugate, _entries, _mul, _trace_of_product
 
 __all__ = [
@@ -87,9 +87,9 @@ class DeSitterVec:
                 raise GeometryError("de Sitter vector must be real")
             m = m.real
         m = m.astype(float)
-        if abs(m[0, 0] + m[1, 1]) > tol:
+        if abs(trace(m)) > tol:
             raise GeometryError("de Sitter vector must be traceless")
-        if abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0] + 1) > tol:
+        if abs(det(m) + 1) > tol:
             raise GeometryError("de Sitter vector must have determinant -1")
         self.m = m
 
@@ -184,7 +184,7 @@ def classify_isometry(xi) -> IsometryType:
     n = _entries(xi)
     if any(all(_modulus(v - w) <= 1e-10 for v, w in zip(n, (s, 0, 0, s))) for s in (1, -1)):
         return IsometryType.CENTRAL
-    t = n[0] + n[3]
+    t = trace(n)
     if _modulus(t - 2) <= tol or _modulus(t + 2) <= tol:
         return IsometryType.PARABOLIC
     if _modulus(t) <= tol:
@@ -203,7 +203,6 @@ class BilinearForm3:
 
     def __post_init__(self):
         import numpy as np
-
         b = np.array(self.b)
         if b.shape != (3, 3) or not np.allclose(b, b.T, rtol=0, atol=1e-12):
             raise GeometryError("form matrix must be symmetric 3x3")

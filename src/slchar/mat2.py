@@ -2,19 +2,18 @@
 
 All explicit matrix formulas live here, together with the numeric
 oracle ``evaluate_word`` for trace polynomials.  A matrix is a plain 2x2
-(or 3x3) complex numpy array, or the 4-tuple of the rows of a 2x2 one;
-``hat``, ``sign_normalize``, ``conjugating_involution``, ``lie_product``
-and ``adjoint`` take either and return the kind they are given, so
-``chars``, ``hypgeom`` and ``slchar verify`` compute on 4-tuples.  numpy
-loads only inside the functions that build an array, and ``I2`` on first
-use (PEP 562), so ``import slchar.mat2`` loads none.  Every 2x2 product,
-``evaluate_word``'s included, is ``tracepoly._mul`` on the 4-tuples of
-the rows (``tracepoly._entries``): the textbook product a p + b r for
-complex numbers and ints alike, with no fused multiply-add, so that no
-digit depends on numpy's BLAS.  Tolerances are fixed: ``inverse``
-requires ``|det - 1| <= TOL_CONJUGACY``, and the real-matrix tests of
-``hat`` and ``glide_reflection_sqrt`` allow imaginary parts up to
-``TOL_CONJUGACY``.
+(or 3x3) complex numpy array, or the 4-tuple of the rows of a 2x2 one.
+Every 2x2 function reads either as a 4-tuple (``tracepoly._entries``):
+``trace`` and ``det`` return a plain scalar, ``sym2`` a 3x3 array, and
+the others the kind they are given (``_like``).  numpy loads only where
+an array is built, and ``I2`` on first use (PEP 562), so ``import
+slchar.mat2`` loads none.  Every 2x2 product, ``evaluate_word``'s
+included, is ``tracepoly._mul`` on 4-tuples, the textbook a p + b r
+with no fused multiply-add, and every scaling is Python's, so that no
+digit depends on numpy's BLAS or CPU dispatch.
+Tolerances are fixed: ``inverse`` requires ``|det - 1| <=
+TOL_CONJUGACY``, and the real-matrix tests of ``hat`` and
+``glide_reflection_sqrt`` allow imaginary parts up to ``TOL_CONJUGACY``.
 
 An exact matrix m is a pair (N, d): N the int 4-tuple (a, b, c, e) of
 the rows of d m, and d > 0, so m = N / d; :mod:`slchar.sampling` draws
@@ -107,11 +106,13 @@ def mat2(a, b, c, d):
 
 
 def trace(m):
-    return m[0, 0] + m[1, 1]
+    n = _entries(m)
+    return n[0] + n[3]
 
 
 def det(m):
-    return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    a, b, c, e = _entries(m)
+    return a * e - b * c
 
 
 def _like(n: tuple, *mats):
@@ -141,8 +142,9 @@ def adjoint(m):
 
 def inverse(m):
     """Inverse by the cofactor formula; requires unimodularity."""
-    if not abs(det(m) - 1) <= TOL_CONJUGACY:
-        raise GeometryError(f"matrix is not unimodular: det = {det(m)}")
+    d = det(m)
+    if not _modulus(d - 1) <= TOL_CONJUGACY:
+        raise GeometryError(f"matrix is not unimodular: det = {d}")
     return adjoint(m)
 
 
@@ -229,8 +231,8 @@ def conjugating_involution(xi, eta):
     pair is irreducible (det of the Lie product nonzero).
     """
     n, k = _entries(xi), _entries(eta)
-    lie = [p - q for p, q in zip(_mul(n, k), _mul(k, n))]
-    d = lie[0] * lie[3] - lie[1] * lie[2]
+    lie = tuple(p - q for p, q in zip(_mul(n, k), _mul(k, n)))
+    d = det(lie)
     if _modulus(d) <= TOL_ALGEBRAIC:
         raise ReduciblePairError("pair is reducible (Lie product has zero determinant)")
     root = principal_sqrt(d)
@@ -239,21 +241,24 @@ def conjugating_involution(xi, eta):
 
 
 def traceless_projection(xi):
-    """xi - (tr(xi)/2) I."""
-    return xi - (trace(xi) / 2) * mat2(1, 0, 0, 1)
+    """xi - (tr(xi)/2) I, each entry less the half trace times that of I,
+    so that its zeros keep the signs numpy's complex arithmetic gives."""
+    n = _entries(xi)
+    half = trace(n) / 2
+    return _like(tuple(v - half * u for v, u in zip(n, (1, 0, 0, 1))), xi)
 
 
 def involution_of(xi):
     """The involution commuting with a semisimple xi.
 
-    Normalizes the traceless projection to determinant one; rejects
-    parabolic and central inputs (tr = +-2).
+    Normalizes the traceless projection to determinant one, by Python's
+    complex ``*``; rejects parabolic and central inputs (tr = +-2).
     """
     t = trace(xi)
-    if abs(t * t - 4) <= TOL_CONJUGACY:
+    if _modulus(t * t - 4) <= TOL_CONJUGACY:
         raise NotSemisimpleError(f"parabolic or central input: tr = {t}")
-    h = traceless_projection(xi) * (2 / principal_sqrt(4 - t * t))
-    return sign_normalize(h)
+    s = 2 / principal_sqrt(4 - t * t)
+    return _like(sign_normalize(tuple(v * s for v in traceless_projection(_entries(xi)))), xi)
 
 
 def hat(a):
@@ -285,8 +290,7 @@ def sym2(xi):
     """
     import numpy as np
 
-    a, b = xi[0, 0], xi[0, 1]
-    c, d = xi[1, 0], xi[1, 1]
+    a, b, c, d = _entries(xi)
     return np.array(
         [
             [a * a, a * b, b * b],
@@ -300,16 +304,19 @@ def sym2(xi):
 def glide_reflection_sqrt(xi):
     """The glide reflection g = (xi - I)/sqrt(tr(xi) - 2) with g^2 = xi.
 
-    Defined for real xi with tr(xi) > 2; det g = -1.
+    Defined for real xi with tr(xi) > 2; det g = -1.  Scaled as numpy
+    divides a complex array by a real root s: x + iy goes to
+    (x + 0y)(1/s) + i(y - 0x)(1/s), which fixes the signs of its zeros.
     """
-    import numpy as np
-
-    t = trace(xi)
-    if abs(t.imag) > TOL_CONJUGACY or not np.abs(xi.imag).max() <= TOL_CONJUGACY:
+    n = _entries(xi)
+    t = trace(n)
+    if abs(t.imag) > TOL_CONJUGACY or not all(abs(v.imag) <= TOL_CONJUGACY for v in n):
         raise GeometryError("glide_reflection_sqrt() requires a real matrix")
     if t.real <= 2 + TOL_CONJUGACY:
         raise NotHyperbolicError(f"trace must exceed 2, got {t.real}")
-    return (xi - mat2(1, 0, 0, 1)) / np.sqrt(t.real - 2)
+    r = 1 / math.sqrt(t.real - 2)
+    g = [(v.real + v.imag * 0.0, v.imag - v.real * 0.0) for v in (n[0] - 1, n[1], n[2], n[3] - 1)]
+    return _like(tuple(complex(x * r, y * r) for x, y in g), xi)
 
 
 def format_complex(v: complex) -> str:

@@ -8,10 +8,10 @@ the same way so that det = 1 holds exactly; they are drawn as the pair
 (N, d) of :mod:`slchar.mat2`, m = N / d with N an int 4-tuple, so no
 ``Fraction`` is built.  ``exact_evaluate_word`` takes ``Fraction``
 matrices and is the one place that writes them as (N, d).  Only the
-float draws, complex numpy arrays, and ``exact_evaluate_word`` load
-numpy.  Streams derive deterministically from (seed, trial-index), so
-each trial of ``slchar verify`` draws from its own stream, whatever the
-trials before it drew.  ``identities``,
+float draws, complex numpy arrays built by ``mat2.mat2``, and
+``exact_evaluate_word`` load numpy.  Streams derive deterministically
+from (seed, trial-index), so each trial of ``slchar verify`` draws from
+its own stream, whatever the trials before it drew.  ``identities``,
 ``oracle`` and ``covers`` take float matrices as the 4-tuples of
 ``random_unimodular_entries``, in the format of the exact numerators N.
 """
@@ -56,9 +56,9 @@ def _complex_entry(rnd: random.Random) -> complex:
 
 
 def _as_array(entries):
-    import numpy as np
+    from . import mat2  # here, so that importing sampling leaves mat2 out
 
-    return np.array(entries, dtype=complex).reshape(2, 2)
+    return mat2.mat2(*entries)
 
 
 def random_unimodular_entries(rnd: random.Random) -> tuple[complex, complex, complex, complex]:

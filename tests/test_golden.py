@@ -131,6 +131,17 @@ began naming the trial of its worst residual.  One line moved: the
 ``covers/deck-character-validity`` row of ``verify covers --seed 7``,
 which gained `` trial=52`` after ``FAIL``.
 
+``PREDICATE_DIGEST`` was re-recorded when ``involution_of`` began
+scaling the traceless projection of the 4-tuple of its rows by Python's
+complex ``*`` instead of numpy's, whose vector loops round otherwise on
+CPUs with AVX2 or AVX-512 than numpy's baseline loops.  Only three
+``involution_of`` records moved, in the last digits, each to the digits
+that the earlier source printed with numpy held to its baseline loops
+(``NPY_DISABLE_CPU_FEATURES``): lines 6403, 6415 and 6433 of ``--lines
+PREDICATE_DIGEST``.  Since then no printed digit depends on numpy's
+arithmetic, which ``test_digests_do_not_depend_on_numpys_cpu_dispatch``
+checks.
+
 ``RING_MAP_DIGEST`` pins the ring maps at higher degree than the
 corpus above: the JSON of ``deck(p)`` and ``deck(deck(p))`` for seeded
 rank-3 polynomials of 1-8 terms with exponents 0-2 (so x123 reaches
@@ -169,7 +180,7 @@ from tuple2x2 import from_pair
 EXACT_DIGEST = "624d279a57ec01a51983e3a959ba81f8aad039a844605204c3c7beeea153b3eb"
 SYMBOLIC_DIGEST = "eabbaf72485625ee4c876305d9378c6402533fb4cd4281a5314dfd65666cb755"
 VERIFY_DIGEST = "16a4635292cb20aa67cec7663480b1e4fd1a82c90611af462cf79ed9d3ec3b0e"
-PREDICATE_DIGEST = "52387a3505d4beacb7cc1a8614866f312314b286d19ab112c718aa7dcb42f2fc"
+PREDICATE_DIGEST = "cb594aa387d95d401d0477df28f23d2f5b1857c2c70176a5d3dda7c48032256f"
 EVAL_DIGEST = "36a9d870e865c380a5fe0e459ba49a9bfa40269ad1284634b1896ca3429c95ce"
 TABLE_DIGEST = "76d3f4a554409537ad34d6a52878c0a6c21021103622b4b677a3f10a6fdc0372"
 VERIFY_RUNS_DIGEST = "aa3c32647edc3ceecba50c93c24c3eda80d7e09123d3ba0e0195f60cba163440"
@@ -591,6 +602,29 @@ def test_digests_do_not_depend_on_the_blas_kernel():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     env = dict(os.environ, OPENBLAS_CORETYPE="Prescott", PYTHONPATH=path)
+    out = subprocess.run([sys.executable, os.path.abspath(__file__)], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines() == [f'{name} = "{globals()[name]}"' for name in CORPORA]
+
+
+def _dispatched_cpu_features() -> list[str]:
+    """The CPU features beyond its baseline that numpy dispatches to here."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy before 2.0
+        from numpy.core import _multiarray_umath as umath
+    features = getattr(umath, "__cpu_features__", {})
+    return [f for f in getattr(umath, "__cpu_dispatch__", []) if features.get(f)]
+
+
+@pytest.mark.skipif(not _dispatched_cpu_features(),
+                    reason="numpy dispatches to no CPU feature beyond its baseline here")
+def test_digests_do_not_depend_on_numpys_cpu_dispatch():
+    # numpy's baseline loops only, which round otherwise than its AVX2 and AVX-512 ones
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(_dispatched_cpu_features()),
+               PYTHONPATH=path)
     out = subprocess.run([sys.executable, os.path.abspath(__file__)], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.splitlines() == [f'{name} = "{globals()[name]}"' for name in CORPORA]

@@ -7,10 +7,11 @@ fricke test`` and ``slchar verify identities`` and ``oracle`` in both
 modes, and the number intake ``slchar._intake``) leaves numpy out of
 ``sys.modules``, and so do ``import slchar.mat2``, ``import
 slchar.chars``, ``import slchar.hypgeom``, every other ``slchar verify``
-suite, the deck involution on a character of float 4-tuples and the
-Coxeter extension of a pair of them; ``tracepoly``, ``covers`` and
-``fricke`` leave ``mat2`` out, and ``chars`` and ``hypgeom`` leave
-``fricke`` out.  Each footprint runs in a fresh interpreter."""
+suite, the deck involution on a character of float 4-tuples, the
+Coxeter extension of a pair of them and the 2x2 functions of ``mat2`` on
+4-tuples; ``tracepoly``, ``covers`` and ``fricke`` leave ``mat2`` out,
+and ``chars`` and ``hypgeom`` leave ``fricke`` out.  Each footprint runs
+in a fresh interpreter."""
 
 import importlib
 import inspect
@@ -75,11 +76,18 @@ def loaded(code: str, module: str = "numpy") -> bool:
     "from slchar import hypgeom\n"
     "out = hypgeom.coxeter_extension((2.0, 1.0, 1.0, 1.0), (1.0, 0.5, 2.0, 2.0))\n"
     "assert all(type(i) is tuple and len(i) == 4 for i in out), out",
+    "from slchar import mat2\n"
+    "m = (3.0, 1.0, 2.0, 1.0)\n"
+    "assert (mat2.trace(m), mat2.det(m)) == (4.0, 1.0)\n"
+    "out = [f(m) for f in (mat2.inverse, mat2.traceless_projection, mat2.involution_of,\n"
+    "                      mat2.glide_reflection_sqrt)]\n"
+    "assert all(type(n) is tuple and len(n) == 4 for n in out), out",
 ], ids=["import", "symbolic-modules", "cli-trace-poly", "cli-cover-map", "cli-cover-eval",
         "fn-to-traces", "cli-fn2trace", "cli-fricke-test-s11", "cli-fricke-test-s04-exact",
         "cli-verify-identities", "cli-verify-identities-exact", "cli-verify-oracle",
         "cli-verify-oracle-exact", "intake", "mat2", "chars", "cli-verify-covers", "deck-involution",
-        "hypgeom", "cli-verify-fricke", "cli-verify-coxeter", "coxeter-extension"])
+        "hypgeom", "cli-verify-fricke", "cli-verify-coxeter", "coxeter-extension",
+        "mat2-on-4-tuples"])
 def test_symbolic_path_loads_no_numpy(code):
     assert not loaded(code)
 

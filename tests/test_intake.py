@@ -11,7 +11,7 @@ and ``Fraction``s of 1e300 to 1e420 and ``Fraction``s within 1e-300 to
 ``ValueError`` subclass, and one about the float range names an argument
 or the reported quantity that left it.  A call with a NaN or an infinity
 must raise, naming an argument that is not finite or past the float
-range; ``fn_to_traces``, whose lengths skip the intake, need only raise."""
+range."""
 
 import math
 import re
@@ -109,7 +109,7 @@ def test_every_entry_point_returns_or_names_the_number(call):
         if "float range" in str(exc):
             words = set(re.findall(r"[\w\[\]]+", str(exc)))
             assert words & set(" ".join(names).split()), exc
-        if not finite and name != "fn_to_traces":
+        if not finite:
             named = re.search(r"needs finite traces, got (\w+) (=|past)", str(exc))
             assert named and named[1] in names[0].split(), exc
     else:

@@ -554,20 +554,67 @@ def _numpy_sign_normalize(m):
     return m
 
 
+def _numpy_det(m):
+    return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+
+
+def _numpy_inverse(m):
+    if not abs(_numpy_det(m) - 1) <= mat2.TOL_CONJUGACY:
+        raise GeometryError(f"matrix is not unimodular: det = {_numpy_det(m)}")
+    return mat2.adjoint(m)
+
+
+def _numpy_traceless_projection(m):
+    return m - ((m[0, 0] + m[1, 1]) / 2) * np.eye(2, dtype=complex)
+
+
+def _numpy_involution_of(m):
+    t = m[0, 0] + m[1, 1]
+    if abs(t * t - 4) <= mat2.TOL_CONJUGACY:
+        raise NotSemisimpleError(f"parabolic or central input: tr = {t}")
+    return _numpy_sign_normalize(_numpy_traceless_projection(m) * (2 / mat2.principal_sqrt(4 - t * t)))
+
+
+def _numpy_glide_reflection_sqrt(m):
+    t = m[0, 0] + m[1, 1]
+    if abs(t.imag) > mat2.TOL_CONJUGACY or not np.abs(m.imag).max() <= mat2.TOL_CONJUGACY:
+        raise GeometryError("glide_reflection_sqrt() requires a real matrix")
+    if t.real <= 2 + mat2.TOL_CONJUGACY:
+        raise NotHyperbolicError(f"trace must exceed 2, got {t.real}")
+    return (m - np.eye(2, dtype=complex)) / np.sqrt(t.real - 2)
+
+
+def _numpy_sym2(m):
+    (a, b), (c, d) = m
+    return np.array([[a * a, a * b, b * b], [2 * a * c, a * d + b * c, 2 * b * d],
+                     [c * c, c * d, d * d]], dtype=complex)
+
+
+#: The one-matrix functions as they were written on numpy arrays: the
+#: reference, signed zeros and NaNs included, for arrays and 4-tuples.
+_NUMPY_ONE_MATRIX = {
+    mat2.trace: lambda m: m[0, 0] + m[1, 1], mat2.det: _numpy_det, mat2.inverse: _numpy_inverse,
+    traceless_projection: _numpy_traceless_projection, involution_of: _numpy_involution_of,
+    glide_reflection_sqrt: _numpy_glide_reflection_sqrt, sym2: _numpy_sym2,
+}
+
+
 def _outcome(f, *args):
-    """The bits of each entry of f(*args), or the error it raises."""
+    """The bits of each entry of f(*args), or of the scalar it returns, or
+    the error it raises."""
     try:
         out = f(*args)
     except GeometryError as exc:
         return type(exc).__name__, str(exc)
-    return [_bits(v) for v in tracepoly._entries(out)]
+    entries = tracepoly._entries(out)
+    return [_bits(v) for v in (entries if isinstance(entries, tuple) else (entries,))]
 
 
 def _kernel_matrices():
     """Seeded arrays and the inputs the golden predicate corpus feeds
     ``hat`` and ``sign_normalize``: near-zero first entries, imaginary
-    parts at and past the realness tolerance, NaN and moduli past the
-    float range."""
+    parts at and past the realness tolerance, NaN, moduli past the float
+    range, and signed zeros."""
     rnd = random.Random(38)
     mats = [I2, -I2, mat2.mat2(1, 1, 0, 1), mat2.mat2(0, -1, 1, 0), mat2.mat2(2, 1, 1, 1),
             mat2.mat2(1 + 1e-10, 0, 0, 1 / (1 + 1e-10)), mat2.mat2(1, 2, 3, 4)]
@@ -581,22 +628,26 @@ def _kernel_matrices():
     mats += [mat2.mat2(np.nan, -1, 1, 0), mat2.mat2(-5e-13, np.nan, 10, 0),
              mat2.mat2(0, 1e-14, complex(np.nan, 1), -1),
              mat2.mat2(complex(1e308, 1e308), -1, 0, 1), mat2.mat2(-1e-300, 1e308, 1, 0)]
+    mats += [mat2.mat2(3, -0.0, 1, 1), mat2.mat2(-3, -0.0, complex(0.0, -0.0), -1),
+             mat2.mat2(complex(-0.0, -1), complex(-0.0, -0.0), 0.0, complex(-0.0, -1)),
+             mat2.mat2(-0.0, 1, -1, complex(-0.0, -0.0))]
     return mats
 
 
 def _agree(f, *mats):
     """f on the arrays ``mats`` and on their 4-tuples gives the same bits,
-    or the same error, and a 4-tuple result is a tuple."""
+    or the same error; where the arrays give a 2x2 array the 4-tuples give
+    a tuple, and otherwise what the arrays give (a 3x3 array, a scalar)."""
     rows = [tracepoly._entries(m) for m in mats]
     assert _outcome(f, *mats) == _outcome(f, *rows)
     if not isinstance(_outcome(f, *rows)[0], str):
-        assert type(f(*rows)) is tuple
+        want = f(*mats)
+        assert type(f(*rows)) is (tuple if getattr(want, "shape", None) == (2, 2) else type(want))
 
 
 class TestArrayWrappersMatchKernels:
-    """``hat``, ``sign_normalize``, ``conjugating_involution``,
-    ``lie_product`` and ``adjoint`` give an array the bits they give its
-    4-tuple, and a 4-tuple a 4-tuple."""
+    """Every 2x2 function of ``mat2`` gives an array the bits it gives its
+    4-tuple, and a 4-tuple a 4-tuple where an array gives a 2x2 array."""
 
     @pytest.mark.parametrize("m", _kernel_matrices())
     def test_hat(self, m):
@@ -628,6 +679,37 @@ class TestArrayWrappersMatchKernels:
         pairs.append((mat2.mat2(2, 1, 0, 0.5), mat2.mat2(3, 0, 0, 1 / 3)))  # reducible
         for xi, eta in pairs:
             _agree(conjugating_involution, xi, eta)
+
+    @pytest.mark.parametrize("f", [mat2.trace, mat2.det, mat2.inverse, traceless_projection,
+                                   involution_of, glide_reflection_sqrt, sym2])
+    def test_one_matrix_functions(self, f):
+        for m in _kernel_matrices():
+            _agree(f, m)
+            if f in (mat2.trace, mat2.det):  # a plain scalar, not numpy's
+                assert type(f(m)) is complex
+            with np.errstate(all="ignore"):
+                got, want = _outcome(f, m), _outcome(_NUMPY_ONE_MATRIX[f], m)
+                if f is not involution_of or isinstance(want[0], str):
+                    assert got == want, m
+                    continue
+                # numpy's complex product may fuse a multiply-add, by CPU
+                new, old = f(m).ravel(), _NUMPY_ONE_MATRIX[f](m).ravel()
+            assert (np.isnan(new) == np.isnan(old)).all(), m
+            ok = ~np.isnan(old)
+            assert np.abs(new - old)[ok].max(initial=0) <= 4e-16 * np.abs(old[ok]).max(initial=0)
+
+    def test_one_matrix_functions_on_exact_4_tuples(self):
+        rnd = random.Random(4101)
+        for _ in range(30):
+            n, d = random_rational_unimodular(rnd)
+            m = tuple(Fraction(v, d) for v in n)
+            array = np.array(m, dtype=object).reshape(2, 2)
+            assert mat2.trace(m) == mat2.trace(array) == m[0] + m[3]
+            assert mat2.det(m) == mat2.det(array) == 1
+            for f in (mat2.inverse, traceless_projection):
+                got = f(m)
+                assert type(got) is tuple and got == tuple(f(array).flat)
+                assert all(type(v) is Fraction for v in got)
 
     def test_lie_product_and_adjoint(self):
         rnd = random.Random(3802)
