@@ -20,11 +20,12 @@ a basis element times a generator X_g into increasing products:
 
 and an inverse letter is X_g^-1 = x_g - X_g.  So right multiplication
 by a letter is a fixed table with polynomial entries, built once per
-rank.  A word w = u v of n letters, v its last min(n // 2, 8), is two
-passes of right multiplications from 1, which write u = sum c_b X_b and
-v = sum d_c X_c in the basis.  The trace form (A, B) -> tr(AB) is
-bilinear, so tr(w) = sum c_b d_c tr(X_b X_c); tr(X_b X_c) is X_b times
-c's letters, then tr 1 = 2 and tr X_I = x_I, kept one pair at a time.
+rank.  A word w = u v of n letters, v its last min(2n // 5, 8) letters
+(min(n // 3, 8) at rank 3), is two passes of right multiplications from
+1, which write u = sum c_b X_b and v = sum d_c X_c in the basis.  The
+trace form (A, B) -> tr(AB) is bilinear, so tr(w) = sum c_b d_c
+tr(X_b X_c); tr(X_b X_c) is X_b times c's letters, then tr 1 = 2 and
+tr X_I = x_I, kept one pair at a time.
 The last letters of one pass cost the most, each a pass over the
 largest coefficients; the pairing multiplies each c_b once, by the small
 f_b = sum_c d_c tr(X_b X_c), and the cap on v keeps f_b small.  No
@@ -38,9 +39,13 @@ m + slot * ``VariableSet._limit``: the slot sits in the bits above the
 monomial fields, which no product of degree below 2**WIDTH reaches.  The
 table becomes rows: per slot, the (key delta, coefficient) pairs of X_b
 times the letters, so that a step is one loop, out[key + delta] += k * c
-(``_step``).  A pass steps by the rows of two letters at once, the merged
-product of the two letters' rows: at rank 2 such a row has 3.4 terms
-against 4.25 for two steps, and a pass rebuilds its dict half as often.
+(``_step``).  A pass steps by the rows of four letters at once, two at
+rank 3, the merged product of their letters' rows, and rebuilds its dict
+once per row: at rank 2 a row of four letters has 7.6 pairs per slot,
+against 3.4 for two letters and 2.1 for one, and all 160 rows of one to
+four letters take about 0.35 MB.  Rank 3 keeps rows of two letters, 5.0
+pairs against 3.0 for one: its rows of three and four letters would take
+about 10 MB.
 The join is two more steps of the same loop: f_b by the rows of
 tr(X_b X_c) over v's keys, and then sum c_b f_b by the f_b as rows over
 u's keys.  Rows and pairings depend on the rank and the letters only,
@@ -234,13 +239,15 @@ def _pairing_rows(rank: int) -> tuple:
 
 
 def _pass(rank: int, letters: tuple[int, ...]) -> dict:
-    """The flat expansion of the product of ``letters``: one step per two
-    letters, after the first letter's row from 1 if they are odd."""
+    """The flat expansion of the product of ``letters``: one step per four
+    letters, two at rank 3, after one row from 1 for the letters left over
+    at the front."""
     shift = _shift(rank)
-    odd = len(letters) % 2
-    element = dict(_rows(rank, letters[:1])[0]) if odd else {0: 1}  # slot 0 keys are deltas
-    for i in range(odd, len(letters), 2):
-        element = _step(element, _rows(rank, letters[i:i + 2]), shift)
+    width = 2 if rank == 3 else 4
+    head = len(letters) % width
+    element = dict(_rows(rank, letters[:head])[0]) if head else {0: 1}  # slot 0 keys are deltas
+    for i in range(head, len(letters), width):
+        element = _step(element, _rows(rank, letters[i:i + width]), shift)
     return element
 
 
@@ -254,13 +261,14 @@ def _trace(rank: int, letters: tuple[int, ...]) -> Polynomial:
     if len(letters) >> WIDTH:
         raise OverflowError(f"a word of {len(letters)} letters overflows {WIDTH}-bit exponents")
     shift = _shift(rank)
-    # v is at most 8 letters: on the 1,296 trace_cold words of seeds 1-3 this
-    # takes the multiply-adds from 1.89M for one pass to 1.10M, while a
-    # midpoint split takes more than one pass at rank 2 from 48 letters (3.1x
-    # at 96) and 1.4x the capped split at rank 3 with 36; the fewest
-    # multiply-adds come at a v of 4-16 letters at lengths 24-96, and a v of
-    # 8 comes within 11% of them.
-    cut = len(letters) - min(len(letters) // 2, 8)
+    # v is the last 2n // 5 letters, n // 3 at rank 3, and at most 8: the
+    # multiply-adds of the passes and the join are least near n / 3 at both
+    # ranks, and timings near 2n / 5 at rank 2.  On the 72 seeded words of
+    # ``tests/test_tracepoly.py`` this takes them from 92,355 for one pass
+    # to 55,674 (59,686 for min(n // 2, 8) and two-letter rows); at 40-96
+    # rank-2 letters v = 8 comes within 8% of the least count, and an
+    # uncapped 2n // 5 takes 1.4x it at 48 letters and 3.2x at 96.
+    cut = len(letters) - min(2 * len(letters) // (6 if rank == 3 else 5), 8)
     if cut == len(letters):
         rows = _trace_rows(rank)
     else:  # f_b = sum_c d_c tr(X_b X_c), as rows over b's flat keys

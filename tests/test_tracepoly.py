@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -165,6 +166,58 @@ def _one_pass(rank, letters):
     return Polynomial._trusted(tracepoly._VARSETS[rank], terms)
 
 
+#: Letters per row of a pass, by rank, as ``tracepoly._pass`` steps.
+_ROW_WIDTH = {1: 4, 2: 4, 3: 2}
+
+
+def _reduced_tuples(rank, width):
+    """The freely reduced letter tuples of 1 to ``width`` letters."""
+    alphabet = [g for k in range(1, rank + 1) for g in (k, -k)]
+    return [t for n in range(1, width + 1) for t in itertools.product(alphabet, repeat=n)
+            if all(g != -h for g, h in zip(t, t[1:]))]
+
+
+def _cyclic_words(seed, strata, count):
+    """``count`` cyclically reduced words per (rank, length) stratum."""
+    rnd = random.Random(seed)
+    words = []
+    for rank, length in strata:
+        for _ in range(count):
+            w = _exact_length_word(rnd, rank, length)
+            while w.letters[0] == -w.letters[-1]:
+                w = _exact_length_word(rnd, rank, length)
+            words.append(w)
+    return words
+
+
+#: The shapes of ``perfbench``'s trace_cold words from a seed of their own.
+_COUNTED_WORDS = _cyclic_words("multiply-adds", [(2, n) for n in range(12, 25)]
+                               + [(3, n) for n in range(8, 13)], 4)
+#: The multiply-adds of tracing ``_COUNTED_WORDS`` (``_multiply_adds``).
+MULTIPLY_ADDS = 55_674
+
+
+def _multiply_adds(words):
+    """The multiply-adds of ``tracepoly._step`` in tracing ``words`` with
+    the memo cleared, once their rows are built: the engine's work, counted
+    by a wrapper around its one multiply-add loop."""
+    for w in words:
+        trace_poly(w)
+    tracepoly.clear_cache()
+    count, step = 0, tracepoly._step
+
+    def counting(element, rows, shift):
+        nonlocal count
+        count += sum(len(rows[key >> shift]) for key in element)
+        return step(element, rows, shift)
+
+    with mock.patch.object(tracepoly, "_step", counting):
+        for w in words:
+            trace_poly(w)
+    tracepoly.clear_cache()
+    return count
+
+
 class TestEngine:
     """The right-multiplication table and the pass built on it."""
 
@@ -223,34 +276,49 @@ class TestEngine:
 
     @pytest.mark.parametrize("rank", [1, 2, 3])
     def test_split_shapes_equal_one_pass(self, rank):
-        # the split is empty below two letters and at its cap of 8 from 16 on;
-        # lengths 0-7 give u and v each an odd and an even length, so that a
-        # pass starts with one letter's row or not
+        # the split is empty below three letters and at its cap of 8 from 20
+        # letters on (24 at rank 3); lengths 0-25 give u and v every residue
+        # modulo the row width (four letters, two at rank 3), so that a pass
+        # starts with a row of 1, 2 or 3 letters or with none, on both sides
+        # of the cap
         rnd = random.Random(rank)
-        for length in (0, 1, 2, 3, 4, 5, 6, 7, 15, 16, 17):
+        for length in range(26):
             for _ in range(3):
                 letters = _exact_length_word(rnd, rank, length).letters
                 assert tracepoly._trace(rank, letters) == _one_pass(rank, letters), letters
 
     @pytest.mark.parametrize("rank", [1, 2, 3])
-    def test_two_letter_rows_are_two_steps(self, rank):
-        # every row of a letter pair, from every slot, is the first letter's
-        # step and then the second's, which are in turn the table's products
+    def test_rows_are_steps_of_their_letters(self, rank):
+        # every row of reduced letters the engine steps by, from every slot,
+        # is the first letter's step and then each next letter's, which are
+        # in turn the table's products
         shift = tracepoly._shift(rank)
         basis = tracepoly._BASIS[rank]
         table = tracepoly._table(rank)
-        alphabet = [g for k in range(1, rank + 1) for g in (k, -k)]
-        for g, h in itertools.product(alphabet, alphabet):
-            pair = tracepoly._rows(rank, (g, h))
-            assert len(pair) == len(basis)
+        for letters in _reduced_tuples(rank, _ROW_WIDTH[rank]):
+            rows = tracepoly._rows(rank, letters)
+            assert len(rows) == len(basis)
             for slot, b in enumerate(basis):
-                unit = {slot << shift: 1}
-                steps = tracepoly._step(tracepoly._step(unit, tracepoly._rows(rank, (g,)), shift),
-                                        tracepoly._rows(rank, (h,)), shift)
-                assert dict(pair[slot]) == {key - (slot << shift): c for key, c in steps.items()}
-                nested = _times_letter(table, _times_letter(table, {b: {0: 1}}, g), h)
+                steps, nested = {slot << shift: 1}, {b: {0: 1}}
+                for g in letters:
+                    steps = tracepoly._step(steps, tracepoly._rows(rank, (g,)), shift)
+                    nested = _times_letter(table, nested, g)
+                assert dict(rows[slot]) == {key - (slot << shift): c for key, c in steps.items()}
                 assert steps == {(basis.index(b2) << shift) + m: c
                                  for b2, terms in nested.items() for m, c in terms.items()}
+
+    def test_counted_work_and_bounded_rows(self):
+        # the engine's multiply-adds on a seeded word set stay at most the
+        # count recorded for its split and row widths (min(n // 2, 8) and
+        # two-letter rows took 59,686); the rows built for the set are at
+        # most one per reduced letter tuple a pass can ask for or basis
+        # product a pairing multiplies by, which bounds their memory
+        tracepoly._rows.cache_clear()
+        tracepoly._pairing_rows.cache_clear()
+        assert _multiply_adds(_COUNTED_WORDS) <= MULTIPLY_ADDS
+        built = {(rank, t) for rank in (2, 3)
+                 for t in (*_reduced_tuples(rank, _ROW_WIDTH[rank]), *tracepoly._BASIS[rank][1:])}
+        assert tracepoly._rows.cache_info().currsize <= len(built)
 
     @pytest.mark.parametrize("rank, length", [(2, 40), (3, 16), (2, 64), (3, 24)])
     def test_long_words_exact(self, rank, length):
@@ -719,3 +787,8 @@ class TestStackedKernels:
                 for mats in (list(stack[0]), stack[0], draws[0], exact):
                     with pytest.raises(ValueError, match=f"at {count} matrices"):
                         f(mats)
+
+
+if __name__ == "__main__":
+    print(f"Trace engine: {_multiply_adds(_COUNTED_WORDS) / len(_COUNTED_WORDS):.1f} "
+          f"multiply-adds per word over {len(_COUNTED_WORDS)} seeded words")
