@@ -12,8 +12,9 @@ examples and then spot-checks the engine against random matrices.
 import random
 
 from slchar import mat2, parse_word, trace_poly
+from slchar.mat2 import evaluate_at_character
 from slchar.sampling import random_reduced_word, random_unimodular
-from slchar.tracepoly import evaluate_at_character, kappa
+from slchar.tracepoly import kappa
 
 print("Classical rank-2 trace polynomials")
 print("-" * 50)

@@ -18,9 +18,10 @@ from numbers import Rational
 
 from ._intake import take, unless_overflowed
 from .polyring import F2_VARS, F3_VARS, sum_product
-from .mat2 import (GeometryError, _modulus, _normal_form, _principal_root, det, format_complex,
-                   mat2, principal_sqrt, trace)
-from .tracepoly import _character, _entries, _mul, _trace_of_product, kappa_value, word_trace
+from .mat2 import (GeometryError, _character, _entries, _modulus, _mul, _normal_form,
+                   _principal_root, _trace_of_product, det, format_complex, lie_product, mat2,
+                   principal_sqrt, trace, word_trace)
+from .tracepoly import kappa_value
 from .words import Word
 
 __all__ = [
@@ -155,9 +156,7 @@ def irreducibility_witnesses(xi, eta) -> IrreducibilityReport:
     """
     c = character_of_pair(xi, eta)
     a, b = _entries(xi), _entries(eta)
-    ab = _mul(a, b)
-    rows = list(zip(a, b, ab))
-    lie = tuple(p - q for p, q in zip(ab, _mul(b, a)))
+    rows = list(zip(a, b, _mul(a, b)))
 
     def minor(r0, r1, r2):
         return (r0[0] * (r1[1] * r2[2] - r1[2] * r2[1]) - r0[1] * (r1[0] * r2[2] - r1[2] * r2[0])
@@ -166,7 +165,7 @@ def irreducibility_witnesses(xi, eta) -> IrreducibilityReport:
     report = IrreducibilityReport(
         kappa=kappa_value(*c.as_tuple()),
         commutator_trace=word_trace(Word(2, (1, 2, -1, -2)), (xi, eta)),
-        lie_determinant=det(lie),
+        lie_determinant=det(lie_product(a, b)),
         basis_determinant=minor(*rows[1:]) - minor(*rows[:3]),
         irreducible=is_irreducible(c),
     )

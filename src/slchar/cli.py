@@ -14,8 +14,8 @@ residual (a NaN, once yielded, is the row's and fails it), rows print in
 first-yield order, and a FAIL row whose worst residual came from trial k
 ends in ``trial=k``, which ``--trials k+1`` reruns.  Matrices are
 4-tuples of their rows (float entries, or the pairs (N, d) of
-:mod:`slchar.mat2`), multiplied by ``tracepoly._mul``; ``fricke``,
-``covers`` and ``coxeter`` take square roots and have no exact mode.
+:mod:`slchar.mat2`); ``fricke``, ``covers`` and ``coxeter`` take square
+roots and have no exact mode.
 
 ``chars`` and ``hypgeom`` load inside the commands and suites that use
 them, and numpy only inside ``eval-word`` and ``construct``, whose
@@ -239,19 +239,17 @@ def _trial_identities(rnd, mode):
     """Each identity written with adjugates is homogeneous in the matrices,
     so it holds for N as for m = N / d, with the commutator row's constant
     2 det(xi) det(eta) scaled by (d_xi d_eta)^2.  The matrices are 4-tuples
-    of their rows (float entries, or the ints of N), multiplied by
-    ``tracepoly._mul``, inverted by ``tracepoly._adjugate`` and traced by
-    ``mat2.trace``."""
-    mul, adj, draw = tracepoly._mul, tracepoly._adjugate, _MODES[mode][0]
-    (xi, eta), ds = tracepoly._numerators([draw(rnd), draw(rnd)])
+    of their rows (float entries, or the ints of N)."""
+    mul, adj, draw = mat2._mul, mat2._adjugate, _MODES[mode][0]
+    (xi, eta), ds = mat2._numerators([draw(rnd), draw(rnd)])
     tr, t, d, sq = mat2.trace, mat2.trace(xi), mat2.det(xi), mul(xi, xi)
     ch = (sq[0] - t * xi[0] + d, sq[1] - t * xi[1], sq[2] - t * xi[2], sq[3] - t * xi[3] + d)
     yield "cayley-hamilton", float(max(map(abs, ch)))
     yield "basic-identity", abs(tr(mul(xi, eta)) + tr(mul(xi, adj(eta))) - t * tr(eta))
     yield "trace-of-inverse", abs(t - tr(adj(xi)))
-    lie = tuple(p - q for p, q in zip(mul(xi, eta), mul(eta, xi)))
     scale = 1 if ds is None else math.prod(ds) ** 2
-    comm = tr(mul(mul(mul(xi, eta), adj(xi)), adj(eta))) + mat2.det(lie) - 2 * scale
+    comm = (tr(mul(mul(mul(xi, eta), adj(xi)), adj(eta))) + mat2.det(mat2.lie_product(xi, eta))
+            - 2 * scale)
     yield "commutator-vs-lie-det", abs(comm)
 
 
@@ -263,9 +261,8 @@ def _trial_oracle(rnd, mode):
                                           ("rank3-words", tracepoly.trace_poly_f3, 3, len3)):
         w = sampling.random_reduced_word(rnd, rank, length)
         m = [draw(rnd) for _ in range(rank)]
-        yield row, residual(tracepoly.evaluate_at_character(trace_poly(w), m),
-                            tracepoly.word_trace(w, m))
-    yield "quadruple-trace", tracepoly.quadruple_trace_check([draw(rnd) for _ in range(4)])
+        yield row, residual(mat2.evaluate_at_character(trace_poly(w), m), mat2.word_trace(w, m))
+    yield "quadruple-trace", mat2.quadruple_trace_check([draw(rnd) for _ in range(4)])
 
 
 def _trial_fricke(rnd, mode):
@@ -279,7 +276,7 @@ def _trial_fricke(rnd, mode):
         yield "hexagon-inner-products", 1.0
     # the closed form against the hats of a real pair with these traces
     X, Y = mat2._normal_form(complex(x), complex(y), complex(z))
-    Z = tracepoly._adjugate(tracepoly._mul(X, Y))  # (XY)^-1
+    Z = mat2._adjugate(mat2._mul(X, Y))  # (XY)^-1
     hx, hy, hz = map(mat2.hat, (X, Y, Z))
     for pair, (h1, h2) in zip(cert.pairs, ((hx, hy), (hy, hz), (hz, hx))):
         yield "hexagon-inner-products", abs(pair.inner - hypgeom.minkowski_inner(h1, h2))
@@ -298,12 +295,12 @@ def _trial_coxeter(rnd, mode):
     """Nothing for a pair within 1e-3 of kappa = 2, which has no extension."""
     from . import chars, hypgeom
 
-    mul = tracepoly._mul
+    mul = mat2._mul
     xi, eta = (sampling.random_unimodular_entries(rnd) for _ in range(2))
     if abs(chars.character_of_pair(xi, eta).kappa() - 2) < 1e-3:
         return
     i_xy, i_yz, i_zx = hypgeom.coxeter_extension(xi, eta)
-    zeta = tracepoly._adjugate(mul(xi, eta))
+    zeta = mat2._adjugate(mul(xi, eta))
     for inv in (i_xy, i_yz, i_zx):
         yield "involution-factorization", _dist(mul(inv, inv), (-1, 0, 0, -1))
     for p, q, target in ((i_zx, i_xy, xi), (i_xy, i_yz, eta), (i_yz, i_zx, zeta)):

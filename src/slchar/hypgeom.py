@@ -9,8 +9,7 @@ right-hexagon certificate behind the three-holed-sphere Fricke test.
 The certificate reads the three inner products of its axes off the
 traces in closed form and builds no matrix; the normal form of a pair
 gives a real pair with the same traces, from which the same numbers
-follow through ``mat2.hat`` and ``minkowski_inner``.  A 2x2 product here
-is ``tracepoly._mul``, numpy's ``@`` a 3x3 one.  Only the functions
+follow through ``mat2.hat`` and ``minkowski_inner``.  Only the functions
 whose results are arrays, and ``SYM2_FORM`` (PEP 562), load numpy; the
 others compute on 4-tuples of rows.
 """
@@ -23,8 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._intake import take
-from .mat2 import GeometryError, _modulus, conjugating_involution, det, mat2, sign_normalize, trace
-from .tracepoly import _adjugate, _entries, _mul, _trace_of_product
+from .mat2 import (GeometryError, _adjugate, _entries, _modulus, _mul, _trace_of_product,
+                   conjugating_involution, det, mat2, sign_normalize, trace)
 
 __all__ = [
     "PointH2",

@@ -1,28 +1,30 @@
-"""Complex 2x2 (and 3x3) matrix kernel.
+"""Complex 2x2 (and 3x3) matrix kernel and the trace oracle.
 
-All explicit matrix formulas live here, together with the numeric
-oracle ``evaluate_word`` for trace polynomials.  A matrix is a plain 2x2
-(or 3x3) complex numpy array, or the 4-tuple of the rows of a 2x2 one.
-Every 2x2 function reads either as a 4-tuple (``tracepoly._entries``):
-``trace`` and ``det`` return a plain scalar, ``sym2`` a 3x3 array, and
-the others the kind they are given (``_like``).  numpy loads only where
-an array is built, and ``I2`` on first use (PEP 562), so ``import
-slchar.mat2`` loads none.  Every 2x2 product, ``evaluate_word``'s
-included, is ``tracepoly._mul`` on 4-tuples, the textbook a p + b r
-with no fused multiply-add, and every scaling is Python's, so that no
-digit depends on numpy's BLAS or CPU dispatch.
+All explicit matrix formulas live here, together with the oracles for
+trace polynomials: ``word_trace`` and ``evaluate_word`` multiply a word
+out, and ``evaluate_at_character`` evaluates at the traces of
+``tracepoly.COORDINATES``.  A matrix is a 2x2 (or 3x3) complex numpy
+array, or the 4-tuple of the rows of a 2x2 one.  Every 2x2 function
+reads either as a 4-tuple (``_entries``): ``trace`` and ``det`` return a
+plain scalar, ``sym2`` a 3x3 array, and the others the kind they are
+given (``_like``).  numpy loads only where an array is built, and ``I2``
+on first use (PEP 562), so ``import slchar.mat2`` loads none.  Every 2x2
+product is ``_mul`` on 4-tuples, the textbook a p + b r with no fused
+multiply-add, and every scaling is Python's, so that no digit depends on
+numpy's BLAS or CPU dispatch.
 Tolerances are fixed: ``inverse`` requires ``|det - 1| <=
 TOL_CONJUGACY``, and the real-matrix tests of ``hat`` and
 ``glide_reflection_sqrt`` allow imaginary parts up to ``TOL_CONJUGACY``.
 
 An exact matrix m is a pair (N, d): N the int 4-tuple (a, b, c, e) of
 the rows of d m, and d > 0, so m = N / d; :mod:`slchar.sampling` draws
-them.  ``evaluate_word`` multiplies the Ns as plain ints when every
-letter is such a pair and forms ``Fraction``s once, from the product and
-the product of the d's; the result is an object array of ``Fraction``,
-on which ``trace``, ``det``, ``adjoint`` and ``lie_product`` compute
-exactly and keep the object dtype.  ``evaluate_word`` takes a numpy
-array as numeric (integer dtypes too) and gives a complex128 product.
+them.  The oracles take one trial, a tuple of matrices, at a time, and
+split float from exact in ``_numerators`` only: exact pairs multiply
+their Ns as plain ints and form ``Fraction``s once, from the result and
+the product of the d's.  So ``evaluate_word`` gives an object array of
+``Fraction``, on which ``trace``, ``det``, ``adjoint`` and
+``lie_product`` compute exactly, or for numpy arrays (integer dtypes
+too) a complex128 product.
 
 Sign conventions: several formulas only determine a matrix up to a
 global sign (the underlying statements are projective).  ``sign_normalize`` picks
@@ -34,11 +36,13 @@ outputs reproducible.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from fractions import Fraction
 
 from ._intake import take
-from .tracepoly import _adjugate, _entries, _mul, _word_product
+from .polyring import Polynomial, VariableSet
+from .tracepoly import _VARSETS, COORDINATES, F4_VARS, _quadruple_poly
 from .words import Word
 
 __all__ = [
@@ -53,6 +57,10 @@ __all__ = [
     "adjoint",
     "inverse",
     "evaluate_word",
+    "word_trace",
+    "coordinate_traces",
+    "evaluate_at_character",
+    "quadruple_trace_check",
     "lie_product",
     "normal_form_pair",
     "conjugating_involution",
@@ -105,6 +113,29 @@ def mat2(a, b, c, d):
     return np.array([[a, b], [c, d]], dtype=complex)
 
 
+def _entries(m) -> tuple:
+    """A numpy matrix as the 4-tuple of its rows; a tuple as it is."""
+    return tuple(m.ravel().tolist()) if hasattr(m, "ravel") else m
+
+
+def _mul(n: tuple, k: tuple) -> tuple:
+    """The product of two 2x2 matrices given as 4-tuples of their rows."""
+    a, b, c, e = n
+    p, q, r, s = k
+    return (a * p + b * r, a * q + b * s, c * p + e * r, c * q + e * s)
+
+
+def _adjugate(n: tuple) -> tuple:
+    """The adjugate of a 2x2 matrix given as a 4-tuple of its rows."""
+    a, b, c, e = n
+    return (e, -b, -c, a)
+
+
+def _trace_of_product(n: tuple, k: tuple):
+    """tr(n k) for 4-tuples of rows, from the four products on ``_mul``'s diagonal."""
+    return n[0] * k[0] + n[1] * k[2] + n[2] * k[1] + n[3] * k[3]
+
+
 def trace(m):
     n = _entries(m)
     return n[0] + n[3]
@@ -148,6 +179,32 @@ def inverse(m):
     return adjoint(m)
 
 
+def _numerators(mats) -> tuple[list, tuple | None]:
+    """k matrices as 4-tuples of their rows, and their denominators: the
+    Ns and ds of exact pairs (N, d), else the ``_entries`` of the
+    matrices and None.  Float and exact evaluation split here only."""
+    mats = [_entries(m) for m in mats]
+    if all(len(m) == 2 for m in mats):
+        ns, ds = zip(*mats)
+        return ns, ds
+    return mats, None
+
+
+def _word_product(w: Word, mats) -> tuple[tuple, int | None]:
+    """The product w(mats) as a 4-tuple, from the first letter's factor
+    (I for the empty word) by ``_mul``, inverse letters by the adjugate,
+    and the product of the letters' denominators: for exact pairs (N, d),
+    the int product of the Ns (adj(N / d) = adj(N) / d) and an int; for
+    float matrices, None.  A matrix count other than the word's rank is
+    a ValueError."""
+    ns, ds = _numerators(mats)
+    if len(ns) != w.rank:
+        raise ValueError(f"cannot evaluate a rank-{w.rank} word at {len(ns)} matrices")
+    factors = [ns[g - 1] if g > 0 else _adjugate(ns[-g - 1]) for g in w.letters]
+    p = functools.reduce(_mul, factors) if factors else (1, 0, 0, 1)
+    return p, None if ds is None else math.prod(ds[abs(g) - 1] for g in w.letters)
+
+
 def evaluate_word(w: Word, assignment):
     """The product w(xi_1, ..., xi_n), inverse letters by the adjugate.
     When every letter is an exact pair (N, d), the Ns multiply as int
@@ -161,8 +218,68 @@ def evaluate_word(w: Word, assignment):
     return np.array([Fraction(v, den) for v in n], dtype=object).reshape(2, 2)
 
 
+def word_trace(w: Word, mats):
+    """tr w(mats), the oracle for trace polynomials: a complex number, or
+    a Fraction for exact pairs (N, d)."""
+    n, den = _word_product(w, mats)
+    return complex(trace(n)) if den is None else Fraction(trace(n), den)
+
+
+def _character(variables: VariableSet, mats, *extra) -> tuple[list, list | None]:
+    """tr X_I for each coordinate x_I of ``variables`` in declared order,
+    then for each I in ``extra``, X_I being its prefix's product (also
+    among them) times the last matrix by ``_mul``, and None; for exact
+    matrices (N_i, d_i), the int traces of the products of the N_i and
+    each one's denominator, the product of the d_i for i in I.  A matrix
+    count other than the rank of ``variables`` is a ValueError."""
+    k = len(mats)
+    if _VARSETS.get(k) != variables:
+        raise ValueError(f"cannot evaluate over {variables.names} at {k} matrices")
+    ns, ds = _numerators(mats)
+    words = [*COORDINATES[variables].values(), *extra]
+    products, traces = {}, []
+    for word in words:
+        last = ns[word[-1] - 1]
+        p = products[word] = _mul(products[word[:-1]], last) if len(word) > 1 else last
+        traces.append(trace(p))
+    return traces, None if ds is None else [math.prod(ds[i - 1] for i in w) for w in words]
+
+
+def coordinate_traces(variables: VariableSet, mats) -> dict:
+    """Each coordinate x_I of ``variables`` as tr X_I at a matrix tuple;
+    Fractions when the matrices are exact."""
+    traces, dens = _character(variables, mats)
+    return dict(zip(variables, traces if dens is None else map(Fraction, traces, dens)))
+
+
+def evaluate_at_character(p: Polynomial, mats):
+    """Evaluate a trace polynomial at the character of a matrix tuple:
+    a complex number, or an exact Fraction when the matrices are exact
+    pairs (N, d), taken on the integer numerators with no Fraction per
+    coordinate (``_character``); numpy arrays are numeric."""
+    traces, dens = _character(p.variables, mats)
+    if dens is None:
+        return p.evaluate(dict(zip(p.variables, traces)))
+    return Fraction(*p._evaluate_ratio(traces, dens))
+
+
+def quadruple_trace_check(assignment):
+    """|2 tr(m1 m2 m3 m4) - f(traces)|, f being the 12-term polynomial for
+    2 tr(X1 X2 X3 X4) of :mod:`slchar.tracepoly`; exact (a Fraction) when
+    the matrices are exact.  Each term is linear in each m_i, so exact
+    matrices are checked on their integer numerators N_i = d_i m_i, whose
+    traces the polynomial takes as they are, and the residual divided
+    once by the product of the d_i."""
+    poly = _quadruple_poly()
+    traces, dens = _character(F4_VARS, assignment, (1, 2, 3, 4))
+    top = 2 * traces.pop()
+    if dens is None:
+        return abs(top - poly.evaluate(dict(zip(F4_VARS, traces))))
+    return abs(top - Fraction(*poly._evaluate_ratio(traces, [1] * len(traces)))) / dens[-1]
+
+
 def lie_product(xi, eta):
-    """xi eta - eta xi; always traceless."""
+    """xi eta - eta xi; always traceless.  4-tuples give a 4-tuple."""
     a, b = _entries(xi), _entries(eta)
     return _like(tuple(p - q for p, q in zip(_mul(a, b), _mul(b, a))), xi, eta)
 
@@ -231,7 +348,7 @@ def conjugating_involution(xi, eta):
     pair is irreducible (det of the Lie product nonzero).
     """
     n, k = _entries(xi), _entries(eta)
-    lie = tuple(p - q for p, q in zip(_mul(n, k), _mul(k, n)))
+    lie = lie_product(n, k)
     d = det(lie)
     if _modulus(d) <= TOL_ALGEBRAIC:
         raise ReduciblePairError("pair is reducible (Lie product has zero determinant)")

@@ -20,9 +20,10 @@ a basis element times a generator X_g into increasing products:
 
 and an inverse letter is X_g^-1 = x_g - X_g.  So right multiplication
 by a letter is a fixed table with polynomial entries, built once per
-rank.  A word w = u v of n letters, v its last min(2n // 5, 8) letters
-(min(n // 3, 8) at rank 3), is two passes of right multiplications from
-1, which write u = sum c_b X_b and v = sum d_c X_c in the basis.  The
+rank.  A word of fewer than 9 letters (8 at rank 3) is one pass of right
+multiplications from 1.  A longer word w = u v of n letters, v its last
+min(2n // 5, 8) letters (min(n // 3, 8) at rank 3), is two passes, which
+write u = sum c_b X_b and v = sum d_c X_c in the basis.  The
 trace form (A, B) -> tr(AB) is bilinear, so tr(w) = sum c_b d_c
 tr(X_b X_c); tr(X_b X_c) is X_b times c's letters, then tr 1 = 2 and
 tr X_I = x_I, kept one pair at a time.
@@ -58,39 +59,25 @@ identity, written out as a polynomial, and ``trace_poly`` refuses
 rank-4 words.
 
 ``COORDINATES`` names each coordinate by the increasing product whose
-trace it is (x_I = tr X_I); the engine's basis and ``coordinate_traces``
-(behind ``evaluate_at_character``) both read it.  Results are memoized
-on the rank and the cyclically reduced letters.
-
-Evaluation at characters and the word oracle ``word_trace`` take one
-trial at a time: a tuple of matrices, each the pair (N, d) of an exact
-matrix (see :mod:`slchar.mat2`) or the 4-tuple of the rows of a float
-one; a numpy matrix becomes its ``.ravel().tolist()`` (``_entries``),
-so neither numpy nor ``mat2`` loads here.  ``_mul`` and ``_adjugate``,
-the package's one 2x2 arithmetic, serve ``mat2``, ``chars``, ``hypgeom``
-and ``verify`` too; exact numerators differ only in having denominators.
+trace it is (x_I = tr X_I); the engine's basis reads it, and so does
+evaluation at characters.  Results are memoized on the rank and the
+cyclically reduced letters.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
-from fractions import Fraction
 
 from .polyring import F2_VARS, F3_VARS, WIDTH, Polynomial, VariableSet, _addmul_into
 from .words import Word, _cyclic_reduce
 
 __all__ = [
     "COORDINATES",
-    "coordinate_traces",
-    "evaluate_at_character",
     "trace_poly",
     "trace_poly_f2",
     "trace_poly_f3",
     "kappa",
-    "quadruple_trace_check",
-    "word_trace",
     "generator_count",
     "clear_cache",
 ]
@@ -258,8 +245,9 @@ def _trace(rank: int, letters: tuple[int, ...]) -> Polynomial:
     deg c_b + |b| <= |u| and deg tr(X_b X_c) <= |b| + |c|, so no product
     exceeds degree len(w) and a word shorter than 2**WIDTH letters cannot
     overflow a packed exponent field into a slot."""
-    if len(letters) >> WIDTH:
-        raise OverflowError(f"a word of {len(letters)} letters overflows {WIDTH}-bit exponents")
+    n = len(letters)
+    if n >> WIDTH:
+        raise OverflowError(f"a word of {n} letters overflows {WIDTH}-bit exponents")
     shift = _shift(rank)
     # v is the last 2n // 5 letters, n // 3 at rank 3, and at most 8: the
     # multiply-adds of the passes and the join are least near n / 3 at both
@@ -267,11 +255,14 @@ def _trace(rank: int, letters: tuple[int, ...]) -> Polynomial:
     # ``tests/test_tracepoly.py`` this takes them from 92,355 for one pass
     # to 55,674 (59,686 for min(n // 2, 8) and two-letter rows); at 40-96
     # rank-2 letters v = 8 comes within 8% of the least count, and an
-    # uncapped 2n // 5 takes 1.4x it at 48 letters and 3.2x at 96.
-    cut = len(letters) - min(2 * len(letters) // (6 if rank == 3 else 5), 8)
-    if cut == len(letters):
-        rows = _trace_rows(rank)
+    # uncapped 2n // 5 takes 1.4x it at 48 letters and 3.2x at 96.  Below
+    # 9 letters (8 at rank 3) one pass with no join times faster, though
+    # from 7 letters on it takes more multiply-adds: the join also visits
+    # the keys of v's pass and of each f_b, and writes f_b's rows.
+    if n < (8 if rank == 3 else 9):
+        cut, rows = n, _trace_rows(rank)
     else:  # f_b = sum_c d_c tr(X_b X_c), as rows over b's flat keys
+        cut = n - min(2 * n // (6 if rank == 3 else 5), 8)
         v = _pass(rank, letters[cut:])
         rows = _as_rows((_step(v, pairing, shift) for pairing in _pairing_rows(rank)), shift)
     return Polynomial._trusted(_VARSETS[rank], _step(_pass(rank, letters[:cut]), rows, shift))
@@ -326,20 +317,6 @@ def _quadruple_poly() -> Polynomial:
             + x1 * x234 + x2 * x134 + x3 * x124 + x4 * x123 + x12 * x34 - x13 * x24 + x14 * x23)
 
 
-def quadruple_trace_check(assignment):
-    """|2 tr(m1 m2 m3 m4) - f(traces)|, f being the 12-term polynomial for
-    2 tr(X1 X2 X3 X4); exact (a Fraction) when the matrices are exact.
-    Each term is linear in each m_i, so exact matrices are checked on their
-    integer numerators N_i = d_i m_i, whose traces the polynomial takes as
-    they are, and the residual divided once by the product of the d_i."""
-    poly = _quadruple_poly()
-    traces, dens = _character(F4_VARS, assignment, (1, 2, 3, 4))
-    top = 2 * traces.pop()
-    if dens is None:
-        return abs(top - poly.evaluate(dict(zip(F4_VARS, traces))))
-    return abs(top - Fraction(*poly._evaluate_ratio(traces, [1] * len(traces)))) / dens[-1]
-
-
 def generator_count(n: int) -> int:
     """Number of increasing-word trace generators of the rank-n character
     ring: n + C(n,2) + C(n,3) = n(5 + n^2)/6."""
@@ -348,98 +325,3 @@ def generator_count(n: int) -> int:
     num = n * (5 + n * n)
     assert num % 6 == 0
     return num // 6
-
-
-def _mul(n: tuple, k: tuple) -> tuple:
-    """The product of two 2x2 matrices given as 4-tuples of their rows."""
-    a, b, c, e = n
-    p, q, r, s = k
-    return (a * p + b * r, a * q + b * s, c * p + e * r, c * q + e * s)
-
-
-def _adjugate(n: tuple) -> tuple:
-    """The adjugate of a 2x2 matrix given as a 4-tuple of its rows."""
-    a, b, c, e = n
-    return (e, -b, -c, a)
-
-
-def _trace_of_product(n: tuple, k: tuple):
-    """tr(n k) for 4-tuples of rows, from the four products on ``_mul``'s diagonal."""
-    return n[0] * k[0] + n[1] * k[2] + n[2] * k[1] + n[3] * k[3]
-
-
-def _entries(m) -> tuple:
-    """A numpy matrix as the 4-tuple of its rows; a tuple as it is."""
-    return tuple(m.ravel().tolist()) if hasattr(m, "ravel") else m
-
-
-def _numerators(mats) -> tuple[list, tuple | None]:
-    """k matrices as 4-tuples of their rows, and their denominators: the
-    Ns and ds of exact pairs (N, d), else the ``_entries`` of the
-    matrices and None.  Float and exact evaluation split here only."""
-    mats = [_entries(m) for m in mats]
-    if all(len(m) == 2 for m in mats):
-        ns, ds = zip(*mats)
-        return ns, ds
-    return mats, None
-
-
-def _word_product(w: Word, mats) -> tuple[tuple, int | None]:
-    """The product w(mats) as a 4-tuple, from the first letter's factor
-    (I for the empty word) by ``_mul``, inverse letters by the adjugate,
-    and the product of the letters' denominators: for exact pairs (N, d),
-    the int product of the Ns (adj(N / d) = adj(N) / d) and an int; for
-    float matrices, None.  A matrix count other than the word's rank is
-    a ValueError."""
-    ns, ds = _numerators(mats)
-    if len(ns) != w.rank:
-        raise ValueError(f"cannot evaluate a rank-{w.rank} word at {len(ns)} matrices")
-    factors = [ns[g - 1] if g > 0 else _adjugate(ns[-g - 1]) for g in w.letters]
-    p = functools.reduce(_mul, factors) if factors else (1, 0, 0, 1)
-    return p, None if ds is None else math.prod(ds[abs(g) - 1] for g in w.letters)
-
-
-def word_trace(w: Word, mats):
-    """tr w(mats), the oracle for trace polynomials: a complex number, or
-    a Fraction for exact pairs (N, d)."""
-    n, den = _word_product(w, mats)
-    return complex(n[0] + n[3]) if den is None else Fraction(n[0] + n[3], den)
-
-
-def _character(variables: VariableSet, mats, *extra) -> tuple[list, list | None]:
-    """tr X_I for each coordinate x_I of ``variables`` in declared order,
-    then for each I in ``extra``, X_I being its prefix's product (also
-    among them) times the last matrix by ``_mul``, and None; for exact
-    matrices (N_i, d_i), the int traces of the products of the N_i and
-    each one's denominator, the product of the d_i for i in I.  A matrix
-    count other than the rank of ``variables`` is a ValueError."""
-    k = len(mats)
-    if _VARSETS.get(k) != variables:
-        raise ValueError(f"cannot evaluate over {variables.names} at {k} matrices")
-    ns, ds = _numerators(mats)
-    words = [*COORDINATES[variables].values(), *extra]
-    products, traces = {}, []
-    for word in words:
-        last = ns[word[-1] - 1]
-        p = products[word] = _mul(products[word[:-1]], last) if len(word) > 1 else last
-        traces.append(p[0] + p[3])
-    return traces, None if ds is None else [math.prod(ds[i - 1] for i in w) for w in words]
-
-
-def coordinate_traces(variables: VariableSet, mats) -> dict:
-    """Each coordinate x_I of ``variables`` as tr X_I at a matrix tuple;
-    Fractions when the matrices are exact."""
-    traces, dens = _character(variables, mats)
-    return dict(zip(variables, traces if dens is None else map(Fraction, traces, dens)))
-
-
-def evaluate_at_character(p: Polynomial, mats):
-    """Evaluate a trace polynomial at the character of a matrix tuple:
-    a complex number, or an exact Fraction when the matrices are exact
-    pairs (N, d) (see :mod:`slchar.mat2`), taken on the integer numerators
-    with no Fraction per coordinate (``_character``); numpy arrays are
-    numeric."""
-    traces, dens = _character(p.variables, mats)
-    if dens is None:
-        return p.evaluate(dict(zip(p.variables, traces)))
-    return Fraction(*p._evaluate_ratio(traces, dens))

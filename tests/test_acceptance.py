@@ -46,7 +46,7 @@ from slchar.hypgeom import (
     form_signature,
     hexagon_certificate,
 )
-from slchar.mat2 import normal_form_pair
+from slchar.mat2 import evaluate_at_character, normal_form_pair, quadruple_trace_check
 from slchar.polyring import (
     F3_VARS,
     PHI,
@@ -57,14 +57,7 @@ from slchar.polyring import (
     reduce_mod_phi,
 )
 from slchar.sampling import random_reduced_word, random_unimodular, rng_for
-from slchar.tracepoly import (
-    clear_cache,
-    evaluate_at_character,
-    kappa_value,
-    quadruple_trace_check,
-    trace_poly_f2,
-    trace_poly_f3,
-)
+from slchar.tracepoly import clear_cache, kappa_value, trace_poly_f2, trace_poly_f3
 from slchar.words import Word
 
 

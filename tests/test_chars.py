@@ -29,7 +29,8 @@ from slchar.chars import (
 from slchar.mat2 import GeometryError, normal_form_pair
 from slchar.polyring import F3_VARS, PHI
 from slchar.sampling import random_rational_unimodular, random_unimodular, rng_for
-from slchar.tracepoly import _mul, coordinate_traces, evaluate_at_character, kappa_value
+from slchar.mat2 import _mul, coordinate_traces, evaluate_at_character
+from slchar.tracepoly import kappa_value
 from slchar.words import parse_word
 from tuple2x2 import from_pair, matmul, trace
 

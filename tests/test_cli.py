@@ -403,11 +403,11 @@ class TestVerify:
         assert out.count("max-residual=0.0") == 4
 
     def test_exact_identities_catch_a_wrong_adjugate_sign(self, capsys, monkeypatch):
-        # the exact suite runs on integer numerators through tracepoly._adjugate;
+        # the exact suite runs on integer numerators through mat2._adjugate;
         # an adjugate that keeps the sign of its upper right entry must FAIL
-        from slchar import tracepoly
+        from slchar import mat2
 
-        monkeypatch.setattr(tracepoly, "_adjugate", lambda n: (n[3], n[1], -n[2], n[0]))
+        monkeypatch.setattr(mat2, "_adjugate", lambda n: (n[3], n[1], -n[2], n[0]))
         code, out, _ = run(capsys, "verify", "identities", "--trials", "5", "--mode", "exact")
         assert code == 1
         assert "identities/basic-identity: max-residual=" in out
@@ -421,9 +421,9 @@ class TestVerify:
     ])
     def test_exact_oracle_catches_a_wrong_int_tuple_helper(self, capsys, monkeypatch,
                                                             helper, wrong):
-        from slchar import tracepoly
+        from slchar import mat2
 
-        monkeypatch.setattr(tracepoly, helper, wrong)
+        monkeypatch.setattr(mat2, helper, wrong)
         code, out, _ = run(capsys, "verify", "oracle", "--trials", "5", "--mode", "exact")
         assert code == 1
         assert "oracle/rank2-words:" in out and " FAIL" in out

@@ -15,8 +15,8 @@ from slchar.covers import (
 )
 from slchar.fricke import s04_defining_poly, s12_relation_polys
 from slchar.polyring import F3_VARS, PHI, Polynomial, reduce_mod_phi
-from slchar.sampling import random_unimodular
-from slchar.tracepoly import trace_poly_f2
+from slchar.sampling import random_reduced_word, random_unimodular
+from slchar.tracepoly import trace_poly, trace_poly_f2
 from slchar.words import Word
 
 RND = random.Random(60)
@@ -217,6 +217,28 @@ class TestC11ToS12:
         z_poly = trace_poly_f2(Word(2, (2, 1)))
         assert rm.images["w"] == w_poly.rename_variables(rm.target)
         assert rm.images["z"] == z_poly.rename_variables(rm.target)
+
+
+def _push(rm, w):
+    """phi(w): each letter of w as its generator image under ``rm``, an
+    inverse letter as the inverted image."""
+    return Word(rm.rank, tuple(h for g in w.letters for h in (
+        rm.generators[g] if g > 0 else [-x for x in reversed(rm.generators[-g])])))
+
+
+class TestFunctoriality:
+    """Each rank-3 map is the trace action of a word map phi, so
+    trace_poly(phi(w)) is the image of trace_poly(w), exactly: no matrices."""
+
+    @pytest.mark.parametrize("key", ["embed", "deck"])
+    def test_traced_images_of_words(self, key):
+        rm = covers.ring_map(key)
+        rnd = random.Random(f"functoriality-{key}")
+        words = [Word(3, (-1,)), Word(3, (1, -3)), Word(3, (-2, -3, 1))]
+        words += [random_reduced_word(rnd, 3, 10) for _ in range(300)]
+        for w in words:
+            assert (trace_poly(_push(rm, w)).rename_variables(rm.target)
+                    == rm.apply_poly(trace_poly(w))), w
 
 
 class TestRingMapPlumbing:

@@ -30,9 +30,9 @@ from slchar.fricke import (
     s04_quartic,
     s12_relation_polys,
 )
-from slchar.polyring import S04_VARS, S12_VARS
+from slchar.polyring import F2_VARS, S04_VARS, S12_VARS, Polynomial
 from slchar.sampling import random_rational_unimodular
-from slchar.tracepoly import kappa_value
+from slchar.tracepoly import kappa, kappa_value
 from tuple2x2 import (FRACTIONS, SL2, as_tuple, commutator_trace, from_pair, inverse, product,
                       trace)
 
@@ -323,6 +323,36 @@ class TestS04Exact:
             _assert_f_pair_close(res, point)
             seen.add(want)
         assert seen == {S04Verdict.MEMBER, S04Verdict.NONMEMBER_WRONG_COMPONENT}
+
+
+def _vieta_moves(variables, images):
+    """Each move as its one-variable substitution, the image built from
+    the variables of ``variables`` by name."""
+    v = {n: Polynomial.variable(variables, n) for n in variables}
+    return {n: {n: image(v)} for n, image in images.items()}
+
+
+class TestVietaMoves:
+    """kappa and the s04 quartic are monic quadratic in each of x, y and
+    z; a move sends a coordinate to the other root of its quadratic, the
+    sum of the roots less itself (Goldman, Geom. Topol. 7, 2003).  Each
+    move fixes its polynomial and squares to the identity, exactly."""
+
+    @pytest.mark.parametrize("poly, moves", [
+        (kappa(), _vieta_moves(F2_VARS, {
+            "x": lambda v: v["y"] * v["z"] - v["x"],
+            "y": lambda v: v["x"] * v["z"] - v["y"],
+            "z": lambda v: v["x"] * v["y"] - v["z"]})),
+        (s04_defining_poly(), _vieta_moves(S04_VARS, {
+            "x": lambda v: v["a"] * v["b"] + v["c"] * v["d"] - v["y"] * v["z"] - v["x"],
+            "y": lambda v: v["a"] * v["d"] + v["b"] * v["c"] - v["x"] * v["z"] - v["y"],
+            "z": lambda v: v["a"] * v["c"] + v["b"] * v["d"] - v["x"] * v["y"] - v["z"]})),
+    ], ids=["kappa", "s04"])
+    def test_moves_fix_the_polynomial_and_square_to_the_identity(self, poly, moves):
+        for name, move in moves.items():
+            assert poly.substitute(move) == poly, name
+            assert move[name].substitute(move) == Polynomial.variable(poly.variables, name)
+            assert move[name] != Polynomial.variable(poly.variables, name)
 
 
 class TestIdentitiesAtRationalCharacters:

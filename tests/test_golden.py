@@ -486,13 +486,13 @@ def _eval_lines():
             p = trace_poly(w)
             floats = [sampling.random_unimodular(rnd) for _ in range(rank)]
             exact = [sampling.random_rational_unimodular(rnd) for _ in range(rank)]
-            lines.append(f"{w.letters} {tracepoly.evaluate_at_character(p, floats)!r} "
-                         f"{tracepoly.evaluate_at_character(p, exact)!r}")
+            lines.append(f"{w.letters} {mat2.evaluate_at_character(p, floats)!r} "
+                         f"{mat2.evaluate_at_character(p, exact)!r}")
     for _ in range(12):
         floats = [sampling.random_unimodular(rnd) for _ in range(4)]
         exact = [sampling.random_rational_unimodular(rnd) for _ in range(4)]
-        lines.append(f"{tracepoly.quadruple_trace_check(floats)!r} "
-                     f"{tracepoly.quadruple_trace_check(exact)!r}")
+        lines.append(f"{mat2.quadruple_trace_check(floats)!r} "
+                     f"{mat2.quadruple_trace_check(exact)!r}")
     return lines
 
 

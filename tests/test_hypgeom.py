@@ -9,7 +9,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from slchar import mat2, tracepoly
+from slchar import mat2
 from slchar.hypgeom import (
     BilinearForm3,
     DeSitterVec,
@@ -247,7 +247,7 @@ class TestCoxeterExtension:
                   (normal_form_pair(3, 3, 3)[0], rational[1])]
         for xi, eta in pairs:
             got = coxeter_extension(xi, eta)
-            kernel = coxeter_extension(tracepoly._entries(xi), tracepoly._entries(eta))
+            kernel = coxeter_extension(mat2._entries(xi), mat2._entries(eta))
             zeta = mat2.evaluate_word(Word(2, (-2, -1)), (xi, eta))
             old = (mat2.conjugating_involution(xi, eta), mat2.conjugating_involution(eta, zeta),
                    mat2.conjugating_involution(zeta, xi))

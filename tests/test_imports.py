@@ -41,16 +41,16 @@ def loaded(code: str, module: str = "numpy") -> bool:
 
 @pytest.mark.parametrize("code", [
     "import slchar",
-    "from slchar import words, polyring, tracepoly, covers, fricke, sampling\n"
+    "from slchar import words, polyring, tracepoly, covers, fricke, sampling, mat2\n"
     "w = words.parse_word('X1 X2 X3 X1^-1 X2', 3)\n"
     "p = tracepoly.trace_poly(w)\n"
     "covers.deck_ring_map().apply_poly(p)\n"
     "rnd = sampling.rng_for(0)\n"
     "mats = [sampling.random_rational_unimodular(rnd) for _ in range(3)]\n"
     "assert len(set(mats)) == 3, mats\n"
-    "tracepoly.evaluate_at_character(p, mats)\n"
+    "mat2.evaluate_at_character(p, mats)\n"
     "rnd = sampling.rng_for(4)\n"
-    "assert tracepoly.quadruple_trace_check("
+    "assert mat2.quadruple_trace_check("
     "[sampling.random_rational_unimodular(rnd) for _ in range(4)]) == 0\n"
     "fricke.member_s04(fricke.CharacterS04(2, 2, 2, 2, -3, 3, 3))",
     "from slchar.cli import main\nmain(['trace-poly', 'X Y x y'])",

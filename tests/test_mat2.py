@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from slchar import mat2, tracepoly
+from slchar import mat2
 from slchar.mat2 import (
     GeometryError,
     I2,
@@ -230,10 +230,10 @@ class TestWordTraces:
         draws = [[random_unimodular_entries(rnd) for _ in range(rank)] for _ in words]
         stack = np.array(draws, dtype=complex).reshape(len(words), rank, 2, 2)
         for w, trial, as_numpy in zip(words, draws, stack):
-            value = tracepoly.word_trace(w, trial)
+            value = mat2.word_trace(w, trial)
             assert type(value) is complex
-            assert _bits(value) == _bits(tracepoly.word_trace(w, as_numpy))
-            assert _bits(value) == _bits(tracepoly.word_trace(w, list(as_numpy)))
+            assert _bits(value) == _bits(mat2.word_trace(w, as_numpy))
+            assert _bits(value) == _bits(mat2.word_trace(w, list(as_numpy)))
             assert _bits(value) == _bits(mat2.trace(evaluate_word(w, trial)))
             assert _bits(value) == _bits(trace(word_product(w, [(m[:2], m[2:]) for m in trial])))
 
@@ -243,7 +243,7 @@ class TestWordTraces:
         words = _batch_words(rnd, rank)
         batch = [tuple(random_rational_unimodular(rnd) for _ in range(rank)) for _ in words]
         for w, trial in zip(words, batch):
-            value = tracepoly.word_trace(w, trial)
+            value = mat2.word_trace(w, trial)
             assert type(value) is Fraction
             assert value == mat2.trace(evaluate_word(w, trial))
             assert value == trace(word_product(w, [from_pair(m) for m in trial]))
@@ -251,14 +251,14 @@ class TestWordTraces:
     def test_adjugates_negate_signed_zeros(self):
         # negation, not a product with -1, so that -0.0 and 0.0 swap as adjoint's do
         m = np.array([[1, complex(0.0, -0.0)], [complex(-0.0, 0.0), 1]])
-        assert ([_bits(v) for v in tracepoly._adjugate(tuple(m.ravel().tolist()))]
+        assert ([_bits(v) for v in mat2._adjugate(tuple(m.ravel().tolist()))]
                 == [_bits(v) for v in mat2.adjoint(m).flat])
 
     def test_empty_word_is_the_identity(self):
         # the one product that starts at I: trace 2, complex or exact
-        value = tracepoly.word_trace(Word(2, ()), [random_unimodular_entries(RND) for _ in range(2)])
+        value = mat2.word_trace(Word(2, ()), [random_unimodular_entries(RND) for _ in range(2)])
         assert type(value) is complex and value == 2
-        value = tracepoly.word_trace(Word(2, ()), [random_rational_unimodular(RND) for _ in range(2)])
+        value = mat2.word_trace(Word(2, ()), [random_rational_unimodular(RND) for _ in range(2)])
         assert type(value) is Fraction and value == 2
 
     def test_one_letter_word_is_the_letter(self):
@@ -316,8 +316,8 @@ class TestHomogenisedIdentities:
         comm = mat2.trace(xi @ eta @ adj_xi @ adj_eta) + mat2.det(lie_product(xi, eta))
         assert type(comm) is int and comm == 2 * _det(n) * _det(m)
         # the private int 4-tuple helpers of the exact word products
-        assert tracepoly._mul(_flat(n), _flat(m)) == _flat(nm)
-        assert tracepoly._adjugate(_flat(n)) == _flat(inverse(n))
+        assert mat2._mul(_flat(n), _flat(m)) == _flat(nm)
+        assert mat2._adjugate(_flat(n)) == _flat(inverse(n))
 
 
 class TestLieProduct:
@@ -606,7 +606,7 @@ def _outcome(f, *args):
         out = f(*args)
     except GeometryError as exc:
         return type(exc).__name__, str(exc)
-    entries = tracepoly._entries(out)
+    entries = mat2._entries(out)
     return [_bits(v) for v in (entries if isinstance(entries, tuple) else (entries,))]
 
 
@@ -638,7 +638,7 @@ def _agree(f, *mats):
     """f on the arrays ``mats`` and on their 4-tuples gives the same bits,
     or the same error; where the arrays give a 2x2 array the 4-tuples give
     a tuple, and otherwise what the arrays give (a 3x3 array, a scalar)."""
-    rows = [tracepoly._entries(m) for m in mats]
+    rows = [mat2._entries(m) for m in mats]
     assert _outcome(f, *mats) == _outcome(f, *rows)
     if not isinstance(_outcome(f, *rows)[0], str):
         want = f(*mats)
@@ -666,11 +666,11 @@ class TestArrayWrappersMatchKernels:
                                                         dtype=object)):
             got = mat2.sign_normalize(m)
             assert got.dtype == m.dtype and got.tolist() == (-m).tolist()
-            n = tracepoly._entries(m)
+            n = mat2._entries(m)
             assert mat2.sign_normalize(n) == tuple(got.flat)
         m = mat2.mat2(2, 1, 1, 1)
         assert mat2.sign_normalize(m) is m
-        n = tracepoly._entries(m)
+        n = mat2._entries(m)
         assert mat2.sign_normalize(n) is n
 
     def test_conjugating_involution(self):
@@ -728,4 +728,4 @@ class TestArrayWrappersMatchKernels:
                 ab, ba = (matmul((p[:2], p[2:]), (q[:2], q[2:])) for p, q in ((xi, eta), (eta, xi)))
                 assert lie == tuple(u - v for r, s in zip(ab, ba) for u, v in zip(r, s))
                 det = xi[0] * xi[3] - xi[1] * xi[2]
-                assert tracepoly._mul(xi, adj) == (det, 0, 0, det)
+                assert mat2._mul(xi, adj) == (det, 0, 0, det)

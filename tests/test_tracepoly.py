@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from slchar import mat2, tracepoly
+from slchar.mat2 import evaluate_at_character, quadruple_trace_check
 from slchar.polyring import (
     F2_VARS,
     F3_VARS,
@@ -28,10 +29,8 @@ from slchar.sampling import (
     random_unimodular_entries,
 )
 from slchar.tracepoly import (
-    evaluate_at_character,
     generator_count,
     kappa,
-    quadruple_trace_check,
     trace_poly,
     trace_poly_f2,
     trace_poly_f3,
@@ -193,29 +192,40 @@ def _cyclic_words(seed, strata, count):
 #: The shapes of ``perfbench``'s trace_cold words from a seed of their own.
 _COUNTED_WORDS = _cyclic_words("multiply-adds", [(2, n) for n in range(12, 25)]
                                + [(3, n) for n in range(8, 13)], 4)
-#: The multiply-adds of tracing ``_COUNTED_WORDS`` (``_multiply_adds``).
+#: The multiply-adds of tracing ``_COUNTED_WORDS`` (``_counted_work``).
 MULTIPLY_ADDS = 55_674
 
 
-def _multiply_adds(words):
-    """The multiply-adds of ``tracepoly._step`` in tracing ``words`` with
-    the memo cleared, once their rows are built: the engine's work, counted
-    by a wrapper around its one multiply-add loop."""
+def _counted_work(words):
+    """The engine's work in tracing ``words`` with the memo cleared, once
+    their rows are built, counted by wrappers around its one multiply-add
+    loop and its row builder: the multiply-adds of ``tracepoly._step``,
+    the keys it visits (each a dict lookup, whatever its row), and the
+    pairs that ``tracepoly._as_rows`` writes for the join."""
     for w in words:
         trace_poly(w)
     tracepoly.clear_cache()
-    count, step = 0, tracepoly._step
+    multiply_adds = keys = pairs = 0
+    step, as_rows = tracepoly._step, tracepoly._as_rows
 
-    def counting(element, rows, shift):
-        nonlocal count
-        count += sum(len(rows[key >> shift]) for key in element)
+    def counting_step(element, rows, shift):
+        nonlocal multiply_adds, keys
+        multiply_adds += sum(len(rows[key >> shift]) for key in element)
+        keys += len(element)
         return step(element, rows, shift)
 
-    with mock.patch.object(tracepoly, "_step", counting):
+    def counting_rows(elements, shift):
+        nonlocal pairs
+        rows = as_rows(elements, shift)
+        pairs += sum(map(len, rows))
+        return rows
+
+    with mock.patch.object(tracepoly, "_step", counting_step), \
+            mock.patch.object(tracepoly, "_as_rows", counting_rows):
         for w in words:
             trace_poly(w)
     tracepoly.clear_cache()
-    return count
+    return multiply_adds, keys, pairs
 
 
 class TestEngine:
@@ -276,8 +286,8 @@ class TestEngine:
 
     @pytest.mark.parametrize("rank", [1, 2, 3])
     def test_split_shapes_equal_one_pass(self, rank):
-        # the split is empty below three letters and at its cap of 8 from 20
-        # letters on (24 at rank 3); lengths 0-25 give u and v every residue
+        # the split is empty below 9 letters (8 at rank 3) and at its cap of
+        # 8 from 20 letters on (24 at rank 3); lengths 0-25 give u and v every residue
         # modulo the row width (four letters, two at rank 3), so that a pass
         # starts with a row of 1, 2 or 3 letters or with none, on both sides
         # of the cap
@@ -315,10 +325,27 @@ class TestEngine:
         # product a pairing multiplies by, which bounds their memory
         tracepoly._rows.cache_clear()
         tracepoly._pairing_rows.cache_clear()
-        assert _multiply_adds(_COUNTED_WORDS) <= MULTIPLY_ADDS
+        assert _counted_work(_COUNTED_WORDS)[0] <= MULTIPLY_ADDS
         built = {(rank, t) for rank in (2, 3)
                  for t in (*_reduced_tuples(rank, _ROW_WIDTH[rank]), *tracepoly._BASIS[rank][1:])}
         assert tracepoly._rows.cache_info().currsize <= len(built)
+
+    def test_short_words_build_no_pairings(self):
+        # below 9 letters (8 at rank 3) a word is one pass with no join,
+        # which times faster there, so no pairing is built for it; the
+        # first word at the threshold builds them
+        tracepoly.clear_cache()
+        tracepoly._pairing_rows.cache_clear()
+        rnd = random.Random(104)
+        for rank, below in ((1, 9), (2, 9), (3, 8)):
+            for length in range(below):
+                for _ in range(3):
+                    trace_poly(_exact_length_word(rnd, rank, length))
+        assert tracepoly._pairing_rows.cache_info().currsize == 0
+        for rank, threshold in ((2, 9), (3, 8)):
+            trace_poly(_cyclic_words(104, [(rank, threshold)], 1)[0])
+            assert tracepoly._pairing_rows.cache_info().currsize == rank - 1
+        tracepoly.clear_cache()
 
     @pytest.mark.parametrize("rank, length", [(2, 40), (3, 16), (2, 64), (3, 24)])
     def test_long_words_exact(self, rank, length):
@@ -416,8 +443,8 @@ class TestEvaluateAtCharacter:
                      [random_rational_unimodular(rnd) for _ in range(2)]):
             assert evaluate_at_character(copy, mats) == evaluate_at_character(p, mats)
         triple = [random_rational_unimodular(rnd) for _ in range(3)]
-        assert (tracepoly.coordinate_traces(VariableSet(F3_VARS.names), triple)
-                == tracepoly.coordinate_traces(F3_VARS, triple))
+        assert (mat2.coordinate_traces(VariableSet(F3_VARS.names), triple)
+                == mat2.coordinate_traces(F3_VARS, triple))
 
     def test_coordinates_name_the_variables(self):
         for variables, words in tracepoly.COORDINATES.items():
@@ -558,7 +585,7 @@ class TestExactIntegerCore:
     def test_coordinate_traces_on_any_rational_matrices(self, variables, data):
         rank = max(map(max, tracepoly.COORDINATES[variables].values()))
         mats = [data.draw(RATIONAL) for _ in range(rank)]
-        got = tracepoly.coordinate_traces(variables, [as_pair(m) for m in mats])
+        got = mat2.coordinate_traces(variables, [as_pair(m) for m in mats])
         for name, word in tracepoly.COORDINATES[variables].items():
             assert type(got[name]) is Fraction
             assert got[name] == trace(product(*(mats[i - 1] for i in word)))
@@ -581,14 +608,14 @@ class TestExactIntegerCore:
                  (3, 4), (3, 4, 1), (4, 1), (4, 1, 2), (1, 3), (2, 4), (2, 4, 2), (2, 4, 2, 2))
         # every word as an extra of the rank-4 coordinates, whose traces come first
         pairs = [as_pair(m) for m in mats]
-        got, dens = tracepoly._character(tracepoly.F4_VARS, pairs, *words)
+        got, dens = mat2._character(tracepoly.F4_VARS, pairs, *words)
         got, dens = got[-len(words):], dens[-len(words):]
         for w, t, den in zip(words, got, dens):
             assert type(t) is int and den == math.prod(pairs[i - 1][1] for i in w)
             # tr X_I = tr N_I / prod d_i, i running over the word's letters
             assert Fraction(t, den) == trace(product(*(mats[i - 1] for i in w))), w
         floats = [np.array(m, dtype=complex) for m in mats]
-        numeric, dens = tracepoly._character(tracepoly.F4_VARS, floats, *words)
+        numeric, dens = mat2._character(tracepoly.F4_VARS, floats, *words)
         assert dens is None
         for w, t in zip(words, numeric[-len(words):]):
             assert t == trace(product_of([as_tuple(m) for m in floats], w))
@@ -597,7 +624,7 @@ class TestExactIntegerCore:
         # int matrices only (every d is 1), singular ones included
         mats = [((0, 1), (-1, 0)), ((2, 0), (3, 0)), ((0, 0), (0, 5)), ((0, 0), (0, 0))]
         words = ((1,), (2,), (3,), (4,), (1, 2), (1, 2, 3), (2, 3), (3, 1), (1, 2, 3, 4), (2, 2))
-        got, dens = tracepoly._character(tracepoly.F4_VARS, [as_pair(m) for m in mats], *words)
+        got, dens = mat2._character(tracepoly.F4_VARS, [as_pair(m) for m in mats], *words)
         assert dens == [1] * len(got)
         for w, t in zip(words, got[-len(words):]):
             assert type(t) is int
@@ -703,11 +730,11 @@ class TestStackedKernels:
         extra = ((1, 2, 3, 4),) if rank == 4 else ()
         words = list(tracepoly.COORDINATES[variables].values()) + list(extra)
         for trial, as_numpy in zip(draws, stack):
-            traces, dens = tracepoly._character(variables, trial, *extra)
+            traces, dens = mat2._character(variables, trial, *extra)
             assert dens is None
             assert ([_bits(v) for v in traces]
-                    == [_bits(v) for v in tracepoly._character(variables, as_numpy, *extra)[0]])
-            alone = list(tracepoly.coordinate_traces(variables, trial).values())
+                    == [_bits(v) for v in mat2._character(variables, as_numpy, *extra)[0]])
+            alone = list(mat2.coordinate_traces(variables, trial).values())
             by_2x2 = [trace(product_of([_nested(m) for m in trial], w)) for w in words]
             assert [_bits(v) for v in traces[:len(alone)]] == [_bits(v) for v in alone]
             assert [_bits(v) for v in traces] == [_bits(v) for v in by_2x2]
@@ -747,9 +774,9 @@ class TestStackedKernels:
                  for _ in range(self.TRIALS)]
         variables = tracepoly._VARSETS[rank]
         for trial in batch:
-            traces, dens = tracepoly._character(variables, trial)
+            traces, dens = mat2._character(variables, trial)
             got = dict(zip(variables, map(Fraction, traces, dens)))
-            assert got == tracepoly.coordinate_traces(variables, trial)
+            assert got == mat2.coordinate_traces(variables, trial)
             tuples = [from_pair(m) for m in trial]
             assert got == {n: trace(product(*(tuples[i - 1] for i in w)))
                            for n, w in tracepoly.COORDINATES[variables].items()}
@@ -773,11 +800,11 @@ class TestStackedKernels:
         rnd = random.Random(2840 + surplus)
         p = trace_poly_f3(Word(3, (1, 2, 3)))
         entries = {
-            3: (lambda ms: tracepoly.coordinate_traces(F3_VARS, ms),
+            3: (lambda ms: mat2.coordinate_traces(F3_VARS, ms),
                 lambda ms: evaluate_at_character(p, ms),
-                lambda ms: tracepoly.word_trace(Word(3, (1, -3)), ms),
+                lambda ms: mat2.word_trace(Word(3, (1, -3)), ms),
                 lambda ms: mat2.evaluate_word(Word(3, (2,)), ms)),
-            4: (quadruple_trace_check, lambda ms: tracepoly.word_trace(Word(4, (4,)), ms)),
+            4: (quadruple_trace_check, lambda ms: mat2.word_trace(Word(4, (4,)), ms)),
         }
         for rank, on_tuple in entries.items():
             count = rank + surplus
@@ -790,5 +817,6 @@ class TestStackedKernels:
 
 
 if __name__ == "__main__":
-    print(f"Trace engine: {_multiply_adds(_COUNTED_WORDS) / len(_COUNTED_WORDS):.1f} "
-          f"multiply-adds per word over {len(_COUNTED_WORDS)} seeded words")
+    multiply_adds, keys, pairs = (c / len(_COUNTED_WORDS) for c in _counted_work(_COUNTED_WORDS))
+    print(f"Trace engine, per word over {len(_COUNTED_WORDS)} seeded words: "
+          f"{multiply_adds:.1f} multiply-adds, {keys:.1f} keys visited, {pairs:.1f} row pairs written")
