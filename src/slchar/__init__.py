@@ -16,8 +16,7 @@ _OWNERS = {
                       "fricke", "covers", "sampling")},
     "Word": "words", "parse_word": "words",
     "Polynomial": "polyring", "VariableSet": "polyring",
-    "trace_poly": "tracepoly", "trace_poly_f2": "tracepoly", "trace_poly_f3": "tracepoly",
-    "kappa": "tracepoly",
+    "trace_poly": "tracepoly", "kappa": "tracepoly",
     "CharacterF2": "chars", "CharacterF3": "chars",
     "character_of_pair": "chars", "character_of_triple": "chars",
     "CharacterS04": "fricke", "CharacterS12": "fricke", "FNCoords": "fricke",

@@ -257,11 +257,11 @@ def _trial_oracle(rnd, mode):
     """A rank-2 and a rank-3 word, each with its matrices, whose traces
     check the words' trace polynomials, then the quadruple check."""
     draw, len2, len3, residual = _MODES[mode]
-    for row, trace_poly, rank, length in (("rank2-words", tracepoly.trace_poly_f2, 2, len2),
-                                          ("rank3-words", tracepoly.trace_poly_f3, 3, len3)):
+    for row, rank, length in (("rank2-words", 2, len2), ("rank3-words", 3, len3)):
         w = sampling.random_reduced_word(rnd, rank, length)
         m = [draw(rnd) for _ in range(rank)]
-        yield row, residual(mat2.evaluate_at_character(trace_poly(w), m), mat2.word_trace(w, m))
+        yield row, residual(mat2.evaluate_at_character(tracepoly.trace_poly(w), m),
+                            mat2.word_trace(w, m))
     yield "quadruple-trace", mat2.quadruple_trace_check([draw(rnd) for _ in range(4)])
 
 
@@ -403,11 +403,12 @@ def build_parser() -> argparse.ArgumentParser:
     ptest.add_argument("--coords", required=True,
                        help="comma-separated coordinates (decimal or p/q), in the order "
                        + "; ".join(f"{k}: {n}" for k, (n, _) in sorted(_FRICKE.items()))
-                       + "; use --coords=-3,... for negative leading values")
+                       + "; a negative leading value needs no '='")
     ptest.add_argument("--mode", choices=("float", "exact"), default="float")
     ptest.add_argument("--report-only", action="store_true",
                        help="exit 0 even for nonmembers")
     ptest.set_defaults(func=cmd_fricke)
+    ptest._negative_number_matcher = _NEGATIVE_NUMBER
 
     p = sub.add_parser("fn2trace",
                        help="Fenchel-Nielsen to trace coordinates (one-holed torus)")

@@ -32,11 +32,12 @@ to ints.  The public constructor (and so
 :meth:`Polynomial.from_json`) checks and establishes it; arithmetic
 results preserve it by construction and are wrapped by the unchecked
 ``Polynomial._trusted``.  ``+``, ``scale``, ``*``, ``**``,
-``substitute``, ``reduce_mod_phi`` and the trace engine in
-:mod:`slchar.tracepoly` all go through one kernel, ``_addmul_into``
-(``out += a*b``); ``substitute`` needs it only for the images of
-several terms, which it multiplies by Horner's rule, after one pass
-over the terms that adds the keys of the one-term images.
+``substitute``, ``reduce_mod_phi`` and the build of the trace engine's
+table (``tracepoly._table``) go through one kernel, ``_addmul_into``
+(``out += a*b``); the engine itself steps by ``tracepoly._step``, and
+``substitute`` needs the kernel only for the images of several terms,
+which it multiplies by Horner's rule, after one pass over the terms
+that adds the keys of the one-term images.
 ``evaluate`` sums floats in the canonical term order, so a float value
 depends only on the polynomial, not on the order in which arithmetic
 built its term dict.

@@ -75,8 +75,6 @@ from .words import Word, _cyclic_reduce
 __all__ = [
     "COORDINATES",
     "trace_poly",
-    "trace_poly_f2",
-    "trace_poly_f3",
     "kappa",
     "generator_count",
     "clear_cache",
@@ -272,34 +270,16 @@ def clear_cache() -> None:
     _trace.cache_clear()
 
 
-def _cyclic_core(w: Word) -> tuple[int, ...]:
-    return _cyclic_reduce(w.letters)[0]
-
-
 def trace_poly(w: Word) -> Polynomial:
-    """Trace polynomial of a word of rank 1, 2 or 3."""
+    """Trace polynomial of a word of rank 1, 2 or 3, canonical modulo PHI at rank 3."""
     if w.rank not in (1, 2, 3):
         raise ValueError(f"trace polynomials are implemented for rank <= 3, got {w.rank}")
-    return _trace(w.rank, _cyclic_core(w))
-
-
-def trace_poly_f2(w: Word) -> Polynomial:
-    """f_w(x, y, z) for a rank-2 word."""
-    if w.rank != 2:
-        raise ValueError(f"expected a rank-2 word, got rank {w.rank}")
-    return _trace(2, _cyclic_core(w))
-
-
-def trace_poly_f3(w: Word) -> Polynomial:
-    """Trace polynomial of a rank-3 word, canonical modulo PHI."""
-    if w.rank != 3:
-        raise ValueError(f"expected a rank-3 word, got rank {w.rank}")
-    return _trace(3, _cyclic_core(w))
+    return _trace(w.rank, _cyclic_reduce(w.letters)[0])
 
 
 def kappa() -> Polynomial:
     """Commutator trace x^2 + y^2 + z^2 - xyz - 2."""
-    return trace_poly_f2(Word(2, (1, 2, -1, -2)))
+    return trace_poly(Word(2, (1, 2, -1, -2)))
 
 
 def kappa_value(x, y, z):

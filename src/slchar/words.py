@@ -3,9 +3,8 @@
 A letter is a signed integer: ``k`` is the k-th generator, ``-k`` its
 inverse (1-based, ``1 <= k <= rank``).  Two notations are parsed:
 
-* compact, case-sensitive letters ``X Y Z ...`` with lowercase meaning
-  the inverse (ranks <= 3 by default, or any rank with a custom
-  letter table), and
+* compact, case-sensitive letters ``X Y Z`` for generators 1-3, with
+  lowercase meaning the inverse, and
 * indexed tokens ``X1``, ``X2^-1`` for arbitrary rank.
 
 The canonical printer always emits the indexed form.
@@ -15,40 +14,18 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable
 
 __all__ = [
-    "GeneratorSymbol",
     "Word",
     "WordSyntaxError",
     "parse_word",
-    "DEFAULT_LETTERS",
     "MAX_WORD_LETTERS",
 ]
 
 
-class GeneratorSymbol(NamedTuple):
-    """A generator or its inverse; ``index`` is 1-based."""
-
-    index: int
-    inverted: bool = False
-
-    @property
-    def letter(self) -> int:
-        return -self.index if self.inverted else self.index
-
-    @classmethod
-    def from_letter(cls, g: int) -> "GeneratorSymbol":
-        return cls(abs(g), g < 0)
-
-#: Default single-letter tables by rank for the compact notation.
-DEFAULT_LETTERS: dict[int, Mapping[str, int]] = {
-    1: {"X": 1},
-    2: {"X": 1, "Y": 2},
-    3: {"X": 1, "Y": 2, "Z": 3},
-}
-
-_ALLOWED_COMPACT = set("XYZUVWABCDPQ")
+#: The compact letters and their generator indices; lowercase is the inverse.
+_COMPACT = {"X": 1, "Y": 2, "Z": 3}
 
 #: Longest word, counted after exponent expansion, that ``parse_word``
 #: accepts; exponents are expanded letter by letter, so an unbounded one
@@ -109,10 +86,6 @@ class Word:
 
     def __len__(self) -> int:
         return len(self.letters)
-
-    @property
-    def symbols(self) -> tuple[GeneratorSymbol, ...]:
-        return tuple(GeneratorSymbol.from_letter(g) for g in self.letters)
 
     @property
     def is_identity(self) -> bool:
@@ -202,18 +175,14 @@ def _parse_int(text: str, limit: int, what: str, pos: int) -> int:
     return -int(digits) if text.startswith("-") else int(digits)
 
 
-def parse_word(
-    text: str,
-    rank: int,
-    letters: Mapping[str, int] | None = None,
-) -> Word:
+def parse_word(text: str, rank: int) -> Word:
     """Parse ``text`` as a word of the given rank and return it reduced.
 
-    ``letters`` maps compact single letters to generator indices; by
-    default ``X, Y, Z -> 1, 2, 3`` (restricted to the rank).  Indexed
-    tokens ``X<k>`` and ``X<k>^-1`` work for any rank.  Exponents
-    ``^n`` are accepted on any token; a word that would expand to more
-    than ``MAX_WORD_LETTERS`` letters raises :class:`WordSyntaxError`.
+    The compact letters ``X, Y, Z`` are generators 1, 2, 3 and lowercase
+    their inverses; indexed tokens ``X<k>`` and ``X<k>^-1`` work for any
+    rank.  A generator above the rank is an error.  Exponents ``^n`` are
+    accepted on any token; a word that would expand to more than
+    ``MAX_WORD_LETTERS`` letters raises :class:`WordSyntaxError`.
 
     >>> parse_word("X Y", 2).canonical()
     'X1 X2'
@@ -222,8 +191,6 @@ def parse_word(
     >>> parse_word("X1 X2^-1 X3", 3).canonical()
     'X1 X2^-1 X3'
     """
-    if letters is None:
-        letters = DEFAULT_LETTERS.get(min(rank, 3), DEFAULT_LETTERS[3])
     out: list[int] = []
     pos = 0
     n = len(text)
@@ -243,14 +210,9 @@ def parse_word(
             index = _parse_int(digits, rank, "generator index", pos)
             inverted = False
         else:
-            upper = letter.upper()
-            if upper not in _ALLOWED_COMPACT:
+            index = _COMPACT.get(letter.upper())
+            if index is None:
                 raise WordSyntaxError(f"unknown letter {letter!r}", pos)
-            if upper not in letters:
-                raise WordSyntaxError(
-                    f"letter {upper!r} not in the declared table", pos
-                )
-            index = letters[upper]
             inverted = letter.islower()
         if not 1 <= index <= rank:
             raise WordSyntaxError(

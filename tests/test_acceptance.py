@@ -57,7 +57,7 @@ from slchar.polyring import (
     reduce_mod_phi,
 )
 from slchar.sampling import random_reduced_word, random_unimodular, rng_for
-from slchar.tracepoly import clear_cache, kappa_value, trace_poly_f2, trace_poly_f3
+from slchar.tracepoly import clear_cache, kappa_value, trace_poly
 from slchar.words import Word
 
 
@@ -68,7 +68,7 @@ def report(n, text):
 def test_01_commutator_polynomial():
     clear_cache()
     t0 = time.perf_counter()
-    got = trace_poly_f2(Word(2, (1, 2, -1, -2)))
+    got = trace_poly(Word(2, (1, 2, -1, -2)))
     elapsed = time.perf_counter() - t0
     expected = Polynomial(
         VariableSet(("x", "y", "z")),
@@ -86,7 +86,7 @@ def test_02_rank2_oracle_suite():
         rnd = rng_for(2025, trial)
         w = random_reduced_word(rnd, 2, 12)
         ms = [random_unimodular(rnd) for _ in range(2)]
-        val = evaluate_at_character(trace_poly_f2(w), ms)
+        val = evaluate_at_character(trace_poly(w), ms)
         tr = mat2.trace(mat2.evaluate_word(w, ms))
         worst = max(worst, abs(val - tr) / (1 + abs(tr)))
     elapsed = time.perf_counter() - t0
@@ -101,7 +101,7 @@ def test_03_rank3_oracle_and_relations():
         rnd = rng_for(2026, trial)
         w = random_reduced_word(rnd, 3, 8)
         ms = [random_unimodular(rnd) for _ in range(3)]
-        val = evaluate_at_character(trace_poly_f3(w), ms)
+        val = evaluate_at_character(trace_poly(w), ms)
         tr = mat2.trace(mat2.evaluate_word(w, ms))
         worst = max(worst, abs(val - tr) / (1 + abs(tr)))
     assert worst <= 1e-7

@@ -146,6 +146,8 @@ class TestFricke:
         )
         assert code == 0
         assert json.loads(out)["verdict"] == "member-slice"
+        # a negative leading value needs no "=": the same bytes without it
+        assert run(capsys, "fricke", "test", "s03", "--coords", "-3,-3,-3") == (code, out, "")
 
     def test_s04_witness(self, capsys):
         code, out, _ = run(
@@ -385,8 +387,8 @@ class TestVerify:
         # scaled by 1 + |t| would hide that error below the tolerance.
         from slchar import tracepoly
 
-        true_f2 = tracepoly.trace_poly_f2
-        monkeypatch.setattr(tracepoly, "trace_poly_f2", lambda w: true_f2(w) + 1)
+        true_poly = tracepoly.trace_poly
+        monkeypatch.setattr(tracepoly, "trace_poly", lambda w: true_poly(w) + 1)
         code, out, _ = run(
             capsys, "verify", "oracle", "--trials", "1", "--seed", "4",
             "--mode", "exact",
@@ -674,6 +676,7 @@ class TestNoTraceback:
         ("construct", "pair", "-inf", "2", "3"),
         ("fricke", "test", "s03", "--coords=nan,2,2"),
         ("fricke", "test", "s03", "--coords=inf,2,2"),
+        ("fricke", "test", "s03", "--coords", "-inf,2,2"),
     ])
     def test_non_finite_numbers(self, capsys, argv):
         code, out, err = run(capsys, *argv)

@@ -16,7 +16,7 @@ from slchar.covers import (
 from slchar.fricke import s04_defining_poly, s12_relation_polys
 from slchar.polyring import F3_VARS, PHI, Polynomial, reduce_mod_phi
 from slchar.sampling import random_reduced_word, random_unimodular
-from slchar.tracepoly import trace_poly, trace_poly_f2
+from slchar.tracepoly import trace_poly
 from slchar.words import Word
 
 RND = random.Random(60)
@@ -213,8 +213,8 @@ class TestC11ToS12:
     def test_tables_are_engine_traces(self):
         # the w and z entries come from the words PQP^2 and QP
         rm = cover_c11_to_s12()
-        w_poly = trace_poly_f2(Word(2, (1, 2, 1, 1)))
-        z_poly = trace_poly_f2(Word(2, (2, 1)))
+        w_poly = trace_poly(Word(2, (1, 2, 1, 1)))
+        z_poly = trace_poly(Word(2, (2, 1)))
         assert rm.images["w"] == w_poly.rename_variables(rm.target)
         assert rm.images["z"] == z_poly.rename_variables(rm.target)
 

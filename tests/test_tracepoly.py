@@ -32,8 +32,6 @@ from slchar.tracepoly import (
     generator_count,
     kappa,
     trace_poly,
-    trace_poly_f2,
-    trace_poly_f3,
 )
 from slchar.words import Word, parse_word
 from tuple2x2 import (RATIONAL, SL2, as_pair, as_tuple, from_pair, inverse, matmul, product,
@@ -51,29 +49,29 @@ class TestRank2BaseValues:
     def test_commutator(self):
         expected = P({(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1,
                       (1, 1, 1): -1, (0, 0, 0): -2})
-        assert trace_poly_f2(parse_word("X Y x y", 2)) == expected
+        assert trace_poly(parse_word("X Y x y", 2)) == expected
 
     def test_xy_inverse(self):
-        assert trace_poly_f2(parse_word("X y", 2)) == P({(1, 1, 0): 1, (0, 0, 1): -1})
+        assert trace_poly(parse_word("X y", 2)) == P({(1, 1, 0): 1, (0, 0, 1): -1})
 
     def test_xyxinvy(self):
         expected = P({(0, 0, 0): 2, (2, 0, 0): -1, (0, 0, 2): -1, (1, 1, 1): 1})
-        assert trace_poly_f2(parse_word("X Y x Y", 2)) == expected
+        assert trace_poly(parse_word("X Y x Y", 2)) == expected
 
     def test_square(self):
-        assert trace_poly_f2(parse_word("X X", 2)) == P({(2, 0, 0): 1, (0, 0, 0): -2})
+        assert trace_poly(parse_word("X X", 2)) == P({(2, 0, 0): 1, (0, 0, 0): -2})
 
     def test_identity(self):
-        assert trace_poly_f2(Word(2, ())) == P({(0, 0, 0): 2})
+        assert trace_poly(Word(2, ())) == P({(0, 0, 0): 2})
 
     def test_triple_basic(self):
         # tr(eta xi eta) = yz - x and tr(zeta xi^-1) relatives
-        assert trace_poly_f2(parse_word("Y X Y", 2)) == P(
+        assert trace_poly(parse_word("Y X Y", 2)) == P(
             {(0, 1, 1): 1, (1, 0, 0): -1}
         )
 
     def test_kappa(self):
-        assert kappa() == trace_poly_f2(Word(2, (1, 2, -1, -2)))
+        assert kappa() == trace_poly(Word(2, (1, 2, -1, -2)))
         assert kappa().evaluate({"x": 0, "y": 0, "z": 0}) == -2
         assert kappa().evaluate({"x": 2, "y": 2, "z": 2}) == 2
         assert kappa().evaluate({"x": 3, "y": 3, "z": 3}) == -2
@@ -81,17 +79,17 @@ class TestRank2BaseValues:
 
 class TestRank3BaseValues:
     def test_cyclic_rotation(self):
-        assert trace_poly_f3(parse_word("X2 X3 X1", 3)) == Polynomial.variable(
+        assert trace_poly(parse_word("X2 X3 X1", 3)) == Polynomial.variable(
             F3_VARS, "x123"
         )
 
     def test_reversed_triple(self):
-        got = trace_poly_f3(parse_word("X1 X3 X2", 3))
+        got = trace_poly(parse_word("X1 X3 X2", 3))
         fsum = SUM_RELATION
         assert got == fsum - Polynomial.variable(F3_VARS, "x123")
 
     def test_pair_variables(self):
-        assert trace_poly_f3(parse_word("X3 X2", 3)) == Polynomial.variable(
+        assert trace_poly(parse_word("X3 X2", 3)) == Polynomial.variable(
             F3_VARS, "x23"
         )
 
@@ -101,23 +99,23 @@ class TestInvariance:
         for _ in range(150):
             w = random_reduced_word(RND, 2, 10)
             g = random_reduced_word(RND, 2, 4)
-            assert trace_poly_f2(w) == trace_poly_f2(g * w * g.inverse())
+            assert trace_poly(w) == trace_poly(g * w * g.inverse())
 
     def test_inversion(self):
         for _ in range(150):
             w = random_reduced_word(RND, 2, 10)
-            assert trace_poly_f2(w) == trace_poly_f2(w.inverse())
+            assert trace_poly(w) == trace_poly(w.inverse())
 
     def test_rank3_conjugation(self):
         for _ in range(60):
             w = random_reduced_word(RND, 3, 7)
             g = random_reduced_word(RND, 3, 3)
-            assert trace_poly_f3(w) == trace_poly_f3(g * w * g.inverse())
+            assert trace_poly(w) == trace_poly(g * w * g.inverse())
 
     def test_canonical_mod_phi(self):
         for _ in range(60):
             w = random_reduced_word(RND, 3, 8)
-            p = trace_poly_f3(w)
+            p = trace_poly(w)
             assert p.degree_in("x123") <= 1
             assert reduce_mod_phi(p) == p
 
@@ -200,18 +198,20 @@ def _counted_work(words):
     """The engine's work in tracing ``words`` with the memo cleared, once
     their rows are built, counted by wrappers around its one multiply-add
     loop and its row builder: the multiply-adds of ``tracepoly._step``,
-    the keys it visits (each a dict lookup, whatever its row), and the
-    pairs that ``tracepoly._as_rows`` writes for the join."""
+    the keys it visits (each a dict lookup, whatever its row), the pairs
+    that ``tracepoly._as_rows`` writes for the join, and the ``_step``
+    calls (each a fresh dict and a Python call)."""
     for w in words:
         trace_poly(w)
     tracepoly.clear_cache()
-    multiply_adds = keys = pairs = 0
+    multiply_adds = keys = pairs = calls = 0
     step, as_rows = tracepoly._step, tracepoly._as_rows
 
     def counting_step(element, rows, shift):
-        nonlocal multiply_adds, keys
+        nonlocal multiply_adds, keys, calls
         multiply_adds += sum(len(rows[key >> shift]) for key in element)
         keys += len(element)
+        calls += 1
         return step(element, rows, shift)
 
     def counting_rows(elements, shift):
@@ -225,7 +225,7 @@ def _counted_work(words):
         for w in words:
             trace_poly(w)
     tracepoly.clear_cache()
-    return multiply_adds, keys, pairs
+    return multiply_adds, keys, pairs, calls
 
 
 class TestEngine:
@@ -436,7 +436,7 @@ class TestEvaluateAtCharacter:
     def test_equal_variable_sets_evaluate_alike(self):
         # VariableSet compares by value: a copy of a canonical set is the same set
         rnd = random.Random(2011)
-        p = trace_poly_f2(random_reduced_word(rnd, 2, 8))
+        p = trace_poly(random_reduced_word(rnd, 2, 8))
         copy = Polynomial.from_json(p.to_json())
         assert copy.variables == F2_VARS and copy.variables is not F2_VARS
         for mats in ([random_unimodular(rnd) for _ in range(2)],
@@ -461,7 +461,7 @@ class TestOracle:
         for _ in range(300):
             w = random_reduced_word(RND, 2, 12)
             ms = [random_unimodular(RND) for _ in range(2)]
-            val = evaluate_at_character(trace_poly_f2(w), ms)
+            val = evaluate_at_character(trace_poly(w), ms)
             tr = mat2.trace(mat2.evaluate_word(w, ms))
             assert abs(val - tr) <= 1e-8 * (1 + abs(tr))
 
@@ -469,7 +469,7 @@ class TestOracle:
         for _ in range(150):
             w = random_reduced_word(RND, 3, 8)
             ms = [random_unimodular(RND) for _ in range(3)]
-            val = evaluate_at_character(trace_poly_f3(w), ms)
+            val = evaluate_at_character(trace_poly(w), ms)
             tr = mat2.trace(mat2.evaluate_word(w, ms))
             assert abs(val - tr) <= 1e-8 * (1 + abs(tr))
 
@@ -484,22 +484,21 @@ class TestExactOracle:
     """Exact pairs (N, d): the same functions evaluate exactly."""
 
     def test_evaluate_at_character_exact(self):
-        for rank, poly_of, max_len in ((1, trace_poly, 8), (2, trace_poly_f2, 10),
-                                       (3, trace_poly_f3, 6)):
+        for rank, max_len in ((1, 8), (2, 10), (3, 6)):
             for _ in range(20):
                 w = random_reduced_word(RND, rank, max_len)
                 ms = [random_rational_unimodular(RND) for _ in range(rank)]
-                val = evaluate_at_character(poly_of(w), ms)
+                val = evaluate_at_character(trace_poly(w), ms)
                 assert type(val) is Fraction
                 assert val == trace(word_product(w, [from_pair(m) for m in ms]))
 
     def test_complex_input_stays_complex(self):
         ms = [random_unimodular(RND) for _ in range(2)]
-        val = evaluate_at_character(trace_poly_f2(parse_word("X Y x", 2)), ms)
+        val = evaluate_at_character(trace_poly(parse_word("X Y x", 2)), ms)
         assert type(val) is complex
         # integer dtype is numeric, not exact: mat2 computes it in complex128
         ints = [np.array([[1, 1], [0, 1]]), np.array([[2, 1], [1, 1]])]
-        val = evaluate_at_character(trace_poly_f2(parse_word("X Y x", 2)), ints)
+        val = evaluate_at_character(trace_poly(parse_word("X Y x", 2)), ints)
         assert type(val) is complex
         assert isinstance(quadruple_trace_check([random_unimodular(RND) for _ in range(4)]),
                           float)
@@ -798,7 +797,7 @@ class TestStackedKernels:
         # are taken, at every entry: exact and float, as numpy matrices, as
         # one (k, 2, 2) array and as 4-tuples
         rnd = random.Random(2840 + surplus)
-        p = trace_poly_f3(Word(3, (1, 2, 3)))
+        p = trace_poly(Word(3, (1, 2, 3)))
         entries = {
             3: (lambda ms: mat2.coordinate_traces(F3_VARS, ms),
                 lambda ms: evaluate_at_character(p, ms),
@@ -817,6 +816,8 @@ class TestStackedKernels:
 
 
 if __name__ == "__main__":
-    multiply_adds, keys, pairs = (c / len(_COUNTED_WORDS) for c in _counted_work(_COUNTED_WORDS))
+    multiply_adds, keys, pairs, calls = (c / len(_COUNTED_WORDS)
+                                         for c in _counted_work(_COUNTED_WORDS))
     print(f"Trace engine, per word over {len(_COUNTED_WORDS)} seeded words: "
-          f"{multiply_adds:.1f} multiply-adds, {keys:.1f} keys visited, {pairs:.1f} row pairs written")
+          f"{multiply_adds:.1f} multiply-adds, {keys:.1f} keys visited, {pairs:.1f} row pairs "
+          f"written, {calls:.1f} _step calls")

@@ -3,23 +3,13 @@ import time
 
 import pytest
 
+from slchar.cli import main
 from slchar.words import (
     MAX_WORD_LETTERS,
-    GeneratorSymbol,
     Word,
     WordSyntaxError,
     parse_word,
 )
-
-
-def test_generator_symbols_view():
-    w = Word(3, (1, -2, 3))
-    assert w.symbols == (
-        GeneratorSymbol(1, False),
-        GeneratorSymbol(2, True),
-        GeneratorSymbol(3, False),
-    )
-    assert [s.letter for s in w.symbols] == [1, -2, 3]
 
 
 def rand_word(rnd, rank, max_len):
@@ -55,11 +45,20 @@ class TestParse:
             parse_word("X @", 2)
         assert err.value.position == 2
 
-    def test_rank_violation(self):
+    def test_rank_violation(self, capsys):
         with pytest.raises(WordSyntaxError):
             parse_word("Z", 2)
         with pytest.raises(WordSyntaxError):
             parse_word("X5", 3)
+        # a compact letter above the rank names its index; one outside X, Y, Z is unknown
+        for text, rank, message in (("Z", 2, "generator index 3 exceeds rank 2"),
+                                    ("U", 3, "unknown letter 'U'")):
+            with pytest.raises(WordSyntaxError) as err:
+                parse_word(text, rank)
+            assert str(err.value) == f"{message} (at position 0)"
+        assert main(["trace-poly", "Z"]) == 2
+        err = capsys.readouterr().err
+        assert err == "usage error: generator index 3 exceeds rank 2 (at position 0)\n"
 
     def test_expansion_cap(self):
         assert len(parse_word(f"X^{MAX_WORD_LETTERS}", 1)) == MAX_WORD_LETTERS
@@ -85,10 +84,6 @@ class TestParse:
                 parse_word(f"X Y^{sign}" + "9" * 5000, 2)
             assert err.value.position == 2
         assert parse_word("Y^-" + "0" * 5000 + "3", 2).letters == (-2, -2, -2)
-
-    def test_custom_letters(self):
-        w = parse_word("P q", 2, letters={"P": 1, "Q": 2})
-        assert w.letters == (1, -2)
 
     def test_whitespace_optional(self):
         assert parse_word("XYxy", 2).letters == (1, 2, -1, -2)
