@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
-from ._intake import take, unless_overflowed
+from ._intake import Record, take, unless_overflowed
 from .polyring import F2_VARS, F3_VARS, sum_product
 from .mat2 import (GeometryError, _character, _entries, _modulus, _mul, _normal_form,
                    _principal_root, _trace_of_product, det, format_complex, lie_product, mat2,
@@ -45,7 +45,7 @@ IRREDUCIBILITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class CharacterF2:
+class CharacterF2(Record):
     x: complex
     y: complex
     z: complex
@@ -56,14 +56,12 @@ class CharacterF2:
     def kappa(self) -> complex:
         return kappa_value(self.x, self.y, self.z)
 
-    def to_json(self) -> dict:
-        return {"x": format_complex(complex(self.x)),
-                "y": format_complex(complex(self.y)),
-                "z": format_complex(complex(self.z))}
+    def _json_value(self, v):
+        return format_complex(complex(v))
 
 
 @dataclass(frozen=True)
-class CharacterF3:
+class CharacterF3(Record):
     t1: complex
     t2: complex
     t3: complex
@@ -88,10 +86,7 @@ class CharacterF3:
         r1, r2 = self.sum_product_residuals()
         return r1 <= 1e-9 and r2 <= 1e-9
 
-    def to_json(self) -> dict:
-        names = ("t1", "t2", "t3", "t12", "t13", "t23", "t123", "t132")
-        return {n: format_complex(complex(v))
-                for n, v in zip(names, self.as_tuple())}
+    _json_value = CharacterF2._json_value
 
 
 class RealCharClass(enum.Enum):

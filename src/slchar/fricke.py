@@ -21,8 +21,8 @@ through, on int numerators over a positive denominator, so the predicate
 compares ints and reports num/den, rounded like ``float(Fraction)``.
 ``member_s11`` and ``member_c11`` decide a sign whose float value
 overflowed at finite input (inf - inf is NaN) exactly, on the
-``Fraction``s of those floats.  The five result records share one
-``to_json``, that of ``_Record``.
+``Fraction``s of those floats.  The five result records write their JSON
+through ``_intake.Record``.
 
 The four-holed sphere component test works with the factorization
 
@@ -42,14 +42,13 @@ F~- > 0.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ._intake import overflow_names, report, take, unless_overflowed
+from ._intake import Record, overflow_names, report, take, unless_overflowed
 from .polyring import S04_VARS, S12_VARS, Polynomial, sum_product
 from .tracepoly import kappa_value
 
@@ -85,28 +84,11 @@ def _ratios(owner, names, tests, polys, point):
     test's value as (num, den): on int numerators through ``polys()``, the
     cached ``tests`` at the variables, if every coordinate is an int or a
     ``Fraction``, else through ``tests`` in floats, each value over 1."""
-    point = take(ValueError, owner, names, point, complex, exact=True)
-    if not isinstance(point[0], (float, complex)):
+    point = take(ValueError, owner, names, point, exact=True)
+    if not isinstance(point[0], float):
         nums, dens = [int(t.numerator) for t in point], [int(t.denominator) for t in point]
         return True, nums, dens, [p._evaluate_ratio(nums, dens) for p in polys()]
     return False, point, (1,) * len(point), [(v, 1) for v in tests(*point)]
-
-
-#: The ``to_json`` keys of ``S04Result`` that differ from its field names.
-_JSON_KEYS = {"s_minus": "S_minus", "s_plus": "S_plus", "f_plus": "F_plus", "f_minus": "F_minus"}
-
-
-class _Record:
-    """A result record whose ``to_json`` is its fields in order, enums by
-    value and tuples as lists, under the keys of ``_JSON_KEYS``."""
-
-    def to_json(self):
-        out = {}
-        for f in dataclasses.fields(self):
-            v = getattr(self, f.name)
-            out[_JSON_KEYS.get(f.name, f.name)] = (
-                v.value if isinstance(v, enum.Enum) else list(v) if isinstance(v, tuple) else v)
-        return out
 
 
 @dataclass(frozen=True)
@@ -165,7 +147,7 @@ class S03Verdict(enum.Enum):
 
 
 @dataclass(frozen=True)
-class S03Result(_Record):
+class S03Result(Record):
     verdict: S03Verdict
     cusps: tuple[str, ...]
 
@@ -196,7 +178,7 @@ class S11Verdict(enum.Enum):
 
 
 @dataclass(frozen=True)
-class S11Result(_Record):
+class S11Result(Record):
     verdict: S11Verdict
     kappa: float
     cusp: bool
@@ -232,7 +214,7 @@ def h1z2_action(x, y, z):
 
 def member_c02(p: float, q: float, r: float) -> bool:
     """Two-holed cross-surface: r <= -2 and pq + r >= 2."""
-    p, q, r = take(ValueError, "member_c02", "p q r", (p, q, r), complex, exact=True)
+    p, q, r = take(ValueError, "member_c02", "p q r", (p, q, r), exact=True)
     return r <= -2 and p * q + r >= 2
 
 
@@ -243,7 +225,7 @@ def _klein(p, q, r):
 
 def member_c11(p: float, q: float, r: float) -> bool:
     """One-holed Klein bottle: p^2 + q^2 - pqr >= 0."""
-    p, q, r = take(ValueError, "member_c11", "p q r", (p, q, r), complex, exact=True)
+    p, q, r = take(ValueError, "member_c11", "p q r", (p, q, r), exact=True)
     return unless_overflowed(_klein(p, q, r), _klein, p, q, r) >= 0
 
 
@@ -258,7 +240,9 @@ class S04Verdict(enum.Enum):
 
 
 @dataclass(frozen=True)
-class S04Result(_Record):
+class S04Result(Record):
+    _json_keys = dict(s_minus="S_minus", s_plus="S_plus", f_plus="F_plus", f_minus="F_minus")
+
     verdict: S04Verdict
     residual: float
     kappa_ab: float
@@ -386,7 +370,7 @@ class S12Verdict(enum.Enum):
 
 
 @dataclass(frozen=True)
-class S12Result(_Record):
+class S12Result(Record):
     verdict: S12Verdict
     residuals: tuple[float, float]
     kappas: tuple[float, float, float]
@@ -435,7 +419,7 @@ def member_s12(ch: CharacterS12) -> S12Result:
 
 
 @dataclass(frozen=True)
-class FNResult(_Record):
+class FNResult(Record):
     x: float
     y: float
     z: float

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._intake import take
+from ._intake import Record, take
 from .mat2 import (GeometryError, _adjugate, _entries, _modulus, _mul, _trace_of_product,
                    conjugating_involution, det, mat2, sign_normalize, trace)
 
@@ -285,27 +285,17 @@ def form_signature(form: BilinearForm3) -> FormSignature:
 
 
 @dataclass(frozen=True)
-class HexagonPair:
+class HexagonPair(Record):
     names: str
     inner: float
     status: str  # "disjoint" or "ideal"
 
 
 @dataclass(frozen=True)
-class HexagonCertificate:
+class HexagonCertificate(Record):
     pairs: tuple[HexagonPair, ...]
     verdict: str
     sign_choice: str
-
-    def to_json(self) -> dict:
-        return {
-            "pairs": [
-                {"names": p.names, "inner": p.inner, "status": p.status}
-                for p in self.pairs
-            ],
-            "verdict": self.verdict,
-            "sign_choice": self.sign_choice,
-        }
 
 
 def _axis_inner(p: float, q: float, r: float) -> float:

@@ -1,4 +1,5 @@
 import decimal
+import functools
 import math
 import random
 from fractions import Fraction
@@ -322,7 +323,26 @@ class TestS04Exact:
             assert res.verdict is want, point
             _assert_f_pair_close(res, point)
             seen.add(want)
+            # a pair of Vieta moves is a Dehn twist, which keeps the Fricke space
+            for pair in ("xy", "yx", "yz", "zy", "xz", "zx"):
+                moved = functools.reduce(_vieta_move, pair, point)
+                moved_member = member_s04(CharacterS04(*moved)).verdict is S04Verdict.MEMBER
+                assert moved_member is (want is S04Verdict.MEMBER), (point, pair)
         assert seen == {S04Verdict.MEMBER, S04Verdict.NONMEMBER_WRONG_COMPONENT}
+
+
+#: Each Vieta move of the s04 quartic: a coordinate's image, the other root.
+_S04_MOVES = {
+    "x": lambda v: v["a"] * v["b"] + v["c"] * v["d"] - v["y"] * v["z"] - v["x"],
+    "y": lambda v: v["a"] * v["d"] + v["b"] * v["c"] - v["x"] * v["z"] - v["y"],
+    "z": lambda v: v["a"] * v["c"] + v["b"] * v["d"] - v["x"] * v["y"] - v["z"]}
+
+
+def _vieta_move(point, name):
+    """The s04 ``point`` after the move of coordinate ``name``."""
+    v = dict(zip(S04_VARS, point))
+    v[name] = _S04_MOVES[name](v)
+    return tuple(v.values())
 
 
 def _vieta_moves(variables, images):
@@ -343,10 +363,7 @@ class TestVietaMoves:
             "x": lambda v: v["y"] * v["z"] - v["x"],
             "y": lambda v: v["x"] * v["z"] - v["y"],
             "z": lambda v: v["x"] * v["y"] - v["z"]})),
-        (s04_defining_poly(), _vieta_moves(S04_VARS, {
-            "x": lambda v: v["a"] * v["b"] + v["c"] * v["d"] - v["y"] * v["z"] - v["x"],
-            "y": lambda v: v["a"] * v["d"] + v["b"] * v["c"] - v["x"] * v["z"] - v["y"],
-            "z": lambda v: v["a"] * v["c"] + v["b"] * v["d"] - v["x"] * v["y"] - v["z"]})),
+        (s04_defining_poly(), _vieta_moves(S04_VARS, _S04_MOVES)),
     ], ids=["kappa", "s04"])
     def test_moves_fix_the_polynomial_and_square_to_the_identity(self, poly, moves):
         for name, move in moves.items():

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import sys
@@ -539,9 +540,21 @@ class TestHexagonCertificate:
                 hexagon_certificate(*point)
 
     def test_json_shape(self):
-        data = hexagon_certificate(-3, -3, -3).to_json()
-        assert set(data) == {"pairs", "verdict", "sign_choice"}
-        assert {p["names"] for p in data["pairs"]} == {"XY", "YZ", "ZX"}
+        # the whole JSON, values and key order included, with and without a cusp
+        for point, pairs, verdict, sign_choice in (
+            ((-3, -3, -3), [("XY", -2.9999999999999996, "disjoint"),
+                            ("YZ", -2.9999999999999996, "disjoint"),
+                            ("ZX", -2.9999999999999996, "disjoint")],
+             "right-hexagon", "negated"),
+            ((-2, -3, -3), [("XY", -1.0, "ideal"), ("YZ", -2.5999999999999996, "disjoint"),
+                            ("ZX", -1.0, "ideal")],
+             "right-hexagon-with-cusps", "undetermined"),
+        ):
+            data = hexagon_certificate(*point).to_json()
+            want = {"pairs": [{"names": n, "inner": v, "status": s} for n, v, s in pairs],
+                    "verdict": verdict, "sign_choice": sign_choice}
+            assert data == want, point
+            assert json.dumps(data) == json.dumps(want), point
 
 
 def _reference_hat(a):

@@ -11,12 +11,15 @@ and ``Fraction``s of 1e300 to 1e420 and ``Fraction``s within 1e-300 to
 ``ValueError`` subclass, and one about the float range names an argument
 or the reported quantity that left it.  A call with a NaN or an infinity
 must raise, naming an argument that is not finite or past the float
-range."""
+range.  A real-only entry point refuses a complex number of any type,
+numpy's included, with a ``TypeError`` that names it."""
 
 import math
 import re
+import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -133,5 +136,25 @@ def test_floats_pass_unchanged_and_exact_input_stays_exact():
     mixed = _intake.take(ValueError, "f", "x y z", (3, Fraction(1, 4), 0.5), exact=True)
     assert mixed == [3.0, 0.25, 0.5] and all(type(t) is float for t in mixed)
     assert _intake.take(ValueError, "f", "x y", (1j, 2), complex) == [1j, 2.0]
-    with pytest.raises(TypeError):  # a real-only function takes no complex number
-        _intake.take(ValueError, "f", "x", (1j,))
+    assert _intake.take(ValueError, "f", "x", (np.complex64(1j),), complex) == [1j]
+    for t in (1j, np.complex128(1j), np.complex64(1j)):
+        with pytest.raises(TypeError):  # a real-only function takes no complex number
+            _intake.take(ValueError, "f", "x", (t,))
+
+
+#: The entry points that take real coordinates only.
+REAL_ONLY = sorted(set(ENTRY_POINTS) - {"triple_trace_roots", "construct_triple",
+                                         "normal_form_pair", "form_signature"})
+
+
+@pytest.mark.parametrize("complex_type", [complex, np.complex128, np.complex64])
+@pytest.mark.parametrize("name", REAL_ONLY)
+def test_a_real_only_entry_point_refuses_a_complex_coordinate(name, complex_type):
+    # float() of a numpy complex warns and drops the imaginary part
+    function, names, *_ = ENTRY_POINTS[name]
+    args = [-3] * len(names.split())
+    args[-1] = complex_type(-3 + 1j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TypeError, match=f"needs a real {names.split()[-1]}, got "):
+            function(*args)
