@@ -33,23 +33,31 @@ f_b = sum_c d_c tr(X_b X_c), and the cap on v keeps f_b small.  No
 table entry contains x123, so no c_b or d_c does and each tr(X_b X_c)
 is linear in it: a rank-3 result has degree at most one in x123.
 
-An expansion sum c_b X_b is one flat dict.  Basis element b has a slot
-(1 is slot 0, then the products of ``COORDINATES`` in order), and the
-term m X_b, m a packed monomial (:mod:`slchar.polyring`), has the key
-m + slot * ``VariableSet._limit``: the slot sits in the bits above the
-monomial fields, which no product of degree below 2**WIDTH reaches.  The
-table becomes rows: per slot, the (key delta, coefficient) pairs of X_b
-times the letters, so that a step is one loop, out[key + delta] += k * c
-(``_step``).  A pass steps by the rows of four letters at once, two at
-rank 3, the merged product of their letters' rows, and rebuilds its dict
-once per row: at rank 2 a row of four letters has 7.6 pairs per slot,
-against 3.4 for two letters and 2.1 for one, and all 160 rows of one to
-four letters take about 0.35 MB.  Rank 3 keeps rows of two letters, 5.0
-pairs against 3.0 for one: its rows of three and four letters would take
-about 10 MB.
+An expansion sum c_b X_b is one flat dict, on keys sized to the word
+(``_Layout``).  A word of n letters gets fields of w = max(n.bit_length(),
+5) bits, one per coordinate in ``COORDINATES`` order and no total-degree
+field.  Basis element b has a slot (1 is slot 0, then the products of
+``COORDINATES`` in order), and the term m X_b has the key
+m + (slot << shift), shift being w times the number of coordinates: the
+slot sits above the fields.  No exponent reaches 2**w (see ``_trace``),
+so no field carries into the next.  Below 32 letters a rank-2 key has 17
+bits (one int digit) and a rank-3 key 38, against 74 and 147 in
+:mod:`slchar.polyring`'s canonical packed layout; the result is
+converted to that layout once, by a map per layout that keeps each
+monomial it has converted (``_Repacked``).  The table becomes rows: per slot, the (key
+delta, coefficient) pairs of X_b times the letters, so that a step is
+one loop, out[key + delta] += k * c (``_step``).  Where a layout's keys
+stay below 2**17 (rank 2 below 32 letters, rank 1 below 2**16) the step
+adds into a list indexed by key, one per thread, not into a dict.
+A pass steps by the rows of four letters at once, two at rank 3, the
+merged product of their letters' rows, and rebuilds its dict once per
+row: at rank 2 a row of four letters has 7.6 pairs per slot, against 3.4
+for two letters and 2.1 for one, and all 160 rows of one to four letters
+take about 0.35 MB.  Rank 3 keeps rows of two letters, 5.0 pairs against
+3.0 for one: its rows of three and four letters would take about 10 MB.
 The join is two more steps of the same loop: f_b by the rows of
 tr(X_b X_c) over v's keys, and then sum c_b f_b by the f_b as rows over
-u's keys.  Rows and pairings depend on the rank and the letters only,
+u's keys.  Rows and pairings depend on the layout and the letters only,
 never on a word, so they stay cached (``_rows``, ``_pairing_rows``) and
 survive ``clear_cache()`` as ``_table`` does; each is built when first
 needed.
@@ -68,6 +76,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import threading
 
 from .polyring import F2_VARS, F3_VARS, WIDTH, Polynomial, VariableSet, _addmul_into
 from .words import Word, _cyclic_reduce
@@ -153,86 +162,170 @@ def _table(rank: int) -> dict:
     return {k: {b: c for b, c in el.items() if c} for k, el in table.items()}
 
 
-def _shift(rank: int) -> int:
-    """Bits below a flat key's slot: the fields of the rank's monomials."""
-    return _VARSETS[rank]._limit.bit_length() - 1
+#: Most keys a layout may span for ``_step`` to accumulate into a list:
+#: the four slots of rank 2 over three 5-bit fields.
+_DENSE_KEYS = 1 << 17
+
+#: Per thread, ``acc``, a list of ``_DENSE_KEYS`` zeros, and ``dirty``, set
+#: while a step uses it.
+_scratch = threading.local()
 
 
-def _step(element: dict, rows, shift: int) -> dict:
+class _Repacked(dict):
+    """Monomials of ``count`` fields ``source`` bits wide repacked into
+    fields ``target`` bits wide, under a total-degree field if ``degree``:
+    each by shifts and masks, at its first lookup.  Two threads that repack
+    the same monomial store equal keys."""
+
+    def __init__(self, count: int, source: int, target: int, degree: bool):
+        super().__init__()
+        self.fields = [(source * i, (1 << source) - 1) for i in reversed(range(count))]
+        self.target, self.degree = target, degree
+
+    def __missing__(self, m: int) -> int:
+        exps = [m >> s & mask for s, mask in self.fields]
+        key = sum(exps) if self.degree else 0
+        for e in exps:
+            key = key << self.target | e
+        self[m] = key
+        return key
+
+
+class _Layout:
+    """The flat keys of one rank for words of fewer than 2**width letters:
+    one width-bit field per coordinate, in ``COORDINATES`` order, and the
+    slot above them, from bit ``shift``.  One instance per (rank, width)
+    (``_layout``), so the caches keyed by it are per (rank, width)."""
+
+    __slots__ = ("rank", "shift", "dense", "_compact", "_canonical")
+
+    def __init__(self, rank: int, width: int):
+        count = len(_VARSETS[rank])
+        self.rank = rank
+        self.shift = width * count
+        self.dense = len(_BASIS[rank]) << self.shift <= _DENSE_KEYS
+        self._compact = _Repacked(count, WIDTH, width, False)
+        self._canonical = _Repacked(count, width, WIDTH, True)
+
+    def compact(self, terms: dict) -> dict:
+        """A canonical term dict on this layout's keys."""
+        compact = self._compact
+        return {compact[m]: c for m, c in terms.items()}
+
+    def polynomial(self, terms: dict) -> Polynomial:
+        """The polynomial of a term dict on this layout's keys."""
+        canonical = self._canonical
+        return Polynomial._trusted(_VARSETS[self.rank], {canonical[m]: c for m, c in terms.items()})
+
+
+@functools.cache
+def _layout(rank: int, width: int) -> _Layout:
+    return _Layout(rank, width)
+
+
+def _step(element: dict, rows, layout: _Layout) -> dict:
     """The flat expansion sum of k * rows[key >> shift] over ``element``'s
     keys and coefficients k, a row being (key delta, coefficient) pairs:
-    the engine's one multiply-add loop.  A cancelled key is removed."""
+    the engine's one multiply-add loop.  A cancelled key is removed.
+
+    On a dense layout the sums go to this thread's list, indexed by key,
+    and each key that turns nonzero is noted; the result is read from the
+    noted keys, which are zeroed as they are read.  A step left by an
+    exception leaves ``dirty`` set, and the next step starts a fresh list."""
+    shift = layout.shift
     out: dict = {}
-    get = out.get
+    if not layout.dense:
+        get = out.get
+        for key, k in element.items():
+            for delta, c in rows[key >> shift]:
+                e = key + delta
+                s = get(e, 0) + k * c
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+        return out
+    if getattr(_scratch, "dirty", True):
+        _scratch.acc = [0] * _DENSE_KEYS
+    _scratch.dirty = True
+    acc = _scratch.acc
+    touched: list = []
+    touch = touched.append
     for key, k in element.items():
         for delta, c in rows[key >> shift]:
             e = key + delta
-            s = get(e, 0) + k * c
-            if s:
-                out[e] = s
-            else:
-                del out[e]
+            s = acc[e]
+            if not s:
+                touch(e)
+            acc[e] = s + k * c
+    for e in touched:  # a key that cancelled and turned nonzero again is noted twice
+        s = acc[e]
+        if s:
+            out[e] = s
+            acc[e] = 0
+    _scratch.dirty = False
     return out
 
 
-def _as_rows(elements, shift: int) -> tuple:
+def _as_rows(elements, layout: _Layout) -> tuple:
     """Per slot, its flat expansion as rows: each key less the slot's own."""
+    shift = layout.shift
     return tuple(tuple((key - (b << shift), c) for key, c in el.items())
                  for b, el in enumerate(elements))
 
 
 @functools.cache
-def _rows(rank: int, letters: tuple[int, ...]) -> tuple:
+def _rows(layout: _Layout, letters: tuple[int, ...]) -> tuple:
     """Right multiplication by ``letters`` on flat keys, per slot: the
     ``_table`` entries of one letter, else the rows of all letters but the
     last, each times the last letter's rows."""
-    shift = _shift(rank)
+    shift = layout.shift
     if len(letters) > 1:
-        last = _rows(rank, letters[-1:])
-        return _as_rows((_step({(b << shift) + d: c for d, c in row}, last, shift)
-                         for b, row in enumerate(_rows(rank, letters[:-1]))), shift)
-    basis = _BASIS[rank]
+        last = _rows(layout, letters[-1:])
+        return _as_rows((_step({(b << shift) + d: c for d, c in row}, last, layout)
+                         for b, row in enumerate(_rows(layout, letters[:-1]))), layout)
+    basis = _BASIS[layout.rank]
     slot = {b: i << shift for i, b in enumerate(basis)}
-    return _as_rows(({slot[b2] + m: c for b2, terms in _table(rank)[b, letters[0]].items()
-                      for m, c in terms.items()} for b in basis), shift)
+    return _as_rows(({slot[b2] + m: c for b2, terms in _table(layout.rank)[b, letters[0]].items()
+                      for m, c in layout.compact(terms).items()} for b in basis), layout)
 
 
 @functools.cache
-def _trace_rows(rank: int) -> tuple:
+def _trace_rows(layout: _Layout) -> tuple:
     """tr 1 = 2 and tr X_b = x_b as rows: flat keys to monomials."""
-    return _as_rows([{0: 2}] + [_var(rank, b)._terms for b in _BASIS[rank][1:]], _shift(rank))
+    rank = layout.rank
+    return _as_rows([{0: 2}] + [layout.compact(_var(rank, b)._terms) for b in _BASIS[rank][1:]],
+                    layout)
 
 
-def _pairing(rank: int, b: tuple, c: tuple) -> dict:
-    """tr(X_b X_c) as a coefficient term dict: X_b times c's letters, then
-    tr 1 = 2 and tr X_I = x_I."""
-    shift = _shift(rank)
-    element = {_BASIS[rank].index(b) << shift: 1}
+def _pairing(layout: _Layout, b: tuple, c: tuple) -> dict:
+    """tr(X_b X_c) as a term dict on the layout's keys: X_b times c's
+    letters, then tr 1 = 2 and tr X_I = x_I."""
+    element = {_BASIS[layout.rank].index(b) << layout.shift: 1}
     if c:
-        element = _step(element, _rows(rank, c), shift)
-    return _step(element, _trace_rows(rank), shift)
+        element = _step(element, _rows(layout, c), layout)
+    return _step(element, _trace_rows(layout), layout)
 
 
 @functools.cache
-def _pairing_rows(rank: int) -> tuple:
+def _pairing_rows(layout: _Layout) -> tuple:
     """Per slot b, tr(X_b X_c) as rows over c's flat keys.  The trace form
     is symmetric, so each pair is traced once, for b up to c."""
-    basis = _BASIS[rank]
-    traced = {(b, c): _pairing(rank, b, c) for i, b in enumerate(basis) for c in basis[i:]}
+    basis = _BASIS[layout.rank]
+    traced = {(b, c): _pairing(layout, b, c) for i, b in enumerate(basis) for c in basis[i:]}
     return tuple(_as_rows((traced[(b, c) if (b, c) in traced else (c, b)] for c in basis),
-                          _shift(rank)) for b in basis)
+                          layout) for b in basis)
 
 
-def _pass(rank: int, letters: tuple[int, ...]) -> dict:
+def _pass(layout: _Layout, letters: tuple[int, ...]) -> dict:
     """The flat expansion of the product of ``letters``: one step per four
     letters, two at rank 3, after one row from 1 for the letters left over
     at the front."""
-    shift = _shift(rank)
-    width = 2 if rank == 3 else 4
-    head = len(letters) % width
-    element = dict(_rows(rank, letters[:head])[0]) if head else {0: 1}  # slot 0 keys are deltas
-    for i in range(head, len(letters), width):
-        element = _step(element, _rows(rank, letters[i:i + width]), shift)
+    per_step = 2 if layout.rank == 3 else 4
+    head = len(letters) % per_step
+    element = dict(_rows(layout, letters[:head])[0]) if head else {0: 1}  # slot 0 keys are deltas
+    for i in range(head, len(letters), per_step):
+        element = _step(element, _rows(layout, letters[i:i + per_step]), layout)
     return element
 
 
@@ -241,12 +334,13 @@ def _trace(rank: int, letters: tuple[int, ...]) -> Polynomial:
     """Trace polynomial of reduced letters w = u v, by the trace pairing
     tr(w) = sum c_b d_c tr(X_b X_c).  Weighting X_b by |b|,
     deg c_b + |b| <= |u| and deg tr(X_b X_c) <= |b| + |c|, so no product
-    exceeds degree len(w) and a word shorter than 2**WIDTH letters cannot
-    overflow a packed exponent field into a slot."""
+    exceeds degree len(w): a word of n letters cannot overflow the fields
+    of its layout, max(n.bit_length(), 5) bits wide (a pairing has degree
+    at most 6), nor, shorter than 2**WIDTH letters, a packed exponent."""
     n = len(letters)
     if n >> WIDTH:
         raise OverflowError(f"a word of {n} letters overflows {WIDTH}-bit exponents")
-    shift = _shift(rank)
+    layout = _layout(rank, max(n.bit_length(), 5))
     # v is the last 2n // 5 letters, n // 3 at rank 3, and at most 8: the
     # multiply-adds of the passes and the join are least near n / 3 at both
     # ranks, and timings near 2n / 5 at rank 2.  On the 72 seeded words of
@@ -258,20 +352,25 @@ def _trace(rank: int, letters: tuple[int, ...]) -> Polynomial:
     # from 7 letters on it takes more multiply-adds: the join also visits
     # the keys of v's pass and of each f_b, and writes f_b's rows.
     if n < (8 if rank == 3 else 9):
-        cut, rows = n, _trace_rows(rank)
+        cut, rows = n, _trace_rows(layout)
     else:  # f_b = sum_c d_c tr(X_b X_c), as rows over b's flat keys
         cut = n - min(2 * n // (6 if rank == 3 else 5), 8)
-        v = _pass(rank, letters[cut:])
-        rows = _as_rows((_step(v, pairing, shift) for pairing in _pairing_rows(rank)), shift)
-    return Polynomial._trusted(_VARSETS[rank], _step(_pass(rank, letters[:cut]), rows, shift))
+        v = _pass(layout, letters[cut:])
+        rows = _as_rows((_step(v, pairing, layout) for pairing in _pairing_rows(layout)), layout)
+    return layout.polynomial(_step(_pass(layout, letters[:cut]), rows, layout))
 
 
 def clear_cache() -> None:
+    """Forget the memoized trace polynomials.  What depends on a rank and a
+    layout only stays: the table, the rows and pairings, each layout's maps
+    from and to canonical monomials, and each thread's scratch list."""
     _trace.cache_clear()
 
 
 def trace_poly(w: Word) -> Polynomial:
-    """Trace polynomial of a word of rank 1, 2 or 3, canonical modulo PHI at rank 3."""
+    """Trace polynomial of a word of rank 1, 2 or 3, canonical modulo PHI at rank 3.
+
+    It may be called from several threads at once."""
     if w.rank not in (1, 2, 3):
         raise ValueError(f"trace polynomials are implemented for rank <= 3, got {w.rank}")
     return _trace(w.rank, _cyclic_reduce(w.letters)[0])

@@ -2,6 +2,8 @@ import functools
 import itertools
 import math
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from unittest import mock
 
@@ -207,16 +209,16 @@ def _counted_work(words):
     multiply_adds = keys = pairs = calls = 0
     step, as_rows = tracepoly._step, tracepoly._as_rows
 
-    def counting_step(element, rows, shift):
+    def counting_step(element, rows, layout):
         nonlocal multiply_adds, keys, calls
-        multiply_adds += sum(len(rows[key >> shift]) for key in element)
+        multiply_adds += sum(len(rows[key >> layout.shift]) for key in element)
         keys += len(element)
         calls += 1
-        return step(element, rows, shift)
+        return step(element, rows, layout)
 
-    def counting_rows(elements, shift):
+    def counting_rows(elements, layout):
         nonlocal pairs
-        rows = as_rows(elements, shift)
+        rows = as_rows(elements, layout)
         pairs += sum(map(len, rows))
         return rows
 
@@ -270,10 +272,10 @@ class TestEngine:
             character = {name: trace(basis_matrix(b))
                          for b, name in tracepoly._GEN_NAMES[rank].items()}
             basis = [(), *tracepoly._GEN_NAMES[rank]]
+            layout = tracepoly._layout(rank, 5)
             for b in basis:
                 for c in basis:
-                    tau = Polynomial._trusted(tracepoly._VARSETS[rank],
-                                              tracepoly._pairing(rank, b, c))
+                    tau = layout.polynomial(tracepoly._pairing(layout, b, c))
                     assert rank != 3 or tau.degree_in("x123") <= 1
                     assert tau.evaluate_exact(character) == trace(
                         matmul(basis_matrix(b), basis_matrix(c))), (rank, b, c)
@@ -302,20 +304,21 @@ class TestEngine:
         # every row of reduced letters the engine steps by, from every slot,
         # is the first letter's step and then each next letter's, which are
         # in turn the table's products
-        shift = tracepoly._shift(rank)
+        layout = tracepoly._layout(rank, 5)
+        shift = layout.shift
         basis = tracepoly._BASIS[rank]
         table = tracepoly._table(rank)
         for letters in _reduced_tuples(rank, _ROW_WIDTH[rank]):
-            rows = tracepoly._rows(rank, letters)
+            rows = tracepoly._rows(layout, letters)
             assert len(rows) == len(basis)
             for slot, b in enumerate(basis):
                 steps, nested = {slot << shift: 1}, {b: {0: 1}}
                 for g in letters:
-                    steps = tracepoly._step(steps, tracepoly._rows(rank, (g,)), shift)
+                    steps = tracepoly._step(steps, tracepoly._rows(layout, (g,)), layout)
                     nested = _times_letter(table, nested, g)
                 assert dict(rows[slot]) == {key - (slot << shift): c for key, c in steps.items()}
-                assert steps == {(basis.index(b2) << shift) + m: c
-                                 for b2, terms in nested.items() for m, c in terms.items()}
+                assert steps == {(basis.index(b2) << shift) + m: c for b2, terms in nested.items()
+                                 for m, c in layout.compact(terms).items()}
 
     def test_counted_work_and_bounded_rows(self):
         # the engine's multiply-adds on a seeded word set stay at most the
@@ -347,8 +350,13 @@ class TestEngine:
             assert tracepoly._pairing_rows.cache_info().currsize == rank - 1
         tracepoly.clear_cache()
 
-    @pytest.mark.parametrize("rank, length", [(2, 40), (3, 16), (2, 64), (3, 24)])
+    # a layout's fields are 5 bits wide below 32 letters and one bit wider
+    # from 32, where rank 2 leaves the dense accumulator for the dict loop
+    @pytest.mark.parametrize("rank, length", [(2, 40), (3, 16), (2, 64), (3, 24), (1, 32),
+                                              (2, 31), (2, 32), (3, 31), (3, 32)])
     def test_long_words_exact(self, rank, length):
+        layout = tracepoly._layout(rank, max(length.bit_length(), 5))
+        assert layout.dense == (rank == 1 or rank == 2 and length < 32)
         rnd = random.Random(length)
         for _ in range(3):
             w = _exact_length_word(rnd, rank, length)
@@ -357,6 +365,44 @@ class TestEngine:
             assert rank < 3 or p.degree_in("x123") <= 1
             assert evaluate_at_character(p, mats) == trace(
                 word_product(w, [from_pair(m) for m in mats]))
+
+    def test_threads_trace_alike(self):
+        # each thread steps in a scratch list of its own: rank-2 words of
+        # 20-28 letters take the dense accumulator and rank-3 words the
+        # dict loop, with threads switching every microsecond
+        words = _cyclic_words("threads", [(2, n) for n in range(20, 29)]
+                              + [(3, n) for n in range(8, 13)], 8)
+        want = [trace_poly(w) for w in words]
+        tracepoly.clear_cache()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                got = list(pool.map(trace_poly, words, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+            tracepoly.clear_cache()
+        assert [w for w, p, q in zip(words, got, want) if p != q] == []
+
+    def test_interrupted_step_leaves_no_sums(self):
+        # a dense step left by an exception has written to its scratch list;
+        # the next step starts a fresh one
+        class Interrupt(Exception):
+            pass
+
+        class Raising:
+            def __rmul__(self, k):
+                raise Interrupt
+
+        layout = tracepoly._layout(2, 5)
+        assert layout.dense
+        rows = (tuple((key, 1) for key in range(tracepoly._DENSE_KEYS)) + ((0, Raising()),),)
+        with pytest.raises(Interrupt):
+            tracepoly._step({0: 1}, rows, layout)
+        letters = _cyclic_words("interrupted", [(2, 20)], 1)[0].letters
+        tracepoly.clear_cache()
+        assert tracepoly._trace(2, letters) == _one_pass(2, letters)
+        tracepoly.clear_cache()
 
     def test_rank4_is_not_public(self):
         with pytest.raises(ValueError, match=r"rank <= 3, got 4"):
