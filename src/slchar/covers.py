@@ -7,21 +7,25 @@ rank-3 ones are ``tracepoly.COORDINATES``); the images of the source
 generators as words in the base, a free group of rank ``rank`` (the
 word-level monomorphism of fundamental groups); the base coordinates as
 target variables; and the named defining relations of the source ring.
-Building a record pushes each coordinate word through the generator
-images and runs the trace engine on the result.  That makes the
-defining relations vanish identically after substitution, which
+The first use of a record's ``images`` (``ring_map`` uses them)
+pushes each coordinate word through the generator images and runs the
+trace engine on the result, so importing the module traces nothing.  That makes the defining
+relations vanish identically after substitution, which
 ``symbolic_check`` verifies, and ties the tables to the matrix oracle
-through the same engine.
+through the same engine.  A record sets up its substitution once, at
+its first ``apply_poly``, and keeps it with the key maps that it fills
+(``polyring._Substitution``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
 from .fricke import s04_defining_poly, s12_relation_polys
-from .polyring import F3_VARS, PHI, S04_VARS, S12_VARS, Polynomial, VariableSet, reduce_mod_phi
+from .polyring import (F3_VARS, PHI, S04_VARS, S12_VARS, Polynomial, VariableSet,
+                       _Substitution, reduce_mod_phi)
 from .tracepoly import COORDINATES, trace_poly
 from .words import Word
 
@@ -41,9 +45,9 @@ __all__ = [
 @dataclass(frozen=True)
 class RingMap:
     """One map: its word map and each source coordinate's image
-    polynomial, traced when the record is built (see the module
-    docstring).  For an ``involution``, ``symbolic_check`` also tests
-    that the map squares to the identity on generators."""
+    polynomial, traced at first use (see the module docstring).  For an
+    ``involution``, ``symbolic_check`` also tests that the map squares to
+    the identity on generators."""
 
     name: str
     source: VariableSet
@@ -53,22 +57,27 @@ class RingMap:
     target: VariableSet
     relations: Mapping[str, Polynomial]
     involution: bool = False
-    images: Mapping[str, Polynomial] = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "images", {
+    @cached_property
+    def images(self) -> Mapping[str, Polynomial]:
+        """Each source coordinate's image, traced on the first call."""
+        return {
             name: trace_poly(Word(self.rank, tuple(h for g in word for h in self.generators[g])))
             .rename_variables(self.target)
             for name, word in self.words.items()
-        })
+        }
+
+    @cached_property
+    def _substitution(self) -> _Substitution:
+        return _Substitution(self.source, self.images, self.target)
 
     def apply_poly(self, p: Polynomial) -> Polynomial:
         """Push a polynomial over the source variables through the map:
-        ``substitute`` of the images as they are (not copied), then, on the
-        rank-3 ring, ``reduce_mod_phi``."""
+        the substitution of the images, as ``Polynomial.substitute`` does
+        it, then, on the rank-3 ring, ``reduce_mod_phi``."""
         if p.variables != self.source:
             raise ValueError(f"{self.name}: expected a polynomial over {self.source}")
-        out = p.substitute(self.images, target=self.target)
+        out = self._substitution(p)
         if self.target == F3_VARS:
             out = reduce_mod_phi(out)
         return out
@@ -150,8 +159,11 @@ COVERS = {
 
 
 def ring_map(key: str) -> RingMap:
-    """The map ``COVERS[key]``."""
-    return COVERS[key]
+    """The map ``COVERS[key]``, its images traced: a caller that takes a
+    map pays for its tracing here, not in its first ``apply_poly``."""
+    rm = COVERS[key]
+    rm.images
+    return rm
 
 
 def cover_c02_to_s04() -> RingMap:

@@ -37,7 +37,13 @@ table (``tracepoly._table``) go through one kernel, ``_addmul_into``
 (``out += a*b``); the engine itself steps by ``tracepoly._step``, and
 ``substitute`` needs the kernel only for the images of several terms,
 which it multiplies by Horner's rule, after one pass over the terms
-that adds the keys of the one-term images.
+that adds the keys of the one-term images.  A key map that changes
+nothing but the packing is linear in the fields, and one memo serves
+every such map (``_MonomialMap``): the one-term images of a
+substitution, and the trace engine's conversions from and to its
+word-sized keys.  ``substitute`` sets up a ``_Substitution`` and calls
+it once; a ring map (``covers.RingMap``) keeps its own, with the key
+maps that its calls fill.
 ``evaluate`` sums floats in the canonical term order, so a float value
 depends only on the polynomial, not on the order in which arithmetic
 built its term dict.
@@ -435,62 +441,15 @@ class Polynomial:
         mapping: Mapping[str, "Polynomial"],
         target: VariableSet | None = None,
     ) -> "Polynomial":
-        """Substitute polynomials for variables.
+        """Substitute polynomials for variables (see ``_Substitution``).
 
         Unmapped variables are carried over by name, so they must exist
         in the target set.  When all images share one variable set the
         target may be omitted.
-
-        One pass over the terms handles the images of at most one term
-        c*m (a variable, a constant, zero), which need no product:
-        exponent k adds ``k * m`` to the packed key and, unless c is 1,
-        multiplies the coefficient by ``c**k``.  It puts each term in the
-        group keyed by its packed exponents on the variables with larger
-        images (the source key masked to their fields, an int).  The
-        groups are then summed by Horner's rule in each larger image, in
-        declared order (see ``_horner``), so no power of an image is
-        built or kept.
         """
         if target is None:
             target = next((img.variables for img in mapping.values()), self.variables)
-        singles, scaled, several = [], [], []  # (shift, key), (shift, c), (shift, terms)
-        gmask = 0
-        for name, s in zip(self.variables.names, self.variables._shifts):
-            img = mapping[name] if name in mapping else Polynomial.variable(target, name)
-            if img.variables != target:
-                raise ValueError(f"image of {name!r} is over {img.variables}, expected {target}")
-            terms = img._terms
-            if len(terms) > 1:
-                several.append((s, terms))
-                gmask |= _MASK << s
-                continue
-            m, a = next(iter(terms.items()), (0, 0))
-            if m:
-                singles.append((s, m))
-            if a != 1:
-                scaled.append((s, a))
-        limit, mask = target._limit, _MASK
-        groups: dict[int, dict] = {}
-        for e, c in self._terms.items():
-            key = 0
-            for s, m in singles:
-                key += (e >> s & mask) * m
-            if key >= limit:
-                raise OverflowError(f"product degree exceeds {_MASK} ({WIDTH}-bit fields)")
-            for s, a in scaled:
-                k = e >> s & mask
-                if k:
-                    c *= a**k
-            group = groups.get(e & gmask)
-            if group is None:
-                group = groups[e & gmask] = {}
-            c += group.get(key, 0)
-            if c:
-                group[key] = c if type(c) is int else _norm_coeff(c)
-            else:  # cancelled, or a zero image
-                group.pop(key, None)
-        ordered = sorted(((g, t) for g, t in groups.items() if t), reverse=True)
-        return Polynomial._trusted(target, _horner(ordered, several, limit) if ordered else {})
+        return _Substitution(self.variables, mapping, target)(self)
 
     def rename_variables(self, target: VariableSet) -> "Polynomial":
         """Reinterpret over a same-length variable set, positionally."""
@@ -545,6 +504,100 @@ class Polynomial:
             for t in data["terms"]
         }
         return cls(variables, terms)
+
+
+class _MonomialMap(dict):
+    """A linear map of packed monomials, kept: the image of m sums
+    ``(m >> shift & mask) * step`` over ``fields``, computed at the first
+    lookup of m.  Two threads that map the same monomial store equal images."""
+
+    __slots__ = ("fields", "mask")
+
+    def __init__(self, fields, mask: int = _MASK):
+        super().__init__()
+        self.fields = tuple(fields)
+        self.mask = mask
+
+    def __missing__(self, m: int) -> int:
+        mask, image = self.mask, 0
+        for shift, step in self.fields:
+            image += (m >> shift & mask) * step
+        self[m] = image
+        return image
+
+
+class _Substitution:
+    """Polynomials over ``variables`` with each variable replaced by its
+    image in ``mapping`` (by itself in ``target`` if unmapped): the set-up
+    once, then one call per polynomial.
+
+    One pass over the terms handles the images of at most one term c*m (a
+    variable, a constant, zero), which need no product: exponent k adds
+    ``k * m`` to the packed key and, unless c is 1, multiplies the
+    coefficient by ``c**k``.  The key is linear in the source fields, so
+    each run of consecutive fields with such images has a ``_MonomialMap``
+    from the run's bits to the keys they add, kept across calls, and a
+    term's key is one lookup per run.  The pass puts each term in the
+    group keyed by its packed exponents on the variables with larger
+    images (the source key masked to their fields, an int).  The groups
+    are then summed by Horner's rule in each larger image, in declared
+    order (see ``_horner``), so no power of an image is built or kept.
+    """
+
+    __slots__ = ("target", "runs", "scaled", "several", "gmask")
+
+    def __init__(self, variables: VariableSet, mapping: Mapping[str, "Polynomial"],
+                 target: VariableSet):
+        self.target = target
+        self.scaled, self.several = [], []  # (shift, c), (shift, terms)
+        self.gmask = 0
+        singles = []  # per variable, (shift, m) for a one-term image, else None
+        for name, s in zip(variables.names, variables._shifts):
+            img = mapping[name] if name in mapping else Polynomial.variable(target, name)
+            if img.variables != target:
+                raise ValueError(f"image of {name!r} is over {img.variables}, expected {target}")
+            terms = img._terms
+            if len(terms) > 1:
+                singles.append(None)
+                self.several.append((s, terms))
+                self.gmask |= _MASK << s
+                continue
+            m, a = next(iter(terms.items()), (0, 0))
+            singles.append((s, m))
+            if a != 1:
+                self.scaled.append((s, a))
+        self.runs = []  # (shift, mask, _MonomialMap) per run that moves a key
+        for one_term, run in groupby(singles, key=bool):
+            run = list(run)  # from the highest field down
+            if one_term and any(m for _, m in run):
+                low = run[-1][0]
+                self.runs.append((low, (1 << run[0][0] - low + WIDTH) - 1,
+                                  _MonomialMap((s - low, m) for s, m in run if m)))
+
+    def __call__(self, p: "Polynomial") -> "Polynomial":
+        target, runs, scaled = self.target, self.runs, self.scaled
+        limit, mask, gmask = target._limit, _MASK, self.gmask
+        groups: dict[int, dict] = {}
+        for e, c in p._terms.items():
+            key = 0
+            for s, run_mask, image in runs:
+                key += image[e >> s & run_mask]
+            if key >= limit:
+                raise OverflowError(f"product degree exceeds {_MASK} ({WIDTH}-bit fields)")
+            for s, a in scaled:
+                k = e >> s & mask
+                if k:
+                    c *= a**k
+            group = groups.get(e & gmask)
+            if group is None:
+                group = groups[e & gmask] = {}
+            c += group.get(key, 0)
+            if c:
+                group[key] = c if type(c) is int else _norm_coeff(c)
+            else:  # cancelled, or a zero image
+                group.pop(key, None)
+        ordered = sorted(((g, t) for g, t in groups.items() if t), reverse=True)
+        return Polynomial._trusted(target, _horner(ordered, self.several, limit) if ordered else {})
 
 
 def sum_product(t1, t2, t3, t12, t13, t23):

@@ -44,11 +44,13 @@ so no field carries into the next.  Below 32 letters a rank-2 key has 17
 bits (one int digit) and a rank-3 key 38, against 74 and 147 in
 :mod:`slchar.polyring`'s canonical packed layout; the result is
 converted to that layout once, by a map per layout that keeps each
-monomial it has converted (``_Repacked``).  The table becomes rows: per slot, the (key
-delta, coefficient) pairs of X_b times the letters, so that a step is
-one loop, out[key + delta] += k * c (``_step``).  Where a layout's keys
-stay below 2**17 (rank 2 below 32 letters, rank 1 below 2**16) the step
-adds into a list indexed by key, one per thread, not into a dict.
+monomial it has converted (``polyring._MonomialMap``: a conversion of
+layouts is linear in the fields).  The table becomes rows: per slot,
+the (key delta, coefficient) pairs of X_b times the letters, so that a
+step is one loop, out[key + delta] += k * c (``_step``).  Where a
+layout's keys stay below 2**17 (rank 2 below 32 letters, rank 1 below
+2**16) the step adds into a list indexed by key, one per thread, not
+into a dict.
 A pass steps by the rows of four letters at once, two at rank 3, the
 merged product of their letters' rows, and rebuilds its dict once per
 row: at rank 2 a row of four letters has 7.6 pairs per slot, against 3.4
@@ -78,7 +80,8 @@ import functools
 import itertools
 import threading
 
-from .polyring import F2_VARS, F3_VARS, WIDTH, Polynomial, VariableSet, _addmul_into
+from .polyring import (F2_VARS, F3_VARS, WIDTH, Polynomial, VariableSet, _addmul_into,
+                       _MonomialMap)
 from .words import Word, _cyclic_reduce
 
 __all__ = [
@@ -171,26 +174,6 @@ _DENSE_KEYS = 1 << 17
 _scratch = threading.local()
 
 
-class _Repacked(dict):
-    """Monomials of ``count`` fields ``source`` bits wide repacked into
-    fields ``target`` bits wide, under a total-degree field if ``degree``:
-    each by shifts and masks, at its first lookup.  Two threads that repack
-    the same monomial store equal keys."""
-
-    def __init__(self, count: int, source: int, target: int, degree: bool):
-        super().__init__()
-        self.fields = [(source * i, (1 << source) - 1) for i in reversed(range(count))]
-        self.target, self.degree = target, degree
-
-    def __missing__(self, m: int) -> int:
-        exps = [m >> s & mask for s, mask in self.fields]
-        key = sum(exps) if self.degree else 0
-        for e in exps:
-            key = key << self.target | e
-        self[m] = key
-        return key
-
-
 class _Layout:
     """The flat keys of one rank for words of fewer than 2**width letters:
     one width-bit field per coordinate, in ``COORDINATES`` order, and the
@@ -204,8 +187,12 @@ class _Layout:
         self.rank = rank
         self.shift = width * count
         self.dense = len(_BASIS[rank]) << self.shift <= _DENSE_KEYS
-        self._compact = _Repacked(count, WIDTH, width, False)
-        self._canonical = _Repacked(count, width, WIDTH, True)
+        # both ways a linear field map: field i to field i, and the canonical
+        # side adds each exponent to the total-degree field too
+        self._compact = _MonomialMap((WIDTH * i, 1 << width * i) for i in range(count))
+        self._canonical = _MonomialMap(
+            ((width * i, (1 << WIDTH * i) + (1 << WIDTH * count)) for i in range(count)),
+            (1 << width) - 1)
 
     def compact(self, terms: dict) -> dict:
         """A canonical term dict on this layout's keys."""

@@ -27,16 +27,20 @@ import slchar
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
+def run(code: str) -> list[str]:
+    """The lines that ``code`` prints in a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
 def loaded(code: str, module: str = "numpy") -> bool:
     """Whether ``module``, numpy unless named, is in ``sys.modules`` after
     running ``code``."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
-    script = f"{code}\nimport sys\nprint({module!r} in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()[-1] == "True"
+    return run(f"{code}\nimport sys\nprint({module!r} in sys.modules)")[-1] == "True"
 
 
 @pytest.mark.parametrize("code", [
@@ -94,6 +98,16 @@ def test_symbolic_path_loads_no_numpy(code):
 
 def test_symbolic_modules_leave_mat2_out():
     assert not loaded("import slchar.tracepoly, slchar.covers, slchar.fricke", "slchar.mat2")
+
+
+def test_import_traces_no_word():
+    # a ring map traces its images at first use, and ring_map() uses them
+    out = run("import slchar.cli\nfrom slchar import covers, tracepoly\n"
+              "print(tracepoly._trace.cache_info().currsize)\n"
+              "covers.ring_map('deck')\n"
+              "print(tracepoly._trace.cache_info().currsize > 0,"
+              " 'images' in vars(covers.COVERS['embed']))")
+    assert out == ["0", "True False"]
 
 
 def test_matrix_modules_load_numpy():

@@ -624,6 +624,45 @@ class TestCoversAgainstReference:
         assert deck.apply_poly(deck.apply_poly(p)) == reduce_mod_phi(p)
 
 
+class TestKeptSubstitution:
+    """A ring map sets up its ``_Substitution`` once and keeps the key maps
+    that its calls fill."""
+
+    def test_warm_deck_tables_match_naive_reference(self):
+        deck = covers.deck_ring_map()
+        sub = polyring._Substitution(F3_VARS, deck.images, F3_VARS)
+        rnd = random.Random(47)
+        first, second = ([rand_poly(rnd, F3_VARS, nterms=5, maxdeg=2) for _ in range(20)]
+                         for _ in range(2))
+        for p in first:
+            sub(p)
+        # x13's image has four terms: x1 to x12 are one run, x23 and x123 the other
+        assert [len(image) > 0 for _, _, image in sub.runs] == [True, True]
+        for p in second:
+            assert sub(p) == naive_substitute(p, deck.images, F3_VARS)
+
+    def test_key_summed_from_two_warm_runs_overflows(self):
+        # x and z map to one term each, on either side of y's two terms, so
+        # their keys come from two runs: each fits alone, their sum does not
+        h = (1 << WIDTH) // 2
+        x, y, z = V("x"), V("y"), V("z")
+        sub = polyring._Substitution(F2_VARS, {"x": x**h, "y": x + y, "z": y**h}, F2_VARS)
+        assert len(sub.runs) == 2
+        assert sub(x) == x**h
+        assert sub(z) == y**h
+        with pytest.raises(OverflowError, match="product degree exceeds"):
+            sub(x * z)
+
+    @pytest.mark.parametrize("key", sorted(covers.COVERS))
+    def test_apply_poly_reduces_substitute(self, key):
+        rm = covers.COVERS[key]
+        rnd = random.Random(key)
+        for p in [*rm.relations.values(), *(rand_poly(rnd, rm.source, maxdeg=2) for _ in range(5))]:
+            plain = p.substitute(rm.images, rm.target)
+            assert rm._substitution(p) == plain
+            assert rm.apply_poly(p) == (reduce_mod_phi(plain) if rm.target == F3_VARS else plain)
+
+
 class TestSympyOracle:
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(polys(F3_VARS, max_terms=5, max_deg=1, degrees={"x123": 6}))
