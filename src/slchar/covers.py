@@ -7,14 +7,14 @@ rank-3 ones are ``tracepoly.COORDINATES``); the images of the source
 generators as words in the base, a free group of rank ``rank`` (the
 word-level monomorphism of fundamental groups); the base coordinates as
 target variables; and the named defining relations of the source ring.
-The first use of a record's ``images`` (``ring_map`` uses them)
+The first use of a record's ``images`` (its first ``apply_poly``, say)
 pushes each coordinate word through the generator images and runs the
-trace engine on the result, so importing the module traces nothing.  That makes the defining
-relations vanish identically after substitution, which
-``symbolic_check`` verifies, and ties the tables to the matrix oracle
-through the same engine.  A record sets up its substitution once, at
-its first ``apply_poly``, and keeps it with the key maps that it fills
-(``polyring._Substitution``).
+trace engine on the result, so importing the module traces nothing.
+That makes the defining relations vanish identically after
+substitution, which ``symbolic_check`` verifies, and ties the tables to
+the matrix oracle through the same engine.  A record sets up its
+substitution once, at its first ``apply_poly``, and keeps it with the
+key map that it fills (``polyring._Substitution``).
 """
 
 from __future__ import annotations
@@ -159,11 +159,8 @@ COVERS = {
 
 
 def ring_map(key: str) -> RingMap:
-    """The map ``COVERS[key]``, its images traced: a caller that takes a
-    map pays for its tracing here, not in its first ``apply_poly``."""
-    rm = COVERS[key]
-    rm.images
-    return rm
+    """The map ``COVERS[key]``."""
+    return COVERS[key]
 
 
 def cover_c02_to_s04() -> RingMap:

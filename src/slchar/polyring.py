@@ -38,12 +38,12 @@ table (``tracepoly._table``) go through one kernel, ``_addmul_into``
 ``substitute`` needs the kernel only for the images of several terms,
 which it multiplies by Horner's rule, after one pass over the terms
 that adds the keys of the one-term images.  A key map that changes
-nothing but the packing is linear in the fields, and one memo serves
-every such map (``_MonomialMap``): the one-term images of a
+nothing but the packing is linear in the fields, and one bounded memo
+serves every such map (``_MonomialMap``): the one-term images of a
 substitution, and the trace engine's conversions from and to its
 word-sized keys.  ``substitute`` sets up a ``_Substitution`` and calls
 it once; a ring map (``covers.RingMap``) keeps its own, with the key
-maps that its calls fill.
+map that its calls fill.
 ``evaluate`` sums floats in the canonical term order, so a float value
 depends only on the polynomial, not on the order in which arithmetic
 built its term dict.
@@ -509,9 +509,13 @@ class Polynomial:
 class _MonomialMap(dict):
     """A linear map of packed monomials, kept: the image of m sums
     ``(m >> shift & mask) * step`` over ``fields``, computed at the first
-    lookup of m.  Two threads that map the same monomial store equal images."""
+    lookup of m.  It holds at most ``limit`` images (about 80 bytes each)
+    and starts over when full, so a long run of new monomials costs a
+    bounded memory.  Two threads that map the same monomial store equal
+    images."""
 
     __slots__ = ("fields", "mask")
+    limit = 1 << 16
 
     def __init__(self, fields, mask: int = _MASK):
         super().__init__()
@@ -522,6 +526,8 @@ class _MonomialMap(dict):
         mask, image = self.mask, 0
         for shift, step in self.fields:
             image += (m >> shift & mask) * step
+        if len(self) >= self.limit:
+            self.clear()
         self[m] = image
         return image
 
@@ -534,54 +540,47 @@ class _Substitution:
     One pass over the terms handles the images of at most one term c*m (a
     variable, a constant, zero), which need no product: exponent k adds
     ``k * m`` to the packed key and, unless c is 1, multiplies the
-    coefficient by ``c**k``.  The key is linear in the source fields, so
-    each run of consecutive fields with such images has a ``_MonomialMap``
-    from the run's bits to the keys they add, kept across calls, and a
-    term's key is one lookup per run.  The pass puts each term in the
-    group keyed by its packed exponents on the variables with larger
-    images (the source key masked to their fields, an int).  The groups
-    are then summed by Horner's rule in each larger image, in declared
-    order (see ``_horner``), so no power of an image is built or kept.
+    coefficient by ``c**k``.  That key is linear in the source fields of
+    these images, so a ``_MonomialMap`` from those fields (the source key
+    masked to them) to the key, kept across calls, gives it in one lookup.
+    The pass puts each term in the group keyed by its packed exponents on
+    the variables with larger images (the source key masked to their
+    fields, an int).  The groups are then summed by Horner's rule in each
+    larger image, in declared order (see ``_horner``), so no power of an
+    image is built or kept.
     """
 
-    __slots__ = ("target", "runs", "scaled", "several", "gmask")
+    __slots__ = ("target", "keys", "kmask", "scaled", "several", "gmask")
 
     def __init__(self, variables: VariableSet, mapping: Mapping[str, "Polynomial"],
                  target: VariableSet):
         self.target = target
         self.scaled, self.several = [], []  # (shift, c), (shift, terms)
-        self.gmask = 0
-        singles = []  # per variable, (shift, m) for a one-term image, else None
+        self.kmask = self.gmask = 0
+        singles = []  # (shift, m)
         for name, s in zip(variables.names, variables._shifts):
             img = mapping[name] if name in mapping else Polynomial.variable(target, name)
             if img.variables != target:
                 raise ValueError(f"image of {name!r} is over {img.variables}, expected {target}")
             terms = img._terms
             if len(terms) > 1:
-                singles.append(None)
                 self.several.append((s, terms))
                 self.gmask |= _MASK << s
                 continue
             m, a = next(iter(terms.items()), (0, 0))
-            singles.append((s, m))
+            if m:
+                singles.append((s, m))
+                self.kmask |= _MASK << s
             if a != 1:
                 self.scaled.append((s, a))
-        self.runs = []  # (shift, mask, _MonomialMap) per run that moves a key
-        for one_term, run in groupby(singles, key=bool):
-            run = list(run)  # from the highest field down
-            if one_term and any(m for _, m in run):
-                low = run[-1][0]
-                self.runs.append((low, (1 << run[0][0] - low + WIDTH) - 1,
-                                  _MonomialMap((s - low, m) for s, m in run if m)))
+        self.keys = _MonomialMap(singles)
 
     def __call__(self, p: "Polynomial") -> "Polynomial":
-        target, runs, scaled = self.target, self.runs, self.scaled
+        target, keys, kmask, scaled = self.target, self.keys, self.kmask, self.scaled
         limit, mask, gmask = target._limit, _MASK, self.gmask
         groups: dict[int, dict] = {}
         for e, c in p._terms.items():
-            key = 0
-            for s, run_mask, image in runs:
-                key += image[e >> s & run_mask]
+            key = keys[e & kmask]
             if key >= limit:
                 raise OverflowError(f"product degree exceeds {_MASK} ({WIDTH}-bit fields)")
             for s, a in scaled:

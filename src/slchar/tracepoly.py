@@ -43,14 +43,14 @@ slot sits above the fields.  No exponent reaches 2**w (see ``_trace``),
 so no field carries into the next.  Below 32 letters a rank-2 key has 17
 bits (one int digit) and a rank-3 key 38, against 74 and 147 in
 :mod:`slchar.polyring`'s canonical packed layout; the result is
-converted to that layout once, by a map per layout that keeps each
-monomial it has converted (``polyring._MonomialMap``: a conversion of
-layouts is linear in the fields).  The table becomes rows: per slot,
-the (key delta, coefficient) pairs of X_b times the letters, so that a
-step is one loop, out[key + delta] += k * c (``_step``).  Where a
-layout's keys stay below 2**17 (rank 2 below 32 letters, rank 1 below
-2**16) the step adds into a list indexed by key, one per thread, not
-into a dict.
+converted to that layout once, by a map per layout that keeps the
+monomials it has converted, up to a bound (``polyring._MonomialMap``: a
+conversion of layouts is linear in the fields).  The table becomes
+rows: per slot, the (key delta, coefficient) pairs of X_b times the
+letters, so that a step is one loop, out[key + delta] += k * c
+(``_step``).  Where a layout's keys stay below 2**17 (rank 2 below 32
+letters, rank 1 below 2**16) the step adds into a list indexed by key,
+one per thread, not into a dict.
 A pass steps by the rows of four letters at once, two at rank 3, the
 merged product of their letters' rows, and rebuilds its dict once per
 row: at rank 2 a row of four letters has 7.6 pairs per slot, against 3.4

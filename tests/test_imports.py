@@ -101,10 +101,11 @@ def test_symbolic_modules_leave_mat2_out():
 
 
 def test_import_traces_no_word():
-    # a ring map traces its images at first use, and ring_map() uses them
-    out = run("import slchar.cli\nfrom slchar import covers, tracepoly\n"
+    # a ring map traces its images at first use, not when it is taken
+    out = run("import slchar.cli\nfrom slchar import covers, polyring, tracepoly\n"
+              "deck = covers.ring_map('deck')\n"
               "print(tracepoly._trace.cache_info().currsize)\n"
-              "covers.ring_map('deck')\n"
+              "deck.apply_poly(polyring.PHI)\n"
               "print(tracepoly._trace.cache_info().currsize > 0,"
               " 'images' in vars(covers.COVERS['embed']))")
     assert out == ["0", "True False"]

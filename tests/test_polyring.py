@@ -625,7 +625,7 @@ class TestCoversAgainstReference:
 
 
 class TestKeptSubstitution:
-    """A ring map sets up its ``_Substitution`` once and keeps the key maps
+    """A ring map sets up its ``_Substitution`` once and keeps the key map
     that its calls fill."""
 
     def test_warm_deck_tables_match_naive_reference(self):
@@ -636,22 +636,30 @@ class TestKeptSubstitution:
                          for _ in range(2))
         for p in first:
             sub(p)
-        # x13's image has four terms: x1 to x12 are one run, x23 and x123 the other
-        assert [len(image) > 0 for _, _, image in sub.runs] == [True, True]
+        assert len(sub.keys) > 0
         for p in second:
             assert sub(p) == naive_substitute(p, deck.images, F3_VARS)
 
-    def test_key_summed_from_two_warm_runs_overflows(self):
-        # x and z map to one term each, on either side of y's two terms, so
-        # their keys come from two runs: each fits alone, their sum does not
+    def test_key_of_two_warm_images_overflows(self):
+        # x and z map to one term each, on either side of y's two terms:
+        # each key fits alone and is kept, their sum does not fit
         h = (1 << WIDTH) // 2
         x, y, z = V("x"), V("y"), V("z")
         sub = polyring._Substitution(F2_VARS, {"x": x**h, "y": x + y, "z": y**h}, F2_VARS)
-        assert len(sub.runs) == 2
         assert sub(x) == x**h
         assert sub(z) == y**h
         with pytest.raises(OverflowError, match="product degree exceeds"):
             sub(x * z)
+
+    def test_key_map_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(polyring._MonomialMap, "limit", 8)
+        deck = covers.deck_ring_map()
+        sub = polyring._Substitution(F3_VARS, deck.images, F3_VARS)
+        rnd = random.Random(48)
+        for _ in range(10):
+            p = rand_poly(rnd, F3_VARS, nterms=5, maxdeg=2)
+            assert sub(p) == naive_substitute(p, deck.images, F3_VARS)
+            assert 0 < len(sub.keys) <= 8
 
     @pytest.mark.parametrize("key", sorted(covers.COVERS))
     def test_apply_poly_reduces_substitute(self, key):
@@ -713,7 +721,7 @@ DECK_GUARD_CALLS = 40
 
 
 def test_deck_squared_kernel_calls(monkeypatch):
-    covers.deck_ring_map()  # built (and traced) before counting
+    covers.deck_ring_map().images  # traced before counting
     calls = []
     kernel = polyring._addmul_into
 
