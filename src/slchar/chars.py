@@ -17,11 +17,10 @@ from fractions import Fraction
 from numbers import Rational
 
 from ._intake import Record, take, unless_overflowed
-from .polyring import F2_VARS, F3_VARS, sum_product
+from .polyring import F2_VARS, F3_VARS, kappa_value, sum_product
 from .mat2 import (GeometryError, _character, _entries, _modulus, _mul, _normal_form,
                    _principal_root, _trace_of_product, det, format_complex, lie_product, mat2,
                    principal_sqrt, trace, word_trace)
-from .tracepoly import kappa_value
 from .words import Word
 
 __all__ = [

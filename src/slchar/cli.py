@@ -44,7 +44,7 @@ def parse_number(text: str) -> float:
     text = text.strip()
     try:
         v = float(Fraction(text)) if "/" in text else float(text)
-    except (ZeroDivisionError, OverflowError):  # p/0, or p/q beyond the floats
+    except (ValueError, ZeroDivisionError, OverflowError):  # no number, p/0, or p/q too large
         v = math.inf
     if not math.isfinite(v):
         raise ValueError(f"not a finite number: {text!r}")
@@ -57,7 +57,7 @@ def parse_number_exact(text: str):
     if not non_finite and ("/" in text or "." not in text and "e" not in text.lower()):
         try:
             return Fraction(text)
-        except ZeroDivisionError:
+        except (ValueError, ZeroDivisionError):
             raise ValueError(f"not a finite number: {text!r}") from None
     return parse_number(text)
 
@@ -95,8 +95,8 @@ def cmd_eval_word(args) -> int:
                     raw = fh.read()
             except OSError as exc:
                 raise ValueError(f"cannot read {raw[1:]}: {exc.strerror}") from None
-        data = json.loads(raw)
-        try:  # a non-object entry raises TypeError on ["re"], a bad shape ValueError
+        try:  # not JSON or a bad shape raises ValueError, a non-object entry TypeError on ["re"]
+            data = json.loads(raw)
             mats = [mat2.matrix_from_json(m) for m in data] if isinstance(data, list) else None
         except (KeyError, TypeError, ValueError):
             mats = None

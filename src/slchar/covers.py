@@ -3,7 +3,7 @@
 Each map is one frozen record of the ordered registry ``COVERS`` that
 holds the word map and its traced images: the source coordinates, each
 as the positive word in the source generators whose trace it is (the
-rank-3 ones are ``tracepoly.COORDINATES``); the images of the source
+rank-3 ones are ``polyring.COORDINATES``); the images of the source
 generators as words in the base, a free group of rank ``rank`` (the
 word-level monomorphism of fundamental groups); the base coordinates as
 target variables; and the named defining relations of the source ring.
@@ -24,9 +24,9 @@ from functools import cached_property
 from typing import Mapping
 
 from .fricke import s04_defining_poly, s12_relation_polys
-from .polyring import (F3_VARS, PHI, S04_VARS, S12_VARS, Polynomial, VariableSet,
+from .polyring import (COORDINATES, F3_VARS, PHI, S04_VARS, S12_VARS, Polynomial, VariableSet,
                        _Substitution, reduce_mod_phi)
-from .tracepoly import COORDINATES, trace_poly
+from .tracepoly import trace_poly
 from .words import Word
 
 __all__ = [

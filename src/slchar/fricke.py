@@ -49,8 +49,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ._intake import Record, overflow_names, report, take, unless_overflowed
-from .polyring import S04_VARS, S12_VARS, Polynomial, sum_product
-from .tracepoly import kappa_value
+from .polyring import S04_VARS, S12_VARS, Polynomial, kappa_value, sum_product
 
 __all__ = [
     "CharacterS04",

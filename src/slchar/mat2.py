@@ -3,7 +3,7 @@
 All explicit matrix formulas live here, together with the oracles for
 trace polynomials: ``word_trace`` and ``evaluate_word`` multiply a word
 out, and ``evaluate_at_character`` evaluates at the traces of
-``tracepoly.COORDINATES``.  A matrix is a 2x2 (or 3x3) complex numpy
+``polyring.COORDINATES``.  A matrix is a 2x2 (or 3x3) complex numpy
 array, or the 4-tuple of the rows of a 2x2 one.  Every 2x2 function
 reads either as a 4-tuple (``_entries``): ``trace`` and ``det`` return a
 plain scalar, ``sym2`` a 3x3 array, and the others the kind they are
@@ -41,8 +41,7 @@ import math
 from fractions import Fraction
 
 from ._intake import take
-from .polyring import Polynomial, VariableSet
-from .tracepoly import _VARSETS, COORDINATES, F4_VARS, _quadruple_poly
+from .polyring import _VARSETS, COORDINATES, F4_VARS, Polynomial, VariableSet, _quadruple_poly
 from .words import Word
 
 __all__ = [
@@ -265,7 +264,7 @@ def evaluate_at_character(p: Polynomial, mats):
 
 def quadruple_trace_check(assignment):
     """|2 tr(m1 m2 m3 m4) - f(traces)|, f being the 12-term polynomial for
-    2 tr(X1 X2 X3 X4) of :mod:`slchar.tracepoly`; exact (a Fraction) when
+    2 tr(X1 X2 X3 X4) of :mod:`slchar.polyring`; exact (a Fraction) when
     the matrices are exact.  Each term is linear in each m_i, so exact
     matrices are checked on their integer numerators N_i = d_i m_i, whose
     traces the polynomial takes as they are, and the residual divided

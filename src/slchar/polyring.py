@@ -50,13 +50,20 @@ built its term dict.
 
 Text form: ``3/2*x^2*y - z + 1``.
 JSON form: ``{"variables": [...], "terms": [{"exp": [...], "num": ..., "den": ...}]}``.
+
+Trace coordinates: ``COORDINATES``, keyed by the variable sets of ranks
+1-4, names each x_I = tr X_I by its increasing product X_I; the trace
+engine reads its basis from it and ``mat2`` the products it traces.  The
+identities in these coordinates are here too: PHI, ``kappa_value`` and
+2 tr(X1 X2 X3 X4) at rank 4 (``_quadruple_poly``), a rank with no engine.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import groupby
+from functools import cache
+from itertools import combinations, groupby
 from numbers import Rational
 from operator import index
 from typing import Iterable, Mapping
@@ -66,10 +73,12 @@ from .words import MAX_WORD_LETTERS
 __all__ = [
     "VariableSet",
     "Polynomial",
+    "COORDINATES",
     "F2_VARS",
     "F3_VARS",
     "S04_VARS",
     "S12_VARS",
+    "kappa_value",
     "sum_product",
     "reduce_mod_phi",
 ]
@@ -150,11 +159,27 @@ class VariableSet:
         return f"VariableSet({self.names!r})"
 
 
-#: Character coordinates of a free group of rank 2: tr X, tr Y, tr XY.
-F2_VARS = VariableSet(("x", "y", "z"))
+def _subset_coordinates(rank: int) -> dict:
+    """x_I for each increasing index tuple I of at most three generators,
+    by size and then lexicographically."""
+    return {"x" + "".join(map(str, s)): s
+            for k in (1, 2, 3) for s in combinations(range(1, rank + 1), k)}
 
-#: The seven coordinates of the rank-3 character hypersurface.
-F3_VARS = VariableSet(("x1", "x2", "x3", "x12", "x13", "x23", "x123"))
+
+#: The trace coordinates x_I = tr X_I of each rank, by their variable set, in
+#: its order, each naming the increasing indices I: tr X, tr Y, tr XY at rank
+#: 2, the seven of the hypersurface at rank 3 (PHI), and at rank 4 those of
+#: the quadruple-trace identity (``_quadruple_poly``).
+COORDINATES = {VariableSet(names): names for names in (
+    {"x": (1,)},
+    {"x": (1,), "y": (2,), "z": (1, 2)},
+    _subset_coordinates(3),
+    _subset_coordinates(4),
+)}
+F1_VARS, F2_VARS, F3_VARS, F4_VARS = COORDINATES
+
+#: Each rank's variable set.
+_VARSETS = dict(enumerate(COORDINATES, 1))
 
 #: Four-holed sphere: boundary traces a,b,c,d and curve traces x,y,z.
 S04_VARS = VariableSet(("a", "b", "c", "d", "x", "y", "z"))
@@ -614,6 +639,11 @@ def sum_product(t1, t2, t3, t12, t13, t23):
     return fsum, fprod
 
 
+def kappa_value(x, y, z):
+    """kappa evaluated at numbers (exact if the inputs are exact)."""
+    return x * x + y * y + z * z - x * y * z - 2
+
+
 _X123 = Polynomial.variable(F3_VARS, "x123")
 
 #: Coefficients of the monic quadratic  t^2 - SUM_RELATION*t + PRODUCT_RELATION
@@ -625,6 +655,17 @@ SUM_RELATION, PRODUCT_RELATION = sum_product(
 #: The defining polynomial of the rank-3 character hypersurface:
 #: PHI = x123^2 - SUM_RELATION*x123 + PRODUCT_RELATION.
 PHI = _X123 * _X123 - SUM_RELATION * _X123 + PRODUCT_RELATION
+
+
+@cache
+def _quadruple_poly() -> Polynomial:
+    """2 tr(X1 X2 X3 X4) in the rank-4 coordinates, by the classical
+    12-term identity; every term is linear in each X_i."""
+    x1, x2, x3, x4, x12, x13, x14, x23, x24, x34, x123, x124, x134, x234 = (
+        Polynomial.variable(F4_VARS, name) for name in F4_VARS)
+    return (x1 * x2 * x3 * x4 - x1 * x2 * x34 - x1 * x4 * x23 - x2 * x3 * x14 - x3 * x4 * x12
+            + x1 * x234 + x2 * x134 + x3 * x124 + x4 * x123 + x12 * x34 - x13 * x24 + x14 * x23)
+
 
 (_X123_KEY,) = _X123._terms
 

@@ -64,24 +64,20 @@ never on a word, so they stay cached (``_rows``, ``_pairing_rows``) and
 survive ``clear_cache()`` as ``_table`` does; each is built when first
 needed.
 
-Rank 4 has coordinates but no engine: they serve the quadruple-trace
-identity, written out as a polynomial, and ``trace_poly`` refuses
-rank-4 words.
-
-``COORDINATES`` names each coordinate by the increasing product whose
-trace it is (x_I = tr X_I); the engine's basis reads it, and so does
-evaluation at characters.  Results are memoized on the rank and the
-cyclically reduced letters.
+The engine's basis is read from :mod:`slchar.polyring`'s
+``COORDINATES``, which names each coordinate by the increasing product
+whose trace it is (x_I = tr X_I), and which this module exports as well.
+Rank 4 has coordinates but no engine, and ``trace_poly`` refuses rank-4
+words.  Results are memoized on the rank and the cyclically reduced
+letters.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import threading
 
-from .polyring import (F2_VARS, F3_VARS, WIDTH, Polynomial, VariableSet, _addmul_into,
-                       _MonomialMap)
+from .polyring import _VARSETS, COORDINATES, WIDTH, Polynomial, _addmul_into, _MonomialMap
 from .words import Word, _cyclic_reduce
 
 __all__ = [
@@ -93,41 +89,14 @@ __all__ = [
 ]
 
 
-def _subset_coordinates(rank: int) -> dict:
-    """x_I for each increasing index tuple I of at most three generators,
-    by size and then lexicographically (``F3_VARS`` at rank 3)."""
-    return {"x" + "".join(map(str, s)): s
-            for k in (1, 2, 3) for s in itertools.combinations(range(1, rank + 1), k)}
-
-
-F1_VARS = VariableSet(("x",))
-F4_VARS = VariableSet(_subset_coordinates(4))
-
-#: The trace coordinates of each rank, in the order of its variable set,
-#: by the increasing generator indices of the product whose trace they are.  Rank 4 serves the
-#: quadruple-trace identity only (see the module docstring).
-COORDINATES = {
-    F1_VARS: {"x": (1,)},
-    F2_VARS: {"x": (1,), "y": (2,), "z": (1, 2)},
-    F3_VARS: _subset_coordinates(3),
-    F4_VARS: _subset_coordinates(4),
-}
-
-_VARSETS = dict(enumerate(COORDINATES, 1))
-
-#: ``COORDINATES`` by rank and product: the engine's basis (ranks 1-3).
-_GEN_NAMES = {
-    rank: {word: name for name, word in COORDINATES[variables].items()}
-    for rank, variables in enumerate((F1_VARS, F2_VARS, F3_VARS), 1)
-}
-
 #: Each rank's basis, 1 and then the products of ``COORDINATES``, by slot.
-_BASIS = {rank: ((),) + tuple(names) for rank, names in _GEN_NAMES.items()}
+_BASIS = {rank: ((),) + tuple(COORDINATES[_VARSETS[rank]].values()) for rank in (1, 2, 3)}
 
 
 @functools.cache
 def _var(rank: int, key: tuple[int, ...]) -> Polynomial:
-    return Polynomial.variable(_VARSETS[rank], _GEN_NAMES[rank][key])
+    variables = _VARSETS[rank]
+    return Polynomial.variable(variables, variables.names[_BASIS[rank].index(key) - 1])
 
 
 def _combine(*pairs) -> dict:
@@ -148,7 +117,7 @@ def _table(rank: int) -> dict:
         return _var(rank, idx)._terms
 
     table: dict = {}
-    for b in sorted(((),) + tuple(_GEN_NAMES[rank]), key=len):
+    for b in _BASIS[rank]:  # by size, so table[h, g] below is built first
         for g in range(1, rank + 1):
             if not b or b[-1] < g:  # increasing
                 el = {b + (g,): {0: 1}}
@@ -366,21 +335,6 @@ def trace_poly(w: Word) -> Polynomial:
 def kappa() -> Polynomial:
     """Commutator trace x^2 + y^2 + z^2 - xyz - 2."""
     return trace_poly(Word(2, (1, 2, -1, -2)))
-
-
-def kappa_value(x, y, z):
-    """kappa evaluated at numbers (exact if the inputs are exact)."""
-    return x * x + y * y + z * z - x * y * z - 2
-
-
-@functools.cache
-def _quadruple_poly() -> Polynomial:
-    """2 tr(X1 X2 X3 X4) in the rank-4 coordinates, by the classical
-    12-term identity; every term is linear in each X_i."""
-    x1, x2, x3, x4, x12, x13, x14, x23, x24, x34, x123, x124, x134, x234 = (
-        Polynomial.variable(F4_VARS, name) for name in F4_VARS)
-    return (x1 * x2 * x3 * x4 - x1 * x2 * x34 - x1 * x4 * x23 - x2 * x3 * x14 - x3 * x4 * x12
-            + x1 * x234 + x2 * x134 + x3 * x124 + x4 * x123 + x12 * x34 - x13 * x24 + x14 * x23)
 
 
 def generator_count(n: int) -> int:

@@ -143,7 +143,8 @@ class Word:
     @staticmethod
     def generator(rank: int, index: int, inverted: bool = False) -> "Word":
         if not 1 <= index <= rank:
-            raise ValueError(f"generator index {index} exceeds rank {rank}")
+            raise ValueError(f"generator index {index} exceeds rank {rank}" if index > rank
+                             else f"generator index {index} is not in 1..{rank}")
         return Word(rank, (-index if inverted else index,))
 
     # -- printing ---------------------------------------------------------
@@ -215,9 +216,8 @@ def parse_word(text: str, rank: int) -> Word:
                 raise WordSyntaxError(f"unknown letter {letter!r}", pos)
             inverted = letter.islower()
         if not 1 <= index <= rank:
-            raise WordSyntaxError(
-                f"generator index {index} exceeds rank {rank}", pos
-            )
+            raise WordSyntaxError(f"generator index {index} exceeds rank {rank}" if index > rank
+                                  else f"generator index {index} is not in 1..{rank}", pos)
         power = 1
         if exponent is not None:
             power = _parse_int(exponent, MAX_WORD_LETTERS, "exponent", pos)

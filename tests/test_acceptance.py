@@ -54,10 +54,11 @@ from slchar.polyring import (
     SUM_RELATION,
     Polynomial,
     VariableSet,
+    kappa_value,
     reduce_mod_phi,
 )
 from slchar.sampling import random_reduced_word, random_unimodular, rng_for
-from slchar.tracepoly import clear_cache, kappa_value, trace_poly
+from slchar.tracepoly import clear_cache, trace_poly
 from slchar.words import Word
 
 

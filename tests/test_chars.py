@@ -27,10 +27,9 @@ from slchar.chars import (
     triple_trace_roots,
 )
 from slchar.mat2 import GeometryError, normal_form_pair
-from slchar.polyring import F3_VARS, PHI
+from slchar.polyring import F3_VARS, PHI, kappa_value
 from slchar.sampling import random_rational_unimodular, random_unimodular, rng_for
 from slchar.mat2 import _mul, coordinate_traces, evaluate_at_character
-from slchar.tracepoly import kappa_value
 from slchar.words import parse_word
 from tuple2x2 import from_pair, matmul, trace
 

@@ -654,6 +654,7 @@ class TestNoTraceback:
         assert_error_line(*run(capsys, "eval-word", "XY", "--matrices", matrices))
 
     @pytest.mark.parametrize("matrices", [
+        '{bad',
         '{"re": [[1, 0], [0, 1]]}',
         '["{\\"re\\": [[1, 0], [0, 1]]}", "{\\"re\\": [[1, 0], [0, 1]]}"]',
         # each part must be 2x2: no broadcast scalar, no ragged rows
@@ -677,6 +678,11 @@ class TestNoTraceback:
         ("fricke", "test", "s03", "--coords=nan,2,2"),
         ("fricke", "test", "s03", "--coords=inf,2,2"),
         ("fricke", "test", "s03", "--coords", "-inf,2,2"),
+        # not a number at all
+        ("fricke", "test", "s11", "--coords=a,1,2"),
+        ("fricke", "test", "s11", "--coords=1/a,1,2", "--mode", "exact"),
+        ("construct", "pair", "a", "1", "1"),
+        ("cover", "map", "embed", "--eval", "x1=abc,x2=1,x12=1"),
     ])
     def test_non_finite_numbers(self, capsys, argv):
         code, out, err = run(capsys, *argv)

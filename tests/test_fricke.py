@@ -31,9 +31,9 @@ from slchar.fricke import (
     s04_quartic,
     s12_relation_polys,
 )
-from slchar.polyring import F2_VARS, S04_VARS, S12_VARS, Polynomial
+from slchar.polyring import F2_VARS, S04_VARS, S12_VARS, Polynomial, kappa_value
 from slchar.sampling import random_rational_unimodular
-from slchar.tracepoly import kappa, kappa_value
+from slchar.tracepoly import kappa
 from tuple2x2 import (FRACTIONS, SL2, as_tuple, commutator_trace, from_pair, inverse, product,
                       trace)
 

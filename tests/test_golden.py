@@ -165,7 +165,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from slchar import chars, cli, covers, hypgeom, mat2, sampling, tracepoly
+from slchar import chars, cli, covers, hypgeom, mat2, polyring, sampling, tracepoly
 from slchar.covers import (
     cover_c02_to_s04,
     cover_c11_to_s12,
@@ -504,7 +504,7 @@ def _table_lines():
             for basis, terms in sorted(element.items()):
                 for mono, c in sorted(terms.items()):
                     lines.append(f"{rank} {key} {basis} {variables._unpack(mono)} {c}")
-    lines.append(json.dumps(tracepoly._quadruple_poly().to_json(), sort_keys=True))
+    lines.append(json.dumps(polyring._quadruple_poly().to_json(), sort_keys=True))
     return lines
 
 

@@ -34,8 +34,8 @@ from slchar.hypgeom import (
     reflections_from_form,
 )
 from slchar.mat2 import GeometryError, ReduciblePairError, hat, normal_form_pair, sym2
+from slchar.polyring import kappa_value
 from slchar.sampling import random_real_unimodular, random_unimodular
-from slchar.tracepoly import kappa_value
 from slchar.words import Word
 
 RND = random.Random(40)

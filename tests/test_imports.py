@@ -10,7 +10,8 @@ slchar.chars``, ``import slchar.hypgeom``, every other ``slchar verify``
 suite, the deck involution on a character of float 4-tuples, the
 Coxeter extension of a pair of them and the 2x2 functions of ``mat2`` on
 4-tuples; ``tracepoly``, ``covers`` and ``fricke`` leave ``mat2`` out,
-and ``chars`` and ``hypgeom`` leave ``fricke`` out.  Each footprint runs
+``mat2``, ``chars``, ``fricke`` and ``hypgeom`` leave ``tracepoly``
+out, and ``chars`` and ``hypgeom`` leave ``fricke`` out.  Each footprint runs
 in a fresh interpreter."""
 
 import importlib
@@ -98,6 +99,12 @@ def test_symbolic_path_loads_no_numpy(code):
 
 def test_symbolic_modules_leave_mat2_out():
     assert not loaded("import slchar.tracepoly, slchar.covers, slchar.fricke", "slchar.mat2")
+
+
+def test_modules_that_trace_no_word_leave_the_engine_out():
+    # they read the coordinate table, kappa and the quadruple identity from polyring
+    assert not loaded("import slchar.mat2, slchar.chars, slchar.fricke, slchar.hypgeom",
+                      "slchar.tracepoly")
 
 
 def test_import_traces_no_word():

@@ -18,7 +18,7 @@ import operator
 import pytest
 import sympy
 
-from slchar import chars, fricke, tracepoly
+from slchar import chars, fricke, polyring
 from slchar.covers import COVERS, ring_map
 from slchar.polyring import (
     F3_VARS, PHI, PRODUCT_RELATION, S04_VARS, S12_VARS, SUM_RELATION, Polynomial, sum_product,
@@ -155,7 +155,7 @@ def test_quadruple_trace_identity():
     def trace(word):
         return functools.reduce(operator.mul, (mats[i - 1] for i in word)).trace()
 
-    poly = tracepoly._quadruple_poly()
-    traces = {sympy.Symbol(n): trace(w) for n, w in tracepoly.COORDINATES[poly.variables].items()}
+    poly = polyring._quadruple_poly()
+    traces = {sympy.Symbol(n): trace(w) for n, w in polyring.COORDINATES[poly.variables].items()}
     got = to_sympy(poly, "").xreplace(traces)
     assert sympy.expand(2 * trace((1, 2, 3, 4)) - got) == 0

@@ -16,12 +16,14 @@ from slchar.mat2 import evaluate_at_character, quadruple_trace_check
 from slchar.polyring import (
     F2_VARS,
     F3_VARS,
+    F4_VARS,
     PHI,
     PRODUCT_RELATION,
     SUM_RELATION,
     Polynomial,
     VariableSet,
     _addmul_into,
+    _quadruple_poly,
     reduce_mod_phi,
 )
 from slchar.sampling import (
@@ -36,6 +38,7 @@ from slchar.tracepoly import (
     trace_poly,
 )
 from slchar.words import Word, parse_word
+from markoff import farey_words
 from tuple2x2 import (RATIONAL, SL2, as_pair, as_tuple, from_pair, inverse, matmul, product,
                       trace, word_product)
 
@@ -244,9 +247,9 @@ class TestEngine:
 
             variables = tracepoly._VARSETS[rank]
             character = {name: trace(basis_matrix(b))
-                         for b, name in tracepoly._GEN_NAMES[rank].items()}
+                         for name, b in tracepoly.COORDINATES[variables].items()}
             table = tracepoly._table(rank)
-            assert len(table) == 2 * rank * (len(tracepoly._GEN_NAMES[rank]) + 1)
+            assert len(table) == 2 * rank * len(tracepoly._BASIS[rank])
             for (b, g), element in table.items():
                 letter = mats[g - 1] if g > 0 else inverse(mats[-g - 1])
                 want = matmul(basis_matrix(b), letter)
@@ -270,8 +273,8 @@ class TestEngine:
                 return product(*(mats[i - 1] for i in b))
 
             character = {name: trace(basis_matrix(b))
-                         for b, name in tracepoly._GEN_NAMES[rank].items()}
-            basis = [(), *tracepoly._GEN_NAMES[rank]]
+                         for name, b in tracepoly.COORDINATES[tracepoly._VARSETS[rank]].items()}
+            basis = tracepoly._BASIS[rank]
             layout = tracepoly._layout(rank, 5)
             for b in basis:
                 for c in basis:
@@ -365,6 +368,15 @@ class TestEngine:
             assert rank < 3 or p.degree_in("x123") <= 1
             assert evaluate_at_character(p, mats) == trace(
                 word_product(w, [from_pair(m) for m in mats]))
+
+    def test_farey_words_exact(self):
+        # the Farey tree to depth 8 reaches 89 letters (the Fibonacci branch), so
+        # 32-89 letters take the sparse rank-2 layouts of width 6 and 7; at the
+        # Markoff point (3, 3, 3) its traces come from Fricke's identity alone
+        words = list(farey_words(3, 3, 3, 8))
+        assert len(words) == 513 and max(len(w) for w, _ in words) == 89
+        for letters, t in words:
+            assert trace_poly(Word(2, letters)).evaluate_exact({"x": 3, "y": 3, "z": 3}) == t
 
     def test_threads_trace_alike(self):
         # each thread steps in a scratch list of its own: rank-2 words of
@@ -653,14 +665,14 @@ class TestExactIntegerCore:
                  (3, 4), (3, 4, 1), (4, 1), (4, 1, 2), (1, 3), (2, 4), (2, 4, 2), (2, 4, 2, 2))
         # every word as an extra of the rank-4 coordinates, whose traces come first
         pairs = [as_pair(m) for m in mats]
-        got, dens = mat2._character(tracepoly.F4_VARS, pairs, *words)
+        got, dens = mat2._character(F4_VARS, pairs, *words)
         got, dens = got[-len(words):], dens[-len(words):]
         for w, t, den in zip(words, got, dens):
             assert type(t) is int and den == math.prod(pairs[i - 1][1] for i in w)
             # tr X_I = tr N_I / prod d_i, i running over the word's letters
             assert Fraction(t, den) == trace(product(*(mats[i - 1] for i in w))), w
         floats = [np.array(m, dtype=complex) for m in mats]
-        numeric, dens = mat2._character(tracepoly.F4_VARS, floats, *words)
+        numeric, dens = mat2._character(F4_VARS, floats, *words)
         assert dens is None
         for w, t in zip(words, numeric[-len(words):]):
             assert t == trace(product_of([as_tuple(m) for m in floats], w))
@@ -669,7 +681,7 @@ class TestExactIntegerCore:
         # int matrices only (every d is 1), singular ones included
         mats = [((0, 1), (-1, 0)), ((2, 0), (3, 0)), ((0, 0), (0, 5)), ((0, 0), (0, 0))]
         words = ((1,), (2,), (3,), (4,), (1, 2), (1, 2, 3), (2, 3), (3, 1), (1, 2, 3, 4), (2, 2))
-        got, dens = mat2._character(tracepoly.F4_VARS, [as_pair(m) for m in mats], *words)
+        got, dens = mat2._character(F4_VARS, [as_pair(m) for m in mats], *words)
         assert dens == [1] * len(got)
         for w, t in zip(words, got[-len(words):]):
             assert type(t) is int
@@ -800,8 +812,8 @@ class TestStackedKernels:
     def test_quadruple_trace_checks_bit_for_bit(self):
         rnd = random.Random(2814)
         draws, stack = _stacked_draws(rnd, 4, self.TRIALS)
-        poly = tracepoly._quadruple_poly()
-        names = tracepoly.COORDINATES[tracepoly.F4_VARS]
+        poly = _quadruple_poly()
+        names = tracepoly.COORDINATES[F4_VARS]
         for trial, as_numpy in zip(draws, stack):
             value = quadruple_trace_check(trial)
             mats = [_nested(m) for m in trial]

@@ -50,9 +50,11 @@ class TestParse:
             parse_word("Z", 2)
         with pytest.raises(WordSyntaxError):
             parse_word("X5", 3)
-        # a compact letter above the rank names its index; one outside X, Y, Z is unknown
+        # a compact letter above the rank names its index; one outside X, Y, Z is unknown;
+        # index 0 names the valid range
         for text, rank, message in (("Z", 2, "generator index 3 exceeds rank 2"),
-                                    ("U", 3, "unknown letter 'U'")):
+                                    ("U", 3, "unknown letter 'U'"),
+                                    ("X0", 2, "generator index 0 is not in 1..2")):
             with pytest.raises(WordSyntaxError) as err:
                 parse_word(text, rank)
             assert str(err.value) == f"{message} (at position 0)"
@@ -190,6 +192,8 @@ class TestGroupOps:
                 assert w**k == want, (w, k)
 
     def test_generator_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="generator index 3 exceeds rank 2"):
             Word.generator(2, 3)
+        with pytest.raises(ValueError, match=r"generator index 0 is not in 1\.\.2"):
+            Word.generator(2, 0)
         assert Word.generator(3, 2, inverted=True).letters == (-2,)
